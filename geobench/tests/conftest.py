@@ -1,0 +1,7 @@
+"""Make the benchmark modules and the geoaudit sources importable."""
+
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(BENCH), str(BENCH.parent / "src")]
