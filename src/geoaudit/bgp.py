@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from typing import IO, Iterable
 
 from .errors import MalformedRoute
+from .index import PrefixIndex
 from .registry import Prefix, Registration, Rir, parse_prefix
-from .trie import PrefixTrie
 
 
 class Alignment(enum.Enum):
@@ -39,18 +39,14 @@ ALIGNMENT_ORDER = (
 
 @dataclass
 class Rib:
-    """Route table: per-family tries mapping prefix -> frozenset of origins."""
+    """Route table: an index mapping prefix -> frozenset of origins."""
 
-    v4: PrefixTrie
-    v6: PrefixTrie
+    routes: PrefixIndex
     default_routes_dropped: int = 0
-
-    def trie(self, family: int) -> PrefixTrie:
-        return self.v4 if family == 4 else self.v6
 
     @property
     def route_count(self) -> int:
-        return len(self.v4) + len(self.v6)
+        return len(self.routes)
 
 
 def load_rib(fp: IO[str]) -> Rib:
@@ -78,12 +74,8 @@ def load_rib(fp: IO[str]) -> Rib:
             continue
         origins.setdefault(prefix, set()).add(asn)
 
-    rib = Rib(v4=PrefixTrie(4), v6=PrefixTrie(6), default_routes_dropped=dropped)
-    for prefix, asns in origins.items():
-        rib.trie(prefix.version).insert(prefix, frozenset(asns))
-    rib.v4.freeze()
-    rib.v6.freeze()
-    return rib
+    routes = PrefixIndex((prefix, frozenset(asns)) for prefix, asns in origins.items())
+    return Rib(routes=routes, default_routes_dropped=dropped)
 
 
 @dataclass(frozen=True)
@@ -96,15 +88,14 @@ class AlignmentResult:
 
 
 def align(prefix: Prefix, rib: Rib) -> AlignmentResult:
-    trie = rib.trie(prefix.version)
-    exact = trie.lookup_exact(prefix)
+    exact = rib.routes.exact(prefix)
     if exact is not None:
         return AlignmentResult(Alignment.ALIGNED, origins=exact, moas=len(exact) > 1)
-    covering = trie.covering(prefix)
+    covering = rib.routes.covering(prefix)
     if covering:
         route, asns = covering[-1]  # most specific covering route
         return AlignmentResult(Alignment.SUBNET, origins=asns, covering_route=route, moas=len(asns) > 1)
-    contained = trie.enumerate_contained(prefix)
+    contained = rib.routes.contained(prefix)
     if contained:
         common = frozenset.intersection(*(asns for _, asns in contained))
         if common:

@@ -18,13 +18,13 @@ removed at one stage is never counted at a later one.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Mapping, Sequence
 
 from .bgp import Alignment, Rib, align
 from .errors import EmptyGeoSet, NoResponses
 from .geo import FeasibleRegion, GeoConfig, infer_region
+from .index import PrefixIndex
 from .registry import (
     Addr,
     Prefix,
@@ -33,10 +33,11 @@ from .registry import (
     Rir,
     parse_address,
     parse_prefix,
+    load_jsonl,
     prefix_sort_key,
+    write_jsonl,
 )
 from .targets import TargetPlan
-from .trie import PrefixTrie
 from .vantage import VantagePoint
 
 
@@ -185,20 +186,11 @@ class ConsistencyRecord:
 
 
 def write_records(records: Iterable[ConsistencyRecord], fp: IO[str]) -> int:
-    n = 0
-    for rec in records:
-        fp.write(json.dumps(rec.to_json(), sort_keys=True) + "\n")
-        n += 1
-    return n
+    return write_jsonl(records, fp)
 
 
 def load_records(fp: IO[str]) -> list[ConsistencyRecord]:
-    out = []
-    for line in fp:
-        line = line.strip()
-        if line:
-            out.append(ConsistencyRecord.from_json(json.loads(line)))
-    return out
+    return load_jsonl(ConsistencyRecord.from_json, fp)
 
 
 def reconcile_targets(outcomes: Sequence[TargetOutcome]) -> tuple[ConsistencyClass | None, bool]:
@@ -219,21 +211,6 @@ class AuditConfig:
     strict_no_org: bool = False
 
 
-def _overlaps(prefix: Prefix, trie: PrefixTrie) -> bool:
-    if trie.lookup_exact(prefix) is not None:
-        return True
-    if trie.covering(prefix):
-        return True
-    return bool(trie.enumerate_contained(prefix))
-
-
-def build_prefix_set(prefixes: Iterable[Prefix]) -> dict[int, PrefixTrie]:
-    tries = {4: PrefixTrie(4), 6: PrefixTrie(6)}
-    for prefix in prefixes:
-        tries[prefix.version].insert(prefix, True)
-    return tries
-
-
 def _is_nir_managed(reg: Registration, nir_markers: Sequence[str]) -> bool:
     """Markers hit on the org id or on maintainer flags, case-insensitive."""
     if not nir_markers:
@@ -248,7 +225,7 @@ def audit_prefix(
     results_by_target: Mapping[Addr, Sequence],
     vantages_by_id: Mapping[str, VantagePoint],
     rib: Rib,
-    anycast: dict[int, PrefixTrie],
+    anycast: PrefixIndex,
     nir_markers: Sequence[str],
     config: AuditConfig,
 ) -> ConsistencyRecord:
@@ -285,7 +262,7 @@ def audit_prefix(
         return record(rir_org=rir_org, filter_reason=FilterReason.UNRESPONSIVE,
                       targets=tuple(outcomes))
     # (2) anycast overlap
-    if _overlaps(reg.prefix, anycast[reg.prefix.version]):
+    if anycast.overlaps(reg.prefix):
         return record(rir_org=rir_org, filter_reason=FilterReason.ANYCAST,
                       targets=tuple(outcomes))
     # (3) NIR-managed space
@@ -365,7 +342,7 @@ def audit_pipeline(
     config: AuditConfig,
 ) -> list[ConsistencyRecord]:
     """Classify every plan; exactly one record per prefix, sorted by prefix."""
-    anycast = build_prefix_set(anycast_prefixes)
+    anycast = PrefixIndex((prefix, True) for prefix in anycast_prefixes)
     records = []
     for plan in sorted(plans, key=lambda p: prefix_sort_key(p.prefix)):
         records.append(audit_prefix(

@@ -1,11 +1,13 @@
 """Command line interface.
 
 Subcommands mirror the pipeline stages: ingest, align, plan, audit, report,
-oro. Settings resolve in the order CLI flag, GEOAUDIT_* environment
-variable, [geoaudit] section of --config, built-in default.
+oro. The settings of plan and audit resolve in the order CLI flag,
+GEOAUDIT_* environment variable, [geoaudit] section of --config, built-in
+default.
 
-Exit codes: 0 success, 1 bad usage or configuration, 2 unreadable or
-malformed input, 3 measurement backend unavailable.
+Exit codes: 0 success, 1 usage error, 2 bad data or configuration
+(including a broken accounting identity), 3 measurement backend
+unavailable.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .registry import (
     load_region_map,
     load_registrations,
     prefix_sort_key,
+    read_tokens,
     write_registrations,
 )
 
@@ -122,6 +125,16 @@ def _country_points(args):
     return geo.default_country_points()
 
 
+def _ingest_tally(rep: whois.IngestReport) -> str:
+    return (
+        f"{rep.rir.value}: nets={rep.net_records_read} emitted={rep.registrations_emitted} "
+        f"dups={rep.duplicates_dropped} skipped={rep.not_managed_skipped} "
+        f"malformed={rep.malformed_skipped} split={rep.non_cidr_ranges_split} "
+        f"orgs={rep.org_records_read} unresolved={rep.unresolved_orgs} "
+        f"circular={rep.circular_refs_dropped} transfers={rep.transfers_dropped}"
+    )
+
+
 def cmd_ingest(args: argparse.Namespace) -> int:
     dialects = None
     if args.dialects:
@@ -151,19 +164,18 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         merged.extend(regs)
     merged.sort(key=lambda r: prefix_sort_key(r.prefix))
 
+    ordered = sorted(reports.values(), key=lambda rep: rep.rir.value)
+    broken = [rep for rep in ordered if not rep.check_identity()]
+    if broken:
+        for rep in broken:
+            print(f"ingest: accounting identity broken: {_ingest_tally(rep)}", file=sys.stderr)
+        return 2
+
     with open(args.output, "w", encoding="utf-8") as fp:
         count = write_registrations(merged, fp)
 
-    for rir, rep in sorted(reports.items(), key=lambda kv: kv[0].value):
-        identity = "ok" if rep.check_identity() else "BROKEN"
-        print(
-            f"{rir.value}: nets={rep.net_records_read} emitted={rep.registrations_emitted} "
-            f"dups={rep.duplicates_dropped} skipped={rep.not_managed_skipped} "
-            f"malformed={rep.malformed_skipped} split={rep.non_cidr_ranges_split} "
-            f"orgs={rep.org_records_read} unresolved={rep.unresolved_orgs} "
-            f"circular={rep.circular_refs_dropped} transfers={rep.transfers_dropped} "
-            f"identity={identity}"
-        )
+    for rep in ordered:
+        print(f"{_ingest_tally(rep)} identity=ok")
     print(f"wrote {count} registrations to {args.output}")
     return 0
 
@@ -289,7 +301,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
     nir_markers: list[str] = []
     if args.nir_markers:
         with whois.open_text(args.nir_markers) as fp:
-            nir_markers = [line.split("#", 1)[0].strip() for line in fp if line.split("#", 1)[0].strip()]
+            nir_markers = read_tokens(fp)
 
     backend = _make_backend(args, config)
 
@@ -333,16 +345,20 @@ def cmd_audit(args: argparse.Namespace) -> int:
     records = classify.audit_pipeline(
         plans_in, results_by_target, vantages_by_id, rib, anycast, nir_markers, audit_config)
 
+    counts = classify.pipeline_counts(records)
+    tally = (f"candidates={counts.candidates} classified={counts.classified} "
+             + " ".join(f"{r.value}={n}" for r, n in counts.filtered.items() if n))
+    if not counts.check_identity():
+        print(f"audit: accounting identity broken: {tally}", file=sys.stderr)
+        return 2
+
     with open(args.output, "w", encoding="utf-8") as fp:
         classify.write_records(records, fp)
 
-    counts = classify.pipeline_counts(records)
     print(f"vantages: kept={vreport.kept} disconnected={vreport.disconnected} "
           f"bad_id={vreport.bad_id} default_coords={vreport.default_coords}")
-    print(f"candidates={counts.candidates} classified={counts.classified} "
-          + " ".join(f"{r.value}={n}" for r, n in counts.filtered.items() if n))
-    identity = "ok" if counts.check_identity() else "BROKEN"
-    print(f"accounting identity: {identity}")
+    print(tally)
+    print("accounting identity: ok")
     print(f"wrote {len(records)} records to {args.output}")
     return 0
 
@@ -440,14 +456,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(f"--{rir.value.lower()}", help=f"{rir.value} bulk dump (gzip ok)")
     p.add_argument("--dialects", help="dialect table (INI), default bundled")
     p.add_argument("-o", "--output", required=True, help="registrations.jsonl path")
-    _add_common(p)
     p.set_defaults(func=cmd_ingest)
 
     p = subs.add_parser("align", help="compare registrations against a BGP table")
     p.add_argument("--registrations", required=True)
     p.add_argument("--rib", required=True, help="routes as '<prefix> <origin_asn>' lines")
     p.add_argument("-o", "--output", help="write alignment fractions CSV")
-    _add_common(p)
     p.set_defaults(func=cmd_align)
 
     p = subs.add_parser("plan", help="choose probe targets per registered prefix")
@@ -492,14 +506,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--leased-prefixes", help="known leased prefixes (one per line)")
     p.add_argument("--region-map", help="country,rir csv (default bundled)")
     p.add_argument("--out-dir", required=True)
-    _add_common(p)
     p.set_defaults(func=cmd_report)
 
     p = subs.add_parser("oro", help="out-of-region organization stats from registrations")
     p.add_argument("--registrations", required=True)
     p.add_argument("--region-map", help="country,rir csv (default bundled)")
     p.add_argument("-o", "--output", help="write CSV")
-    _add_common(p)
     p.set_defaults(func=cmd_oro)
 
     return parser

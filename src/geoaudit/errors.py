@@ -17,10 +17,6 @@ class MixedFamily(GeoAuditError):
     """Operands belong to different address families."""
 
 
-class FamilyMismatch(GeoAuditError):
-    """Key family does not match the trie's family."""
-
-
 class UnknownCountry(GeoAuditError):
     """Country code absent from the region map."""
 

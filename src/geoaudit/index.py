@@ -1,0 +1,89 @@
+"""Immutable prefix index over both address families.
+
+Built once from (prefix, value) pairs; a repeated prefix keeps the last
+value given. Each family keeps one dict per prefix length, mapping the
+network address as an int to (prefix, value), plus every entry sorted by
+(network, length) for the contained-prefix range scan. Nothing is written
+after construction, so any number of threads may read one index.
+"""
+
+from __future__ import annotations
+
+from bisect import bisect_left
+from typing import Any, Iterable
+
+from .registry import Addr, Prefix
+
+_BITS = {4: 32, 6: 128}
+
+
+class PrefixIndex:
+    """Longest-prefix match, exact lookup, covering and contained prefixes."""
+
+    def __init__(self, items: Iterable[tuple[Prefix, Any]] = ()):
+        tables: dict[tuple[int, int], dict[int, tuple[Prefix, Any]]] = {}
+        for prefix, value in items:
+            table = tables.setdefault((prefix.version, prefix.prefixlen), {})
+            table[int(prefix.network_address)] = (prefix, value)
+        self._tables = tables
+        # per family: (length, netmask, table), most specific first
+        self._levels: dict[int, list[tuple[int, int, dict]]] = {4: [], 6: []}
+        # per family: (net, length, prefix, value) in address order
+        self._sorted: dict[int, list[tuple[int, int, Prefix, Any]]] = {4: [], 6: []}
+        for version, plen in sorted(tables, reverse=True):
+            table = tables[(version, plen)]
+            mask = ((1 << plen) - 1) << (_BITS[version] - plen)
+            self._levels[version].append((plen, mask, table))
+            self._sorted[version].extend(
+                (net, plen, prefix, value) for net, (prefix, value) in table.items())
+        for entries in self._sorted.values():
+            entries.sort(key=lambda e: (e[0], e[1]))
+
+    def __len__(self) -> int:
+        return sum(len(table) for table in self._tables.values())
+
+    def longest_match(self, addr: Addr) -> tuple[Prefix, Any] | None:
+        """The most specific (prefix, value) containing addr, or None."""
+        a = int(addr)
+        for _, mask, table in self._levels[addr.version]:
+            hit = table.get(a & mask)
+            if hit is not None:
+                return hit
+        return None
+
+    def exact(self, prefix: Prefix) -> Any:
+        """The value stored for exactly this prefix, or None."""
+        table = self._tables.get((prefix.version, prefix.prefixlen))
+        hit = table.get(int(prefix.network_address)) if table else None
+        return None if hit is None else hit[1]
+
+    def covering(self, prefix: Prefix) -> list[tuple[Prefix, Any]]:
+        """Entries strictly less specific than, and containing, prefix;
+        least specific first."""
+        net = int(prefix.network_address)
+        out = []
+        for plen, mask, table in reversed(self._levels[prefix.version]):
+            if plen >= prefix.prefixlen:
+                break
+            hit = table.get(net & mask)
+            if hit is not None:
+                out.append(hit)
+        return out
+
+    def contained(self, prefix: Prefix) -> list[tuple[Prefix, Any]]:
+        """Entries equal to or more specific than prefix, in address order
+        (an equal prefix comes first)."""
+        entries = self._sorted[prefix.version]
+        net = int(prefix.network_address)
+        last = net | ((1 << (_BITS[prefix.version] - prefix.prefixlen)) - 1)
+        out = []
+        for i in range(bisect_left(entries, (net, prefix.prefixlen)), len(entries)):
+            entry_net, _, entry_prefix, value = entries[i]
+            if entry_net > last:
+                break
+            out.append((entry_prefix, value))
+        return out
+
+    def overlaps(self, prefix: Prefix) -> bool:
+        """True when some entry equals, covers or lies inside prefix."""
+        return bool(self.covering(prefix) or self.contained(prefix))

@@ -8,7 +8,6 @@ never sinks a prefix.
 
 from __future__ import annotations
 
-import json
 import random
 import time
 from dataclasses import dataclass, field
@@ -16,7 +15,7 @@ from typing import IO, Callable, Iterable, Mapping, Protocol
 
 from .errors import BackendUnavailable, NegativeRtt, ReplayMiss, UnknownTarget
 from .geo import C_KM_PER_S, DEFAULT_PROPAGATION_FACTOR, haversine_km
-from .registry import Addr, Prefix, parse_address
+from .registry import Addr, Prefix, load_jsonl, parse_address, write_jsonl
 from .vantage import VantagePoint
 
 SAMPLES_PER_PAIR = 3
@@ -49,20 +48,11 @@ class MeasurementResult:
 
 
 def write_results(results: Iterable[MeasurementResult], fp: IO[str]) -> int:
-    n = 0
-    for res in results:
-        fp.write(json.dumps(res.to_json(), sort_keys=True) + "\n")
-        n += 1
-    return n
+    return write_jsonl(results, fp)
 
 
 def load_results(fp: IO[str]) -> list[MeasurementResult]:
-    out = []
-    for line in fp:
-        line = line.strip()
-        if line:
-            out.append(MeasurementResult.from_json(json.loads(line)))
-    return out
+    return load_jsonl(MeasurementResult.from_json, fp)
 
 
 class Backend(Protocol):

@@ -13,7 +13,7 @@ import ipaddress
 import json
 from dataclasses import dataclass, replace
 from importlib import resources
-from typing import IO, Iterable, Iterator, Mapping
+from typing import IO, Any, Callable, Iterable, Iterator, Mapping, TypeVar
 
 from .errors import InvertedRange, MalformedPrefix, MixedFamily, UnknownCountry
 
@@ -104,7 +104,6 @@ class Registration:
     org_country: str | None = None
     status: Status = Status.LEGACY_OR_UNKNOWN
     last_updated: datetime.date | None = None
-    source_range: str | None = None
     flags: tuple[str, ...] = ()
 
     def with_flag(self, flag: str) -> "Registration":
@@ -137,21 +136,36 @@ class Registration:
         )
 
 
-def write_registrations(regs: Iterable[Registration], fp: IO[str]) -> int:
+T = TypeVar("T")
+
+
+def write_jsonl(items: Iterable[Any], fp: IO[str]) -> int:
+    """Write each item's to_json() as one line of sorted-key JSON; returns
+    the number of lines written."""
     n = 0
-    for reg in regs:
-        fp.write(json.dumps(reg.to_json(), sort_keys=True) + "\n")
+    for item in items:
+        fp.write(json.dumps(item.to_json(), sort_keys=True) + "\n")
         n += 1
     return n
 
 
+def load_jsonl(from_json: Callable[[Mapping], T], fp: IO[str]) -> list[T]:
+    """Decode every non-blank line with from_json."""
+    return [from_json(json.loads(line)) for line in fp if line.strip()]
+
+
+def read_tokens(fp: IO[str]) -> list[str]:
+    """One token per line; '#' starts a comment and blank lines are skipped."""
+    tokens = (line.split("#", 1)[0].strip() for line in fp)
+    return [token for token in tokens if token]
+
+
+def write_registrations(regs: Iterable[Registration], fp: IO[str]) -> int:
+    return write_jsonl(regs, fp)
+
+
 def load_registrations(fp: IO[str]) -> list[Registration]:
-    regs = []
-    for line in fp:
-        line = line.strip()
-        if line:
-            regs.append(Registration.from_json(json.loads(line)))
-    return regs
+    return load_jsonl(Registration.from_json, fp)
 
 
 # Exact per-RIR country counts published by the registries; the bundled

@@ -16,6 +16,7 @@ from .classify import (
     ConsistencyRecord,
     pipeline_counts,
 )
+from .index import PrefixIndex
 from .registry import (
     Prefix,
     RegionMap,
@@ -27,7 +28,6 @@ from .registry import (
     parse_prefix,
     prefix_sort_key,
 )
-from .trie import PrefixTrie
 
 
 @dataclass
@@ -180,12 +180,10 @@ def geodb_detection(
     Default criterion: the provider's country maps to a registry other than
     the registering one. With require_geo_agreement the provider's region
     must also be one the measurements found feasible."""
-    tries_by_provider: dict[str, dict[int, PrefixTrie]] = {}
-    for name, entries in providers.items():
-        tries = {4: PrefixTrie(4), 6: PrefixTrie(6)}
-        for entry in entries:
-            tries[entry.prefix.version].insert(entry.prefix, entry.country)
-        tries_by_provider[name] = tries
+    indexes = {
+        name: PrefixIndex((entry.prefix, entry.country) for entry in entries)
+        for name, entries in providers.items()
+    }
 
     out: dict[str, dict[Rir, DetectionStats]] = {
         name: {rir: DetectionStats() for rir in RIR_ORDER} for name in providers
@@ -194,10 +192,10 @@ def geodb_detection(
         if rec.cls not in (ConsistencyClass.RI, ConsistencyClass.FI):
             continue
         probe_addr = rec.prefix.network_address
-        for name, tries in tries_by_provider.items():
+        for name, index in indexes.items():
             stats = out[name][rec.rir_reg]
             stats.eligible += 1
-            hit = tries[rec.prefix.version].longest_match(probe_addr)
+            hit = index.longest_match(probe_addr)
             if hit is None:
                 stats.no_coverage += 1
                 continue
@@ -232,9 +230,7 @@ def leasing_overlap(
 
     Any relation counts: exact, contained in a leased block, or containing
     one. Rows exist for every (registry, RI/FI) pair."""
-    tries = {4: PrefixTrie(4), 6: PrefixTrie(6)}
-    for prefix in leased:
-        tries[prefix.version].insert(prefix, True)
+    index = PrefixIndex((prefix, True) for prefix in leased)
     out = {
         (rir, cls): LeasingStats()
         for rir in RIR_ORDER
@@ -245,13 +241,7 @@ def leasing_overlap(
             continue
         stats = out[(rec.rir_reg, rec.cls)]
         stats.records += 1
-        trie = tries[rec.prefix.version]
-        overlap = (
-            trie.lookup_exact(rec.prefix) is not None
-            or bool(trie.covering(rec.prefix))
-            or bool(trie.enumerate_contained(rec.prefix))
-        )
-        if overlap:
+        if index.overlaps(rec.prefix):
             stats.overlapping += 1
     return out
 

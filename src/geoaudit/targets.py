@@ -7,20 +7,23 @@ budget stays bounded and no address is probed for two prefixes.
 
 from __future__ import annotations
 
-import json
+import datetime
 import random
 from dataclasses import dataclass
 from typing import IO, Iterable, Mapping
 
+from .index import PrefixIndex
 from .registry import (
     Addr,
     Prefix,
     Registration,
+    load_jsonl,
     parse_address,
     parse_prefix,
     prefix_sort_key,
+    read_tokens,
+    write_jsonl,
 )
-from .trie import PrefixTrie
 
 TARGETS_PER_PREFIX = 2
 
@@ -47,22 +50,12 @@ def load_hitlist_v4(fp: IO[str]) -> list[HitlistEntry]:
 
 def load_hitlist_v6(fp: IO[str]) -> list[HitlistEntry]:
     """One IPv6 address per line; no responsiveness scores."""
-    out = []
-    for line in fp:
-        token = line.split("#", 1)[0].strip()
-        if token:
-            out.append(HitlistEntry(addr=parse_address(token), score=None))
-    return out
+    return [HitlistEntry(addr=parse_address(token), score=None) for token in read_tokens(fp)]
 
 
 def load_prefix_list(fp: IO[str]) -> list[Prefix]:
     """One prefix per line with # comments; used for alias/anycast/lease lists."""
-    out = []
-    for line in fp:
-        token = line.split("#", 1)[0].strip()
-        if token:
-            out.append(parse_prefix(token))
-    return out
+    return [parse_prefix(token) for token in read_tokens(fp)]
 
 
 def exclude_aliased(
@@ -70,13 +63,11 @@ def exclude_aliased(
     aliased: Iterable[Prefix],
 ) -> tuple[list[HitlistEntry], int]:
     """Drop entries that fall inside any aliased prefix."""
-    tries: dict[int, PrefixTrie] = {4: PrefixTrie(4), 6: PrefixTrie(6)}
-    for prefix in aliased:
-        tries[prefix.version].insert(prefix, True)
+    index = PrefixIndex((prefix, True) for prefix in aliased)
     kept = []
     dropped = 0
     for entry in entries:
-        if tries[entry.addr.version].longest_match(entry.addr) is None:
+        if index.longest_match(entry.addr) is None:
             kept.append(entry)
         else:
             dropped += 1
@@ -107,42 +98,30 @@ class TargetPlan:
 
 
 def write_plans(plans: Iterable[TargetPlan], fp: IO[str]) -> int:
-    n = 0
-    for plan in plans:
-        fp.write(json.dumps(plan.to_json(), sort_keys=True) + "\n")
-        n += 1
-    return n
+    return write_jsonl(plans, fp)
 
 
 def load_plans(fp: IO[str]) -> list[TargetPlan]:
-    out = []
-    for line in fp:
-        line = line.strip()
-        if line:
-            out.append(TargetPlan.from_json(json.loads(line)))
-    return out
+    return load_jsonl(TargetPlan.from_json, fp)
 
 
-def registration_trie(regs: Iterable[Registration]) -> tuple[dict[int, PrefixTrie], int]:
+def registration_index(regs: Iterable[Registration]) -> tuple[PrefixIndex, int]:
     """Index registrations by prefix, both families. When two registries
     carry the same prefix, the most recently updated row wins (ties: larger
-    registry name); the survivor is flagged. Returns (tries, collisions)."""
-    import datetime
-
-    tries = {4: PrefixTrie(4), 6: PrefixTrie(6)}
+    registry name); the survivor is flagged. Returns (index, collisions)."""
+    by_prefix: dict[Prefix, Registration] = {}
     collisions = 0
     for reg in regs:
-        trie = tries[reg.prefix.version]
-        old = trie.lookup_exact(reg.prefix)
+        old = by_prefix.get(reg.prefix)
         if old is None:
-            trie.insert(reg.prefix, reg)
+            by_prefix[reg.prefix] = reg
             continue
         collisions += 1
         old_rank = (old.last_updated or datetime.date.min, old.rir.value)
         new_rank = (reg.last_updated or datetime.date.min, reg.rir.value)
         winner = reg if new_rank > old_rank else old
-        trie.insert(reg.prefix, winner.with_flag("cross_rir_duplicate"))
-    return tries, collisions
+        by_prefix[reg.prefix] = winner.with_flag("cross_rir_duplicate")
+    return PrefixIndex(by_prefix.items()), collisions
 
 
 def build_target_plans(
@@ -154,12 +133,12 @@ def build_target_plans(
 
     Scored entries below min_score are dropped; unscored (IPv6) entries
     always pass. At most TARGETS_PER_PREFIX lowest addresses per prefix."""
-    tries, _ = registration_trie(regs)
+    index, _ = registration_index(regs)
     per_prefix: dict[tuple, tuple[Registration, list[Addr]]] = {}
     for entry in entries:
         if entry.score is not None and entry.score < min_score:
             continue
-        hit = tries[entry.addr.version].longest_match(entry.addr)
+        hit = index.longest_match(entry.addr)
         if hit is None:
             continue
         _, reg = hit

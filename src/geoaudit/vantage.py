@@ -1,7 +1,7 @@
 """Vantage point inventory: filtering, stable per-region sets, per-prefix plans.
 
 Plans draw three vantages from each registry region plus five from the
-organization's country, deduplicated, so a prefix sees at most 19 probes.
+organization's country, deduplicated, so a prefix sees at most 20 probes.
 Selection rotates deterministically with a prefix hash so load spreads
 without losing reproducibility.
 """
@@ -9,11 +9,10 @@ without losing reproducibility.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Mapping, Sequence
 
-from .registry import Prefix, RegionMap, Registration, Rir, RIR_ORDER
+from .registry import Prefix, RegionMap, Registration, Rir, RIR_ORDER, load_jsonl, read_tokens
 
 REGIONAL_PICKS = 3
 COUNTRY_PICKS = 5
@@ -55,21 +54,11 @@ class VantagePoint:
 
 
 def load_vantages(fp: IO[str]) -> list[VantagePoint]:
-    out = []
-    for line in fp:
-        line = line.strip()
-        if line:
-            out.append(VantagePoint.from_json(json.loads(line)))
-    return out
+    return load_jsonl(VantagePoint.from_json, fp)
 
 
 def load_bad_ids(fp: IO[str]) -> set[str]:
-    out = set()
-    for line in fp:
-        token = line.split("#", 1)[0].strip()
-        if token:
-            out.add(token)
-    return out
+    return set(read_tokens(fp))
 
 
 def load_default_coords(fp: IO[str]) -> set[tuple[float, float]]:

@@ -248,19 +248,18 @@ def _pad_short_v4(text: str) -> str:
     return f"{addr}/{plen}"
 
 
-def _parse_net_value(value: str) -> tuple[list[Prefix], str | None]:
-    """Parse a net attribute value into CIDR blocks. Returns (blocks,
-    source_range) where source_range is set when the value was a range."""
+def _parse_net_value(value: str) -> list[Prefix]:
+    """Parse a net attribute value (a range, a CIDR or a bare address) into
+    CIDR blocks."""
     value = value.strip()
     if " - " in value or (" " not in value and "-" in value and "/" not in value and ":" not in value):
         start, _, end = value.partition("-")
-        blocks = range_to_cidrs(parse_address(start), parse_address(end))
-        return blocks, f"{start.strip()}-{end.strip()}"
+        return range_to_cidrs(parse_address(start), parse_address(end))
     if "/" in value:
-        return [parse_prefix(_pad_short_v4(value))], None
+        return [parse_prefix(_pad_short_v4(value))]
     # a bare address registers the single-host block
     addr = parse_address(value)
-    return [parse_prefix(f"{addr}/{32 if addr.version == 4 else 128}")], None
+    return [parse_prefix(f"{addr}/{32 if addr.version == 4 else 128}")]
 
 
 def _find_transfer(values: Iterable[str], markers: tuple[str, ...]) -> Rir | None:
@@ -300,7 +299,7 @@ def parse_bulk_whois(
                 continue
             raw_net = rec.first(dialect.net_keys)
             try:
-                blocks, source_range = _parse_net_value(raw_net)
+                blocks = _parse_net_value(raw_net)
             except Exception:
                 report.malformed_skipped += 1
                 continue
@@ -340,7 +339,6 @@ def parse_bulk_whois(
                         org_country=country,
                         status=status,
                         last_updated=updated,
-                        source_range=source_range,
                         flags=tuple(flags),
                     )
                 )

@@ -25,6 +25,7 @@ from geoaudit.geo import (
     load_country_points,
     rtt_to_radius_km,
 )
+from geoaudit.index import PrefixIndex
 from geoaudit.measure import load_results
 from geoaudit.registry import (
     RegionMap,
@@ -43,7 +44,6 @@ from geoaudit.report import (
     leasing_overlap,
     oro_stats,
 )
-from geoaudit.trie import PrefixTrie
 from geoaudit.vantage import load_vantages
 from geoaudit.whois import drop_circular_transfers, parse_bulk_whois
 
@@ -203,8 +203,9 @@ def _top_mask(bits_arr):
 
 
 class LinearIndex:
-    """Flat-array scan over prefixes, in two 64-bit halves; the oracle the
-    trie must agree with. IPv4 values are shifted into the same 128-bit frame."""
+    """Flat-array scan over one family's prefixes, in two 64-bit halves; the
+    oracle the prefix index must agree with. IPv4 values are shifted into
+    the same 128-bit frame."""
 
     def __init__(self, prefixes):
         self.prefixes = list(prefixes)
@@ -220,13 +221,27 @@ class LinearIndex:
         v = value << self.shift
         return np.uint64(v >> 64), np.uint64(v & 0xFFFFFFFFFFFFFFFF)
 
+    def _holding(self, value):
+        """Mask of the prefixes whose block holds the address value."""
+        ahi, alo = self._halves(value)
+        return ((ahi & self.mask_hi) == self.hi) & ((alo & self.mask_lo) == self.lo)
+
     def longest_match(self, addr):
-        ahi, alo = self._halves(int(addr))
-        hit = ((ahi & self.mask_hi) == self.hi) & ((alo & self.mask_lo) == self.lo)
+        hit = self._holding(int(addr))
         if not hit.any():
             return None
         idx = np.nonzero(hit)[0]
         return self.prefixes[int(idx[np.argmax(self.plens[idx])])]
+
+    def exact(self, prefix):
+        hit = self._holding(int(prefix.network_address)) & (self.plens == np.uint64(prefix.prefixlen))
+        idx = np.nonzero(hit)[0]
+        return self.prefixes[int(idx[0])] if len(idx) else None
+
+    def covering(self, prefix):
+        """Strictly less specific prefixes holding prefix, least specific first."""
+        hit = self._holding(int(prefix.network_address)) & (self.plens < np.uint64(prefix.prefixlen))
+        return sorted((self.prefixes[int(i)] for i in np.nonzero(hit)[0]), key=lambda p: p.prefixlen)
 
     def enumerate_contained(self, prefix):
         qhi, qlo = self._halves(int(prefix.network_address))
@@ -271,17 +286,20 @@ def _random_prefixes(rng, family, count):
 
 
 def test_criterion_04_trie_oracle_equivalence():
-    with criterion(4, "trie vs linear-scan oracle, 10k prefixes x 10k lookups"):
+    with criterion(4, "prefix index vs linear-scan oracle, 10k prefixes x 10k lookups per family"):
         t0 = time.perf_counter()
+        rngs = {family: random.Random(97 + family) for family in (4, 6)}
+        prefixes_by_family = {
+            family: _random_prefixes(rngs[family], family, 10_000) for family in (4, 6)}
+        # one index holds both families
+        index = PrefixIndex(
+            (prefix, str(prefix)) for prefixes in prefixes_by_family.values() for prefix in prefixes)
+        assert len(index) == 20_000
         for family in (4, 6):
             bits = 32 if family == 4 else 128
             addr_type = ipaddress.IPv4Address if family == 4 else ipaddress.IPv6Address
-            rng = random.Random(97 + family)
-            prefixes = _random_prefixes(rng, family, 10_000)
-
-            trie = PrefixTrie(family)
-            for prefix in prefixes:
-                trie.insert(prefix, str(prefix))
+            rng = rngs[family]
+            prefixes = prefixes_by_family[family]
             oracle = LinearIndex(prefixes)
 
             for i in range(10_000):
@@ -291,7 +309,7 @@ def test_criterion_04_trie_oracle_equivalence():
                     addr = addr_type(int(base.network_address) | tail)
                 else:
                     addr = addr_type(rng.getrandbits(bits))
-                got = trie.longest_match(addr)
+                got = index.longest_match(addr)
                 want = oracle.longest_match(addr)
                 if want is None:
                     assert got is None
@@ -307,8 +325,11 @@ def test_criterion_04_trie_oracle_equivalence():
                         (int(base.network_address) & _net_mask(plen, bits), plen))
                 else:
                     query = _random_prefixes(rng, family, 1)[0]
-                got = trie.enumerate_contained(query)
+                got = index.contained(query)
                 assert {p for p, _ in got} == oracle.enumerate_contained(query)
+                want = oracle.exact(query)
+                assert index.exact(query) == (None if want is None else str(want))
+                assert [p for p, _ in index.covering(query)] == oracle.covering(query)
         assert time.perf_counter() - t0 < 60.0
 
 

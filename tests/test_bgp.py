@@ -28,7 +28,7 @@ def rib():
 def test_load_rib_counts_and_moas_merge(rib):
     assert rib.default_routes_dropped == 2
     assert rib.route_count == 6
-    assert rib.v4.lookup_exact(parse_prefix("10.0.0.0/8")) == frozenset({64500, 64501})
+    assert rib.routes.exact(parse_prefix("10.0.0.0/8")) == frozenset({64500, 64501})
 
 
 def test_load_rib_rejects_malformed_lines():
@@ -42,7 +42,7 @@ def test_load_rib_rejects_malformed_lines():
 
 def test_load_rib_accepts_as_prefixed_origins():
     rib = load_rib(io.StringIO("192.0.2.0/24 AS65010\n"))
-    assert rib.v4.lookup_exact(parse_prefix("192.0.2.0/24")) == frozenset({65010})
+    assert rib.routes.exact(parse_prefix("192.0.2.0/24")) == frozenset({65010})
 
 
 def test_align_exact_route(rib):

@@ -13,7 +13,6 @@ from geoaudit.classify import (
     TargetOutcome,
     audit_pipeline,
     audit_prefix,
-    build_prefix_set,
     classify_one,
     load_records,
     pipeline_counts,
@@ -22,6 +21,7 @@ from geoaudit.classify import (
 )
 from geoaudit.errors import EmptyGeoSet
 from geoaudit.geo import GeoConfig
+from geoaudit.index import PrefixIndex
 from geoaudit.measure import MeasurementResult
 from geoaudit.registry import RegionMap, Registration, Rir, parse_address, parse_prefix
 from geoaudit.targets import TargetPlan
@@ -121,7 +121,7 @@ def run_one(plan, results_by_target, rib_text="192.0.2.0/24 65000\n",
             anycast=(), nir_markers=(), config=CONFIG):
     rib = load_rib(io.StringIO(rib_text))
     return audit_prefix(plan, results_by_target, VANTAGES, rib,
-                        build_prefix_set(anycast), nir_markers, config)
+                        PrefixIndex((p, True) for p in anycast), nir_markers, config)
 
 
 def test_audit_prefix_classifies_fc():

@@ -5,7 +5,7 @@ import shutil
 
 import pytest
 
-from geoaudit import cli
+from geoaudit import classify, cli, whois
 from geoaudit.errors import BackendUnavailable
 
 from conftest import audit_argv
@@ -68,6 +68,16 @@ def test_ingest_without_dumps_is_usage_error(tmp_path):
     assert run(["ingest", "-o", str(tmp_path / "x.jsonl")]) == 1
 
 
+def test_ingest_broken_identity_exits_2(tmp_path, capsys, monkeypatch):
+    arin = tmp_path / "arin.txt"
+    arin.write_text(ARIN_DUMP)
+    out = tmp_path / "registrations.jsonl"
+    monkeypatch.setattr(whois.IngestReport, "check_identity", lambda self: False)
+    assert run(["ingest", "--arin", str(arin), "-o", str(out)]) == 2
+    assert "accounting identity broken: ARIN: nets=2 emitted=3" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_align_writes_fractions(small_campaign, capsys):
     camp, paths, tmp_path = small_campaign
     out = tmp_path / "alignment.csv"
@@ -106,6 +116,16 @@ def test_audit_simulate_matches_planted_classes(small_campaign, capsys):
     for rec in records:
         assert rec["filter_reason"] is None
         assert rec["class"] == camp.expected[rec["prefix"]], rec["prefix"]
+
+
+def test_audit_broken_identity_exits_2(small_campaign, capsys, monkeypatch):
+    camp, paths, tmp_path = small_campaign
+    out = tmp_path / "audit.jsonl"
+    monkeypatch.setattr(classify.PipelineCounts, "check_identity", lambda self: False)
+    assert run(audit_argv(paths, str(out))) == 2
+    err = capsys.readouterr().err
+    assert f"accounting identity broken: candidates={len(camp.expected)} " in err
+    assert not out.exists()
 
 
 def test_audit_is_deterministic_across_runs_and_threads(small_campaign):
@@ -248,6 +268,10 @@ def test_exit_code_1_on_usage_errors(tmp_path):
     assert exc.value.code == 1
     with pytest.raises(SystemExit) as exc:
         cli.main(["no-such-command"])
+    assert exc.value.code == 1
+    # --seed and --config exist only where a setting is resolved: plan, audit
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["ingest", "--seed", "1", "-o", "x"])
     assert exc.value.code == 1
 
 

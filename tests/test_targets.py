@@ -13,7 +13,7 @@ from geoaudit.targets import (
     load_hitlist_v6,
     load_plans,
     load_prefix_list,
-    registration_trie,
+    registration_index,
     sample_plans,
     write_plans,
 )
@@ -52,21 +52,21 @@ def test_exclude_aliased():
     assert [str(e.addr) for e in kept] == ["10.1.0.1", "2001:db9::1"]
 
 
-def test_registration_trie_cross_registry_collision():
+def test_registration_index_cross_registry_collision():
     a = reg("192.0.2.0/24", Rir.ARIN, last_updated=datetime.date(2020, 1, 1))
     b = reg("192.0.2.0/24", Rir.RIPE, last_updated=datetime.date(2021, 1, 1))
-    tries, collisions = registration_trie([a, b])
+    index, collisions = registration_index([a, b])
     assert collisions == 1
-    winner = tries[4].lookup_exact(parse_prefix("192.0.2.0/24"))
+    winner = index.exact(parse_prefix("192.0.2.0/24"))
     assert winner.rir is Rir.RIPE
     assert "cross_rir_duplicate" in winner.flags
 
     # same date: the lexicographically larger registry name survives
     c = reg("198.51.100.0/24", Rir.ARIN, last_updated=datetime.date(2020, 1, 1))
     d = reg("198.51.100.0/24", Rir.APNIC, last_updated=datetime.date(2020, 1, 1))
-    tries, collisions = registration_trie([c, d])
+    index, collisions = registration_index([c, d])
     assert collisions == 1
-    assert tries[4].lookup_exact(parse_prefix("198.51.100.0/24")).rir is Rir.ARIN
+    assert index.exact(parse_prefix("198.51.100.0/24")).rir is Rir.ARIN
 
 
 def test_build_target_plans_longest_prefix_wins():

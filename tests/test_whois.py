@@ -240,23 +240,20 @@ def test_parse_date_formats():
 
 
 def test_parse_net_value_forms():
-    blocks, src = _parse_net_value("192.0.2.0 - 192.0.2.255")
+    blocks = _parse_net_value("192.0.2.0 - 192.0.2.255")
     assert [str(b) for b in blocks] == ["192.0.2.0/24"]
-    assert src == "192.0.2.0-192.0.2.255"
 
-    blocks, src = _parse_net_value("45.5.160/22")
+    blocks = _parse_net_value("45.5.160/22")
     assert [str(b) for b in blocks] == ["45.5.160.0/22"]
-    assert src is None
 
-    blocks, _ = _parse_net_value("2001:db8::/32")
+    blocks = _parse_net_value("2001:db8::/32")
     assert [str(b) for b in blocks] == ["2001:db8::/32"]
 
-    blocks, _ = _parse_net_value("198.51.100.7")
+    blocks = _parse_net_value("198.51.100.7")
     assert [str(b) for b in blocks] == ["198.51.100.7/32"]
 
-    blocks, src = _parse_net_value("10.0.0.0-10.0.0.11")
+    blocks = _parse_net_value("10.0.0.0-10.0.0.11")
     assert [str(b) for b in blocks] == ["10.0.0.0/29", "10.0.0.8/30"]
-    assert src == "10.0.0.0-10.0.0.11"
 
 
 def test_parse_arin_dump():
@@ -283,10 +280,9 @@ def test_parse_arin_dump():
     assert by_prefix["192.0.2.0/24"].last_updated == datetime.date(2021, 7, 1)
     # date tie falls to the larger org id
     assert by_prefix["172.16.0.0/12"].org_id == "EXAMPLE-B"
-    # range split marks both blocks and keeps the source range
+    # range split marks both blocks
     for p in ("10.0.0.0/29", "10.0.0.8/30"):
         assert "split_from_range" in by_prefix[p].flags
-        assert by_prefix[p].source_range == "10.0.0.0-10.0.0.11"
     # transfer annotations become flags
     assert "transfer_to:APNIC" in by_prefix["198.18.0.0/15"].flags
     assert "transfer_to:RIPE" in by_prefix["203.0.113.0/24"].flags
