@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import IO, Iterable, Mapping, Sequence
 
 from .bgp import Alignment, Rib, align
-from .errors import EmptyGeoSet, NoResponses
+from .errors import EmptyGeoSet
 from .geo import FeasibleRegion, GeoConfig, infer_region
 from .index import PrefixIndex
 from .registry import (
@@ -292,14 +292,11 @@ def audit_prefix(
         if not outcome.responded:
             final_outcomes.append(outcome)
             continue
-        try:
-            region: FeasibleRegion = infer_region(
-                results_by_target.get(outcome.target, ()),
-                vantages_by_id, config.geo, config.region_map,
-            )
-        except NoResponses:
-            final_outcomes.append(outcome)
-            continue
+        # a responsive target has a reply, so min_rtt cannot raise NoResponses
+        region: FeasibleRegion = infer_region(
+            results_by_target.get(outcome.target, ()),
+            vantages_by_id, config.geo, config.region_map,
+        )
         try:
             cls = classify_one(reg.rir, rir_org, region.rirs)
         except EmptyGeoSet:

@@ -14,18 +14,19 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import csv
 import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, fields
 
 from . import bgp, classify, geo, measure, report, targets, vantage, whois
 from .errors import BackendUnavailable, GeoAuditError
 from .registry import (
     Registration,
     Rir,
-    check_official_counts,
     default_region_map,
     load_region_map,
     load_registrations,
@@ -33,18 +34,6 @@ from .registry import (
     read_tokens,
     write_registrations,
 )
-
-DEFAULTS = {
-    "seed": 42,
-    "propagation_factor": geo.DEFAULT_PROPAGATION_FACTOR,
-    "min_score": 99,
-    "sample_fraction_v4": 1.0,
-    "sample_fraction_v6": 1.0,
-    "concurrency": 1,
-    "base_url": "",
-    "api_key": "",
-    "tag": "",
-}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -54,75 +43,64 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    seed: int
-    propagation_factor: float
-    min_score: int
-    sample_fraction_v4: float
-    sample_fraction_v6: float
-    concurrency: int
-    base_url: str
-    api_key: str
-    tag: str
-    strict_no_org: bool = False
+    """The settings of plan and audit. Each default is the built-in one, and
+    its type casts the text of GEOAUDIT_<NAME> and of the config file."""
+
+    seed: int = 42
+    propagation_factor: float = geo.DEFAULT_PROPAGATION_FACTOR
+    min_score: int = 99
+    sample_fraction_v4: float = 1.0
+    sample_fraction_v6: float = 1.0
+    concurrency: int = 1
+    base_url: str = ""
+    api_key: str = ""
+    tag: str = ""
 
 
-def _load_config_file(path: str | None) -> dict:
-    if not path:
-        return {}
-    parser = configparser.ConfigParser(interpolation=None)
-    with open(path, encoding="utf-8") as fp:
-        parser.read_file(fp)
-    if not parser.has_section("geoaudit"):
-        return {}
-    return dict(parser.items("geoaudit"))
+def _read(path: str, loader):
+    """Parse one input (gzip ok) with loader(fp)."""
+    with whois.open_text(path) as fp:
+        return loader(fp)
 
-def _resolve(name: str, cli_value, file_values: dict, cast):
-    if cli_value is not None:
-        return cli_value
-    env = os.environ.get(f"GEOAUDIT_{name.upper()}")
-    if env is not None:
-        return cast(env)
-    if name in file_values:
-        return cast(file_values[name])
-    return DEFAULTS[name]
+
+@contextmanager
+def _output(path: str):
+    """Write path through a temp file that replaces it only once the block completes."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fp:
+            yield fp
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    file_values = _load_config_file(getattr(args, "config", None))
-    return RunConfig(
-        seed=_resolve("seed", getattr(args, "seed", None), file_values, int),
-        propagation_factor=_resolve(
-            "propagation_factor", getattr(args, "propagation_factor", None), file_values, float),
-        min_score=_resolve("min_score", getattr(args, "min_score", None), file_values, int),
-        sample_fraction_v4=_resolve(
-            "sample_fraction_v4", getattr(args, "sample_fraction_v4", None), file_values, float),
-        sample_fraction_v6=_resolve(
-            "sample_fraction_v6", getattr(args, "sample_fraction_v6", None), file_values, float),
-        concurrency=_resolve("concurrency", getattr(args, "concurrency", None), file_values, int),
-        base_url=_resolve("base_url", getattr(args, "base_url", None), file_values, str),
-        api_key=_resolve("api_key", getattr(args, "api_key", None), file_values, str),
-        tag=_resolve("tag", getattr(args, "tag", None), file_values, str),
-        strict_no_org=bool(getattr(args, "strict_no_org", False)),
-    )
+    file_values: dict[str, str] = {}
+    path = getattr(args, "config", None)
+    if path:
+        parser = configparser.ConfigParser(interpolation=None)
+        _read(path, parser.read_file)
+        if parser.has_section("geoaudit"):
+            file_values = dict(parser.items("geoaudit"))
+    unknown = sorted(set(file_values) - {f.name for f in fields(RunConfig)})
+    if unknown:
+        raise GeoAuditError(f"{path}: unknown setting in [geoaudit]: {', '.join(unknown)}")
+    values = {}
+    for f in fields(RunConfig):
+        value = getattr(args, f.name, None)
+        if value is None:
+            text = os.environ.get(f"GEOAUDIT_{f.name.upper()}", file_values.get(f.name))
+            value = f.default if text is None else type(f.default)(text)
+        values[f.name] = value
+    return RunConfig(**values)
 
 
 def _region_map(args):
-    path = getattr(args, "region_map", None)
-    if path:
-        with whois.open_text(path) as fp:
-            region_map = load_region_map(fp)
-        return region_map
-    return default_region_map()
-
-
-def _country_points(args):
-    path = getattr(args, "country_points", None)
-    if path:
-        with whois.open_text(path) as fp:
-            return geo.load_country_points(fp)
-    return geo.default_country_points()
+    return _read(args.region_map, load_region_map) if args.region_map else default_region_map()
 
 
 def _ingest_tally(rep: whois.IngestReport) -> str:
@@ -136,10 +114,7 @@ def _ingest_tally(rep: whois.IngestReport) -> str:
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
-    dialects = None
-    if args.dialects:
-        with whois.open_text(args.dialects) as fp:
-            dialects = whois.load_dialects(fp)
+    dialects = _read(args.dialects, whois.load_dialects) if args.dialects else None
 
     regs_by_rir: dict[Rir, list[Registration]] = {}
     reports: dict[Rir, whois.IngestReport] = {}
@@ -147,8 +122,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         path = getattr(args, rir.value.lower(), None)
         if not path:
             continue
-        with whois.open_text(path) as fp:
-            regs, orgs, rep = whois.parse_bulk_whois(fp, rir, dialects)
+        regs, orgs, rep = _read(path, lambda fp: whois.parse_bulk_whois(fp, rir, dialects))
         regs, rep.unresolved_orgs = whois.link_organizations(regs, orgs)
         regs_by_rir[rir] = regs
         reports[rir] = rep
@@ -171,7 +145,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
             print(f"ingest: accounting identity broken: {_ingest_tally(rep)}", file=sys.stderr)
         return 2
 
-    with open(args.output, "w", encoding="utf-8") as fp:
+    with _output(args.output) as fp:
         count = write_registrations(merged, fp)
 
     for rep in ordered:
@@ -181,10 +155,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_align(args: argparse.Namespace) -> int:
-    with whois.open_text(args.registrations) as fp:
-        regs = load_registrations(fp)
-    with whois.open_text(args.rib) as fp:
-        rib = bgp.load_rib(fp)
+    regs = _read(args.registrations, load_registrations)
+    rib = _read(args.rib, bgp.load_rib)
     print(f"rib: {rib.route_count} routes ({rib.default_routes_dropped} default routes dropped)")
 
     rows = []
@@ -196,9 +168,7 @@ def cmd_align(args: argparse.Namespace) -> int:
             cells = " ".join(f"{a.value}={row[a]:.3f}" for a in bgp.ALIGNMENT_ORDER)
             print(f"{rir.value} v{family}: {cells}")
     if args.output:
-        import csv
-
-        with open(args.output, "w", encoding="utf-8", newline="") as fp:
+        with _output(args.output) as fp:
             writer = csv.writer(fp)
             writer.writerow(["rir", "family"] + [a.value for a in bgp.ALIGNMENT_ORDER])
             writer.writerows(rows)
@@ -207,40 +177,37 @@ def cmd_align(args: argparse.Namespace) -> int:
 
 
 def _build_plans(args, config: RunConfig) -> list[targets.TargetPlan]:
-    if getattr(args, "plans", None):
-        with whois.open_text(args.plans) as fp:
-            return targets.load_plans(fp)
-    if not args.registrations:
+    """Plans from --plans, or from registrations and hitlists; in prefix order."""
+    if args.plans:
+        plans = _read(args.plans, targets.load_plans)
+    elif not args.registrations:
         raise GeoAuditError("need --plans, or --registrations with hitlists")
-    with whois.open_text(args.registrations) as fp:
-        regs = load_registrations(fp)
-    entries: list[targets.HitlistEntry] = []
-    if args.hitlist_v4:
-        with whois.open_text(args.hitlist_v4) as fp:
-            entries.extend(targets.load_hitlist_v4(fp))
-    if args.hitlist_v6:
-        with whois.open_text(args.hitlist_v6) as fp:
-            entries.extend(targets.load_hitlist_v6(fp))
-    if args.aliased_prefixes:
-        with whois.open_text(args.aliased_prefixes) as fp:
-            aliased = targets.load_prefix_list(fp)
-        entries, dropped = targets.exclude_aliased(entries, aliased)
-        print(f"aliased exclusion dropped {dropped} addresses")
-    plans = targets.build_target_plans(regs, entries, min_score=config.min_score)
-    v4 = [p for p in plans if p.prefix.version == 4]
-    v6 = [p for p in plans if p.prefix.version == 6]
-    if config.sample_fraction_v4 < 1.0:
-        v4 = targets.sample_plans(v4, config.sample_fraction_v4, config.seed)
-    if config.sample_fraction_v6 < 1.0:
-        v6 = targets.sample_plans(v6, config.sample_fraction_v6, config.seed + 1)
-    plans = sorted(v4 + v6, key=lambda p: prefix_sort_key(p.prefix))
-    return plans
+    else:
+        regs = _read(args.registrations, load_registrations)
+        entries: list[targets.HitlistEntry] = []
+        if args.hitlist_v4:
+            entries += _read(args.hitlist_v4, targets.load_hitlist_v4)
+        if args.hitlist_v6:
+            entries += _read(args.hitlist_v6, targets.load_hitlist_v6)
+        if args.aliased_prefixes:
+            aliased = _read(args.aliased_prefixes, targets.load_prefix_list)
+            entries, dropped = targets.exclude_aliased(entries, aliased)
+            print(f"aliased exclusion dropped {dropped} addresses")
+        plans = targets.build_target_plans(regs, entries, min_score=config.min_score)
+        v4 = [p for p in plans if p.prefix.version == 4]
+        v6 = [p for p in plans if p.prefix.version == 6]
+        if config.sample_fraction_v4 < 1.0:
+            v4 = targets.sample_plans(v4, config.sample_fraction_v4, config.seed)
+        if config.sample_fraction_v6 < 1.0:
+            v6 = targets.sample_plans(v6, config.sample_fraction_v6, config.seed + 1)
+        plans = v4 + v6
+    return sorted(plans, key=lambda p: prefix_sort_key(p.prefix))
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
     config = resolve_config(args)
     plans = _build_plans(args, config)
-    with open(args.output, "w", encoding="utf-8") as fp:
+    with _output(args.output) as fp:
         count = targets.write_plans(plans, fp)
     total_targets = sum(len(p.targets) for p in plans)
     print(f"wrote {count} plans ({total_targets} targets) to {args.output}")
@@ -251,13 +218,11 @@ def _make_backend(args, config: RunConfig):
     if args.backend == "replay":
         if not args.results:
             raise GeoAuditError("replay backend needs --results")
-        with whois.open_text(args.results) as fp:
-            return measure.ReplayBackend(measure.load_results(fp))
+        return measure.ReplayBackend(_read(args.results, measure.load_results))
     if args.backend == "simulate":
         if not args.world:
             raise GeoAuditError("simulate backend needs --world")
-        with whois.open_text(args.world) as fp:
-            world = measure.SyntheticWorld.from_json(json.load(fp), seed=config.seed)
+        world = measure.SyntheticWorld.from_json(_read(args.world, json.load), seed=config.seed)
         return measure.SimulateBackend(world)
     if args.backend == "live":
         if not config.base_url or not config.api_key:
@@ -270,53 +235,38 @@ def _make_backend(args, config: RunConfig):
 def cmd_audit(args: argparse.Namespace) -> int:
     config = resolve_config(args)
     region_map = _region_map(args)
-    points = _country_points(args)
-    if not getattr(args, "region_map", None):
-        check_official_counts(region_map)
+    points = (_read(args.country_points, geo.load_country_points) if args.country_points
+              else geo.default_country_points())
+    if not args.region_map:
         geo.check_point_coverage(points, region_map)
     geo_config = geo.GeoConfig(country_points=points, propagation_factor=config.propagation_factor)
 
     plans = _build_plans(args, config)
-    with whois.open_text(args.rib) as fp:
-        rib = bgp.load_rib(fp)
+    rib = _read(args.rib, bgp.load_rib)
 
-    with whois.open_text(args.vantages) as fp:
-        vantages = vantage.load_vantages(fp)
-    bad_ids = set()
-    if args.bad_probes:
-        with whois.open_text(args.bad_probes) as fp:
-            bad_ids = vantage.load_bad_ids(fp)
-    default_coords = set()
-    if args.default_coords:
-        with whois.open_text(args.default_coords) as fp:
-            default_coords = vantage.load_default_coords(fp)
+    vantages = _read(args.vantages, vantage.load_vantages)
+    bad_ids = _read(args.bad_probes, vantage.load_bad_ids) if args.bad_probes else set()
+    default_coords = (_read(args.default_coords, vantage.load_default_coords)
+                      if args.default_coords else set())
     vantages, vreport = vantage.filter_vantages(vantages, bad_ids, default_coords)
     vset = vantage.select_stable_sets(vantages, region_map)
     vantages_by_id = {v.id: v for v in vantages}
 
-    anycast = []
-    if args.anycast_prefixes:
-        with whois.open_text(args.anycast_prefixes) as fp:
-            anycast = targets.load_prefix_list(fp)
-    nir_markers: list[str] = []
-    if args.nir_markers:
-        with whois.open_text(args.nir_markers) as fp:
-            nir_markers = read_tokens(fp)
+    anycast = _read(args.anycast_prefixes, targets.load_prefix_list) if args.anycast_prefixes else []
+    nir_markers = _read(args.nir_markers, read_tokens) if args.nir_markers else []
 
     backend = _make_backend(args, config)
 
-    ordered = sorted(plans, key=lambda p: prefix_sort_key(p.prefix))
-    vplans = [vantage.plan_vantages(p.registration, vset, region_map) for p in ordered]
+    vplans = [vantage.plan_vantages(p.registration, vset, region_map) for p in plans]
 
-    def run_one(item) -> list[measure.MeasurementResult]:
-        plan, vplan = item
+    def run_one(plan, vplan) -> list[measure.MeasurementResult]:
         return measure.run_plan(plan.prefix, plan.targets, vplan.vantages, backend)
 
     if config.concurrency > 1:
         with ThreadPoolExecutor(max_workers=config.concurrency) as pool:
-            all_results = list(pool.map(run_one, zip(ordered, vplans)))
+            all_results = list(pool.map(run_one, plans, vplans))
     else:
-        all_results = [run_one(item) for item in zip(ordered, vplans)]
+        all_results = list(map(run_one, plans, vplans))
 
     results_by_target: dict = {}
     for results in all_results:
@@ -328,11 +278,11 @@ def cmd_audit(args: argparse.Namespace) -> int:
             (res for results in all_results for res in results),
             key=lambda r: (r.target.version, int(r.target), r.vantage_id),
         )
-        with open(args.capture_results, "w", encoding="utf-8") as fp:
+        with _output(args.capture_results) as fp:
             measure.write_results(flat, fp)
 
     plans_in = []
-    for plan, vplan in zip(ordered, vplans):
+    for plan, vplan in zip(plans, vplans):
         reg = plan.registration
         if vplan.no_country_vantage:
             reg = reg.with_flag("no_country_vantage")
@@ -341,7 +291,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
         plans_in.append(targets.TargetPlan(registration=reg, targets=plan.targets))
 
     audit_config = classify.AuditConfig(
-        region_map=region_map, geo=geo_config, strict_no_org=config.strict_no_org)
+        region_map=region_map, geo=geo_config, strict_no_org=args.strict_no_org)
     records = classify.audit_pipeline(
         plans_in, results_by_target, vantages_by_id, rib, anycast, nir_markers, audit_config)
 
@@ -352,7 +302,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
         print(f"audit: accounting identity broken: {tally}", file=sys.stderr)
         return 2
 
-    with open(args.output, "w", encoding="utf-8") as fp:
+    with _output(args.output) as fp:
         classify.write_records(records, fp)
 
     print(f"vantages: kept={vreport.kept} disconnected={vreport.disconnected} "
@@ -364,14 +314,13 @@ def cmd_audit(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    with whois.open_text(args.audit) as fp:
-        records = classify.load_records(fp)
+    records = _read(args.audit, classify.load_records)
     region_map = _region_map(args)
 
     os.makedirs(args.out_dir, exist_ok=True)
 
     def out(name: str):
-        return open(os.path.join(args.out_dir, name), "w", encoding="utf-8", newline="")
+        return _output(os.path.join(args.out_dir, name))
 
     with out("distribution.csv") as fp:
         report.write_distribution_csv(report.distribution(records), fp)
@@ -381,12 +330,10 @@ def cmd_report(args: argparse.Namespace) -> int:
         report.write_sankey_csv(report.sankey_edges(records, region_map), fp)
 
     if args.registrations:
-        with whois.open_text(args.registrations) as fp:
-            regs = load_registrations(fp)
-        regs_by_prefix = {reg.prefix: reg for reg in regs}
+        regs = _read(args.registrations, load_registrations)
         with out("oro.csv") as fp:
             report.write_oro_csv(report.oro_stats(regs, region_map), fp)
-        by_status, by_year = report.characteristics(records, regs_by_prefix)
+        by_status, by_year = report.characteristics(records, {r.prefix: r for r in regs})
         with out("characteristics_status.csv") as sfp, out("characteristics_age.csv") as yfp:
             report.write_characteristics_csv(by_status, by_year, sfp, yfp)
 
@@ -396,16 +343,14 @@ def cmd_report(args: argparse.Namespace) -> int:
             name, _, path = spec_item.partition("=")
             if not path:
                 raise GeoAuditError(f"--geodb wants name=path, got {spec_item!r}")
-            with whois.open_text(path) as fp:
-                providers[name] = report.load_geodb(fp)
+            providers[name] = _read(path, report.load_geodb)
         stats = report.geodb_detection(
             records, providers, region_map, require_geo_agreement=args.same_region)
         with out("geodb.csv") as fp:
             report.write_geodb_csv(stats, fp)
 
     if args.leased_prefixes:
-        with whois.open_text(args.leased_prefixes) as fp:
-            leased = targets.load_prefix_list(fp)
+        leased = _read(args.leased_prefixes, targets.load_prefix_list)
         with out("leasing.csv") as fp:
             report.write_leasing_csv(report.leasing_overlap(records, leased), fp)
 
@@ -414,8 +359,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_oro(args: argparse.Namespace) -> int:
-    with whois.open_text(args.registrations) as fp:
-        regs = load_registrations(fp)
+    regs = _read(args.registrations, load_registrations)
     region_map = _region_map(args)
     rows = report.oro_stats(regs, region_map)
     for (rir, family) in sorted(rows, key=lambda k: (k[1], k[0].value)):
@@ -424,7 +368,7 @@ def cmd_oro(args: argparse.Namespace) -> int:
               f"({row.prefix_fraction:.1%}) units={row.units:.1f} oro_units={row.oro_units:.1f} "
               f"({row.unit_fraction:.1%}) unknown_org={row.unknown_org}")
     if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="") as fp:
+        with _output(args.output) as fp:
             report.write_oro_csv(rows, fp)
         print(f"wrote {args.output}")
     return 0
@@ -526,7 +470,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"geoaudit: backend unavailable: {exc}", file=sys.stderr)
         return 3
     # truncated gzip raises EOFError, which is not an OSError
-    except (GeoAuditError, OSError, EOFError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (GeoAuditError, OSError, EOFError, ValueError, KeyError) as exc:
         print(f"geoaudit: {exc}", file=sys.stderr)
         return 2
 

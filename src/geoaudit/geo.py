@@ -8,14 +8,13 @@ since the disk is centered there.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from importlib import resources
 from typing import IO, Iterable, Mapping
 
 from .errors import NegativeRtt, NoResponses
-from .registry import RegionMap, Rir, data_lines
+from .registry import RegionMap, Rir, data_lines, read_csv
 
 EARTH_RADIUS_KM = 6371.0088
 C_KM_PER_S = 299792.458
@@ -47,12 +46,8 @@ CountryPoints = Mapping[str, tuple[tuple[float, float], ...]]
 
 def load_country_points(fp: IO[str]) -> dict[str, tuple[tuple[float, float], ...]]:
     """Load representative points from CSV with a country,lat,lon header."""
-    reader = csv.DictReader(data_lines(fp))
-    want = ["country", "lat", "lon"]
-    if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != want:
-        raise ValueError(f"country points need a country,lat,lon header, got {reader.fieldnames}")
     acc: dict[str, list[tuple[float, float]]] = {}
-    for row in reader:
+    for row in read_csv(data_lines(fp), ["country", "lat", "lon"]):
         cc = row["country"].strip().upper()
         lat, lon = float(row["lat"]), float(row["lon"])
         if not (-90 <= lat <= 90 and -180 <= lon <= 180):

@@ -19,7 +19,6 @@ from .registry import Addr, Prefix, load_jsonl, parse_address, write_jsonl
 from .vantage import VantagePoint
 
 SAMPLES_PER_PAIR = 3
-MAX_REPLIES_PER_TARGET = 60
 
 
 @dataclass(frozen=True)
@@ -230,16 +229,12 @@ def run_plan(
     """Measure every vantage/target pair in a plan.
 
     Per-vantage misses (replay gaps, probe errors) come back as empty
-    results; replies are capped at MAX_REPLIES_PER_TARGET per target.
+    results; each pair keeps at most SAMPLES_PER_PAIR replies.
     BackendUnavailable is fatal and propagates."""
     out: list[MeasurementResult] = []
     ordered_vantages = list(vantages)
     for target in targets:
-        replies = 0
         for vantage in ordered_vantages:
-            if replies >= MAX_REPLIES_PER_TARGET:
-                out.append(MeasurementResult(vantage.id, target, ()))
-                continue
             try:
                 rtts = backend.measure(vantage, target)
             except (ReplayMiss, UnknownTarget):
@@ -247,8 +242,6 @@ def run_plan(
             for rtt in rtts:
                 if rtt < 0:
                     raise NegativeRtt(f"{vantage.id} -> {target}: {rtt} ms")
-            rtts = rtts[: min(SAMPLES_PER_PAIR, MAX_REPLIES_PER_TARGET - replies)]
-            replies += len(rtts)
-            out.append(MeasurementResult(vantage.id, target, tuple(rtts)))
+            out.append(MeasurementResult(vantage.id, target, tuple(rtts[:SAMPLES_PER_PAIR])))
     out.sort(key=lambda r: (r.target.version, int(r.target), r.vantage_id))
     return out

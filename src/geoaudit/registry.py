@@ -13,7 +13,7 @@ import ipaddress
 import json
 from dataclasses import dataclass, replace
 from importlib import resources
-from typing import IO, Any, Callable, Iterable, Iterator, Mapping, TypeVar
+from typing import IO, Any, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .errors import InvertedRange, MalformedPrefix, MixedFamily, UnknownCountry
 
@@ -160,6 +160,16 @@ def read_tokens(fp: IO[str]) -> list[str]:
     return [token for token in tokens if token]
 
 
+def read_csv(lines: Iterable[str], header: Sequence[str]) -> csv.DictReader:
+    """Rows of a CSV whose header, once stripped, must be exactly header;
+    rows are keyed by the stripped names."""
+    reader = csv.DictReader(lines)
+    if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != list(header):
+        raise ValueError(f"need a {','.join(header)} header, got {reader.fieldnames}")
+    reader.fieldnames = list(header)
+    return reader
+
+
 def write_registrations(regs: Iterable[Registration], fp: IO[str]) -> int:
     return write_jsonl(regs, fp)
 
@@ -221,11 +231,8 @@ def data_lines(fp: IO[str]) -> Iterator[str]:
 
 def load_region_map(fp: IO[str]) -> RegionMap:
     """Load a region map from CSV with a country,rir header."""
-    reader = csv.DictReader(data_lines(fp))
-    if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != ["country", "rir"]:
-        raise ValueError(f"region map must have a country,rir header, got {reader.fieldnames}")
     entries: dict[str, Rir] = {}
-    for row in reader:
+    for row in read_csv(data_lines(fp), ["country", "rir"]):
         cc = row["country"].strip().upper()
         if cc in entries:
             raise ValueError(f"duplicate country {cc} in region map")

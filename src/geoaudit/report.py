@@ -27,6 +27,7 @@ from .registry import (
     address_units,
     parse_prefix,
     prefix_sort_key,
+    read_csv,
 )
 
 
@@ -142,13 +143,9 @@ class GeoDbEntry:
 
 def load_geodb(fp: IO[str]) -> list[GeoDbEntry]:
     """CSV with a prefix,country header: one provider's geolocation table."""
-    reader = csv.DictReader(fp)
-    want = ["prefix", "country"]
-    if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != want:
-        raise ValueError(f"geodb needs a prefix,country header, got {reader.fieldnames}")
     return [
         GeoDbEntry(prefix=parse_prefix(row["prefix"]), country=row["country"].strip().upper())
-        for row in reader
+        for row in read_csv(fp, ["prefix", "country"])
     ]
 
 

@@ -21,6 +21,7 @@ from .registry import (
     parse_address,
     parse_prefix,
     prefix_sort_key,
+    read_csv,
     read_tokens,
     write_jsonl,
 )
@@ -36,16 +37,8 @@ class HitlistEntry:
 
 def load_hitlist_v4(fp: IO[str]) -> list[HitlistEntry]:
     """CSV with an addr,score header; score is an integer 0..100."""
-    import csv
-
-    reader = csv.DictReader(fp)
-    want = ["addr", "score"]
-    if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != want:
-        raise ValueError(f"v4 hitlist needs an addr,score header, got {reader.fieldnames}")
-    out = []
-    for row in reader:
-        out.append(HitlistEntry(addr=parse_address(row["addr"]), score=int(row["score"])))
-    return out
+    return [HitlistEntry(addr=parse_address(row["addr"]), score=int(row["score"]))
+            for row in read_csv(fp, ["addr", "score"])]
 
 
 def load_hitlist_v6(fp: IO[str]) -> list[HitlistEntry]:

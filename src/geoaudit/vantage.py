@@ -12,7 +12,16 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Mapping, Sequence
 
-from .registry import Prefix, RegionMap, Registration, Rir, RIR_ORDER, load_jsonl, read_tokens
+from .registry import (
+    Prefix,
+    RegionMap,
+    Registration,
+    Rir,
+    RIR_ORDER,
+    load_jsonl,
+    read_csv,
+    read_tokens,
+)
 
 REGIONAL_PICKS = 3
 COUNTRY_PICKS = 5
@@ -64,13 +73,8 @@ def load_bad_ids(fp: IO[str]) -> set[str]:
 def load_default_coords(fp: IO[str]) -> set[tuple[float, float]]:
     """Known per-country default coordinates (csv country,lat,lon). A vantage
     sitting exactly on one of these was never really geolocated."""
-    import csv
-
-    reader = csv.DictReader(fp)
-    out = set()
-    for row in reader:
-        out.add((round(float(row["lat"]), 6), round(float(row["lon"]), 6)))
-    return out
+    rows = read_csv(fp, ["country", "lat", "lon"])
+    return {(round(float(row["lat"]), 6), round(float(row["lon"]), 6)) for row in rows}
 
 
 @dataclass
@@ -140,16 +144,6 @@ class VantageSet:
     per_rir: dict[Rir, tuple[VantagePoint, ...]] = field(default_factory=dict)
     per_country: dict[str, tuple[VantagePoint, ...]] = field(default_factory=dict)
     unmapped_country: int = 0
-
-    def by_id(self) -> dict[str, VantagePoint]:
-        out: dict[str, VantagePoint] = {}
-        for pool in self.per_rir.values():
-            for v in pool:
-                out[v.id] = v
-        for pool in self.per_country.values():
-            for v in pool:
-                out[v.id] = v
-        return out
 
 
 def select_stable_sets(

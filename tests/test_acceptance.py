@@ -17,7 +17,7 @@ import pytest
 
 from geoaudit import cli
 from geoaudit.bgp import Alignment, align, alignment_table, load_rib
-from geoaudit.classify import CLASS_ORDER, ConsistencyClass, ConsistencyRecord, classify_one
+from geoaudit.classify import CLASS_ORDER, ConsistencyRecord, classify_one
 from geoaudit.geo import (
     GeoConfig,
     haversine_km,
@@ -31,9 +31,7 @@ from geoaudit.registry import (
     RegionMap,
     Registration,
     Rir,
-    Status,
     load_region_map,
-    parse_address,
     parse_prefix,
     range_to_cidrs,
 )

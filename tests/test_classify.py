@@ -7,7 +7,6 @@ from geoaudit.bgp import load_rib
 from geoaudit.classify import (
     AuditConfig,
     CLASS_ORDER,
-    ConsistencyClass,
     ConsistencyRecord,
     FilterReason,
     TargetOutcome,

@@ -1,7 +1,8 @@
 import csv
 import gzip
 import json
-import shutil
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -126,6 +127,22 @@ def test_audit_broken_identity_exits_2(small_campaign, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert f"accounting identity broken: candidates={len(camp.expected)} " in err
     assert not out.exists()
+
+
+def test_interrupted_output_keeps_old_file(small_campaign, capsys, monkeypatch):
+    camp, paths, tmp_path = small_campaign
+    out = tmp_path / "audit.jsonl"
+    out.write_bytes(b"previous run\n")
+
+    def fail_midway(records, fp):
+        fp.write('{"prefix": "10.0.0.0/24"}\n')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(classify, "write_records", fail_midway)
+    assert run(audit_argv(paths, str(out))) == 2
+    assert "disk full" in capsys.readouterr().err
+    assert out.read_bytes() == b"previous run\n"
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 def test_audit_is_deterministic_across_runs_and_threads(small_campaign):
@@ -308,6 +325,25 @@ def test_config_precedence(tmp_path, monkeypatch):
     config = cli.resolve_config(parser.parse_args(["plan", "-o", "x"]))
     assert config.seed == 42
     assert config.min_score == 99
+
+
+def test_config_file_rejects_unknown_keys(tmp_path, capsys):
+    cfg = tmp_path / "geoaudit.ini"
+    cfg.write_text("[geoaudit]\nseed = 7\nmin-score = 10\n")
+    plans = tmp_path / "plans.jsonl"
+    plans.write_text("")
+    out = tmp_path / "out.jsonl"
+    assert run(["plan", "--config", str(cfg), "--plans", str(plans), "-o", str(out)]) == 2
+    assert "min-score" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_readme_lists_every_setting():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Configuration", 1)[1].split("\n## ", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("|")][2:]
+    env = [row.split("|")[3].strip().strip("`") for row in rows]
+    assert env == [f"GEOAUDIT_{f.name.upper()}" for f in fields(cli.RunConfig)]
 
 
 def test_audit_uses_bundled_data_by_default(small_campaign):

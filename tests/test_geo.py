@@ -155,6 +155,9 @@ def test_load_country_points_validation():
 
     pts = load_country_points(io.StringIO("country,lat,lon\nus,40,-100\nUS,30,-85\n"))
     assert pts["US"] == ((40.0, -100.0), (30.0, -85.0))
+    # header names are matched and keyed after stripping spaces
+    spaced = load_country_points(io.StringIO("country, lat, lon\nUS,40,-100\n"))
+    assert spaced == {"US": ((40.0, -100.0),)}
     with pytest.raises(ValueError):
         load_country_points(io.StringIO("cc,lat,lon\nUS,40,-100\n"))
     with pytest.raises(ValueError):

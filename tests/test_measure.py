@@ -6,7 +6,6 @@ import pytest
 from geoaudit.errors import BackendUnavailable, NegativeRtt, ReplayMiss, UnknownTarget
 from geoaudit.geo import EARTH_RADIUS_KM
 from geoaudit.measure import (
-    MAX_REPLIES_PER_TARGET,
     SAMPLES_PER_PAIR,
     LiveBackend,
     MeasurementResult,
@@ -117,17 +116,12 @@ def test_run_plan_replay_miss_is_an_empty_result():
     assert by_vantage["v-1"].rtts_ms == (7.0,)
     assert by_vantage["v-2"].rtts_ms == ()
 
-
-def test_run_plan_caps_replies_per_target():
-    world = world_with({"192.0.2.1": (0.0, 0.0)})
-    vantages = [vp(f"v-{i:02d}") for i in range(25)]
+    # a backend that returns more samples is cut to SAMPLES_PER_PAIR
+    five = ReplayBackend([MeasurementResult("v-1", parse_address("192.0.2.1"),
+                                            (5.0, 4.0, 3.0, 2.0, 1.0))])
     out = run_plan(parse_prefix("192.0.2.0/24"), [parse_address("192.0.2.1")],
-                   vantages, SimulateBackend(world))
-    assert len(out) == 25
-    assert sum(len(r.rtts_ms) for r in out) == MAX_REPLIES_PER_TARGET
-    # the first twenty vantages in plan order fill the budget
-    assert all(r.rtts_ms for r in out[:20])
-    assert all(not r.rtts_ms for r in out[20:])
+                   [vp("v-1")], five)
+    assert out[0].rtts_ms == (5.0, 4.0, 3.0)
 
 
 def test_run_plan_sorted_output_and_negative_rtt():

@@ -1,6 +1,8 @@
 import io
 import json
 
+import pytest
+
 from geoaudit.registry import RegionMap, Registration, Rir, parse_prefix
 from geoaudit.vantage import (
     COUNTRY_PICKS,
@@ -51,6 +53,8 @@ def test_load_bad_ids_and_default_coords():
     assert load_bad_ids(io.StringIO("a-1\n# dead\nb-2 # flaky\n")) == {"a-1", "b-2"}
     coords = load_default_coords(io.StringIO("country,lat,lon\nUS,38.0,-97.0\n"))
     assert (38.0, -97.0) in coords
+    with pytest.raises(ValueError):
+        load_default_coords(io.StringIO("country,lon\nUS,-97.0\n"))  # no lat column
 
 
 def test_filter_vantages():
