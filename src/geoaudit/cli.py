@@ -314,8 +314,19 @@ def cmd_audit(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    # every input is read before the first table is replaced, so a bad path
+    # leaves the previous report whole
     records = _read(args.audit, classify.load_records)
     region_map = _region_map(args)
+    regs = _read(args.registrations, load_registrations) if args.registrations else None
+    providers = {}
+    for spec_item in args.geodb or ():
+        name, _, path = spec_item.partition("=")
+        if not path:
+            raise GeoAuditError(f"--geodb wants name=path, got {spec_item!r}")
+        providers[name] = _read(path, report.load_geodb)
+    leased = (_read(args.leased_prefixes, targets.load_prefix_list)
+              if args.leased_prefixes else None)
 
     os.makedirs(args.out_dir, exist_ok=True)
 
@@ -329,28 +340,20 @@ def cmd_report(args: argparse.Namespace) -> int:
     with out("sankey.csv") as fp:
         report.write_sankey_csv(report.sankey_edges(records, region_map), fp)
 
-    if args.registrations:
-        regs = _read(args.registrations, load_registrations)
+    if regs is not None:
         with out("oro.csv") as fp:
             report.write_oro_csv(report.oro_stats(regs, region_map), fp)
         by_status, by_year = report.characteristics(records, {r.prefix: r for r in regs})
         with out("characteristics_status.csv") as sfp, out("characteristics_age.csv") as yfp:
             report.write_characteristics_csv(by_status, by_year, sfp, yfp)
 
-    if args.geodb:
-        providers = {}
-        for spec_item in args.geodb:
-            name, _, path = spec_item.partition("=")
-            if not path:
-                raise GeoAuditError(f"--geodb wants name=path, got {spec_item!r}")
-            providers[name] = _read(path, report.load_geodb)
+    if providers:
         stats = report.geodb_detection(
             records, providers, region_map, require_geo_agreement=args.same_region)
         with out("geodb.csv") as fp:
             report.write_geodb_csv(stats, fp)
 
-    if args.leased_prefixes:
-        leased = _read(args.leased_prefixes, targets.load_prefix_list)
+    if leased is not None:
         with out("leasing.csv") as fp:
             report.write_leasing_csv(report.leasing_overlap(records, leased), fp)
 

@@ -4,12 +4,20 @@ A reply's minimum RTT bounds the distance between vantage and target by the
 speed of light in fiber; every country with a representative point inside
 that radius stays feasible. The vantage's own country is always feasible,
 since the disk is centered there.
+
+The rule is computed from a table per vantage location, built on first use:
+every country sorted by the distance to its nearest point (one haversine per
+point, about 244 minima). A country is inside the disk exactly when that
+distance is <= the radius, so a bisection gives the same set as a scan of
+every point. An audit builds one table per distinct lowest-RTT vantage and
+memoises each set, and its registries, per (vantage, cut, vantage country).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
 from importlib import resources
 from typing import IO, Iterable, Mapping
 
@@ -69,10 +77,59 @@ def check_point_coverage(points: CountryPoints, region_map: RegionMap) -> None:
         raise ValueError(f"countries without representative points: {missing}")
 
 
+class _NearestCountries:
+    """Countries sorted by the distance from one vantage location to their
+    nearest representative point, with the feasible sets cut from them."""
+
+    def __init__(self, lat: float, lon: float, points: CountryPoints):
+        ranked = sorted(
+            (min(haversine_km(lat, lon, plat, plon) for plat, plon in pts), cc)
+            for cc, pts in points.items() if pts
+        )
+        # a NaN distance is never <= a radius, and would break the ordering
+        ranked = [(d, cc) for d, cc in ranked if not math.isnan(d)]
+        self.dists = [d for d, _ in ranked]
+        self.countries = [cc for _, cc in ranked]
+        self._sets: dict[tuple[int, str | None], frozenset[str]] = {}
+        self._rirs: dict[tuple[int, str | None, RegionMap], frozenset[Rir]] = {}
+
+    def cut(self, radius_km: float) -> int:
+        """How many countries have their nearest point within radius_km
+        (none for a NaN radius, as for the <= of a scan)."""
+        return bisect_right(self.dists, radius_km) if radius_km >= 0 else 0
+
+    def within(self, cut: int, vantage_country: str | None) -> frozenset[str]:
+        key = (cut, vantage_country)
+        countries = self._sets.get(key)
+        if countries is None:
+            countries = frozenset(self.countries[:cut])
+            if vantage_country:
+                countries |= {vantage_country}
+            self._sets[key] = countries
+        return countries
+
+    def rirs_within(self, cut: int, vantage_country: str | None,
+                    region_map: RegionMap) -> frozenset[Rir]:
+        key = (cut, vantage_country, region_map)
+        rirs = self._rirs.get(key)
+        if rirs is None:
+            rirs = self._rirs[key] = feasible_rirs(self.within(cut, vantage_country), region_map)
+        return rirs
+
+
 @dataclass(frozen=True)
 class GeoConfig:
     country_points: CountryPoints
     propagation_factor: float = DEFAULT_PROPAGATION_FACTOR
+    # vantage (lat, lon) -> its table, built on first use
+    _tables: dict[tuple[float, float], _NearestCountries] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+
+    def nearest(self, lat: float, lon: float) -> _NearestCountries:
+        table = self._tables.get((lat, lon))
+        if table is None:
+            table = self._tables[(lat, lon)] = _NearestCountries(lat, lon, self.country_points)
+        return table
 
 
 def min_rtt(results: Iterable) -> tuple[str, float]:
@@ -106,17 +163,8 @@ def feasible_countries(
 
     The vantage's own country is always included: the disk center lies in it
     regardless of where its representative points sit."""
-    out = set()
-    if vantage_country:
-        out.add(vantage_country)
-    for cc, points in config.country_points.items():
-        if cc in out:
-            continue
-        for lat, lon in points:
-            if haversine_km(vantage_lat, vantage_lon, lat, lon) <= radius_km:
-                out.add(cc)
-                break
-    return frozenset(out)
+    table = config.nearest(vantage_lat, vantage_lon)
+    return table.within(table.cut(radius_km), vantage_country)
 
 
 def feasible_rirs(countries: Iterable[str], region_map: RegionMap) -> frozenset[Rir]:
@@ -144,11 +192,12 @@ def infer_region(
     vid, rtt = min_rtt(results)
     vantage = vantages_by_id[vid]
     radius = rtt_to_radius_km(rtt, config.propagation_factor)
-    countries = feasible_countries(vantage.lat, vantage.lon, radius, config, vantage.country)
+    table = config.nearest(vantage.lat, vantage.lon)
+    cut = table.cut(radius)
     return FeasibleRegion(
         vantage_id=vid,
         rtt_ms=rtt,
         radius_km=radius,
-        countries=countries,
-        rirs=feasible_rirs(countries, region_map),
+        countries=table.within(cut, vantage.country),
+        rirs=table.rirs_within(cut, vantage.country, region_map),
     )

@@ -8,7 +8,9 @@ never sinks a prefix.
 
 from __future__ import annotations
 
+import functools
 import random
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import IO, Callable, Iterable, Mapping, Protocol
@@ -28,30 +30,37 @@ class MeasurementResult:
     rtts_ms: tuple[float, ...]
     timestamp: float = 0.0
 
-    def to_json(self) -> dict:
+    def to_json(self, fmt: Callable[[Addr], str] = str) -> dict:
         return {
             "vantage_id": self.vantage_id,
-            "target": str(self.target),
+            "target": fmt(self.target),
             "rtts_ms": list(self.rtts_ms),
             "timestamp": self.timestamp,
         }
 
     @classmethod
-    def from_json(cls, obj: Mapping) -> "MeasurementResult":
+    def from_json(cls, obj: Mapping,
+                  parse: Callable[[str], Addr] = parse_address) -> "MeasurementResult":
         return cls(
             vantage_id=str(obj["vantage_id"]),
-            target=parse_address(obj["target"]),
+            target=parse(obj["target"]),
             rtts_ms=tuple(float(x) for x in obj["rtts_ms"]),
             timestamp=float(obj.get("timestamp", 0.0)),
         )
 
 
+# A capture repeats each target once per vantage, so the codec formats or
+# parses each distinct target once, through a cache that lives for one call.
+
 def write_results(results: Iterable[MeasurementResult], fp: IO[str]) -> int:
-    return write_jsonl(results, fp)
+    fmt = functools.cache(str)
+    return write_jsonl(results, fp, lambda res: res.to_json(fmt))
 
 
 def load_results(fp: IO[str]) -> list[MeasurementResult]:
-    return load_jsonl(MeasurementResult.from_json, fp)
+    """Results for the same target share one address object."""
+    parse = functools.cache(parse_address)
+    return load_jsonl(lambda obj: MeasurementResult.from_json(obj, parse), fp)
 
 
 class Backend(Protocol):
@@ -141,7 +150,9 @@ class LiveBackend:
     """Client for a ping-measurement HTTP API (see docs/live-api.md).
 
     Retries transient failures with exponential backoff (base 2 s, doubling,
-    capped at 60 s) and gives up with BackendUnavailable after max_retries."""
+    capped at 60 s) and gives up with BackendUnavailable after max_retries.
+    Without an injected session, each thread gets a requests.Session of its
+    own, so concurrent workers never share one connection pool."""
 
     def __init__(
         self,
@@ -156,20 +167,29 @@ class LiveBackend:
         poll_attempts: int = 30,
         sleep: Callable[[float], None] = time.sleep,
     ):
-        if session is None:
-            import requests
-
-            session = requests.Session()
+        self._injected = session
+        self._local = threading.local()
         self.base_url = base_url.rstrip("/")
         self.api_key = api_key
         self.tag = tag
-        self.session = session
         self.max_retries = max_retries
         self.base_delay_s = base_delay_s
         self.max_delay_s = max_delay_s
         self.poll_interval_s = poll_interval_s
         self.poll_attempts = poll_attempts
         self.sleep = sleep
+
+    @property
+    def session(self):
+        """The injected session, or else this thread's own."""
+        if self._injected is not None:
+            return self._injected
+        session = getattr(self._local, "session", None)
+        if session is None:
+            import requests
+
+            session = self._local.session = requests.Session()
+        return session
 
     def _headers(self) -> dict:
         return {"Authorization": f"Key {self.api_key}", "Content-Type": "application/json"}

@@ -13,7 +13,7 @@ import ipaddress
 import json
 from dataclasses import dataclass, replace
 from importlib import resources
-from typing import IO, Any, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .errors import InvertedRange, MalformedPrefix, MixedFamily, UnknownCountry
 
@@ -139,12 +139,14 @@ class Registration:
 T = TypeVar("T")
 
 
-def write_jsonl(items: Iterable[Any], fp: IO[str]) -> int:
-    """Write each item's to_json() as one line of sorted-key JSON; returns
-    the number of lines written."""
+def write_jsonl(
+    items: Iterable[T], fp: IO[str], to_json: Callable[[T], Mapping] = lambda item: item.to_json()
+) -> int:
+    """Write to_json(item), by default item.to_json(), as one line of
+    sorted-key JSON per item; returns the number of lines written."""
     n = 0
     for item in items:
-        fp.write(json.dumps(item.to_json(), sort_keys=True) + "\n")
+        fp.write(json.dumps(to_json(item), sort_keys=True) + "\n")
         n += 1
     return n
 

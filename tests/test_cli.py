@@ -248,6 +248,31 @@ def test_report_command_writes_tables(small_campaign):
             assert total == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("bad_input", ["--geodb", "--leased-prefixes"])
+def test_report_bad_input_leaves_old_report(small_campaign, capsys, bad_input):
+    camp, paths, tmp_path = small_campaign
+    audit_out = tmp_path / "audit.jsonl"
+    assert run(audit_argv(paths, str(audit_out))) == 0
+    out_dir = tmp_path / "report"
+    out_dir.mkdir()
+    names = ("distribution.csv", "summary.txt", "sankey.csv", "oro.csv",
+             "characteristics_status.csv", "characteristics_age.csv", "geodb.csv", "leasing.csv")
+    for name in names:
+        (out_dir / name).write_bytes(f"previous {name}\n".encode())
+
+    missing = str(tmp_path / "missing.csv")
+    bad = ["--geodb", f"alpha={missing}"] if bad_input == "--geodb" else [bad_input, missing]
+    rc = run(["report", "--audit", str(audit_out),
+              "--registrations", paths["registrations.jsonl"],
+              "--region-map", paths["region_map.csv"],
+              *bad, "--out-dir", str(out_dir)])
+    assert rc == 2
+    assert "missing.csv" in capsys.readouterr().err
+    for name in names:
+        assert (out_dir / name).read_bytes() == f"previous {name}\n".encode(), name
+    assert not list(out_dir.glob("*.tmp"))
+
+
 def test_oro_command(small_campaign, capsys):
     camp, paths, tmp_path = small_campaign
     out = tmp_path / "oro.csv"

@@ -127,6 +127,68 @@ def test_feasible_countries_monotone_in_radius():
             prev = cur
 
 
+def scan_feasible(distances, radius_km, vantage_country=None):
+    """Oracle: every point, one at a time, against the radius."""
+    out = {vantage_country} if vantage_country else set()
+    for cc, dist in distances:
+        if dist <= radius_km:
+            out.add(cc)
+    return frozenset(out)
+
+
+def test_feasible_countries_match_a_scan_of_every_point():
+    points = default_country_points()
+    config = GeoConfig(country_points=points)  # one config, so its tables are reused
+    rng = random.Random(4005)
+    locations = [(rng.uniform(-90, 90), rng.uniform(-180, 180)) for _ in range(200)]
+    # (country, distance) for every point from each location
+    distances = [[(cc, haversine_km(lat, lon, plat, plon))
+                  for cc, pts in points.items() for plat, plon in pts]
+                 for lat, lon in locations]
+    countries = sorted(points)
+    for i in range(20000):
+        k = rng.randrange(len(locations))
+        lat, lon = locations[k]
+        if i % 4 == 0:
+            # exactly a country's nearest-point distance, or the float just below
+            cc = rng.choice(countries)
+            radius = min(d for c, d in distances[k] if c == cc)
+            if i % 8 == 0:
+                radius = math.nextafter(radius, -math.inf)
+        else:
+            radius = rng.uniform(0.0, 21000.0)
+        vantage_country = rng.choice(countries) if i % 2 else None
+        got = feasible_countries(lat, lon, radius, config, vantage_country)
+        assert got == scan_feasible(distances[k], radius, vantage_country), (lat, lon, radius)
+
+
+def test_infer_region_grows_when_rtts_scale_up():
+    points = default_country_points()
+    region_map = default_region_map()
+    config = GeoConfig(country_points=points)
+    rng = random.Random(4007)
+    countries = sorted(region_map)
+    vantages = {}
+    for i in range(40):
+        vid = f"v-{i:02d}"
+        vantages[vid] = VantagePoint(id=vid, kind="probe", country=rng.choice(countries),
+                                     lat=rng.uniform(-60, 70), lon=rng.uniform(-180, 180))
+    target = parse_address("192.0.2.1")
+    for _ in range(500):
+        results = [MeasurementResult(vid, target, tuple(rng.uniform(0.5, 150.0)
+                                                        for _ in range(rng.randint(0, 3))))
+                   for vid in rng.sample(sorted(vantages), 5)]
+        if not any(r.rtts_ms for r in results):
+            continue
+        base = infer_region(results, vantages, config, region_map)
+        for factor in (1.0, 1.0 + 1e-9, 1.3, 2.0, rng.uniform(1.0, 20.0)):
+            scaled = [MeasurementResult(r.vantage_id, r.target,
+                                        tuple(x * factor for x in r.rtts_ms)) for r in results]
+            wide = infer_region(scaled, vantages, config, region_map)
+            assert base.countries <= wide.countries, factor
+            assert base.rirs <= wide.rirs, factor
+
+
 def test_feasible_rirs_skips_unmapped():
     got = feasible_rirs(["US", "DE", "XX"], SMALL_MAP)
     assert got == frozenset({Rir.ARIN, Rir.RIPE})

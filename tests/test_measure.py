@@ -1,5 +1,7 @@
 import io
+import json
 import math
+import threading
 
 import pytest
 
@@ -91,11 +93,24 @@ def test_world_json_round_trip():
 
 
 def test_results_round_trip():
-    res = MeasurementResult("v-1", parse_address("192.0.2.1"), (1.0, 2.0, 3.0))
-    buf = io.StringIO()
-    assert write_results([res], buf) == 1
-    buf.seek(0)
-    assert load_results(buf) == [res]
+    # mixed families, each target measured from several vantages
+    targets = ["192.0.2.1", "2001:db8::1", "198.51.100.7", "2001:db8:0:0:1::"]
+    results = [MeasurementResult(f"v-{v}", parse_address(t), rtts, timestamp=float(v))
+               for t in targets
+               for v, rtts in enumerate([(1.5, 2.0, 2.25), (), (0.1,)])]
+    first = io.StringIO()
+    assert write_results(results, first) == len(results)
+    text = first.getvalue()
+    loaded = load_results(io.StringIO(text))
+    assert loaded == results
+    assert loaded == [MeasurementResult.from_json(json.loads(line)) for line in text.splitlines()]
+    # a target read from several lines is one shared address object
+    by_target = {}
+    for res in loaded:
+        assert by_target.setdefault(str(res.target), res.target) is res.target
+    again = io.StringIO()
+    write_results(loaded, again)
+    assert again.getvalue() == text
 
 
 def test_replay_backend():
@@ -225,3 +240,31 @@ def test_live_backend_hard_failure_does_not_retry():
     with pytest.raises(BackendUnavailable):
         backend.create_measurement(parse_address("192.0.2.1"), ["p-1"])
     assert len(session.calls) == 1
+
+
+def test_live_backend_gives_each_thread_its_own_session():
+    backend = LiveBackend("https://api.example.net/v1", "sekrit")
+    seen = []
+    workers = [threading.Thread(target=lambda: seen.append(backend.session)) for _ in range(2)]
+    for worker in workers:
+        worker.start()
+    for worker in workers:
+        worker.join(timeout=10)
+        assert not worker.is_alive()
+    main = backend.session
+    try:
+        assert len({id(s) for s in seen + [main]}) == 3
+        assert backend.session is main
+    finally:
+        for session in seen + [main]:
+            session.close()
+
+    # an injected session is shared by every thread
+    injected = StubSession([])
+    shared = LiveBackend("https://api.example.net/v1", "sekrit", session=injected)
+    seen = []
+    worker = threading.Thread(target=lambda: seen.append(shared.session))
+    worker.start()
+    worker.join(timeout=10)
+    assert not worker.is_alive()
+    assert seen == [injected] and shared.session is injected
