@@ -307,6 +307,8 @@ def cmd_audit(args: argparse.Namespace) -> int:
 
     print(f"vantages: kept={vreport.kept} disconnected={vreport.disconnected} "
           f"bad_id={vreport.bad_id} default_coords={vreport.default_coords}")
+    if isinstance(backend, measure.ReplayBackend):
+        print(f"replay misses: {backend.misses} pairs")
     print(tally)
     print("accounting identity: ok")
     print(f"wrote {len(records)} records to {args.output}")

@@ -1,9 +1,10 @@
 """Latency measurement: replayed archives, a synthetic world, or a live API.
 
-Every backend answers one question: the RTT samples (up to three) between a
-vantage and a target. run_plan fans one prefix's plan out across vantages
-and targets; per-vantage failures become empty results so one dead probe
-never sinks a prefix.
+Every backend answers one question: the RTT samples (up to three) from each
+of a plan's vantages to one target, in one call (one live measurement
+carrying every planned probe). run_plan makes that call once per target of
+a prefix's plan; a vantage without a reply (a replay gap, a probe error)
+becomes an empty result, so one dead probe never sinks a prefix.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import random
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import IO, Callable, Iterable, Mapping, Protocol
+from typing import IO, Callable, Iterable, Mapping, Protocol, Sequence
 
 from .errors import BackendUnavailable, NegativeRtt, ReplayMiss, UnknownTarget
 from .geo import C_KM_PER_S, DEFAULT_PROPAGATION_FACTOR, haversine_km
@@ -21,6 +22,8 @@ from .registry import Addr, Prefix, load_jsonl, parse_address, write_jsonl
 from .vantage import VantagePoint
 
 SAMPLES_PER_PAIR = 3
+RETRY_STATUS = (429, 500, 502, 503, 504)
+POST_RETRY_STATUS = (429, 503)  # the API answered without creating a measurement
 
 
 @dataclass(frozen=True)
@@ -64,6 +67,15 @@ def load_results(fp: IO[str]) -> list[MeasurementResult]:
 
 
 class Backend(Protocol):
+    """A measurement backend. measure_target is the primitive; measure is
+    measure_target for one vantage, kept for callers that work pair by pair."""
+
+    def measure_target(self, target: Addr,
+                       vantages: Sequence[VantagePoint]) -> Mapping[str, Sequence[float]]:
+        """RTT samples in ms from each vantage to target, by vantage id; a
+        vantage absent from the mapping got no reply."""
+        ...
+
     def measure(self, vantage: VantagePoint, target: Addr) -> list[float]:
         """RTT samples in ms; empty when the target did not answer."""
         ...
@@ -75,7 +87,9 @@ class SyntheticWorld:
     set, and additive uniform noise on top of great-circle baseline RTTs.
 
     Noise only ever adds delay, so a simulated RTT never implies a distance
-    shorter than the true one."""
+    shorter than the true one. The noise of each (vantage, target) pair is
+    seeded from the pair alone, so it does not depend on which other
+    vantages measure the target in the same call."""
 
     target_locations: dict[Addr, tuple[float, float]] = field(default_factory=dict)
     unresponsive: set[Addr] = field(default_factory=set)
@@ -85,21 +99,43 @@ class SyntheticWorld:
 
     def base_rtt_ms(self, vantage: VantagePoint, target: Addr) -> float:
         lat, lon = self.target_locations[target]
+        return self._base_rtt_ms(vantage, lat, lon)
+
+    def _base_rtt_ms(self, vantage: VantagePoint, lat: float, lon: float) -> float:
         dist = haversine_km(vantage.lat, vantage.lon, lat, lon)
         return 2.0 * dist / (self.propagation_factor * (C_KM_PER_S / 1000.0))
 
-    def rtts(self, vantage: VantagePoint, target: Addr) -> list[float]:
-        if target not in self.target_locations:
-            if target in self.unresponsive:
-                return []
-            raise UnknownTarget(f"no location for {target}")
+    def rtts_by_vantage(self, target: Addr,
+                        vantages: Iterable[VantagePoint]) -> dict[str, list[float]]:
+        """RTT samples from each vantage to target; {} when it is unresponsive,
+        UnknownTarget when it has no location.
+
+        The target is looked up and formatted once; one Random, reseeded per
+        pair, draws the noise."""
         if target in self.unresponsive:
-            return []
-        base = self.base_rtt_ms(vantage, target)
+            return {}
+        location = self.target_locations.get(target)
+        if location is None:
+            raise UnknownTarget(f"no location for {target}")
+        lat, lon = location
         if self.noise_ms <= 0:
-            return [base] * SAMPLES_PER_PAIR
-        rng = random.Random(f"{self.seed}:{vantage.id}:{target}")
-        return [base + rng.uniform(0.0, self.noise_ms) for _ in range(SAMPLES_PER_PAIR)]
+            return {v.id: [self._base_rtt_ms(v, lat, lon)] * SAMPLES_PER_PAIR for v in vantages}
+        name = str(target)
+        rng = None
+        out = {}
+        for vantage in vantages:
+            base = self._base_rtt_ms(vantage, lat, lon)
+            key = f"{self.seed}:{vantage.id}:{name}"
+            if rng is None:
+                rng = random.Random(key)
+            else:
+                rng.seed(key)  # the stream of random.Random(key)
+            out[vantage.id] = [base + rng.uniform(0.0, self.noise_ms)
+                               for _ in range(SAMPLES_PER_PAIR)]
+        return out
+
+    def rtts(self, vantage: VantagePoint, target: Addr) -> list[float]:
+        return self.rtts_by_vantage(target, [vantage]).get(vantage.id, [])
 
     def to_json(self) -> dict:
         return {
@@ -127,21 +163,40 @@ class SimulateBackend:
     def __init__(self, world: SyntheticWorld):
         self.world = world
 
+    def measure_target(self, target: Addr,
+                       vantages: Sequence[VantagePoint]) -> dict[str, list[float]]:
+        return self.world.rtts_by_vantage(target, vantages)
+
     def measure(self, vantage: VantagePoint, target: Addr) -> list[float]:
-        return self.world.rtts(vantage, target)
+        return self.measure_target(target, [vantage]).get(vantage.id, [])
 
 
 class ReplayBackend:
-    """Serves RTTs from a result archive keyed by (vantage, target)."""
+    """Serves RTTs from a result archive, indexed by target, then vantage.
+
+    misses counts the planned (vantage, target) pairs the archive lacks;
+    each comes back as no reply (measure raises ReplayMiss)."""
 
     def __init__(self, results: Iterable[MeasurementResult]):
-        self._index: dict[tuple[str, Addr], tuple[float, ...]] = {}
+        self._index: dict[Addr, dict[str, tuple[float, ...]]] = {}
         for res in results:
-            self._index[(res.vantage_id, res.target)] = res.rtts_ms
+            self._index.setdefault(res.target, {})[res.vantage_id] = res.rtts_ms
+        self.misses = 0
+        self._lock = threading.Lock()
+
+    def measure_target(self, target: Addr,
+                       vantages: Sequence[VantagePoint]) -> dict[str, tuple[float, ...]]:
+        archived = self._index.get(target, {})
+        replies = {v.id: archived[v.id] for v in vantages if v.id in archived}
+        missed = sum(v.id not in archived for v in vantages)
+        if missed:
+            with self._lock:
+                self.misses += missed
+        return replies
 
     def measure(self, vantage: VantagePoint, target: Addr) -> list[float]:
         try:
-            return list(self._index[(vantage.id, target)])
+            return list(self.measure_target(target, [vantage])[vantage.id])
         except KeyError:
             raise ReplayMiss(f"no archived result for {vantage.id} -> {target}") from None
 
@@ -149,10 +204,13 @@ class ReplayBackend:
 class LiveBackend:
     """Client for a ping-measurement HTTP API (see docs/live-api.md).
 
-    Retries transient failures with exponential backoff (base 2 s, doubling,
-    capped at 60 s) and gives up with BackendUnavailable after max_retries.
-    Without an injected session, each thread gets a requests.Session of its
-    own, so concurrent workers never share one connection pool."""
+    One target is one measurement carrying every planned probe. Retries
+    transient failures with exponential backoff (base 2 s, doubling, capped
+    at 60 s) and gives up with BackendUnavailable after max_retries. A POST
+    is retried only when the API cannot have created the measurement, so a
+    retry never pays for a second one. Without an injected session, each
+    thread gets a requests.Session of its own, so concurrent workers never
+    share one connection pool."""
 
     def __init__(
         self,
@@ -196,6 +254,8 @@ class LiveBackend:
 
     def _request(self, method: str, path: str, payload: dict | None = None) -> dict:
         url = f"{self.base_url}{path}"
+        # a POST that may have reached the API is never sent again
+        retry_status = POST_RETRY_STATUS if method == "POST" else RETRY_STATUS
         delay = self.base_delay_s
         last_error = None
         for attempt in range(self.max_retries + 1):
@@ -205,11 +265,15 @@ class LiveBackend:
             try:
                 resp = self.session.request(method, url, json=payload, headers=self._headers())
             except Exception as exc:
+                if method == "POST" and not _never_connected(exc):
+                    raise BackendUnavailable(
+                        f"{method} {path} failed, not retried as the API may have "
+                        f"created the measurement: {exc}") from exc
                 last_error = exc
                 continue
             if resp.status_code == 200:
                 return resp.json()
-            if resp.status_code in (429, 500, 502, 503, 504):
+            if resp.status_code in retry_status:
                 last_error = RuntimeError(f"HTTP {resp.status_code}")
                 continue
             raise BackendUnavailable(f"{method} {path} failed: HTTP {resp.status_code}")
@@ -235,9 +299,41 @@ class LiveBackend:
             self.sleep(self.poll_interval_s)
         raise BackendUnavailable(f"measurement {measurement_id} never finished")
 
+    def measure_target(self, target: Addr,
+                       vantages: Sequence[VantagePoint]) -> dict[str, list[float]]:
+        if not vantages:  # the API rejects an empty probe_ids
+            return {}
+        return self.fetch_results(self.create_measurement(target, [v.id for v in vantages]))
+
     def measure(self, vantage: VantagePoint, target: Addr) -> list[float]:
-        mid = self.create_measurement(target, [vantage.id])
-        return self.fetch_results(mid).get(vantage.id, [])
+        return self.measure_target(target, [vantage]).get(vantage.id, [])
+
+
+def _never_connected(exc: Exception) -> bool:
+    """True when a transport error shows the request never reached the API:
+    the connection timed out or could not be opened."""
+    import requests
+    from urllib3.exceptions import NewConnectionError
+
+    if isinstance(exc, requests.exceptions.ConnectTimeout):
+        return True
+    if not isinstance(exc, requests.exceptions.ConnectionError) or not exc.args:
+        return False
+    cause = exc.args[0]  # requests wraps urllib3's MaxRetryError, whose reason says why
+    return isinstance(cause, NewConnectionError) or isinstance(
+        getattr(cause, "reason", None), NewConnectionError)
+
+
+def _measure_pairs(backend, target: Addr,
+                   vantages: Sequence[VantagePoint]) -> dict[str, list[float]]:
+    """measure_target over a backend that has only measure."""
+    replies = {}
+    for vantage in vantages:
+        try:
+            replies[vantage.id] = backend.measure(vantage, target)
+        except (ReplayMiss, UnknownTarget):
+            pass
+    return replies
 
 
 def run_plan(
@@ -246,19 +342,23 @@ def run_plan(
     vantages: Iterable[VantagePoint],
     backend: Backend,
 ) -> list[MeasurementResult]:
-    """Measure every vantage/target pair in a plan.
+    """Measure every vantage/target pair in a plan, one backend call per target.
 
-    Per-vantage misses (replay gaps, probe errors) come back as empty
-    results; each pair keeps at most SAMPLES_PER_PAIR replies.
+    A backend without measure_target is measured pair by pair through
+    measure. Misses (replay gaps, probe errors, unknown targets) come back as
+    empty results; each pair keeps at most SAMPLES_PER_PAIR replies.
     BackendUnavailable is fatal and propagates."""
+    measure_target = getattr(backend, "measure_target", None) or functools.partial(
+        _measure_pairs, backend)
     out: list[MeasurementResult] = []
     ordered_vantages = list(vantages)
     for target in targets:
+        try:
+            replies = measure_target(target, ordered_vantages)
+        except (ReplayMiss, UnknownTarget):
+            replies = {}
         for vantage in ordered_vantages:
-            try:
-                rtts = backend.measure(vantage, target)
-            except (ReplayMiss, UnknownTarget):
-                rtts = []
+            rtts = replies.get(vantage.id, ())
             for rtt in rtts:
                 if rtt < 0:
                     raise NegativeRtt(f"{vantage.id} -> {target}: {rtt} ms")

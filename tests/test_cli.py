@@ -1,6 +1,7 @@
 import csv
 import gzip
 import json
+import math
 from dataclasses import fields
 from pathlib import Path
 
@@ -180,6 +181,34 @@ def test_audit_capture_then_replay_agrees(small_campaign):
     ]
     assert run(argv) == 0
     assert sim_out.read_bytes() == replay_out.read_bytes()
+
+
+def test_audit_replay_counts_misses(small_campaign, capsys):
+    camp, paths, tmp_path = small_campaign
+    sim_out = tmp_path / "sim.jsonl"
+    captured = tmp_path / "results.jsonl"
+    assert run(audit_argv(paths, str(sim_out), extra=["--capture-results", str(captured)])) == 0
+    replay = ["--backend", "replay", "--results", str(captured)]
+    replay_out = tmp_path / "replay.jsonl"
+    capsys.readouterr()
+    assert run(audit_argv(paths, str(replay_out), extra=replay)) == 0
+    assert "replay misses: 0 pairs" in capsys.readouterr().out
+
+    # drop a pair that is not its target's lowest RTT, so no inference changes
+    lines = captured.read_text().splitlines(keepends=True)
+    rows = [json.loads(line) for line in lines]
+    lowest = {}
+    for row in rows:
+        if row["rtts_ms"]:
+            lowest[row["target"]] = min(lowest.get(row["target"], math.inf), min(row["rtts_ms"]))
+    dropped = next(i for i, row in enumerate(rows)
+                   if row["rtts_ms"] and min(row["rtts_ms"]) > lowest[row["target"]])
+    captured.write_text("".join(lines[:dropped] + lines[dropped + 1:]))
+    assert run(audit_argv(paths, str(replay_out), extra=replay)) == 0
+    stdout = capsys.readouterr().out
+    assert "replay misses: 1 pairs" in stdout
+    assert stdout.index("vantages:") < stdout.index("replay misses:") < stdout.index("candidates=")
+    assert replay_out.read_bytes() == sim_out.read_bytes()
 
 
 def test_audit_reads_gzipped_inputs(small_campaign):

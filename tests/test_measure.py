@@ -1,12 +1,17 @@
 import io
+import ipaddress
 import json
 import math
+import random
+import sys
 import threading
 
 import pytest
+import requests
+from urllib3.exceptions import MaxRetryError, NewConnectionError, ProtocolError
 
 from geoaudit.errors import BackendUnavailable, NegativeRtt, ReplayMiss, UnknownTarget
-from geoaudit.geo import EARTH_RADIUS_KM
+from geoaudit.geo import C_KM_PER_S, EARTH_RADIUS_KM, haversine_km
 from geoaudit.measure import (
     SAMPLES_PER_PAIR,
     LiveBackend,
@@ -117,8 +122,36 @@ def test_replay_backend():
     res = MeasurementResult("v-1", parse_address("192.0.2.1"), (7.0, 8.0))
     backend = ReplayBackend([res])
     assert backend.measure(vp("v-1"), parse_address("192.0.2.1")) == [7.0, 8.0]
+    assert backend.misses == 0
     with pytest.raises(ReplayMiss):
         backend.measure(vp("v-2"), parse_address("192.0.2.1"))
+    assert backend.misses == 1
+    replies = backend.measure_target(parse_address("192.0.2.1"), [vp("v-1"), vp("v-2"), vp("v-3")])
+    assert replies == {"v-1": (7.0, 8.0)}
+    assert backend.misses == 3
+    assert backend.measure_target(parse_address("192.0.2.2"), [vp("v-1")]) == {}
+    assert backend.misses == 4
+
+
+def test_replay_misses_are_counted_across_threads():
+    target = parse_address("192.0.2.1")
+    backend = ReplayBackend([MeasurementResult("v-0", target, (1.0,))])
+    plan = [vp(f"v-{i}") for i in range(4)]  # three of the four are misses
+    workers, rounds = 8, 500
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=lambda: [backend.measure_target(target, plan)
+                                                    for _ in range(rounds)])
+                   for _ in range(workers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert backend.misses == workers * rounds * 3
 
 
 def test_run_plan_replay_miss_is_an_empty_result():
@@ -137,6 +170,11 @@ def test_run_plan_replay_miss_is_an_empty_result():
     out = run_plan(parse_prefix("192.0.2.0/24"), [parse_address("192.0.2.1")],
                    [vp("v-1")], five)
     assert out[0].rtts_ms == (5.0, 4.0, 3.0)
+
+    # measured pair by pair, a miss still costs only its own pair
+    out = run_plan(parse_prefix("192.0.2.0/24"), [parse_address("192.0.2.1")],
+                   [vp("v-2"), vp("v-1")], PairOnly(backend))
+    assert [r.rtts_ms for r in out] == [(7.0,), ()]
 
 
 def test_run_plan_sorted_output_and_negative_rtt():
@@ -208,13 +246,62 @@ def test_live_backend_happy_path():
 def test_live_backend_retries_with_backoff():
     session = StubSession([
         (503, {}),
-        ConnectionError("reset"),
+        requests.exceptions.ConnectTimeout("connect timed out"),
         (200, {"id": "m-2"}),
+        ConnectionError("reset"),
         (200, {"status": "done", "results": []}),
     ])
     backend, sleeps = make_backend(session)
     assert backend.measure(vp("p-9"), parse_address("192.0.2.1")) == []
-    assert sleeps == [2.0, 4.0]
+    assert sleeps == [2.0, 4.0, 2.0]
+    assert [call[0] for call in session.calls] == ["POST"] * 3 + ["GET"] * 2
+
+
+def refused():
+    """What requests raises when no connection could be opened."""
+    reason = NewConnectionError(None, "Failed to establish a new connection: [Errno 111]")
+    return requests.exceptions.ConnectionError(MaxRetryError(None, "/measurements", reason))
+
+
+# the API cannot have created a measurement: a POST is sent again
+NEVER_CREATED = [(429, {}), (503, {}), requests.exceptions.ConnectTimeout("timed out"), refused()]
+# the API may have created it: a POST fails at once, a GET is sent again
+MAYBE_CREATED = [
+    (500, {}), (502, {}), (504, {}),
+    ConnectionError("reset"),
+    requests.exceptions.ReadTimeout("read timed out"),
+    requests.exceptions.ConnectionError(ProtocolError("Connection aborted.")),
+    requests.exceptions.ConnectionError(ConnectionResetError(104, "Connection reset by peer")),
+    requests.exceptions.ConnectionError(MaxRetryError(None, "/measurements", ProtocolError("x"))),
+]
+
+
+@pytest.mark.parametrize("failure", NEVER_CREATED, ids=repr)
+def test_live_backend_retries_a_post_the_api_never_created(failure):
+    session = StubSession([failure, (200, {"id": "m-3"})])
+    backend, sleeps = make_backend(session)
+    assert backend.create_measurement(parse_address("192.0.2.1"), ["p-1"]) == "m-3"
+    assert sleeps == [2.0]
+    assert len(session.calls) == 2
+
+
+@pytest.mark.parametrize("failure", MAYBE_CREATED, ids=repr)
+def test_live_backend_never_resends_a_post_the_api_may_have_created(failure):
+    session = StubSession([failure, (200, {"id": "m-4"})])
+    backend, sleeps = make_backend(session)
+    with pytest.raises(BackendUnavailable):
+        backend.create_measurement(parse_address("192.0.2.1"), ["p-1"])
+    assert sleeps == []
+    assert len(session.calls) == 1
+
+
+@pytest.mark.parametrize("failure", NEVER_CREATED + MAYBE_CREATED, ids=repr)
+def test_live_backend_retries_every_transient_get(failure):
+    session = StubSession([failure, (200, {"status": "done", "results": []})])
+    backend, sleeps = make_backend(session)
+    assert backend.fetch_results("m-5") == {}
+    assert sleeps == [2.0]
+    assert len(session.calls) == 2
 
 
 def test_live_backend_gives_up_after_retries():
@@ -268,3 +355,132 @@ def test_live_backend_gives_each_thread_its_own_session():
     worker.join(timeout=10)
     assert not worker.is_alive()
     assert seen == [injected] and shared.session is injected
+
+
+# -- one call per target: every backend agrees with the others --------------------
+
+class WorldSession:
+    """A live API answering from a SyntheticWorld; a probe without replies
+    is left out of the results, which the API contract allows."""
+
+    def __init__(self, world, vantages):
+        self.world = world
+        self.vantages = {v.id: v for v in vantages}
+        self.pending = {}
+        self.posts = []
+        self.gets = 0
+
+    def request(self, method, url, json=None, headers=None):
+        if method == "POST":
+            self.posts.append(json)
+            target = parse_address(json["target"])
+            results = []
+            for probe_id in json["probe_ids"]:
+                try:
+                    rtts = self.world.rtts(self.vantages[probe_id], target)
+                except UnknownTarget:
+                    rtts = []
+                if rtts:
+                    results.append({"probe_id": probe_id, "rtts_ms": rtts})
+            mid = f"m-{len(self.posts)}"
+            self.pending[mid] = results
+            return StubResponse(200, {"id": mid})
+        self.gets += 1
+        mid = url.rsplit("/", 2)[-2]
+        return StubResponse(200, {"status": "done", "results": self.pending.pop(mid)})
+
+
+class PairOnly:
+    """A backend that measures one pair per call, like a tracing wrapper."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def measure(self, vantage, target):
+        return self.inner.measure(vantage, target)
+
+
+def reference_rtts(world, vantage, target):
+    """The simulator's per-pair formula, written out independently."""
+    if target not in world.target_locations:
+        if target in world.unresponsive:
+            return []
+        raise UnknownTarget(str(target))
+    if target in world.unresponsive:
+        return []
+    lat, lon = world.target_locations[target]
+    dist = haversine_km(vantage.lat, vantage.lon, lat, lon)
+    base = 2.0 * dist / (world.propagation_factor * (C_KM_PER_S / 1000.0))
+    if world.noise_ms <= 0:
+        return [base] * SAMPLES_PER_PAIR
+    rng = random.Random(f"{world.seed}:{vantage.id}:{target}")
+    return [base + rng.uniform(0.0, world.noise_ms) for _ in range(SAMPLES_PER_PAIR)]
+
+
+def random_campaign(seed, noise_ms):
+    """A world, 40 vantages and 200 plans of 1-3 targets and 0-20 vantages;
+    targets are v4 and v6, some unresponsive and some unknown to the world."""
+    rng = random.Random(seed)
+    vantages = [vp(f"v-{i:02d}", rng.uniform(-80, 80), rng.uniform(-180, 180)) for i in range(40)]
+    addrs = [ipaddress.IPv4Address(rng.getrandbits(32)) for _ in range(60)] + \
+            [ipaddress.IPv6Address(rng.getrandbits(128)) for _ in range(60)]
+    located, dead, unknown = addrs[:80], addrs[80:100], addrs[100:]
+    world = SyntheticWorld(
+        target_locations={a: (rng.uniform(-80, 80), rng.uniform(-180, 180)) for a in located},
+        unresponsive=set(located[:10]) | set(dead),
+        noise_ms=noise_ms, seed=seed)
+    plans = [(rng.sample(addrs, rng.randint(1, 3)), rng.sample(vantages, rng.randint(0, 20)))
+             for _ in range(200)]
+    assert {len(v) for _, v in plans} >= {0, 20}
+    assert any(t in unknown for targets, _ in plans for t in targets)
+    return world, vantages, plans
+
+
+def outcome(call, *args):
+    try:
+        return list(call(*args))
+    except (ReplayMiss, UnknownTarget) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("seed,noise_ms", [(11, 4.0), (12, 0.0)])
+def test_every_backend_measures_a_plan_alike(seed, noise_ms):
+    world, vantages, plans = random_campaign(seed, noise_ms)
+    prefix = parse_prefix("192.0.2.0/24")
+    simulate = SimulateBackend(world)
+    expected = [run_plan(prefix, targets, plan_vantages, simulate)
+                for targets, plan_vantages in plans]
+
+    # every sample keeps the bits of the per-pair formula
+    for (targets, plan_vantages), results in zip(plans, expected):
+        by_pair = {(r.vantage_id, r.target): r.rtts_ms for r in results}
+        for target in targets:
+            for v in plan_vantages:
+                want = outcome(reference_rtts, world, v, target)
+                assert by_pair[(v.id, target)] == (() if want is UnknownTarget else tuple(want))
+
+    session = WorldSession(world, vantages)
+    live = LiveBackend("https://api.example.net/v1", "k", session=session, sleep=lambda s: None)
+    capture = io.StringIO()
+    write_results([r for results in expected for r in results], capture)
+    replay = ReplayBackend(load_results(io.StringIO(capture.getvalue())))
+    for backend in (live, replay, PairOnly(simulate)):
+        got = [run_plan(prefix, targets, plan_vantages, backend)
+               for targets, plan_vantages in plans]
+        assert got == expected
+    assert replay.misses == 0
+
+    # one POST and one GET per target measured from at least one vantage
+    measured = sum(len(targets) for targets, plan_vantages in plans if plan_vantages)
+    assert len(session.posts) == session.gets == measured
+    assert all(post["probe_ids"] for post in session.posts)
+
+    # measure is measure_target for one vantage, errors included
+    for backend in (simulate, live, replay):
+        for targets, plan_vantages in plans[:50]:
+            for target in targets:
+                for v in plan_vantages[:2]:
+                    by_target = outcome(
+                        lambda: backend.measure_target(target, [v]).get(v.id, []))
+                    assert outcome(backend.measure, v, target) == by_target
+    assert replay.misses == 0
