@@ -21,6 +21,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
+from operator import attrgetter
 
 from . import bgp, classify, geo, measure, report, targets, vantage, whois
 from .errors import BackendUnavailable, GeoAuditError
@@ -270,14 +271,19 @@ def cmd_audit(args: argparse.Namespace) -> int:
 
     results_by_target: dict = {}
     for results in all_results:
-        for res in results:
-            results_by_target.setdefault(res.target, []).append(res)
+        target = group = None
+        for res in results:  # run_plan lists each target's results together
+            if res.target is not target:
+                target = res.target
+                group = results_by_target.setdefault(target, [])
+            group.append(res)
 
     if args.capture_results:
-        flat = sorted(
-            (res for results in all_results for res in results),
-            key=lambda r: (r.target.version, int(r.target), r.vantage_id),
-        )
+        # ordered by target, then vantage id; a target planned twice keeps
+        # its plans' order among equal vantage ids
+        by_vantage = attrgetter("vantage_id")
+        flat = (res for target in sorted(results_by_target, key=lambda a: (a.version, int(a)))
+                for res in sorted(results_by_target[target], key=by_vantage))
         with _output(args.capture_results) as fp:
             measure.write_results(flat, fp)
 
@@ -309,6 +315,8 @@ def cmd_audit(args: argparse.Namespace) -> int:
           f"bad_id={vreport.bad_id} default_coords={vreport.default_coords}")
     if isinstance(backend, measure.ReplayBackend):
         print(f"replay misses: {backend.misses} pairs")
+    if isinstance(backend, measure.SimulateBackend):
+        print(f"unknown targets: {backend.unknown_targets}")
     print(tally)
     print("accounting identity: ok")
     print(f"wrote {len(records)} records to {args.output}")

@@ -5,20 +5,25 @@ of a plan's vantages to one target, in one call (one live measurement
 carrying every planned probe). run_plan makes that call once per target of
 a prefix's plan; a vantage without a reply (a replay gap, a probe error)
 becomes an empty result, so one dead probe never sinks a prefix.
+
+write_results and load_results are the capture codec: they write and read
+the same bytes as the generic JSONL codec in registry, only faster.
 """
 
 from __future__ import annotations
 
 import functools
+import json
 import random
 import threading
 import time
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import IO, Callable, Iterable, Mapping, Protocol, Sequence
 
 from .errors import BackendUnavailable, NegativeRtt, ReplayMiss, UnknownTarget
 from .geo import C_KM_PER_S, DEFAULT_PROPAGATION_FACTOR, haversine_km
-from .registry import Addr, Prefix, load_jsonl, parse_address, write_jsonl
+from .registry import Addr, Prefix, load_jsonl, parse_address
 from .vantage import VantagePoint
 
 SAMPLES_PER_PAIR = 3
@@ -26,44 +31,67 @@ RETRY_STATUS = (429, 500, 502, 503, 504)
 POST_RETRY_STATUS = (429, 503)  # the API answered without creating a measurement
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MeasurementResult:
     vantage_id: str
     target: Addr
     rtts_ms: tuple[float, ...]
     timestamp: float = 0.0
 
-    def to_json(self, fmt: Callable[[Addr], str] = str) -> dict:
+    def to_json(self) -> dict:
         return {
             "vantage_id": self.vantage_id,
-            "target": fmt(self.target),
+            "target": str(self.target),
             "rtts_ms": list(self.rtts_ms),
             "timestamp": self.timestamp,
         }
 
     @classmethod
-    def from_json(cls, obj: Mapping,
-                  parse: Callable[[str], Addr] = parse_address) -> "MeasurementResult":
-        return cls(
-            vantage_id=str(obj["vantage_id"]),
-            target=parse(obj["target"]),
-            rtts_ms=tuple(float(x) for x in obj["rtts_ms"]),
-            timestamp=float(obj.get("timestamp", 0.0)),
-        )
+    def from_json(cls, obj: Mapping, parse: Callable[[str], Addr] = parse_address,
+                  name: Callable[[object], str] = str) -> "MeasurementResult":
+        return cls(name(obj["vantage_id"]), parse(obj["target"]),
+                   tuple(map(float, obj["rtts_ms"])), float(obj.get("timestamp", 0.0)))
 
 
 # A capture repeats each target once per vantage, so the codec formats or
-# parses each distinct target once, through a cache that lives for one call.
+# parses each distinct target and vantage id once per call.
 
 def write_results(results: Iterable[MeasurementResult], fp: IO[str]) -> int:
-    fmt = functools.cache(str)
-    return write_jsonl(results, fp, lambda res: res.to_json(fmt))
+    """One sorted-key JSON line per result, the bytes write_jsonl writes.
+
+    Lines are put together from fragments, each target and vantage id
+    encoded once and each sample spelled by float.__repr__, as the encoder
+    spells it. A line with a number that is not a finite float goes through
+    the generic encoder, which spells NaN and Infinity its own way."""
+    encode = json.JSONEncoder(sort_keys=True).encode
+    tails: dict[str, str] = {}
+    target = middle = None
+    n = 0
+    for res in results:
+        if res.target is not target:
+            target = res.target
+            middle = f'], "target": {encode(str(target))}, "timestamp": '
+        tail = tails.get(res.vantage_id)
+        if tail is None:
+            tail = tails[res.vantage_id] = f', "vantage_id": {encode(res.vantage_id)}}}\n'
+        try:
+            samples = ", ".join(map(float.__repr__, res.rtts_ms))
+            stamp = float.__repr__(res.timestamp)
+        except TypeError:
+            samples = stamp = "n"
+        if "n" in samples or "n" in stamp:  # nan, inf or not a float
+            fp.write(encode(res.to_json()) + "\n")
+        else:
+            fp.write('{"rtts_ms": [' + samples + middle + stamp + tail)
+        n += 1
+    return n
 
 
 def load_results(fp: IO[str]) -> list[MeasurementResult]:
-    """Results for the same target share one address object."""
-    parse = functools.cache(parse_address)
-    return load_jsonl(lambda obj: MeasurementResult.from_json(obj, parse), fp)
+    """Results for the same target share one address object, and results
+    from the same vantage one id string."""
+    parse, name = functools.cache(parse_address), functools.cache(str)
+    return load_jsonl(lambda obj: MeasurementResult.from_json(obj, parse, name), fp)
 
 
 class Backend(Protocol):
@@ -160,12 +188,22 @@ class SyntheticWorld:
 
 
 class SimulateBackend:
+    """Measures in a SyntheticWorld. unknown_targets counts the measurements
+    of targets the world has no location for; each raises UnknownTarget."""
+
     def __init__(self, world: SyntheticWorld):
         self.world = world
+        self.unknown_targets = 0
+        self._lock = threading.Lock()
 
     def measure_target(self, target: Addr,
                        vantages: Sequence[VantagePoint]) -> dict[str, list[float]]:
-        return self.world.rtts_by_vantage(target, vantages)
+        try:
+            return self.world.rtts_by_vantage(target, vantages)
+        except UnknownTarget:
+            with self._lock:
+                self.unknown_targets += 1
+            raise
 
     def measure(self, vantage: VantagePoint, target: Addr) -> list[float]:
         return self.measure_target(target, [vantage]).get(vantage.id, [])
@@ -179,8 +217,13 @@ class ReplayBackend:
 
     def __init__(self, results: Iterable[MeasurementResult]):
         self._index: dict[Addr, dict[str, tuple[float, ...]]] = {}
+        target = replies = None
         for res in results:
-            self._index.setdefault(res.target, {})[res.vantage_id] = res.rtts_ms
+            # a capture lists each target's results together: hash it once per run
+            if res.target is not target:
+                target = res.target
+                replies = self._index.setdefault(target, {})
+            replies[res.vantage_id] = res.rtts_ms
         self.misses = 0
         self._lock = threading.Lock()
 
@@ -346,22 +389,27 @@ def run_plan(
 
     A backend without measure_target is measured pair by pair through
     measure. Misses (replay gaps, probe errors, unknown targets) come back as
-    empty results; each pair keeps at most SAMPLES_PER_PAIR replies.
+    empty results; each pair keeps at most SAMPLES_PER_PAIR replies. Results
+    are ordered by target (family, then address), then vantage id.
     BackendUnavailable is fatal and propagates."""
     measure_target = getattr(backend, "measure_target", None) or functools.partial(
         _measure_pairs, backend)
-    out: list[MeasurementResult] = []
     ordered_vantages = list(vantages)
+    by_id = sorted(ordered_vantages, key=attrgetter("id"))  # the backend keeps the plan's order
+    rows_by_key: dict[tuple[int, int], list[MeasurementResult]] = {}
     for target in targets:
         try:
             replies = measure_target(target, ordered_vantages)
         except (ReplayMiss, UnknownTarget):
             replies = {}
-        for vantage in ordered_vantages:
+        rows = rows_by_key.setdefault((target.version, int(target)), [])
+        listed_before = bool(rows)
+        for vantage in by_id:
             rtts = replies.get(vantage.id, ())
             for rtt in rtts:
                 if rtt < 0:
                     raise NegativeRtt(f"{vantage.id} -> {target}: {rtt} ms")
-            out.append(MeasurementResult(vantage.id, target, tuple(rtts[:SAMPLES_PER_PAIR])))
-    out.sort(key=lambda r: (r.target.version, int(r.target), r.vantage_id))
-    return out
+            rows.append(MeasurementResult(vantage.id, target, tuple(rtts[:SAMPLES_PER_PAIR])))
+        if listed_before:  # a target listed twice: its results interleave by vantage id
+            rows.sort(key=attrgetter("vantage_id"))
+    return [res for key in sorted(rows_by_key) for res in rows_by_key[key]]

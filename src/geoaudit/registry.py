@@ -144,16 +144,37 @@ def write_jsonl(
 ) -> int:
     """Write to_json(item), by default item.to_json(), as one line of
     sorted-key JSON per item; returns the number of lines written."""
+    encode = json.JSONEncoder(sort_keys=True).encode  # json.dumps(..., sort_keys=True)
     n = 0
     for item in items:
-        fp.write(json.dumps(to_json(item), sort_keys=True) + "\n")
+        fp.write(encode(to_json(item)) + "\n")
         n += 1
     return n
 
 
+_JSON_SPACE = " \t\n\r"
+
+
 def load_jsonl(from_json: Callable[[Mapping], T], fp: IO[str]) -> list[T]:
-    """Decode every non-blank line with from_json."""
-    return [from_json(json.loads(line)) for line in fp if line.strip()]
+    """Decode every non-blank line with from_json.
+
+    Each line goes straight to the C scanner behind json.loads; a line it
+    does not read as exactly one value is handed to json.loads, which raises
+    the usual ValueError."""
+    scan = json.JSONDecoder().scan_once
+    out = []
+    for line in fp:
+        text = line.strip(_JSON_SPACE)  # the whitespace json.loads skips
+        if not text or text.isspace():  # blank, as str.strip sees it
+            continue
+        try:
+            obj, end = scan(text, 0)
+        except (StopIteration, ValueError):
+            end = -1
+        if end != len(text):
+            obj = json.loads(line)
+        out.append(from_json(obj))
+    return out
 
 
 def read_tokens(fp: IO[str]) -> list[str]:

@@ -1,16 +1,18 @@
 import csv
 import gzip
+import ipaddress
 import json
 import math
+import random
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from geoaudit import classify, cli, whois
+from geoaudit import classify, cli, measure, whois
 from geoaudit.errors import BackendUnavailable
 
-from conftest import audit_argv
+from conftest import audit_argv, build_campaign, write_campaign
 
 ARIN_DUMP = """\
 NetRange:       192.0.2.0 - 192.0.2.255
@@ -183,6 +185,41 @@ def test_audit_capture_then_replay_agrees(small_campaign):
     assert sim_out.read_bytes() == replay_out.read_bytes()
 
 
+def test_audit_capture_orders_a_target_planned_twice(small_campaign, monkeypatch):
+    """The capture lists results by target, then vantage id; a target in two
+    hand-written plans keeps the order in which the plans measured it."""
+    camp, paths, tmp_path = small_campaign
+    plans_path = tmp_path / "plans.jsonl"
+    assert run(["plan", "--registrations", paths["registrations.jsonl"],
+                "--hitlist-v4", paths["hitlist_v4.csv"], "--hitlist-v6", paths["hitlist_v6.txt"],
+                "-o", str(plans_path)]) == 0
+    plans = [json.loads(line) for line in plans_path.read_text().splitlines()]
+    plans[3]["targets"] += plans[0]["targets"] + plans[-1]["targets"]
+    plans[-2]["targets"] = plans[0]["targets"] + plans[-2]["targets"]
+    plans_path.write_text("".join(json.dumps(p) + "\n" for p in plans))
+
+    calls = []
+
+    def numbered(self, target, vantages):  # each measurement tells when it was made
+        calls.append(target)
+        return {v.id: [float(len(calls))] for v in vantages}
+
+    monkeypatch.setattr(measure.SimulateBackend, "measure_target", numbered)
+    capture = tmp_path / "capture.jsonl"
+    argv = audit_argv(paths, str(tmp_path / "audit.jsonl"),
+                      extra=["--plans", str(plans_path), "--capture-results", str(capture)])
+    assert run(argv) == 0
+    rows = [json.loads(line) for line in capture.read_text().splitlines()]
+    assert len(calls) > len(set(calls))
+    assert {r["rtts_ms"][0] for r in rows} == set(map(float, range(1, len(calls) + 1)))
+
+    def key(row):
+        addr = ipaddress.ip_address(row["target"])
+        return addr.version, int(addr), row["vantage_id"], row["rtts_ms"]
+
+    assert [key(r) for r in rows] == sorted(key(r) for r in rows)
+
+
 def test_audit_replay_counts_misses(small_campaign, capsys):
     camp, paths, tmp_path = small_campaign
     sim_out = tmp_path / "sim.jsonl"
@@ -209,6 +246,88 @@ def test_audit_replay_counts_misses(small_campaign, capsys):
     assert "replay misses: 1 pairs" in stdout
     assert stdout.index("vantages:") < stdout.index("replay misses:") < stdout.index("candidates=")
     assert replay_out.read_bytes() == sim_out.read_bytes()
+
+
+def test_audit_counts_unknown_simulator_targets(small_campaign, capsys):
+    camp, paths, tmp_path = small_campaign
+    target = "10.10.0.1"
+    world = json.loads(Path(paths["world.json"]).read_text())
+    world["unresponsive"].append(target)
+    Path(paths["world.json"]).write_text(json.dumps(world))
+    silent = tmp_path / "silent.jsonl"
+    capsys.readouterr()
+    assert run(audit_argv(paths, str(silent))) == 0
+    assert "unknown targets: 0" in capsys.readouterr().out
+
+    # a target the world cannot place is measured as one that never answers
+    del world["targets"][target]
+    world["unresponsive"].remove(target)
+    Path(paths["world.json"]).write_text(json.dumps(world))
+    unknown = tmp_path / "unknown.jsonl"
+    assert run(audit_argv(paths, str(unknown))) == 0
+    stdout = capsys.readouterr().out
+    assert "unknown targets: 1" in stdout
+    assert stdout.index("vantages:") < stdout.index("unknown targets:") < stdout.index("candidates=")
+    assert unknown.read_bytes() == silent.read_bytes()
+
+
+def permutation_campaign(tmp_path):
+    """A campaign with two targets in most prefixes, a cross-registry
+    duplicate registration, and every side list the audit reads."""
+    camp = build_campaign(fc_per_region=6, planted_per_class=2, v6_fc_per_region=2, noise_ms=2.0)
+    regs = [json.loads(line) for line in camp.registrations_jsonl.splitlines()]
+    dup = dict(regs[0], rir="RIPE", last_updated="2010-01-01", org_id="ORG-DUP")
+    camp.registrations_jsonl += json.dumps(dup) + "\n"
+    extra = []
+    for addr, loc in list(camp.world["targets"].items()):
+        if "." in addr:
+            second = addr[:-1] + "2"
+            camp.world["targets"][second] = loc
+            extra += [f"{second},100", f"{addr[:-1]}3,50"]
+    camp.hitlist_v4_csv += "\n".join(extra) + "\n"
+    camp.world["unresponsive"] = ["10.12.1.1", "10.12.1.2"]
+    paths = write_campaign(tmp_path, camp)
+    side = {
+        "anycast.txt": "10.11.2.0/24\n2001:db8:13::/48\n",
+        "aliased.txt": "10.10.3.2/32\n10.14.0.0/30\n",
+        "nir_markers.txt": f"# markers\n{regs[5]['org_id']}\nORG-DUP\n",
+        "bad_probes.txt": "p-de\na-jp\n",
+    }
+    for name, text in side.items():
+        (tmp_path / name).write_text(text)
+        paths[name] = str(tmp_path / name)
+    return paths
+
+
+def test_audit_is_invariant_to_input_line_order(tmp_path):
+    paths = permutation_campaign(tmp_path)
+    extra = ["--anycast-prefixes", paths["anycast.txt"],
+             "--aliased-prefixes", paths["aliased.txt"],
+             "--nir-markers", paths["nir_markers.txt"],
+             "--bad-probes", paths["bad_probes.txt"]]
+
+    def audit(name):
+        out, capture = tmp_path / f"{name}.jsonl", tmp_path / f"{name}.capture.jsonl"
+        assert run(audit_argv(paths, str(out), extra=extra + ["--capture-results",
+                                                              str(capture)])) == 0
+        return out.read_bytes(), capture.read_bytes()
+
+    want = audit("ordered")
+    records = [json.loads(line) for line in want[0].splitlines()]
+    reasons = {rec["filter_reason"] for rec in records}
+    assert {None, "unresponsive", "anycast", "nir"} <= reasons
+    shuffled = ["registrations.jsonl", "hitlist_v4.csv", "hitlist_v6.txt", "vantages.jsonl",
+                "rib.txt", "anycast.txt", "aliased.txt", "nir_markers.txt", "bad_probes.txt"]
+    originals = {name: Path(paths[name]).read_text() for name in shuffled}
+    rng = random.Random(61)
+    for round_ in range(5):
+        for name, text in originals.items():
+            lines = text.splitlines(keepends=True)
+            head = lines[:1] if name.endswith(".csv") else []  # the header stays first
+            body = lines[len(head):]
+            rng.shuffle(body)
+            Path(paths[name]).write_text("".join(head + body))
+        assert audit(f"shuffled-{round_}") == want, round_
 
 
 def test_audit_reads_gzipped_inputs(small_campaign):

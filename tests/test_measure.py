@@ -118,6 +118,59 @@ def test_results_round_trip():
     assert again.getvalue() == text
 
 
+VANTAGE_IDS = ["v-1", "v-2", 'q"uote', "back\\slash", "m\u00fcnchen", "\u6771\u4eac", "tab\tid"]
+SPECIAL_SAMPLES = [math.nan, math.inf, -math.inf, 0.0, -0.0, 1e-7, 1e16, 5e-324,
+                   1.7976931348623157e308]
+
+
+def random_results(rng, n):
+    """Results with v4 and v6 targets, 0-3 samples, some of them special,
+    timestamps that are zero, positive or not finite, and vantage ids that
+    JSON must escape."""
+    addrs = [ipaddress.IPv4Address(rng.getrandbits(32)) for _ in range(6)] + \
+            [ipaddress.IPv6Address(rng.getrandbits(128)) for _ in range(6)]
+    out = []
+    for _ in range(n):
+        samples = tuple(rng.choice(SPECIAL_SAMPLES) if rng.random() < 0.1 else rng.uniform(0, 400)
+                        for _ in range(rng.randint(0, 3)))
+        stamp = rng.choice([0.0, 0.0, rng.uniform(0, 2e9), math.nan, -math.inf])
+        # an equal target need not be the same object
+        target = ipaddress.ip_address(str(rng.choice(addrs)))
+        out.append(MeasurementResult(rng.choice(VANTAGE_IDS), target, samples, stamp))
+    return out
+
+
+def spelled(res):
+    """A result as comparable values, NaN included."""
+    return res.vantage_id, res.target, tuple(map(repr, res.rtts_ms)), repr(res.timestamp)
+
+
+def test_results_codec_writes_the_generic_bytes():
+    rng = random.Random(41)
+    results = random_results(rng, 1500)
+    # runs of one target object, as run_plan lists them
+    runs = sorted(random_results(rng, 500), key=lambda r: (r.target.version, int(r.target)))
+    shared = {}
+    results += [MeasurementResult(r.vantage_id, shared.setdefault(r.target, r.target), r.rtts_ms,
+                                  r.timestamp) for r in runs]
+    out = io.StringIO()
+    assert write_results(results, out) == len(results)
+    text = out.getvalue()
+    assert text == "".join(json.dumps(r.to_json(), sort_keys=True) + "\n" for r in results)
+    loaded = load_results(io.StringIO(text))
+    assert [spelled(r) for r in loaded] == [spelled(r) for r in results]
+    again = io.StringIO()
+    write_results(loaded, again)
+    assert again.getvalue() == text
+
+    # numbers that are not floats are written as the encoder writes them
+    odd = [MeasurementResult("v-1", parse_address("192.0.2.1"), (10, 2.5, True), 3),
+           MeasurementResult("v-1", parse_address("192.0.2.1"), (), False)]
+    out = io.StringIO()
+    write_results(odd, out)
+    assert out.getvalue() == "".join(json.dumps(r.to_json(), sort_keys=True) + "\n" for r in odd)
+
+
 def test_replay_backend():
     res = MeasurementResult("v-1", parse_address("192.0.2.1"), (7.0, 8.0))
     backend = ReplayBackend([res])
@@ -133,16 +186,12 @@ def test_replay_backend():
     assert backend.misses == 4
 
 
-def test_replay_misses_are_counted_across_threads():
-    target = parse_address("192.0.2.1")
-    backend = ReplayBackend([MeasurementResult("v-0", target, (1.0,))])
-    plan = [vp(f"v-{i}") for i in range(4)]  # three of the four are misses
-    workers, rounds = 8, 500
+def hammer(call, workers=8, rounds=500):
+    """Run call rounds times on each of workers threads, switching often."""
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=lambda: [backend.measure_target(target, plan)
-                                                    for _ in range(rounds)])
+        threads = [threading.Thread(target=lambda: [call() for _ in range(rounds)])
                    for _ in range(workers)]
         for thread in threads:
             thread.start()
@@ -151,7 +200,32 @@ def test_replay_misses_are_counted_across_threads():
             assert not thread.is_alive()
     finally:
         sys.setswitchinterval(interval)
-    assert backend.misses == workers * rounds * 3
+    return workers * rounds
+
+
+def test_replay_misses_are_counted_across_threads():
+    target = parse_address("192.0.2.1")
+    backend = ReplayBackend([MeasurementResult("v-0", target, (1.0,))])
+    plan = [vp(f"v-{i}") for i in range(4)]  # three of the four are misses
+    calls = hammer(lambda: backend.measure_target(target, plan))
+    assert backend.misses == calls * 3
+
+
+def test_unknown_targets_are_counted_across_threads():
+    backend = SimulateBackend(world_with({"192.0.2.1": (0.0, 0.0)}))
+    unknown = parse_address("192.0.2.2")
+
+    def measure_unknown():
+        with pytest.raises(UnknownTarget):
+            backend.measure_target(unknown, [vp("v-1")])
+
+    calls = hammer(measure_unknown)
+    assert backend.unknown_targets == calls
+    # located targets, and unresponsive ones, are not counted
+    backend.world.unresponsive.add(unknown)
+    assert backend.measure_target(unknown, [vp("v-1")]) == {}
+    assert backend.measure_target(parse_address("192.0.2.1"), [vp("v-1")])
+    assert backend.unknown_targets == calls
 
 
 def test_run_plan_replay_miss_is_an_empty_result():
@@ -192,6 +266,43 @@ def test_run_plan_sorted_output_and_negative_rtt():
     with pytest.raises(NegativeRtt):
         run_plan(parse_prefix("192.0.2.0/24"), [parse_address("192.0.2.1")],
                  [vp("v-1")], Hostile())
+
+
+class Numbered:
+    """A backend whose replies differ from call to call; some vantages get
+    no reply, and some more than SAMPLES_PER_PAIR samples."""
+
+    def __init__(self, seed):
+        self.rng = random.Random(seed)
+
+    def measure_target(self, target, vantages):
+        return {v.id: [self.rng.uniform(0, 100) for _ in range(self.rng.randint(1, 4))]
+                for v in vantages if self.rng.random() < 0.8}
+
+
+def test_run_plan_orders_like_a_stable_sort_of_its_pairs():
+    """Duplicate targets (two plans of a hand-written --plans file, or one
+    plan listing an address twice) and unsorted or repeated vantage ids."""
+    rng = random.Random(51)
+    prefix = parse_prefix("192.0.2.0/24")
+    for case in range(300):
+        addrs = [ipaddress.IPv4Address(rng.getrandbits(32)) for _ in range(3)] + \
+                [ipaddress.IPv6Address(rng.getrandbits(128)) for _ in range(2)]
+        targets = [rng.choice(addrs) for _ in range(rng.randint(1, 6))]
+        targets = [ipaddress.ip_address(str(t)) if rng.random() < 0.3 else t for t in targets]
+        vantages = [vp(rng.choice(VANTAGE_IDS)) for _ in range(rng.randint(0, 6))]
+
+        reference = Numbered(case)
+        want = []
+        for target in targets:
+            replies = reference.measure_target(target, vantages)
+            want += [MeasurementResult(v.id, target, tuple(replies.get(v.id, ())[:SAMPLES_PER_PAIR]))
+                     for v in vantages]
+        want.sort(key=lambda r: (r.target.version, int(r.target), r.vantage_id))
+
+        got = run_plan(prefix, targets, vantages, Numbered(case))
+        assert got == want
+        assert [id(r.target) for r in got] == [id(r.target) for r in want]
 
 
 class StubResponse:
@@ -450,6 +561,10 @@ def test_every_backend_measures_a_plan_alike(seed, noise_ms):
     simulate = SimulateBackend(world)
     expected = [run_plan(prefix, targets, plan_vantages, simulate)
                 for targets, plan_vantages in plans]
+    # each measurement of a target the world cannot place is counted
+    assert simulate.unknown_targets == sum(
+        t not in world.target_locations and t not in world.unresponsive
+        for targets, _ in plans for t in targets)
 
     # every sample keeps the bits of the per-pair formula
     for (targets, plan_vantages), results in zip(plans, expected):

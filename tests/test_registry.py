@@ -1,6 +1,8 @@
 import datetime
 import io
 import ipaddress
+import json
+import math
 import random
 
 import pytest
@@ -16,11 +18,13 @@ from geoaudit.registry import (
     check_official_counts,
     default_region_map,
     is_country_code,
+    load_jsonl,
     load_region_map,
     load_registrations,
     parse_prefix,
     prefix_sort_key,
     range_to_cidrs,
+    write_jsonl,
     write_registrations,
 )
 
@@ -158,6 +162,88 @@ def test_registration_json_round_trip():
     assert write_registrations([reg], buf) == 1
     buf.seek(0)
     assert load_registrations(buf) == [again]
+
+
+def random_json(rng, depth=0):
+    """A JSON value: nested objects with unsorted keys, strings JSON must
+    escape, and every kind of number the encoder writes."""
+    kind = rng.randrange(7 if depth < 3 else 4)
+    if kind == 0:
+        return rng.choice([None, True, False, 0, -7, 2**70, 0.0, -0.0, 1e-7, 1e16, 5e-324,
+                           math.inf, -math.inf, math.nan])
+    if kind == 1:
+        return rng.uniform(-1e3, 1e3)
+    if kind in (2, 3):
+        return "".join(rng.choice(['a', '"', '\\', '/', '\u00e9', '\u6771', '\U0001f600', '\x01', ' '])
+                       for _ in range(rng.randint(0, 6)))
+    if kind == 4:
+        return [random_json(rng, depth + 1) for _ in range(rng.randint(0, 3))]
+    return {str(rng.randint(0, 99)): random_json(rng, depth + 1) for _ in range(rng.randint(0, 4))}
+
+
+def json_lines(rng, n):
+    """n lines of one JSON value each, padded with JSON whitespace, some
+    ending in CRLF, with blank and whitespace-only lines between them."""
+    lines = []
+    for _ in range(n):
+        while rng.random() < 0.05:
+            lines.append(rng.choice(["\n", "   \n", "\t\r\n", "\x0c\n", "\u3000\n"]))
+        value = {"k": random_json(rng)} if rng.random() < 0.8 else random_json(rng)
+        pad = lambda: "".join(rng.choice(" \t") for _ in range(rng.randint(0, 2)))
+        lines.append(pad() + json.dumps(value, sort_keys=rng.random() < 0.5) + pad()
+                     + rng.choice(["\n", "\r\n"]))
+    return "".join(lines)
+
+
+def decode_all(text):
+    return load_jsonl(lambda obj: obj, io.StringIO(text))
+
+
+def spelled(values):
+    """Values as JSON text, so NaN compares equal to NaN."""
+    return [json.dumps(v, sort_keys=True) for v in values]
+
+
+def test_load_jsonl_decodes_each_line_as_json_loads_does():
+    rng = random.Random(31)
+    for n in (0, 1, 2, 3000):
+        text = json_lines(rng, n)
+        want = [json.loads(line) for line in io.StringIO(text) if line.strip()]
+        assert len(want) == n
+        assert spelled(decode_all(text)) == spelled(want)
+    assert decode_all("") == [] and decode_all("\n \n") == []
+
+
+@pytest.mark.parametrize("bad", [
+    ['{"a": 1'],
+    ['{"a": 1}, {"b": 2}'],  # two values on one line
+    ['{"a": 1} x'],
+    ['[1', '2]', '3, 4'],  # three lines a joined decode would read as three values
+    ['{"a": [', '1]}'],
+    ['\ufeff{"a": 1}'],
+    ['\x0c{"a": 1}'],  # a form feed is not JSON whitespace
+    ['{"a": "raw\ttab"}'],
+    ['nan'],
+    ['"unterminated'],
+])
+def test_load_jsonl_raises_what_json_loads_raises(bad):
+    rng = random.Random(32)
+    for before in (0, 1, 500):
+        good = json_lines(rng, before)
+        with pytest.raises(ValueError) as want:
+            json.loads(bad[0] + "\n")
+        with pytest.raises(ValueError) as got:
+            decode_all(good + "".join(line + "\n" for line in bad) + '{"after": 1}\n')
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+
+
+def test_write_jsonl_writes_what_json_dumps_writes():
+    rng = random.Random(33)
+    values = [random_json(rng) for _ in range(2000)]
+    out = io.StringIO()
+    assert write_jsonl(values, out, lambda v: v) == len(values)
+    assert out.getvalue() == "".join(json.dumps(v, sort_keys=True) + "\n" for v in values)
 
 
 def test_with_flag_is_idempotent():
