@@ -116,7 +116,9 @@ def alignment_table(
     for reg in regs:
         if family is not None and reg.prefix.version != family:
             continue
-        row = counts.setdefault(reg.rir, {a: 0 for a in Alignment})
+        row = counts.get(reg.rir)
+        if row is None:
+            row = counts[reg.rir] = {a: 0 for a in Alignment}
         row[align(reg.prefix, rib).alignment] += 1
     table: dict[Rir, dict[Alignment, float]] = {}
     for rir, row in counts.items():

@@ -8,33 +8,41 @@ default.
 Exit codes: 0 success, 1 usage error, 2 bad data or configuration
 (including a broken accounting identity), 3 measurement backend
 unavailable.
+
+Each command imports the stage modules it runs when it runs, so a process
+pays only for the stages of its own command.
 """
 
 from __future__ import annotations
 
 import argparse
-import configparser
 import csv
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from operator import attrgetter
+from typing import TYPE_CHECKING
 
-from . import bgp, classify, geo, measure, report, targets, vantage, whois
 from .errors import BackendUnavailable, GeoAuditError
 from .registry import (
+    DEFAULT_PROPAGATION_FACTOR,
     Registration,
     Rir,
     default_region_map,
     load_region_map,
     load_registrations,
+    open_text,
+    oro_stats,
     prefix_sort_key,
     read_tokens,
+    write_oro_csv,
     write_registrations,
 )
+
+if TYPE_CHECKING:
+    from . import measure, targets, whois
 
 
 class _Parser(argparse.ArgumentParser):
@@ -50,7 +58,7 @@ class RunConfig:
     its type casts the text of GEOAUDIT_<NAME> and of the config file."""
 
     seed: int = 42
-    propagation_factor: float = geo.DEFAULT_PROPAGATION_FACTOR
+    propagation_factor: float = DEFAULT_PROPAGATION_FACTOR
     min_score: int = 99
     sample_fraction_v4: float = 1.0
     sample_fraction_v6: float = 1.0
@@ -62,7 +70,7 @@ class RunConfig:
 
 def _read(path: str, loader):
     """Parse one input (gzip ok) with loader(fp)."""
-    with whois.open_text(path) as fp:
+    with open_text(path) as fp:
         return loader(fp)
 
 
@@ -83,6 +91,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     file_values: dict[str, str] = {}
     path = getattr(args, "config", None)
     if path:
+        import configparser
+
         parser = configparser.ConfigParser(interpolation=None)
         _read(path, parser.read_file)
         if parser.has_section("geoaudit"):
@@ -115,7 +125,10 @@ def _ingest_tally(rep: whois.IngestReport) -> str:
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
-    dialects = _read(args.dialects, whois.load_dialects) if args.dialects else None
+    from . import whois
+
+    dialects = (_read(args.dialects, whois.load_dialects) if args.dialects
+                else whois.default_dialects())
 
     regs_by_rir: dict[Rir, list[Registration]] = {}
     reports: dict[Rir, whois.IngestReport] = {}
@@ -156,6 +169,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_align(args: argparse.Namespace) -> int:
+    from . import bgp
+
     regs = _read(args.registrations, load_registrations)
     rib = _read(args.rib, bgp.load_rib)
     print(f"rib: {rib.route_count} routes ({rib.default_routes_dropped} default routes dropped)")
@@ -179,6 +194,8 @@ def cmd_align(args: argparse.Namespace) -> int:
 
 def _build_plans(args, config: RunConfig) -> list[targets.TargetPlan]:
     """Plans from --plans, or from registrations and hitlists; in prefix order."""
+    from . import targets
+
     if args.plans:
         plans = _read(args.plans, targets.load_plans)
     elif not args.registrations:
@@ -206,6 +223,8 @@ def _build_plans(args, config: RunConfig) -> list[targets.TargetPlan]:
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
+    from . import targets
+
     config = resolve_config(args)
     plans = _build_plans(args, config)
     with _output(args.output) as fp:
@@ -216,6 +235,8 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 
 def _make_backend(args, config: RunConfig):
+    from . import measure
+
     if args.backend == "replay":
         if not args.results:
             raise GeoAuditError("replay backend needs --results")
@@ -234,6 +255,8 @@ def _make_backend(args, config: RunConfig):
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
+    from . import bgp, classify, geo, measure, targets, vantage
+
     config = resolve_config(args)
     region_map = _region_map(args)
     points = (_read(args.country_points, geo.load_country_points) if args.country_points
@@ -264,6 +287,8 @@ def cmd_audit(args: argparse.Namespace) -> int:
         return measure.run_plan(plan.prefix, plan.targets, vplan.vantages, backend)
 
     if config.concurrency > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=config.concurrency) as pool:
             all_results = list(pool.map(run_one, plans, vplans))
     else:
@@ -324,6 +349,8 @@ def cmd_audit(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    from . import classify, report, targets
+
     # every input is read before the first table is replaced, so a bad path
     # leaves the previous report whole
     records = _read(args.audit, classify.load_records)
@@ -352,7 +379,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 
     if regs is not None:
         with out("oro.csv") as fp:
-            report.write_oro_csv(report.oro_stats(regs, region_map), fp)
+            write_oro_csv(oro_stats(regs, region_map), fp)
         by_status, by_year = report.characteristics(records, {r.prefix: r for r in regs})
         with out("characteristics_status.csv") as sfp, out("characteristics_age.csv") as yfp:
             report.write_characteristics_csv(by_status, by_year, sfp, yfp)
@@ -374,7 +401,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 def cmd_oro(args: argparse.Namespace) -> int:
     regs = _read(args.registrations, load_registrations)
     region_map = _region_map(args)
-    rows = report.oro_stats(regs, region_map)
+    rows = oro_stats(regs, region_map)
     for (rir, family) in sorted(rows, key=lambda k: (k[1], k[0].value)):
         row = rows[(rir, family)]
         print(f"{rir.value} v{family}: prefixes={row.prefixes} oro={row.oro_prefixes} "
@@ -382,7 +409,7 @@ def cmd_oro(args: argparse.Namespace) -> int:
               f"({row.unit_fraction:.1%}) unknown_org={row.unknown_org}")
     if args.output:
         with _output(args.output) as fp:
-            report.write_oro_csv(rows, fp)
+            write_oro_csv(rows, fp)
         print(f"wrote {args.output}")
     return 0
 

@@ -22,11 +22,10 @@ from importlib import resources
 from typing import IO, Iterable, Mapping
 
 from .errors import NegativeRtt, NoResponses
-from .registry import RegionMap, Rir, data_lines, read_csv
+from .registry import DEFAULT_PROPAGATION_FACTOR, RegionMap, Rir, data_lines, read_csv
 
 EARTH_RADIUS_KM = 6371.0088
 C_KM_PER_S = 299792.458
-DEFAULT_PROPAGATION_FACTOR = 2.0 / 3.0
 
 
 def haversine_km(lat1: float, lon1: float, lat2: float, lon2: float) -> float:

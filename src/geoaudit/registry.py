@@ -1,4 +1,5 @@
-"""Core registry domain types: RIRs, prefixes, registrations, the region map.
+"""Core registry domain types: RIRs, prefixes, registrations, the region map,
+the file codecs every stage shares, and out-of-region organization counts.
 
 Prefixes are plain ipaddress network objects (IPv4Network / IPv6Network),
 always in canonical form: parsing rejects anything with host bits set.
@@ -9,6 +10,8 @@ from __future__ import annotations
 import csv
 import datetime
 import enum
+import gzip
+import io
 import ipaddress
 import json
 from dataclasses import dataclass, replace
@@ -19,6 +22,10 @@ from .errors import InvertedRange, MalformedPrefix, MixedFamily, UnknownCountry
 
 Prefix = ipaddress.IPv4Network | ipaddress.IPv6Network
 Addr = ipaddress.IPv4Address | ipaddress.IPv6Address
+
+# share of the speed of light at which probes are assumed to travel in fiber;
+# geo and measure default to it, and so does the CLI's propagation_factor
+DEFAULT_PROPAGATION_FACTOR = 2.0 / 3.0
 
 
 class Rir(enum.Enum):
@@ -48,17 +55,46 @@ class Status(enum.Enum):
         return self.value
 
 
-def parse_address(text: str) -> Addr:
+# the only spellings of an octet and of an IPv4 prefix length that the fast
+# paths below accept: decimal without leading zeros, in range
+_OCTETS = {str(n): n for n in range(256)}
+_V4_LENGTHS = {str(n): n for n in range(33)}
+
+
+def _dotted_quad(text: str) -> int | None:
+    """The value of a canonical dotted quad such as 192.0.2.1, or None for any
+    other text. ipaddress reads such a quad as this same value."""
+    parts = text.split(".")
+    if len(parts) != 4:
+        return None
     try:
-        return ipaddress.ip_address(text.strip())
+        a, b, c, d = [_OCTETS[part] for part in parts]
+    except KeyError:
+        return None
+    return a << 24 | b << 16 | c << 8 | d
+
+
+def parse_address(text: str) -> Addr:
+    stripped = text.strip()
+    value = _dotted_quad(stripped)
+    if value is not None:
+        return ipaddress.IPv4Address(value)
+    try:
+        return ipaddress.ip_address(stripped)
     except ValueError as exc:
         raise MalformedPrefix(f"bad address {text!r}: {exc}") from None
 
 
 def parse_prefix(text: str) -> Prefix:
     """Parse a CIDR prefix, rejecting non-canonical forms (host bits set)."""
+    stripped = text.strip()
+    addr, _, length = stripped.partition("/")
+    value = _dotted_quad(addr)
+    plen = _V4_LENGTHS.get(length)
+    if value is not None and plen is not None and not value & (0xFFFFFFFF >> plen):
+        return ipaddress.IPv4Network((value, plen))
     try:
-        return ipaddress.ip_network(text.strip(), strict=True)
+        return ipaddress.ip_network(stripped, strict=True)
     except ValueError as exc:
         raise MalformedPrefix(f"bad prefix {text!r}: {exc}") from None
 
@@ -177,6 +213,17 @@ def load_jsonl(from_json: Callable[[Mapping], T], fp: IO[str]) -> list[T]:
     return out
 
 
+def open_text(path: str) -> IO[str]:
+    """Open a text file, decompressing gzip transparently (magic sniff)."""
+    with open(path, "rb") as probe:
+        magic = probe.read(2)
+    if magic == b"\x1f\x8b":
+        raw = gzip.open(path, "rb")
+    else:
+        raw = open(path, "rb")
+    return io.TextIOWrapper(raw, encoding="utf-8", errors="replace")
+
+
 def read_tokens(fp: IO[str]) -> list[str]:
     """One token per line; '#' starts a comment and blank lines are skipped."""
     tokens = (line.split("#", 1)[0].strip() for line in fp)
@@ -278,3 +325,78 @@ def default_region_map() -> RegionMap:
         region_map = load_region_map(fp)
     check_official_counts(region_map)
     return region_map
+
+
+@dataclass
+class OroStats:
+    """Out-of-region organizations for one registry and family."""
+
+    rir: Rir
+    family: int
+    prefixes: int = 0
+    oro_prefixes: int = 0
+    unknown_org: int = 0
+    units: float = 0.0
+    oro_units: float = 0.0
+
+    @property
+    def prefix_fraction(self) -> float:
+        return self.oro_prefixes / self.prefixes if self.prefixes else 0.0
+
+    @property
+    def unit_fraction(self) -> float:
+        return self.oro_units / self.units if self.units else 0.0
+
+
+def _union_units(prefixes: Sequence[Prefix]) -> float:
+    """Sum address units over the union of the given prefixes: overlapping
+    blocks count once, at the widest covering block."""
+    total = 0.0
+    last_end = -1
+    for prefix in sorted(prefixes, key=prefix_sort_key):
+        start = int(prefix.network_address)
+        if start <= last_end:
+            continue  # contained in a block already counted
+        total += address_units(prefix)
+        last_end = start + (1 << (prefix.max_prefixlen - prefix.prefixlen)) - 1
+    return total
+
+
+def oro_stats(
+    regs: Iterable[Registration],
+    region_map: RegionMap,
+) -> dict[tuple[Rir, int], OroStats]:
+    """Count registrations whose organization sits outside the registering
+    region, per registry and family, in prefixes and in address units."""
+    rows: dict[tuple[Rir, int], OroStats] = {}
+    all_prefixes: dict[tuple[Rir, int], list[Prefix]] = {}
+    oro_prefixes: dict[tuple[Rir, int], list[Prefix]] = {}
+    for reg in regs:
+        key = (reg.rir, reg.prefix.version)
+        row = rows.setdefault(key, OroStats(rir=reg.rir, family=reg.prefix.version))
+        row.prefixes += 1
+        all_prefixes.setdefault(key, []).append(reg.prefix)
+        if reg.org_country is None or reg.org_country not in region_map:
+            row.unknown_org += 1
+            continue
+        if region_map.rir_of(reg.org_country) != reg.rir:
+            row.oro_prefixes += 1
+            oro_prefixes.setdefault(key, []).append(reg.prefix)
+    for key, row in rows.items():
+        row.units = _union_units(all_prefixes.get(key, ()))
+        row.oro_units = _union_units(oro_prefixes.get(key, ()))
+    return rows
+
+
+def write_oro_csv(rows: Mapping[tuple[Rir, int], OroStats], fp: IO[str]) -> None:
+    writer = csv.writer(fp)
+    writer.writerow([
+        "rir", "family", "prefixes", "oro_prefixes", "prefix_fraction",
+        "address_units", "oro_address_units", "unit_fraction", "unknown_org",
+    ])
+    for (rir, family) in sorted(rows, key=lambda k: (k[1], k[0].value)):
+        row = rows[(rir, family)]
+        writer.writerow([
+            rir.value, family, row.prefixes, row.oro_prefixes, f"{row.prefix_fraction:.6f}",
+            f"{row.units:.3f}", f"{row.oro_units:.3f}", f"{row.unit_fraction:.6f}", row.unknown_org,
+        ])

@@ -1,6 +1,8 @@
-"""Aggregations over audit output: out-of-region organizations, class
-distributions, registration characteristics, geolocation-database checks,
-lease-list overlap, and the CSV/summary writers behind the report command.
+"""Aggregations over audit output: class distributions, registration
+characteristics, geolocation-database checks, lease-list overlap, and the
+CSV/summary writers behind the report command. The out-of-region
+organization table needs no audit; it lives in registry and is re-exported
+here.
 """
 
 from __future__ import annotations
@@ -17,79 +19,20 @@ from .classify import (
     pipeline_counts,
 )
 from .index import PrefixIndex
+# OroStats, oro_stats and write_oro_csv are imported for callers of report
 from .registry import (
+    OroStats,
     Prefix,
     RegionMap,
     Registration,
     Rir,
     RIR_ORDER,
     Status,
-    address_units,
+    oro_stats,
     parse_prefix,
-    prefix_sort_key,
     read_csv,
+    write_oro_csv,
 )
-
-
-@dataclass
-class OroStats:
-    """Out-of-region organizations for one registry and family."""
-
-    rir: Rir
-    family: int
-    prefixes: int = 0
-    oro_prefixes: int = 0
-    unknown_org: int = 0
-    units: float = 0.0
-    oro_units: float = 0.0
-
-    @property
-    def prefix_fraction(self) -> float:
-        return self.oro_prefixes / self.prefixes if self.prefixes else 0.0
-
-    @property
-    def unit_fraction(self) -> float:
-        return self.oro_units / self.units if self.units else 0.0
-
-
-def _union_units(prefixes: Sequence[Prefix]) -> float:
-    """Sum address units over the union of the given prefixes: overlapping
-    blocks count once, at the widest covering block."""
-    total = 0.0
-    last_end = -1
-    for prefix in sorted(prefixes, key=prefix_sort_key):
-        start = int(prefix.network_address)
-        if start <= last_end:
-            continue  # contained in a block already counted
-        total += address_units(prefix)
-        last_end = int(prefix.broadcast_address if prefix.version == 4 else prefix[-1])
-    return total
-
-
-def oro_stats(
-    regs: Iterable[Registration],
-    region_map: RegionMap,
-) -> dict[tuple[Rir, int], OroStats]:
-    """Count registrations whose organization sits outside the registering
-    region, per registry and family, in prefixes and in address units."""
-    rows: dict[tuple[Rir, int], OroStats] = {}
-    all_prefixes: dict[tuple[Rir, int], list[Prefix]] = {}
-    oro_prefixes: dict[tuple[Rir, int], list[Prefix]] = {}
-    for reg in regs:
-        key = (reg.rir, reg.prefix.version)
-        row = rows.setdefault(key, OroStats(rir=reg.rir, family=reg.prefix.version))
-        row.prefixes += 1
-        all_prefixes.setdefault(key, []).append(reg.prefix)
-        if reg.org_country is None or reg.org_country not in region_map:
-            row.unknown_org += 1
-            continue
-        if region_map.rir_of(reg.org_country) != reg.rir:
-            row.oro_prefixes += 1
-            oro_prefixes.setdefault(key, []).append(reg.prefix)
-    for key, row in rows.items():
-        row.units = _union_units(all_prefixes.get(key, ()))
-        row.oro_units = _union_units(oro_prefixes.get(key, ()))
-    return rows
 
 
 def distribution(
@@ -274,20 +217,6 @@ def write_distribution_csv(rows: Mapping[Rir | None, Mapping[ConsistencyClass, f
             continue
         label = rir.value if rir else "ALL"
         writer.writerow([label] + [f"{rows[rir][cls]:.6f}" for cls in CLASS_ORDER])
-
-
-def write_oro_csv(rows: Mapping[tuple[Rir, int], OroStats], fp: IO[str]) -> None:
-    writer = csv.writer(fp)
-    writer.writerow([
-        "rir", "family", "prefixes", "oro_prefixes", "prefix_fraction",
-        "address_units", "oro_address_units", "unit_fraction", "unknown_org",
-    ])
-    for (rir, family) in sorted(rows, key=lambda k: (k[1], k[0].value)):
-        row = rows[(rir, family)]
-        writer.writerow([
-            rir.value, family, row.prefixes, row.oro_prefixes, f"{row.prefix_fraction:.6f}",
-            f"{row.units:.3f}", f"{row.oro_units:.3f}", f"{row.unit_fraction:.6f}", row.unknown_org,
-        ])
 
 
 def write_characteristics_csv(

@@ -8,6 +8,7 @@ budget stays bounded and no address is probed for two prefixes.
 from __future__ import annotations
 
 import datetime
+import json
 import random
 from dataclasses import dataclass
 from typing import IO, Iterable, Mapping
@@ -98,10 +99,21 @@ def load_plans(fp: IO[str]) -> list[TargetPlan]:
     return load_jsonl(TargetPlan.from_json, fp)
 
 
+def _duplicate_rank(reg: Registration) -> tuple:
+    """Rank of a row among the rows of one prefix; the highest wins. It
+    compares last_updated, then the registry name, org_id and the row's
+    sorted-key JSON without the flag registration_index adds: a total order
+    on content, so the winner never depends on input order."""
+    row = reg.to_json()
+    row["flags"] = [flag for flag in reg.flags if flag != "cross_rir_duplicate"]
+    return (reg.last_updated or datetime.date.min, reg.rir.value, reg.org_id or "",
+            json.dumps(row, sort_keys=True))
+
+
 def registration_index(regs: Iterable[Registration]) -> tuple[PrefixIndex, int]:
-    """Index registrations by prefix, both families. When two registries
-    carry the same prefix, the most recently updated row wins (ties: larger
-    registry name); the survivor is flagged. Returns (index, collisions)."""
+    """Index registrations by prefix, both families. When two rows carry the
+    same prefix, the highest _duplicate_rank wins, most recently updated
+    first; the survivor is flagged. Returns (index, collisions)."""
     by_prefix: dict[Prefix, Registration] = {}
     collisions = 0
     for reg in regs:
@@ -110,9 +122,7 @@ def registration_index(regs: Iterable[Registration]) -> tuple[PrefixIndex, int]:
             by_prefix[reg.prefix] = reg
             continue
         collisions += 1
-        old_rank = (old.last_updated or datetime.date.min, old.rir.value)
-        new_rank = (reg.last_updated or datetime.date.min, reg.rir.value)
-        winner = reg if new_rank > old_rank else old
+        winner = reg if _duplicate_rank(reg) > _duplicate_rank(old) else old
         by_prefix[reg.prefix] = winner.with_flag("cross_rir_duplicate")
     return PrefixIndex(by_prefix.items()), collisions
 

@@ -12,7 +12,6 @@ import configparser
 import dataclasses
 import datetime
 import gzip
-import io
 import re
 from dataclasses import dataclass, field
 from importlib import resources
@@ -25,6 +24,7 @@ from .registry import (
     Rir,
     Status,
     is_country_code,
+    open_text,  # callers still reach it as whois.open_text
     parse_address,
     parse_prefix,
     prefix_sort_key,
@@ -95,16 +95,19 @@ def dialect_for(rir: Rir, dialects: dict[Rir, Dialect] | None = None) -> Dialect
 
 class RawRecord:
     """One record as an ordered list of (key, value) pairs. Keys keep their
-    original spelling; matching is case-insensitive."""
+    original spelling; matching is case-insensitive, against lower-case
+    wanted keys."""
 
     def __init__(self, pairs: list[tuple[str, str]]):
         self.pairs = pairs
+        # lower-cased key -> its first value; reversed, so the first pair wins
+        self._first = {key.lower(): value for key, value in reversed(pairs)}
 
     def first(self, keys: Iterable[str]) -> str | None:
         for want in keys:
-            for key, value in self.pairs:
-                if key.lower() == want:
-                    return value
+            value = self._first.get(want)
+            if value is not None:
+                return value
         return None
 
     def all(self, keys: Iterable[str]) -> list[str]:
@@ -112,22 +115,10 @@ class RawRecord:
         return [value for key, value in self.pairs if key.lower() in wanted]
 
     def has_any(self, keys: Iterable[str]) -> bool:
-        wanted = set(keys)
-        return any(key.lower() in wanted for key, _ in self.pairs)
+        return any(want in self._first for want in keys)
 
     def values(self) -> list[str]:
         return [value for _, value in self.pairs]
-
-
-def open_text(path: str) -> IO[str]:
-    """Open a text file, decompressing gzip transparently (magic sniff)."""
-    with open(path, "rb") as probe:
-        magic = probe.read(2)
-    if magic == b"\x1f\x8b":
-        raw = gzip.open(path, "rb")
-    else:
-        raw = open(path, "rb")
-    return io.TextIOWrapper(raw, encoding="utf-8", errors="replace")
 
 
 def iter_raw_records(stream: Iterable[str]) -> Iterator[RawRecord]:
@@ -139,15 +130,16 @@ def iter_raw_records(stream: Iterable[str]) -> Iterator[RawRecord]:
     pairs: list[tuple[str, str]] = []
     try:
         for line in stream:
-            line = line.rstrip("\n").rstrip("\r")
-            if not line.strip():
+            # a line keeps its newline: every key and value is stripped anyway
+            if not line or line.isspace():
                 if pairs:
                     yield RawRecord(pairs)
                     pairs = []
                 continue
-            if line.startswith("#") or line.startswith("%"):
+            head = line[0]
+            if head == "#" or head == "%":
                 continue
-            if line[0] in " \t+" and pairs:
+            if head in " \t+" and pairs:
                 key, value = pairs[-1]
                 pairs[-1] = (key, (value + " " + line.lstrip(" \t+").strip()).strip())
                 continue
@@ -176,7 +168,12 @@ def normalize_status(text: str | None) -> Status:
     return Status.LEGACY_OR_UNKNOWN
 
 
-_DATE_PATTERNS = ("%Y-%m-%d", "%Y%m%d", "%Y-%m-%dT%H:%M:%SZ", "%Y-%m-%d %H:%M:%S")
+_DATE_PATTERNS = ("%Y-%m-%d", "%Y%m%d", "%Y-%m-%dT%H:%M:%SZ")
+# the shapes registries write, in ASCII digits: YYYY-MM-DD, its UTC
+# timestamp and YYYYMMDD. strptime reads such a token as this date exactly
+# when datetime.date() accepts its fields; else no pattern and no
+# fromisoformat reads it.
+_FAST_DATE = re.compile(r"(\d{4})-(\d\d)-(\d\d)(?:T\d\d:\d\d:\d\dZ)?|(\d{4})(\d\d)(\d\d)", re.ASCII)
 
 
 def parse_date(text: str | None) -> datetime.date | None:
@@ -185,11 +182,19 @@ def parse_date(text: str | None) -> datetime.date | None:
     if not text:
         return None
     for token in text.strip().split():
-        for pattern in _DATE_PATTERNS:
+        fast = _FAST_DATE.fullmatch(token)
+        if fast:
+            year, month, day = fast.group(1, 2, 3) if fast.group(1) else fast.group(4, 5, 6)
             try:
-                return datetime.datetime.strptime(token, pattern).date()
+                return datetime.date(int(year), int(month), int(day))
             except ValueError:
                 continue
+        if token[:4].isdecimal():  # every pattern starts with %Y, four digits
+            for pattern in _DATE_PATTERNS:
+                try:
+                    return datetime.datetime.strptime(token, pattern).date()
+                except ValueError:
+                    continue
         if "T" in token:
             try:
                 return datetime.date.fromisoformat(token.split("T", 1)[0])
@@ -262,9 +267,8 @@ def _parse_net_value(value: str) -> list[Prefix]:
     return [parse_prefix(f"{addr}/{32 if addr.version == 4 else 128}")]
 
 
-def _find_transfer(values: Iterable[str], markers: tuple[str, ...]) -> Rir | None:
-    for value in values:
-        lowered = value.lower()
+def _find_transfer(lowered_values: Iterable[str], markers: tuple[str, ...]) -> Rir | None:
+    for lowered in lowered_values:
         for marker in markers:
             pos = lowered.find(marker)
             if pos < 0:
@@ -294,7 +298,8 @@ def parse_bulk_whois(
     for rec in iter_raw_records(stream):
         if rec.has_any(dialect.net_keys):
             report.net_records_read += 1
-            if any(m in v.lower() for v in rec.values() for m in dialect.skip_markers):
+            lowered = [value.lower() for value in rec.values()]
+            if any(m in v for v in lowered for m in dialect.skip_markers):
                 report.not_managed_skipped += 1
                 continue
             raw_net = rec.first(dialect.net_keys)
@@ -326,7 +331,7 @@ def parse_bulk_whois(
                 flags.append("split_from_range")
             for maint in rec.all(dialect.maintainer_keys):
                 flags.append(f"mnt:{maint}")
-            transfer_dest = _find_transfer(rec.values(), dialect.transfer_markers)
+            transfer_dest = _find_transfer(lowered, dialect.transfer_markers)
             if transfer_dest is not None:
                 flags.append(f"transfer_to:{transfer_dest.value}")
 

@@ -3,7 +3,10 @@ import gzip
 import ipaddress
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -273,11 +276,13 @@ def test_audit_counts_unknown_simulator_targets(small_campaign, capsys):
 
 def permutation_campaign(tmp_path):
     """A campaign with two targets in most prefixes, a cross-registry
-    duplicate registration, and every side list the audit reads."""
+    duplicate registration, a duplicate that ties on prefix, registry and
+    date, and every side list the audit reads."""
     camp = build_campaign(fc_per_region=6, planted_per_class=2, v6_fc_per_region=2, noise_ms=2.0)
     regs = [json.loads(line) for line in camp.registrations_jsonl.splitlines()]
     dup = dict(regs[0], rir="RIPE", last_updated="2010-01-01", org_id="ORG-DUP")
-    camp.registrations_jsonl += json.dumps(dup) + "\n"
+    tie = dict(regs[1], org_id="ORG-TIE", org_country="DE")
+    camp.registrations_jsonl += json.dumps(dup) + "\n" + json.dumps(tie) + "\n"
     extra = []
     for addr, loc in list(camp.world["targets"].items()):
         if "." in addr:
@@ -531,3 +536,64 @@ def test_audit_uses_bundled_data_by_default(small_campaign):
     assert run(argv) == 0
     records = [json.loads(line) for line in out.read_text().splitlines()]
     assert len(records) == len(camp.expected)
+
+
+def python_in_subprocess(code: str, *args: str) -> str:
+    """Run code in a fresh interpreter that finds this checkout's package;
+    returns its stdout."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=60, check=True)
+    return done.stdout
+
+
+RUN_AND_LIST_MODULES = """
+import json, sys
+from geoaudit import cli
+code = cli.main(sys.argv[1:])
+print(json.dumps([code, sorted(sys.modules)]))
+"""
+
+
+def test_each_command_imports_only_the_stages_it_runs(small_campaign):
+    camp, paths, tmp_path = small_campaign
+    (tmp_path / "arin.txt").write_text(ARIN_DUMP)
+    (tmp_path / "ripe.txt.gz").write_bytes(gzip.compress(RIPE_DUMP.encode()))
+    regs = paths["registrations.jsonl"]
+    commands = {
+        "ingest": (["ingest", "--arin", str(tmp_path / "arin.txt"),
+                    "--ripe", str(tmp_path / "ripe.txt.gz"), "-o", str(tmp_path / "r.jsonl")],
+                   {"bgp", "classify", "geo", "measure", "report", "targets", "vantage"}),
+        "align": (["align", "--registrations", regs, "--rib", paths["rib.txt"],
+                   "-o", str(tmp_path / "alignment.csv")],
+                  {"classify", "measure", "report", "whois"}),
+        "oro": (["oro", "--registrations", regs, "-o", str(tmp_path / "oro.csv")],
+                {"bgp", "classify", "geo", "measure", "targets", "vantage", "whois"}),
+    }
+    for name, (argv, unused) in commands.items():
+        out = python_in_subprocess(RUN_AND_LIST_MODULES, *argv)
+        code, modules = json.loads(out.splitlines()[-1])
+        assert code == 0, name
+        assert not {f"geoaudit.{stage}" for stage in unused} & set(modules), name
+        assert "concurrent.futures" not in modules, name  # only audit --concurrency N uses it
+
+
+def test_importing_the_package_loads_no_stage():
+    out = python_in_subprocess(
+        "import sys, geoaudit; print(sorted(m for m in sys.modules if m.startswith('geoaudit')))")
+    assert out.strip() == "['geoaudit']"
+    out = python_in_subprocess(
+        "import geoaudit\n"
+        "from geoaudit import Rir, classify_one\n"
+        "print(Rir.ARIN.value, classify_one.__module__,\n"
+        "      all(hasattr(geoaudit, name) for name in geoaudit.__all__))")
+    assert out.split() == ["ARIN", "geoaudit.classify", "True"]
+
+
+@pytest.mark.parametrize("command", ["", "ingest", "align", "plan", "audit", "report", "oro"])
+def test_help_exits_0(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*command.split(), "--help"])
+    assert exc.value.code == 0
+    assert "usage: geoaudit" in capsys.readouterr().out

@@ -21,6 +21,7 @@ from geoaudit.registry import (
     load_jsonl,
     load_region_map,
     load_registrations,
+    parse_address,
     parse_prefix,
     prefix_sort_key,
     range_to_cidrs,
@@ -116,6 +117,68 @@ def test_parse_prefix_rejects_host_bits():
     for bad in ["10.0.0.1/24", "2001:db8::1/32", "10.0.0.0/33", "banana", "10.0.0.0/-1"]:
         with pytest.raises(MalformedPrefix):
             parse_prefix(bad)
+
+
+def seed_parse(parse, kind, text):
+    """parse_address / parse_prefix as the seed wrote them: ipaddress alone.
+    Returns the value, or the error text."""
+    try:
+        return parse(text.strip())
+    except ValueError as exc:
+        return f"bad {kind} {text!r}: {exc}"
+
+
+def parsed(parse, text):
+    try:
+        return parse(text)
+    except MalformedPrefix as exc:
+        return str(exc)
+
+
+def address_texts(rng, n):
+    octets = ["0", "1", "9", "10", "99", "100", "192", "255", "256", "300", "00", "01", "010",
+              "0255", "1e2", "-1", "+1", " 1", "", "a", "\uff11", "\u0661", "4294967295"]
+    v6 = ["::", "::1", "2001:db8::", "2001:db8::1", "2001:0db8::", "fe80::1%eth0",
+          "::ffff:192.0.2.1", "2001:db8:::1", "12345::", "2001:db8::g"]
+    for _ in range(n):
+        kind = rng.randrange(4)
+        if kind == 0:
+            addr = ".".join(rng.choice(octets) for _ in range(rng.choice([3, 4, 4, 4, 5])))
+        elif kind == 1:
+            addr = ".".join(str(rng.randrange(256)) for _ in range(4))
+        elif kind == 2:
+            addr = rng.choice(v6)
+        else:
+            value = rng.getrandbits(32)
+            addr = str(ipaddress.IPv4Address(value)) + rng.choice(["", ".", "..1", "x"])
+        yield rng.choice(["", " ", "\t"]) + addr + rng.choice(["", " ", "\n"])
+
+
+def test_parse_address_matches_ipaddress():
+    rng = random.Random(23)
+    for text in address_texts(rng, 20000):
+        got = parsed(parse_address, text)
+        want = seed_parse(ipaddress.ip_address, "address", text)
+        assert type(got) is type(want) and got == want, text
+
+
+def test_parse_prefix_matches_ipaddress():
+    rng = random.Random(29)
+    lengths = ["0", "8", "16", "24", "31", "32", "33", "08", "024", "-1", "", "+8", "255.0.0.0",
+               "0.0.0.255", "64", "128", "129", "\uff18"]
+    texts = list(address_texts(rng, 20000))
+    for i, text in enumerate(texts):
+        if i % 3 == 0:  # a canonical network of a random length: the fast path
+            plen = rng.randint(0, 32)
+            net = ipaddress.IPv4Network((rng.getrandbits(32) >> (32 - plen) << (32 - plen), plen))
+            text = str(net)
+        else:  # host bits, odd lengths, no slash, two slashes
+            text = text.strip() + rng.choice(["/", "/", "/", "", "//"]) + rng.choice(lengths)
+        got = parsed(parse_prefix, text)
+        want = seed_parse(lambda t: ipaddress.ip_network(t, strict=True), "prefix", text)
+        assert type(got) is type(want) and got == want, text
+        if not isinstance(got, str):
+            assert (str(got), got.prefixlen, got.netmask) == (str(want), want.prefixlen, want.netmask)
 
 
 def test_address_units():

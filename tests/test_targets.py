@@ -1,5 +1,6 @@
 import datetime
 import io
+import itertools
 import random
 
 import pytest
@@ -67,6 +68,28 @@ def test_registration_index_cross_registry_collision():
     index, collisions = registration_index([c, d])
     assert collisions == 1
     assert index.exact(parse_prefix("198.51.100.0/24")).rir is Rir.ARIN
+
+
+def test_registration_index_full_tie_is_order_free():
+    # same prefix, registry and date: content decides, in every input order
+    day = datetime.date(2020, 1, 1)
+    rows = [
+        reg("203.0.113.0/24", org_id="ORG-A", org_country="US", last_updated=day),
+        reg("203.0.113.0/24", org_id="ORG-B", org_country="CA", last_updated=day),
+        reg("203.0.113.0/24", org_id="ORG-B", org_country="DE", last_updated=day,
+            flags=("mnt:X",)),
+    ]
+    winners = set()
+    for order in itertools.permutations(rows):
+        index, collisions = registration_index(order)
+        assert collisions == 2
+        winners.add(index.exact(parse_prefix("203.0.113.0/24")))
+    assert len(winners) == 1
+    (winner,) = winners
+    # ORG-B beats ORG-A; between the two ORG-B rows the sorted-key JSON
+    # decides, and it starts with the flags: '[]' sorts after '["mnt:X"]'
+    assert (winner.org_id, winner.org_country) == ("ORG-B", "CA")
+    assert winner.flags == ("cross_rir_duplicate",)
 
 
 def test_build_target_plans_longest_prefix_wins():

@@ -1,12 +1,14 @@
 import datetime
 import gzip
 import io
+import random
 
 import pytest
 
 from geoaudit.errors import UnknownDialect, UnreadableStream
 from geoaudit.registry import Rir, Status
 from geoaudit.whois import (
+    RawRecord,
     _parse_net_value,
     default_dialects,
     dialect_for,
@@ -237,6 +239,143 @@ def test_parse_date_formats():
     assert parse_date("soon") is None
     assert parse_date(None) is None
     assert parse_date("   ") is None
+
+
+def seed_parse_date(text):
+    """parse_date as the seed wrote it: every pattern through strptime."""
+    if not text:
+        return None
+    for token in text.strip().split():
+        for pattern in ("%Y-%m-%d", "%Y%m%d", "%Y-%m-%dT%H:%M:%SZ", "%Y-%m-%d %H:%M:%S"):
+            try:
+                return datetime.datetime.strptime(token, pattern).date()
+            except ValueError:
+                continue
+        if "T" in token:
+            try:
+                return datetime.date.fromisoformat(token.split("T", 1)[0])
+            except ValueError:
+                pass
+    return None
+
+
+def test_parse_date_matches_strptime_on_every_day():
+    day, last = datetime.date(1900, 1, 1), datetime.date(2100, 12, 31)
+    while day <= last:
+        iso = day.isoformat()
+        for token in (iso, iso.replace("-", ""), f"{iso}T23:59:59Z"):
+            assert parse_date(token) == seed_parse_date(token) == day, token
+        day += datetime.timedelta(days=1)
+
+
+def junk_date_token(rng):
+    y, m, d = rng.randint(0, 9999), rng.randint(0, 14), rng.randint(0, 33)
+    hh, mm, ss = rng.randint(0, 26), rng.randint(0, 61), rng.randint(0, 62)
+    kind = rng.randrange(12)
+    if kind == 0:  # Feb 29 of any year, leap or not
+        m, d = 2, 29
+    if kind == 1:
+        return str(rng.randint(10**6, 10**9 - 1))  # 7- to 9-digit runs
+    if kind == 2:  # strptime's %Y is \d\d\d\d, so it reads non-ASCII digits too
+        zero = rng.choice([0xFF10, 0x0660, 0x0966])  # fullwidth, Arabic-Indic, Devanagari
+        other = {ord(c): zero + int(c) for c in "0123456789"}
+        year = f"{y:04d}".translate(other)
+        rest = f"{m:02d}{d:02d}" if rng.random() < 0.5 else f"-{m:02d}-{d:02d}"
+        return year + (rest.translate(other) if rng.random() < 0.3 else rest)
+    if kind == 3:
+        return rng.choice(["noc@example.net", "hostmaster@apnic.net", "x", "2021", "T", "-"])
+    if kind == 4:  # T without Z, with fractions and offsets
+        return f"{y:04d}-{m:02d}-{d:02d}T{hh:02d}:{mm:02d}" + rng.choice(["", ":00", ":00.5+00:00"])
+    if kind == 5:
+        return f"{y}-{m}-{d}"  # unpadded fields
+    if kind == 6:
+        return f"{y:04d}{m:02d}{d:02d}T{hh:02d}{mm:02d}{ss:02d}Z"
+    if kind == 7:
+        return f"{y:04d}-{m:02d}-{d:02d}t{hh:02d}:{mm:02d}:{ss:02d}z"
+    if kind == 8:
+        return f"{y:04d}{m:02d}{d:02d}"
+    return f"{y:04d}-{m:02d}-{d:02d}" + rng.choice(["", f"T{hh:02d}:{mm:02d}:{ss:02d}Z"])
+
+
+def test_parse_date_matches_strptime_on_seeded_junk():
+    rng = random.Random(7)
+    for _ in range(20000):
+        text = " ".join(junk_date_token(rng) for _ in range(rng.randint(1, 3)))
+        assert parse_date(text) == seed_parse_date(text), text
+
+
+class SeedRawRecord:
+    """RawRecord's lookups as the seed wrote them: a scan of every pair."""
+
+    def __init__(self, pairs):
+        self.pairs = pairs
+
+    def first(self, keys):
+        for want in keys:
+            for key, value in self.pairs:
+                if key.lower() == want:
+                    return value
+        return None
+
+    def all(self, keys):
+        wanted = set(keys)
+        return [value for key, value in self.pairs if key.lower() in wanted]
+
+    def has_any(self, keys):
+        wanted = set(keys)
+        return any(key.lower() in wanted for key, _ in self.pairs)
+
+
+def test_raw_record_lookups_match_a_scan_of_the_pairs():
+    rng = random.Random(11)
+    names = ["inetnum", "NetRange", "netrange", "Country", "COUNTRY", "org", "mnt-by", "descr"]
+    wanted = sorted({name.lower() for name in names}) + ["absent", "Country"]
+    for _ in range(3000):
+        pairs = [(rng.choice(names), rng.choice(["", "x", "DE", "a b", str(rng.random())]))
+                 for _ in range(rng.randint(0, 8))]
+        new, old = RawRecord(list(pairs)), SeedRawRecord(pairs)
+        for _ in range(4):
+            keys = rng.sample(wanted, rng.randint(0, 3))
+            assert new.first(keys) == old.first(keys), (pairs, keys)
+            assert new.all(keys) == old.all(keys), (pairs, keys)
+            assert new.has_any(keys) == old.has_any(keys), (pairs, keys)
+        assert new.values() == [value for _, value in pairs]
+
+
+def seed_iter_pairs(lines):
+    """The pairs of each record as the seed's iter_raw_records split them."""
+    pairs = []
+    for line in lines:
+        line = line.rstrip("\n").rstrip("\r")
+        if not line.strip():
+            if pairs:
+                yield pairs
+                pairs = []
+            continue
+        if line.startswith("#") or line.startswith("%"):
+            continue
+        if line[0] in " \t+" and pairs:
+            key, value = pairs[-1]
+            pairs[-1] = (key, (value + " " + line.lstrip(" \t+").strip()).strip())
+            continue
+        if ":" not in line:
+            continue
+        key, _, value = line.partition(":")
+        pairs.append((key.strip(), value.strip()))
+    if pairs:
+        yield pairs
+
+
+def test_iter_raw_records_matches_the_seed_split():
+    rng = random.Random(13)
+    parts = ["inetnum: 10.0.0.0 - 10.0.0.255", "Country:DE", "descr:", " more", "\tmore", "+",
+             "+ plus", "# c", "%c", "", " ", "\t", "\r", "no pair", "a:b:c", " key: v", "k :  v  ",
+             "x: y\r", "\u3000", "z: \u3000w\u3000"]
+    for _ in range(2000):
+        lines = [rng.choice(parts) + rng.choice(["\n", "\n", "\r\n", ""])
+                 for _ in range(rng.randint(0, 12))]
+        got = [rec.pairs for rec in iter_raw_records(lines)]
+        assert got == list(seed_iter_pairs(lines)), lines
 
 
 def test_parse_net_value_forms():
