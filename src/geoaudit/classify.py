@@ -241,15 +241,6 @@ def audit_prefix(
         any_response = any_response or responded
         outcomes.append(TargetOutcome(target=target, responded=responded))
 
-    def record(**kwargs) -> ConsistencyRecord:
-        return ConsistencyRecord(
-            prefix=reg.prefix,
-            rir_reg=reg.rir,
-            org_country=reg.org_country,
-            flags=tuple(flags),
-            **kwargs,
-        )
-
     rir_org = None
     if reg.org_country is not None:
         if reg.org_country in config.region_map:
@@ -257,32 +248,37 @@ def audit_prefix(
         else:
             flags.append("org_country_unmapped")
 
+    def record(targets: Sequence[TargetOutcome] = outcomes, **kwargs) -> ConsistencyRecord:
+        return ConsistencyRecord(
+            prefix=reg.prefix,
+            rir_reg=reg.rir,
+            rir_org=rir_org,
+            org_country=reg.org_country,
+            flags=tuple(flags),
+            targets=tuple(targets),
+            **kwargs,
+        )
+
     # (1) unresponsive
     if not any_response:
-        return record(rir_org=rir_org, filter_reason=FilterReason.UNRESPONSIVE,
-                      targets=tuple(outcomes))
+        return record(filter_reason=FilterReason.UNRESPONSIVE)
     # (2) anycast overlap
     if anycast.overlaps(reg.prefix):
-        return record(rir_org=rir_org, filter_reason=FilterReason.ANYCAST,
-                      targets=tuple(outcomes))
+        return record(filter_reason=FilterReason.ANYCAST)
     # (3) NIR-managed space
     if _is_nir_managed(reg, nir_markers):
-        return record(rir_org=rir_org, filter_reason=FilterReason.NIR,
-                      targets=tuple(outcomes))
+        return record(filter_reason=FilterReason.NIR)
     # (4) BGP alignment
     alignment = align(reg.prefix, rib)
     if alignment.moas:
         flags.append("moas")
     if alignment.alignment in (Alignment.SUPERNET, Alignment.MIXED_AS):
-        return record(rir_org=rir_org, filter_reason=FilterReason.BGP_SUPERNET_OR_MIXED,
-                      targets=tuple(outcomes))
+        return record(filter_reason=FilterReason.BGP_SUPERNET_OR_MIXED)
     if alignment.alignment is Alignment.UNADVERTISED:
-        return record(rir_org=rir_org, filter_reason=FilterReason.UNADVERTISED,
-                      targets=tuple(outcomes))
+        return record(filter_reason=FilterReason.UNADVERTISED)
     # strict mode refuses to classify without an org country
     if config.strict_no_org and rir_org is None:
-        return record(rir_org=None, filter_reason=FilterReason.NO_ORG_COUNTRY,
-                      targets=tuple(outcomes))
+        return record(filter_reason=FilterReason.NO_ORG_COUNTRY)
     if reg.org_country is None and "no_org_country" not in flags:
         flags.append("no_org_country")
 
@@ -320,13 +316,11 @@ def audit_prefix(
     # (6) reconciliation across targets
     cls, conflict = reconcile_targets(final_outcomes)
     if conflict:
-        return record(rir_org=rir_org, rir_geo=rir_geo,
-                      filter_reason=FilterReason.CONFLICTING, targets=tuple(final_outcomes))
+        return record(final_outcomes, rir_geo=rir_geo, filter_reason=FilterReason.CONFLICTING)
     if cls is None:
         # responsive targets all failed inference; treat as unresponsive
-        return record(rir_org=rir_org, rir_geo=rir_geo,
-                      filter_reason=FilterReason.UNRESPONSIVE, targets=tuple(final_outcomes))
-    return record(rir_org=rir_org, rir_geo=rir_geo, cls=cls, targets=tuple(final_outcomes))
+        return record(final_outcomes, rir_geo=rir_geo, filter_reason=FilterReason.UNRESPONSIVE)
+    return record(final_outcomes, rir_geo=rir_geo, cls=cls)
 
 
 def audit_pipeline(

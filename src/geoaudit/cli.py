@@ -67,6 +67,17 @@ class RunConfig:
     api_key: str = ""
     tag: str = ""
 
+    def __post_init__(self):
+        """An out-of-range setting fails here, before any input is read."""
+        for name, ok, allowed in (
+            ("propagation_factor", 0 < self.propagation_factor <= 1, "in (0, 1]"),
+            ("sample_fraction_v4", 0 <= self.sample_fraction_v4 <= 1, "in [0, 1]"),
+            ("sample_fraction_v6", 0 <= self.sample_fraction_v6 <= 1, "in [0, 1]"),
+            ("concurrency", self.concurrency >= 1, "at least 1"),
+        ):
+            if not ok:
+                raise GeoAuditError(f"{name} is {getattr(self, name)}, must be {allowed}")
+
 
 def _read(path: str, loader):
     """Parse one input (gzip ok) with loader(fp)."""
@@ -337,7 +348,8 @@ def cmd_audit(args: argparse.Namespace) -> int:
         classify.write_records(records, fp)
 
     print(f"vantages: kept={vreport.kept} disconnected={vreport.disconnected} "
-          f"bad_id={vreport.bad_id} default_coords={vreport.default_coords}")
+          f"bad_id={vreport.bad_id} default_coords={vreport.default_coords} "
+          f"unmapped_country={vset.unmapped_country}")
     if isinstance(backend, measure.ReplayBackend):
         print(f"replay misses: {backend.misses} pairs")
     if isinstance(backend, measure.SimulateBackend):

@@ -10,7 +10,7 @@ every country sorted by the distance to its nearest point (one haversine per
 point, about 244 minima). A country is inside the disk exactly when that
 distance is <= the radius, so a bisection gives the same set as a scan of
 every point. An audit builds one table per distinct lowest-RTT vantage and
-memoises each set, and its registries, per (vantage, cut, vantage country).
+memoises its sets and registries per (cut, vantage country, region map).
 """
 
 from __future__ import annotations
@@ -89,8 +89,7 @@ class _NearestCountries:
         ranked = [(d, cc) for d, cc in ranked if not math.isnan(d)]
         self.dists = [d for d, _ in ranked]
         self.countries = [cc for _, cc in ranked]
-        self._sets: dict[tuple[int, str | None], frozenset[str]] = {}
-        self._rirs: dict[tuple[int, str | None, RegionMap], frozenset[Rir]] = {}
+        self._regions: dict[tuple, tuple[frozenset[str], frozenset[Rir]]] = {}
 
     def cut(self, radius_km: float) -> int:
         """How many countries have their nearest point within radius_km
@@ -98,22 +97,18 @@ class _NearestCountries:
         return bisect_right(self.dists, radius_km) if radius_km >= 0 else 0
 
     def within(self, cut: int, vantage_country: str | None) -> frozenset[str]:
-        key = (cut, vantage_country)
-        countries = self._sets.get(key)
-        if countries is None:
-            countries = frozenset(self.countries[:cut])
-            if vantage_country:
-                countries |= {vantage_country}
-            self._sets[key] = countries
-        return countries
+        countries = frozenset(self.countries[:cut])
+        return countries | {vantage_country} if vantage_country else countries
 
-    def rirs_within(self, cut: int, vantage_country: str | None,
-                    region_map: RegionMap) -> frozenset[Rir]:
+    def region(self, cut: int, vantage_country: str | None,
+               region_map: RegionMap) -> tuple[frozenset[str], frozenset[Rir]]:
+        """The feasible countries and their registries, memoised."""
         key = (cut, vantage_country, region_map)
-        rirs = self._rirs.get(key)
-        if rirs is None:
-            rirs = self._rirs[key] = feasible_rirs(self.within(cut, vantage_country), region_map)
-        return rirs
+        found = self._regions.get(key)
+        if found is None:
+            countries = self.within(cut, vantage_country)
+            found = self._regions[key] = (countries, feasible_rirs(countries, region_map))
+        return found
 
 
 @dataclass(frozen=True)
@@ -192,11 +187,5 @@ def infer_region(
     vantage = vantages_by_id[vid]
     radius = rtt_to_radius_km(rtt, config.propagation_factor)
     table = config.nearest(vantage.lat, vantage.lon)
-    cut = table.cut(radius)
-    return FeasibleRegion(
-        vantage_id=vid,
-        rtt_ms=rtt,
-        radius_km=radius,
-        countries=table.within(cut, vantage.country),
-        rirs=table.rirs_within(cut, vantage.country, region_map),
-    )
+    countries, rirs = table.region(table.cut(radius), vantage.country, region_map)
+    return FeasibleRegion(vid, rtt, radius, countries, rirs)

@@ -29,6 +29,10 @@ from .vantage import VantagePoint
 SAMPLES_PER_PAIR = 3
 RETRY_STATUS = (429, 500, 502, 503, 504)
 POST_RETRY_STATUS = (429, 503)  # the API answered without creating a measurement
+MAX_RETRIES = 3  # the live client's policy is fixed (docs/live-api.md)
+RETRY_BASE_DELAY_S = 2.0  # doubled after each retry: sleeps of 2, 4 and 8 s
+POLL_INTERVAL_S = 2.0
+POLL_ATTEMPTS = 30
 
 
 @dataclass(frozen=True, slots=True)
@@ -247,37 +251,22 @@ class ReplayBackend:
 class LiveBackend:
     """Client for a ping-measurement HTTP API (see docs/live-api.md).
 
-    One target is one measurement carrying every planned probe. Retries
-    transient failures with exponential backoff (base 2 s, doubling, capped
-    at 60 s) and gives up with BackendUnavailable after max_retries. A POST
-    is retried only when the API cannot have created the measurement, so a
-    retry never pays for a second one. Without an injected session, each
-    thread gets a requests.Session of its own, so concurrent workers never
-    share one connection pool."""
+    One target is one measurement carrying every planned probe. A transient
+    failure is retried MAX_RETRIES times, after sleeps of 2, 4 and 8 s, then
+    raises BackendUnavailable; a pending measurement is polled every
+    POLL_INTERVAL_S, at most POLL_ATTEMPTS times. A POST is retried only
+    when the API cannot have created the measurement, so a retry never pays
+    for a second one. Without an injected session, each thread gets a
+    requests.Session of its own, so concurrent workers never share one
+    connection pool. Tests inject session and sleep."""
 
-    def __init__(
-        self,
-        base_url: str,
-        api_key: str,
-        tag: str | None = None,
-        session=None,
-        max_retries: int = 3,
-        base_delay_s: float = 2.0,
-        max_delay_s: float = 60.0,
-        poll_interval_s: float = 2.0,
-        poll_attempts: int = 30,
-        sleep: Callable[[float], None] = time.sleep,
-    ):
+    def __init__(self, base_url: str, api_key: str, tag: str | None = None, session=None,
+                 sleep: Callable[[float], None] = time.sleep):
         self._injected = session
         self._local = threading.local()
         self.base_url = base_url.rstrip("/")
         self.api_key = api_key
         self.tag = tag
-        self.max_retries = max_retries
-        self.base_delay_s = base_delay_s
-        self.max_delay_s = max_delay_s
-        self.poll_interval_s = poll_interval_s
-        self.poll_attempts = poll_attempts
         self.sleep = sleep
 
     @property
@@ -299,11 +288,11 @@ class LiveBackend:
         url = f"{self.base_url}{path}"
         # a POST that may have reached the API is never sent again
         retry_status = POST_RETRY_STATUS if method == "POST" else RETRY_STATUS
-        delay = self.base_delay_s
+        delay = RETRY_BASE_DELAY_S
         last_error = None
-        for attempt in range(self.max_retries + 1):
+        for attempt in range(MAX_RETRIES + 1):
             if attempt:
-                self.sleep(min(delay, self.max_delay_s))
+                self.sleep(delay)
                 delay *= 2
             try:
                 resp = self.session.request(method, url, json=payload, headers=self._headers())
@@ -334,12 +323,12 @@ class LiveBackend:
         return str(body["id"])
 
     def fetch_results(self, measurement_id: str) -> dict[str, list[float]]:
-        for _ in range(self.poll_attempts):
+        for _ in range(POLL_ATTEMPTS):
             body = self._request("GET", f"/measurements/{measurement_id}/results")
             if body.get("status") == "done":
                 return {str(row["probe_id"]): [float(x) for x in row["rtts_ms"]]
                         for row in body.get("results", [])}
-            self.sleep(self.poll_interval_s)
+            self.sleep(POLL_INTERVAL_S)
         raise BackendUnavailable(f"measurement {measurement_id} never finished")
 
     def measure_target(self, target: Addr,

@@ -175,15 +175,12 @@ class Registration:
 T = TypeVar("T")
 
 
-def write_jsonl(
-    items: Iterable[T], fp: IO[str], to_json: Callable[[T], Mapping] = lambda item: item.to_json()
-) -> int:
-    """Write to_json(item), by default item.to_json(), as one line of
-    sorted-key JSON per item; returns the number of lines written."""
+def write_jsonl(items: Iterable, fp: IO[str]) -> int:
+    """Write each item.to_json() as one line of sorted-key JSON; returns the line count."""
     encode = json.JSONEncoder(sort_keys=True).encode  # json.dumps(..., sort_keys=True)
     n = 0
     for item in items:
-        fp.write(encode(to_json(item)) + "\n")
+        fp.write(encode(item.to_json()) + "\n")
         n += 1
     return n
 

@@ -35,17 +35,12 @@ from .registry import (
 )
 
 
-def distribution(
-    records: Iterable[ConsistencyRecord],
-    family: int | None = None,
-) -> dict[Rir | None, dict[ConsistencyClass, float]]:
+def distribution(records: Iterable[ConsistencyRecord]) -> dict[Rir | None, dict[ConsistencyClass, float]]:
     """Per-registry class fractions over classified records; the None row is
     the overall total. Every row sums to 1."""
     counts: dict[Rir | None, dict[ConsistencyClass, int]] = {}
     for rec in records:
         if rec.cls is None:
-            continue
-        if family is not None and rec.prefix.version != family:
             continue
         for key in (rec.rir_reg, None):
             row = counts.setdefault(key, {cls: 0 for cls in CLASS_ORDER})

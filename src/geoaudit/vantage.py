@@ -130,12 +130,12 @@ def _greedy_distinct_asn(candidates: Sequence[VantagePoint], cap: int, seen_asns
     return chosen
 
 
-def _stable_subset(candidates: Sequence[VantagePoint], cap: int) -> tuple[VantagePoint, ...]:
+def _stable_subset(candidates: Sequence[VantagePoint]) -> tuple[VantagePoint, ...]:
     anchors = [v for v in candidates if v.kind == "anchor"]
     probes = [v for v in candidates if v.kind != "anchor"]
     seen: set = set()
-    chosen = _greedy_distinct_asn(anchors, cap, seen)
-    chosen += _greedy_distinct_asn(probes, cap - len(chosen), seen)
+    chosen = _greedy_distinct_asn(anchors, STABLE_SET_CAP, seen)
+    chosen += _greedy_distinct_asn(probes, STABLE_SET_CAP - len(chosen), seen)
     return tuple(chosen)
 
 
@@ -146,13 +146,9 @@ class VantageSet:
     unmapped_country: int = 0
 
 
-def select_stable_sets(
-    vantages: Iterable[VantagePoint],
-    region_map: RegionMap,
-    cap: int = STABLE_SET_CAP,
-) -> VantageSet:
+def select_stable_sets(vantages: Iterable[VantagePoint], region_map: RegionMap) -> VantageSet:
     """Build the stable per-country and per-RIR pools (anchors first, then
-    greedy ASN diversity, ties by id; at most cap per pool)."""
+    greedy ASN diversity, ties by id; at most STABLE_SET_CAP per pool)."""
     by_country: dict[str, list[VantagePoint]] = {}
     for v in vantages:
         by_country.setdefault(v.country, []).append(v)
@@ -160,13 +156,13 @@ def select_stable_sets(
     vset = VantageSet()
     by_rir: dict[Rir, list[VantagePoint]] = {rir: [] for rir in Rir}
     for cc in sorted(by_country):
-        vset.per_country[cc] = _stable_subset(by_country[cc], cap)
+        vset.per_country[cc] = _stable_subset(by_country[cc])
         if cc in region_map:
             by_rir[region_map.rir_of(cc)].extend(by_country[cc])
         else:
             vset.unmapped_country += len(by_country[cc])
     for rir in RIR_ORDER:
-        vset.per_rir[rir] = _stable_subset(by_rir[rir], cap)
+        vset.per_rir[rir] = _stable_subset(by_rir[rir])
     return vset
 
 

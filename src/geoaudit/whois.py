@@ -31,21 +31,6 @@ from .registry import (
     range_to_cidrs,
 )
 
-_DIALECT_LIST_KEYS = (
-    "net_keys",
-    "status_keys",
-    "org_ref_keys",
-    "country_keys",
-    "updated_keys",
-    "org_id_keys",
-    "org_name_keys",
-    "org_country_keys",
-    "maintainer_keys",
-    "skip_markers",
-    "transfer_markers",
-)
-
-
 @dataclass(frozen=True)
 class Dialect:
     rir: Rir
@@ -62,6 +47,10 @@ class Dialect:
     transfer_markers: tuple[str, ...]
 
 
+# every field but rir is a comma-separated list in the dialect table
+_DIALECT_LIST_KEYS = tuple(f.name for f in dataclasses.fields(Dialect) if f.name != "rir")
+
+
 def load_dialects(fp: IO[str]) -> dict[Rir, Dialect]:
     parser = configparser.ConfigParser(interpolation=None)
     parser.read_file(fp)
@@ -71,8 +60,7 @@ def load_dialects(fp: IO[str]) -> dict[Rir, Dialect]:
         fields: dict[str, tuple[str, ...]] = {}
         for key in _DIALECT_LIST_KEYS:
             raw = parser.get(section, key, fallback="")
-            items = tuple(part.strip().lower() for part in raw.split(",") if part.strip())
-            fields[key] = items
+            fields[key] = tuple(part.strip().lower() for part in raw.split(",") if part.strip())
         if not fields["net_keys"]:
             raise ValueError(f"dialect {section} has no net_keys")
         out[rir] = Dialect(rir=rir, **fields)
@@ -280,6 +268,12 @@ def _find_transfer(lowered_values: Iterable[str], markers: tuple[str, ...]) -> R
     return None
 
 
+def _country(raw: str | None) -> str | None:
+    """The country code a WHOIS value starts with, if any."""
+    token = raw.strip().upper()[:2] if raw else ""
+    return token if is_country_code(token) else None
+
+
 def parse_bulk_whois(
     stream: Iterable[str],
     rir: Rir,
@@ -318,12 +312,7 @@ def parse_bulk_whois(
                 report.status_variants_seen.setdefault(raw_status, status.value)
 
             org_ref = rec.first(dialect.org_ref_keys)
-            raw_country = rec.first(dialect.country_keys)
-            country = None
-            if raw_country:
-                token = raw_country.strip().upper()[:2]
-                if is_country_code(token):
-                    country = token
+            country = _country(rec.first(dialect.country_keys))
             updated = parse_date(rec.first(dialect.updated_keys))
 
             flags: list[str] = []
@@ -350,16 +339,10 @@ def parse_bulk_whois(
         elif rec.has_any(dialect.org_id_keys) and rec.has_any(dialect.org_name_keys):
             report.org_records_read += 1
             org_id = rec.first(dialect.org_id_keys)
-            raw_country = rec.first(dialect.org_country_keys)
-            country = None
-            if raw_country:
-                token = raw_country.strip().upper()[:2]
-                if is_country_code(token):
-                    country = token
             orgs[org_id] = Organization(
                 org_id=org_id,
                 name=rec.first(dialect.org_name_keys),
-                country=country,
+                country=_country(rec.first(dialect.org_country_keys)),
             )
         else:
             report.other_records += 1

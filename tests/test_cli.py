@@ -274,6 +274,66 @@ def test_audit_counts_unknown_simulator_targets(small_campaign, capsys):
     assert unknown.read_bytes() == silent.read_bytes()
 
 
+def test_audit_counts_unmapped_country_vantages(small_campaign, capsys):
+    camp, paths, tmp_path = small_campaign
+    mapped = tmp_path / "mapped.jsonl"
+    capsys.readouterr()
+    assert run(audit_argv(paths, str(mapped))) == 0
+    assert "unmapped_country=0" in capsys.readouterr().out
+
+    # a vantage whose country the region map lacks joins no regional pool
+    stray = {"asn": 64999, "connected": True, "country": "XX", "id": "p-xx",
+             "kind": "probe", "lat": 10.0, "lon": 10.0}
+    with open(paths["vantages.jsonl"], "a", encoding="utf-8") as fp:
+        fp.write(json.dumps(stray, sort_keys=True) + "\n")
+    unmapped = tmp_path / "unmapped.jsonl"
+    assert run(audit_argv(paths, str(unmapped))) == 0
+    assert "unmapped_country=1" in capsys.readouterr().out.split("vantages:", 1)[1].splitlines()[0]
+    assert unmapped.read_bytes() == mapped.read_bytes()
+
+
+OUT_OF_RANGE = [
+    ("propagation_factor", "1.5"),
+    ("propagation_factor", "0"),
+    ("propagation_factor", "nan"),
+    ("sample_fraction_v4", "1.5"),
+    ("sample_fraction_v6", "-0.1"),
+    ("concurrency", "0"),
+]
+
+
+@pytest.mark.parametrize("source", ["flag", "env", "file"])
+@pytest.mark.parametrize("name, value", OUT_OF_RANGE)
+def test_out_of_range_setting_exits_2_before_any_input(small_campaign, capsys, monkeypatch,
+                                                       source, name, value):
+    camp, paths, tmp_path = small_campaign
+    captured, out = tmp_path / "captured.jsonl", tmp_path / "out.jsonl"
+    extra = ["--capture-results", str(captured)]
+    if source == "flag":
+        extra.append(f"--{name.replace('_', '-')}={value}")
+    elif source == "env":
+        monkeypatch.setenv(f"GEOAUDIT_{name.upper()}", value)
+    else:
+        cfg = tmp_path / "geoaudit.ini"
+        cfg.write_text(f"[geoaudit]\n{name} = {value}\n")
+        extra += ["--config", str(cfg)]
+    read, backends = [], []
+    real_read = cli._read
+
+    def recording_read(path, loader):
+        read.append(path)
+        return real_read(path, loader)
+
+    monkeypatch.setattr(cli, "_read", recording_read)
+    monkeypatch.setattr(cli, "_make_backend", lambda *a: backends.append(a))
+    capsys.readouterr()
+    assert run(audit_argv(paths, str(out), extra=extra)) == 2
+    assert name in capsys.readouterr().err
+    assert read == ([str(tmp_path / "geoaudit.ini")] if source == "file" else [])
+    assert backends == []
+    assert not captured.exists() and not out.exists()
+
+
 def permutation_campaign(tmp_path):
     """A campaign with two targets in most prefixes, a cross-registry
     duplicate registration, a duplicate that ties on prefix, registry and

@@ -13,6 +13,8 @@ from urllib3.exceptions import MaxRetryError, NewConnectionError, ProtocolError
 from geoaudit.errors import BackendUnavailable, NegativeRtt, ReplayMiss, UnknownTarget
 from geoaudit.geo import C_KM_PER_S, EARTH_RADIUS_KM, haversine_km
 from geoaudit.measure import (
+    POLL_ATTEMPTS,
+    POLL_INTERVAL_S,
     SAMPLES_PER_PAIR,
     LiveBackend,
     MeasurementResult,
@@ -327,10 +329,10 @@ class StubSession:
         return StubResponse(*action)
 
 
-def make_backend(session, **kw):
+def make_backend(session):
     sleeps = []
     backend = LiveBackend("https://api.example.net/v1", "sekrit", tag="audit",
-                          session=session, sleep=sleeps.append, **kw)
+                          session=session, sleep=sleeps.append)
     return backend, sleeps
 
 
@@ -417,19 +419,20 @@ def test_live_backend_retries_every_transient_get(failure):
 
 def test_live_backend_gives_up_after_retries():
     session = StubSession([(503, {})] * 4)
-    backend, sleeps = make_backend(session, max_retries=3)
+    backend, sleeps = make_backend(session)
     with pytest.raises(BackendUnavailable):
         backend.create_measurement(parse_address("192.0.2.1"), ["p-1"])
     assert sleeps == [2.0, 4.0, 8.0]
     assert len(session.calls) == 4
 
 
-def test_live_backend_backoff_is_capped():
-    session = StubSession([(429, {})] * 4)
-    backend, sleeps = make_backend(session, max_retries=3, base_delay_s=40.0)
-    with pytest.raises(BackendUnavailable):
-        backend.create_measurement(parse_address("192.0.2.1"), ["p-1"])
-    assert sleeps == [40.0, 60.0, 60.0]
+def test_live_backend_gives_up_on_a_measurement_that_never_finishes():
+    session = StubSession([(200, {"status": "pending"})] * POLL_ATTEMPTS)
+    backend, sleeps = make_backend(session)
+    with pytest.raises(BackendUnavailable, match="never finished"):
+        backend.fetch_results("m-6")
+    assert [call[0] for call in session.calls] == ["GET"] * POLL_ATTEMPTS
+    assert sleeps == [POLL_INTERVAL_S] * POLL_ATTEMPTS
 
 
 def test_live_backend_hard_failure_does_not_retry():

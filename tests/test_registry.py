@@ -4,6 +4,7 @@ import ipaddress
 import json
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -305,7 +306,8 @@ def test_write_jsonl_writes_what_json_dumps_writes():
     rng = random.Random(33)
     values = [random_json(rng) for _ in range(2000)]
     out = io.StringIO()
-    assert write_jsonl(values, out, lambda v: v) == len(values)
+    items = [SimpleNamespace(to_json=lambda v=v: v) for v in values]
+    assert write_jsonl(items, out) == len(values)
     assert out.getvalue() == "".join(json.dumps(v, sort_keys=True) + "\n" for v in values)
 
 

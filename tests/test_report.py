@@ -121,10 +121,6 @@ def test_distribution_fractions():
     for row in rows.values():
         assert abs(sum(row.values()) - 1.0) < 1e-9
 
-    v4 = distribution(records, family=4)
-    assert v4[Rir.RIPE][OC] == 1.0
-    assert abs(sum(v4[None].values()) - 1.0) < 1e-9
-
 
 def test_characteristics_cross_tabs():
     regs = {

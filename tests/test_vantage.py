@@ -85,12 +85,13 @@ def test_stable_sets_cap_and_anchor_priority():
 
 
 def test_stable_sets_prefer_distinct_asns():
-    # six vantages, three ASNs doubled: the first three picks must cover all
-    # three ASNs instead of repeating one
-    vantages = [vp(f"v-{i}", "US", asn=64500 + i % 3) for i in range(6)]
-    vset = select_stable_sets(vantages, REGION_MAP, cap=3)
+    # twice the cap of vantages, each ASN doubled: the cap's picks must cover
+    # every ASN instead of repeating one
+    vantages = [vp(f"v-{i:02d}", "US", asn=64500 + i % STABLE_SET_CAP)
+                for i in range(2 * STABLE_SET_CAP)]
+    vset = select_stable_sets(vantages, REGION_MAP)
     asns = [v.asn for v in vset.per_country["US"]]
-    assert sorted(asns) == [64500, 64501, 64502]
+    assert sorted(asns) == [64500 + i for i in range(STABLE_SET_CAP)]
 
 
 def test_stable_sets_count_unmapped_countries():
