@@ -42,6 +42,8 @@ from .vantage import VantagePoint
 
 
 class ConsistencyClass(enum.Enum):
+    """The five classes, declared in table order."""
+
     FC = "FC"
     OC = "OC"
     OI = "OI"
@@ -52,16 +54,9 @@ class ConsistencyClass(enum.Enum):
         return self.value
 
 
-CLASS_ORDER = (
-    ConsistencyClass.FC,
-    ConsistencyClass.OC,
-    ConsistencyClass.OI,
-    ConsistencyClass.RI,
-    ConsistencyClass.FI,
-)
-
-
 class FilterReason(enum.Enum):
+    """Why a prefix was not classified, declared in the order the filters run."""
+
     UNRESPONSIVE = "unresponsive"
     ANYCAST = "anycast"
     NIR = "nir"
@@ -72,17 +67,6 @@ class FilterReason(enum.Enum):
 
     def __str__(self) -> str:
         return self.value
-
-
-FILTER_ORDER = (
-    FilterReason.UNRESPONSIVE,
-    FilterReason.ANYCAST,
-    FilterReason.NIR,
-    FilterReason.BGP_SUPERNET_OR_MIXED,
-    FilterReason.UNADVERTISED,
-    FilterReason.NO_ORG_COUNTRY,
-    FilterReason.CONFLICTING,
-)
 
 
 def classify_one(
@@ -293,22 +277,19 @@ def audit_prefix(
             results_by_target.get(outcome.target, ()),
             vantages_by_id, config.geo, config.region_map,
         )
-        try:
-            cls = classify_one(reg.rir, rir_org, region.rirs)
-        except EmptyGeoSet:
+        if not region.rirs:
             flags.append("empty_geo_set")
             final_outcomes.append(outcome)
             continue
-        vantage = vantages_by_id[region.vantage_id]
         final_outcomes.append(TargetOutcome(
             target=outcome.target,
             responded=True,
             vantage_id=region.vantage_id,
-            vantage_country=vantage.country,
+            vantage_country=vantages_by_id[region.vantage_id].country,
             min_rtt_ms=region.rtt_ms,
             radius_km=region.radius_km,
             rirs=region.rirs,
-            cls=cls,
+            cls=classify_one(reg.rir, rir_org, region.rirs),
         ))
 
     rir_geo = frozenset().union(*(o.rirs for o in final_outcomes)) if final_outcomes else frozenset()
@@ -355,8 +336,8 @@ class PipelineCounts:
 
 def pipeline_counts(records: Iterable[ConsistencyRecord]) -> PipelineCounts:
     counts = PipelineCounts(
-        filtered={reason: 0 for reason in FILTER_ORDER},
-        by_class={cls: 0 for cls in CLASS_ORDER},
+        filtered=dict.fromkeys(FilterReason, 0),
+        by_class=dict.fromkeys(ConsistencyClass, 0),
     )
     for rec in records:
         counts.candidates += 1

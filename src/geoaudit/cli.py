@@ -30,6 +30,7 @@ from .registry import (
     DEFAULT_PROPAGATION_FACTOR,
     Registration,
     Rir,
+    address_sort_key,
     default_region_map,
     load_region_map,
     load_registrations,
@@ -115,8 +116,13 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     for f in fields(RunConfig):
         value = getattr(args, f.name, None)
         if value is None:
-            text = os.environ.get(f"GEOAUDIT_{f.name.upper()}", file_values.get(f.name))
-            value = f.default if text is None else type(f.default)(text)
+            env = f"GEOAUDIT_{f.name.upper()}"
+            source, text = ((env, os.environ[env]) if env in os.environ
+                            else (f"{path} [geoaudit]", file_values.get(f.name)))
+            try:
+                value = f.default if text is None else type(f.default)(text)
+            except ValueError as exc:
+                raise GeoAuditError(f"{f.name} from {source}: {exc}") from None
         values[f.name] = value
     return RunConfig(**values)
 
@@ -272,8 +278,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
     region_map = _region_map(args)
     points = (_read(args.country_points, geo.load_country_points) if args.country_points
               else geo.default_country_points())
-    if not args.region_map:
-        geo.check_point_coverage(points, region_map)
+    geo.check_point_coverage(points, region_map)
     geo_config = geo.GeoConfig(country_points=points, propagation_factor=config.propagation_factor)
 
     plans = _build_plans(args, config)
@@ -318,7 +323,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
         # ordered by target, then vantage id; a target planned twice keeps
         # its plans' order among equal vantage ids
         by_vantage = attrgetter("vantage_id")
-        flat = (res for target in sorted(results_by_target, key=lambda a: (a.version, int(a)))
+        flat = (res for target in sorted(results_by_target, key=address_sort_key)
                 for res in sorted(results_by_target[target], key=by_vantage))
         with _output(args.capture_results) as fp:
             measure.write_results(flat, fp)
@@ -414,9 +419,8 @@ def cmd_oro(args: argparse.Namespace) -> int:
     regs = _read(args.registrations, load_registrations)
     region_map = _region_map(args)
     rows = oro_stats(regs, region_map)
-    for (rir, family) in sorted(rows, key=lambda k: (k[1], k[0].value)):
-        row = rows[(rir, family)]
-        print(f"{rir.value} v{family}: prefixes={row.prefixes} oro={row.oro_prefixes} "
+    for row in rows.values():
+        print(f"{row.rir.value} v{row.family}: prefixes={row.prefixes} oro={row.oro_prefixes} "
               f"({row.prefix_fraction:.1%}) units={row.units:.1f} oro_units={row.oro_units:.1f} "
               f"({row.unit_fraction:.1%}) unknown_org={row.unknown_org}")
     if args.output:

@@ -23,7 +23,7 @@ from typing import IO, Callable, Iterable, Mapping, Protocol, Sequence
 
 from .errors import BackendUnavailable, NegativeRtt, ReplayMiss, UnknownTarget
 from .geo import C_KM_PER_S, DEFAULT_PROPAGATION_FACTOR, haversine_km
-from .registry import Addr, Prefix, load_jsonl, parse_address
+from .registry import Addr, Prefix, address_sort_key, load_jsonl, parse_address
 from .vantage import VantagePoint
 
 SAMPLES_PER_PAIR = 3
@@ -129,10 +129,6 @@ class SyntheticWorld:
     propagation_factor: float = DEFAULT_PROPAGATION_FACTOR
     seed: int = 0
 
-    def base_rtt_ms(self, vantage: VantagePoint, target: Addr) -> float:
-        lat, lon = self.target_locations[target]
-        return self._base_rtt_ms(vantage, lat, lon)
-
     def _base_rtt_ms(self, vantage: VantagePoint, lat: float, lon: float) -> float:
         dist = haversine_km(vantage.lat, vantage.lon, lat, lon)
         return 2.0 * dist / (self.propagation_factor * (C_KM_PER_S / 1000.0))
@@ -168,15 +164,6 @@ class SyntheticWorld:
 
     def rtts(self, vantage: VantagePoint, target: Addr) -> list[float]:
         return self.rtts_by_vantage(target, [vantage]).get(vantage.id, [])
-
-    def to_json(self) -> dict:
-        return {
-            "noise_ms": self.noise_ms,
-            "propagation_factor": self.propagation_factor,
-            "targets": {str(a): [lat, lon] for a, (lat, lon) in sorted(
-                self.target_locations.items(), key=lambda kv: (kv[0].version, int(kv[0])))},
-            "unresponsive": sorted((str(a) for a in self.unresponsive)),
-        }
 
     @classmethod
     def from_json(cls, obj: Mapping, seed: int = 0) -> "SyntheticWorld":
@@ -391,7 +378,7 @@ def run_plan(
             replies = measure_target(target, ordered_vantages)
         except (ReplayMiss, UnknownTarget):
             replies = {}
-        rows = rows_by_key.setdefault((target.version, int(target)), [])
+        rows = rows_by_key.setdefault(address_sort_key(target), [])
         listed_before = bool(rows)
         for vantage in by_id:
             rtts = replies.get(vantage.id, ())

@@ -11,22 +11,14 @@ import csv
 from dataclasses import dataclass
 from typing import IO, Iterable, Mapping, Sequence
 
-from .classify import (
-    CLASS_ORDER,
-    FILTER_ORDER,
-    ConsistencyClass,
-    ConsistencyRecord,
-    pipeline_counts,
-)
+from .classify import ConsistencyClass, ConsistencyRecord, FilterReason, pipeline_counts
 from .index import PrefixIndex
-# OroStats, oro_stats and write_oro_csv are imported for callers of report
+# oro_stats and write_oro_csv are imported for callers of report
 from .registry import (
-    OroStats,
     Prefix,
     RegionMap,
     Registration,
     Rir,
-    RIR_ORDER,
     Status,
     oro_stats,
     parse_prefix,
@@ -43,12 +35,12 @@ def distribution(records: Iterable[ConsistencyRecord]) -> dict[Rir | None, dict[
         if rec.cls is None:
             continue
         for key in (rec.rir_reg, None):
-            row = counts.setdefault(key, {cls: 0 for cls in CLASS_ORDER})
+            row = counts.setdefault(key, dict.fromkeys(ConsistencyClass, 0))
             row[rec.cls] += 1
     out: dict[Rir | None, dict[ConsistencyClass, float]] = {}
     for key, row in counts.items():
         total = sum(row.values())
-        out[key] = {cls: row[cls] / total for cls in CLASS_ORDER}
+        out[key] = {cls: row[cls] / total for cls in ConsistencyClass}
     return out
 
 
@@ -121,7 +113,7 @@ def geodb_detection(
     }
 
     out: dict[str, dict[Rir, DetectionStats]] = {
-        name: {rir: DetectionStats() for rir in RIR_ORDER} for name in providers
+        name: {rir: DetectionStats() for rir in Rir} for name in providers
     }
     for rec in records:
         if rec.cls not in (ConsistencyClass.RI, ConsistencyClass.FI):
@@ -168,7 +160,7 @@ def leasing_overlap(
     index = PrefixIndex((prefix, True) for prefix in leased)
     out = {
         (rir, cls): LeasingStats()
-        for rir in RIR_ORDER
+        for rir in Rir
         for cls in (ConsistencyClass.RI, ConsistencyClass.FI)
     }
     for rec in records:
@@ -206,12 +198,12 @@ def sankey_edges(
 
 def write_distribution_csv(rows: Mapping[Rir | None, Mapping[ConsistencyClass, float]], fp: IO[str]) -> None:
     writer = csv.writer(fp)
-    writer.writerow(["rir"] + [cls.value for cls in CLASS_ORDER])
-    for rir in list(RIR_ORDER) + [None]:
+    writer.writerow(["rir"] + [cls.value for cls in ConsistencyClass])
+    for rir in [*Rir, None]:
         if rir not in rows:
             continue
         label = rir.value if rir else "ALL"
-        writer.writerow([label] + [f"{rows[rir][cls]:.6f}" for cls in CLASS_ORDER])
+        writer.writerow([label] + [f"{rows[rir][cls]:.6f}" for cls in ConsistencyClass])
 
 
 def write_characteristics_csv(
@@ -234,7 +226,7 @@ def write_geodb_csv(stats: Mapping[str, Mapping[Rir, DetectionStats]], fp: IO[st
     writer = csv.writer(fp)
     writer.writerow(["provider", "rir", "eligible", "covered", "detected", "fraction", "no_coverage"])
     for name in sorted(stats):
-        for rir in RIR_ORDER:
+        for rir in Rir:
             row = stats[name][rir]
             if row.eligible == 0:
                 continue
@@ -263,14 +255,14 @@ def write_summary(records: Sequence[ConsistencyRecord], fp: IO[str]) -> None:
     fp.write("prefix audit summary\n")
     fp.write("====================\n\n")
     fp.write(f"candidate prefixes : {counts.candidates}\n")
-    for reason in FILTER_ORDER:
+    for reason in FilterReason:
         n = counts.filtered.get(reason, 0)
         if n:
             fp.write(f"filtered {reason.value:<22}: {n}\n")
     fp.write(f"classified         : {counts.classified}\n\n")
     if counts.classified:
         fp.write("class distribution\n")
-        for cls in CLASS_ORDER:
+        for cls in ConsistencyClass:
             n = counts.by_class.get(cls, 0)
             fp.write(f"  {cls.value}: {n} ({n / counts.classified:.1%})\n")
     identity = "holds" if counts.check_identity() else "BROKEN"

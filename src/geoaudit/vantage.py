@@ -17,7 +17,6 @@ from .registry import (
     RegionMap,
     Registration,
     Rir,
-    RIR_ORDER,
     load_jsonl,
     read_csv,
     read_tokens,
@@ -161,7 +160,7 @@ def select_stable_sets(vantages: Iterable[VantagePoint], region_map: RegionMap) 
             by_rir[region_map.rir_of(cc)].extend(by_country[cc])
         else:
             vset.unmapped_country += len(by_country[cc])
-    for rir in RIR_ORDER:
+    for rir in Rir:
         vset.per_rir[rir] = _stable_subset(by_rir[rir])
     return vset
 
@@ -193,7 +192,7 @@ def plan_vantages(reg: Registration, vset: VantageSet, region_map: RegionMap) ->
     when no organization country is known), deduplicated by id."""
     offset = prefix_rotation(reg.prefix)
     picks: list[VantagePoint] = []
-    for rir in RIR_ORDER:
+    for rir in Rir:
         picks += _rotate_pick(vset.per_rir.get(rir, ()), REGIONAL_PICKS, offset)
 
     no_country = False

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import pytest
 
-from geoaudit.registry import RIR_ORDER, Rir
+from geoaudit.registry import Rir
 
 # Three single-point countries per registry region, in tight clusters.
 # Cluster separations are several thousand km, so bounded additive noise can
@@ -56,7 +56,7 @@ def build_campaign(
 
     vantages = []
     asn = 64500
-    for rir in RIR_ORDER:
+    for rir in Rir:
         for cc, lat, lon in CLUSTERS[rir]:
             vantages.append({"id": f"a-{cc.lower()}", "kind": "anchor", "country": cc,
                              "lat": lat, "lon": lon, "asn": asn, "connected": True})
@@ -84,9 +84,10 @@ def build_campaign(
         camp.true_region[prefix] = next(
             r.value for r, pts in CLUSTERS.items() if any(c == true_pt[0] for c, _, _ in pts))
 
-    for i, rir in enumerate(RIR_ORDER):
-        other = RIR_ORDER[(i + 1) % 5]
-        third = RIR_ORDER[(i + 2) % 5]
+    rirs = list(Rir)
+    for i, rir in enumerate(rirs):
+        other = rirs[(i + 1) % 5]
+        third = rirs[(i + 2) % 5]
         total = fc_per_region + 4 * planted_per_class
         for k in range(total):
             prefix = f"10.{10 + i}.{k}.0/24"

@@ -17,7 +17,7 @@ import pytest
 
 from geoaudit import cli
 from geoaudit.bgp import Alignment, align, alignment_table, load_rib
-from geoaudit.classify import CLASS_ORDER, ConsistencyRecord, classify_one
+from geoaudit.classify import ConsistencyClass, ConsistencyRecord, classify_one
 from geoaudit.geo import (
     GeoConfig,
     haversine_km,
@@ -48,7 +48,7 @@ from geoaudit.whois import drop_circular_transfers, parse_bulk_whois
 from conftest import CLUSTERS, audit_argv, build_campaign, write_campaign
 from test_whois import APNIC_DUMP, ARIN_DUMP, RIPE_DUMP
 
-FC, OC, OI, RI, FI = CLASS_ORDER
+FC, OC, OI, RI, FI = ConsistencyClass
 
 
 @contextlib.contextmanager

@@ -6,7 +6,7 @@ import pytest
 from geoaudit.bgp import load_rib
 from geoaudit.classify import (
     AuditConfig,
-    CLASS_ORDER,
+    ConsistencyClass,
     ConsistencyRecord,
     FilterReason,
     TargetOutcome,
@@ -26,7 +26,7 @@ from geoaudit.registry import RegionMap, Registration, Rir, parse_address, parse
 from geoaudit.targets import TargetPlan
 from geoaudit.vantage import VantagePoint
 
-FC, OC, OI, RI, FI = CLASS_ORDER
+FC, OC, OI, RI, FI = ConsistencyClass
 
 
 def test_classify_one_example_rows():
@@ -208,6 +208,21 @@ def test_audit_prefix_conflicting_targets():
     assert rec.cls is None
     # the union of both disks is preserved for reporting
     assert rec.rir_geo == frozenset({Rir.ARIN, Rir.RIPE})
+
+
+def test_audit_prefix_silent_target_beside_an_answering_one():
+    plan = make_plan(targets=("192.0.2.1", "192.0.2.2"))
+    results = {
+        parse_address("192.0.2.1"): [near("v-de", "192.0.2.1")],
+        parse_address("192.0.2.2"): [silent("v-us", "192.0.2.2")],
+    }
+    rec = run_one(plan, results)
+    assert rec.cls is RI  # classified from the answering target alone
+    assert rec.rir_geo == frozenset({Rir.RIPE})
+    answering, quiet = rec.targets
+    assert answering.responded and answering.cls is RI
+    assert quiet == TargetOutcome(target=parse_address("192.0.2.2"), responded=False)
+    assert quiet.to_json()["responded"] is False
 
 
 def test_audit_prefix_missing_org_country_default_and_strict():

@@ -41,14 +41,14 @@ def test_base_rtt_inverts_the_radius_formula():
     # a target 999.3081933 km away must read ~10 ms at 2/3 c
     lat = math.degrees(999.3081933 / EARTH_RADIUS_KM)
     world = world_with({"192.0.2.1": (lat, 0.0)})
-    rtt = world.base_rtt_ms(vp("v-1", 0.0, 0.0), parse_address("192.0.2.1"))
+    rtt = world.rtts(vp("v-1", 0.0, 0.0), parse_address("192.0.2.1"))[0]  # no noise
     assert rtt == pytest.approx(10.0, abs=1e-6)
 
 
 def test_base_rtt_quarter_meridian():
     # pole to equator along one meridian: pi/2 * R, checked without haversine
     world = world_with({"192.0.2.1": (90.0, 0.0)}, propagation_factor=1.0)
-    rtt = world.base_rtt_ms(vp("v-1", 0.0, 0.0), parse_address("192.0.2.1"))
+    rtt = world.rtts(vp("v-1", 0.0, 0.0), parse_address("192.0.2.1"))[0]  # no noise
     dist = math.pi / 2 * EARTH_RADIUS_KM
     want = 2.0 * dist / 299.792458
     assert rtt == pytest.approx(want, rel=1e-9)
@@ -89,14 +89,14 @@ def test_unresponsive_and_unknown_targets():
         world.rtts(vp("v-1"), parse_address("198.51.100.1"))
 
 
-def test_world_json_round_trip():
-    world = world_with({"192.0.2.1": (1.5, -2.5)}, noise_ms=2.0)
-    world.unresponsive.add(parse_address("192.0.2.9"))
-    again = SyntheticWorld.from_json(world.to_json(), seed=9)
-    assert again.target_locations == world.target_locations
-    assert again.unresponsive == world.unresponsive
-    assert again.noise_ms == 2.0
-    assert again.seed == 9
+def test_world_from_json():
+    obj = {"noise_ms": 2, "targets": {"192.0.2.1": [1.5, -2.5]}, "unresponsive": ["192.0.2.9"]}
+    world = SyntheticWorld.from_json(obj, seed=9)
+    assert world.target_locations == {parse_address("192.0.2.1"): (1.5, -2.5)}
+    assert world.unresponsive == {parse_address("192.0.2.9")}
+    assert world.noise_ms == 2.0
+    assert world.propagation_factor == pytest.approx(2 / 3)  # the default when absent
+    assert world.seed == 9
 
 
 def test_results_round_trip():

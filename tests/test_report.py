@@ -3,7 +3,7 @@ import io
 
 import pytest
 
-from geoaudit.classify import CLASS_ORDER, ConsistencyRecord, TargetOutcome
+from geoaudit.classify import ConsistencyClass, ConsistencyRecord, FilterReason, TargetOutcome
 from geoaudit.registry import (
     RegionMap,
     Registration,
@@ -27,7 +27,7 @@ from geoaudit.report import (
     write_summary,
 )
 
-FC, OC, OI, RI, FI = CLASS_ORDER
+FC, OC, OI, RI, FI = ConsistencyClass
 
 REGION_MAP = RegionMap({
     "US": Rir.ARIN, "CA": Rir.ARIN,
@@ -276,3 +276,23 @@ def test_csv_writers_and_summary():
     buf = io.StringIO()
     write_summary(records[:2], buf)
     assert "accounting identity: holds" in buf.getvalue()
+
+
+def test_write_summary_lists_each_nonzero_filter_in_filter_order():
+    records = [
+        record("10.0.0.0/24", Rir.ARIN, FC),
+        record("10.0.1.0/24", filter_reason=FilterReason.CONFLICTING),
+        record("10.0.2.0/24", filter_reason=FilterReason.UNRESPONSIVE),
+        record("10.0.3.0/24", filter_reason=FilterReason.NIR),
+        record("10.0.4.0/24", filter_reason=FilterReason.UNRESPONSIVE),
+    ]
+    buf = io.StringIO()
+    write_summary(records, buf)
+    lines = buf.getvalue().splitlines()
+    assert [line for line in lines if line.startswith("filtered")] == [
+        "filtered unresponsive          : 2",
+        "filtered nir                   : 1",
+        "filtered conflicting           : 1",
+    ]
+    assert "classified         : 1" in lines
+    assert lines[-1] == "accounting identity: holds"
