@@ -68,16 +68,14 @@ class RunConfig:
     api_key: str = ""
     tag: str = ""
 
-    def __post_init__(self):
-        """An out-of-range setting fails here, before any input is read."""
-        for name, ok, allowed in (
-            ("propagation_factor", 0 < self.propagation_factor <= 1, "in (0, 1]"),
-            ("sample_fraction_v4", 0 <= self.sample_fraction_v4 <= 1, "in [0, 1]"),
-            ("sample_fraction_v6", 0 <= self.sample_fraction_v6 <= 1, "in [0, 1]"),
-            ("concurrency", self.concurrency >= 1, "at least 1"),
-        ):
-            if not ok:
-                raise GeoAuditError(f"{name} is {getattr(self, name)}, must be {allowed}")
+
+# setting -> (test of its value, the allowed range in words); resolve_config checks them
+_RANGES = {
+    "propagation_factor": (lambda x: 0 < x <= 1, "in (0, 1]"),
+    "sample_fraction_v4": (lambda x: 0 <= x <= 1, "in [0, 1]"),
+    "sample_fraction_v6": (lambda x: 0 <= x <= 1, "in [0, 1]"),
+    "concurrency": (lambda x: x >= 1, "at least 1"),
+}
 
 
 def _read(path: str, loader):
@@ -100,6 +98,7 @@ def _output(path: str):
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
+    """Each setting from its first source; a value out of range names that source."""
     file_values: dict[str, str] = {}
     path = getattr(args, "config", None)
     if path:
@@ -115,6 +114,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     values = {}
     for f in fields(RunConfig):
         value = getattr(args, f.name, None)
+        source = f"--{f.name.replace('_', '-')}"
         if value is None:
             env = f"GEOAUDIT_{f.name.upper()}"
             source, text = ((env, os.environ[env]) if env in os.environ
@@ -123,6 +123,10 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
                 value = f.default if text is None else type(f.default)(text)
             except ValueError as exc:
                 raise GeoAuditError(f"{f.name} from {source}: {exc}") from None
+        if f.name in _RANGES:
+            ok, allowed = _RANGES[f.name]
+            if not ok(value):
+                raise GeoAuditError(f"{f.name} from {source} is {value}, must be {allowed}")
         values[f.name] = value
     return RunConfig(**values)
 

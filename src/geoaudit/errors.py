@@ -38,15 +38,12 @@ class NoResponses(GeoAuditError):
 
 
 class NegativeRtt(GeoAuditError):
-    """A round-trip time below zero, which no clock should produce."""
+    """A round-trip time that is negative or not finite, which no clock
+    should produce."""
 
 
 class UnknownTarget(GeoAuditError):
     """Simulated world has no location for the target address."""
-
-
-class ReplayMiss(GeoAuditError):
-    """Replay archive has no entry for a vantage/target pair."""
 
 
 class BackendUnavailable(GeoAuditError):

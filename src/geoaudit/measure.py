@@ -4,7 +4,8 @@ Every backend answers one question: the RTT samples (up to three) from each
 of a plan's vantages to one target, in one call (one live measurement
 carrying every planned probe). run_plan makes that call once per target of
 a prefix's plan; a vantage without a reply (a replay gap, a probe error)
-becomes an empty result, so one dead probe never sinks a prefix.
+becomes an empty result, so one dead probe never sinks a prefix. An RTT
+that is negative or not finite fails the run on every backend.
 
 write_results and load_results are the capture codec: they write and read
 the same bytes as the generic JSONL codec in registry, only faster.
@@ -14,16 +15,17 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import random
 import threading
 import time
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import IO, Callable, Iterable, Mapping, Protocol, Sequence
+from typing import IO, Callable, Iterable, Mapping, Sequence
 
-from .errors import BackendUnavailable, NegativeRtt, ReplayMiss, UnknownTarget
+from .errors import BackendUnavailable, NegativeRtt, UnknownTarget
 from .geo import C_KM_PER_S, DEFAULT_PROPAGATION_FACTOR, haversine_km
-from .registry import Addr, Prefix, address_sort_key, load_jsonl, parse_address
+from .registry import Addr, Prefix, load_jsonl, parse_address
 from .vantage import VantagePoint
 
 SAMPLES_PER_PAIR = 3
@@ -40,21 +42,20 @@ class MeasurementResult:
     vantage_id: str
     target: Addr
     rtts_ms: tuple[float, ...]
-    timestamp: float = 0.0
 
     def to_json(self) -> dict:
+        # no backend stamps a measurement; the capture format keeps the key
         return {
             "vantage_id": self.vantage_id,
             "target": str(self.target),
             "rtts_ms": list(self.rtts_ms),
-            "timestamp": self.timestamp,
+            "timestamp": 0.0,
         }
 
     @classmethod
     def from_json(cls, obj: Mapping, parse: Callable[[str], Addr] = parse_address,
                   name: Callable[[object], str] = str) -> "MeasurementResult":
-        return cls(name(obj["vantage_id"]), parse(obj["target"]),
-                   tuple(map(float, obj["rtts_ms"])), float(obj.get("timestamp", 0.0)))
+        return cls(name(obj["vantage_id"]), parse(obj["target"]), tuple(map(float, obj["rtts_ms"])))
 
 
 # A capture repeats each target once per vantage, so the codec formats or
@@ -65,7 +66,7 @@ def write_results(results: Iterable[MeasurementResult], fp: IO[str]) -> int:
 
     Lines are put together from fragments, each target and vantage id
     encoded once and each sample spelled by float.__repr__, as the encoder
-    spells it. A line with a number that is not a finite float goes through
+    spells it. A line with a sample that is not a finite float goes through
     the generic encoder, which spells NaN and Infinity its own way."""
     encode = json.JSONEncoder(sort_keys=True).encode
     tails: dict[str, str] = {}
@@ -74,19 +75,18 @@ def write_results(results: Iterable[MeasurementResult], fp: IO[str]) -> int:
     for res in results:
         if res.target is not target:
             target = res.target
-            middle = f'], "target": {encode(str(target))}, "timestamp": '
+            middle = f'], "target": {encode(str(target))}, "timestamp": 0.0'
         tail = tails.get(res.vantage_id)
         if tail is None:
             tail = tails[res.vantage_id] = f', "vantage_id": {encode(res.vantage_id)}}}\n'
         try:
             samples = ", ".join(map(float.__repr__, res.rtts_ms))
-            stamp = float.__repr__(res.timestamp)
         except TypeError:
-            samples = stamp = "n"
-        if "n" in samples or "n" in stamp:  # nan, inf or not a float
+            samples = "n"
+        if "n" in samples:  # nan, inf or not a float
             fp.write(encode(res.to_json()) + "\n")
         else:
-            fp.write('{"rtts_ms": [' + samples + middle + stamp + tail)
+            fp.write('{"rtts_ms": [' + samples + middle + tail)
         n += 1
     return n
 
@@ -98,7 +98,7 @@ def load_results(fp: IO[str]) -> list[MeasurementResult]:
     return load_jsonl(lambda obj: MeasurementResult.from_json(obj, parse, name), fp)
 
 
-class Backend(Protocol):
+class Backend:
     """A measurement backend. measure_target is the primitive; measure is
     measure_target for one vantage, kept for callers that work pair by pair."""
 
@@ -106,11 +106,11 @@ class Backend(Protocol):
                        vantages: Sequence[VantagePoint]) -> Mapping[str, Sequence[float]]:
         """RTT samples in ms from each vantage to target, by vantage id; a
         vantage absent from the mapping got no reply."""
-        ...
+        raise NotImplementedError
 
     def measure(self, vantage: VantagePoint, target: Addr) -> list[float]:
-        """RTT samples in ms; empty when the target did not answer."""
-        ...
+        """RTT samples in ms; empty when the vantage got no reply."""
+        return list(self.measure_target(target, [vantage]).get(vantage.id, ()))
 
 
 @dataclass
@@ -129,6 +129,12 @@ class SyntheticWorld:
     propagation_factor: float = DEFAULT_PROPAGATION_FACTOR
     seed: int = 0
 
+    def __post_init__(self):
+        if not 0 < self.propagation_factor <= 1:
+            raise ValueError(f"world propagation_factor is {self.propagation_factor}, must be in (0, 1]")
+        if not 0 <= self.noise_ms < math.inf:
+            raise ValueError(f"world noise_ms is {self.noise_ms}, must be finite and at least 0")
+
     def _base_rtt_ms(self, vantage: VantagePoint, lat: float, lon: float) -> float:
         dist = haversine_km(vantage.lat, vantage.lon, lat, lon)
         return 2.0 * dist / (self.propagation_factor * (C_KM_PER_S / 1000.0))
@@ -146,8 +152,6 @@ class SyntheticWorld:
         if location is None:
             raise UnknownTarget(f"no location for {target}")
         lat, lon = location
-        if self.noise_ms <= 0:
-            return {v.id: [self._base_rtt_ms(v, lat, lon)] * SAMPLES_PER_PAIR for v in vantages}
         name = str(target)
         rng = None
         out = {}
@@ -178,7 +182,7 @@ class SyntheticWorld:
         )
 
 
-class SimulateBackend:
+class SimulateBackend(Backend):
     """Measures in a SyntheticWorld. unknown_targets counts the measurements
     of targets the world has no location for; each raises UnknownTarget."""
 
@@ -196,15 +200,12 @@ class SimulateBackend:
                 self.unknown_targets += 1
             raise
 
-    def measure(self, vantage: VantagePoint, target: Addr) -> list[float]:
-        return self.measure_target(target, [vantage]).get(vantage.id, [])
 
-
-class ReplayBackend:
+class ReplayBackend(Backend):
     """Serves RTTs from a result archive, indexed by target, then vantage.
 
     misses counts the planned (vantage, target) pairs the archive lacks;
-    each comes back as no reply (measure raises ReplayMiss)."""
+    each comes back as no reply."""
 
     def __init__(self, results: Iterable[MeasurementResult]):
         self._index: dict[Addr, dict[str, tuple[float, ...]]] = {}
@@ -228,14 +229,8 @@ class ReplayBackend:
                 self.misses += missed
         return replies
 
-    def measure(self, vantage: VantagePoint, target: Addr) -> list[float]:
-        try:
-            return list(self.measure_target(target, [vantage])[vantage.id])
-        except KeyError:
-            raise ReplayMiss(f"no archived result for {vantage.id} -> {target}") from None
 
-
-class LiveBackend:
+class LiveBackend(Backend):
     """Client for a ping-measurement HTTP API (see docs/live-api.md).
 
     One target is one measurement carrying every planned probe. A transient
@@ -324,9 +319,6 @@ class LiveBackend:
             return {}
         return self.fetch_results(self.create_measurement(target, [v.id for v in vantages]))
 
-    def measure(self, vantage: VantagePoint, target: Addr) -> list[float]:
-        return self.measure_target(target, [vantage]).get(vantage.id, [])
-
 
 def _never_connected(exc: Exception) -> bool:
     """True when a transport error shows the request never reached the API:
@@ -350,7 +342,7 @@ def _measure_pairs(backend, target: Addr,
     for vantage in vantages:
         try:
             replies[vantage.id] = backend.measure(vantage, target)
-        except (ReplayMiss, UnknownTarget):
+        except UnknownTarget:
             pass
     return replies
 
@@ -366,26 +358,23 @@ def run_plan(
     A backend without measure_target is measured pair by pair through
     measure. Misses (replay gaps, probe errors, unknown targets) come back as
     empty results; each pair keeps at most SAMPLES_PER_PAIR replies. Results
-    are ordered by target (family, then address), then vantage id.
+    come in measurement order: targets as planned, each target's results by
+    vantage id. An RTT that is negative or not finite raises NegativeRtt;
     BackendUnavailable is fatal and propagates."""
     measure_target = getattr(backend, "measure_target", None) or functools.partial(
         _measure_pairs, backend)
     ordered_vantages = list(vantages)
     by_id = sorted(ordered_vantages, key=attrgetter("id"))  # the backend keeps the plan's order
-    rows_by_key: dict[tuple[int, int], list[MeasurementResult]] = {}
+    out = []
     for target in targets:
         try:
             replies = measure_target(target, ordered_vantages)
-        except (ReplayMiss, UnknownTarget):
+        except UnknownTarget:
             replies = {}
-        rows = rows_by_key.setdefault(address_sort_key(target), [])
-        listed_before = bool(rows)
         for vantage in by_id:
             rtts = replies.get(vantage.id, ())
             for rtt in rtts:
-                if rtt < 0:
+                if not 0 <= rtt < math.inf:
                     raise NegativeRtt(f"{vantage.id} -> {target}: {rtt} ms")
-            rows.append(MeasurementResult(vantage.id, target, tuple(rtts[:SAMPLES_PER_PAIR])))
-        if listed_before:  # a target listed twice: its results interleave by vantage id
-            rows.sort(key=attrgetter("vantage_id"))
-    return [res for key in sorted(rows_by_key) for res in rows_by_key[key]]
+            out.append(MeasurementResult(vantage.id, target, tuple(rtts[:SAMPLES_PER_PAIR])))
+    return out

@@ -110,21 +110,19 @@ def _duplicate_rank(reg: Registration) -> tuple:
             json.dumps(row, sort_keys=True))
 
 
-def registration_index(regs: Iterable[Registration]) -> tuple[PrefixIndex, int]:
+def registration_index(regs: Iterable[Registration]) -> PrefixIndex:
     """Index registrations by prefix, both families. When two rows carry the
     same prefix, the highest _duplicate_rank wins, most recently updated
-    first; the survivor is flagged. Returns (index, collisions)."""
+    first; the survivor is flagged."""
     by_prefix: dict[Prefix, Registration] = {}
-    collisions = 0
     for reg in regs:
         old = by_prefix.get(reg.prefix)
         if old is None:
             by_prefix[reg.prefix] = reg
             continue
-        collisions += 1
         winner = reg if _duplicate_rank(reg) > _duplicate_rank(old) else old
         by_prefix[reg.prefix] = winner.with_flag("cross_rir_duplicate")
-    return PrefixIndex(by_prefix.items()), collisions
+    return PrefixIndex(by_prefix.items())
 
 
 def build_target_plans(
@@ -136,7 +134,7 @@ def build_target_plans(
 
     Scored entries below min_score are dropped; unscored (IPv6) entries
     always pass. At most TARGETS_PER_PREFIX lowest addresses per prefix."""
-    index, _ = registration_index(regs)
+    index = registration_index(regs)
     per_prefix: dict[tuple, tuple[Registration, list[Addr]]] = {}
     for entry in entries:
         if entry.score is not None and entry.score < min_score:

@@ -37,17 +37,6 @@ class VantagePoint:
     asn: int | None = None
     connected: bool = True
 
-    def to_json(self) -> dict:
-        return {
-            "id": self.id,
-            "kind": self.kind,
-            "country": self.country,
-            "lat": self.lat,
-            "lon": self.lon,
-            "asn": self.asn,
-            "connected": self.connected,
-        }
-
     @classmethod
     def from_json(cls, obj: Mapping) -> "VantagePoint":
         return cls(

@@ -192,13 +192,6 @@ def parse_date(text: str | None) -> datetime.date | None:
 
 
 @dataclass
-class Organization:
-    org_id: str
-    name: str | None = None
-    country: str | None = None
-
-
-@dataclass
 class IngestReport:
     """Counters for one dump. The identity
 
@@ -210,7 +203,6 @@ class IngestReport:
     rir: Rir
     net_records_read: int = 0
     org_records_read: int = 0
-    other_records: int = 0
     registrations_emitted: int = 0
     duplicates_dropped: int = 0
     not_managed_skipped: int = 0
@@ -278,8 +270,8 @@ def parse_bulk_whois(
     stream: Iterable[str],
     rir: Rir,
     dialects: dict[Rir, Dialect] | None = None,
-) -> tuple[list[Registration], dict[str, Organization], IngestReport]:
-    """Parse one registry dump into registrations plus an org side table.
+) -> tuple[list[Registration], dict[str, str | None], IngestReport]:
+    """Parse one registry dump into registrations plus {org_id: country or None}.
 
     Within a dump, duplicate records for the same prefix collapse to the
     most recently updated one (ties: lexicographically larger org_id wins).
@@ -287,7 +279,7 @@ def parse_bulk_whois(
     dialect = dialect_for(rir, dialects)
     report = IngestReport(rir=rir)
     provisional: list[Registration] = []
-    orgs: dict[str, Organization] = {}
+    orgs: dict[str, str | None] = {}
 
     for rec in iter_raw_records(stream):
         if rec.has_any(dialect.net_keys):
@@ -338,14 +330,7 @@ def parse_bulk_whois(
                 )
         elif rec.has_any(dialect.org_id_keys) and rec.has_any(dialect.org_name_keys):
             report.org_records_read += 1
-            org_id = rec.first(dialect.org_id_keys)
-            orgs[org_id] = Organization(
-                org_id=org_id,
-                name=rec.first(dialect.org_name_keys),
-                country=_country(rec.first(dialect.org_country_keys)),
-            )
-        else:
-            report.other_records += 1
+            orgs[rec.first(dialect.org_id_keys)] = _country(rec.first(dialect.org_country_keys))
 
     # collapse duplicate prefixes: newest last_updated wins, then larger org_id
     best: dict[tuple, Registration] = {}
@@ -368,19 +353,19 @@ def parse_bulk_whois(
 
 def link_organizations(
     regs: Iterable[Registration],
-    orgs: dict[str, Organization],
+    orgs: dict[str, str | None],
 ) -> tuple[list[Registration], int]:
-    """Resolve org references into org_country. The org record wins over an
-    inline country; the inline country survives only unresolved references.
+    """Resolve org references into org_country. An org record's country wins
+    over an inline one, which survives where the org has none or is unknown.
     Returns the rewritten rows and the count of dangling references."""
     out: list[Registration] = []
     unresolved = 0
     for reg in regs:
-        org = orgs.get(reg.org_id) if reg.org_id else None
-        if org is not None and org.country:
-            out.append(dataclasses.replace(reg, org_country=org.country))
+        country = orgs.get(reg.org_id) if reg.org_id else None
+        if country:
+            out.append(dataclasses.replace(reg, org_country=country))
             continue
-        if reg.org_id and org is None:
+        if reg.org_id and reg.org_id not in orgs:
             unresolved += 1
             reg = reg.with_flag("org_unresolved")
         if reg.org_country is None:

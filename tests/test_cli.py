@@ -292,6 +292,72 @@ def test_audit_counts_unmapped_country_vantages(small_campaign, capsys):
     assert unmapped.read_bytes() == mapped.read_bytes()
 
 
+@pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+def test_replay_of_a_sample_not_finite_exits_2(small_campaign, capsys, bad):
+    camp, paths, tmp_path = small_campaign
+    captured = tmp_path / "results.jsonl"
+    assert run(audit_argv(paths, str(tmp_path / "sim.jsonl"),
+                          extra=["--capture-results", str(captured)])) == 0
+    rows = [json.loads(line) for line in captured.read_text().splitlines()]
+    row = next(row for row in rows if row["rtts_ms"])
+    row["rtts_ms"][-1] = float(bad)  # one sample is enough
+    captured.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in rows))
+    assert bad in captured.read_text()
+    out = tmp_path / "replay.jsonl"
+    capsys.readouterr()
+    assert run(audit_argv(paths, str(out),
+                          extra=["--backend", "replay", "--results", str(captured)])) == 2
+    assert f"{row['vantage_id']} -> {row['target']}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name, value", [("propagation_factor", 0), ("propagation_factor", -0.5),
+                                         ("noise_ms", -3), ("noise_ms", math.nan)])
+def test_world_out_of_range_exits_2(small_campaign, capsys, name, value):
+    camp, paths, tmp_path = small_campaign
+    world = json.loads(Path(paths["world.json"]).read_text())
+    world[name] = value
+    Path(paths["world.json"]).write_text(json.dumps(world))
+    captured, out = tmp_path / "captured.jsonl", tmp_path / "audit.jsonl"
+    capsys.readouterr()
+    assert run(audit_argv(paths, str(out), extra=["--capture-results", str(captured)])) == 2
+    assert f"world {name} is " in capsys.readouterr().err
+    assert not captured.exists() and not out.exists()
+
+
+@pytest.mark.parametrize("backend, needs", [("replay", "--results"), ("simulate", "--world")])
+def test_backend_without_its_input_exits_2(small_campaign, capsys, backend, needs):
+    camp, paths, tmp_path = small_campaign
+    captured, out = tmp_path / "captured.jsonl", tmp_path / "audit.jsonl"
+    argv = audit_argv(paths, str(out), extra=["--backend", backend,
+                                              "--capture-results", str(captured)])
+    at = argv.index("--world")
+    del argv[at:at + 2]
+    capsys.readouterr()
+    assert run(argv) == 2
+    assert f"{backend} backend needs {needs}" in capsys.readouterr().err
+    assert not captured.exists() and not out.exists()
+
+
+def test_plan_needs_plans_or_registrations(tmp_path, capsys):
+    out = tmp_path / "plans.jsonl"
+    assert run(["plan", "--hitlist-v4", str(tmp_path / "hits.csv"), "-o", str(out)]) == 2
+    assert "need --plans, or --registrations with hitlists" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_org_country_without_a_vantage_is_flagged(small_campaign):
+    camp, paths, tmp_path = small_campaign
+    bad = tmp_path / "bad_probes.txt"
+    bad.write_text("a-de\np-de\n")  # every vantage in DE
+    out = tmp_path / "audit.jsonl"
+    assert run(audit_argv(paths, str(out), extra=["--bad-probes", str(bad)])) == 0
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    flagged = {rec["prefix"] for rec in records if "no_country_vantage" in rec["flags"]}
+    assert flagged
+    assert flagged == {rec["prefix"] for rec in records if rec["org_country"] == "DE"}
+
+
 OUT_OF_RANGE = [
     ("propagation_factor", "1.5"),
     ("propagation_factor", "0"),
@@ -310,13 +376,16 @@ def test_out_of_range_setting_exits_2_before_any_input(small_campaign, capsys, m
     captured, out = tmp_path / "captured.jsonl", tmp_path / "out.jsonl"
     extra = ["--capture-results", str(captured)]
     if source == "flag":
-        extra.append(f"--{name.replace('_', '-')}={value}")
+        where = f"--{name.replace('_', '-')}"
+        extra.append(f"{where}={value}")
     elif source == "env":
-        monkeypatch.setenv(f"GEOAUDIT_{name.upper()}", value)
+        where = f"GEOAUDIT_{name.upper()}"
+        monkeypatch.setenv(where, value)
     else:
         cfg = tmp_path / "geoaudit.ini"
         cfg.write_text(f"[geoaudit]\n{name} = {value}\n")
         extra += ["--config", str(cfg)]
+        where = f"{cfg} [geoaudit]"
     read, backends = [], []
     real_read = cli._read
 
@@ -328,7 +397,7 @@ def test_out_of_range_setting_exits_2_before_any_input(small_campaign, capsys, m
     monkeypatch.setattr(cli, "_make_backend", lambda *a: backends.append(a))
     capsys.readouterr()
     assert run(audit_argv(paths, str(out), extra=extra)) == 2
-    assert name in capsys.readouterr().err
+    assert f"{name} from {where} is " in capsys.readouterr().err
     assert read == ([str(tmp_path / "geoaudit.ini")] if source == "file" else [])
     assert backends == []
     assert not captured.exists() and not out.exists()
@@ -511,7 +580,7 @@ def test_report_command_writes_tables(small_campaign):
             assert total == pytest.approx(1.0, abs=1e-9)
 
 
-@pytest.mark.parametrize("bad_input", ["--geodb", "--leased-prefixes"])
+@pytest.mark.parametrize("bad_input", ["--geodb", "--geodb-without-path", "--leased-prefixes"])
 def test_report_bad_input_leaves_old_report(small_campaign, capsys, bad_input):
     camp, paths, tmp_path = small_campaign
     audit_out = tmp_path / "audit.jsonl"
@@ -524,13 +593,17 @@ def test_report_bad_input_leaves_old_report(small_campaign, capsys, bad_input):
         (out_dir / name).write_bytes(f"previous {name}\n".encode())
 
     missing = str(tmp_path / "missing.csv")
-    bad = ["--geodb", f"alpha={missing}"] if bad_input == "--geodb" else [bad_input, missing]
+    bad, message = {
+        "--geodb": (["--geodb", f"alpha={missing}"], "missing.csv"),
+        "--geodb-without-path": (["--geodb", "alpha"], "--geodb wants name=path, got 'alpha'"),
+        "--leased-prefixes": (["--leased-prefixes", missing], "missing.csv"),
+    }[bad_input]
     rc = run(["report", "--audit", str(audit_out),
               "--registrations", paths["registrations.jsonl"],
               "--region-map", paths["region_map.csv"],
               *bad, "--out-dir", str(out_dir)])
     assert rc == 2
-    assert "missing.csv" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     for name in names:
         assert (out_dir / name).read_bytes() == f"previous {name}\n".encode(), name
     assert not list(out_dir.glob("*.tmp"))

@@ -10,7 +10,7 @@ import pytest
 import requests
 from urllib3.exceptions import MaxRetryError, NewConnectionError, ProtocolError
 
-from geoaudit.errors import BackendUnavailable, NegativeRtt, ReplayMiss, UnknownTarget
+from geoaudit.errors import BackendUnavailable, NegativeRtt, UnknownTarget
 from geoaudit.geo import C_KM_PER_S, EARTH_RADIUS_KM, haversine_km
 from geoaudit.measure import (
     POLL_ATTEMPTS,
@@ -97,12 +97,20 @@ def test_world_from_json():
     assert world.noise_ms == 2.0
     assert world.propagation_factor == pytest.approx(2 / 3)  # the default when absent
     assert world.seed == 9
+    assert SyntheticWorld.from_json({"propagation_factor": 1, "noise_ms": 0}).noise_ms == 0.0
+
+    # a factor outside (0, 1] or noise that is negative or not finite is refused
+    for field, value in [("propagation_factor", 0), ("propagation_factor", -0.5),
+                         ("propagation_factor", 1.5), ("propagation_factor", math.nan),
+                         ("noise_ms", -3), ("noise_ms", math.nan), ("noise_ms", math.inf)]:
+        with pytest.raises(ValueError, match=field):
+            SyntheticWorld.from_json({**obj, field: value})
 
 
 def test_results_round_trip():
     # mixed families, each target measured from several vantages
     targets = ["192.0.2.1", "2001:db8::1", "198.51.100.7", "2001:db8:0:0:1::"]
-    results = [MeasurementResult(f"v-{v}", parse_address(t), rtts, timestamp=float(v))
+    results = [MeasurementResult(f"v-{v}", parse_address(t), rtts)
                for t in targets
                for v, rtts in enumerate([(1.5, 2.0, 2.25), (), (0.1,)])]
     first = io.StringIO()
@@ -127,24 +135,22 @@ SPECIAL_SAMPLES = [math.nan, math.inf, -math.inf, 0.0, -0.0, 1e-7, 1e16, 5e-324,
 
 def random_results(rng, n):
     """Results with v4 and v6 targets, 0-3 samples, some of them special,
-    timestamps that are zero, positive or not finite, and vantage ids that
-    JSON must escape."""
+    and vantage ids that JSON must escape."""
     addrs = [ipaddress.IPv4Address(rng.getrandbits(32)) for _ in range(6)] + \
             [ipaddress.IPv6Address(rng.getrandbits(128)) for _ in range(6)]
     out = []
     for _ in range(n):
         samples = tuple(rng.choice(SPECIAL_SAMPLES) if rng.random() < 0.1 else rng.uniform(0, 400)
                         for _ in range(rng.randint(0, 3)))
-        stamp = rng.choice([0.0, 0.0, rng.uniform(0, 2e9), math.nan, -math.inf])
         # an equal target need not be the same object
         target = ipaddress.ip_address(str(rng.choice(addrs)))
-        out.append(MeasurementResult(rng.choice(VANTAGE_IDS), target, samples, stamp))
+        out.append(MeasurementResult(rng.choice(VANTAGE_IDS), target, samples))
     return out
 
 
 def spelled(res):
     """A result as comparable values, NaN included."""
-    return res.vantage_id, res.target, tuple(map(repr, res.rtts_ms)), repr(res.timestamp)
+    return res.vantage_id, res.target, tuple(map(repr, res.rtts_ms))
 
 
 def test_results_codec_writes_the_generic_bytes():
@@ -153,8 +159,8 @@ def test_results_codec_writes_the_generic_bytes():
     # runs of one target object, as run_plan lists them
     runs = sorted(random_results(rng, 500), key=lambda r: (r.target.version, int(r.target)))
     shared = {}
-    results += [MeasurementResult(r.vantage_id, shared.setdefault(r.target, r.target), r.rtts_ms,
-                                  r.timestamp) for r in runs]
+    results += [MeasurementResult(r.vantage_id, shared.setdefault(r.target, r.target), r.rtts_ms)
+                for r in runs]
     out = io.StringIO()
     assert write_results(results, out) == len(results)
     text = out.getvalue()
@@ -166,8 +172,8 @@ def test_results_codec_writes_the_generic_bytes():
     assert again.getvalue() == text
 
     # numbers that are not floats are written as the encoder writes them
-    odd = [MeasurementResult("v-1", parse_address("192.0.2.1"), (10, 2.5, True), 3),
-           MeasurementResult("v-1", parse_address("192.0.2.1"), (), False)]
+    odd = [MeasurementResult("v-1", parse_address("192.0.2.1"), (10, 2.5, True)),
+           MeasurementResult("v-1", parse_address("192.0.2.1"), (False,))]
     out = io.StringIO()
     write_results(odd, out)
     assert out.getvalue() == "".join(json.dumps(r.to_json(), sort_keys=True) + "\n" for r in odd)
@@ -178,8 +184,7 @@ def test_replay_backend():
     backend = ReplayBackend([res])
     assert backend.measure(vp("v-1"), parse_address("192.0.2.1")) == [7.0, 8.0]
     assert backend.misses == 0
-    with pytest.raises(ReplayMiss):
-        backend.measure(vp("v-2"), parse_address("192.0.2.1"))
+    assert backend.measure(vp("v-2"), parse_address("192.0.2.1")) == []  # a gap: no reply
     assert backend.misses == 1
     replies = backend.measure_target(parse_address("192.0.2.1"), [vp("v-1"), vp("v-2"), vp("v-3")])
     assert replies == {"v-1": (7.0, 8.0)}
@@ -253,21 +258,27 @@ def test_run_plan_replay_miss_is_an_empty_result():
     assert [r.rtts_ms for r in out] == [(7.0,), ()]
 
 
-def test_run_plan_sorted_output_and_negative_rtt():
+def test_run_plan_measurement_order_and_bad_rtt():
+    # targets as planned, each target's results by vantage id
     world = world_with({"192.0.2.1": (0.0, 0.0), "192.0.2.2": (0.0, 0.0)})
     out = run_plan(parse_prefix("192.0.2.0/24"),
                    [parse_address("192.0.2.2"), parse_address("192.0.2.1")],
                    [vp("v-b"), vp("v-a")], SimulateBackend(world))
-    keys = [(r.target.version, int(r.target), r.vantage_id) for r in out]
-    assert keys == sorted(keys)
+    assert [(str(r.target), r.vantage_id) for r in out] == [
+        ("192.0.2.2", "v-a"), ("192.0.2.2", "v-b"), ("192.0.2.1", "v-a"), ("192.0.2.1", "v-b")]
 
     class Hostile:
-        def measure(self, vantage, target):
-            return [-1.0]
+        def __init__(self, rtt):
+            self.rtt = rtt
 
-    with pytest.raises(NegativeRtt):
-        run_plan(parse_prefix("192.0.2.0/24"), [parse_address("192.0.2.1")],
-                 [vp("v-1")], Hostile())
+        def measure(self, vantage, target):
+            return [10.0, self.rtt]
+
+    # an RTT that is negative or not finite fails the plan
+    for rtt in (-1.0, math.nan, math.inf):
+        with pytest.raises(NegativeRtt):
+            run_plan(parse_prefix("192.0.2.0/24"), [parse_address("192.0.2.1")],
+                     [vp("v-1")], Hostile(rtt))
 
 
 class Numbered:
@@ -283,7 +294,8 @@ class Numbered:
 
 
 def test_run_plan_orders_like_a_stable_sort_of_its_pairs():
-    """Duplicate targets (two plans of a hand-written --plans file, or one
+    """Targets as planned, each target's pairs stably sorted by vantage id:
+    duplicate targets (two plans of a hand-written --plans file, or one
     plan listing an address twice) and unsorted or repeated vantage ids."""
     rng = random.Random(51)
     prefix = parse_prefix("192.0.2.0/24")
@@ -298,9 +310,9 @@ def test_run_plan_orders_like_a_stable_sort_of_its_pairs():
         want = []
         for target in targets:
             replies = reference.measure_target(target, vantages)
-            want += [MeasurementResult(v.id, target, tuple(replies.get(v.id, ())[:SAMPLES_PER_PAIR]))
-                     for v in vantages]
-        want.sort(key=lambda r: (r.target.version, int(r.target), r.vantage_id))
+            want += sorted((MeasurementResult(v.id, target,
+                                              tuple(replies.get(v.id, ())[:SAMPLES_PER_PAIR]))
+                            for v in vantages), key=lambda r: r.vantage_id)
 
         got = run_plan(prefix, targets, vantages, Numbered(case))
         assert got == want
@@ -553,7 +565,7 @@ def random_campaign(seed, noise_ms):
 def outcome(call, *args):
     try:
         return list(call(*args))
-    except (ReplayMiss, UnknownTarget) as exc:
+    except UnknownTarget as exc:
         return type(exc)
 
 

@@ -45,7 +45,9 @@ def build_fleet():
 
 def test_load_vantages_round_trip():
     v = vp("p-1", "US", asn=64500)
-    loaded = load_vantages(io.StringIO(json.dumps(v.to_json()) + "\n\n"))
+    row = {"id": "p-1", "kind": "probe", "country": "US", "lat": 1.0, "lon": 2.0,
+           "asn": 64500, "connected": True}
+    loaded = load_vantages(io.StringIO(json.dumps(row) + "\n\n"))
     assert loaded == [v]
 
 

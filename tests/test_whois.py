@@ -427,8 +427,8 @@ def test_parse_arin_dump():
     assert "transfer_to:RIPE" in by_prefix["203.0.113.0/24"].flags
 
     assert set(orgs) == {"EXAMPLE-1", "EXAMPLE-2", "EXAMPLE-A", "EXAMPLE-B"}
-    assert orgs["EXAMPLE-1"].country == "US"
-    assert orgs["EXAMPLE-B"].country == "MX"
+    assert orgs["EXAMPLE-1"] == "US"
+    assert orgs["EXAMPLE-B"] == "MX"
 
     assert report.status_variants_seen["Direct Allocation"] == "allocated"
     assert report.status_variants_seen["Reassignment"] == "assigned"
@@ -454,6 +454,37 @@ def test_parse_ripe_dump_and_org_linking():
     assert by_prefix["2001:db8::/32"].status is Status.ALLOCATED
     assert by_prefix["193.0.4.0/24"].status is Status.LEGACY_OR_UNKNOWN
     assert by_prefix["193.0.4.0/24"].last_updated == datetime.date(2017, 3, 3)
+
+
+def test_org_without_a_country_resolves_the_reference():
+    dump = """\
+NetRange:       192.0.2.0 - 192.0.2.255
+NetType:        Direct Allocation
+OrgID:          EX-NOCC
+Updated:        2020-01-01
+
+NetRange:       198.51.100.0 - 198.51.100.255
+NetType:        Direct Allocation
+OrgID:          EX-NOCC
+Country:        CA
+Updated:        2020-01-01
+
+OrgID:          EX-NOCC
+OrgName:        Nowhere Networks
+"""
+    regs, orgs, report = parse_bulk_whois(io.StringIO(dump), Rir.ARIN)
+    assert orgs == {"EX-NOCC": None}
+    assert report.org_records_read == 1
+    linked, unresolved = link_organizations(regs, orgs)
+    assert unresolved == 0
+    by_prefix = {str(r.prefix): r for r in linked}
+    bare = by_prefix["192.0.2.0/24"]
+    assert bare.org_country is None
+    assert "no_org_country" in bare.flags and "org_unresolved" not in bare.flags
+    # the inline country stays when the org record has none
+    inline = by_prefix["198.51.100.0/24"]
+    assert inline.org_country == "CA"
+    assert inline.flags == ()
 
 
 def test_parse_apnic_dump_inline_country_only():
