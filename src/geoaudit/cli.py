@@ -43,7 +43,7 @@ from .registry import (
 )
 
 if TYPE_CHECKING:
-    from . import measure, targets, whois
+    from . import targets, whois
 
 
 class _Parser(argparse.ArgumentParser):
@@ -271,7 +271,8 @@ def _make_backend(args, config: RunConfig):
         if not config.base_url or not config.api_key:
             raise GeoAuditError("live backend needs --base-url and an API key "
                                 "(flag or GEOAUDIT_API_KEY)")
-        return measure.LiveBackend(config.base_url, config.api_key, tag=config.tag or None)
+        return measure.LiveBackend(config.base_url, config.api_key, tag=config.tag or None,
+                                   in_flight=config.concurrency)
     raise GeoAuditError(f"unknown backend {args.backend!r}")
 
 
@@ -303,25 +304,13 @@ def cmd_audit(args: argparse.Namespace) -> int:
 
     vplans = [vantage.plan_vantages(p.registration, vset, region_map) for p in plans]
 
-    def run_one(plan, vplan) -> list[measure.MeasurementResult]:
-        return measure.run_plan(plan.prefix, plan.targets, vplan.vantages, backend)
-
-    if config.concurrency > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=config.concurrency) as pool:
-            all_results = list(pool.map(run_one, plans, vplans))
-    else:
-        all_results = list(map(run_one, plans, vplans))
-
+    # one call for every plan, so the live backend's window spans prefixes
+    jobs = [(target, vplan.vantages) for plan, vplan in zip(plans, vplans)
+            for target in plan.targets]
     results_by_target: dict = {}
-    for results in all_results:
-        target = group = None
-        for res in results:  # run_plan lists each target's results together
-            if res.target is not target:
-                target = res.target
-                group = results_by_target.setdefault(target, [])
-            group.append(res)
+    for (target, plan_vantages), replies in zip(jobs, backend.measure_targets(jobs), strict=True):
+        results_by_target.setdefault(target, []).extend(
+            measure.target_results(target, plan_vantages, replies))
 
     if args.capture_results:
         # ordered by target, then vantage id; a target planned twice keeps
@@ -363,6 +352,9 @@ def cmd_audit(args: argparse.Namespace) -> int:
         print(f"replay misses: {backend.misses} pairs")
     if isinstance(backend, measure.SimulateBackend):
         print(f"unknown targets: {backend.unknown_targets}")
+    if isinstance(backend, measure.LiveBackend):
+        print(f"live requests: posts={backend.posts} polls={backend.polls} "
+              f"retries={backend.retries} rounds={backend.rounds}")
     print(tally)
     print("accounting identity: ok")
     print(f"wrote {len(records)} records to {args.output}")
@@ -492,7 +484,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tag", help="live: tag measurements for later cleanup")
     p.add_argument("--propagation-factor", type=float,
                    help="fraction of c used for radii (default 2/3)")
-    p.add_argument("--concurrency", type=int, help="parallel measurement workers")
+    p.add_argument("--concurrency", type=int,
+                   help="live: measurements in flight (default 1); replay and simulate ignore it")
     p.add_argument("--strict-no-org", action="store_true",
                    help="filter prefixes without an org country instead of classifying")
     p.add_argument("--capture-results", help="write raw measurements for later replay")

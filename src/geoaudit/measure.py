@@ -1,11 +1,11 @@
 """Latency measurement: replayed archives, a synthetic world, or a live API.
 
-Every backend answers one question: the RTT samples (up to three) from each
-of a plan's vantages to one target, in one call (one live measurement
-carrying every planned probe). run_plan makes that call once per target of
-a prefix's plan; a vantage without a reply (a replay gap, a probe error)
-becomes an empty result, so one dead probe never sinks a prefix. An RTT
-that is negative or not finite fails the run on every backend.
+Every backend answers one question, for a sequence of targets in order:
+the RTT samples (up to three) from each of a plan's vantages to a target
+(one live measurement carrying every planned probe). In target_results, a
+vantage without a reply (a replay gap, a probe error) becomes an empty
+result, so one dead probe never sinks a prefix, and an RTT that is negative
+or not finite fails the run on every backend.
 
 write_results and load_results are the capture codec: they write and read
 the same bytes as the generic JSONL codec in registry, only faster.
@@ -17,11 +17,9 @@ import functools
 import json
 import math
 import random
-import threading
 import time
 from dataclasses import dataclass, field
-from operator import attrgetter
-from typing import IO, Callable, Iterable, Mapping, Sequence
+from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import BackendUnavailable, NegativeRtt, UnknownTarget
 from .geo import C_KM_PER_S, DEFAULT_PROPAGATION_FACTOR, haversine_km
@@ -35,6 +33,7 @@ MAX_RETRIES = 3  # the live client's policy is fixed (docs/live-api.md)
 RETRY_BASE_DELAY_S = 2.0  # doubled after each retry: sleeps of 2, 4 and 8 s
 POLL_INTERVAL_S = 2.0
 POLL_ATTEMPTS = 30
+Job = tuple[Addr, Sequence[VantagePoint]]  # a target and the vantages that measure it
 
 
 @dataclass(frozen=True, slots=True)
@@ -99,8 +98,9 @@ def load_results(fp: IO[str]) -> list[MeasurementResult]:
 
 
 class Backend:
-    """A measurement backend. measure_target is the primitive; measure is
-    measure_target for one vantage, kept for callers that work pair by pair."""
+    """A measurement backend. measure_targets is the primitive, which this
+    class answers one target at a time through measure_target; measure is
+    one pair, kept for callers that work pair by pair."""
 
     def measure_target(self, target: Addr,
                        vantages: Sequence[VantagePoint]) -> Mapping[str, Sequence[float]]:
@@ -108,9 +108,18 @@ class Backend:
         vantage absent from the mapping got no reply."""
         raise NotImplementedError
 
+    def measure_targets(self, jobs: Iterable[Job]) -> Iterator[Mapping[str, Sequence[float]]]:
+        """The replies to each (target, vantages) job, in job order; {} for a
+        target the backend cannot place."""
+        for target, vantages in jobs:
+            try:
+                yield self.measure_target(target, vantages)
+            except UnknownTarget:
+                yield {}
+
     def measure(self, vantage: VantagePoint, target: Addr) -> list[float]:
         """RTT samples in ms; empty when the vantage got no reply."""
-        return list(self.measure_target(target, [vantage]).get(vantage.id, ()))
+        return list(next(self.measure_targets([(target, [vantage])])).get(vantage.id, ()))
 
 
 @dataclass
@@ -189,15 +198,13 @@ class SimulateBackend(Backend):
     def __init__(self, world: SyntheticWorld):
         self.world = world
         self.unknown_targets = 0
-        self._lock = threading.Lock()
 
     def measure_target(self, target: Addr,
                        vantages: Sequence[VantagePoint]) -> dict[str, list[float]]:
         try:
             return self.world.rtts_by_vantage(target, vantages)
         except UnknownTarget:
-            with self._lock:
-                self.unknown_targets += 1
+            self.unknown_targets += 1
             raise
 
 
@@ -217,56 +224,43 @@ class ReplayBackend(Backend):
                 replies = self._index.setdefault(target, {})
             replies[res.vantage_id] = res.rtts_ms
         self.misses = 0
-        self._lock = threading.Lock()
 
     def measure_target(self, target: Addr,
                        vantages: Sequence[VantagePoint]) -> dict[str, tuple[float, ...]]:
         archived = self._index.get(target, {})
-        replies = {v.id: archived[v.id] for v in vantages if v.id in archived}
-        missed = sum(v.id not in archived for v in vantages)
-        if missed:
-            with self._lock:
-                self.misses += missed
-        return replies
+        self.misses += sum(v.id not in archived for v in vantages)
+        return {v.id: archived[v.id] for v in vantages if v.id in archived}
 
 
 class LiveBackend(Backend):
     """Client for a ping-measurement HTTP API (see docs/live-api.md).
 
-    One target is one measurement carrying every planned probe. A transient
-    failure is retried MAX_RETRIES times, after sleeps of 2, 4 and 8 s, then
-    raises BackendUnavailable; a pending measurement is polled every
-    POLL_INTERVAL_S, at most POLL_ATTEMPTS times. A POST is retried only
-    when the API cannot have created the measurement, so a retry never pays
-    for a second one. Without an injected session, each thread gets a
-    requests.Session of its own, so concurrent workers never share one
-    connection pool. Tests inject session and sleep."""
+    One target is one measurement carrying every planned probe, and up to
+    in_flight measurements are outstanding at once. A transient failure is
+    retried MAX_RETRIES times, after sleeps of 2, 4 and 8 s, then raises
+    BackendUnavailable, as does an answer that is not the documented shape.
+    A POST is retried only when the API cannot have created the
+    measurement, so a retry never pays for a second one. posts and polls
+    count the POST and GET requests sent, retries the ones sent again, and
+    rounds the POLL_INTERVAL_S sleeps. Tests inject session and sleep."""
 
     def __init__(self, base_url: str, api_key: str, tag: str | None = None, session=None,
-                 sleep: Callable[[float], None] = time.sleep):
-        self._injected = session
-        self._local = threading.local()
-        self.base_url = base_url.rstrip("/")
-        self.api_key = api_key
-        self.tag = tag
-        self.sleep = sleep
-
-    @property
-    def session(self):
-        """The injected session, or else this thread's own."""
-        if self._injected is not None:
-            return self._injected
-        session = getattr(self._local, "session", None)
+                 sleep: Callable[[float], None] = time.sleep, in_flight: int = 1):
         if session is None:
             import requests
 
-            session = self._local.session = requests.Session()
-        return session
+            session = requests.Session()
+        self.session = session
+        self.base_url = base_url.rstrip("/")
+        self.headers = {"Authorization": f"Key {api_key}", "Content-Type": "application/json"}
+        self.tag = tag
+        self.sleep = sleep
+        self.in_flight = in_flight
+        self.posts = self.polls = self.retries = self.rounds = 0
 
-    def _headers(self) -> dict:
-        return {"Authorization": f"Key {self.api_key}", "Content-Type": "application/json"}
-
-    def _request(self, method: str, path: str, payload: dict | None = None) -> dict:
+    def _request(self, method: str, path: str, parse: Callable, payload: dict | None = None):
+        """parse of the JSON body of the 200 answer. BackendUnavailable when
+        retries run out, or when the body does not have the documented shape."""
         url = f"{self.base_url}{path}"
         # a POST that may have reached the API is never sent again
         retry_status = POST_RETRY_STATUS if method == "POST" else RETRY_STATUS
@@ -274,10 +268,13 @@ class LiveBackend(Backend):
         last_error = None
         for attempt in range(MAX_RETRIES + 1):
             if attempt:
+                self.retries += 1
                 self.sleep(delay)
                 delay *= 2
+            self.posts += method == "POST"
+            self.polls += method == "GET"
             try:
-                resp = self.session.request(method, url, json=payload, headers=self._headers())
+                resp = self.session.request(method, url, json=payload, headers=self.headers)
             except Exception as exc:
                 if method == "POST" and not _never_connected(exc):
                     raise BackendUnavailable(
@@ -286,7 +283,12 @@ class LiveBackend(Backend):
                 last_error = exc
                 continue
             if resp.status_code == 200:
-                return resp.json()
+                try:
+                    return parse(resp.json())
+                except (KeyError, TypeError, ValueError) as exc:
+                    what = f"no {exc}" if isinstance(exc, KeyError) else exc
+                    raise BackendUnavailable(
+                        f"{method} {path} answered a malformed body: {what}") from None
             if resp.status_code in retry_status:
                 last_error = RuntimeError(f"HTTP {resp.status_code}")
                 continue
@@ -294,30 +296,47 @@ class LiveBackend(Backend):
         raise BackendUnavailable(f"{method} {path} failed after retries: {last_error}")
 
     def create_measurement(self, target: Addr, probe_ids: list[str]) -> str:
-        payload = {
-            "target": str(target),
-            "probe_ids": probe_ids,
-            "packets": SAMPLES_PER_PAIR,
-        }
+        payload = {"target": str(target), "probe_ids": probe_ids, "packets": SAMPLES_PER_PAIR}
         if self.tag:
             payload["tag"] = self.tag
-        body = self._request("POST", "/measurements", payload)
-        return str(body["id"])
+        return self._request("POST", "/measurements", lambda body: str(body["id"]), payload)
 
-    def fetch_results(self, measurement_id: str) -> dict[str, list[float]]:
-        for _ in range(POLL_ATTEMPTS):
-            body = self._request("GET", f"/measurements/{measurement_id}/results")
-            if body.get("status") == "done":
-                return {str(row["probe_id"]): [float(x) for x in row["rtts_ms"]]
-                        for row in body.get("results", [])}
-            self.sleep(POLL_INTERVAL_S)
-        raise BackendUnavailable(f"measurement {measurement_id} never finished")
-
-    def measure_target(self, target: Addr,
-                       vantages: Sequence[VantagePoint]) -> dict[str, list[float]]:
-        if not vantages:  # the API rejects an empty probe_ids
-            return {}
-        return self.fetch_results(self.create_measurement(target, [v.id for v in vantages]))
+    def measure_targets(self, jobs: Iterable[Job]) -> Iterator[dict[str, list[float]]]:
+        """Keeps up to in_flight measurements outstanding. Each round polls
+        every outstanding measurement once, in job order, then sleeps
+        POLL_INTERVAL_S once if any was pending; freed slots are refilled
+        before the next round. A measurement still pending at its
+        POLL_ATTEMPTS-th poll raises BackendUnavailable, which abandons the
+        others in flight."""
+        jobs = list(jobs)
+        outstanding: list[tuple[int, str, int]] = []  # (job, measurement id, polls), job order
+        finished: dict[int, dict[str, list[float]]] = {}  # held until every earlier job's are out
+        posted = first = 0  # the next job to post, the next to hand on
+        while first < len(jobs):
+            while posted < len(jobs) and len(outstanding) < self.in_flight:
+                target, vantages = jobs[posted]
+                if vantages:  # the API rejects an empty probe_ids
+                    mid = self.create_measurement(target, [v.id for v in vantages])
+                    outstanding.append((posted, mid, 0))
+                else:
+                    finished[posted] = {}
+                posted += 1
+            still = []
+            for i, mid, polls in outstanding:
+                replies = self._request("GET", f"/measurements/{mid}/results", _replies)
+                if replies is not None:
+                    finished[i] = replies
+                elif polls + 1 < POLL_ATTEMPTS:
+                    still.append((i, mid, polls + 1))
+                else:
+                    raise BackendUnavailable(f"measurement {mid} never finished")
+            outstanding = still
+            while first in finished:
+                yield finished.pop(first)
+                first += 1
+            if outstanding:
+                self.rounds += 1
+                self.sleep(POLL_INTERVAL_S)
 
 
 def _never_connected(exc: Exception) -> bool:
@@ -335,16 +354,40 @@ def _never_connected(exc: Exception) -> bool:
         getattr(cause, "reason", None), NewConnectionError)
 
 
-def _measure_pairs(backend, target: Addr,
-                   vantages: Sequence[VantagePoint]) -> dict[str, list[float]]:
-    """measure_target over a backend that has only measure."""
-    replies = {}
-    for vantage in vantages:
-        try:
-            replies[vantage.id] = backend.measure(vantage, target)
-        except UnknownTarget:
-            pass
-    return replies
+def _replies(body) -> dict[str, list[float]] | None:
+    """The replies in a results answer, or None while it is pending."""
+    if body["status"] == "pending":
+        return None
+    if body["status"] != "done":
+        raise ValueError(f"status {body['status']!r}")
+    return {str(row["probe_id"]): [_number(x) for x in row["rtts_ms"]]
+            for row in body.get("results", [])}
+
+
+def _number(x) -> float:
+    if type(x) not in (int, float):  # float() also reads "12" and true, as 12 and 1 ms
+        raise ValueError(f"rtt {x!r} is not a number")
+    return float(x)
+
+
+def _measure_pairs(backend, jobs: Iterable[Job]) -> Iterator[dict[str, list[float]]]:
+    """measure_targets over a backend that has only measure."""
+    return ({v.id: backend.measure(v, target) for v in vantages} for target, vantages in jobs)
+
+
+def target_results(target: Addr, vantages: Iterable[VantagePoint],
+                   replies: Mapping[str, Sequence[float]]) -> list[MeasurementResult]:
+    """One result per vantage, by vantage id, with at most SAMPLES_PER_PAIR
+    of its replies; a vantage absent from replies gets an empty result. An
+    RTT that is negative or not finite raises NegativeRtt."""
+    out = []
+    for vantage_id in sorted(v.id for v in vantages):
+        rtts = replies.get(vantage_id, ())
+        for rtt in rtts:
+            if not 0 <= rtt < math.inf:
+                raise NegativeRtt(f"{vantage_id} -> {target}: {rtt} ms")
+        out.append(MeasurementResult(vantage_id, target, tuple(rtts[:SAMPLES_PER_PAIR])))
+    return out
 
 
 def run_plan(
@@ -353,28 +396,14 @@ def run_plan(
     vantages: Iterable[VantagePoint],
     backend: Backend,
 ) -> list[MeasurementResult]:
-    """Measure every vantage/target pair in a plan, one backend call per target.
-
-    A backend without measure_target is measured pair by pair through
-    measure. Misses (replay gaps, probe errors, unknown targets) come back as
-    empty results; each pair keeps at most SAMPLES_PER_PAIR replies. Results
-    come in measurement order: targets as planned, each target's results by
-    vantage id. An RTT that is negative or not finite raises NegativeRtt;
-    BackendUnavailable is fatal and propagates."""
-    measure_target = getattr(backend, "measure_target", None) or functools.partial(
+    """Measure every vantage/target pair in a plan through one measure_targets
+    call, or pair by pair through measure when the backend has only that.
+    Results come in target_results order, targets as planned."""
+    measure_targets = getattr(backend, "measure_targets", None) or functools.partial(
         _measure_pairs, backend)
-    ordered_vantages = list(vantages)
-    by_id = sorted(ordered_vantages, key=attrgetter("id"))  # the backend keeps the plan's order
+    vantages = list(vantages)  # the backend keeps the plan's order
+    jobs = [(target, vantages) for target in targets]
     out = []
-    for target in targets:
-        try:
-            replies = measure_target(target, ordered_vantages)
-        except UnknownTarget:
-            replies = {}
-        for vantage in by_id:
-            rtts = replies.get(vantage.id, ())
-            for rtt in rtts:
-                if not 0 <= rtt < math.inf:
-                    raise NegativeRtt(f"{vantage.id} -> {target}: {rtt} ms")
-            out.append(MeasurementResult(vantage.id, target, tuple(rtts[:SAMPLES_PER_PAIR])))
+    for (target, _), replies in zip(jobs, measure_targets(jobs), strict=True):
+        out += target_results(target, vantages, replies)
     return out

@@ -5,11 +5,16 @@ from __future__ import annotations
 
 import ipaddress
 import json
+import random
 from dataclasses import dataclass, field
 
 import pytest
+import requests
 
-from geoaudit.registry import Rir
+from geoaudit import measure
+from geoaudit.errors import UnknownTarget
+from geoaudit.registry import Rir, parse_address
+from geoaudit.vantage import load_vantages
 
 # Three single-point countries per registry region, in tight clusters.
 # Cluster separations are several thousand km, so bounded additive noise can
@@ -178,3 +183,84 @@ def small_campaign(tmp_path):
     camp = build_campaign(fc_per_region=4, planted_per_class=1, v6_fc_per_region=1)
     paths = write_campaign(tmp_path, camp)
     return camp, paths, tmp_path
+
+
+class StubResponse:
+    def __init__(self, status_code, body):
+        self.status_code = status_code
+        self._body = body
+
+    def json(self):
+        if isinstance(self._body, Exception):
+            raise self._body
+        return self._body
+
+
+def seeded_pending(seed, most=3):
+    """How many times a measurement id is pending: 0 to most, seeded by the id."""
+    return lambda mid: random.Random(f"{seed}:{mid}").randint(0, most)
+
+
+class WorldSession:
+    """A live API answering from a SyntheticWorld; a probe without replies
+    is left out of the results, which the API contract allows. Measurement
+    id m-<n> is the n-th POST; it answers pending(id) times pending before
+    done. calls logs every request, and most_open the most measurements
+    ever created and not yet done."""
+
+    def __init__(self, world, vantages, pending=lambda mid: 0):
+        self.world = world
+        self.vantages = {v.id: v for v in vantages}
+        self.pending = pending
+        self.open = {}  # measurement id -> [pending answers left, results]
+        self.calls = []
+        self.posts = []
+        self.most_open = 0
+
+    def request(self, method, url, json=None, headers=None):
+        self.calls.append((method, url))
+        if method == "POST":
+            self.posts.append(json)
+            target = parse_address(json["target"])
+            results = []
+            for probe_id in json["probe_ids"]:
+                try:
+                    rtts = self.world.rtts(self.vantages[probe_id], target)
+                except UnknownTarget:
+                    rtts = []
+                if rtts:
+                    results.append({"probe_id": probe_id, "rtts_ms": rtts})
+            mid = f"m-{len(self.posts)}"
+            self.open[mid] = [self.pending(mid), results]
+            self.most_open = max(self.most_open, len(self.open))
+            return StubResponse(200, {"id": mid})
+        mid = url.rsplit("/", 2)[-2]
+        if self.open[mid][0]:
+            self.open[mid][0] -= 1
+            return StubResponse(200, {"status": "pending"})
+        return StubResponse(200, {"status": "done", "results": self.open.pop(mid)[1]})
+
+
+LIVE_ARGV = ["--backend", "live", "--base-url", "https://api.example.net/v1", "--api-key", "k"]
+
+
+def serve_campaign(monkeypatch, camp, paths, pending, sleep):
+    """Point the CLI's live backend at WorldSessions answering from the
+    campaign's world at seed 7 (audit_argv's seed), and at sleep for its
+    sleeps; returns the list of sessions it makes."""
+    world = measure.SyntheticWorld.from_json(camp.world, seed=7)
+    with open(paths["vantages.jsonl"]) as fp:
+        vantages = load_vantages(fp)
+    sessions = []
+
+    def session():
+        sessions.append(WorldSession(world, vantages, pending))
+        return sessions[-1]
+
+    class Unslept(measure.LiveBackend):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, sleep=sleep, **kwargs)
+
+    monkeypatch.setattr(measure, "LiveBackend", Unslept)
+    monkeypatch.setattr(requests, "Session", session)
+    return sessions

@@ -45,7 +45,15 @@ from geoaudit.report import (
 from geoaudit.vantage import load_vantages
 from geoaudit.whois import drop_circular_transfers, parse_bulk_whois
 
-from conftest import CLUSTERS, audit_argv, build_campaign, write_campaign
+from conftest import (
+    CLUSTERS,
+    LIVE_ARGV,
+    audit_argv,
+    build_campaign,
+    seeded_pending,
+    serve_campaign,
+    write_campaign,
+)
 from test_whois import APNIC_DUMP, ARIN_DUMP, RIPE_DUMP
 
 FC, OC, OI, RI, FI = ConsistencyClass
@@ -624,8 +632,8 @@ def test_criterion_09_report_fidelity():
         assert strict["alpha"][Rir.ARIN].detected == 1
 
 
-def test_criterion_10_determinism(tmp_path):
-    with criterion(10, "byte-identical output across runs, threads, replay"):
+def test_criterion_10_determinism(tmp_path, monkeypatch):
+    with criterion(10, "byte-identical output across runs, concurrency, backends, replay"):
         camp = build_campaign(fc_per_region=4, planted_per_class=1, v6_fc_per_region=1)
         paths = write_campaign(tmp_path, camp)
 
@@ -643,7 +651,7 @@ def test_criterion_10_determinism(tmp_path):
         assert outputs["a"] == outputs["b"] == outputs["c"]
 
         replay_bytes = []
-        for name in ("r1", "r2"):
+        for name, extra in (("r1", []), ("r2", []), ("r4", ["--concurrency", "4"])):
             out = tmp_path / f"{name}.jsonl"
             argv = [
                 "audit",
@@ -657,7 +665,20 @@ def test_criterion_10_determinism(tmp_path):
                 "--backend", "replay", "--results", str(captured),
                 "--seed", "7",
                 "-o", str(out),
+                *extra,
             ]
             assert cli.main(argv) == 0
             replay_bytes.append(out.read_bytes())
-        assert replay_bytes[0] == replay_bytes[1] == outputs["a"]
+        assert replay_bytes[0] == replay_bytes[1] == replay_bytes[2] == outputs["a"]
+
+        # the live client against an API answering from the same world, each
+        # measurement pending 0-3 times, at several windows
+        sleeps = []
+        serve_campaign(monkeypatch, camp, paths, seeded_pending(7), sleeps.append)
+        for k in (1, 2, 8):
+            out, capture = tmp_path / f"live{k}.jsonl", tmp_path / f"live{k}_results.jsonl"
+            live = [*LIVE_ARGV, "--concurrency", str(k), "--capture-results", str(capture)]
+            assert cli.main(audit_argv(paths, str(out), extra=live)) == 0
+            assert out.read_bytes() == outputs["a"]
+            assert capture.read_bytes() == captured.read_bytes()
+        assert sleeps  # some measurements were pending

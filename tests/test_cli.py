@@ -15,7 +15,7 @@ import pytest
 from geoaudit import classify, cli, measure, whois
 from geoaudit.errors import BackendUnavailable
 
-from conftest import audit_argv, build_campaign, write_campaign
+from conftest import LIVE_ARGV, audit_argv, build_campaign, serve_campaign, write_campaign
 
 ARIN_DUMP = """\
 NetRange:       192.0.2.0 - 192.0.2.255
@@ -272,6 +272,20 @@ def test_audit_counts_unknown_simulator_targets(small_campaign, capsys):
     assert "unknown targets: 1" in stdout
     assert stdout.index("vantages:") < stdout.index("unknown targets:") < stdout.index("candidates=")
     assert unknown.read_bytes() == silent.read_bytes()
+
+
+def test_audit_prints_live_request_tallies(small_campaign, capsys, monkeypatch):
+    camp, paths, tmp_path = small_campaign
+    # every measurement is pending once
+    sessions = serve_campaign(monkeypatch, camp, paths, lambda mid: 1, lambda s: None)
+    capsys.readouterr()
+    assert run(audit_argv(paths, str(tmp_path / "audit.jsonl"), extra=LIVE_ARGV)) == 0
+    stdout = capsys.readouterr().out
+    [api] = sessions
+    n = len(api.posts)
+    assert n == len(camp.expected) and [m for m, _ in api.calls] == ["POST", "GET", "GET"] * n
+    assert f"live requests: posts={n} polls={2 * n} retries=0 rounds={n}" in stdout
+    assert stdout.index("vantages:") < stdout.index("live requests:") < stdout.index("candidates=")
 
 
 def test_audit_counts_unmapped_country_vantages(small_campaign, capsys):
@@ -753,13 +767,15 @@ def test_each_command_imports_only_the_stages_it_runs(small_campaign):
                   {"classify", "measure", "report", "whois"}),
         "oro": (["oro", "--registrations", regs, "-o", str(tmp_path / "oro.csv")],
                 {"bgp", "classify", "geo", "measure", "targets", "vantage", "whois"}),
+        "audit": (audit_argv(paths, str(tmp_path / "audit.jsonl"), extra=["--concurrency", "4"]),
+                  {"report", "whois"}),
     }
     for name, (argv, unused) in commands.items():
         out = python_in_subprocess(RUN_AND_LIST_MODULES, *argv)
         code, modules = json.loads(out.splitlines()[-1])
         assert code == 0, name
         assert not {f"geoaudit.{stage}" for stage in unused} & set(modules), name
-        assert "concurrent.futures" not in modules, name  # only audit --concurrency N uses it
+        assert "concurrent.futures" not in modules, name
 
 
 def test_importing_the_package_loads_no_stage():

@@ -3,8 +3,6 @@ import ipaddress
 import json
 import math
 import random
-import sys
-import threading
 
 import pytest
 import requests
@@ -16,6 +14,7 @@ from geoaudit.measure import (
     POLL_ATTEMPTS,
     POLL_INTERVAL_S,
     SAMPLES_PER_PAIR,
+    Backend,
     LiveBackend,
     MeasurementResult,
     ReplayBackend,
@@ -27,6 +26,8 @@ from geoaudit.measure import (
 )
 from geoaudit.registry import parse_address, parse_prefix
 from geoaudit.vantage import VantagePoint
+
+from conftest import StubResponse, WorldSession, seeded_pending
 
 
 def vp(vid, lat=0.0, lon=0.0, country="US"):
@@ -193,48 +194,6 @@ def test_replay_backend():
     assert backend.misses == 4
 
 
-def hammer(call, workers=8, rounds=500):
-    """Run call rounds times on each of workers threads, switching often."""
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=lambda: [call() for _ in range(rounds)])
-                   for _ in range(workers)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=30)
-            assert not thread.is_alive()
-    finally:
-        sys.setswitchinterval(interval)
-    return workers * rounds
-
-
-def test_replay_misses_are_counted_across_threads():
-    target = parse_address("192.0.2.1")
-    backend = ReplayBackend([MeasurementResult("v-0", target, (1.0,))])
-    plan = [vp(f"v-{i}") for i in range(4)]  # three of the four are misses
-    calls = hammer(lambda: backend.measure_target(target, plan))
-    assert backend.misses == calls * 3
-
-
-def test_unknown_targets_are_counted_across_threads():
-    backend = SimulateBackend(world_with({"192.0.2.1": (0.0, 0.0)}))
-    unknown = parse_address("192.0.2.2")
-
-    def measure_unknown():
-        with pytest.raises(UnknownTarget):
-            backend.measure_target(unknown, [vp("v-1")])
-
-    calls = hammer(measure_unknown)
-    assert backend.unknown_targets == calls
-    # located targets, and unresponsive ones, are not counted
-    backend.world.unresponsive.add(unknown)
-    assert backend.measure_target(unknown, [vp("v-1")]) == {}
-    assert backend.measure_target(parse_address("192.0.2.1"), [vp("v-1")])
-    assert backend.unknown_targets == calls
-
-
 def test_run_plan_replay_miss_is_an_empty_result():
     res = MeasurementResult("v-1", parse_address("192.0.2.1"), (7.0,))
     backend = ReplayBackend([res])
@@ -281,7 +240,7 @@ def test_run_plan_measurement_order_and_bad_rtt():
                      [vp("v-1")], Hostile(rtt))
 
 
-class Numbered:
+class Numbered(Backend):
     """A backend whose replies differ from call to call; some vantages get
     no reply, and some more than SAMPLES_PER_PAIR samples."""
 
@@ -317,15 +276,6 @@ def test_run_plan_orders_like_a_stable_sort_of_its_pairs():
         got = run_plan(prefix, targets, vantages, Numbered(case))
         assert got == want
         assert [id(r.target) for r in got] == [id(r.target) for r in want]
-
-
-class StubResponse:
-    def __init__(self, status_code, body):
-        self.status_code = status_code
-        self._body = body
-
-    def json(self):
-        return self._body
 
 
 class StubSession:
@@ -380,6 +330,7 @@ def test_live_backend_retries_with_backoff():
     assert backend.measure(vp("p-9"), parse_address("192.0.2.1")) == []
     assert sleeps == [2.0, 4.0, 2.0]
     assert [call[0] for call in session.calls] == ["POST"] * 3 + ["GET"] * 2
+    assert (backend.posts, backend.polls, backend.retries, backend.rounds) == (3, 2, 3, 0)
 
 
 def refused():
@@ -422,11 +373,11 @@ def test_live_backend_never_resends_a_post_the_api_may_have_created(failure):
 
 @pytest.mark.parametrize("failure", NEVER_CREATED + MAYBE_CREATED, ids=repr)
 def test_live_backend_retries_every_transient_get(failure):
-    session = StubSession([failure, (200, {"status": "done", "results": []})])
+    session = StubSession([(200, {"id": "m-5"}), failure, (200, {"status": "done", "results": []})])
     backend, sleeps = make_backend(session)
-    assert backend.fetch_results("m-5") == {}
+    assert backend.measure(vp("p-1"), parse_address("192.0.2.1")) == []
     assert sleeps == [2.0]
-    assert len(session.calls) == 2
+    assert [call[0] for call in session.calls] == ["POST", "GET", "GET"]
 
 
 def test_live_backend_gives_up_after_retries():
@@ -439,12 +390,13 @@ def test_live_backend_gives_up_after_retries():
 
 
 def test_live_backend_gives_up_on_a_measurement_that_never_finishes():
-    session = StubSession([(200, {"status": "pending"})] * POLL_ATTEMPTS)
+    session = StubSession([(200, {"id": "m-6"})] + [(200, {"status": "pending"})] * POLL_ATTEMPTS)
     backend, sleeps = make_backend(session)
-    with pytest.raises(BackendUnavailable, match="never finished"):
-        backend.fetch_results("m-6")
-    assert [call[0] for call in session.calls] == ["GET"] * POLL_ATTEMPTS
-    assert sleeps == [POLL_INTERVAL_S] * POLL_ATTEMPTS
+    with pytest.raises(BackendUnavailable, match="m-6 never finished"):
+        backend.measure(vp("p-1"), parse_address("192.0.2.1"))
+    assert [call[0] for call in session.calls] == ["POST"] + ["GET"] * POLL_ATTEMPTS
+    # no sleep after the last pending poll: the run fails at once
+    assert sleeps == [POLL_INTERVAL_S] * (POLL_ATTEMPTS - 1)
 
 
 def test_live_backend_hard_failure_does_not_retry():
@@ -455,66 +407,87 @@ def test_live_backend_hard_failure_does_not_retry():
     assert len(session.calls) == 1
 
 
-def test_live_backend_gives_each_thread_its_own_session():
-    backend = LiveBackend("https://api.example.net/v1", "sekrit")
-    seen = []
-    workers = [threading.Thread(target=lambda: seen.append(backend.session)) for _ in range(2)]
-    for worker in workers:
-        worker.start()
-    for worker in workers:
-        worker.join(timeout=10)
-        assert not worker.is_alive()
-    main = backend.session
-    try:
-        assert len({id(s) for s in seen + [main]}) == 3
-        assert backend.session is main
-    finally:
-        for session in seen + [main]:
-            session.close()
+RESULTS = "GET /measurements/m-1/results answered a malformed body:"
+MALFORMED = {
+    "post-without-id": ([(200, {"ref": "m-1"})],
+                        "POST /measurements answered a malformed body: no 'id'"),
+    "not-json": ([(200, {"id": "m-1"}), (200, json.JSONDecodeError("Expecting value", "", 0))],
+                 f"{RESULTS} Expecting value: line 1 column 1 (char 0)"),
+    "row-without-probe-id": ([(200, {"id": "m-1"}),
+                              (200, {"status": "done", "results": [{"rtts_ms": [1.0]}]})],
+                             f"{RESULTS} no 'probe_id'"),
+    "rtt-not-a-number": ([(200, {"id": "m-1"}),
+                          (200, {"status": "done",
+                                 "results": [{"probe_id": "p-1", "rtts_ms": [1.0, "x"]}]})],
+                         f"{RESULTS} rtt 'x' is not a number"),
+    "rtt-true": ([(200, {"id": "m-1"}),
+                  (200, {"status": "done", "results": [{"probe_id": "p-1", "rtts_ms": [True]}]})],
+                 f"{RESULTS} rtt True is not a number"),
+    "status-failed": ([(200, {"id": "m-1"}), (200, {"status": "failed"})],
+                      f"{RESULTS} status 'failed'"),
+}
 
-    # an injected session is shared by every thread
-    injected = StubSession([])
-    shared = LiveBackend("https://api.example.net/v1", "sekrit", session=injected)
-    seen = []
-    worker = threading.Thread(target=lambda: seen.append(shared.session))
-    worker.start()
-    worker.join(timeout=10)
-    assert not worker.is_alive()
-    assert seen == [injected] and shared.session is injected
+
+@pytest.mark.parametrize("script, message", MALFORMED.values(), ids=MALFORMED)
+def test_live_backend_fails_on_a_malformed_answer(script, message):
+    session = StubSession(script)
+    backend, sleeps = make_backend(session)
+    with pytest.raises(BackendUnavailable) as exc:
+        backend.measure(vp("p-1"), parse_address("192.0.2.1"))
+    assert str(exc.value) == message
+    assert sleeps == [] and not session.script  # at the first answer, without a retry
+
+
+def test_live_backend_holds_one_session():
+    backend = LiveBackend("https://api.example.net/v1", "sekrit")
+    try:
+        assert isinstance(backend.session, requests.Session)
+    finally:
+        backend.session.close()
+
+
+@pytest.mark.parametrize("in_flight", [1, 2, 3, 8])
+def test_live_window_keeps_job_order(in_flight):
+    """Measurements pending 0-3 times finish out of job order; the replies
+    still come in job order, equal to the simulator's."""
+    world, vantages, plans = random_campaign(13, 4.0)
+    jobs = [(target, plan_vantages) for targets, plan_vantages in plans for target in targets]
+    want = list(SimulateBackend(world).measure_targets(jobs))
+
+    session = WorldSession(world, vantages, pending=seeded_pending(13))
+    sleeps = []
+    live = LiveBackend("https://api.example.net/v1", "k", session=session, sleep=sleeps.append,
+                       in_flight=in_flight)
+    assert list(live.measure_targets(jobs)) == want
+    # each target with a vantage is posted once, in job order
+    assert [post["target"] for post in session.posts] == [str(t) for t, v in jobs if v]
+    assert session.most_open == in_flight
+    assert not session.open
+    # the tallies agree with the API's own log
+    methods = [method for method, _ in session.calls]
+    assert (live.posts, live.polls) == (methods.count("POST"), methods.count("GET"))
+    assert live.polls == sum(session.pending(f"m-{n}") + 1 for n in range(1, live.posts + 1))
+    assert (live.retries, live.rounds) == (0, len(sleeps))
+    assert set(sleeps) == {POLL_INTERVAL_S}
+
+
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_live_window_sleeps_once_per_round(n):
+    targets = {f"192.0.2.{i}": (0.0, float(i)) for i in range(1, n + 1)}
+    world = world_with(targets)
+    jobs = [(parse_address(t), [vp("v-1")]) for t in targets]
+    for in_flight, rounds in [(n, 1), (1, n)]:
+        session = WorldSession(world, [vp("v-1")], pending=lambda mid: 1)
+        sleeps = []
+        live = LiveBackend("https://api.example.net/v1", "k", session=session,
+                           sleep=sleeps.append, in_flight=in_flight)
+        assert len(list(live.measure_targets(jobs))) == n
+        assert sleeps == [POLL_INTERVAL_S] * rounds
+        assert session.most_open == in_flight
+        assert (live.posts, live.polls, live.rounds) == (n, 2 * n, rounds)
 
 
 # -- one call per target: every backend agrees with the others --------------------
-
-class WorldSession:
-    """A live API answering from a SyntheticWorld; a probe without replies
-    is left out of the results, which the API contract allows."""
-
-    def __init__(self, world, vantages):
-        self.world = world
-        self.vantages = {v.id: v for v in vantages}
-        self.pending = {}
-        self.posts = []
-        self.gets = 0
-
-    def request(self, method, url, json=None, headers=None):
-        if method == "POST":
-            self.posts.append(json)
-            target = parse_address(json["target"])
-            results = []
-            for probe_id in json["probe_ids"]:
-                try:
-                    rtts = self.world.rtts(self.vantages[probe_id], target)
-                except UnknownTarget:
-                    rtts = []
-                if rtts:
-                    results.append({"probe_id": probe_id, "rtts_ms": rtts})
-            mid = f"m-{len(self.posts)}"
-            self.pending[mid] = results
-            return StubResponse(200, {"id": mid})
-        self.gets += 1
-        mid = url.rsplit("/", 2)[-2]
-        return StubResponse(200, {"status": "done", "results": self.pending.pop(mid)})
-
 
 class PairOnly:
     """A backend that measures one pair per call, like a tracing wrapper."""
@@ -602,15 +575,15 @@ def test_every_backend_measures_a_plan_alike(seed, noise_ms):
 
     # one POST and one GET per target measured from at least one vantage
     measured = sum(len(targets) for targets, plan_vantages in plans if plan_vantages)
-    assert len(session.posts) == session.gets == measured
+    methods = [method for method, _ in session.calls]
+    assert len(session.posts) == methods.count("GET") == measured
     assert all(post["probe_ids"] for post in session.posts)
 
-    # measure is measure_target for one vantage, errors included
+    # measure is one pair: a target the world cannot place gives no reply
     for backend in (simulate, live, replay):
         for targets, plan_vantages in plans[:50]:
             for target in targets:
                 for v in plan_vantages[:2]:
-                    by_target = outcome(
-                        lambda: backend.measure_target(target, [v]).get(v.id, []))
-                    assert outcome(backend.measure, v, target) == by_target
+                    want = outcome(reference_rtts, world, v, target)
+                    assert backend.measure(v, target) == ([] if want is UnknownTarget else want)
     assert replay.misses == 0
