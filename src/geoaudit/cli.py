@@ -79,9 +79,14 @@ _RANGES = {
 
 
 def _read(path: str, loader):
-    """Parse one input (gzip ok) with loader(fp)."""
+    """Parse one input (gzip ok) with loader(fp); an input it cannot read
+    raises GeoAuditError naming path."""
     with open_text(path) as fp:
-        return loader(fp)
+        try:
+            return loader(fp)
+        except (GeoAuditError, AttributeError, EOFError, KeyError, OSError, TypeError,
+                ValueError) as exc:
+            raise GeoAuditError(f"{path}: {exc}") from None
 
 
 @contextmanager
@@ -98,14 +103,18 @@ def _output(path: str):
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Each setting from its first source; a value out of range names that source."""
+    """Each setting the subcommand has a flag for from its first source, the
+    others at their defaults; a value out of range names that source."""
     file_values: dict[str, str] = {}
     path = getattr(args, "config", None)
     if path:
         import configparser
 
         parser = configparser.ConfigParser(interpolation=None)
-        _read(path, parser.read_file)
+        try:
+            _read(path, parser.read_file)
+        except configparser.Error as exc:
+            raise GeoAuditError(f"{path}: {exc}") from None
         if parser.has_section("geoaudit"):
             file_values = dict(parser.items("geoaudit"))
     unknown = sorted(set(file_values) - {f.name for f in fields(RunConfig)})
@@ -113,7 +122,9 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         raise GeoAuditError(f"{path}: unknown setting in [geoaudit]: {', '.join(unknown)}")
     values = {}
     for f in fields(RunConfig):
-        value = getattr(args, f.name, None)
+        if not hasattr(args, f.name):
+            continue  # a setting this subcommand never reads
+        value = getattr(args, f.name)
         source = f"--{f.name.replace('_', '-')}"
         if value is None:
             env = f"GEOAUDIT_{f.name.upper()}"
@@ -265,7 +276,8 @@ def _make_backend(args, config: RunConfig):
     if args.backend == "simulate":
         if not args.world:
             raise GeoAuditError("simulate backend needs --world")
-        world = measure.SyntheticWorld.from_json(_read(args.world, json.load), seed=config.seed)
+        world = _read(args.world,
+                      lambda fp: measure.SyntheticWorld.from_json(json.load(fp), seed=config.seed))
         return measure.SimulateBackend(world)
     if args.backend == "live":
         if not config.base_url or not config.api_key:

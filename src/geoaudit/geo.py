@@ -96,17 +96,16 @@ class _NearestCountries:
         (none for a NaN radius, as for the <= of a scan)."""
         return bisect_right(self.dists, radius_km) if radius_km >= 0 else 0
 
-    def within(self, cut: int, vantage_country: str | None) -> frozenset[str]:
-        countries = frozenset(self.countries[:cut])
-        return countries | {vantage_country} if vantage_country else countries
-
     def region(self, cut: int, vantage_country: str | None,
                region_map: RegionMap) -> tuple[frozenset[str], frozenset[Rir]]:
-        """The feasible countries and their registries, memoised."""
+        """The feasible countries, the first cut plus the vantage's own, and
+        their registries; memoised."""
         key = (cut, vantage_country, region_map)
         found = self._regions.get(key)
         if found is None:
-            countries = self.within(cut, vantage_country)
+            countries = frozenset(self.countries[:cut])
+            if vantage_country:
+                countries |= {vantage_country}
             found = self._regions[key] = (countries, feasible_rirs(countries, region_map))
         return found
 
@@ -144,21 +143,6 @@ def min_rtt(results: Iterable) -> tuple[str, float]:
     if best is None:
         raise NoResponses("no replies in batch")
     return best[1], best[0]
-
-
-def feasible_countries(
-    vantage_lat: float,
-    vantage_lon: float,
-    radius_km: float,
-    config: GeoConfig,
-    vantage_country: str | None = None,
-) -> frozenset[str]:
-    """Countries with any representative point within radius of the vantage.
-
-    The vantage's own country is always included: the disk center lies in it
-    regardless of where its representative points sit."""
-    table = config.nearest(vantage_lat, vantage_lon)
-    return table.within(table.cut(radius_km), vantage_country)
 
 
 def feasible_rirs(countries: Iterable[str], region_map: RegionMap) -> frozenset[Rir]:

@@ -1,10 +1,11 @@
 """Immutable prefix index over both address families.
 
 Built once from (prefix, value) pairs; a repeated prefix keeps the last
-value given. Each family keeps one dict per prefix length, mapping the
-network address as an int to (prefix, value), plus every entry sorted by
-(network, length) for the contained-prefix range scan. Nothing is written
-after construction, so any number of threads may read one index.
+value given. Each family keeps one map from prefix length, most specific
+first, to (netmask, table), each table mapping a network address as an int
+to (prefix, value), and every entry sorted by (network, length) for the
+contained-prefix range scan. Nothing is written after construction, so any
+number of threads may read one index.
 """
 
 from __future__ import annotations
@@ -25,27 +26,26 @@ class PrefixIndex:
         for prefix, value in items:
             table = tables.setdefault((prefix.version, prefix.prefixlen), {})
             table[int(prefix.network_address)] = (prefix, value)
-        self._tables = tables
-        # per family: (length, netmask, table), most specific first
-        self._levels: dict[int, list[tuple[int, int, dict]]] = {4: [], 6: []}
+        # per family: length -> (netmask, table), most specific first
+        self._levels: dict[int, dict[int, tuple[int, dict]]] = {4: {}, 6: {}}
         # per family: (net, length, prefix, value) in address order
         self._sorted: dict[int, list[tuple[int, int, Prefix, Any]]] = {4: [], 6: []}
         for version, plen in sorted(tables, reverse=True):
             table = tables[(version, plen)]
             mask = ((1 << plen) - 1) << (_BITS[version] - plen)
-            self._levels[version].append((plen, mask, table))
+            self._levels[version][plen] = (mask, table)
             self._sorted[version].extend(
                 (net, plen, prefix, value) for net, (prefix, value) in table.items())
         for entries in self._sorted.values():
             entries.sort(key=lambda e: (e[0], e[1]))
 
     def __len__(self) -> int:
-        return sum(len(table) for table in self._tables.values())
+        return sum(len(table) for levels in self._levels.values() for _, table in levels.values())
 
     def longest_match(self, addr: Addr) -> tuple[Prefix, Any] | None:
         """The most specific (prefix, value) containing addr, or None."""
         a = int(addr)
-        for _, mask, table in self._levels[addr.version]:
+        for mask, table in self._levels[addr.version].values():
             hit = table.get(a & mask)
             if hit is not None:
                 return hit
@@ -53,8 +53,8 @@ class PrefixIndex:
 
     def exact(self, prefix: Prefix) -> Any:
         """The value stored for exactly this prefix, or None."""
-        table = self._tables.get((prefix.version, prefix.prefixlen))
-        hit = table.get(int(prefix.network_address)) if table else None
+        level = self._levels[prefix.version].get(prefix.prefixlen)
+        hit = level[1].get(int(prefix.network_address)) if level else None
         return None if hit is None else hit[1]
 
     def covering(self, prefix: Prefix) -> list[tuple[Prefix, Any]]:
@@ -62,7 +62,7 @@ class PrefixIndex:
         least specific first."""
         net = int(prefix.network_address)
         out = []
-        for plen, mask, table in reversed(self._levels[prefix.version]):
+        for plen, (mask, table) in reversed(self._levels[prefix.version].items()):
             if plen >= prefix.prefixlen:
                 break
             hit = table.get(net & mask)

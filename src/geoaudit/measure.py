@@ -2,10 +2,11 @@
 
 Every backend answers one question, for a sequence of targets in order:
 the RTT samples (up to three) from each of a plan's vantages to a target
-(one live measurement carrying every planned probe). In target_results, a
-vantage without a reply (a replay gap, a probe error) becomes an empty
-result, so one dead probe never sinks a prefix, and an RTT that is negative
-or not finite fails the run on every backend.
+(one live measurement carrying every planned probe); measure_targets is the
+one method a backend implements. In target_results, a vantage without a
+reply (a replay gap, a probe error) becomes an empty result, so one dead
+probe never sinks a prefix, and an RTT that is negative or not finite fails
+the run on every backend.
 
 write_results and load_results are the capture codec: they write and read
 the same bytes as the generic JSONL codec in registry, only faster.
@@ -34,6 +35,7 @@ RETRY_BASE_DELAY_S = 2.0  # doubled after each retry: sleeps of 2, 4 and 8 s
 POLL_INTERVAL_S = 2.0
 POLL_ATTEMPTS = 30
 Job = tuple[Addr, Sequence[VantagePoint]]  # a target and the vantages that measure it
+_FLOAT = frozenset((float,))  # what json reads a capture's samples as: from_json's fast path
 
 
 @dataclass(frozen=True, slots=True)
@@ -54,7 +56,12 @@ class MeasurementResult:
     @classmethod
     def from_json(cls, obj: Mapping, parse: Callable[[str], Addr] = parse_address,
                   name: Callable[[object], str] = str) -> "MeasurementResult":
-        return cls(name(obj["vantage_id"]), parse(obj["target"]), tuple(map(float, obj["rtts_ms"])))
+        rtts = obj["rtts_ms"]
+        if type(rtts) is not list:
+            raise ValueError(f"rtts_ms {rtts!r} is not a list")
+        if not _FLOAT.issuperset(map(type, rtts)):
+            rtts = [_number(x) for x in rtts]  # an int becomes a float, anything else raises
+        return cls(name(obj["vantage_id"]), parse(obj["target"]), tuple(rtts))
 
 
 # A capture repeats each target once per vantage, so the codec formats or
@@ -98,24 +105,15 @@ def load_results(fp: IO[str]) -> list[MeasurementResult]:
 
 
 class Backend:
-    """A measurement backend. measure_targets is the primitive, which this
-    class answers one target at a time through measure_target; measure is
-    one pair, kept for callers that work pair by pair."""
-
-    def measure_target(self, target: Addr,
-                       vantages: Sequence[VantagePoint]) -> Mapping[str, Sequence[float]]:
-        """RTT samples in ms from each vantage to target, by vantage id; a
-        vantage absent from the mapping got no reply."""
-        raise NotImplementedError
+    """A measurement backend. measure_targets is the one method a backend
+    implements; measure is one pair through it, kept for callers that work
+    pair by pair."""
 
     def measure_targets(self, jobs: Iterable[Job]) -> Iterator[Mapping[str, Sequence[float]]]:
-        """The replies to each (target, vantages) job, in job order; {} for a
-        target the backend cannot place."""
-        for target, vantages in jobs:
-            try:
-                yield self.measure_target(target, vantages)
-            except UnknownTarget:
-                yield {}
+        """The replies to each (target, vantages) job, in job order: RTT
+        samples in ms by vantage id, a vantage absent from the mapping got no
+        reply, and {} for a target the backend cannot place."""
+        raise NotImplementedError
 
     def measure(self, vantage: VantagePoint, target: Addr) -> list[float]:
         """RTT samples in ms; empty when the vantage got no reply."""
@@ -193,19 +191,20 @@ class SyntheticWorld:
 
 class SimulateBackend(Backend):
     """Measures in a SyntheticWorld. unknown_targets counts the measurements
-    of targets the world has no location for; each raises UnknownTarget."""
+    of targets the world has no location for; each gets no reply."""
 
     def __init__(self, world: SyntheticWorld):
         self.world = world
         self.unknown_targets = 0
 
-    def measure_target(self, target: Addr,
-                       vantages: Sequence[VantagePoint]) -> dict[str, list[float]]:
-        try:
-            return self.world.rtts_by_vantage(target, vantages)
-        except UnknownTarget:
-            self.unknown_targets += 1
-            raise
+    def measure_targets(self, jobs: Iterable[Job]) -> Iterator[dict[str, list[float]]]:
+        for target, vantages in jobs:
+            try:
+                replies = self.world.rtts_by_vantage(target, vantages)
+            except UnknownTarget:
+                self.unknown_targets += 1
+                replies = {}
+            yield replies
 
 
 class ReplayBackend(Backend):
@@ -225,11 +224,11 @@ class ReplayBackend(Backend):
             replies[res.vantage_id] = res.rtts_ms
         self.misses = 0
 
-    def measure_target(self, target: Addr,
-                       vantages: Sequence[VantagePoint]) -> dict[str, tuple[float, ...]]:
-        archived = self._index.get(target, {})
-        self.misses += sum(v.id not in archived for v in vantages)
-        return {v.id: archived[v.id] for v in vantages if v.id in archived}
+    def measure_targets(self, jobs: Iterable[Job]) -> Iterator[dict[str, tuple[float, ...]]]:
+        for target, vantages in jobs:
+            archived = self._index.get(target, {})
+            self.misses += sum(v.id not in archived for v in vantages)
+            yield {v.id: archived[v.id] for v in vantages if v.id in archived}
 
 
 class LiveBackend(Backend):

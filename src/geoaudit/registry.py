@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from importlib import resources
 from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
-from .errors import InvertedRange, MalformedPrefix, MixedFamily, UnknownCountry
+from .errors import GeoAuditError, InvertedRange, MalformedPrefix, MixedFamily, UnknownCountry
 
 Prefix = ipaddress.IPv4Network | ipaddress.IPv6Network
 Addr = ipaddress.IPv4Address | ipaddress.IPv6Address
@@ -104,14 +104,12 @@ def address_sort_key(addr: Addr) -> tuple[int, int]:
     return (addr.version, int(addr))
 
 
-def range_to_cidrs(start: Addr | str, end: Addr | str) -> list[Prefix]:
+def range_to_cidrs(lo: Addr, hi: Addr) -> list[Prefix]:
     """Split an inclusive address range into the minimal list of CIDR blocks.
 
     The result covers the range exactly, in address order, and no two
     adjacent blocks can be merged into a larger legal block.
     """
-    lo = parse_address(start) if isinstance(start, str) else start
-    hi = parse_address(end) if isinstance(end, str) else end
     if lo.version != hi.version:
         raise MixedFamily(f"range mixes IPv{lo.version} and IPv{hi.version}")
     if int(lo) > int(hi):
@@ -193,11 +191,12 @@ def load_jsonl(from_json: Callable[[Mapping], T], fp: IO[str]) -> list[T]:
     """Decode every non-blank line with from_json.
 
     Each line goes straight to the C scanner behind json.loads; a line it
-    does not read as exactly one value is handed to json.loads, which raises
-    the usual ValueError."""
+    does not read as exactly one value is handed to json.loads. A line that
+    is not JSON, or that from_json cannot read, raises ValueError naming
+    its number."""
     scan = json.JSONDecoder().scan_once
     out = []
-    for line in fp:
+    for n, line in enumerate(fp, 1):
         text = line.strip(_JSON_SPACE)  # the whitespace json.loads skips
         if not text or text.isspace():  # blank, as str.strip sees it
             continue
@@ -205,9 +204,13 @@ def load_jsonl(from_json: Callable[[Mapping], T], fp: IO[str]) -> list[T]:
             obj, end = scan(text, 0)
         except (StopIteration, ValueError):
             end = -1
-        if end != len(text):
-            obj = json.loads(line)
-        out.append(from_json(obj))
+        try:
+            if end != len(text):
+                obj = json.loads(line)
+            out.append(from_json(obj))
+        except (GeoAuditError, AttributeError, KeyError, TypeError, ValueError) as exc:
+            what = f"no {exc}" if isinstance(exc, KeyError) else exc
+            raise ValueError(f"line {n}: {what}") from None
     return out
 
 

@@ -14,6 +14,7 @@ import pytest
 
 from geoaudit import classify, cli, measure, whois
 from geoaudit.errors import BackendUnavailable
+from geoaudit.registry import DEFAULT_PROPAGATION_FACTOR
 
 from conftest import LIVE_ARGV, audit_argv, build_campaign, serve_campaign, write_campaign
 
@@ -203,11 +204,12 @@ def test_audit_capture_orders_a_target_planned_twice(small_campaign, monkeypatch
 
     calls = []
 
-    def numbered(self, target, vantages):  # each measurement tells when it was made
-        calls.append(target)
-        return {v.id: [float(len(calls))] for v in vantages}
+    def numbered(self, jobs):  # each measurement tells when it was made
+        for target, vantages in jobs:
+            calls.append(target)
+            yield {v.id: [float(len(calls))] for v in vantages}
 
-    monkeypatch.setattr(measure.SimulateBackend, "measure_target", numbered)
+    monkeypatch.setattr(measure.SimulateBackend, "measure_targets", numbered)
     capture = tmp_path / "capture.jsonl"
     argv = audit_argv(paths, str(tmp_path / "audit.jsonl"),
                       extra=["--plans", str(plans_path), "--capture-results", str(capture)])
@@ -351,6 +353,75 @@ def test_backend_without_its_input_exits_2(small_campaign, capsys, backend, need
     assert run(argv) == 2
     assert f"{backend} backend needs {needs}" in capsys.readouterr().err
     assert not captured.exists() and not out.exists()
+
+
+MALFORMED_LINE = [
+    ("results", "rtts_ms", [None]),
+    ("results", "rtts_ms", 5),
+    ("results", "rtts_ms", [True]),  # float() would read it as 1 ms
+    ("results", "rtts_ms", ["12"]),
+    ("results", "target", 5),
+    ("vantages.jsonl", "lat", None),
+    ("registrations.jsonl", "prefix", 5),
+]
+
+
+@pytest.mark.parametrize("name, key, value", MALFORMED_LINE)
+def test_malformed_jsonl_input_exits_2_naming_file_and_line(small_campaign, capsys,
+                                                           name, key, value):
+    camp, paths, tmp_path = small_campaign
+    extra = []
+    if name == "results":
+        paths = {**paths, name: str(tmp_path / "results.jsonl")}
+        assert run(audit_argv(paths, str(tmp_path / "sim.jsonl"),
+                              extra=["--capture-results", paths[name]])) == 0
+        extra = ["--backend", "replay", "--results", paths[name]]
+    lines = Path(paths[name]).read_text().splitlines(keepends=True)
+    row = json.loads(lines[2])
+    row[key] = value
+    lines[2] = json.dumps(row) + "\n"
+    Path(paths[name]).write_text("".join(lines))
+    captured, out = tmp_path / "captured.jsonl", tmp_path / "audit.jsonl"
+    capsys.readouterr()
+    assert run(audit_argv(paths, str(out), extra=extra + ["--capture-results", str(captured)])) == 2
+    assert f"geoaudit: {paths[name]}: line 3: " in capsys.readouterr().err
+    assert not captured.exists() and not out.exists()
+
+
+def test_world_without_a_target_location_exits_2(small_campaign, capsys):
+    camp, paths, tmp_path = small_campaign
+    world = json.loads(Path(paths["world.json"]).read_text())
+    world["targets"][next(iter(world["targets"]))] = None
+    Path(paths["world.json"]).write_text(json.dumps(world))
+    captured, out = tmp_path / "captured.jsonl", tmp_path / "audit.jsonl"
+    capsys.readouterr()
+    assert run(audit_argv(paths, str(out), extra=["--capture-results", str(captured)])) == 2
+    assert f"geoaudit: {paths['world.json']}: " in capsys.readouterr().err
+    assert not captured.exists() and not out.exists()
+
+
+@pytest.mark.parametrize("source", ["env", "file"])
+def test_plan_resolves_only_its_own_settings(small_campaign, capsys, monkeypatch, source):
+    camp, paths, tmp_path = small_campaign
+    plan = ["plan", "--registrations", paths["registrations.jsonl"],
+            "--hitlist-v4", paths["hitlist_v4.csv"], "-o", str(tmp_path / "plans.jsonl")]
+    audit_only = {"concurrency": "0", "propagation_factor": "2", "tag": "t"}
+    if source == "env":
+        for name, value in audit_only.items():
+            monkeypatch.setenv(f"GEOAUDIT_{name.upper()}", value)
+    else:
+        cfg = tmp_path / "geoaudit.ini"
+        cfg.write_text("[geoaudit]\n" + "".join(f"{k} = {v}\n" for k, v in audit_only.items()))
+        plan += ["--config", str(cfg)]
+    assert run(plan) == 0
+    config = cli.resolve_config(cli.build_parser().parse_args(plan))
+    assert (config.concurrency, config.propagation_factor, config.tag) == (
+        1, DEFAULT_PROPAGATION_FACTOR, "")
+    # a setting plan does read is still checked
+    monkeypatch.setenv("GEOAUDIT_SAMPLE_FRACTION_V4", "1.5")
+    capsys.readouterr()
+    assert run(plan) == 2
+    assert "sample_fraction_v4 from GEOAUDIT_SAMPLE_FRACTION_V4 is 1.5" in capsys.readouterr().err
 
 
 def test_plan_needs_plans_or_registrations(tmp_path, capsys):
@@ -645,6 +716,10 @@ def test_exit_code_2_on_missing_and_malformed_input(tmp_path, capsys):
     bad = tmp_path / "bad.gz"
     bad.write_bytes(b"\x1f\x8b\x08" + b"not really gzip")
     assert run(["oro", "--registrations", str(bad)]) == 2
+    bad.write_bytes(b"\x1f\x8b\x09" + b"not deflate at all")  # an unknown compression method
+    capsys.readouterr()
+    assert run(["oro", "--registrations", str(bad)]) == 2
+    assert f"geoaudit: {bad}: " in capsys.readouterr().err
 
     # replay backend without an archive is a configuration problem
     regs = tmp_path / "r.jsonl"
@@ -713,6 +788,17 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text", ["seed = 7\n", "[geoaudit]\nseed = 7\nseed = 8\n",
+                                  "[geoaudit]\nseed\n"])
+def test_malformed_config_file_exits_2(tmp_path, capsys, text):
+    cfg = tmp_path / "geoaudit.ini"
+    cfg.write_text(text)
+    out = tmp_path / "out.jsonl"
+    assert run(["plan", "--config", str(cfg), "--plans", os.devnull, "-o", str(out)]) == 2
+    assert f"geoaudit: {cfg}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_readme_lists_every_setting():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
     section = readme.split("## Configuration", 1)[1].split("\n## ", 1)[0]
@@ -735,13 +821,13 @@ def test_audit_uses_bundled_data_by_default(small_campaign):
     assert len(records) == len(camp.expected)
 
 
-def python_in_subprocess(code: str, *args: str) -> str:
-    """Run code in a fresh interpreter that finds this checkout's package;
-    returns its stdout."""
+def python_in_subprocess(code: str, *args: str, **env: str) -> str:
+    """Run code in a fresh interpreter that finds this checkout's package,
+    with env added to the environment; returns its stdout."""
     src = str(Path(cli.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path}, timeout=60, check=True)
+                          env={**os.environ, "PYTHONPATH": path, **env}, timeout=60, check=True)
     return done.stdout
 
 
@@ -776,6 +862,31 @@ def test_each_command_imports_only_the_stages_it_runs(small_campaign):
         assert code == 0, name
         assert not {f"geoaudit.{stage}" for stage in unused} & set(modules), name
         assert "concurrent.futures" not in modules, name
+
+
+def test_outputs_are_byte_identical_across_hash_seeds(small_campaign):
+    """Two processes with different string hashes write the same bytes, so no
+    set or dict order keyed by a string leaks into an output."""
+    camp, paths, tmp_path = small_campaign
+    (tmp_path / "arin.txt").write_text(ARIN_DUMP)
+    (tmp_path / "ripe.txt").write_text(RIPE_DUMP)
+    written = []
+    for hash_seed in ("1", "2"):
+        out = tmp_path / f"hash-{hash_seed}"
+        out.mkdir()
+        commands = [
+            ["ingest", "--arin", str(tmp_path / "arin.txt"), "--ripe", str(tmp_path / "ripe.txt"),
+             "-o", str(out / "registrations.jsonl")],
+            audit_argv(paths, str(out / "audit.jsonl"),
+                       extra=["--capture-results", str(out / "results.jsonl")]),
+        ]
+        for argv in commands:
+            stdout = python_in_subprocess(RUN_AND_LIST_MODULES, *argv, PYTHONHASHSEED=hash_seed)
+            assert json.loads(stdout.splitlines()[-1])[0] == 0
+        written.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert sorted(written[0]) == ["audit.jsonl", "registrations.jsonl", "results.jsonl"]
+    assert all(written[0].values())
+    assert written[0] == written[1]
 
 
 def test_importing_the_package_loads_no_stage():

@@ -9,7 +9,6 @@ from geoaudit.geo import (
     GeoConfig,
     check_point_coverage,
     default_country_points,
-    feasible_countries,
     feasible_rirs,
     haversine_km,
     infer_region,
@@ -94,35 +93,45 @@ POINTS = {
 SMALL_MAP = RegionMap({"US": Rir.ARIN, "CA": Rir.ARIN, "DE": Rir.RIPE, "JP": Rir.APNIC})
 
 
+def feasible(config, lat, lon, radius_km, vantage_country=None, region_map=SMALL_MAP):
+    """The feasible countries of a disk, through config.nearest as infer_region
+    reaches them; checks that the registries are theirs."""
+    table = config.nearest(lat, lon)
+    countries, rirs = table.region(table.cut(radius_km), vantage_country, region_map)
+    assert rirs == feasible_rirs(countries, region_map)
+    return countries
+
+
 def test_feasible_countries_by_radius():
     config = GeoConfig(country_points=POINTS)
     # 1 degree of latitude from the US point: ~222 km to US, ~222+ to CA
-    got = feasible_countries(40.0, -100.0, 100.0, config)
+    got = feasible(config, 40.0, -100.0, 100.0)
     assert got == frozenset({"US"})
-    got = feasible_countries(40.0, -100.0, 250.0, config)
+    got = feasible(config, 40.0, -100.0, 250.0)
     assert got == frozenset({"US", "CA"})
-    got = feasible_countries(40.0, -100.0, 20000.0, config)
+    got = feasible(config, 40.0, -100.0, 20000.0)
     assert got == frozenset({"US", "CA", "DE", "JP"})
 
 
 def test_feasible_countries_always_include_vantage_country():
     config = GeoConfig(country_points=POINTS)
     # zero radius, vantage far from every representative point
-    got = feasible_countries(30.0, -80.0, 0.0, config, vantage_country="US")
+    got = feasible(config, 30.0, -80.0, 0.0, vantage_country="US")
     assert got == frozenset({"US"})
     # even a country with no representative point at all
-    got = feasible_countries(30.0, -80.0, 0.0, config, vantage_country="BM")
+    got = feasible(config, 30.0, -80.0, 0.0, vantage_country="BM")
     assert got == frozenset({"BM"})
 
 
 def test_feasible_countries_monotone_in_radius():
     config = GeoConfig(country_points=default_country_points())
+    region_map = default_region_map()
     rng = random.Random(4003)
     for _ in range(20):
         lat, lon = rng.uniform(-60, 70), rng.uniform(-180, 180)
         prev = frozenset()
         for radius in (0.0, 500.0, 2000.0, 8000.0, 21000.0):
-            cur = feasible_countries(lat, lon, radius, config)
+            cur = feasible(config, lat, lon, radius, region_map=region_map)
             assert prev <= cur
             prev = cur
 
@@ -138,6 +147,7 @@ def scan_feasible(distances, radius_km, vantage_country=None):
 
 def test_feasible_countries_match_a_scan_of_every_point():
     points = default_country_points()
+    region_map = default_region_map()
     config = GeoConfig(country_points=points)  # one config, so its tables are reused
     rng = random.Random(4005)
     locations = [(rng.uniform(-90, 90), rng.uniform(-180, 180)) for _ in range(200)]
@@ -158,7 +168,7 @@ def test_feasible_countries_match_a_scan_of_every_point():
         else:
             radius = rng.uniform(0.0, 21000.0)
         vantage_country = rng.choice(countries) if i % 2 else None
-        got = feasible_countries(lat, lon, radius, config, vantage_country)
+        got = feasible(config, lat, lon, radius, vantage_country, region_map)
         assert got == scan_feasible(distances[k], radius, vantage_country), (lat, lon, radius)
 
 

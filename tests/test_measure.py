@@ -180,6 +180,16 @@ def test_results_codec_writes_the_generic_bytes():
     assert out.getvalue() == "".join(json.dumps(r.to_json(), sort_keys=True) + "\n" for r in odd)
 
 
+def test_load_results_reads_only_json_numbers():
+    good = '{"rtts_ms": [5, 2.5], "target": "192.0.2.1", "timestamp": 0.0, "vantage_id": "v-1"}\n'
+    loaded = load_results(io.StringIO(good))
+    assert [type(x) for x in loaded[0].rtts_ms] == [float, float]
+    assert loaded[0].rtts_ms == (5.0, 2.5)
+    for bad in ("[true]", '["12"]', "[null]", "[[1]]", "5", '"5"', "{}", "null"):
+        with pytest.raises(ValueError, match="^line 2: "):
+            load_results(io.StringIO(good + good.replace("[5, 2.5]", bad)))
+
+
 def test_replay_backend():
     res = MeasurementResult("v-1", parse_address("192.0.2.1"), (7.0, 8.0))
     backend = ReplayBackend([res])
@@ -187,10 +197,13 @@ def test_replay_backend():
     assert backend.misses == 0
     assert backend.measure(vp("v-2"), parse_address("192.0.2.1")) == []  # a gap: no reply
     assert backend.misses == 1
-    replies = backend.measure_target(parse_address("192.0.2.1"), [vp("v-1"), vp("v-2"), vp("v-3")])
-    assert replies == {"v-1": (7.0, 8.0)}
+    replies = backend.measure_targets([
+        (parse_address("192.0.2.1"), [vp("v-1"), vp("v-2"), vp("v-3")]),
+        (parse_address("192.0.2.2"), [vp("v-1")]),
+    ])
+    assert next(replies) == {"v-1": (7.0, 8.0)}
     assert backend.misses == 3
-    assert backend.measure_target(parse_address("192.0.2.2"), [vp("v-1")]) == {}
+    assert next(replies) == {}
     assert backend.misses == 4
 
 
@@ -247,9 +260,10 @@ class Numbered(Backend):
     def __init__(self, seed):
         self.rng = random.Random(seed)
 
-    def measure_target(self, target, vantages):
-        return {v.id: [self.rng.uniform(0, 100) for _ in range(self.rng.randint(1, 4))]
-                for v in vantages if self.rng.random() < 0.8}
+    def measure_targets(self, jobs):
+        for _, vantages in jobs:
+            yield {v.id: [self.rng.uniform(0, 100) for _ in range(self.rng.randint(1, 4))]
+                   for v in vantages if self.rng.random() < 0.8}
 
 
 def test_run_plan_orders_like_a_stable_sort_of_its_pairs():
@@ -268,7 +282,7 @@ def test_run_plan_orders_like_a_stable_sort_of_its_pairs():
         reference = Numbered(case)
         want = []
         for target in targets:
-            replies = reference.measure_target(target, vantages)
+            replies = next(reference.measure_targets([(target, vantages)]))
             want += sorted((MeasurementResult(v.id, target,
                                               tuple(replies.get(v.id, ())[:SAMPLES_PER_PAIR]))
                             for v in vantages), key=lambda r: r.vantage_id)
