@@ -31,10 +31,9 @@ from .registry import (
     RegionMap,
     Registration,
     Rir,
-    parse_address,
-    parse_prefix,
     load_jsonl,
     prefix_sort_key,
+    record,
     write_jsonl,
 )
 from .targets import TargetPlan
@@ -90,6 +89,7 @@ def classify_one(
     return ConsistencyClass.FI
 
 
+@record
 @dataclass(frozen=True)
 class TargetOutcome:
     target: Addr
@@ -101,19 +101,8 @@ class TargetOutcome:
     rirs: frozenset[Rir] = frozenset()
     cls: ConsistencyClass | None = None
 
-    def to_json(self) -> dict:
-        return {
-            "target": str(self.target),
-            "responded": self.responded,
-            "vantage_id": self.vantage_id,
-            "vantage_country": self.vantage_country,
-            "min_rtt_ms": self.min_rtt_ms,
-            "radius_km": self.radius_km,
-            "rirs": sorted(r.value for r in self.rirs),
-            "class": self.cls.value if self.cls else None,
-        }
 
-
+@record
 @dataclass(frozen=True)
 class ConsistencyRecord:
     """One row of audit output: exactly one of cls / filter_reason is set."""
@@ -127,46 +116,6 @@ class ConsistencyRecord:
     filter_reason: FilterReason | None = None
     flags: tuple[str, ...] = ()
     targets: tuple[TargetOutcome, ...] = ()
-
-    def to_json(self) -> dict:
-        return {
-            "prefix": str(self.prefix),
-            "rir_reg": self.rir_reg.value,
-            "rir_org": self.rir_org.value if self.rir_org else None,
-            "org_country": self.org_country,
-            "rir_geo": sorted(r.value for r in self.rir_geo),
-            "class": self.cls.value if self.cls else None,
-            "filter_reason": self.filter_reason.value if self.filter_reason else None,
-            "flags": list(self.flags),
-            "targets": [t.to_json() for t in self.targets],
-        }
-
-    @classmethod
-    def from_json(cls, obj: Mapping) -> "ConsistencyRecord":
-        targets = tuple(
-            TargetOutcome(
-                target=parse_address(t["target"]),
-                responded=t["responded"],
-                vantage_id=t.get("vantage_id"),
-                vantage_country=t.get("vantage_country"),
-                min_rtt_ms=t.get("min_rtt_ms"),
-                radius_km=t.get("radius_km"),
-                rirs=frozenset(Rir(r) for r in t.get("rirs", ())),
-                cls=ConsistencyClass(t["class"]) if t.get("class") else None,
-            )
-            for t in obj.get("targets", ())
-        )
-        return cls(
-            prefix=parse_prefix(obj["prefix"]),
-            rir_reg=Rir(obj["rir_reg"]),
-            rir_org=Rir(obj["rir_org"]) if obj.get("rir_org") else None,
-            org_country=obj.get("org_country"),
-            rir_geo=frozenset(Rir(r) for r in obj.get("rir_geo", ())),
-            cls=ConsistencyClass(obj["class"]) if obj.get("class") else None,
-            filter_reason=FilterReason(obj["filter_reason"]) if obj.get("filter_reason") else None,
-            flags=tuple(obj.get("flags", ())),
-            targets=targets,
-        )
 
 
 def write_records(records: Iterable[ConsistencyRecord], fp: IO[str]) -> int:

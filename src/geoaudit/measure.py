@@ -38,6 +38,12 @@ Job = tuple[Addr, Sequence[VantagePoint]]  # a target and the vantages that meas
 _FLOAT = frozenset((float,))  # what json reads a capture's samples as: from_json's fast path
 
 
+def _vantage_id(value) -> str:
+    if type(value) is not str:  # str() would read null as the vantage "None"
+        raise ValueError(f"vantage_id {value!r} is not a string")
+    return value
+
+
 @dataclass(frozen=True, slots=True)
 class MeasurementResult:
     vantage_id: str
@@ -55,7 +61,7 @@ class MeasurementResult:
 
     @classmethod
     def from_json(cls, obj: Mapping, parse: Callable[[str], Addr] = parse_address,
-                  name: Callable[[object], str] = str) -> "MeasurementResult":
+                  name: Callable[[object], str] = _vantage_id) -> "MeasurementResult":
         rtts = obj["rtts_ms"]
         if type(rtts) is not list:
             raise ValueError(f"rtts_ms {rtts!r} is not a list")
@@ -100,7 +106,7 @@ def write_results(results: Iterable[MeasurementResult], fp: IO[str]) -> int:
 def load_results(fp: IO[str]) -> list[MeasurementResult]:
     """Results for the same target share one address object, and results
     from the same vantage one id string."""
-    parse, name = functools.cache(parse_address), functools.cache(str)
+    parse, name = functools.cache(parse_address), functools.cache(_vantage_id)
     return load_jsonl(lambda obj: MeasurementResult.from_json(obj, parse, name), fp)
 
 

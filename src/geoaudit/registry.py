@@ -1,5 +1,5 @@
 """Core registry domain types: RIRs, prefixes, registrations, the region map,
-the file codecs every stage shares, and out-of-region organization counts.
+the shared record codec, and out-of-region organization counts.
 
 Prefixes are plain ipaddress network objects (IPv4Network / IPv6Network),
 always in canonical form: parsing rejects anything with host bits set.
@@ -8,12 +8,17 @@ always in canonical form: parsing rejects anything with host bits set.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import datetime
 import enum
+import functools
 import gzip
 import io
 import ipaddress
 import json
+import operator
+import types
+import typing
 from dataclasses import dataclass, replace
 from importlib import resources
 from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
@@ -128,49 +133,6 @@ def is_country_code(text: str) -> bool:
     return len(text) == 2 and text.isalpha() and text.isascii() and text == text.upper()
 
 
-@dataclass(frozen=True)
-class Registration:
-    """One registered block from a bulk WHOIS dump, reduced to the fields
-    the audit needs."""
-
-    prefix: Prefix
-    rir: Rir
-    org_id: str | None = None
-    org_country: str | None = None
-    status: Status = Status.LEGACY_OR_UNKNOWN
-    last_updated: datetime.date | None = None
-    flags: tuple[str, ...] = ()
-
-    def with_flag(self, flag: str) -> "Registration":
-        if flag in self.flags:
-            return self
-        return replace(self, flags=self.flags + (flag,))
-
-    def to_json(self) -> dict:
-        return {
-            "prefix": str(self.prefix),
-            "rir": self.rir.value,
-            "org_country": self.org_country,
-            "org_id": self.org_id,
-            "status": self.status.value,
-            "last_updated": self.last_updated.isoformat() if self.last_updated else None,
-            "flags": list(self.flags),
-        }
-
-    @classmethod
-    def from_json(cls, obj: Mapping) -> "Registration":
-        raw_date = obj.get("last_updated")
-        return cls(
-            prefix=parse_prefix(obj["prefix"]),
-            rir=Rir(obj["rir"]),
-            org_id=obj.get("org_id"),
-            org_country=obj.get("org_country"),
-            status=Status(obj.get("status", "legacy_or_unknown")),
-            last_updated=datetime.date.fromisoformat(raw_date) if raw_date else None,
-            flags=tuple(obj.get("flags", ())),
-        )
-
-
 T = TypeVar("T")
 
 
@@ -212,6 +174,125 @@ def load_jsonl(from_json: Callable[[Mapping], T], fp: IO[str]) -> list[T]:
             what = f"no {exc}" if isinstance(exc, KeyError) else exc
             raise ValueError(f"line {n}: {what}") from None
     return out
+
+
+# The record codec: @record derives a frozen dataclass's to_json and
+# from_json from the annotated type of each field, so each type is spelled
+# one way in every JSONL file. from_json refuses a value of the wrong JSON
+# type instead of converting it; a missing key takes the field's default.
+
+_KEYS = {"cls": "class"}  # fields whose JSON key is not their name
+_JSON_NAMES = {str: "a string", bool: "a boolean", int: "an integer", float: "a number",
+               list: "a list", dict: "an object"}
+
+
+def _exactly(kind: type) -> Callable:
+    """Decode a value of exactly this type as it is: a bool is not an int."""
+    def decode(value):
+        if type(value) is not kind:
+            raise TypeError(f"{value!r} is not {_JSON_NAMES[kind]}")
+        return value
+    return decode
+
+
+_text, _float, _list, _object = _exactly(str), _exactly(float), _exactly(list), _exactly(dict)
+_CODECS = {  # type -> (encode, decode); an encode of None: the value is its own JSON
+    str: (None, _text),
+    bool: (None, _exactly(bool)),
+    int: (None, _exactly(int)),
+    float: (None, lambda v: float(v) if type(v) is int else _float(v)),
+    datetime.date: (datetime.date.isoformat, lambda v: datetime.date.fromisoformat(_text(v))),
+    Prefix: (str, lambda v: parse_prefix(_text(v))),
+    Addr: (str, lambda v: parse_address(_text(v))),
+}
+
+
+def _codec(hint) -> tuple[Callable | None, Callable]:
+    """(encode, decode) for one field type."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType) and type(None) in args:  # X | None
+        inner, decode = _codec(functools.reduce(operator.or_, set(args) - {type(None)}))
+        encode = None if inner is None else lambda v: None if v is None else inner(v)
+        return encode, lambda v: None if v is None else decode(v)
+    if origin is tuple and args[1:] == (...,):
+        inner, decode = _codec(args[0])
+        encode = list if inner is None else lambda v: list(map(inner, v))
+        return encode, lambda v: tuple(map(decode, _list(v)))
+    if origin is frozenset:
+        encode, decode = _codec(args[0])
+        return (lambda v: sorted(map(encode, v))), (lambda v: frozenset(map(decode, _list(v))))
+    if isinstance(hint, enum.EnumMeta):
+        members = {member.value: member for member in hint}
+
+        def decode(value):
+            try:
+                return members[value]
+            except (KeyError, TypeError):  # TypeError: a list or an object
+                raise ValueError(f"{value!r} is not a {hint.__name__}") from None
+        return operator.attrgetter("value"), decode
+    if dataclasses.is_dataclass(hint):
+        return hint.to_json, hint.from_json
+    return _CODECS[hint]
+
+
+def record(cls: type[T]) -> type[T]:
+    """Give a frozen dataclass to_json and from_json, derived from its
+    fields; a ValueError from from_json names the key it refused or missed."""
+    hints = typing.get_type_hints(cls)
+    fields = [(f.name, _KEYS.get(f.name, f.name), *_codec(hints[f.name]),
+               f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING)
+              for f in dataclasses.fields(cls)]
+
+    def to_json(self) -> dict:
+        return {key: getattr(self, name) if encode is None else encode(getattr(self, name))
+                for name, key, encode, _, _ in fields}
+
+    def from_json(obj: Mapping) -> T:
+        _object(obj)
+        values = {}
+        for name, key, _, decode, required in fields:
+            if key in obj:
+                try:
+                    values[name] = decode(obj[key])
+                except (GeoAuditError, TypeError, ValueError) as exc:
+                    raise ValueError(f"{key}: {exc}") from None
+            elif required:
+                raise ValueError(f"no {key!r}")
+        return cls(**values)
+
+    cls.to_json, cls.from_json = to_json, staticmethod(from_json)
+    return cls
+
+
+@record
+@dataclass(frozen=True)
+class Registration:
+    """One registered block from a bulk WHOIS dump, reduced to the fields
+    the audit needs."""
+
+    prefix: Prefix
+    rir: Rir
+    org_id: str | None = None
+    org_country: str | None = None
+    status: Status = Status.LEGACY_OR_UNKNOWN
+    last_updated: datetime.date | None = None
+    flags: tuple[str, ...] = ()
+
+    def with_flag(self, flag: str) -> "Registration":
+        if flag in self.flags:
+            return self
+        return replace(self, flags=self.flags + (flag,))
+
+
+def duplicate_rank(reg: Registration) -> tuple:
+    """Rank of a row among the rows of one prefix; the highest wins. It
+    compares last_updated, then the registry name, org_id and the row's
+    sorted-key JSON without the flag targets.registration_index adds: a
+    total order on content, so the winner never depends on input order."""
+    row = reg.to_json()
+    row["flags"] = [flag for flag in reg.flags if flag != "cross_rir_duplicate"]
+    return (reg.last_updated or datetime.date.min, reg.rir.value, reg.org_id or "",
+            json.dumps(row, sort_keys=True))
 
 
 def open_text(path: str) -> IO[str]:

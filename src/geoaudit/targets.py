@@ -7,23 +7,23 @@ budget stays bounded and no address is probed for two prefixes.
 
 from __future__ import annotations
 
-import datetime
-import json
 import random
 from dataclasses import dataclass
-from typing import IO, Iterable, Mapping
+from typing import IO, Iterable
 
 from .index import PrefixIndex
 from .registry import (
     Addr,
     Prefix,
     Registration,
+    duplicate_rank,
     load_jsonl,
     parse_address,
     parse_prefix,
     prefix_sort_key,
     read_csv,
     read_tokens,
+    record,
     write_jsonl,
 )
 
@@ -68,6 +68,7 @@ def exclude_aliased(
     return kept, dropped
 
 
+@record
 @dataclass(frozen=True)
 class TargetPlan:
     registration: Registration
@@ -76,19 +77,6 @@ class TargetPlan:
     @property
     def prefix(self) -> Prefix:
         return self.registration.prefix
-
-    def to_json(self) -> dict:
-        return {
-            "registration": self.registration.to_json(),
-            "targets": [str(t) for t in self.targets],
-        }
-
-    @classmethod
-    def from_json(cls, obj: Mapping) -> "TargetPlan":
-        return cls(
-            registration=Registration.from_json(obj["registration"]),
-            targets=tuple(parse_address(t) for t in obj["targets"]),
-        )
 
 
 def write_plans(plans: Iterable[TargetPlan], fp: IO[str]) -> int:
@@ -99,20 +87,9 @@ def load_plans(fp: IO[str]) -> list[TargetPlan]:
     return load_jsonl(TargetPlan.from_json, fp)
 
 
-def _duplicate_rank(reg: Registration) -> tuple:
-    """Rank of a row among the rows of one prefix; the highest wins. It
-    compares last_updated, then the registry name, org_id and the row's
-    sorted-key JSON without the flag registration_index adds: a total order
-    on content, so the winner never depends on input order."""
-    row = reg.to_json()
-    row["flags"] = [flag for flag in reg.flags if flag != "cross_rir_duplicate"]
-    return (reg.last_updated or datetime.date.min, reg.rir.value, reg.org_id or "",
-            json.dumps(row, sort_keys=True))
-
-
 def registration_index(regs: Iterable[Registration]) -> PrefixIndex:
     """Index registrations by prefix, both families. When two rows carry the
-    same prefix, the highest _duplicate_rank wins, most recently updated
+    same prefix, the highest duplicate_rank wins, most recently updated
     first; the survivor is flagged."""
     by_prefix: dict[Prefix, Registration] = {}
     for reg in regs:
@@ -120,7 +97,7 @@ def registration_index(regs: Iterable[Registration]) -> PrefixIndex:
         if old is None:
             by_prefix[reg.prefix] = reg
             continue
-        winner = reg if _duplicate_rank(reg) > _duplicate_rank(old) else old
+        winner = reg if duplicate_rank(reg) > duplicate_rank(old) else old
         by_prefix[reg.prefix] = winner.with_flag("cross_rir_duplicate")
     return PrefixIndex(by_prefix.items())
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, Iterable, Sequence
 
 from .registry import (
     Prefix,
@@ -20,6 +20,7 @@ from .registry import (
     load_jsonl,
     read_csv,
     read_tokens,
+    record,
 )
 
 REGIONAL_PICKS = 3
@@ -27,27 +28,19 @@ COUNTRY_PICKS = 5
 STABLE_SET_CAP = 10
 
 
+@record
 @dataclass(frozen=True)
 class VantagePoint:
     id: str
-    kind: str  # "anchor" or "probe"
     country: str
     lat: float
     lon: float
+    kind: str = "probe"  # or "anchor"
     asn: int | None = None
     connected: bool = True
 
-    @classmethod
-    def from_json(cls, obj: Mapping) -> "VantagePoint":
-        return cls(
-            id=str(obj["id"]),
-            kind=obj.get("kind", "probe"),
-            country=obj["country"].strip().upper(),
-            lat=float(obj["lat"]),
-            lon=float(obj["lon"]),
-            asn=obj.get("asn"),
-            connected=bool(obj.get("connected", True)),
-        )
+    def __post_init__(self):
+        object.__setattr__(self, "country", self.country.strip().upper())
 
 
 def load_vantages(fp: IO[str]) -> list[VantagePoint]:

@@ -13,7 +13,7 @@ import dataclasses
 import datetime
 import gzip
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from typing import IO, Iterable, Iterator
 
@@ -23,6 +23,7 @@ from .registry import (
     Registration,
     Rir,
     Status,
+    duplicate_rank,
     is_country_code,
     open_text,  # callers still reach it as whois.open_text
     parse_address,
@@ -212,7 +213,6 @@ class IngestReport:
     unresolved_orgs: int = 0
     circular_refs_dropped: int = 0
     transfers_dropped: int = 0
-    status_variants_seen: dict[str, str] = field(default_factory=dict)
 
     def check_identity(self) -> bool:
         produced = (
@@ -274,7 +274,8 @@ def parse_bulk_whois(
     """Parse one registry dump into registrations plus {org_id: country or None}.
 
     Within a dump, duplicate records for the same prefix collapse to the
-    most recently updated one (ties: lexicographically larger org_id wins).
+    one with the highest registry.duplicate_rank: the most recently updated,
+    then the larger org_id, then the larger content, whatever the line order.
     """
     dialect = dialect_for(rir, dialects)
     report = IngestReport(rir=rir)
@@ -298,10 +299,7 @@ def parse_bulk_whois(
                 report.non_cidr_ranges_split += 1
                 report.split_extra_blocks += len(blocks) - 1
 
-            raw_status = rec.first(dialect.status_keys)
-            status = normalize_status(raw_status)
-            if raw_status:
-                report.status_variants_seen.setdefault(raw_status, status.value)
+            status = normalize_status(rec.first(dialect.status_keys))
 
             org_ref = rec.first(dialect.org_ref_keys)
             country = _country(rec.first(dialect.country_keys))
@@ -332,19 +330,13 @@ def parse_bulk_whois(
             report.org_records_read += 1
             orgs[rec.first(dialect.org_id_keys)] = _country(rec.first(dialect.org_country_keys))
 
-    # collapse duplicate prefixes: newest last_updated wins, then larger org_id
+    # collapse duplicate prefixes: the highest duplicate_rank wins
     best: dict[tuple, Registration] = {}
     for reg in provisional:
         key = prefix_sort_key(reg.prefix)
-        old = best.get(key)
-        if old is None:
+        if key not in best or duplicate_rank(reg) > duplicate_rank(best[key]):
             best[key] = reg
-            continue
-        report.duplicates_dropped += 1
-        old_rank = (old.last_updated or datetime.date.min, old.org_id or "")
-        new_rank = (reg.last_updated or datetime.date.min, reg.org_id or "")
-        if new_rank > old_rank:
-            best[key] = reg
+    report.duplicates_dropped = len(provisional) - len(best)
 
     emitted = sorted(best.values(), key=lambda r: prefix_sort_key(r.prefix))
     report.registrations_emitted = len(emitted)

@@ -31,6 +31,7 @@ from geoaudit.registry import (
     RegionMap,
     Registration,
     Rir,
+    Status,
     load_region_map,
     parse_prefix,
     range_to_cidrs,
@@ -43,7 +44,7 @@ from geoaudit.report import (
     oro_stats,
 )
 from geoaudit.vantage import load_vantages
-from geoaudit.whois import drop_circular_transfers, parse_bulk_whois
+from geoaudit.whois import drop_circular_transfers, normalize_status, parse_bulk_whois
 
 from conftest import (
     CLUSTERS,
@@ -445,14 +446,14 @@ def test_criterion_07_whois_ingestion():
         assert ripe_report.check_identity()
         assert apnic_report.check_identity()
 
-        spellings = set(report.status_variants_seen)
-        spellings |= set(ripe_report.status_variants_seen)
-        spellings |= set(apnic_report.status_variants_seen)
-        assert spellings >= {
-            "Direct Allocation", "Direct Assignment", "Reassignment",
-            "ALLOCATED PA", "ASSIGNED PI", "ALLOCATED-BY-RIR", "LEGACY",
-            "ASSIGNEd NON-PORTABLE", "ALLOCATED PORTABLE",
-        }
+        A, S, L = Status.ALLOCATED, Status.ASSIGNED, Status.LEGACY_OR_UNKNOWN
+        for spelling, status in {
+            "Direct Allocation": A, "Direct Assignment": S, "Reassignment": S,
+            "ALLOCATED PA": A, "ASSIGNED PI": S, "ALLOCATED-BY-RIR": A, "LEGACY": L,
+            "ASSIGNEd NON-PORTABLE": S, "ALLOCATED PORTABLE": A,
+        }.items():
+            assert spelling in ARIN_DUMP + RIPE_DUMP + APNIC_DUMP
+            assert normalize_status(spelling) is status, spelling
 
         kept, circular, transferred = drop_circular_transfers(
             {Rir.ARIN: regs, Rir.RIPE: ripe_regs})

@@ -361,8 +361,17 @@ MALFORMED_LINE = [
     ("results", "rtts_ms", [True]),  # float() would read it as 1 ms
     ("results", "rtts_ms", ["12"]),
     ("results", "target", 5),
+    ("results", "vantage_id", None),  # str() would read it as the vantage "None"
     ("vantages.jsonl", "lat", None),
+    ("vantages.jsonl", "lat", "12"),
+    ("vantages.jsonl", "connected", "false"),  # bool() would read it as connected
+    ("vantages.jsonl", "id", None),
+    ("vantages.jsonl", "id", 5),
+    ("vantages.jsonl", "asn", "x"),
     ("registrations.jsonl", "prefix", 5),
+    ("registrations.jsonl", "flags", "ab"),  # tuple() would read it as ("a", "b")
+    ("registrations.jsonl", "org_country", 5),
+    ("audit.jsonl", "responded", "false"),  # a target's, read by report
 ]
 
 
@@ -370,20 +379,25 @@ MALFORMED_LINE = [
 def test_malformed_jsonl_input_exits_2_naming_file_and_line(small_campaign, capsys,
                                                            name, key, value):
     camp, paths, tmp_path = small_campaign
-    extra = []
+    captured, out = tmp_path / "captured.jsonl", tmp_path / "out"
+    argv = audit_argv(paths, str(out), extra=["--capture-results", str(captured)])
     if name == "results":
         paths = {**paths, name: str(tmp_path / "results.jsonl")}
         assert run(audit_argv(paths, str(tmp_path / "sim.jsonl"),
                               extra=["--capture-results", paths[name]])) == 0
-        extra = ["--backend", "replay", "--results", paths[name]]
+        argv += ["--backend", "replay", "--results", paths[name]]
+    if name == "audit.jsonl":
+        paths = {**paths, name: str(tmp_path / "audit.jsonl")}
+        assert run(audit_argv(paths, paths[name])) == 0
+        argv = ["report", "--audit", paths[name], "--region-map", paths["region_map.csv"],
+                "--out-dir", str(out)]
     lines = Path(paths[name]).read_text().splitlines(keepends=True)
     row = json.loads(lines[2])
-    row[key] = value
+    (row["targets"][0] if name == "audit.jsonl" else row)[key] = value
     lines[2] = json.dumps(row) + "\n"
     Path(paths[name]).write_text("".join(lines))
-    captured, out = tmp_path / "captured.jsonl", tmp_path / "audit.jsonl"
     capsys.readouterr()
-    assert run(audit_argv(paths, str(out), extra=extra + ["--capture-results", str(captured)])) == 2
+    assert run(argv) == 2
     assert f"geoaudit: {paths[name]}: line 3: " in capsys.readouterr().err
     assert not captured.exists() and not out.exists()
 

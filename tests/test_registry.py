@@ -1,3 +1,4 @@
+import dataclasses
 import datetime
 import io
 import ipaddress
@@ -8,6 +9,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from geoaudit.classify import ConsistencyClass, ConsistencyRecord, FilterReason, TargetOutcome
 from geoaudit.errors import InvertedRange, MalformedPrefix, MixedFamily, UnknownCountry
 from geoaudit.registry import (
     OFFICIAL_COUNTRY_COUNTS,
@@ -29,6 +31,8 @@ from geoaudit.registry import (
     write_jsonl,
     write_registrations,
 )
+from geoaudit.targets import TargetPlan
+from geoaudit.vantage import VantagePoint
 
 
 def greedy_cover(lo: int, hi: int, bits: int) -> list[tuple[int, int]]:
@@ -376,3 +380,177 @@ def test_check_official_counts_rejects_wrong_totals():
     small = RegionMap({"US": Rir.ARIN})
     with pytest.raises(ValueError):
         check_official_counts(small)
+
+
+def random_text(rng):
+    return "".join(rng.choice(['a', 'Z', '"', '\\', 'é', '\U0001f600', '\x01', ' '])
+                   for _ in range(rng.randint(0, 5)))
+
+
+def maybe(rng, make):
+    return None if rng.random() < 0.3 else make()
+
+
+def random_prefix(rng):
+    network, bits = rng.choice([(ipaddress.IPv4Network, 32), (ipaddress.IPv6Network, 128)])
+    plen = rng.randint(0, bits)
+    return network((rng.getrandbits(bits) >> (bits - plen) << (bits - plen), plen))
+
+
+def random_address(rng):
+    address, bits = rng.choice([(ipaddress.IPv4Address, 32), (ipaddress.IPv6Address, 128)])
+    return address(rng.getrandbits(bits))
+
+
+def random_float(rng):
+    return rng.choice([rng.uniform(-1e4, 1e4), 0.0, -0.0, 5e-324, 1e16, math.inf])
+
+
+def random_rirs(rng):
+    return frozenset(rng.sample(list(Rir), rng.randint(0, 5)))
+
+
+def random_registration(rng):
+    return Registration(
+        prefix=random_prefix(rng), rir=rng.choice(list(Rir)),
+        org_id=maybe(rng, lambda: random_text(rng)), org_country=maybe(rng, lambda: random_text(rng)),
+        status=rng.choice(list(Status)),
+        last_updated=maybe(rng, lambda: datetime.date.fromordinal(rng.randint(1, 3_652_059))),
+        flags=tuple(random_text(rng) for _ in range(rng.randint(0, 3))))
+
+
+def random_plan(rng):
+    return TargetPlan(registration=random_registration(rng),
+                      targets=tuple(random_address(rng) for _ in range(rng.randint(0, 3))))
+
+
+def random_outcome(rng):
+    return TargetOutcome(
+        target=random_address(rng), responded=rng.random() < 0.5,
+        vantage_id=maybe(rng, lambda: random_text(rng)),
+        vantage_country=maybe(rng, lambda: random_text(rng)),
+        min_rtt_ms=maybe(rng, lambda: random_float(rng)), radius_km=maybe(rng, lambda: random_float(rng)),
+        rirs=random_rirs(rng), cls=maybe(rng, lambda: rng.choice(list(ConsistencyClass))))
+
+
+def random_record(rng):
+    return ConsistencyRecord(
+        prefix=random_prefix(rng), rir_reg=rng.choice(list(Rir)),
+        rir_org=maybe(rng, lambda: rng.choice(list(Rir))), org_country=maybe(rng, lambda: random_text(rng)),
+        rir_geo=random_rirs(rng), cls=maybe(rng, lambda: rng.choice(list(ConsistencyClass))),
+        filter_reason=maybe(rng, lambda: rng.choice(list(FilterReason))),
+        flags=tuple(random_text(rng) for _ in range(rng.randint(0, 3))),
+        targets=tuple(random_outcome(rng) for _ in range(rng.randint(0, 3))))
+
+
+def random_vantage(rng):
+    # a country is read back stripped and upper-cased, so it is drawn that way
+    return VantagePoint(
+        id=random_text(rng), country=random_text(rng).strip().upper(),
+        lat=random_float(rng), lon=random_float(rng), kind=random_text(rng),
+        asn=maybe(rng, lambda: rng.choice([0, 64496, 2**70])), connected=rng.random() < 0.5)
+
+
+RECORDS = {
+    "Registration": (Registration, random_registration),
+    "TargetPlan": (TargetPlan, random_plan),
+    "TargetOutcome": (TargetOutcome, random_outcome),
+    "ConsistencyRecord": (ConsistencyRecord, random_record),
+    "VantagePoint": (VantagePoint, random_vantage),
+}
+
+# one probe value of each JSON type
+PROBES = {"string": "x", "integer": 7, "fraction": 1.5, "boolean": True, "null": None,
+          "list": [], "object": {}}
+# the probes each annotated field type accepts; it refuses every other one
+ACCEPTS = {
+    "str": {"string"},
+    "str | None": {"string", "null"},
+    "bool": {"boolean"},
+    "float": {"integer", "fraction"},
+    "float | None": {"integer", "fraction", "null"},
+    "int | None": {"integer", "null"},
+    "Prefix": set(),
+    "Addr": set(),
+    "Rir": set(),
+    "Status": set(),
+    "Registration": set(),
+    "Rir | None": {"null"},
+    "ConsistencyClass | None": {"null"},
+    "FilterReason | None": {"null"},
+    "datetime.date | None": {"null"},
+    "tuple[str, ...]": {"list"},
+    "tuple[Addr, ...]": {"list"},
+    "tuple[TargetOutcome, ...]": {"list"},
+    "frozenset[Rir]": {"list"},
+}
+# the probes a list field accepts as its one element
+ELEMENT_ACCEPTS = {
+    "tuple[str, ...]": {"string"},
+    "tuple[Addr, ...]": set(),
+    "tuple[TargetOutcome, ...]": set(),
+    "frozenset[Rir]": set(),
+}
+
+
+def jsonl(rows):
+    return io.StringIO("".join(json.dumps(row) + "\n" for row in rows))
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_random_records_round_trip_through_the_jsonl_codec(name):
+    kind, make = RECORDS[name]
+    rng = random.Random(41)
+    items = [make(rng) for _ in range(500)]
+    out = io.StringIO()
+    assert write_jsonl(items, out) == len(items)
+    out.seek(0)
+    assert load_jsonl(kind.from_json, out) == items
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_every_field_refuses_the_json_types_it_does_not_take(name):
+    kind, make = RECORDS[name]
+    rng = random.Random(42)
+    good = [make(rng).to_json() for _ in range(3)]
+    for field in dataclasses.fields(kind):
+        key = "class" if field.name == "cls" else field.name
+        probes = [(value, probe in ACCEPTS[field.type]) for probe, value in PROBES.items()]
+        probes += [([value], probe in ELEMENT_ACCEPTS[field.type])
+                   for probe, value in PROBES.items() if field.type in ELEMENT_ACCEPTS]
+        for value, accepted in probes:
+            rows = good[:2] + [{**good[2], key: value}]
+            if accepted:
+                loaded = load_jsonl(kind.from_json, jsonl(rows))[2]
+                if field.type.startswith("float") and value is not None:
+                    assert getattr(loaded, field.name) == float(value)
+                    assert type(getattr(loaded, field.name)) is float
+                continue
+            with pytest.raises(ValueError) as refused:
+                load_jsonl(kind.from_json, jsonl(rows))
+            assert str(refused.value).startswith(f"line 3: {key}: "), (key, value)
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_a_missing_key_takes_the_default_or_is_refused(name):
+    kind, make = RECORDS[name]
+    row = make(random.Random(43)).to_json()
+    for field in dataclasses.fields(kind):
+        key = "class" if field.name == "cls" else field.name
+        rows = [row, {k: v for k, v in row.items() if k != key}]
+        if field.default is dataclasses.MISSING and field.default_factory is dataclasses.MISSING:
+            with pytest.raises(ValueError, match=f"^line 2: no '{key}'$"):
+                load_jsonl(kind.from_json, jsonl(rows))
+        else:
+            default = field.default if field.default is not dataclasses.MISSING else field.default_factory()
+            assert getattr(load_jsonl(kind.from_json, jsonl(rows))[1], field.name) == default
+
+
+def test_a_refused_nested_value_names_its_path():
+    row = random_record(random.Random(44)).to_json()
+    row["targets"] = [{"target": "192.0.2.1", "responded": "false"}]
+    with pytest.raises(ValueError, match="^line 1: targets: responded: 'false' is not a boolean$"):
+        load_jsonl(ConsistencyRecord.from_json, jsonl([row]))
+    for line in ("5", "[]", "null"):
+        with pytest.raises(ValueError, match="^line 1: .* is not an object$"):
+            load_jsonl(ConsistencyRecord.from_json, io.StringIO(line))

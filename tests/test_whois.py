@@ -6,7 +6,7 @@ import random
 import pytest
 
 from geoaudit.errors import UnknownDialect, UnreadableStream
-from geoaudit.registry import Rir, Status
+from geoaudit.registry import Rir, Status, write_registrations
 from geoaudit.whois import (
     RawRecord,
     _parse_net_value,
@@ -430,8 +430,27 @@ def test_parse_arin_dump():
     assert orgs["EXAMPLE-1"] == "US"
     assert orgs["EXAMPLE-B"] == "MX"
 
-    assert report.status_variants_seen["Direct Allocation"] == "allocated"
-    assert report.status_variants_seen["Reassignment"] == "assigned"
+    assert normalize_status("Direct Allocation") is Status.ALLOCATED
+    assert normalize_status("Reassignment") is Status.ASSIGNED
+
+
+SAME_DATE_DUPLICATES = [
+    "inetnum: 192.0.2.0 - 192.0.2.255\ncountry: DE\nstatus: ALLOCATED PA\n"
+    "last-modified: 2020-01-01T00:00:00Z\n",
+    "inetnum: 192.0.2.0 - 192.0.2.255\ncountry: FR\nstatus: ASSIGNED PA\n"
+    "last-modified: 2020-01-01T00:00:00Z\n",
+]
+
+
+def test_duplicates_tied_on_date_and_org_ingest_the_same_in_either_order():
+    written = []
+    for records in (SAME_DATE_DUPLICATES, SAME_DATE_DUPLICATES[::-1]):
+        regs, _, report = parse_bulk_whois(io.StringIO("\n".join(records)), Rir.RIPE)
+        assert report.duplicates_dropped == 1 and len(regs) == 1
+        out = io.StringIO()
+        write_registrations(regs, out)
+        written.append(out.getvalue())
+    assert written[0] == written[1]
 
 
 def test_parse_ripe_dump_and_org_linking():
