@@ -18,6 +18,7 @@ import functools
 import json
 import math
 import random
+import select
 import time
 from dataclasses import dataclass, field
 from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence
@@ -34,8 +35,10 @@ MAX_RETRIES = 3  # the live client's policy is fixed (docs/live-api.md)
 RETRY_BASE_DELAY_S = 2.0  # doubled after each retry: sleeps of 2, 4 and 8 s
 POLL_INTERVAL_S = 2.0
 POLL_ATTEMPTS = 30
+TIMEOUT_S = 30.0  # the live client's socket timeout: to connect, and for each read
 Job = tuple[Addr, Sequence[VantagePoint]]  # a target and the vantages that measure it
 _FLOAT = frozenset((float,))  # what json reads a capture's samples as: from_json's fast path
+_dumps = json.dumps  # Transport.request's json parameter hides the module
 
 
 def _vantage_id(value) -> str:
@@ -237,6 +240,75 @@ class ReplayBackend(Backend):
             yield {v.id: archived[v.id] for v in vantages if v.id in archived}
 
 
+class NeverConnected(Exception):
+    """Transport could not open a connection, so the request was never sent."""
+
+
+class _Answer:
+    """An HTTP answer as LiveBackend reads it: a status and a JSON body."""
+
+    __slots__ = ("status_code", "body")
+
+    def __init__(self, status_code: int, body: bytes):
+        self.status_code = status_code
+        self.body = body
+
+    def json(self):
+        return json.loads(self.body)
+
+
+class Transport:
+    """The live client's HTTP: one keep-alive HTTP/1.1 connection to the
+    origin of base_url, opened by an explicit connect() and reused by every
+    request. Before an idle connection is reused it is checked for
+    readability without waiting: readable means the server closed it, and a
+    new one is opened, so a dropped keep-alive never costs a request.
+    NeverConnected means no connection could be opened and nothing was sent;
+    any other error may come after the API got the request. It connects
+    directly (no proxy), verifies TLS against the system CA store, and
+    TIMEOUT_S bounds the connect and each read."""
+
+    def __init__(self, base_url: str):
+        import http.client  # a live run's alone: simulate and replay never load it
+        import urllib.parse
+
+        parts = urllib.parse.urlsplit(base_url)
+        if parts.scheme not in ("http", "https") or not parts.hostname:
+            raise ValueError(f"base URL {base_url!r} is not an http:// or https:// URL")
+        if parts.scheme == "https":
+            import ssl
+
+            self._conn = http.client.HTTPSConnection(parts.hostname, parts.port, timeout=TIMEOUT_S,
+                                                     context=ssl.create_default_context())
+        else:
+            self._conn = http.client.HTTPConnection(parts.hostname, parts.port, timeout=TIMEOUT_S)
+        self._base_url, self._base_path = base_url, parts.path
+
+    def request(self, method: str, url: str, json=None, headers=None) -> _Answer:
+        """Send json, if given, and read the whole answer; url is base_url
+        followed by a path."""
+        conn = self._conn
+        if conn.sock is not None and select.select([conn.sock], [], [], 0)[0]:
+            conn.close()  # an idle connection has nothing to read unless the server closed it
+        if conn.sock is None:
+            try:
+                conn.connect()
+            except OSError as exc:
+                conn.close()
+                raise NeverConnected(f"cannot connect to {conn.host}:{conn.port}: {exc}") from exc
+        try:
+            conn.request(method, self._base_path + url[len(self._base_url):],
+                         None if json is None else _dumps(json).encode(), headers or {})
+            answer = conn.getresponse()
+            return _Answer(answer.status, answer.read())
+        except BaseException:
+            conn.close()  # a request cut off midway leaves the connection in no known state
+            raise
+
+    def close(self) -> None:
+        self._conn.close()
+
+
 class LiveBackend(Backend):
     """Client for a ping-measurement HTTP API (see docs/live-api.md).
 
@@ -245,18 +317,16 @@ class LiveBackend(Backend):
     retried MAX_RETRIES times, after sleeps of 2, 4 and 8 s, then raises
     BackendUnavailable, as does an answer that is not the documented shape.
     A POST is retried only when the API cannot have created the
-    measurement, so a retry never pays for a second one. posts and polls
-    count the POST and GET requests sent, retries the ones sent again, and
-    rounds the POLL_INTERVAL_S sleeps. Tests inject session and sleep."""
+    measurement (a 429 or 503 answer, or NeverConnected), so a retry never
+    pays for a second one. posts and polls count the POST and GET requests
+    sent, retries the ones sent again, and rounds the POLL_INTERVAL_S
+    sleeps. session is a Transport to base_url; tests inject session and
+    sleep."""
 
     def __init__(self, base_url: str, api_key: str, tag: str | None = None, session=None,
                  sleep: Callable[[float], None] = time.sleep, in_flight: int = 1):
-        if session is None:
-            import requests
-
-            session = requests.Session()
-        self.session = session
         self.base_url = base_url.rstrip("/")
+        self.session = Transport(self.base_url) if session is None else session
         self.headers = {"Authorization": f"Key {api_key}", "Content-Type": "application/json"}
         self.tag = tag
         self.sleep = sleep
@@ -281,7 +351,7 @@ class LiveBackend(Backend):
             try:
                 resp = self.session.request(method, url, json=payload, headers=self.headers)
             except Exception as exc:
-                if method == "POST" and not _never_connected(exc):
+                if method == "POST" and not isinstance(exc, NeverConnected):
                     raise BackendUnavailable(
                         f"{method} {path} failed, not retried as the API may have "
                         f"created the measurement: {exc}") from exc
@@ -328,7 +398,8 @@ class LiveBackend(Backend):
                 posted += 1
             still = []
             for i, mid, polls in outstanding:
-                replies = self._request("GET", f"/measurements/{mid}/results", _replies)
+                replies = self._request("GET", f"/measurements/{mid}/results",
+                                        functools.partial(_replies, vantages=jobs[i][1]))
                 if replies is not None:
                     finished[i] = replies
                 elif polls + 1 < POLL_ATTEMPTS:
@@ -344,29 +415,25 @@ class LiveBackend(Backend):
                 self.sleep(POLL_INTERVAL_S)
 
 
-def _never_connected(exc: Exception) -> bool:
-    """True when a transport error shows the request never reached the API:
-    the connection timed out or could not be opened."""
-    import requests
-    from urllib3.exceptions import NewConnectionError
-
-    if isinstance(exc, requests.exceptions.ConnectTimeout):
-        return True
-    if not isinstance(exc, requests.exceptions.ConnectionError) or not exc.args:
-        return False
-    cause = exc.args[0]  # requests wraps urllib3's MaxRetryError, whose reason says why
-    return isinstance(cause, NewConnectionError) or isinstance(
-        getattr(cause, "reason", None), NewConnectionError)
-
-
-def _replies(body) -> dict[str, list[float]] | None:
-    """The replies in a results answer, or None while it is pending."""
+def _replies(body, vantages: Sequence[VantagePoint]) -> dict[str, list[float]] | None:
+    """The replies in a results answer, or None while it is pending. Each
+    row comes from a probe the measurement asked for, at most once."""
     if body["status"] == "pending":
         return None
     if body["status"] != "done":
         raise ValueError(f"status {body['status']!r}")
-    return {str(row["probe_id"]): [_number(x) for x in row["rtts_ms"]]
-            for row in body.get("results", [])}
+    asked = {v.id for v in vantages}
+    out = {}
+    for row in body.get("results", []):
+        probe = row["probe_id"]
+        if type(probe) is not str:  # str() would read null as the probe "None"
+            raise ValueError(f"probe_id {probe!r} is not a string")
+        if probe not in asked:
+            raise ValueError(f"probe_id {probe!r} was not asked for")
+        if probe in out:
+            raise ValueError(f"probe_id {probe!r} answers twice")
+        out[probe] = [_number(x) for x in row["rtts_ms"]]
+    return out
 
 
 def _number(x) -> float:

@@ -196,12 +196,24 @@ def _exactly(kind: type) -> Callable:
 
 
 _text, _float, _list, _object = _exactly(str), _exactly(float), _exactly(list), _exactly(dict)
+
+
+def _date(value) -> datetime.date:
+    """A date spelled YYYY-MM-DD, as isoformat writes it. Python 3.11+
+    fromisoformat also reads 20210304 and 2021-W09-4, which 3.10 refuses;
+    of the spellings it reads, only YYYY-MM-DD is 10 long with dashes at 4
+    and 7, a check that costs far less than a call to isoformat."""
+    if len(_text(value)) != 10 or value[4] != "-" or value[7] != "-":
+        raise ValueError(f"{value!r} is not a YYYY-MM-DD date")
+    return datetime.date.fromisoformat(value)
+
+
 _CODECS = {  # type -> (encode, decode); an encode of None: the value is its own JSON
     str: (None, _text),
     bool: (None, _exactly(bool)),
     int: (None, _exactly(int)),
     float: (None, lambda v: float(v) if type(v) is int else _float(v)),
-    datetime.date: (datetime.date.isoformat, lambda v: datetime.date.fromisoformat(_text(v))),
+    datetime.date: (datetime.date.isoformat, _date),
     Prefix: (str, lambda v: parse_prefix(_text(v))),
     Addr: (str, lambda v: parse_address(_text(v))),
 }

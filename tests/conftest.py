@@ -3,13 +3,14 @@ ground truth, written out as the file set the CLI consumes."""
 
 from __future__ import annotations
 
+import http.server
 import ipaddress
 import json
 import random
+import threading
 from dataclasses import dataclass, field
 
 import pytest
-import requests
 
 from geoaudit import measure
 from geoaudit.errors import UnknownTarget
@@ -244,17 +245,21 @@ class WorldSession:
 LIVE_ARGV = ["--backend", "live", "--base-url", "https://api.example.net/v1", "--api-key", "k"]
 
 
-def serve_campaign(monkeypatch, camp, paths, pending, sleep):
-    """Point the CLI's live backend at WorldSessions answering from the
-    campaign's world at seed 7 (audit_argv's seed), and at sleep for its
-    sleeps; returns the list of sessions it makes."""
+def world_session(camp, paths, pending=lambda mid: 0) -> WorldSession:
+    """A WorldSession answering from the campaign's world at seed 7
+    (audit_argv's seed)."""
     world = measure.SyntheticWorld.from_json(camp.world, seed=7)
     with open(paths["vantages.jsonl"]) as fp:
-        vantages = load_vantages(fp)
+        return WorldSession(world, load_vantages(fp), pending)
+
+
+def serve_campaign(monkeypatch, camp, paths, pending, sleep):
+    """Point the CLI's live backend at world_sessions instead of a Transport,
+    and at sleep for its sleeps; returns the list of sessions it makes."""
     sessions = []
 
-    def session():
-        sessions.append(WorldSession(world, vantages, pending))
+    def session(base_url):
+        sessions.append(world_session(camp, paths, pending))
         return sessions[-1]
 
     class Unslept(measure.LiveBackend):
@@ -262,5 +267,77 @@ def serve_campaign(monkeypatch, camp, paths, pending, sleep):
             super().__init__(*args, sleep=sleep, **kwargs)
 
     monkeypatch.setattr(measure, "LiveBackend", Unslept)
-    monkeypatch.setattr(requests, "Session", session)
+    monkeypatch.setattr(measure, "Transport", session)
     return sessions
+
+
+class _LoopbackHandler(http.server.BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"  # connections stay open between requests
+    timeout = 10  # a connection a client leaves open cannot hold the server for good
+    disable_nagle_algorithm = True  # the head and the body go out as two writes
+
+    def setup(self):
+        super().setup()
+        self.server.peers.append(self.client_address)
+
+    def answer(self):
+        server = self.server
+        body = self.rfile.read(int(self.headers.get("Content-Length") or 0))
+        server.methods.append(self.command)
+        if server.hold.get(self.command):
+            server.hold[self.command] -= 1
+            server.release.wait(timeout=10)
+            self.close_connection = True
+            return
+        reply = server.api.request(self.command, self.path, json=json.loads(body) if body else None,
+                                   headers=dict(self.headers))
+        data = json.dumps(reply.json()).encode()
+        self.send_response(reply.status_code)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+        self.close_connection = self.command in server.close_after
+
+    do_GET = do_POST = answer
+
+    def log_message(self, format, *args):
+        pass
+
+
+class LoopbackApi(http.server.ThreadingHTTPServer):
+    """A real HTTP/1.1 server on 127.0.0.1, in a thread, that answers each
+    request from api (a WorldSession, say) and keeps connections open.
+    peers logs each TCP connection it accepts and methods each request.
+    hold[method] requests of that method are not answered: the server
+    closes the connection after 10 s or on stopping. close_after
+    names the methods after whose answer the server closes the connection
+    without saying so, as a server drops an idle keep-alive; closed is
+    released once per connection the server closes."""
+
+    daemon_threads = False  # stopping joins the thread of every connection
+
+    def __init__(self, api, port=0, hold=None, close_after=()):
+        super().__init__(("127.0.0.1", port), _LoopbackHandler)
+        self.api = api
+        self.hold = dict(hold or {})
+        self.close_after = set(close_after)
+        self.peers, self.methods = [], []
+        self.closed = threading.Semaphore(0)
+        self.release = threading.Event()  # set on stopping: the held requests end unanswered
+        self.base_url = f"http://127.0.0.1:{self.server_address[1]}/v1"
+        self._thread = threading.Thread(target=self.serve_forever, kwargs={"poll_interval": 0.05})
+
+    def shutdown_request(self, request):
+        super().shutdown_request(request)
+        self.closed.release()
+
+    def __enter__(self):
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc):
+        self.release.set()
+        self.shutdown()
+        self._thread.join()
+        self.server_close()

@@ -16,7 +16,8 @@ from geoaudit import classify, cli, measure, whois
 from geoaudit.errors import BackendUnavailable
 from geoaudit.registry import DEFAULT_PROPAGATION_FACTOR
 
-from conftest import LIVE_ARGV, audit_argv, build_campaign, serve_campaign, write_campaign
+from conftest import (LIVE_ARGV, LoopbackApi, audit_argv, build_campaign, serve_campaign,
+                      world_session, write_campaign)
 
 ARIN_DUMP = """\
 NetRange:       192.0.2.0 - 192.0.2.255
@@ -371,6 +372,8 @@ MALFORMED_LINE = [
     ("registrations.jsonl", "prefix", 5),
     ("registrations.jsonl", "flags", "ab"),  # tuple() would read it as ("a", "b")
     ("registrations.jsonl", "org_country", 5),
+    ("registrations.jsonl", "last_updated", "20210304"),  # Python 3.11+ fromisoformat reads both
+    ("registrations.jsonl", "last_updated", "2021-W09-4"),
     ("audit.jsonl", "responded", "false"),  # a target's, read by report
 ]
 
@@ -876,6 +879,25 @@ def test_each_command_imports_only_the_stages_it_runs(small_campaign):
         assert code == 0, name
         assert not {f"geoaudit.{stage}" for stage in unused} & set(modules), name
         assert "concurrent.futures" not in modules, name
+        assert "http.client" not in modules, name  # only a live audit loads it
+
+
+def test_live_audit_runs_on_the_standard_library(small_campaign):
+    """A live audit against a loopback API writes what a simulated one
+    writes, over one connection, and loads neither requests nor urllib3."""
+    camp, paths, tmp_path = small_campaign
+    simulated, live = tmp_path / "simulated.jsonl", tmp_path / "live.jsonl"
+    assert run(audit_argv(paths, str(simulated))) == 0
+    with LoopbackApi(world_session(camp, paths)) as server:
+        argv = audit_argv(paths, str(live), extra=["--backend", "live", "--base-url", server.base_url,
+                                                   "--api-key", "k", "--concurrency", "3"])
+        out = python_in_subprocess(RUN_AND_LIST_MODULES, *argv)
+    code, modules = json.loads(out.splitlines()[-1])
+    assert code == 0
+    assert live.read_bytes() == simulated.read_bytes()
+    assert len(server.peers) == 1
+    assert server.methods.count("POST") == server.methods.count("GET") == len(camp.expected)
+    assert "http.client" in modules and not {"requests", "urllib3"} & set(modules)
 
 
 def test_outputs_are_byte_identical_across_hash_seeds(small_campaign):

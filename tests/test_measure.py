@@ -1,13 +1,17 @@
+import contextlib
+import http.client
 import io
 import ipaddress
 import json
 import math
 import random
+import select
+import socket
+import time
 
 import pytest
-import requests
-from urllib3.exceptions import MaxRetryError, NewConnectionError, ProtocolError
 
+from geoaudit import measure
 from geoaudit.errors import BackendUnavailable, NegativeRtt, UnknownTarget
 from geoaudit.geo import C_KM_PER_S, EARTH_RADIUS_KM, haversine_km
 from geoaudit.measure import (
@@ -17,9 +21,11 @@ from geoaudit.measure import (
     Backend,
     LiveBackend,
     MeasurementResult,
+    NeverConnected,
     ReplayBackend,
     SimulateBackend,
     SyntheticWorld,
+    Transport,
     load_results,
     run_plan,
     write_results,
@@ -27,7 +33,7 @@ from geoaudit.measure import (
 from geoaudit.registry import parse_address, parse_prefix
 from geoaudit.vantage import VantagePoint
 
-from conftest import StubResponse, WorldSession, seeded_pending
+from conftest import LoopbackApi, StubResponse, WorldSession, seeded_pending
 
 
 def vp(vid, lat=0.0, lon=0.0, country="US"):
@@ -312,6 +318,11 @@ def make_backend(session):
     return backend, sleeps
 
 
+# what Transport raises when no connection could be opened: it timed out or was refused
+CONNECT_TIMEOUT = NeverConnected("timed out")
+REFUSED = NeverConnected("[Errno 111] Connection refused")
+
+
 def test_live_backend_happy_path():
     session = StubSession([
         (200, {"id": "m-1"}),
@@ -335,7 +346,7 @@ def test_live_backend_happy_path():
 def test_live_backend_retries_with_backoff():
     session = StubSession([
         (503, {}),
-        requests.exceptions.ConnectTimeout("connect timed out"),
+        CONNECT_TIMEOUT,
         (200, {"id": "m-2"}),
         ConnectionError("reset"),
         (200, {"status": "done", "results": []}),
@@ -347,22 +358,16 @@ def test_live_backend_retries_with_backoff():
     assert (backend.posts, backend.polls, backend.retries, backend.rounds) == (3, 2, 3, 0)
 
 
-def refused():
-    """What requests raises when no connection could be opened."""
-    reason = NewConnectionError(None, "Failed to establish a new connection: [Errno 111]")
-    return requests.exceptions.ConnectionError(MaxRetryError(None, "/measurements", reason))
-
-
 # the API cannot have created a measurement: a POST is sent again
-NEVER_CREATED = [(429, {}), (503, {}), requests.exceptions.ConnectTimeout("timed out"), refused()]
+NEVER_CREATED = [(429, {}), (503, {}), CONNECT_TIMEOUT, REFUSED]
 # the API may have created it: a POST fails at once, a GET is sent again
 MAYBE_CREATED = [
     (500, {}), (502, {}), (504, {}),
     ConnectionError("reset"),
-    requests.exceptions.ReadTimeout("read timed out"),
-    requests.exceptions.ConnectionError(ProtocolError("Connection aborted.")),
-    requests.exceptions.ConnectionError(ConnectionResetError(104, "Connection reset by peer")),
-    requests.exceptions.ConnectionError(MaxRetryError(None, "/measurements", ProtocolError("x"))),
+    TimeoutError("timed out"),  # a read timeout
+    http.client.RemoteDisconnected("Remote end closed connection without response"),
+    ConnectionResetError(104, "Connection reset by peer"),
+    http.client.BadStatusLine("x"),
 ]
 
 
@@ -439,6 +444,20 @@ MALFORMED = {
                  f"{RESULTS} rtt True is not a number"),
     "status-failed": ([(200, {"id": "m-1"}), (200, {"status": "failed"})],
                       f"{RESULTS} status 'failed'"),
+    "probe-id-null": ([(200, {"id": "m-1"}),
+                       (200, {"status": "done", "results": [{"probe_id": None, "rtts_ms": []}]})],
+                      f"{RESULTS} probe_id None is not a string"),
+    "probe-id-number": ([(200, {"id": "m-1"}),
+                         (200, {"status": "done", "results": [{"probe_id": 5, "rtts_ms": []}]})],
+                        f"{RESULTS} probe_id 5 is not a string"),
+    "probe-not-asked-for": ([(200, {"id": "m-1"}),
+                             (200, {"status": "done",
+                                    "results": [{"probe_id": "p-2", "rtts_ms": [1.0]}]})],
+                            f"{RESULTS} probe_id 'p-2' was not asked for"),
+    "probe-twice": ([(200, {"id": "m-1"}),
+                     (200, {"status": "done", "results": [{"probe_id": "p-1", "rtts_ms": [1.0]},
+                                                          {"probe_id": "p-1", "rtts_ms": [2.0]}]})],
+                    f"{RESULTS} probe_id 'p-1' answers twice"),
 }
 
 
@@ -455,9 +474,102 @@ def test_live_backend_fails_on_a_malformed_answer(script, message):
 def test_live_backend_holds_one_session():
     backend = LiveBackend("https://api.example.net/v1", "sekrit")
     try:
-        assert isinstance(backend.session, requests.Session)
+        assert isinstance(backend.session, Transport)
     finally:
         backend.session.close()
+
+
+# -- the transport against a real loopback server ---------------------------------
+
+def loopback_world(n):
+    """A world of n targets 192.0.2.1.. and the one vantage that measures them."""
+    world = world_with({f"192.0.2.{i}": (0.0, float(i)) for i in range(1, n + 1)})
+    return world, [(target, [vp("v-1")]) for target in sorted(world.target_locations)]
+
+
+def test_transport_keeps_one_connection_for_a_whole_run():
+    world, jobs = loopback_world(9)
+    want = list(SimulateBackend(world).measure_targets(jobs))
+    with LoopbackApi(WorldSession(world, [vp("v-1")], pending=seeded_pending(5))) as server:
+        live = LiveBackend(server.base_url, "k", sleep=lambda s: None, in_flight=3)
+        try:
+            assert list(live.measure_targets(jobs)) == want
+        finally:
+            live.session.close()
+    assert len(server.peers) == 1
+    assert server.methods.count("POST") == live.posts == len(jobs)
+    assert server.methods.count("GET") == live.polls > len(jobs)  # some were pending
+    assert live.retries == 0
+
+
+def test_transport_reconnects_when_the_server_drops_an_idle_connection():
+    world, jobs = loopback_world(3)
+    with LoopbackApi(WorldSession(world, [vp("v-1")]), close_after={"GET"}) as server:
+        live = LiveBackend(server.base_url, "k", sleep=lambda s: None)
+        try:
+            for target, vantages in jobs:
+                assert live.measure(vantages[0], target) == world.rtts(vantages[0], target)
+                # the server closed the connection after its answer; wait until the client's
+                # end has seen it, so the next request meets a connection already dropped
+                assert server.closed.acquire(timeout=5)
+                assert select.select([live.session._conn.sock], [], [], 5)[0]
+        finally:
+            live.session.close()
+    assert server.methods == ["POST", "GET"] * len(jobs)  # no POST was sent twice
+    assert len(server.peers) == len(jobs)
+    assert (live.posts, live.polls, live.retries) == (len(jobs), len(jobs), 0)
+
+
+def test_transport_retries_a_post_whose_connection_was_refused():
+    world, jobs = loopback_world(1)
+    with socket.socket() as probe:  # a port nothing listens on
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    sleeps = []
+    with contextlib.ExitStack() as stack:
+        def sleep(seconds):  # the API comes up while the client backs off
+            sleeps.append(seconds)
+            stack.enter_context(LoopbackApi(WorldSession(world, [vp("v-1")]), port=port))
+
+        live = LiveBackend(f"http://127.0.0.1:{port}/v1", "k", sleep=sleep)
+        (target, [vantage]), = jobs
+        try:
+            assert live.measure(vantage, target) == world.rtts(vantage, target)
+        finally:
+            live.session.close()
+    assert sleeps == [2.0]
+    assert (live.posts, live.polls, live.retries) == (2, 1, 1)
+
+
+@pytest.mark.parametrize("method, sent, retries", [("POST", ["POST"], 0),
+                                                   ("GET", ["POST", "GET", "GET"], 1)])
+def test_transport_read_timeout_fails_a_post_and_retries_a_get(monkeypatch, method, sent, retries):
+    monkeypatch.setattr(measure, "TIMEOUT_S", 0.2)
+    world, jobs = loopback_world(1)
+    (target, [vantage]), = jobs
+    sleeps = []
+    with LoopbackApi(WorldSession(world, [vp("v-1")]), hold={method: 1}) as server:
+        live = LiveBackend(server.base_url, "k", sleep=sleeps.append)
+        start = time.monotonic()
+        try:
+            if method == "POST":
+                with pytest.raises(BackendUnavailable,
+                                   match="may have created the measurement: timed out$"):
+                    live.measure(vantage, target)
+            else:
+                assert live.measure(vantage, target) == world.rtts(vantage, target)
+        finally:
+            live.session.close()
+        assert time.monotonic() - start < 5  # the client gave up, not the server
+    assert server.methods == sent
+    assert (live.posts + live.polls, live.retries) == (len(sent), retries)
+    assert sleeps == [2.0] * retries
+
+
+def test_transport_refuses_a_base_url_that_is_not_http():
+    for url in ("ftp://api.example.net/v1", "api.example.net/v1", "https:///v1"):
+        with pytest.raises(ValueError, match="is not an http:// or https:// URL"):
+            LiveBackend(url, "k")
 
 
 @pytest.mark.parametrize("in_flight", [1, 2, 3, 8])
