@@ -11,7 +11,7 @@ import enum
 from dataclasses import dataclass
 from typing import IO, Iterable
 
-from .errors import MalformedRoute
+from .errors import GeoAuditError
 from .index import PrefixIndex
 from .registry import Prefix, Registration, Rir, parse_prefix
 
@@ -62,13 +62,13 @@ def load_rib(fp: IO[str]) -> Rib:
             continue
         parts = text.split()
         if len(parts) != 2:
-            raise MalformedRoute(f"line {lineno}: expected '<prefix> <origin_asn>', got {text!r}")
+            raise GeoAuditError(f"line {lineno}: expected '<prefix> <origin_asn>', got {text!r}")
         try:
             prefix = parse_prefix(parts[0])
             asn_text = parts[1]
             asn = int(asn_text[2:] if asn_text.upper().startswith("AS") else asn_text)
-        except Exception as exc:
-            raise MalformedRoute(f"line {lineno}: {exc}") from None
+        except (GeoAuditError, ValueError) as exc:
+            raise GeoAuditError(f"line {lineno}: {exc}") from None
         if prefix.prefixlen == 0:
             dropped += 1
             continue

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import IO, Iterable, Mapping, Sequence
 
 from .bgp import Alignment, Rib, align
-from .errors import EmptyGeoSet
+from .errors import GeoAuditError
 from .geo import FeasibleRegion, GeoConfig, infer_region
 from .index import PrefixIndex
 from .registry import (
@@ -79,7 +79,7 @@ def classify_one(
     such prefixes can only be FC or RI. Org-consistent beats
     org-inconsistent when the geo set contains both candidate regions."""
     if not rir_geo:
-        raise EmptyGeoSet(f"no feasible region for {rir_reg} prefix")
+        raise GeoAuditError(f"no feasible region for {rir_reg} prefix")
     if rir_org is None or rir_org == rir_reg:
         return ConsistencyClass.FC if rir_reg in rir_geo else ConsistencyClass.RI
     if rir_org in rir_geo:
@@ -221,7 +221,7 @@ def audit_prefix(
         if not outcome.responded:
             final_outcomes.append(outcome)
             continue
-        # a responsive target has a reply, so min_rtt cannot raise NoResponses
+        # a responsive target has a reply, so min_rtt finds one
         region: FeasibleRegion = infer_region(
             results_by_target.get(outcome.target, ()),
             vantages_by_id, config.geo, config.region_map,

@@ -7,7 +7,9 @@ default.
 
 Exit codes: 0 success, 1 usage error, 2 bad data or configuration
 (including a broken accounting identity), 3 measurement backend
-unavailable.
+unavailable. Apart from a broken identity, exit 2 comes only from a
+GeoAuditError or an OSError: any other exception is a bug, and it
+propagates with its traceback.
 
 Each command imports the stage modules it runs when it runs, so a process
 pays only for the stages of its own command.
@@ -22,7 +24,6 @@ import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
-from operator import attrgetter
 from typing import TYPE_CHECKING
 
 from .errors import BackendUnavailable, GeoAuditError
@@ -85,7 +86,7 @@ def _read(path: str, loader):
         try:
             return loader(fp)
         except (GeoAuditError, AttributeError, EOFError, KeyError, OSError, TypeError,
-                ValueError) as exc:
+                ValueError, csv.Error) as exc:
             raise GeoAuditError(f"{path}: {exc}") from None
 
 
@@ -272,7 +273,7 @@ def _make_backend(args, config: RunConfig):
     if args.backend == "replay":
         if not args.results:
             raise GeoAuditError("replay backend needs --results")
-        return measure.ReplayBackend(_read(args.results, measure.load_results))
+        return _read(args.results, lambda fp: measure.ReplayBackend(measure.load_results(fp)))
     if args.backend == "simulate":
         if not args.world:
             raise GeoAuditError("simulate backend needs --world")
@@ -319,17 +320,16 @@ def cmd_audit(args: argparse.Namespace) -> int:
     # one call for every plan, so the live backend's window spans prefixes
     jobs = [(target, vplan.vantages) for plan, vplan in zip(plans, vplans)
             for target in plan.targets]
-    results_by_target: dict = {}
-    for (target, plan_vantages), replies in zip(jobs, backend.measure_targets(jobs), strict=True):
-        results_by_target.setdefault(target, []).extend(
-            measure.target_results(target, plan_vantages, replies))
+    # load_plans refuses a target in two plans, so each is measured once
+    results_by_target = {
+        target: measure.target_results(target, plan_vantages, replies)
+        for (target, plan_vantages), replies
+        in zip(jobs, backend.measure_targets(jobs), strict=True)}
 
     if args.capture_results:
-        # ordered by target, then vantage id; a target planned twice keeps
-        # its plans' order among equal vantage ids
-        by_vantage = attrgetter("vantage_id")
+        # ordered by target, then vantage id, the order of target_results
         flat = (res for target in sorted(results_by_target, key=address_sort_key)
-                for res in sorted(results_by_target[target], key=by_vantage))
+                for res in results_by_target[target])
         with _output(args.capture_results) as fp:
             measure.write_results(flat, fp)
 
@@ -534,8 +534,7 @@ def main(argv: list[str] | None = None) -> int:
     except BackendUnavailable as exc:
         print(f"geoaudit: backend unavailable: {exc}", file=sys.stderr)
         return 3
-    # truncated gzip raises EOFError, which is not an OSError
-    except (GeoAuditError, OSError, EOFError, ValueError, KeyError) as exc:
+    except (GeoAuditError, OSError) as exc:
         print(f"geoaudit: {exc}", file=sys.stderr)
         return 2
 

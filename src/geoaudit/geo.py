@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from typing import IO, Iterable, Mapping
 
-from .errors import NegativeRtt, NoResponses
+from .errors import GeoAuditError
 from .registry import DEFAULT_PROPAGATION_FACTOR, RegionMap, Rir, data_lines, read_csv
 
 EARTH_RADIUS_KM = 6371.0088
@@ -42,7 +42,7 @@ def rtt_to_radius_km(rtt_ms: float, propagation_factor: float = DEFAULT_PROPAGAT
 
     One-way time is rtt/2; signals cover at most factor * c in that time."""
     if rtt_ms < 0:
-        raise NegativeRtt(f"rtt {rtt_ms} ms")
+        raise GeoAuditError(f"rtt {rtt_ms} ms")
     if not 0 < propagation_factor <= 1:
         raise ValueError(f"propagation factor {propagation_factor} outside (0, 1]")
     return (rtt_ms / 1000.0) / 2.0 * propagation_factor * C_KM_PER_S
@@ -73,7 +73,7 @@ def check_point_coverage(points: CountryPoints, region_map: RegionMap) -> None:
     """Every mapped country needs at least one representative point."""
     missing = [cc for cc in region_map if cc not in points or not points[cc]]
     if missing:
-        raise ValueError(f"countries without representative points: {missing}")
+        raise GeoAuditError(f"countries without representative points: {missing}")
 
 
 class _NearestCountries:
@@ -129,19 +129,19 @@ def min_rtt(results: Iterable) -> tuple[str, float]:
     """Pick the smallest RTT across measurement results.
 
     Returns (vantage_id, rtt_ms); ties go to the lower vantage id. Raises
-    NoResponses when nothing replied."""
+    GeoAuditError when nothing replied."""
     best: tuple[float, str] | None = None
     for res in results:
         if not res.rtts_ms:
             continue
         low = min(res.rtts_ms)
         if low < 0:
-            raise NegativeRtt(f"rtt {low} ms from {res.vantage_id}")
+            raise GeoAuditError(f"rtt {low} ms from {res.vantage_id}")
         cand = (low, res.vantage_id)
         if best is None or cand < best:
             best = cand
     if best is None:
-        raise NoResponses("no replies in batch")
+        raise GeoAuditError("no replies in batch")
     return best[1], best[0]
 
 

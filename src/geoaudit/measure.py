@@ -23,7 +23,7 @@ import time
 from dataclasses import dataclass, field
 from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence
 
-from .errors import BackendUnavailable, NegativeRtt, UnknownTarget
+from .errors import BackendUnavailable, GeoAuditError, UnknownTarget
 from .geo import C_KM_PER_S, DEFAULT_PROPAGATION_FACTOR, haversine_km
 from .registry import Addr, Prefix, load_jsonl, parse_address
 from .vantage import VantagePoint
@@ -220,7 +220,8 @@ class ReplayBackend(Backend):
     """Serves RTTs from a result archive, indexed by target, then vantage.
 
     misses counts the planned (vantage, target) pairs the archive lacks;
-    each comes back as no reply."""
+    each comes back as no reply. An archive that lists a pair twice is
+    refused: no reply is kept over another."""
 
     def __init__(self, results: Iterable[MeasurementResult]):
         self._index: dict[Addr, dict[str, tuple[float, ...]]] = {}
@@ -230,6 +231,8 @@ class ReplayBackend(Backend):
             if res.target is not target:
                 target = res.target
                 replies = self._index.setdefault(target, {})
+            if res.vantage_id in replies:
+                raise GeoAuditError(f"{res.vantage_id} -> {target} is archived twice")
             replies[res.vantage_id] = res.rtts_ms
         self.misses = 0
 
@@ -272,16 +275,22 @@ class Transport:
         import http.client  # a live run's alone: simulate and replay never load it
         import urllib.parse
 
-        parts = urllib.parse.urlsplit(base_url)
-        if parts.scheme not in ("http", "https") or not parts.hostname:
-            raise ValueError(f"base URL {base_url!r} is not an http:// or https:// URL")
-        if parts.scheme == "https":
-            import ssl
+        try:
+            parts = urllib.parse.urlsplit(base_url)
+            if parts.scheme not in ("http", "https") or not parts.hostname:
+                raise GeoAuditError(f"base URL {base_url!r} is not an http:// or https:// URL")
+            if parts.scheme == "https":
+                import ssl
 
-            self._conn = http.client.HTTPSConnection(parts.hostname, parts.port, timeout=TIMEOUT_S,
-                                                     context=ssl.create_default_context())
-        else:
-            self._conn = http.client.HTTPConnection(parts.hostname, parts.port, timeout=TIMEOUT_S)
+                self._conn = http.client.HTTPSConnection(parts.hostname, parts.port,
+                                                         timeout=TIMEOUT_S,
+                                                         context=ssl.create_default_context())
+            else:
+                self._conn = http.client.HTTPConnection(parts.hostname, parts.port,
+                                                        timeout=TIMEOUT_S)
+        # an unclosed [, a port that is not a number, a host with a space
+        except (ValueError, http.client.InvalidURL) as exc:
+            raise GeoAuditError(str(exc)) from None
         self._base_url, self._base_path = base_url, parts.path
 
     def request(self, method: str, url: str, json=None, headers=None) -> _Answer:
@@ -451,13 +460,13 @@ def target_results(target: Addr, vantages: Iterable[VantagePoint],
                    replies: Mapping[str, Sequence[float]]) -> list[MeasurementResult]:
     """One result per vantage, by vantage id, with at most SAMPLES_PER_PAIR
     of its replies; a vantage absent from replies gets an empty result. An
-    RTT that is negative or not finite raises NegativeRtt."""
+    RTT that is negative or not finite raises GeoAuditError."""
     out = []
     for vantage_id in sorted(v.id for v in vantages):
         rtts = replies.get(vantage_id, ())
         for rtt in rtts:
             if not 0 <= rtt < math.inf:
-                raise NegativeRtt(f"{vantage_id} -> {target}: {rtt} ms")
+                raise GeoAuditError(f"{vantage_id} -> {target}: {rtt} ms")
         out.append(MeasurementResult(vantage_id, target, tuple(rtts[:SAMPLES_PER_PAIR])))
     return out
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 from importlib import resources
 from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
-from .errors import GeoAuditError, InvertedRange, MalformedPrefix, MixedFamily, UnknownCountry
+from .errors import GeoAuditError
 
 Prefix = ipaddress.IPv4Network | ipaddress.IPv6Network
 Addr = ipaddress.IPv4Address | ipaddress.IPv6Address
@@ -84,7 +84,7 @@ def parse_address(text: str) -> Addr:
     try:
         return ipaddress.ip_address(stripped)
     except ValueError as exc:
-        raise MalformedPrefix(f"bad address {text!r}: {exc}") from None
+        raise GeoAuditError(f"bad address {text!r}: {exc}") from None
 
 
 def parse_prefix(text: str) -> Prefix:
@@ -98,7 +98,7 @@ def parse_prefix(text: str) -> Prefix:
     try:
         return ipaddress.ip_network(stripped, strict=True)
     except ValueError as exc:
-        raise MalformedPrefix(f"bad prefix {text!r}: {exc}") from None
+        raise GeoAuditError(f"bad prefix {text!r}: {exc}") from None
 
 
 def prefix_sort_key(prefix: Prefix) -> tuple[int, int, int]:
@@ -116,9 +116,9 @@ def range_to_cidrs(lo: Addr, hi: Addr) -> list[Prefix]:
     adjacent blocks can be merged into a larger legal block.
     """
     if lo.version != hi.version:
-        raise MixedFamily(f"range mixes IPv{lo.version} and IPv{hi.version}")
+        raise GeoAuditError(f"range mixes IPv{lo.version} and IPv{hi.version}")
     if int(lo) > int(hi):
-        raise InvertedRange(f"range start {lo} above end {hi}")
+        raise GeoAuditError(f"range start {lo} above end {hi}")
     return list(ipaddress.summarize_address_range(lo, hi))
 
 
@@ -318,6 +318,15 @@ def open_text(path: str) -> IO[str]:
     return io.TextIOWrapper(raw, encoding="utf-8", errors="replace")
 
 
+def refuse_repeats(keys: Iterable, what: str) -> None:
+    """Raise GeoAuditError naming the first key that equals an earlier one."""
+    seen = set()
+    for key in keys:
+        if key in seen:
+            raise GeoAuditError(f"{what} {key} appears twice")
+        seen.add(key)
+
+
 def read_tokens(fp: IO[str]) -> list[str]:
     """One token per line; '#' starts a comment and blank lines are skipped."""
     tokens = (line.split("#", 1)[0].strip() for line in fp)
@@ -375,7 +384,7 @@ class RegionMap:
         try:
             return self._entries[country]
         except KeyError:
-            raise UnknownCountry(f"country {country!r} not in region map") from None
+            raise GeoAuditError(f"country {country!r} not in region map") from None
 
     def counts(self) -> dict[Rir, int]:
         counts = dict.fromkeys(Rir, 0)

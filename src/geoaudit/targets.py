@@ -24,6 +24,7 @@ from .registry import (
     read_csv,
     read_tokens,
     record,
+    refuse_repeats,
     write_jsonl,
 )
 
@@ -84,7 +85,12 @@ def write_plans(plans: Iterable[TargetPlan], fp: IO[str]) -> int:
 
 
 def load_plans(fp: IO[str]) -> list[TargetPlan]:
-    return load_jsonl(TargetPlan.from_json, fp)
+    """A prefix or a target in two plans is refused, as build_target_plans
+    never writes one, so an audit measures each target once."""
+    plans = load_jsonl(TargetPlan.from_json, fp)
+    refuse_repeats((plan.prefix for plan in plans), "prefix")
+    refuse_repeats((target for plan in plans for target in plan.targets), "target")
+    return plans
 
 
 def registration_index(regs: Iterable[Registration]) -> PrefixIndex:

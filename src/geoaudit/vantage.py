@@ -21,6 +21,7 @@ from .registry import (
     read_csv,
     read_tokens,
     record,
+    refuse_repeats,
 )
 
 REGIONAL_PICKS = 3
@@ -44,7 +45,11 @@ class VantagePoint:
 
 
 def load_vantages(fp: IO[str]) -> list[VantagePoint]:
-    return load_jsonl(VantagePoint.from_json, fp)
+    """An id listed twice is refused: an audit would measure with one of its
+    records and infer the region with the other."""
+    vantages = load_jsonl(VantagePoint.from_json, fp)
+    refuse_repeats((v.id for v in vantages), "vantage id")
+    return vantages
 
 
 def load_bad_ids(fp: IO[str]) -> set[str]:

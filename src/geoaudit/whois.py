@@ -17,12 +17,13 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import IO, Iterable, Iterator
 
-from .errors import UnknownDialect, UnreadableStream
+from .errors import GeoAuditError
 from .registry import (
     Prefix,
     Registration,
     Rir,
     Status,
+    _date,
     duplicate_rank,
     is_country_code,
     open_text,  # callers still reach it as whois.open_text
@@ -54,7 +55,10 @@ _DIALECT_LIST_KEYS = tuple(f.name for f in dataclasses.fields(Dialect) if f.name
 
 def load_dialects(fp: IO[str]) -> dict[Rir, Dialect]:
     parser = configparser.ConfigParser(interpolation=None)
-    parser.read_file(fp)
+    try:
+        parser.read_file(fp)
+    except configparser.Error as exc:
+        raise GeoAuditError(str(exc)) from None
     out: dict[Rir, Dialect] = {}
     for section in parser.sections():
         rir = Rir(section.upper())
@@ -79,7 +83,7 @@ def dialect_for(rir: Rir, dialects: dict[Rir, Dialect] | None = None) -> Dialect
     try:
         return table[rir]
     except KeyError:
-        raise UnknownDialect(f"no dialect for {rir}") from None
+        raise GeoAuditError(f"no dialect for {rir}") from None
 
 
 class RawRecord:
@@ -138,7 +142,7 @@ def iter_raw_records(stream: Iterable[str]) -> Iterator[RawRecord]:
             pairs.append((key.strip(), value.strip()))
     except (OSError, EOFError, gzip.BadGzipFile) as exc:
         # truncated gzip surfaces as EOFError rather than BadGzipFile
-        raise UnreadableStream(f"cannot read dump: {exc}") from None
+        raise GeoAuditError(f"cannot read dump: {exc}") from None
     if pairs:
         yield RawRecord(pairs)
 
@@ -185,8 +189,8 @@ def parse_date(text: str | None) -> datetime.date | None:
                 except ValueError:
                     continue
         if "T" in token:
-            try:
-                return datetime.date.fromisoformat(token.split("T", 1)[0])
+            try:  # YYYY-MM-DD only: 3.11+ fromisoformat also reads 20210304, 3.10 does not
+                return _date(token.split("T", 1)[0])
             except ValueError:
                 pass
     return None
@@ -292,7 +296,7 @@ def parse_bulk_whois(
             raw_net = rec.first(dialect.net_keys)
             try:
                 blocks = _parse_net_value(raw_net)
-            except Exception:
+            except GeoAuditError:
                 report.malformed_skipped += 1
                 continue
             if len(blocks) > 1:

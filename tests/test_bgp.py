@@ -1,9 +1,10 @@
 import io
+import random
 
 import pytest
 
 from geoaudit.bgp import Alignment, align, alignment_table, load_rib
-from geoaudit.errors import MalformedRoute
+from geoaudit.errors import GeoAuditError
 from geoaudit.registry import Registration, Rir, parse_prefix
 
 RIB_TEXT = """\
@@ -25,6 +26,40 @@ def rib():
     return load_rib(io.StringIO(RIB_TEXT))
 
 
+# route characters, separators and look-alikes: an Arabic-Indic digit, a NUL
+ROUTE_CHARS = "0123456789abcdefASx.:/- #_+\t\u0663\x00"
+
+
+def junk_route_line(rng):
+    """A RIB line as a table might garble it: a known route with a few
+    characters replaced, inserted or dropped, or a run of route characters."""
+    if rng.random() < 0.2:
+        return "".join(rng.choice(ROUTE_CHARS) for _ in range(rng.randint(0, 30)))
+    chars = list(rng.choice(RIB_TEXT.splitlines()[1:]))
+    for _ in range(rng.randint(0, 3)):
+        at = rng.randrange(len(chars) + 1)
+        edit = rng.randrange(3)
+        if edit == 0:
+            chars.insert(at, rng.choice(ROUTE_CHARS))
+        elif at < len(chars):
+            chars[at:at + 1] = [rng.choice(ROUTE_CHARS)] if edit == 1 else []
+    return "".join(chars)
+
+
+def test_every_junk_rib_line_loads_or_names_its_line():
+    rng = random.Random(31)
+    outcomes = set()
+    for _ in range(20000):
+        line = junk_route_line(rng)
+        try:
+            load_rib(io.StringIO(f"10.0.0.0/8 64500\n{line}\n"))
+            outcomes.add("loaded")
+        except GeoAuditError as exc:
+            assert str(exc).startswith("line 2: "), line
+            outcomes.add("refused")
+    assert outcomes == {"loaded", "refused"}
+
+
 def test_load_rib_counts_and_moas_merge(rib):
     assert rib.default_routes_dropped == 2
     assert rib.route_count == 6
@@ -32,11 +67,11 @@ def test_load_rib_counts_and_moas_merge(rib):
 
 
 def test_load_rib_rejects_malformed_lines():
-    with pytest.raises(MalformedRoute, match="line 2"):
+    with pytest.raises(GeoAuditError, match="^line 2: expected '<prefix> <origin_asn>', got "):
         load_rib(io.StringIO("10.0.0.0/8 64500\n192.0.2.0/24\n"))
-    with pytest.raises(MalformedRoute):
+    with pytest.raises(GeoAuditError, match=r"^line 1: bad prefix '10\.0\.0\.1/8': "):
         load_rib(io.StringIO("10.0.0.1/8 64500\n"))
-    with pytest.raises(MalformedRoute):
+    with pytest.raises(GeoAuditError, match="^line 1: invalid literal for int"):
         load_rib(io.StringIO("10.0.0.0/8 banana\n"))
 
 

@@ -18,7 +18,7 @@ from geoaudit.classify import (
     reconcile_targets,
     write_records,
 )
-from geoaudit.errors import EmptyGeoSet
+from geoaudit.errors import GeoAuditError
 from geoaudit.geo import GeoConfig
 from geoaudit.index import PrefixIndex
 from geoaudit.measure import MeasurementResult
@@ -49,7 +49,7 @@ def test_classify_one_missing_org_collapses_to_fc_ri():
 
 
 def test_classify_one_empty_geo_raises():
-    with pytest.raises(EmptyGeoSet):
+    with pytest.raises(GeoAuditError, match="^no feasible region for ARIN prefix$"):
         classify_one(Rir.ARIN, Rir.RIPE, frozenset())
 
 

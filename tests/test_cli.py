@@ -190,40 +190,69 @@ def test_audit_capture_then_replay_agrees(small_campaign):
     assert sim_out.read_bytes() == replay_out.read_bytes()
 
 
-def test_audit_capture_orders_a_target_planned_twice(small_campaign, monkeypatch):
-    """The capture lists results by target, then vantage id; a target in two
-    hand-written plans keeps the order in which the plans measured it."""
+def test_audit_refuses_a_prefix_or_target_planned_twice(small_campaign, capsys):
+    """A plans file that lists a prefix or a target in two plans, or a target
+    twice in one, exits 2 naming the repeat: an audit measures each target
+    once, with the vantages of its one plan."""
     camp, paths, tmp_path = small_campaign
     plans_path = tmp_path / "plans.jsonl"
     assert run(["plan", "--registrations", paths["registrations.jsonl"],
                 "--hitlist-v4", paths["hitlist_v4.csv"], "--hitlist-v6", paths["hitlist_v6.txt"],
                 "-o", str(plans_path)]) == 0
-    plans = [json.loads(line) for line in plans_path.read_text().splitlines()]
-    plans[3]["targets"] += plans[0]["targets"] + plans[-1]["targets"]
-    plans[-2]["targets"] = plans[0]["targets"] + plans[-2]["targets"]
-    plans_path.write_text("".join(json.dumps(p) + "\n" for p in plans))
+    lines = plans_path.read_text().splitlines(keepends=True)
+    first, other = json.loads(lines[0]), json.loads(lines[3])
+    target = first["targets"][0]
+    shared = json.dumps({**other, "targets": other["targets"] + [target]}) + "\n"
+    doubled = json.dumps({**first, "targets": [target, target]}) + "\n"
+    cases = [
+        (lines + lines[:1], f"prefix {first['registration']['prefix']}"),
+        (lines[:3] + [shared] + lines[4:], f"target {target}"),
+        ([doubled] + lines[1:], f"target {target}"),
+    ]
+    captured, out = tmp_path / "captured.jsonl", tmp_path / "audit.jsonl"
+    argv = audit_argv(paths, str(out), extra=["--plans", str(plans_path),
+                                              "--capture-results", str(captured)])
+    for text, repeated in cases:
+        plans_path.write_text("".join(text))
+        capsys.readouterr()
+        assert run(argv) == 2
+        assert capsys.readouterr().err == f"geoaudit: {plans_path}: {repeated} appears twice\n"
+        assert not captured.exists() and not out.exists()
 
-    calls = []
 
-    def numbered(self, jobs):  # each measurement tells when it was made
-        for target, vantages in jobs:
-            calls.append(target)
-            yield {v.id: [float(len(calls))] for v in vantages}
+def test_audit_refuses_a_repeated_vantage_id(small_campaign, capsys):
+    """A vantage id listed twice exits 2 naming the file and the id, instead
+    of measuring with one record and inferring with the other."""
+    camp, paths, tmp_path = small_campaign
+    vantages = Path(paths["vantages.jsonl"])
+    first = json.loads(vantages.read_text().splitlines()[0])
+    with vantages.open("a", encoding="utf-8") as fp:
+        fp.write(json.dumps({**first, "lat": 0.0, "lon": 0.0}) + "\n")
+    captured, out = tmp_path / "captured.jsonl", tmp_path / "audit.jsonl"
+    capsys.readouterr()
+    assert run(audit_argv(paths, str(out), extra=["--capture-results", str(captured)])) == 2
+    assert (capsys.readouterr().err
+            == f"geoaudit: {vantages}: vantage id {first['id']} appears twice\n")
+    assert not captured.exists() and not out.exists()
 
-    monkeypatch.setattr(measure.SimulateBackend, "measure_targets", numbered)
-    capture = tmp_path / "capture.jsonl"
-    argv = audit_argv(paths, str(tmp_path / "audit.jsonl"),
-                      extra=["--plans", str(plans_path), "--capture-results", str(capture)])
-    assert run(argv) == 0
-    rows = [json.loads(line) for line in capture.read_text().splitlines()]
-    assert len(calls) > len(set(calls))
-    assert {r["rtts_ms"][0] for r in rows} == set(map(float, range(1, len(calls) + 1)))
 
-    def key(row):
-        addr = ipaddress.ip_address(row["target"])
-        return addr.version, int(addr), row["vantage_id"], row["rtts_ms"]
-
-    assert [key(r) for r in rows] == sorted(key(r) for r in rows)
+def test_replay_refuses_a_pair_archived_twice(small_campaign, capsys):
+    """A capture that lists a (target, vantage) pair twice exits 2 naming
+    the pair: no reply is kept over another."""
+    camp, paths, tmp_path = small_campaign
+    captured = tmp_path / "results.jsonl"
+    assert run(audit_argv(paths, str(tmp_path / "sim.jsonl"),
+                          extra=["--capture-results", str(captured)])) == 0
+    lines = captured.read_text().splitlines(keepends=True)
+    row = json.loads(lines[1])
+    captured.write_text("".join(lines) + json.dumps({**row, "rtts_ms": [1.0]}) + "\n")
+    out = tmp_path / "replay.jsonl"
+    capsys.readouterr()
+    assert run(audit_argv(paths, str(out), extra=["--backend", "replay",
+                                                  "--results", str(captured)])) == 2
+    assert (capsys.readouterr().err
+            == f"geoaudit: {captured}: {row['vantage_id']} -> {row['target']} is archived twice\n")
+    assert not out.exists()
 
 
 def test_audit_replay_counts_misses(small_campaign, capsys):
@@ -555,6 +584,23 @@ def test_live_backend_needs_url_and_key(small_campaign, capsys, monkeypatch, giv
     assert not captured.exists() and not out.exists()
 
 
+@pytest.mark.parametrize("url, message", [
+    ("ftp://api.example.net/v1", "base URL 'ftp://api.example.net/v1' is not an http:// or "
+                                 "https:// URL"),
+    ("http://h:x/v1", "Port could not be cast to integer value as 'x'"),
+    ("http://[::1/v1", "Invalid IPv6 URL"),
+])
+def test_live_base_url_that_does_not_parse_exits_2(small_campaign, capsys, url, message):
+    camp, paths, tmp_path = small_campaign
+    captured, out = tmp_path / "captured.jsonl", tmp_path / "audit.jsonl"
+    extra = ["--backend", "live", "--base-url", url, "--api-key", "k",
+             "--capture-results", str(captured)]
+    capsys.readouterr()
+    assert run(audit_argv(paths, str(out), extra=extra)) == 2
+    assert capsys.readouterr().err == f"geoaudit: {message}\n"
+    assert not captured.exists() and not out.exists()
+
+
 def permutation_campaign(tmp_path):
     """A campaign with two targets in most prefixes, a cross-registry
     duplicate registration, a duplicate that ties on prefix, registry and
@@ -768,6 +814,45 @@ def test_exit_code_3_when_backend_unavailable(small_campaign, monkeypatch):
     monkeypatch.setattr(cli, "_make_backend", boom)
     rc = run(audit_argv(paths, str(tmp_path / "out.jsonl")))
     assert rc == 3
+
+
+@pytest.mark.parametrize("bug", [KeyError, ValueError, EOFError])
+def test_a_bug_in_a_stage_is_not_bad_input(small_campaign, monkeypatch, bug):
+    """Exit 2 means a GeoAuditError or an OSError: any other exception from
+    a stage is a bug, and it leaves main with its traceback."""
+    camp, paths, tmp_path = small_campaign
+
+    def broken(*args, **kwargs):
+        raise bug("a stage's own mistake")
+
+    monkeypatch.setattr(classify, "audit_pipeline", broken)
+    with pytest.raises(bug, match="a stage's own mistake"):
+        run(audit_argv(paths, str(tmp_path / "out.jsonl")))
+
+
+def test_csv_field_over_the_limit_exits_2(small_campaign, capsys):
+    camp, paths, tmp_path = small_campaign
+    hitlist = tmp_path / "hitlist.csv"
+    hitlist.write_text("addr,score\n" + "1" * 140_000 + ",99\n")
+    capsys.readouterr()
+    assert run(["plan", "--registrations", paths["registrations.jsonl"],
+                "--hitlist-v4", str(hitlist), "-o", str(tmp_path / "plans.jsonl")]) == 2
+    assert (capsys.readouterr().err
+            == f"geoaudit: {hitlist}: field larger than field limit (131072)\n")
+    assert not (tmp_path / "plans.jsonl").exists()
+
+
+def test_malformed_dialect_table_exits_2(tmp_path, capsys):
+    (tmp_path / "arin.txt").write_text(ARIN_DUMP)
+    dialects = tmp_path / "dialects.ini"
+    dialects.write_text("net_keys = NetRange\n")  # no section header
+    out = tmp_path / "registrations.jsonl"
+    capsys.readouterr()
+    assert run(["ingest", "--arin", str(tmp_path / "arin.txt"), "--dialects", str(dialects),
+                "-o", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"geoaudit: {dialects}: File contains no section headers.")
+    assert not out.exists()
 
 
 def test_config_precedence(tmp_path, monkeypatch):

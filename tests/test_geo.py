@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from geoaudit.errors import NegativeRtt, NoResponses
+from geoaudit.errors import GeoAuditError
 from geoaudit.geo import (
     EARTH_RADIUS_KM,
     GeoConfig,
@@ -58,7 +58,7 @@ def test_radius_known_values():
 
 def test_radius_scales_linearly_and_validates():
     assert rtt_to_radius_km(50.0) == pytest.approx(rtt_to_radius_km(100.0) / 2)
-    with pytest.raises(NegativeRtt):
+    with pytest.raises(GeoAuditError, match=r"^rtt -1\.0 ms$"):
         rtt_to_radius_km(-1.0)
     with pytest.raises(ValueError):
         rtt_to_radius_km(10.0, 0.0)
@@ -78,9 +78,9 @@ def test_min_rtt_picks_smallest_then_lowest_id():
     # exact tie: lower id wins
     vid, rtt = min_rtt([result("v-b", 9.0), result("v-a", 9.0)])
     assert (vid, rtt) == ("v-a", 9.0)
-    with pytest.raises(NoResponses):
+    with pytest.raises(GeoAuditError, match="^no replies in batch$"):
         min_rtt([result("v-a"), result("v-b")])
-    with pytest.raises(NegativeRtt):
+    with pytest.raises(GeoAuditError, match=r"^rtt -2\.0 ms from v-a$"):
         min_rtt([result("v-a", -2.0)])
 
 
@@ -240,5 +240,5 @@ def test_bundled_points_cover_every_mapped_country():
     region_map = default_region_map()
     points = default_country_points()
     check_point_coverage(points, region_map)
-    with pytest.raises(ValueError):
+    with pytest.raises(GeoAuditError, match=r"^countries without representative points: \['"):
         check_point_coverage({"US": ((40.0, -100.0),)}, region_map)

@@ -12,7 +12,7 @@ import time
 import pytest
 
 from geoaudit import measure
-from geoaudit.errors import BackendUnavailable, NegativeRtt, UnknownTarget
+from geoaudit.errors import BackendUnavailable, GeoAuditError, UnknownTarget
 from geoaudit.geo import C_KM_PER_S, EARTH_RADIUS_KM, haversine_km
 from geoaudit.measure import (
     POLL_ATTEMPTS,
@@ -254,7 +254,7 @@ def test_run_plan_measurement_order_and_bad_rtt():
 
     # an RTT that is negative or not finite fails the plan
     for rtt in (-1.0, math.nan, math.inf):
-        with pytest.raises(NegativeRtt):
+        with pytest.raises(GeoAuditError, match=f"^v-1 -> 192.0.2.1: {rtt} ms$"):
             run_plan(parse_prefix("192.0.2.0/24"), [parse_address("192.0.2.1")],
                      [vp("v-1")], Hostile(rtt))
 
@@ -568,7 +568,12 @@ def test_transport_read_timeout_fails_a_post_and_retries_a_get(monkeypatch, meth
 
 def test_transport_refuses_a_base_url_that_is_not_http():
     for url in ("ftp://api.example.net/v1", "api.example.net/v1", "https:///v1"):
-        with pytest.raises(ValueError, match="is not an http:// or https:// URL"):
+        with pytest.raises(GeoAuditError, match="is not an http:// or https:// URL"):
+            LiveBackend(url, "k")
+    # urlsplit's own refusals, as they read
+    for url, message in [("http://h:x/v1", "^Port could not be cast to integer value as 'x'$"),
+                         ("http://[::1/v1", "^Invalid IPv6 URL$")]:
+        with pytest.raises(GeoAuditError, match=message):
             LiveBackend(url, "k")
 
 
@@ -691,7 +696,11 @@ def test_every_backend_measures_a_plan_alike(seed, noise_ms):
     session = WorldSession(world, vantages)
     live = LiveBackend("https://api.example.net/v1", "k", session=session, sleep=lambda s: None)
     capture = io.StringIO()
-    write_results([r for results in expected for r in results], capture)
+    # a capture lists each pair once; plans that share a pair measured it alike
+    archived = {}
+    for r in (r for results in expected for r in results):
+        assert archived.setdefault((r.vantage_id, r.target), r) == r
+    write_results(archived.values(), capture)
     replay = ReplayBackend(load_results(io.StringIO(capture.getvalue())))
     for backend in (live, replay, PairOnly(simulate)):
         got = [run_plan(prefix, targets, plan_vantages, backend)

@@ -2,10 +2,11 @@ import datetime
 import gzip
 import io
 import random
+import re
 
 import pytest
 
-from geoaudit.errors import UnknownDialect, UnreadableStream
+from geoaudit.errors import GeoAuditError
 from geoaudit.registry import Rir, Status, write_registrations
 from geoaudit.whois import (
     RawRecord,
@@ -183,7 +184,7 @@ def test_default_dialects_cover_all_rirs():
     assert set(dialects) == set(Rir)
     assert dialect_for(Rir.ARIN).net_keys == ("netrange", "cidr")
     assert dialect_for(Rir.APNIC).org_id_keys == ()
-    with pytest.raises(UnknownDialect):
+    with pytest.raises(GeoAuditError, match="^no dialect for RIPE$"):
         dialect_for(Rir.RIPE, {})
 
 
@@ -236,13 +237,18 @@ def test_parse_date_formats():
     assert parse_date("2021-06-01 08:00:00") == datetime.date(2021, 6, 1)
     assert parse_date("noc@example.net 20190203") == datetime.date(2019, 2, 3)
     assert parse_date("2022-01-05T12:30:00.5+00:00") == datetime.date(2022, 1, 5)
+    # Python 3.11+ fromisoformat reads both days before the T as 2021-03-04, 3.10 neither
+    assert parse_date("20210304T101010Z") is None
+    assert parse_date("2021-W09-4T00:00Z") is None
     assert parse_date("soon") is None
     assert parse_date(None) is None
     assert parse_date("   ") is None
 
 
 def seed_parse_date(text):
-    """parse_date as the seed wrote it: every pattern through strptime."""
+    """parse_date as the seed wrote it: every pattern through strptime, then
+    the day before a T as Python 3.10's fromisoformat reads it, YYYY-MM-DD
+    in ASCII digits only, so every Python reads a token the same way."""
     if not text:
         return None
     for token in text.strip().split():
@@ -251,9 +257,10 @@ def seed_parse_date(text):
                 return datetime.datetime.strptime(token, pattern).date()
             except ValueError:
                 continue
-        if "T" in token:
+        day = re.fullmatch(r"(\d{4})-(\d\d)-(\d\d)T.*", token, re.ASCII | re.DOTALL)
+        if day:
             try:
-                return datetime.date.fromisoformat(token.split("T", 1)[0])
+                return datetime.date(*map(int, day.groups()))
             except ValueError:
                 pass
     return None
@@ -393,6 +400,44 @@ def test_parse_net_value_forms():
 
     blocks = _parse_net_value("10.0.0.0-10.0.0.11")
     assert [str(b) for b in blocks] == ["10.0.0.0/29", "10.0.0.8/30"]
+
+
+NET_VALUES = ["192.0.2.0 - 192.0.2.255", "10.0.0.0/8", "45.5.160/22", "2001:db8::/32",
+              "2001:db8:: - 2001:db8::ff", "198.51.100.7", "::1", "10.0.0.12-10.0.0.3",
+              "fe80::1%eth0", "192.0.2.0 - 2001:db8::1"]
+# address characters, separators and look-alikes: an Arabic-Indic and a fullwidth digit
+NET_CHARS = "0123456789abcdefx.:/- %[]+_\t\u0663\uff11"
+
+
+def junk_net_value(rng):
+    """A net value as a dump might garble it: a known one with a few
+    characters replaced, inserted or dropped, or a run of net characters."""
+    if rng.random() < 0.2:
+        return "".join(rng.choice(NET_CHARS) for _ in range(rng.randint(0, 24)))
+    chars = list(rng.choice(NET_VALUES))
+    for _ in range(rng.randint(0, 3)):
+        at = rng.randrange(len(chars) + 1)
+        edit = rng.randrange(3)
+        if edit == 0:
+            chars.insert(at, rng.choice(NET_CHARS))
+        elif at < len(chars):
+            chars[at:at + 1] = [rng.choice(NET_CHARS)] if edit == 1 else []
+    return "".join(chars)
+
+
+def test_every_junk_net_value_is_a_registration_or_malformed():
+    """A net value that does not parse is counted as malformed, and any
+    other exception is a bug that fails the parse."""
+    rng = random.Random(29)
+    dialects = default_dialects()
+    outcomes = set()
+    for _ in range(20000):
+        value = junk_net_value(rng)
+        regs, _, rep = parse_bulk_whois(io.StringIO(f"NetRange: {value}\n"), Rir.ARIN, dialects)
+        outcome = (rep.malformed_skipped, bool(regs))
+        assert outcome in ((0, True), (1, False)) and rep.check_identity(), value
+        outcomes.add(outcome)
+    assert outcomes == {(0, True), (1, False)}
 
 
 def test_parse_arin_dump():
@@ -577,5 +622,5 @@ def test_corrupt_gzip_raises_unreadable(tmp_path):
     bad = tmp_path / "dump.gz"
     bad.write_bytes(b"\x1f\x8b\x08" + b"garbage-not-gzip-payload")
     with open_text(str(bad)) as fp:
-        with pytest.raises(UnreadableStream):
+        with pytest.raises(GeoAuditError, match="^cannot read dump: "):
             list(iter_raw_records(fp))
