@@ -321,10 +321,14 @@ def cmd_audit(args: argparse.Namespace) -> int:
     jobs = [(target, vplan.vantages) for plan, vplan in zip(plans, vplans)
             for target in plan.targets]
     # load_plans refuses a target in two plans, so each is measured once
-    results_by_target = {
-        target: measure.target_results(target, plan_vantages, replies)
-        for (target, plan_vantages), replies
-        in zip(jobs, backend.measure_targets(jobs), strict=True)}
+    try:
+        results_by_target = {
+            target: measure.target_results(target, plan_vantages, replies)
+            for (target, plan_vantages), replies
+            in zip(jobs, backend.measure_targets(jobs), strict=True)}
+    finally:
+        if isinstance(backend, measure.LiveBackend):
+            backend.session.close()  # its keep-alive connection
 
     if args.capture_results:
         # ordered by target, then vantage id, the order of target_results

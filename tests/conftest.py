@@ -217,6 +217,7 @@ class WorldSession:
         self.calls = []
         self.posts = []
         self.most_open = 0
+        self.closed = False
 
     def request(self, method, url, json=None, headers=None):
         self.calls.append((method, url))
@@ -240,6 +241,9 @@ class WorldSession:
             self.open[mid][0] -= 1
             return StubResponse(200, {"status": "pending"})
         return StubResponse(200, {"status": "done", "results": self.open.pop(mid)[1]})
+
+    def close(self):
+        self.closed = True
 
 
 LIVE_ARGV = ["--backend", "live", "--base-url", "https://api.example.net/v1", "--api-key", "k"]

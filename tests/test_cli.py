@@ -314,6 +314,7 @@ def test_audit_prints_live_request_tallies(small_campaign, capsys, monkeypatch):
     assert run(audit_argv(paths, str(tmp_path / "audit.jsonl"), extra=LIVE_ARGV)) == 0
     stdout = capsys.readouterr().out
     [api] = sessions
+    assert api.closed  # the audit closes its connection to the API
     n = len(api.posts)
     assert n == len(camp.expected) and [m for m, _ in api.calls] == ["POST", "GET", "GET"] * n
     assert f"live requests: posts={n} polls={2 * n} retries=0 rounds={n}" in stdout
