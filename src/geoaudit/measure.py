@@ -17,10 +17,11 @@ from __future__ import annotations
 import functools
 import json
 import math
-import random
 import select
+import struct
 import time
 from dataclasses import dataclass, field
+from hashlib import blake2b
 from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import BackendUnavailable, GeoAuditError, UnknownTarget
@@ -39,6 +40,10 @@ TIMEOUT_S = 30.0  # the live client's socket timeout: to connect, and for each r
 Job = tuple[Addr, Sequence[VantagePoint]]  # a target and the vantages that measure it
 _FLOAT = frozenset((float,))  # what json reads a capture's samples as: from_json's fast path
 _dumps = json.dumps  # Transport.request's json parameter hides the module
+# a pair's noise: the BLAKE2b digest of its text read as little-endian 64-bit
+# words, one per sample, each turned into a uniform [0, 1) by its top 53 bits
+_NOISE_WORDS = struct.Struct("<3Q")
+_UNIT = 2.0 ** -53
 
 
 def _vantage_id(value) -> str:
@@ -135,8 +140,11 @@ class SyntheticWorld:
     set, and additive uniform noise on top of great-circle baseline RTTs.
 
     Noise only ever adds delay, so a simulated RTT never implies a distance
-    shorter than the true one. The noise of each (vantage, target) pair is
-    seeded from the pair alone, so it does not depend on which other
+    shorter than the true one: each sample is base + noise_ms * u with u in
+    [0, 1). The u of a (vantage, target) pair come from one unkeyed
+    BLAKE2b-192 digest of the text "<seed>:<vantage id>:<target>", read as
+    three little-endian 64-bit words w, u = (w >> 11) * 2**-53. So a pair's
+    samples depend on the seed and the pair alone, not on which other
     vantages measure the target in the same call."""
 
     target_locations: dict[Addr, tuple[float, float]] = field(default_factory=dict)
@@ -160,26 +168,25 @@ class SyntheticWorld:
         """RTT samples from each vantage to target; {} when it is unresponsive,
         UnknownTarget when it has no location.
 
-        The target is looked up and formatted once; one Random, reseeded per
-        pair, draws the noise."""
+        The target is looked up and the seed and target formatted once; each
+        pair then costs one digest of its text (see the class docstring)."""
         if target in self.unresponsive:
             return {}
         location = self.target_locations.get(target)
         if location is None:
             raise UnknownTarget(f"no location for {target}")
         lat, lon = location
-        name = str(target)
-        rng = None
+        # no BLAKE2b key: a key is at most 64 bytes, and a seed is any int
+        head, tail = f"{self.seed}:", f":{target}"
+        noise = self.noise_ms
         out = {}
         for vantage in vantages:
             base = self._base_rtt_ms(vantage, lat, lon)
-            key = f"{self.seed}:{vantage.id}:{name}"
-            if rng is None:
-                rng = random.Random(key)
-            else:
-                rng.seed(key)  # the stream of random.Random(key)
-            out[vantage.id] = [base + rng.uniform(0.0, self.noise_ms)
-                               for _ in range(SAMPLES_PER_PAIR)]
+            a, b, c = _NOISE_WORDS.unpack(  # SAMPLES_PER_PAIR words, unrolled
+                blake2b(f"{head}{vantage.id}{tail}".encode(), digest_size=_NOISE_WORDS.size).digest())
+            out[vantage.id] = [base + noise * ((a >> 11) * _UNIT),
+                               base + noise * ((b >> 11) * _UNIT),
+                               base + noise * ((c >> 11) * _UNIT)]
         return out
 
     def rtts(self, vantage: VantagePoint, target: Addr) -> list[float]:
@@ -279,14 +286,16 @@ class Transport:
             parts = urllib.parse.urlsplit(base_url)
             if parts.scheme not in ("http", "https") or not parts.hostname:
                 raise GeoAuditError(f"base URL {base_url!r} is not an http:// or https:// URL")
+            # an explicit port: given none, http.client would split an IPv6
+            # host at its last colon, and [::1] would become host ":", port 1
             if parts.scheme == "https":
                 import ssl
 
-                self._conn = http.client.HTTPSConnection(parts.hostname, parts.port,
+                self._conn = http.client.HTTPSConnection(parts.hostname, parts.port or 443,
                                                          timeout=TIMEOUT_S,
                                                          context=ssl.create_default_context())
             else:
-                self._conn = http.client.HTTPConnection(parts.hostname, parts.port,
+                self._conn = http.client.HTTPConnection(parts.hostname, parts.port or 80,
                                                         timeout=TIMEOUT_S)
         # an unclosed [, a port that is not a number, a host with a space
         except (ValueError, http.client.InvalidURL) as exc:

@@ -50,12 +50,12 @@ INPUTS = {
 
 OUTPUTS = {
     "alignment.csv": "867f10fb8d489606fff9c26fc3b12a7289aea48f683521b523a3ec0004b57c41",
-    "audit_live.jsonl": "d0751a94dea338b15caf04b939d4e656374ae0071732ab1ad791df237e97f077",
-    "audit_live_replay.jsonl": "d0751a94dea338b15caf04b939d4e656374ae0071732ab1ad791df237e97f077",
-    "audit_replay.jsonl": "d0751a94dea338b15caf04b939d4e656374ae0071732ab1ad791df237e97f077",
-    "audit_simulate.jsonl": "d0751a94dea338b15caf04b939d4e656374ae0071732ab1ad791df237e97f077",
-    "capture_live.jsonl": "df0f65ae86454718d2e490f05ac7d6867fdee7b645ce1ee147b02f1ac6e21620",
-    "capture_simulate.jsonl": "df0f65ae86454718d2e490f05ac7d6867fdee7b645ce1ee147b02f1ac6e21620",
+    "audit_live.jsonl": "b36f1d4f858978b12409a33bb06df07147a6a90f5ae99ccbb4b1cf491d1c97c5",
+    "audit_live_replay.jsonl": "b36f1d4f858978b12409a33bb06df07147a6a90f5ae99ccbb4b1cf491d1c97c5",
+    "audit_replay.jsonl": "b36f1d4f858978b12409a33bb06df07147a6a90f5ae99ccbb4b1cf491d1c97c5",
+    "audit_simulate.jsonl": "b36f1d4f858978b12409a33bb06df07147a6a90f5ae99ccbb4b1cf491d1c97c5",
+    "capture_live.jsonl": "0b0e5b5f36c0e15ab1729db736c9e9387788cc2ffc13a09623920df92585c613",
+    "capture_simulate.jsonl": "0b0e5b5f36c0e15ab1729db736c9e9387788cc2ffc13a09623920df92585c613",
     "oro.csv": "4c7fad782856dc8fc156e05b033d9ad1fe1a0aa1ab47dcb272d659accd4be91a",
     "plans.jsonl": "eea1a47e7217677b74b1458167d7e5988b0dfe079afb91c94e0f9d838732dd83",
     "registrations.jsonl": "c4ef82a500e924dc2980cf517cbc5b76621bf0cb85deb1eec804e544fd2bb4fb",

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import http.client
 import io
 import ipaddress
@@ -577,6 +578,21 @@ def test_transport_refuses_a_base_url_that_is_not_http():
             LiveBackend(url, "k")
 
 
+@pytest.mark.parametrize("url, host, port", [
+    ("http://[::1]/v1", "::1", 80),
+    ("http://[::1]:8080/v1", "::1", 8080),
+    ("https://api.example.net/v1", "api.example.net", 443),
+    ("https://[2001:db8::1]/v1", "2001:db8::1", 443),
+    ("http://api.example.net:8443/v1", "api.example.net", 8443),
+])
+def test_transport_connects_to_the_host_and_port_of_its_url(url, host, port):
+    transport = Transport(url)
+    try:
+        assert (transport._conn.host, transport._conn.port) == (host, port)
+    finally:
+        transport.close()
+
+
 @pytest.mark.parametrize("in_flight", [1, 2, 3, 8])
 def test_live_window_keeps_job_order(in_flight):
     """Measurements pending 0-3 times finish out of job order; the replies
@@ -630,21 +646,64 @@ class PairOnly:
         return self.inner.measure(vantage, target)
 
 
+def reference_base(world, vantage, target):
+    """The great-circle RTT in ms, written out independently."""
+    lat, lon = world.target_locations[target]
+    dist = haversine_km(vantage.lat, vantage.lon, lat, lon)
+    return 2.0 * dist / (world.propagation_factor * (C_KM_PER_S / 1000.0))
+
+
 def reference_rtts(world, vantage, target):
-    """The simulator's per-pair formula, written out independently."""
+    """The simulator's per-pair formula, written out independently: the
+    unkeyed BLAKE2b digest, 8 bytes per sample, of "<seed>:<vantage id>:<target>"
+    in UTF-8; each 8 bytes a little-endian integer whose top 53 bits, over
+    2**53, are the fraction of noise_ms added to the base RTT."""
     if target not in world.target_locations:
         if target in world.unresponsive:
             return []
         raise UnknownTarget(str(target))
     if target in world.unresponsive:
         return []
-    lat, lon = world.target_locations[target]
-    dist = haversine_km(vantage.lat, vantage.lon, lat, lon)
-    base = 2.0 * dist / (world.propagation_factor * (C_KM_PER_S / 1000.0))
+    base = reference_base(world, vantage, target)
     if world.noise_ms <= 0:
         return [base] * SAMPLES_PER_PAIR
-    rng = random.Random(f"{world.seed}:{vantage.id}:{target}")
-    return [base + rng.uniform(0.0, world.noise_ms) for _ in range(SAMPLES_PER_PAIR)]
+    text = f"{world.seed}:{vantage.id}:{target}".encode("utf-8")
+    digest = hashlib.blake2b(text, digest_size=8 * SAMPLES_PER_PAIR).digest()
+    words = [int.from_bytes(digest[i:i + 8], "little") for i in range(0, len(digest), 8)]
+    return [base + world.noise_ms * ((word >> 11) / 2 ** 53) for word in words]
+
+
+def test_noise_bounds_and_independence_over_mixed_pairs():
+    """Seeded v4 and v6 pairs: each sample lies in [base, base + noise_ms);
+    a pair's samples do not depend on the call's other vantages or their
+    order; zero noise gives the base RTT exactly; a seed of any size works."""
+    rng = random.Random(61)
+    seen = set()
+    for case in range(60):
+        addrs = [ipaddress.IPv4Address(rng.getrandbits(32)) for _ in range(3)] + \
+                [ipaddress.IPv6Address(rng.getrandbits(128)) for _ in range(3)]
+        locations = {a: (rng.uniform(-90, 90), rng.uniform(-180, 180)) for a in addrs}
+        vantages = [vp(vid, rng.uniform(-90, 90), rng.uniform(-180, 180))
+                    for vid in rng.sample(VANTAGE_IDS, rng.randint(1, len(VANTAGE_IDS)))]
+        seed = rng.choice([0, rng.getrandbits(31), 10 ** 70 + rng.getrandbits(256)])
+        noise_ms = rng.choice([0.0, rng.uniform(0.01, 50.0)])
+        quiet = SyntheticWorld(target_locations=locations, seed=seed)
+        noisy = SyntheticWorld(target_locations=locations, noise_ms=noise_ms, seed=seed)
+        for target in addrs:
+            assert quiet.rtts_by_vantage(target, vantages) == {
+                v.id: [reference_base(quiet, v, target)] * SAMPLES_PER_PAIR for v in vantages}
+            whole = noisy.rtts_by_vantage(target, vantages)
+            for v in vantages:
+                base = reference_base(noisy, v, target)
+                assert whole[v.id] == reference_rtts(noisy, v, target)
+                assert all(base <= rtt < base + noise_ms for rtt in whole[v.id]) or (
+                    noise_ms == 0 and whole[v.id] == [base] * SAMPLES_PER_PAIR)
+                seen.add((seed > 10 ** 70, noise_ms > 0, target.version))
+            shuffled = rng.sample(vantages, rng.randint(1, len(vantages)))
+            assert noisy.rtts_by_vantage(target, shuffled) == {v.id: whole[v.id] for v in shuffled}
+    # every kind of seed and family was drawn, with and without noise
+    assert seen == {(big, noisy, version) for big in (False, True) for noisy in (False, True)
+                    for version in (4, 6)}
 
 
 def random_campaign(seed, noise_ms):
