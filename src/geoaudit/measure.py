@@ -40,10 +40,8 @@ TIMEOUT_S = 30.0  # the live client's socket timeout: to connect, and for each r
 Job = tuple[Addr, Sequence[VantagePoint]]  # a target and the vantages that measure it
 _FLOAT = frozenset((float,))  # what json reads a capture's samples as: from_json's fast path
 _dumps = json.dumps  # Transport.request's json parameter hides the module
-# a pair's noise: the BLAKE2b digest of its text read as little-endian 64-bit
-# words, one per sample, each turned into a uniform [0, 1) by its top 53 bits
-_NOISE_WORDS = struct.Struct("<3Q")
-_UNIT = 2.0 ** -53
+_NOISE_WORDS = struct.Struct("<3Q")  # a pair's digest: one word per sample (SyntheticWorld)
+_UNIT = 2.0 ** -53  # a word's top 53 bits times this are uniform in [0, 1)
 
 
 def _vantage_id(value) -> str:
@@ -182,7 +180,8 @@ class SyntheticWorld:
         out = {}
         for vantage in vantages:
             base = self._base_rtt_ms(vantage, lat, lon)
-            a, b, c = _NOISE_WORDS.unpack(  # SAMPLES_PER_PAIR words, unrolled
+            # SAMPLES_PER_PAIR samples, unrolled: a comprehension would cost a frame per pair
+            a, b, c = _NOISE_WORDS.unpack(
                 blake2b(f"{head}{vantage.id}{tail}".encode(), digest_size=_NOISE_WORDS.size).digest())
             out[vantage.id] = [base + noise * ((a >> 11) * _UNIT),
                                base + noise * ((b >> 11) * _UNIT),

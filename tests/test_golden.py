@@ -13,6 +13,7 @@ digests changed and why."""
 import gzip
 import hashlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -129,7 +130,7 @@ def test_every_output_keeps_its_pinned_bytes(tmp_path):
         assert cli.main(argv) == 0, argv[0]
 
     # the live API answers from the same world, at the audit's seed
-    world = SyntheticWorld.from_json(gen.json.loads(camp.files["world.json"]), seed=SEED)
+    world = SyntheticWorld.from_json(json.loads(camp.files["world.json"]), seed=SEED)
     with open(c["vantages.jsonl"]) as fp:
         api = WorldSession(world, load_vantages(fp))
     with LoopbackApi(api) as server:
