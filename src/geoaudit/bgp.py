@@ -23,9 +23,6 @@ class Alignment(enum.Enum):
     MIXED_AS = "mixed_as"
     UNADVERTISED = "unadvertised"
 
-    def __str__(self) -> str:
-        return self.value
-
 
 # column order used in tables
 ALIGNMENT_ORDER = (

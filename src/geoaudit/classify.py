@@ -49,9 +49,6 @@ class ConsistencyClass(enum.Enum):
     RI = "RI"
     FI = "FI"
 
-    def __str__(self) -> str:
-        return self.value
-
 
 class FilterReason(enum.Enum):
     """Why a prefix was not classified, declared in the order the filters run."""
@@ -63,9 +60,6 @@ class FilterReason(enum.Enum):
     UNADVERTISED = "unadvertised"
     NO_ORG_COUNTRY = "no_org_country"
     CONFLICTING = "conflicting"
-
-    def __str__(self) -> str:
-        return self.value
 
 
 def classify_one(
@@ -264,12 +258,8 @@ def audit_pipeline(
 ) -> list[ConsistencyRecord]:
     """Classify every plan; exactly one record per prefix, sorted by prefix."""
     anycast = PrefixIndex((prefix, True) for prefix in anycast_prefixes)
-    records = []
-    for plan in sorted(plans, key=lambda p: prefix_sort_key(p.prefix)):
-        records.append(audit_prefix(
-            plan, results_by_target, vantages_by_id, rib, anycast, nir_markers, config,
-        ))
-    return records
+    return [audit_prefix(plan, results_by_target, vantages_by_id, rib, anycast, nir_markers, config)
+            for plan in sorted(plans, key=lambda p: prefix_sort_key(p.prefix))]
 
 
 @dataclass

@@ -22,6 +22,7 @@ import csv
 import json
 import os
 import sys
+import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
@@ -37,7 +38,9 @@ from .registry import (
     load_registrations,
     open_text,
     oro_stats,
+    parse_as,
     prefix_sort_key,
+    read_ini,
     read_tokens,
     write_oro_csv,
     write_registrations,
@@ -80,13 +83,13 @@ _RANGES = {
 
 
 def _read(path: str, loader):
-    """Parse one input (gzip ok) with loader(fp); an input it cannot read
-    raises GeoAuditError naming path."""
+    """Parse one input (gzip ok) with loader(fp). Bad input, a file that
+    cannot be read or decompressed, or a CSV the csv module refuses,
+    raises GeoAuditError naming path; any other exception is a bug."""
     with open_text(path) as fp:
         try:
             return loader(fp)
-        except (GeoAuditError, AttributeError, EOFError, KeyError, OSError, TypeError,
-                ValueError, csv.Error) as exc:
+        except (GeoAuditError, OSError, EOFError, csv.Error, zlib.error) as exc:
             raise GeoAuditError(f"{path}: {exc}") from None
 
 
@@ -109,13 +112,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     file_values: dict[str, str] = {}
     path = getattr(args, "config", None)
     if path:
-        import configparser
-
-        parser = configparser.ConfigParser(interpolation=None)
-        try:
-            _read(path, parser.read_file)
-        except configparser.Error as exc:
-            raise GeoAuditError(f"{path}: {exc}") from None
+        parser = _read(path, read_ini)
         if parser.has_section("geoaudit"):
             file_values = dict(parser.items("geoaudit"))
     unknown = sorted(set(file_values) - {f.name for f in fields(RunConfig)})
@@ -277,16 +274,14 @@ def _make_backend(args, config: RunConfig):
     if args.backend == "simulate":
         if not args.world:
             raise GeoAuditError("simulate backend needs --world")
-        world = _read(args.world,
-                      lambda fp: measure.SyntheticWorld.from_json(json.load(fp), seed=config.seed))
+        world = _read(args.world, lambda fp: measure.SyntheticWorld.from_json(
+            parse_as(json.loads, fp.read()), seed=config.seed))
         return measure.SimulateBackend(world)
-    if args.backend == "live":
-        if not config.base_url or not config.api_key:
-            raise GeoAuditError("live backend needs --base-url and an API key "
-                                "(flag or GEOAUDIT_API_KEY)")
-        return measure.LiveBackend(config.base_url, config.api_key, tag=config.tag or None,
-                                   in_flight=config.concurrency)
-    raise GeoAuditError(f"unknown backend {args.backend!r}")
+    if not config.base_url or not config.api_key:  # live, the one backend left
+        raise GeoAuditError("live backend needs --base-url and an API key "
+                            "(flag or GEOAUDIT_API_KEY)")
+    return measure.LiveBackend(config.base_url, config.api_key, tag=config.tag or None,
+                               in_flight=config.concurrency)
 
 
 def cmd_audit(args: argparse.Namespace) -> int:

@@ -1,7 +1,9 @@
 """Exception types shared across the package.
 
-Bad input or configuration raises GeoAuditError, and the command line exits
-2 on it; a subclass exists only where a caller catches it by type."""
+Bad input or configuration raises GeoAuditError where it is found: a record,
+row or document parse refuses the text it cannot read, and the command line
+names the file and exits 2. Any other exception is a bug. A subclass exists
+only where a caller catches it by type."""
 
 
 class GeoAuditError(Exception):

@@ -26,7 +26,7 @@ from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import BackendUnavailable, GeoAuditError, UnknownTarget
 from .geo import C_KM_PER_S, DEFAULT_PROPAGATION_FACTOR, haversine_km
-from .registry import Addr, Prefix, load_jsonl, parse_address
+from .registry import Addr, Prefix, _list, _number, _object, _text, load_jsonl, parse_address
 from .vantage import VantagePoint
 
 SAMPLES_PER_PAIR = 3
@@ -42,12 +42,6 @@ _FLOAT = frozenset((float,))  # what json reads a capture's samples as: from_jso
 _dumps = json.dumps  # Transport.request's json parameter hides the module
 _NOISE_WORDS = struct.Struct("<3Q")  # a pair's digest: one word per sample (SyntheticWorld)
 _UNIT = 2.0 ** -53  # a word's top 53 bits times this are uniform in [0, 1)
-
-
-def _vantage_id(value) -> str:
-    if type(value) is not str:  # str() would read null as the vantage "None"
-        raise ValueError(f"vantage_id {value!r} is not a string")
-    return value
 
 
 @dataclass(frozen=True, slots=True)
@@ -67,13 +61,21 @@ class MeasurementResult:
 
     @classmethod
     def from_json(cls, obj: Mapping, parse: Callable[[str], Addr] = parse_address,
-                  name: Callable[[object], str] = _vantage_id) -> "MeasurementResult":
-        rtts = obj["rtts_ms"]
+                  name: Callable[[str], str] = str) -> "MeasurementResult":
+        _object(obj)
+        try:
+            rtts, vantage_id, target = obj["rtts_ms"], obj["vantage_id"], obj["target"]
+        except KeyError as exc:
+            raise GeoAuditError(f"no {exc}") from None
         if type(rtts) is not list:
-            raise ValueError(f"rtts_ms {rtts!r} is not a list")
+            raise GeoAuditError(f"rtts_ms {rtts!r} is not a list")
         if not _FLOAT.issuperset(map(type, rtts)):
-            rtts = [_number(x) for x in rtts]  # an int becomes a float, anything else raises
-        return cls(name(obj["vantage_id"]), parse(obj["target"]), tuple(rtts))
+            rtts = [_rtt(x) for x in rtts]  # an int becomes a float, anything else raises
+        if type(vantage_id) is not str:  # str() would read null as the vantage "None"
+            raise GeoAuditError(f"vantage_id {vantage_id!r} is not a string")
+        if type(target) is not str:
+            raise GeoAuditError(f"target {target!r} is not a string")
+        return cls(name(vantage_id), parse(target), tuple(rtts))
 
 
 # A capture repeats each target once per vantage, so the codec formats or
@@ -112,7 +114,7 @@ def write_results(results: Iterable[MeasurementResult], fp: IO[str]) -> int:
 def load_results(fp: IO[str]) -> list[MeasurementResult]:
     """Results for the same target share one address object, and results
     from the same vantage one id string."""
-    parse, name = functools.cache(parse_address), functools.cache(_vantage_id)
+    parse, name = functools.cache(parse_address), functools.cache(str)
     return load_jsonl(lambda obj: MeasurementResult.from_json(obj, parse, name), fp)
 
 
@@ -153,9 +155,9 @@ class SyntheticWorld:
 
     def __post_init__(self):
         if not 0 < self.propagation_factor <= 1:
-            raise ValueError(f"world propagation_factor is {self.propagation_factor}, must be in (0, 1]")
+            raise GeoAuditError(f"world propagation_factor is {self.propagation_factor}, must be in (0, 1]")
         if not 0 <= self.noise_ms < math.inf:
-            raise ValueError(f"world noise_ms is {self.noise_ms}, must be finite and at least 0")
+            raise GeoAuditError(f"world noise_ms is {self.noise_ms}, must be finite and at least 0")
 
     def _base_rtt_ms(self, vantage: VantagePoint, lat: float, lon: float) -> float:
         dist = haversine_km(vantage.lat, vantage.lon, lat, lon)
@@ -193,13 +195,28 @@ class SyntheticWorld:
 
     @classmethod
     def from_json(cls, obj: Mapping, seed: int = 0) -> "SyntheticWorld":
+        """As strict as the record codec: a target's point is a list of
+        exactly two JSON numbers, and a refusal names the key."""
+        def read(key: str, decode: Callable, value):
+            try:
+                return decode(value)
+            except GeoAuditError as exc:
+                raise GeoAuditError(f"{key}: {exc}") from None
+
+        def point(value) -> tuple[float, float]:
+            if len(_list(value)) != 2:
+                raise GeoAuditError(f"{value!r} is not a [lat, lon] pair")
+            return _number(value[0]), _number(value[1])
+
+        targets = read("targets", _object, _object(obj).get("targets", {}))
         return cls(
-            target_locations={
-                parse_address(a): (float(p[0]), float(p[1])) for a, p in obj.get("targets", {}).items()
-            },
-            unresponsive={parse_address(a) for a in obj.get("unresponsive", ())},
-            noise_ms=float(obj.get("noise_ms", 0.0)),
-            propagation_factor=float(obj.get("propagation_factor", DEFAULT_PROPAGATION_FACTOR)),
+            target_locations={parse_address(a): read(f"targets: {a}", point, p)
+                              for a, p in targets.items()},
+            unresponsive={parse_address(read("unresponsive", _text, a))
+                          for a in read("unresponsive", _list, obj.get("unresponsive", []))},
+            noise_ms=read("noise_ms", _number, obj.get("noise_ms", 0.0)),
+            propagation_factor=read("propagation_factor", _number,
+                                    obj.get("propagation_factor", DEFAULT_PROPAGATION_FACTOR)),
             seed=seed,
         )
 
@@ -377,7 +394,7 @@ class LiveBackend(Backend):
             if resp.status_code == 200:
                 try:
                     return parse(resp.json())
-                except (KeyError, TypeError, ValueError) as exc:
+                except (GeoAuditError, KeyError, TypeError, ValueError) as exc:
                     what = f"no {exc}" if isinstance(exc, KeyError) else exc
                     raise BackendUnavailable(
                         f"{method} {path} answered a malformed body: {what}") from None
@@ -438,24 +455,24 @@ def _replies(body, vantages: Sequence[VantagePoint]) -> dict[str, list[float]] |
     if body["status"] == "pending":
         return None
     if body["status"] != "done":
-        raise ValueError(f"status {body['status']!r}")
+        raise GeoAuditError(f"status {body['status']!r}")
     asked = {v.id for v in vantages}
     out = {}
     for row in body.get("results", []):
         probe = row["probe_id"]
         if type(probe) is not str:  # str() would read null as the probe "None"
-            raise ValueError(f"probe_id {probe!r} is not a string")
+            raise GeoAuditError(f"probe_id {probe!r} is not a string")
         if probe not in asked:
-            raise ValueError(f"probe_id {probe!r} was not asked for")
+            raise GeoAuditError(f"probe_id {probe!r} was not asked for")
         if probe in out:
-            raise ValueError(f"probe_id {probe!r} answers twice")
-        out[probe] = [_number(x) for x in row["rtts_ms"]]
+            raise GeoAuditError(f"probe_id {probe!r} answers twice")
+        out[probe] = [_rtt(x) for x in row["rtts_ms"]]
     return out
 
 
-def _number(x) -> float:
+def _rtt(x) -> float:
     if type(x) not in (int, float):  # float() also reads "12" and true, as 12 and 1 ms
-        raise ValueError(f"rtt {x!r} is not a number")
+        raise GeoAuditError(f"rtt {x!r} is not a number")
     return float(x)
 
 

@@ -27,6 +27,7 @@ from .errors import GeoAuditError
 
 Prefix = ipaddress.IPv4Network | ipaddress.IPv6Network
 Addr = ipaddress.IPv4Address | ipaddress.IPv6Address
+T = TypeVar("T")
 
 # share of the speed of light at which probes are assumed to travel in fiber;
 # geo and measure default to it, and so does the CLI's propagation_factor
@@ -133,7 +134,13 @@ def is_country_code(text: str) -> bool:
     return len(text) == 2 and text.isalpha() and text.isascii() and text == text.upper()
 
 
-T = TypeVar("T")
+def parse_as(kind: Callable[[str], T], text: str) -> T:
+    """kind(text), for a kind such as float, Rir or json.loads; text that
+    kind refuses raises GeoAuditError."""
+    try:
+        return kind(text)
+    except (RecursionError, ValueError) as exc:  # RecursionError: JSON nested too deeply
+        raise GeoAuditError(str(exc)) from None
 
 
 def write_jsonl(items: Iterable, fp: IO[str]) -> int:
@@ -154,8 +161,8 @@ def load_jsonl(from_json: Callable[[Mapping], T], fp: IO[str]) -> list[T]:
 
     Each line goes straight to the C scanner behind json.loads; a line it
     does not read as exactly one value is handed to json.loads. A line that
-    is not JSON, or that from_json cannot read, raises ValueError naming
-    its number."""
+    is not JSON, or that from_json refuses with GeoAuditError, raises
+    GeoAuditError naming its number."""
     scan = json.JSONDecoder().scan_once
     out = []
     for n, line in enumerate(fp, 1):
@@ -164,15 +171,17 @@ def load_jsonl(from_json: Callable[[Mapping], T], fp: IO[str]) -> list[T]:
             continue
         try:
             obj, end = scan(text, 0)
-        except (StopIteration, ValueError):
+        except (RecursionError, StopIteration, ValueError):
             end = -1
+        if end != len(text):
+            try:
+                obj = json.loads(line)  # raises, for the message json.loads gives
+            except (RecursionError, ValueError) as exc:  # RecursionError: nested too deeply
+                raise GeoAuditError(f"line {n}: {exc}") from None
         try:
-            if end != len(text):
-                obj = json.loads(line)
             out.append(from_json(obj))
-        except (GeoAuditError, AttributeError, KeyError, TypeError, ValueError) as exc:
-            what = f"no {exc}" if isinstance(exc, KeyError) else exc
-            raise ValueError(f"line {n}: {what}") from None
+        except GeoAuditError as exc:
+            raise GeoAuditError(f"line {n}: {exc}") from None
     return out
 
 
@@ -190,12 +199,17 @@ def _exactly(kind: type) -> Callable:
     """Decode a value of exactly this type as it is: a bool is not an int."""
     def decode(value):
         if type(value) is not kind:
-            raise TypeError(f"{value!r} is not {_JSON_NAMES[kind]}")
+            raise GeoAuditError(f"{value!r} is not {_JSON_NAMES[kind]}")
         return value
     return decode
 
 
 _text, _float, _list, _object = _exactly(str), _exactly(float), _exactly(list), _exactly(dict)
+
+
+def _number(value) -> float:
+    """A JSON number, an int or a float, as a float."""
+    return float(value) if type(value) is int else _float(value)
 
 
 def _date(value) -> datetime.date:
@@ -204,15 +218,15 @@ def _date(value) -> datetime.date:
     of the spellings it reads, only YYYY-MM-DD is 10 long with dashes at 4
     and 7, a check that costs far less than a call to isoformat."""
     if len(_text(value)) != 10 or value[4] != "-" or value[7] != "-":
-        raise ValueError(f"{value!r} is not a YYYY-MM-DD date")
-    return datetime.date.fromisoformat(value)
+        raise GeoAuditError(f"{value!r} is not a YYYY-MM-DD date")
+    return parse_as(datetime.date.fromisoformat, value)
 
 
 _CODECS = {  # type -> (encode, decode); an encode of None: the value is its own JSON
     str: (None, _text),
     bool: (None, _exactly(bool)),
     int: (None, _exactly(int)),
-    float: (None, lambda v: float(v) if type(v) is int else _float(v)),
+    float: (None, _number),
     datetime.date: (datetime.date.isoformat, _date),
     Prefix: (str, lambda v: parse_prefix(_text(v))),
     Addr: (str, lambda v: parse_address(_text(v))),
@@ -240,7 +254,7 @@ def _codec(hint) -> tuple[Callable | None, Callable]:
             try:
                 return members[value]
             except (KeyError, TypeError):  # TypeError: a list or an object
-                raise ValueError(f"{value!r} is not a {hint.__name__}") from None
+                raise GeoAuditError(f"{value!r} is not a {hint.__name__}") from None
         return operator.attrgetter("value"), decode
     if dataclasses.is_dataclass(hint):
         return hint.to_json, hint.from_json
@@ -249,7 +263,7 @@ def _codec(hint) -> tuple[Callable | None, Callable]:
 
 def record(cls: type[T]) -> type[T]:
     """Give a frozen dataclass to_json and from_json, derived from its
-    fields; a ValueError from from_json names the key it refused or missed."""
+    fields; a GeoAuditError from from_json names the key it refused or missed."""
     hints = typing.get_type_hints(cls)
     fields = [(f.name, _KEYS.get(f.name, f.name), *_codec(hints[f.name]),
                f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING)
@@ -266,10 +280,10 @@ def record(cls: type[T]) -> type[T]:
             if key in obj:
                 try:
                     values[name] = decode(obj[key])
-                except (GeoAuditError, TypeError, ValueError) as exc:
-                    raise ValueError(f"{key}: {exc}") from None
+                except GeoAuditError as exc:
+                    raise GeoAuditError(f"{key}: {exc}") from None
             elif required:
-                raise ValueError(f"no {key!r}")
+                raise GeoAuditError(f"no {key!r}")
         return cls(**values)
 
     cls.to_json, cls.from_json = to_json, staticmethod(from_json)
@@ -333,14 +347,41 @@ def read_tokens(fp: IO[str]) -> list[str]:
     return [token for token in tokens if token]
 
 
-def read_csv(lines: Iterable[str], header: Sequence[str]) -> csv.DictReader:
-    """Rows of a CSV whose header, once stripped, must be exactly header;
-    rows are keyed by the stripped names."""
-    reader = csv.DictReader(lines)
-    if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != list(header):
-        raise ValueError(f"need a {','.join(header)} header, got {reader.fieldnames}")
-    reader.fieldnames = list(header)
-    return reader
+def read_csv(lines: Iterable[str], header: Sequence[str], parse_row: Callable[[dict], T],
+             comments: bool = False) -> list[T]:
+    """parse_row of each row, a dict keyed by header, of a CSV whose header
+    row is header once stripped; fields past the header's are dropped, and
+    with comments so is a line starting with '#'. A row with fewer fields,
+    or one parse_row refuses, raises GeoAuditError naming its line."""
+    at = [0]  # at[0]: the lines read so far, so a parsed row's last line
+    rows = csv.reader(line for at[0], line in enumerate(lines, 1)
+                      if not (comments and line.lstrip().startswith("#")))
+    names = next(rows, None)
+    if names is None or [name.strip() for name in names] != list(header):
+        raise GeoAuditError(f"need a {','.join(header)} header, got {names}")
+    out = []
+    for fields in rows:
+        if not fields:
+            continue  # a blank line
+        if len(fields) < len(header):
+            raise GeoAuditError(f"line {at[0]}: {len(fields)} fields, need {len(header)}")
+        try:
+            out.append(parse_row(dict(zip(header, fields))))
+        except GeoAuditError as exc:
+            raise GeoAuditError(f"line {at[0]}: {exc}") from None
+    return out
+
+
+def read_ini(fp: IO[str]):
+    """A ConfigParser of fp, without interpolation; bad text raises GeoAuditError."""
+    import configparser  # only the commands that read an INI file load it
+
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        parser.read_file(fp)
+    except configparser.Error as exc:
+        raise GeoAuditError(str(exc)) from None
+    return parser
 
 
 def write_registrations(regs: Iterable[Registration], fp: IO[str]) -> int:
@@ -368,7 +409,7 @@ class RegionMap:
     def __init__(self, entries: Mapping[str, Rir]):
         for cc in entries:
             if not is_country_code(cc):
-                raise ValueError(f"bad country code {cc!r}")
+                raise GeoAuditError(f"bad country code {cc!r}")
         self._entries = dict(sorted(entries.items()))
 
     def __len__(self) -> int:
@@ -393,26 +434,22 @@ class RegionMap:
         return counts
 
 
-def data_lines(fp: IO[str]) -> Iterator[str]:
-    """Bundled CSVs carry '#' comment lines documenting their provenance."""
-    return (line for line in fp if not line.lstrip().startswith("#"))
-
-
 def load_region_map(fp: IO[str]) -> RegionMap:
     """Load a region map from CSV with a country,rir header."""
     entries: dict[str, Rir] = {}
-    for row in read_csv(data_lines(fp), ["country", "rir"]):
-        cc = row["country"].strip().upper()
+    rows = read_csv(fp, ["country", "rir"], lambda row: (
+        row["country"].strip().upper(), parse_as(Rir, row["rir"].strip().upper())), comments=True)
+    for cc, rir in rows:
         if cc in entries:
-            raise ValueError(f"duplicate country {cc} in region map")
-        entries[cc] = Rir(row["rir"].strip().upper())
+            raise GeoAuditError(f"duplicate country {cc} in region map")
+        entries[cc] = rir
     return RegionMap(entries)
 
 
 def check_official_counts(region_map: RegionMap) -> None:
     counts = region_map.counts()
     if counts != OFFICIAL_COUNTRY_COUNTS:
-        raise ValueError(f"region map counts {counts} differ from official {OFFICIAL_COUNTRY_COUNTS}")
+        raise GeoAuditError(f"region map counts {counts} differ from official {OFFICIAL_COUNTRY_COUNTS}")
 
 
 def default_region_map() -> RegionMap:

@@ -73,10 +73,8 @@ class GeoDbEntry:
 
 def load_geodb(fp: IO[str]) -> list[GeoDbEntry]:
     """CSV with a prefix,country header: one provider's geolocation table."""
-    return [
-        GeoDbEntry(prefix=parse_prefix(row["prefix"]), country=row["country"].strip().upper())
-        for row in read_csv(fp, ["prefix", "country"])
-    ]
+    return read_csv(fp, ["prefix", "country"], lambda row: GeoDbEntry(
+        prefix=parse_prefix(row["prefix"]), country=row["country"].strip().upper()))
 
 
 @dataclass
@@ -158,11 +156,7 @@ def leasing_overlap(
     Any relation counts: exact, contained in a leased block, or containing
     one. Rows exist for every (registry, RI/FI) pair."""
     index = PrefixIndex((prefix, True) for prefix in leased)
-    out = {
-        (rir, cls): LeasingStats()
-        for rir in Rir
-        for cls in (ConsistencyClass.RI, ConsistencyClass.FI)
-    }
+    out = {(rir, cls): LeasingStats() for rir in Rir for cls in (ConsistencyClass.RI, ConsistencyClass.FI)}
     for rec in records:
         if rec.cls not in (ConsistencyClass.RI, ConsistencyClass.FI):
             continue

@@ -19,6 +19,7 @@ from .registry import (
     duplicate_rank,
     load_jsonl,
     parse_address,
+    parse_as,
     parse_prefix,
     prefix_sort_key,
     read_csv,
@@ -39,8 +40,8 @@ class HitlistEntry:
 
 def load_hitlist_v4(fp: IO[str]) -> list[HitlistEntry]:
     """CSV with an addr,score header; score is an integer 0..100."""
-    return [HitlistEntry(addr=parse_address(row["addr"]), score=int(row["score"]))
-            for row in read_csv(fp, ["addr", "score"])]
+    return read_csv(fp, ["addr", "score"], lambda row: HitlistEntry(
+        addr=parse_address(row["addr"]), score=parse_as(int, row["score"])))
 
 
 def load_hitlist_v6(fp: IO[str]) -> list[HitlistEntry]:
@@ -59,14 +60,9 @@ def exclude_aliased(
 ) -> tuple[list[HitlistEntry], int]:
     """Drop entries that fall inside any aliased prefix."""
     index = PrefixIndex((prefix, True) for prefix in aliased)
-    kept = []
-    dropped = 0
-    for entry in entries:
-        if index.longest_match(entry.addr) is None:
-            kept.append(entry)
-        else:
-            dropped += 1
-    return kept, dropped
+    entries = list(entries)
+    kept = [entry for entry in entries if index.longest_match(entry.addr) is None]
+    return kept, len(entries) - len(kept)
 
 
 @record

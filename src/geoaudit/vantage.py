@@ -12,12 +12,14 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Sequence
 
+from .errors import GeoAuditError
 from .registry import (
     Prefix,
     RegionMap,
     Registration,
     Rir,
     load_jsonl,
+    parse_as,
     read_csv,
     read_tokens,
     record,
@@ -42,6 +44,10 @@ class VantagePoint:
 
     def __post_init__(self):
         object.__setattr__(self, "country", self.country.strip().upper())
+        try:
+            self.id.encode()  # the simulator hashes the id as UTF-8
+        except UnicodeEncodeError:
+            raise GeoAuditError(f"id {self.id!r} is not valid UTF-8") from None
 
 
 def load_vantages(fp: IO[str]) -> list[VantagePoint]:
@@ -59,8 +65,8 @@ def load_bad_ids(fp: IO[str]) -> set[str]:
 def load_default_coords(fp: IO[str]) -> set[tuple[float, float]]:
     """Known per-country default coordinates (csv country,lat,lon). A vantage
     sitting exactly on one of these was never really geolocated."""
-    rows = read_csv(fp, ["country", "lat", "lon"])
-    return {(round(float(row["lat"]), 6), round(float(row["lon"]), 6)) for row in rows}
+    return set(read_csv(fp, ["country", "lat", "lon"], lambda row: (
+        round(parse_as(float, row["lat"]), 6), round(parse_as(float, row["lon"]), 6))))
 
 
 @dataclass
@@ -102,13 +108,8 @@ def _greedy_distinct_asn(candidates: Sequence[VantagePoint], cap: int, seen_asns
     remaining = sorted(candidates, key=lambda v: v.id)
     chosen: list[VantagePoint] = []
     while remaining and len(chosen) < cap:
-        pick = None
-        for v in remaining:
-            if v.asn is not None and v.asn not in seen_asns:
-                pick = v
-                break
-        if pick is None:
-            pick = remaining[0]
+        pick = next((v for v in remaining if v.asn is not None and v.asn not in seen_asns),
+                    remaining[0])
         chosen.append(pick)
         remaining.remove(pick)
         if pick.asn is not None:
@@ -182,27 +183,12 @@ def plan_vantages(reg: Registration, vset: VantageSet, region_map: RegionMap) ->
     for rir in Rir:
         picks += _rotate_pick(vset.per_rir.get(rir, ()), REGIONAL_PICKS, offset)
 
-    no_country = False
-    fallback = False
-    cc = reg.org_country
-    if cc is None:
-        fallback = True
-        pool = vset.per_rir.get(reg.rir, ())
-    else:
-        pool = vset.per_country.get(cc, ())
-        if not pool:
-            no_country = True
-    if pool:
-        picks += _rotate_pick(pool, COUNTRY_PICKS, offset)
+    fallback = reg.org_country is None
+    pool = vset.per_rir.get(reg.rir, ()) if fallback else vset.per_country.get(reg.org_country, ())
+    picks += _rotate_pick(pool, COUNTRY_PICKS, offset)
 
-    seen: set[str] = set()
-    unique = []
+    unique: dict[str, VantagePoint] = {}
     for v in picks:
-        if v.id not in seen:
-            seen.add(v.id)
-            unique.append(v)
-    return VantagePlan(
-        vantages=tuple(unique),
-        no_country_vantage=no_country,
-        used_regional_fallback=fallback,
-    )
+        unique.setdefault(v.id, v)  # the first pick of each id, in pick order
+    return VantagePlan(vantages=tuple(unique.values()),
+                       no_country_vantage=not fallback and not pool, used_regional_fallback=fallback)

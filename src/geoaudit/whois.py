@@ -8,11 +8,10 @@ records feed a side table used to resolve org countries afterwards.
 
 from __future__ import annotations
 
-import configparser
 import dataclasses
 import datetime
-import gzip
 import re
+import zlib
 from dataclasses import dataclass
 from importlib import resources
 from typing import IO, Iterable, Iterator
@@ -28,9 +27,11 @@ from .registry import (
     is_country_code,
     open_text,  # callers still reach it as whois.open_text
     parse_address,
+    parse_as,
     parse_prefix,
     prefix_sort_key,
     range_to_cidrs,
+    read_ini,
 )
 
 @dataclass(frozen=True)
@@ -54,20 +55,16 @@ _DIALECT_LIST_KEYS = tuple(f.name for f in dataclasses.fields(Dialect) if f.name
 
 
 def load_dialects(fp: IO[str]) -> dict[Rir, Dialect]:
-    parser = configparser.ConfigParser(interpolation=None)
-    try:
-        parser.read_file(fp)
-    except configparser.Error as exc:
-        raise GeoAuditError(str(exc)) from None
+    parser = read_ini(fp)
     out: dict[Rir, Dialect] = {}
     for section in parser.sections():
-        rir = Rir(section.upper())
+        rir = parse_as(Rir, section.upper())
         fields: dict[str, tuple[str, ...]] = {}
         for key in _DIALECT_LIST_KEYS:
             raw = parser.get(section, key, fallback="")
             fields[key] = tuple(part.strip().lower() for part in raw.split(",") if part.strip())
         if not fields["net_keys"]:
-            raise ValueError(f"dialect {section} has no net_keys")
+            raise GeoAuditError(f"dialect {section} has no net_keys")
         out[rir] = Dialect(rir=rir, **fields)
     return out
 
@@ -140,8 +137,8 @@ def iter_raw_records(stream: Iterable[str]) -> Iterator[RawRecord]:
                 continue
             key, _, value = line.partition(":")
             pairs.append((key.strip(), value.strip()))
-    except (OSError, EOFError, gzip.BadGzipFile) as exc:
-        # truncated gzip surfaces as EOFError rather than BadGzipFile
+    except (OSError, EOFError, zlib.error) as exc:
+        # truncated gzip surfaces as EOFError, and a corrupt body as zlib.error
         raise GeoAuditError(f"cannot read dump: {exc}") from None
     if pairs:
         yield RawRecord(pairs)
@@ -191,7 +188,7 @@ def parse_date(text: str | None) -> datetime.date | None:
         if "T" in token:
             try:  # YYYY-MM-DD only: 3.11+ fromisoformat also reads 20210304, 3.10 does not
                 return _date(token.split("T", 1)[0])
-            except ValueError:
+            except GeoAuditError:
                 pass
     return None
 
@@ -219,12 +216,8 @@ class IngestReport:
     transfers_dropped: int = 0
 
     def check_identity(self) -> bool:
-        produced = (
-            self.registrations_emitted
-            + self.duplicates_dropped
-            + self.not_managed_skipped
-            + self.malformed_skipped
-        )
+        produced = (self.registrations_emitted + self.duplicates_dropped
+                    + self.not_managed_skipped + self.malformed_skipped)
         return produced == self.net_records_read + self.split_extra_blocks
 
 
@@ -318,18 +311,9 @@ def parse_bulk_whois(
             if transfer_dest is not None:
                 flags.append(f"transfer_to:{transfer_dest.value}")
 
-            for block in blocks:
-                provisional.append(
-                    Registration(
-                        prefix=block,
-                        rir=rir,
-                        org_id=org_ref,
-                        org_country=country,
-                        status=status,
-                        last_updated=updated,
-                        flags=tuple(flags),
-                    )
-                )
+            provisional += [Registration(prefix=block, rir=rir, org_id=org_ref, org_country=country,
+                                         status=status, last_updated=updated, flags=tuple(flags))
+                            for block in blocks]
         elif rec.has_any(dialect.org_id_keys) and rec.has_any(dialect.org_name_keys):
             report.org_records_read += 1
             orgs[rec.first(dialect.org_id_keys)] = _country(rec.first(dialect.org_country_keys))

@@ -236,6 +236,23 @@ def test_audit_refuses_a_repeated_vantage_id(small_campaign, capsys):
     assert not captured.exists() and not out.exists()
 
 
+def test_audit_refuses_a_vantage_id_that_is_not_utf8(small_campaign, capsys):
+    """A lone surrogate, which JSON can escape, is refused where vantages are
+    read, before the simulator hashes the id as UTF-8."""
+    camp, paths, tmp_path = small_campaign
+    vantages = Path(paths["vantages.jsonl"])
+    lines = vantages.read_text().splitlines(keepends=True)
+    row = json.loads(lines[1])
+    lines[1] = json.dumps({**row, "id": "p-\ud800"}) + "\n"
+    vantages.write_text("".join(lines))
+    out = tmp_path / "audit.jsonl"
+    capsys.readouterr()
+    assert run(audit_argv(paths, str(out))) == 2
+    assert (capsys.readouterr().err
+            == f"geoaudit: {vantages}: line 2: id 'p-\\ud800' is not valid UTF-8\n")
+    assert not out.exists()
+
+
 def test_replay_refuses_a_pair_archived_twice(small_campaign, capsys):
     """A capture that lists a (target, vantage) pair twice exits 2 naming
     the pair: no reply is kept over another."""
@@ -370,6 +387,35 @@ def test_world_out_of_range_exits_2(small_campaign, capsys, name, value):
     assert run(audit_argv(paths, str(out), extra=["--capture-results", str(captured)])) == 2
     assert f"world {name} is " in capsys.readouterr().err
     assert not captured.exists() and not out.exists()
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"targets": {"192.0.2.1": [1]}}, "targets: 192.0.2.1: [1] is not a [lat, lon] pair"),
+    ({"targets": {"192.0.2.1": ["12", True]}}, "targets: 192.0.2.1: '12' is not a number"),
+    ({"targets": {"192.0.2.1": [12, True]}}, "targets: 192.0.2.1: True is not a number"),
+    ({"targets": [["192.0.2.1", 1, 2]]}, "targets: [['192.0.2.1', 1, 2]] is not an object"),
+    ({"unresponsive": [5]}, "unresponsive: 5 is not a string"),
+    ({"noise_ms": "2"}, "noise_ms: '2' is not a number"),
+    ([1], "[1] is not an object"),
+])
+def test_malformed_world_exits_2_naming_the_key(small_campaign, capsys, doc, message):
+    """world.json is read as strictly as the record codec reads a line."""
+    camp, paths, tmp_path = small_campaign
+    Path(paths["world.json"]).write_text(json.dumps(doc))
+    out = tmp_path / "audit.jsonl"
+    capsys.readouterr()
+    assert run(audit_argv(paths, str(out))) == 2
+    assert capsys.readouterr().err == f"geoaudit: {paths['world.json']}: {message}\n"
+    assert not out.exists()
+
+
+def test_world_that_is_not_json_exits_2(small_campaign, capsys):
+    camp, paths, tmp_path = small_campaign
+    for text in ('{"targets": ', "[" * 100_000):  # cut short; nested past the recursion limit
+        Path(paths["world.json"]).write_text(text)
+        capsys.readouterr()
+        assert run(audit_argv(paths, str(tmp_path / "audit.jsonl"))) == 2
+        assert capsys.readouterr().err.startswith(f"geoaudit: {paths['world.json']}: ")
 
 
 @pytest.mark.parametrize("backend, needs", [("replay", "--results"), ("simulate", "--world")])
@@ -690,6 +736,12 @@ def test_audit_sampling_reduces_plan_count(small_campaign):
     assert len(v4) == round(n_v4 * 0.5)
     assert len(v6) == sum(1 for p in camp.expected if ":" in p)
 
+    n_v6 = len(v6)
+    assert run(audit_argv(paths, str(out), extra=["--sample-fraction-v6", "0.4"])) == 0
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    assert sum(":" in r["prefix"] for r in records) == round(n_v6 * 0.4)
+    assert sum(":" not in r["prefix"] for r in records) == n_v4
+
 
 def test_report_command_writes_tables(small_campaign):
     camp, paths, tmp_path = small_campaign
@@ -793,6 +845,70 @@ def test_exit_code_2_on_missing_and_malformed_input(tmp_path, capsys):
     assert rc == 2
 
 
+def test_corrupt_gzip_body_exits_2(tmp_path, capsys):
+    """A gzip header followed by a body that does not inflate raises
+    zlib.error, which is neither an OSError nor an EOFError."""
+    bad = tmp_path / "junk.gz"
+    bad.write_bytes(gzip.compress(b"")[:10] + b"garbagegarbage")
+    capsys.readouterr()
+    assert run(["oro", "--registrations", str(bad)]) == 2
+    assert (capsys.readouterr().err
+            == f"geoaudit: {bad}: Error -3 while decompressing data: invalid block type\n")
+    assert run(["ingest", "--arin", str(bad), "-o", str(tmp_path / "r.jsonl")]) == 2
+    assert capsys.readouterr().err.startswith(f"geoaudit: {bad}: cannot read dump: Error -3 ")
+
+
+@pytest.mark.parametrize("flag, name, header, row", [
+    ("--hitlist-v4", "hitlist_v4.csv", "addr,score", "192.0.2.200"),
+    ("--default-coords", "default_coords.csv", "country,lat,lon", "US,38.0"),
+    ("--country-points", "country_points.csv", "country,lat,lon", "US,40.0"),
+    ("--region-map", "region_map.csv", "country,rir", "US"),
+])
+def test_a_short_csv_row_exits_2_naming_its_line(small_campaign, capsys, flag, name, header, row):
+    camp, paths, tmp_path = small_campaign
+    path = tmp_path / name
+    path.write_text(f"# a comment line counts\n{header}\n{row}\n" if flag == "--region-map"
+                    else f"{header}\n\n{row}\n")
+    out = tmp_path / "audit.jsonl"
+    capsys.readouterr()
+    assert run(audit_argv(paths, str(out), extra=[flag, str(path)])) == 2
+    fields = len(row.split(","))
+    assert (capsys.readouterr().err
+            == f"geoaudit: {path}: line 3: {fields} fields, need {len(header.split(','))}\n")
+    assert not out.exists()
+
+
+def test_a_short_geodb_row_exits_2_naming_its_line(small_campaign, capsys):
+    camp, paths, tmp_path = small_campaign
+    audit, geodb = tmp_path / "audit.jsonl", tmp_path / "geodb.csv"
+    assert run(audit_argv(paths, str(audit))) == 0
+    geodb.write_text("prefix,country\n192.0.2.0/24,US\n198.51.100.0/24\n")
+    capsys.readouterr()
+    assert run(["report", "--audit", str(audit), "--geodb", f"p={geodb}",
+                "--region-map", paths["region_map.csv"], "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"geoaudit: {geodb}: line 3: 1 fields, need 2\n"
+
+
+def test_a_bad_csv_value_exits_2_naming_its_line(small_campaign, capsys):
+    camp, paths, tmp_path = small_campaign
+    hitlist = Path(paths["hitlist_v4.csv"])
+    hitlist.write_text(hitlist.read_text() + "192.0.2.200,high\n")
+    line = len(hitlist.read_text().splitlines())
+    capsys.readouterr()
+    assert run(audit_argv(paths, str(tmp_path / "audit.jsonl"))) == 2
+    assert (capsys.readouterr().err == f"geoaudit: {hitlist}: line {line}: "
+                                       "invalid literal for int() with base 10: 'high'\n")
+
+
+def test_a_bad_country_code_in_the_region_map_exits_2(small_campaign, capsys):
+    camp, paths, tmp_path = small_campaign
+    region_map = Path(paths["region_map.csv"])
+    region_map.write_text(region_map.read_text() + "USA,ARIN\n")
+    capsys.readouterr()
+    assert run(audit_argv(paths, str(tmp_path / "audit.jsonl"))) == 2
+    assert capsys.readouterr().err == f"geoaudit: {region_map}: bad country code 'USA'\n"
+
+
 def test_exit_code_1_on_usage_errors(tmp_path):
     with pytest.raises(SystemExit) as exc:
         cli.main(["audit"])  # missing required arguments
@@ -829,6 +945,22 @@ def test_a_bug_in_a_stage_is_not_bad_input(small_campaign, monkeypatch, bug):
     monkeypatch.setattr(classify, "audit_pipeline", broken)
     with pytest.raises(bug, match="a stage's own mistake"):
         run(audit_argv(paths, str(tmp_path / "out.jsonl")))
+
+
+@pytest.mark.parametrize("bug", [AttributeError, KeyError, TypeError, ValueError])
+def test_a_bug_in_a_loader_is_not_bad_input(tmp_path, monkeypatch, bug):
+    """_read names the file only for bad input: a loader's own mistake,
+    raised outside any record parse, leaves main with its traceback."""
+    regs = tmp_path / "registrations.jsonl"
+    regs.write_text("")
+
+    def broken(fp):
+        fp.read()
+        raise bug("a loader's own mistake")
+
+    monkeypatch.setattr(cli, "load_registrations", broken)
+    with pytest.raises(bug, match="a loader's own mistake"):
+        run(["align", "--registrations", str(regs), "--rib", str(regs)])
 
 
 def test_csv_field_over_the_limit_exits_2(small_campaign, capsys):

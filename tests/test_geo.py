@@ -230,9 +230,9 @@ def test_load_country_points_validation():
     # header names are matched and keyed after stripping spaces
     spaced = load_country_points(io.StringIO("country, lat, lon\nUS,40,-100\n"))
     assert spaced == {"US": ((40.0, -100.0),)}
-    with pytest.raises(ValueError):
+    with pytest.raises(GeoAuditError):
         load_country_points(io.StringIO("cc,lat,lon\nUS,40,-100\n"))
-    with pytest.raises(ValueError):
+    with pytest.raises(GeoAuditError):
         load_country_points(io.StringIO("country,lat,lon\nUS,91,-100\n"))
 
 

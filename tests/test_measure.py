@@ -111,7 +111,7 @@ def test_world_from_json():
     for field, value in [("propagation_factor", 0), ("propagation_factor", -0.5),
                          ("propagation_factor", 1.5), ("propagation_factor", math.nan),
                          ("noise_ms", -3), ("noise_ms", math.nan), ("noise_ms", math.inf)]:
-        with pytest.raises(ValueError, match=field):
+        with pytest.raises(GeoAuditError, match=field):
             SyntheticWorld.from_json({**obj, field: value})
 
 
@@ -193,7 +193,7 @@ def test_load_results_reads_only_json_numbers():
     assert [type(x) for x in loaded[0].rtts_ms] == [float, float]
     assert loaded[0].rtts_ms == (5.0, 2.5)
     for bad in ("[true]", '["12"]', "[null]", "[[1]]", "5", '"5"', "{}", "null"):
-        with pytest.raises(ValueError, match="^line 2: "):
+        with pytest.raises(GeoAuditError, match="^line 2: "):
             load_results(io.StringIO(good + good.replace("[5, 2.5]", bad)))
 
 

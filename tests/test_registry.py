@@ -305,10 +305,25 @@ def test_load_jsonl_raises_what_json_loads_raises(bad):
         good = json_lines(rng, before)
         with pytest.raises(ValueError) as want:
             json.loads(bad[0] + "\n")
-        with pytest.raises(ValueError) as got:
+        with pytest.raises(GeoAuditError) as got:
             decode_all(good + "".join(line + "\n" for line in bad) + '{"after": 1}\n')
         first_bad = good.count("\n") + 1
         assert str(got.value) == f"line {first_bad}: {want.value}"
+
+
+def test_load_jsonl_refuses_a_line_nested_too_deeply():
+    with pytest.raises(GeoAuditError, match="^line 2: maximum recursion depth exceeded"):
+        decode_all('{"a": 1}\n' + "[" * 100_000 + "\n")
+
+
+def test_load_jsonl_leaves_a_bug_in_from_json_alone():
+    """Only GeoAuditError is bad input: any other exception from from_json
+    is a bug, and it passes through without a line number."""
+    for bug in (AttributeError, KeyError, TypeError, ValueError):
+        def from_json(obj):
+            raise bug("from_json's own mistake")
+        with pytest.raises(bug, match="^.?from_json's own mistake.?$"):
+            load_jsonl(from_json, io.StringIO('{"a": 1}\n'))
 
 
 def test_write_jsonl_writes_what_json_dumps_writes():
@@ -369,17 +384,23 @@ def test_load_region_map_validation():
     commented = io.StringIO("# retrieved 2026-08-16\ncountry,rir\nus,arin\n")
     assert load_region_map(commented).rir_of("US") is Rir.ARIN
 
-    with pytest.raises(ValueError):
+    with pytest.raises(GeoAuditError):
         load_region_map(io.StringIO("cc,registry\nUS,ARIN\n"))
-    with pytest.raises(ValueError):
+    with pytest.raises(GeoAuditError):
         load_region_map(io.StringIO("country,rir\nUS,ARIN\nUS,RIPE\n"))
-    with pytest.raises(ValueError):
+    with pytest.raises(GeoAuditError):
         load_region_map(io.StringIO("country,rir\nUS,NOTARIR\n"))
+
+
+def test_region_map_refuses_a_bad_country_code():
+    for bad in ("USA", "us", "U1", ""):
+        with pytest.raises(GeoAuditError, match=f"^bad country code {re.escape(repr(bad))}$"):
+            RegionMap({"DE": Rir.RIPE, bad: Rir.ARIN})
 
 
 def test_check_official_counts_rejects_wrong_totals():
     small = RegionMap({"US": Rir.ARIN})
-    with pytest.raises(ValueError):
+    with pytest.raises(GeoAuditError):
         check_official_counts(small)
 
 
@@ -527,7 +548,7 @@ def test_every_field_refuses_the_json_types_it_does_not_take(name):
                     assert getattr(loaded, field.name) == float(value)
                     assert type(getattr(loaded, field.name)) is float
                 continue
-            with pytest.raises(ValueError) as refused:
+            with pytest.raises(GeoAuditError) as refused:
                 load_jsonl(kind.from_json, jsonl(rows))
             assert str(refused.value).startswith(f"line 3: {key}: "), (key, value)
 
@@ -540,7 +561,7 @@ def test_a_missing_key_takes_the_default_or_is_refused(name):
         key = "class" if field.name == "cls" else field.name
         rows = [row, {k: v for k, v in row.items() if k != key}]
         if field.default is dataclasses.MISSING and field.default_factory is dataclasses.MISSING:
-            with pytest.raises(ValueError, match=f"^line 2: no '{key}'$"):
+            with pytest.raises(GeoAuditError, match=f"^line 2: no '{key}'$"):
                 load_jsonl(kind.from_json, jsonl(rows))
         else:
             default = field.default if field.default is not dataclasses.MISSING else field.default_factory()
@@ -550,8 +571,8 @@ def test_a_missing_key_takes_the_default_or_is_refused(name):
 def test_a_refused_nested_value_names_its_path():
     row = random_record(random.Random(44)).to_json()
     row["targets"] = [{"target": "192.0.2.1", "responded": "false"}]
-    with pytest.raises(ValueError, match="^line 1: targets: responded: 'false' is not a boolean$"):
+    with pytest.raises(GeoAuditError, match="^line 1: targets: responded: 'false' is not a boolean$"):
         load_jsonl(ConsistencyRecord.from_json, jsonl([row]))
     for line in ("5", "[]", "null"):
-        with pytest.raises(ValueError, match="^line 1: .* is not an object$"):
+        with pytest.raises(GeoAuditError, match="^line 1: .* is not an object$"):
             load_jsonl(ConsistencyRecord.from_json, io.StringIO(line))

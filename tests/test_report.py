@@ -4,6 +4,7 @@ import io
 import pytest
 
 from geoaudit.classify import ConsistencyClass, ConsistencyRecord, FilterReason, TargetOutcome
+from geoaudit.errors import GeoAuditError
 from geoaudit.registry import (
     RegionMap,
     Registration,
@@ -146,7 +147,7 @@ def test_characteristics_cross_tabs():
 def test_load_geodb():
     entries = load_geodb(io.StringIO("prefix,country\n10.0.0.0/24,de\n2001:db8::/32,JP\n"))
     assert entries[0] == GeoDbEntry(prefix=parse_prefix("10.0.0.0/24"), country="DE")
-    with pytest.raises(ValueError):
+    with pytest.raises(GeoAuditError):
         load_geodb(io.StringIO("net,cc\n10.0.0.0/24,DE\n"))
 
 

@@ -57,3 +57,29 @@ def test_every_exception_class_is_caught_by_type():
                 caught.update(_type_names(node.args[1]))
     assert {"GeoAuditError", "BackendUnavailable", "UnknownTarget"} <= defined
     assert sorted(defined - caught) == []
+
+
+def test_no_except_clause_names_attribute_error():
+    """Bad input raises GeoAuditError where it is found, so an
+    AttributeError is always a bug: no except clause in src/geoaudit
+    catches it, and it leaves the command line with its traceback."""
+    named = [f"{path.name}:{node.lineno}"
+             for path in sorted((ROOT / "src" / "geoaudit").glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.ExceptHandler) and node.type is not None
+             and "AttributeError" in _type_names(node.type)]
+    assert named == []
+
+
+def test_read_names_the_file_for_bad_input_alone():
+    """cli._read turns exactly these into a GeoAuditError naming the file:
+    bad input, a file that cannot be read or decompressed, and a CSV the
+    csv module refuses. Anything else a loader raises is a bug."""
+    tree = ast.parse((ROOT / "src" / "geoaudit" / "cli.py").read_text(encoding="utf-8"))
+    read = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "_read")
+    handlers = [node for node in ast.walk(read) if isinstance(node, ast.ExceptHandler)]
+    assert len(handlers) == 1
+    caught = handlers[0].type.elts if isinstance(handlers[0].type, ast.Tuple) else [handlers[0].type]
+    assert sorted(map(ast.unparse, caught)) == sorted(
+        ["GeoAuditError", "OSError", "EOFError", "csv.Error", "zlib.error"])

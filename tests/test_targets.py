@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from geoaudit.errors import GeoAuditError
 from geoaudit.registry import Registration, Rir, parse_address, parse_prefix
 from geoaudit.targets import (
     HitlistEntry,
@@ -32,7 +33,7 @@ def test_load_hitlist_v4():
     fp = io.StringIO("addr,score\n192.0.2.1,100\n192.0.2.9,42\n")
     entries = load_hitlist_v4(fp)
     assert [(str(e.addr), e.score) for e in entries] == [("192.0.2.1", 100), ("192.0.2.9", 42)]
-    with pytest.raises(ValueError):
+    with pytest.raises(GeoAuditError):
         load_hitlist_v4(io.StringIO("ip,quality\n192.0.2.1,100\n"))
 
 

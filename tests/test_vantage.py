@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from geoaudit.errors import GeoAuditError
 from geoaudit.registry import RegionMap, Registration, Rir, parse_prefix
 from geoaudit.vantage import (
     COUNTRY_PICKS,
@@ -55,7 +56,7 @@ def test_load_bad_ids_and_default_coords():
     assert load_bad_ids(io.StringIO("a-1\n# dead\nb-2 # flaky\n")) == {"a-1", "b-2"}
     coords = load_default_coords(io.StringIO("country,lat,lon\nUS,38.0,-97.0\n"))
     assert (38.0, -97.0) in coords
-    with pytest.raises(ValueError):
+    with pytest.raises(GeoAuditError):
         load_default_coords(io.StringIO("country,lon\nUS,-97.0\n"))  # no lat column
 
 

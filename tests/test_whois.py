@@ -189,7 +189,7 @@ def test_default_dialects_cover_all_rirs():
 
 
 def test_load_dialects_requires_net_keys():
-    with pytest.raises(ValueError):
+    with pytest.raises(GeoAuditError):
         load_dialects(io.StringIO("[arin]\nstatus_keys = NetType\n"))
 
 
