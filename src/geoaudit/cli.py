@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import json
 import os
 import sys
@@ -526,8 +527,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command. Cyclic garbage collection is off while it runs: a
+    command builds its records once and keeps them to the end, so each pass
+    would walk them and free nothing. The collector is left as main found it."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    was_enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except BackendUnavailable as exc:
@@ -536,6 +542,9 @@ def main(argv: list[str] | None = None) -> int:
     except (GeoAuditError, OSError) as exc:
         print(f"geoaudit: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -9,7 +9,14 @@ probe never sinks a prefix, and an RTT that is negative or not finite fails
 the run on every backend.
 
 write_results and load_results are the capture codec: they write and read
-the same bytes as the generic JSONL codec in registry, only faster.
+the same bytes as the generic JSONL codec in registry, only faster. A
+capture holds one line per (vantage, target) pair, so MeasurementResult is
+slotted and not frozen (nor hashable), and load_results checks each line
+inline rather than through a per-record decoder.
+
+The live client reads an answer as an input file is read: a value that is
+not the documented shape raises GeoAuditError where it is found, and any
+other exception while reading is a bug.
 """
 
 from __future__ import annotations
@@ -26,7 +33,8 @@ from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import BackendUnavailable, GeoAuditError, UnknownTarget
 from .geo import C_KM_PER_S, DEFAULT_PROPAGATION_FACTOR, haversine_km
-from .registry import Addr, Prefix, _list, _number, _object, _text, load_jsonl, parse_address
+from .registry import (_JSON_NAMES, Addr, Prefix, _list, _number, _object, _text, json_lines,
+                       parse_address, parse_as)
 from .vantage import VantagePoint
 
 SAMPLES_PER_PAIR = 3
@@ -38,14 +46,17 @@ POLL_INTERVAL_S = 2.0
 POLL_ATTEMPTS = 30
 TIMEOUT_S = 30.0  # the live client's socket timeout: to connect, and for each read
 Job = tuple[Addr, Sequence[VantagePoint]]  # a target and the vantages that measure it
-_FLOAT = frozenset((float,))  # what json reads a capture's samples as: from_json's fast path
+_FLOAT = frozenset((float,))  # what json reads a capture's samples as: load_results's fast path
 _dumps = json.dumps  # Transport.request's json parameter hides the module
 _NOISE_WORDS = struct.Struct("<3Q")  # a pair's digest: one word per sample (SyntheticWorld)
 _UNIT = 2.0 ** -53  # a word's top 53 bits times this are uniform in [0, 1)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class MeasurementResult:
+    """One (vantage, target) pair's RTT samples. Not frozen: a frozen
+    dataclass's __init__ pays object.__setattr__ per field."""
+
     vantage_id: str
     target: Addr
     rtts_ms: tuple[float, ...]
@@ -58,24 +69,6 @@ class MeasurementResult:
             "rtts_ms": list(self.rtts_ms),
             "timestamp": 0.0,
         }
-
-    @classmethod
-    def from_json(cls, obj: Mapping, parse: Callable[[str], Addr] = parse_address,
-                  name: Callable[[str], str] = str) -> "MeasurementResult":
-        _object(obj)
-        try:
-            rtts, vantage_id, target = obj["rtts_ms"], obj["vantage_id"], obj["target"]
-        except KeyError as exc:
-            raise GeoAuditError(f"no {exc}") from None
-        if type(rtts) is not list:
-            raise GeoAuditError(f"rtts_ms {rtts!r} is not a list")
-        if not _FLOAT.issuperset(map(type, rtts)):
-            rtts = [_rtt(x) for x in rtts]  # an int becomes a float, anything else raises
-        if type(vantage_id) is not str:  # str() would read null as the vantage "None"
-            raise GeoAuditError(f"vantage_id {vantage_id!r} is not a string")
-        if type(target) is not str:
-            raise GeoAuditError(f"target {target!r} is not a string")
-        return cls(name(vantage_id), parse(target), tuple(rtts))
 
 
 # A capture repeats each target once per vantage, so the codec formats or
@@ -112,10 +105,38 @@ def write_results(results: Iterable[MeasurementResult], fp: IO[str]) -> int:
 
 
 def load_results(fp: IO[str]) -> list[MeasurementResult]:
-    """Results for the same target share one address object, and results
-    from the same vantage one id string."""
-    parse, name = functools.cache(parse_address), functools.cache(str)
-    return load_jsonl(lambda obj: MeasurementResult.from_json(obj, parse, name), fp)
+    """The results of a capture, in line order. Each line is an object with
+    rtts_ms, a list of JSON numbers, and target and vantage_id, strings;
+    other keys are ignored, and a line that is not so raises GeoAuditError
+    naming its number. Results for the same target share one address
+    object, parsed once, and results from the same vantage one id string."""
+    addrs: dict[str, Addr] = {}
+    names: dict[str, str] = {}
+    out = []
+    append = out.append
+    for n, obj in json_lines(fp):
+        try:
+            if type(obj) is not dict:
+                raise GeoAuditError(f"{obj!r} is not an object")
+            try:
+                rtts, vantage_id, target = obj["rtts_ms"], obj["vantage_id"], obj["target"]
+            except KeyError as exc:
+                raise GeoAuditError(f"no {exc}") from None
+            if type(rtts) is not list:
+                raise GeoAuditError(f"rtts_ms {rtts!r} is not a list")
+            if not _FLOAT.issuperset(map(type, rtts)):
+                rtts = [_rtt(x) for x in rtts]  # an int becomes a float, anything else raises
+            if type(vantage_id) is not str:  # str() would read null as the vantage "None"
+                raise GeoAuditError(f"vantage_id {vantage_id!r} is not a string")
+            if type(target) is not str:
+                raise GeoAuditError(f"target {target!r} is not a string")
+            addr = addrs.get(target)
+            if addr is None:
+                addr = addrs[target] = parse_address(target)
+        except GeoAuditError as exc:
+            raise GeoAuditError(f"line {n}: {exc}") from None
+        append(MeasurementResult(names.setdefault(vantage_id, vantage_id), addr, tuple(rtts)))
+    return out
 
 
 class Backend:
@@ -271,16 +292,13 @@ class NeverConnected(Exception):
 
 
 class _Answer:
-    """An HTTP answer as LiveBackend reads it: a status and a JSON body."""
+    """An HTTP answer as LiveBackend reads it: a status and the body's bytes."""
 
     __slots__ = ("status_code", "body")
 
     def __init__(self, status_code: int, body: bytes):
         self.status_code = status_code
         self.body = body
-
-    def json(self):
-        return json.loads(self.body)
 
 
 class Transport:
@@ -392,12 +410,13 @@ class LiveBackend(Backend):
                 last_error = exc
                 continue
             if resp.status_code == 200:
+                # parse raises GeoAuditError where the answer is not the documented
+                # shape; anything else it raises is a bug, and leaves with its traceback
                 try:
-                    return parse(resp.json())
-                except (GeoAuditError, KeyError, TypeError, ValueError) as exc:
-                    what = f"no {exc}" if isinstance(exc, KeyError) else exc
+                    return parse(parse_as(json.loads, resp.body))
+                except GeoAuditError as exc:
                     raise BackendUnavailable(
-                        f"{method} {path} answered a malformed body: {what}") from None
+                        f"{method} {path} answered a malformed body: {exc}") from None
             if resp.status_code in retry_status:
                 last_error = RuntimeError(f"HTTP {resp.status_code}")
                 continue
@@ -408,7 +427,7 @@ class LiveBackend(Backend):
         payload = {"target": str(target), "probe_ids": probe_ids, "packets": SAMPLES_PER_PAIR}
         if self.tag:
             payload["tag"] = self.tag
-        return self._request("POST", "/measurements", lambda body: str(body["id"]), payload)
+        return self._request("POST", "/measurements", lambda body: _get(body, "id", str), payload)
 
     def measure_targets(self, jobs: Iterable[Job]) -> Iterator[dict[str, list[float]]]:
         """Keeps up to in_flight measurements outstanding. Each round polls
@@ -449,24 +468,40 @@ class LiveBackend(Backend):
                 self.sleep(POLL_INTERVAL_S)
 
 
+# The live API's answers, read as docs/live-api.md lays them out: each
+# reader raises GeoAuditError at the first value that is not that shape.
+
+def _get(obj, key: str, kind: type | None = None):
+    """obj[key], obj a JSON object that has key, its value of type kind if given."""
+    if type(obj) is not dict:
+        raise GeoAuditError(f"{obj!r} is not an object")
+    try:
+        value = obj[key]
+    except KeyError:
+        raise GeoAuditError(f"no {key!r}") from None
+    if kind is not None and type(value) is not kind:  # str() would read null as "None"
+        raise GeoAuditError(f"{key} {value!r} is not {_JSON_NAMES[kind]}")
+    return value
+
+
 def _replies(body, vantages: Sequence[VantagePoint]) -> dict[str, list[float]] | None:
     """The replies in a results answer, or None while it is pending. Each
     row comes from a probe the measurement asked for, at most once."""
-    if body["status"] == "pending":
+    status = _get(body, "status")
+    if status == "pending":
         return None
-    if body["status"] != "done":
-        raise GeoAuditError(f"status {body['status']!r}")
+    if status != "done":
+        raise GeoAuditError(f"status {status!r}")
     asked = {v.id for v in vantages}
     out = {}
-    for row in body.get("results", []):
-        probe = row["probe_id"]
-        if type(probe) is not str:  # str() would read null as the probe "None"
-            raise GeoAuditError(f"probe_id {probe!r} is not a string")
+    # a probe missing from results got no reply, as does one with "rtts_ms": []
+    for row in _get(body, "results", list) if "results" in body else ():
+        probe = _get(row, "probe_id", str)
         if probe not in asked:
             raise GeoAuditError(f"probe_id {probe!r} was not asked for")
         if probe in out:
             raise GeoAuditError(f"probe_id {probe!r} answers twice")
-        out[probe] = [_rtt(x) for x in row["rtts_ms"]]
+        out[probe] = [_rtt(x) for x in _get(row, "rtts_ms", list)]
     return out
 
 

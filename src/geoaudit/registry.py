@@ -21,7 +21,7 @@ import types
 import typing
 from dataclasses import dataclass, replace
 from importlib import resources
-from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import IO, Any, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .errors import GeoAuditError
 
@@ -156,15 +156,13 @@ def write_jsonl(items: Iterable, fp: IO[str]) -> int:
 _JSON_SPACE = " \t\n\r"
 
 
-def load_jsonl(from_json: Callable[[Mapping], T], fp: IO[str]) -> list[T]:
-    """Decode every non-blank line with from_json.
+def json_lines(fp: IO[str]) -> Iterator[tuple[int, Any]]:
+    """The number and the JSON value of every non-blank line.
 
     Each line goes straight to the C scanner behind json.loads; a line it
     does not read as exactly one value is handed to json.loads. A line that
-    is not JSON, or that from_json refuses with GeoAuditError, raises
-    GeoAuditError naming its number."""
+    is not JSON raises GeoAuditError naming its number."""
     scan = json.JSONDecoder().scan_once
-    out = []
     for n, line in enumerate(fp, 1):
         text = line.strip(_JSON_SPACE)  # the whitespace json.loads skips
         if not text or text.isspace():  # blank, as str.strip sees it
@@ -178,6 +176,15 @@ def load_jsonl(from_json: Callable[[Mapping], T], fp: IO[str]) -> list[T]:
                 obj = json.loads(line)  # raises, for the message json.loads gives
             except (RecursionError, ValueError) as exc:  # RecursionError: nested too deeply
                 raise GeoAuditError(f"line {n}: {exc}") from None
+        yield n, obj
+
+
+def load_jsonl(from_json: Callable[[Mapping], T], fp: IO[str]) -> list[T]:
+    """Decode every non-blank line (json_lines) with from_json. A line that
+    from_json refuses with GeoAuditError raises GeoAuditError naming its
+    number."""
+    out = []
+    for n, obj in json_lines(fp):
         try:
             out.append(from_json(obj))
         except GeoAuditError as exc:

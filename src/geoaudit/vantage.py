@@ -44,6 +44,11 @@ class VantagePoint:
 
     def __post_init__(self):
         object.__setattr__(self, "country", self.country.strip().upper())
+        # as geo.load_country_points refuses a point; not (x <= y) also holds for NaN
+        if not -90 <= self.lat <= 90:
+            raise GeoAuditError(f"lat: {self.lat!r} is not in [-90, 90]")
+        if not -180 <= self.lon <= 180:
+            raise GeoAuditError(f"lon: {self.lon!r} is not in [-180, 180]")
         try:
             self.id.encode()  # the simulator hashes the id as UTF-8
         except UnicodeEncodeError:

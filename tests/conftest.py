@@ -187,14 +187,12 @@ def small_campaign(tmp_path):
 
 
 class StubResponse:
+    """An answer as Transport.request returns it: body is bytes as given, or
+    the JSON of any other value."""
+
     def __init__(self, status_code, body):
         self.status_code = status_code
-        self._body = body
-
-    def json(self):
-        if isinstance(self._body, Exception):
-            raise self._body
-        return self._body
+        self.body = body if isinstance(body, bytes) else json.dumps(body).encode()
 
 
 def seeded_pending(seed, most=3):
@@ -295,7 +293,7 @@ class _LoopbackHandler(http.server.BaseHTTPRequestHandler):
             return
         reply = server.api.request(self.command, self.path, json=json.loads(body) if body else None,
                                    headers=dict(self.headers))
-        data = json.dumps(reply.json()).encode()
+        data = reply.body
         self.send_response(reply.status_code)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))

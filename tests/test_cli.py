@@ -1,4 +1,5 @@
 import csv
+import gc
 import gzip
 import ipaddress
 import json
@@ -945,6 +946,61 @@ def test_a_bug_in_a_stage_is_not_bad_input(small_campaign, monkeypatch, bug):
     monkeypatch.setattr(classify, "audit_pipeline", broken)
     with pytest.raises(bug, match="a stage's own mistake"):
         run(audit_argv(paths, str(tmp_path / "out.jsonl")))
+
+
+@pytest.mark.parametrize("key, value, bound", [
+    ("lat", 500.0, "[-90, 90]"), ("lat", -90.5, "[-90, 90]"), ("lat", math.nan, "[-90, 90]"),
+    ("lon", 999.0, "[-180, 180]"), ("lon", -180.5, "[-180, 180]"), ("lon", math.inf, "[-180, 180]"),
+])
+def test_a_vantage_off_the_globe_exits_2_naming_file_line_and_key(small_campaign, capsys,
+                                                                   key, value, bound):
+    """A vantage's coordinates are refused outside [-90, 90] x [-180, 180],
+    as a country point is; classified, it would feed haversine nonsense
+    into the feasible region."""
+    camp, paths, tmp_path = small_campaign
+    out = tmp_path / "out.jsonl"
+    lines = Path(paths["vantages.jsonl"]).read_text().splitlines(keepends=True)
+    row = json.loads(lines[2])
+    row[key] = value
+    lines[2] = json.dumps(row) + "\n"
+    Path(paths["vantages.jsonl"]).write_text("".join(lines))
+    capsys.readouterr()
+    assert run(audit_argv(paths, str(out))) == 2
+    assert capsys.readouterr().err == (
+        f"geoaudit: {paths['vantages.jsonl']}: line 3: {key}: {value!r} is not in {bound}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("gc_on", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize("outcome", ["success", "bad-input", "backend-down", "bug"])
+def test_main_restores_the_garbage_collector(small_campaign, monkeypatch, gc_on, outcome):
+    """main runs a command with cyclic garbage collection off; whatever the
+    command's end, the collector is left as main found it."""
+    camp, paths, tmp_path = small_campaign
+    argv = audit_argv(paths, str(tmp_path / "out.jsonl"))
+    seen = []
+
+    def broken(*args, **kwargs):
+        seen.append(gc.isenabled())
+        raise {"backend-down": BackendUnavailable("api is down"),
+               "bug": KeyError("a stage's own mistake")}[outcome]
+
+    if outcome == "bad-input":
+        Path(paths["vantages.jsonl"]).write_text("{\n")
+    elif outcome != "success":
+        monkeypatch.setattr(classify, "audit_pipeline", broken)
+    was = gc.isenabled()
+    (gc.enable if gc_on else gc.disable)()
+    try:
+        if outcome == "bug":
+            with pytest.raises(KeyError, match="a stage's own mistake"):
+                run(argv)
+        else:
+            assert run(argv) == {"success": 0, "bad-input": 2, "backend-down": 3}[outcome]
+        assert gc.isenabled() is gc_on
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == ([] if outcome in ("success", "bad-input") else [False])
 
 
 @pytest.mark.parametrize("bug", [AttributeError, KeyError, TypeError, ValueError])

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import hashlib
 import http.client
 import io
@@ -31,7 +32,7 @@ from geoaudit.measure import (
     run_plan,
     write_results,
 )
-from geoaudit.registry import parse_address, parse_prefix
+from geoaudit.registry import _object, load_jsonl, parse_address, parse_prefix
 from geoaudit.vantage import VantagePoint
 
 from conftest import LoopbackApi, StubResponse, WorldSession, seeded_pending
@@ -115,6 +116,30 @@ def test_world_from_json():
             SyntheticWorld.from_json({**obj, field: value})
 
 
+def oracle_from_json(obj, parse, name):
+    """The capture's line decoder as it was before load_results read each
+    line inline: the reference the one-loop reader must agree with."""
+    _object(obj)
+    try:
+        rtts, vantage_id, target = obj["rtts_ms"], obj["vantage_id"], obj["target"]
+    except KeyError as exc:
+        raise GeoAuditError(f"no {exc}") from None
+    if type(rtts) is not list:
+        raise GeoAuditError(f"rtts_ms {rtts!r} is not a list")
+    if not {float}.issuperset(map(type, rtts)):
+        rtts = [measure._rtt(x) for x in rtts]
+    if type(vantage_id) is not str:
+        raise GeoAuditError(f"vantage_id {vantage_id!r} is not a string")
+    if type(target) is not str:
+        raise GeoAuditError(f"target {target!r} is not a string")
+    return MeasurementResult(name(vantage_id), parse(target), tuple(rtts))
+
+
+def oracle_load_results(fp):
+    parse, name = functools.cache(parse_address), functools.cache(str)
+    return load_jsonl(lambda obj: oracle_from_json(obj, parse, name), fp)
+
+
 def test_results_round_trip():
     # mixed families, each target measured from several vantages
     targets = ["192.0.2.1", "2001:db8::1", "198.51.100.7", "2001:db8:0:0:1::"]
@@ -126,7 +151,7 @@ def test_results_round_trip():
     text = first.getvalue()
     loaded = load_results(io.StringIO(text))
     assert loaded == results
-    assert loaded == [MeasurementResult.from_json(json.loads(line)) for line in text.splitlines()]
+    assert loaded == oracle_load_results(io.StringIO(text))
     # a target read from several lines is one shared address object
     by_target = {}
     for res in loaded:
@@ -185,6 +210,75 @@ def test_results_codec_writes_the_generic_bytes():
     out = io.StringIO()
     write_results(odd, out)
     assert out.getvalue() == "".join(json.dumps(r.to_json(), sort_keys=True) + "\n" for r in odd)
+
+
+CAPTURE_TARGETS = ["192.0.2.1", "198.51.100.250", "0.0.0.0", "2001:db8::1", "2001:DB8:0:0::1",
+                   "::ffff:192.0.2.1", " 192.0.2.9 ", "fe80::1"]
+CAPTURE_SAMPLES = ["12.5", "0.0", "7", "0", "1e3", "NaN", "Infinity", "-Infinity", "-1.5", "3.25e-2"]
+JUNK_LINES = [
+    "{", "[1", "x", "nul", '{"a": 1} {"b": 2}', "[" * 5000,  # not one JSON value
+    "[]", "5", '"text"', "null", "true",  # not an object
+    '{"target": "192.0.2.1", "vantage_id": "v-1"}',  # a key missing
+    '{"rtts_ms": [], "vantage_id": "v-1"}',
+    '{"rtts_ms": [], "target": "192.0.2.1"}',
+    '{"rtts_ms": 5, "target": "192.0.2.1", "vantage_id": "v-1"}',  # rtts_ms not a list
+    '{"rtts_ms": null, "target": "192.0.2.1", "vantage_id": "v-1"}',
+    '{"rtts_ms": {}, "target": "192.0.2.1", "vantage_id": "v-1"}',
+    '{"rtts_ms": [true], "target": "192.0.2.1", "vantage_id": "v-1"}',  # a sample not a number
+    '{"rtts_ms": [1.0, "12"], "target": "192.0.2.1", "vantage_id": "v-1"}',
+    '{"rtts_ms": [null], "target": "192.0.2.1", "vantage_id": "v-1"}',
+    '{"rtts_ms": [[1]], "target": "192.0.2.1", "vantage_id": "v-1"}',
+    '{"rtts_ms": [], "target": "192.0.2.1", "vantage_id": null}',  # an id not a string
+    '{"rtts_ms": [], "target": "192.0.2.1", "vantage_id": 5}',
+    '{"rtts_ms": [], "target": "192.0.2.1", "vantage_id": ["v-1"]}',
+    '{"rtts_ms": [], "target": null, "vantage_id": "v-1"}',  # a target not a string
+    '{"rtts_ms": [], "target": ["192.0.2.1"], "vantage_id": "v-1"}',
+    '{"rtts_ms": [], "target": {"a": 1}, "vantage_id": "v-1"}',
+    '{"rtts_ms": [], "target": "300.1.1.1", "vantage_id": "v-1"}',  # not an address
+    '{"rtts_ms": [], "target": "192.0.2.0/24", "vantage_id": "v-1"}',
+    '{"rtts_ms": [], "target": "", "vantage_id": "v-1"}',
+    '{"rtts_ms": [1.0], "target": "192.0.2.1", "vantage_id": "v-1",',
+]
+
+
+def random_capture_line(rng):
+    """One valid capture line: keys in any order, maybe an extra one, ids
+    JSON must escape, v4 and v6 targets in several spellings, int samples
+    and the NaN and Infinity tokens."""
+    pairs = [("rtts_ms", "[" + ", ".join(rng.choice(CAPTURE_SAMPLES)
+                                         for _ in range(rng.randint(0, 4))) + "]"),
+             ("target", json.dumps(rng.choice(CAPTURE_TARGETS))),
+             ("vantage_id", json.dumps(rng.choice(VANTAGE_IDS), ensure_ascii=rng.random() < 0.5))]
+    if rng.random() < 0.3:
+        pairs.append((rng.choice(["timestamp", "note", "rtts"]), rng.choice(["0.0", "null", '"x"', "[1]"])))
+    rng.shuffle(pairs)
+    return "{" + ", ".join(f'"{key}": {value}' for key, value in pairs) + "}"
+
+
+def test_load_results_agrees_with_the_record_decoder():
+    """Seeded captures, valid or with junk lines, read by load_results and
+    by the per-line decoder it replaced: the same results, or the same
+    refusal."""
+    refused = 0
+    for seed in range(400):
+        rng = random.Random(seed)
+        lines = [random_capture_line(rng) for _ in range(rng.randint(0, 12))]
+        for _ in range(rng.choice([0, 0, 1, 2])):
+            lines.insert(rng.randint(0, len(lines)), rng.choice(JUNK_LINES))
+        for _ in range(rng.randint(0, 2)):
+            lines.insert(rng.randint(0, len(lines)), rng.choice(["", "   ", "\t", "\x0b"]))
+        text = "".join(line + rng.choice(["\n", "\r\n"]) for line in lines)
+        try:
+            want = oracle_load_results(io.StringIO(text, newline=""))
+        except GeoAuditError as exc:
+            refused += 1
+            with pytest.raises(GeoAuditError) as got:
+                load_results(io.StringIO(text, newline=""))
+            assert str(got.value) == str(exc), text
+        else:
+            assert [spelled(r) for r in load_results(io.StringIO(text, newline=""))] == \
+                [spelled(r) for r in want], text
+    assert 50 < refused < 350  # both kinds of capture were read
 
 
 def test_load_results_reads_only_json_numbers():
@@ -431,7 +525,7 @@ RESULTS = "GET /measurements/m-1/results answered a malformed body:"
 MALFORMED = {
     "post-without-id": ([(200, {"ref": "m-1"})],
                         "POST /measurements answered a malformed body: no 'id'"),
-    "not-json": ([(200, {"id": "m-1"}), (200, json.JSONDecodeError("Expecting value", "", 0))],
+    "not-json": ([(200, {"id": "m-1"}), (200, b"<html>busy</html>")],
                  f"{RESULTS} Expecting value: line 1 column 1 (char 0)"),
     "row-without-probe-id": ([(200, {"id": "m-1"}),
                               (200, {"status": "done", "results": [{"rtts_ms": [1.0]}]})],
@@ -455,6 +549,24 @@ MALFORMED = {
                              (200, {"status": "done",
                                     "results": [{"probe_id": "p-2", "rtts_ms": [1.0]}]})],
                             f"{RESULTS} probe_id 'p-2' was not asked for"),
+    "list-body": ([(200, {"id": "m-1"}), (200, [{"status": "done"}])],
+                  f"{RESULTS} [{{'status': 'done'}}] is not an object"),
+    "post-list-body": ([(200, ["m-1"])],
+                       "POST /measurements answered a malformed body: ['m-1'] is not an object"),
+    "post-id-null": ([(200, {"id": None})],
+                     "POST /measurements answered a malformed body: id None is not a string"),
+    "post-id-number": ([(200, {"id": 7})],
+                       "POST /measurements answered a malformed body: id 7 is not a string"),
+    "results-not-a-list": ([(200, {"id": "m-1"}), (200, {"status": "done", "results": {}})],
+                           f"{RESULTS} results {{}} is not a list"),
+    "row-not-an-object": ([(200, {"id": "m-1"}), (200, {"status": "done", "results": ["p-1"]})],
+                          f"{RESULTS} 'p-1' is not an object"),
+    "rtts-not-a-list": ([(200, {"id": "m-1"}),
+                         (200, {"status": "done", "results": [{"probe_id": "p-1", "rtts_ms": 1.0}]})],
+                        f"{RESULTS} rtts_ms 1.0 is not a list"),
+    "rtts-null": ([(200, {"id": "m-1"}),
+                   (200, {"status": "done", "results": [{"probe_id": "p-1", "rtts_ms": None}]})],
+                  f"{RESULTS} rtts_ms None is not a list"),
     "probe-twice": ([(200, {"id": "m-1"}),
                      (200, {"status": "done", "results": [{"probe_id": "p-1", "rtts_ms": [1.0]},
                                                           {"probe_id": "p-1", "rtts_ms": [2.0]}]})],
@@ -470,6 +582,20 @@ def test_live_backend_fails_on_a_malformed_answer(script, message):
         backend.measure(vp("p-1"), parse_address("192.0.2.1"))
     assert str(exc.value) == message
     assert sleeps == [] and not session.script  # at the first answer, without a retry
+
+
+@pytest.mark.parametrize("bug", [KeyError, TypeError, ValueError])
+def test_a_bug_in_reading_an_answer_is_not_a_broken_api(monkeypatch, bug):
+    """Only GeoAuditError means the answer is malformed: anything else the
+    reader raises is its own mistake and leaves with its traceback."""
+    def broken(body, vantages):
+        raise bug("the reader's own mistake")
+
+    monkeypatch.setattr(measure, "_replies", broken)
+    session = StubSession([(200, {"id": "m-1"}), (200, {"status": "done", "results": []})])
+    backend, _ = make_backend(session)
+    with pytest.raises(bug, match="the reader's own mistake"):
+        backend.measure(vp("p-1"), parse_address("192.0.2.1"))
 
 
 def test_live_backend_holds_one_session():

@@ -428,6 +428,11 @@ def random_float(rng):
     return rng.choice([rng.uniform(-1e4, 1e4), 0.0, -0.0, 5e-324, 1e16, math.inf])
 
 
+def random_coordinate(rng, bound):
+    """A latitude (bound 90) or a longitude (bound 180): VantagePoint refuses any other."""
+    return rng.choice([rng.uniform(-bound, bound), 0.0, -0.0, 5e-324, bound, -bound])
+
+
 def random_rirs(rng):
     return frozenset(rng.sample(list(Rir), rng.randint(0, 5)))
 
@@ -469,7 +474,7 @@ def random_vantage(rng):
     # a country is read back stripped and upper-cased, so it is drawn that way
     return VantagePoint(
         id=random_text(rng), country=random_text(rng).strip().upper(),
-        lat=random_float(rng), lon=random_float(rng), kind=random_text(rng),
+        lat=random_coordinate(rng, 90.0), lon=random_coordinate(rng, 180.0), kind=random_text(rng),
         asn=maybe(rng, lambda: rng.choice([0, 64496, 2**70])), connected=rng.random() < 0.5)
 
 

@@ -83,3 +83,20 @@ def test_read_names_the_file_for_bad_input_alone():
     caught = handlers[0].type.elts if isinstance(handlers[0].type, ast.Tuple) else [handlers[0].type]
     assert sorted(map(ast.unparse, caught)) == sorted(
         ["GeoAuditError", "OSError", "EOFError", "csv.Error", "zlib.error"])
+
+
+def test_live_request_reads_a_malformed_answer_alone():
+    """LiveBackend._request turns only a GeoAuditError from parsing a 200
+    answer into BackendUnavailable: the answer readers raise it where a
+    value is not the documented shape, and a KeyError or TypeError from a
+    bug in them leaves with its traceback."""
+    tree = ast.parse((ROOT / "src" / "geoaudit" / "measure.py").read_text(encoding="utf-8"))
+    backend = next(node for node in tree.body
+                   if isinstance(node, ast.ClassDef) and node.name == "LiveBackend")
+    request = next(node for node in backend.body
+                   if isinstance(node, ast.FunctionDef) and node.name == "_request")
+    parses = [node for node in ast.walk(request) if isinstance(node, ast.Try)
+              and any(isinstance(call, ast.Call) and getattr(call.func, "id", None) == "parse"
+                      for stmt in node.body for call in ast.walk(stmt))]
+    assert len(parses) == 1 and len(parses[0].handlers) == 1
+    assert _type_names(parses[0].handlers[0].type) == ["GeoAuditError"]
