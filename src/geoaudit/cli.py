@@ -158,8 +158,8 @@ def _ingest_tally(rep: whois.IngestReport) -> str:
 def cmd_ingest(args: argparse.Namespace) -> int:
     from . import whois
 
-    dialects = (_read(args.dialects, whois.load_dialects) if args.dialects
-                else whois.default_dialects())
+    # None is the bundled table, which whois parses once per process
+    dialects = _read(args.dialects, whois.load_dialects) if args.dialects else None
 
     regs_by_rir: dict[Rir, list[Registration]] = {}
     reports: dict[Rir, whois.IngestReport] = {}
@@ -323,8 +323,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
             for (target, plan_vantages), replies
             in zip(jobs, backend.measure_targets(jobs), strict=True)}
     finally:
-        if isinstance(backend, measure.LiveBackend):
-            backend.session.close()  # its keep-alive connection
+        backend.close()
 
     if args.capture_results:
         # ordered by target, then vantage id, the order of target_results
@@ -360,13 +359,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
     print(f"vantages: kept={vreport.kept} disconnected={vreport.disconnected} "
           f"bad_id={vreport.bad_id} default_coords={vreport.default_coords} "
           f"unmapped_country={vset.unmapped_country}")
-    if isinstance(backend, measure.ReplayBackend):
-        print(f"replay misses: {backend.misses} pairs")
-    if isinstance(backend, measure.SimulateBackend):
-        print(f"unknown targets: {backend.unknown_targets}")
-    if isinstance(backend, measure.LiveBackend):
-        print(f"live requests: posts={backend.posts} polls={backend.polls} "
-              f"retries={backend.retries} rounds={backend.rounds}")
+    print(backend.tally())
     print(tally)
     print("accounting identity: ok")
     print(f"wrote {len(records)} records to {args.output}")
@@ -386,6 +379,8 @@ def cmd_report(args: argparse.Namespace) -> int:
         name, _, path = spec_item.partition("=")
         if not path:
             raise GeoAuditError(f"--geodb wants name=path, got {spec_item!r}")
+        if name in providers:  # one table would silently replace the other
+            raise GeoAuditError(f"--geodb names provider {name!r} twice")
         providers[name] = _read(path, report.load_geodb)
     leased = (_read(args.leased_prefixes, targets.load_prefix_list)
               if args.leased_prefixes else None)

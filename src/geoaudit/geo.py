@@ -22,7 +22,7 @@ from importlib import resources
 from typing import IO, Iterable, Mapping
 
 from .errors import GeoAuditError
-from .registry import DEFAULT_PROPAGATION_FACTOR, RegionMap, Rir, parse_as, read_csv
+from .registry import DEFAULT_PROPAGATION_FACTOR, RegionMap, Rir, country_point, read_csv
 
 EARTH_RADIUS_KM = 6371.0088
 C_KM_PER_S = 299792.458
@@ -53,14 +53,8 @@ CountryPoints = Mapping[str, tuple[tuple[float, float], ...]]
 
 def load_country_points(fp: IO[str]) -> dict[str, tuple[tuple[float, float], ...]]:
     """Load representative points from CSV with a country,lat,lon header."""
-    def point(row: dict) -> tuple[str, float, float]:
-        cc = row["country"].strip().upper()
-        lat, lon = parse_as(float, row["lat"]), parse_as(float, row["lon"])
-        if not (-90 <= lat <= 90 and -180 <= lon <= 180):
-            raise GeoAuditError(f"point out of range for {cc}: {lat},{lon}")
-        return cc, lat, lon
     acc: dict[str, list[tuple[float, float]]] = {}
-    for cc, lat, lon in read_csv(fp, ["country", "lat", "lon"], point, comments=True):
+    for cc, lat, lon in read_csv(fp, ["country", "lat", "lon"], country_point, comments=True):
         acc.setdefault(cc, []).append((lat, lon))
     return {cc: tuple(points) for cc, points in acc.items()}
 

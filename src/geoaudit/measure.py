@@ -14,9 +14,13 @@ capture holds one line per (vantage, target) pair, so MeasurementResult is
 slotted and not frozen (nor hashable), and load_results checks each line
 inline rather than through a per-record decoder.
 
-The live client reads an answer as an input file is read: a value that is
-not the documented shape raises GeoAuditError where it is found, and any
-other exception while reading is a bug.
+The live client sends a path below the API root and a body of bytes through
+its Transport, and gets back the status and the body's bytes: LiveBackend
+encodes each request and reads each answer itself. It reads an answer as an
+input file is read: a value that is not the documented shape raises
+GeoAuditError where it is found, and any other exception while reading is a
+bug. Only what a failed exchange raises is retried or reported as the
+backend unavailable; any other exception from the transport is a bug too.
 """
 
 from __future__ import annotations
@@ -47,7 +51,6 @@ POLL_ATTEMPTS = 30
 TIMEOUT_S = 30.0  # the live client's socket timeout: to connect, and for each read
 Job = tuple[Addr, Sequence[VantagePoint]]  # a target and the vantages that measure it
 _FLOAT = frozenset((float,))  # what json reads a capture's samples as: load_results's fast path
-_dumps = json.dumps  # Transport.request's json parameter hides the module
 _NOISE_WORDS = struct.Struct("<3Q")  # a pair's digest: one word per sample (SyntheticWorld)
 _UNIT = 2.0 ** -53  # a word's top 53 bits times this are uniform in [0, 1)
 
@@ -142,7 +145,8 @@ def load_results(fp: IO[str]) -> list[MeasurementResult]:
 class Backend:
     """A measurement backend. measure_targets is the one method a backend
     implements; measure is one pair through it, kept for callers that work
-    pair by pair."""
+    pair by pair. tally is the line an audit prints about the run, and close
+    releases what the backend holds: only a live one holds anything."""
 
     def measure_targets(self, jobs: Iterable[Job]) -> Iterator[Mapping[str, Sequence[float]]]:
         """The replies to each (target, vantages) job, in job order: RTT
@@ -153,6 +157,12 @@ class Backend:
     def measure(self, vantage: VantagePoint, target: Addr) -> list[float]:
         """RTT samples in ms; empty when the vantage got no reply."""
         return list(next(self.measure_targets([(target, [vantage])])).get(vantage.id, ()))
+
+    def tally(self) -> str:
+        raise NotImplementedError
+
+    def close(self) -> None:
+        pass
 
 
 @dataclass
@@ -259,6 +269,9 @@ class SimulateBackend(Backend):
                 replies = {}
             yield replies
 
+    def tally(self) -> str:
+        return f"unknown targets: {self.unknown_targets}"
+
 
 class ReplayBackend(Backend):
     """Serves RTTs from a result archive, indexed by target, then vantage.
@@ -286,29 +299,24 @@ class ReplayBackend(Backend):
             self.misses += sum(v.id not in archived for v in vantages)
             yield {v.id: archived[v.id] for v in vantages if v.id in archived}
 
+    def tally(self) -> str:
+        return f"replay misses: {self.misses} pairs"
+
 
 class NeverConnected(Exception):
     """Transport could not open a connection, so the request was never sent."""
 
 
-class _Answer:
-    """An HTTP answer as LiveBackend reads it: a status and the body's bytes."""
-
-    __slots__ = ("status_code", "body")
-
-    def __init__(self, status_code: int, body: bytes):
-        self.status_code = status_code
-        self.body = body
-
-
 class Transport:
-    """The live client's HTTP: one keep-alive HTTP/1.1 connection to the
-    origin of base_url, opened by an explicit connect() and reused by every
-    request. Before an idle connection is reused it is checked for
-    readability without waiting: readable means the server closed it, and a
-    new one is opened, so a dropped keep-alive never costs a request.
-    NeverConnected means no connection could be opened and nothing was sent;
-    any other error may come after the API got the request. It connects
+    """The live client's HTTP: request sends a body of bytes to a path below
+    base_url and returns the answer's status and body bytes, over one
+    keep-alive HTTP/1.1 connection to the origin of base_url, opened by an
+    explicit connect() and reused by every request. Before an idle
+    connection is reused it is checked for readability without waiting:
+    readable means the server closed it, and a new one is opened, so a
+    dropped keep-alive never costs a request. NeverConnected means no
+    connection could be opened and nothing was sent; an OSError or an
+    HTTPException may come after the API got the request. It connects
     directly (no proxy), verifies TLS against the system CA store, and
     TIMEOUT_S bounds the connect and each read."""
 
@@ -334,11 +342,10 @@ class Transport:
         # an unclosed [, a port that is not a number, a host with a space
         except (ValueError, http.client.InvalidURL) as exc:
             raise GeoAuditError(str(exc)) from None
-        self._base_url, self._base_path = base_url, parts.path
+        self._base_path = parts.path.rstrip("/")
 
-    def request(self, method: str, url: str, json=None, headers=None) -> _Answer:
-        """Send json, if given, and read the whole answer; url is base_url
-        followed by a path."""
+    def request(self, method: str, path: str, body: bytes | None, headers) -> tuple[int, bytes]:
+        """Send body, if any, to path below base_url and read the whole answer."""
         conn = self._conn
         if conn.sock is not None and select.select([conn.sock], [], [], 0)[0]:
             conn.close()  # an idle connection has nothing to read unless the server closed it
@@ -349,10 +356,9 @@ class Transport:
                 conn.close()
                 raise NeverConnected(f"cannot connect to {conn.host}:{conn.port}: {exc}") from exc
         try:
-            conn.request(method, self._base_path + url[len(self._base_url):],
-                         None if json is None else _dumps(json).encode(), headers or {})
+            conn.request(method, self._base_path + path, body, headers)
             answer = conn.getresponse()
-            return _Answer(answer.status, answer.read())
+            return answer.status, answer.read()
         except BaseException:
             conn.close()  # a request cut off midway leaves the connection in no known state
             raise
@@ -377,18 +383,28 @@ class LiveBackend(Backend):
 
     def __init__(self, base_url: str, api_key: str, tag: str | None = None, session=None,
                  sleep: Callable[[float], None] = time.sleep, in_flight: int = 1):
-        self.base_url = base_url.rstrip("/")
-        self.session = Transport(self.base_url) if session is None else session
+        self.session = Transport(base_url) if session is None else session
         self.headers = {"Authorization": f"Key {api_key}", "Content-Type": "application/json"}
         self.tag = tag
         self.sleep = sleep
         self.in_flight = in_flight
         self.posts = self.polls = self.retries = self.rounds = 0
 
-    def _request(self, method: str, path: str, parse: Callable, payload: dict | None = None):
+    def tally(self) -> str:
+        return (f"live requests: posts={self.posts} polls={self.polls} "
+                f"retries={self.retries} rounds={self.rounds}")
+
+    def close(self) -> None:
+        self.session.close()  # its keep-alive connection
+
+    def _request(self, method: str, path: str, parse: Callable, body: bytes | None = None):
         """parse of the JSON body of the 200 answer. BackendUnavailable when
-        retries run out, or when the body does not have the documented shape."""
-        url = f"{self.base_url}{path}"
+        retries run out, or when the body does not have the documented shape.
+        Only what a failed exchange raises counts as one: NeverConnected, an
+        OSError (a timeout or a reset) or an HTTPException. Any other
+        exception from the session is a bug, and leaves with its traceback."""
+        from http.client import HTTPException  # a live run's alone, as in Transport
+
         # a POST that may have reached the API is never sent again
         retry_status = POST_RETRY_STATUS if method == "POST" else RETRY_STATUS
         delay = RETRY_BASE_DELAY_S
@@ -401,33 +417,34 @@ class LiveBackend(Backend):
             self.posts += method == "POST"
             self.polls += method == "GET"
             try:
-                resp = self.session.request(method, url, json=payload, headers=self.headers)
-            except Exception as exc:
+                status, answer = self.session.request(method, path, body, self.headers)
+            except (NeverConnected, OSError, HTTPException) as exc:
                 if method == "POST" and not isinstance(exc, NeverConnected):
                     raise BackendUnavailable(
                         f"{method} {path} failed, not retried as the API may have "
                         f"created the measurement: {exc}") from exc
                 last_error = exc
                 continue
-            if resp.status_code == 200:
+            if status == 200:
                 # parse raises GeoAuditError where the answer is not the documented
                 # shape; anything else it raises is a bug, and leaves with its traceback
                 try:
-                    return parse(parse_as(json.loads, resp.body))
+                    return parse(parse_as(json.loads, answer))
                 except GeoAuditError as exc:
                     raise BackendUnavailable(
                         f"{method} {path} answered a malformed body: {exc}") from None
-            if resp.status_code in retry_status:
-                last_error = RuntimeError(f"HTTP {resp.status_code}")
+            if status in retry_status:
+                last_error = RuntimeError(f"HTTP {status}")
                 continue
-            raise BackendUnavailable(f"{method} {path} failed: HTTP {resp.status_code}")
+            raise BackendUnavailable(f"{method} {path} failed: HTTP {status}")
         raise BackendUnavailable(f"{method} {path} failed after retries: {last_error}")
 
     def create_measurement(self, target: Addr, probe_ids: list[str]) -> str:
         payload = {"target": str(target), "probe_ids": probe_ids, "packets": SAMPLES_PER_PAIR}
         if self.tag:
             payload["tag"] = self.tag
-        return self._request("POST", "/measurements", lambda body: _get(body, "id", str), payload)
+        return self._request("POST", "/measurements", lambda body: _get(body, "id", str),
+                             json.dumps(payload).encode())
 
     def measure_targets(self, jobs: Iterable[Job]) -> Iterator[dict[str, list[float]]]:
         """Keeps up to in_flight measurements outstanding. Each round polls

@@ -379,6 +379,16 @@ def read_csv(lines: Iterable[str], header: Sequence[str], parse_row: Callable[[d
     return out
 
 
+def country_point(row: Mapping[str, str]) -> tuple[str, float, float]:
+    """A row of a country,lat,lon CSV: the country code, upper case, and a
+    point on the globe; NaN is refused with the rest."""
+    cc = row["country"].strip().upper()
+    lat, lon = parse_as(float, row["lat"]), parse_as(float, row["lon"])
+    if not (-90 <= lat <= 90 and -180 <= lon <= 180):
+        raise GeoAuditError(f"point out of range for {cc}: {lat},{lon}")
+    return cc, lat, lon
+
+
 def read_ini(fp: IO[str]):
     """A ConfigParser of fp, without interpolation; bad text raises GeoAuditError."""
     import configparser  # only the commands that read an INI file load it

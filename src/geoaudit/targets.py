@@ -11,6 +11,7 @@ import random
 from dataclasses import dataclass
 from typing import IO, Iterable
 
+from .errors import GeoAuditError
 from .index import PrefixIndex
 from .registry import (
     Addr,
@@ -38,15 +39,24 @@ class HitlistEntry:
     score: int | None = None
 
 
+def _address(text: str, version: int) -> Addr:
+    """A hitlist holds one family: an address of the other is refused, so a
+    v4 address never rides the v6 hitlist past min_score, unscored."""
+    addr = parse_address(text)
+    if addr.version != version:
+        raise GeoAuditError(f"{addr} is not an IPv{version} address")
+    return addr
+
+
 def load_hitlist_v4(fp: IO[str]) -> list[HitlistEntry]:
-    """CSV with an addr,score header; score is an integer 0..100."""
+    """CSV with an addr,score header; addr is an IPv4 address, score an integer."""
     return read_csv(fp, ["addr", "score"], lambda row: HitlistEntry(
-        addr=parse_address(row["addr"]), score=parse_as(int, row["score"])))
+        addr=_address(row["addr"], 4), score=parse_as(int, row["score"])))
 
 
 def load_hitlist_v6(fp: IO[str]) -> list[HitlistEntry]:
     """One IPv6 address per line; no responsiveness scores."""
-    return [HitlistEntry(addr=parse_address(token), score=None) for token in read_tokens(fp)]
+    return [HitlistEntry(addr=_address(token, 6), score=None) for token in read_tokens(fp)]
 
 
 def load_prefix_list(fp: IO[str]) -> list[Prefix]:

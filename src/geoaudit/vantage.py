@@ -18,8 +18,8 @@ from .registry import (
     RegionMap,
     Registration,
     Rir,
+    country_point,
     load_jsonl,
-    parse_as,
     read_csv,
     read_tokens,
     record,
@@ -70,8 +70,8 @@ def load_bad_ids(fp: IO[str]) -> set[str]:
 def load_default_coords(fp: IO[str]) -> set[tuple[float, float]]:
     """Known per-country default coordinates (csv country,lat,lon). A vantage
     sitting exactly on one of these was never really geolocated."""
-    return set(read_csv(fp, ["country", "lat", "lon"], lambda row: (
-        round(parse_as(float, row["lat"]), 6), round(parse_as(float, row["lon"]), 6))))
+    return {(round(lat, 6), round(lon, 6))
+            for _, lat, lon in read_csv(fp, ["country", "lat", "lon"], country_point)}
 
 
 @dataclass

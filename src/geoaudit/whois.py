@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import dataclasses
 import datetime
+import functools
 import re
+import types
 import zlib
 from dataclasses import dataclass
 from importlib import resources
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, Mapping
 
 from .errors import GeoAuditError
 from .registry import (
@@ -69,13 +71,16 @@ def load_dialects(fp: IO[str]) -> dict[Rir, Dialect]:
     return out
 
 
-def default_dialects() -> dict[Rir, Dialect]:
+@functools.cache
+def default_dialects() -> Mapping[Rir, Dialect]:
+    """The bundled table, parsed once per process. Every caller shares it,
+    so it is read-only."""
     ref = resources.files("geoaudit.data").joinpath("dialects.ini")
     with ref.open("r", encoding="utf-8") as fp:
-        return load_dialects(fp)
+        return types.MappingProxyType(load_dialects(fp))
 
 
-def dialect_for(rir: Rir, dialects: dict[Rir, Dialect] | None = None) -> Dialect:
+def dialect_for(rir: Rir, dialects: Mapping[Rir, Dialect] | None = None) -> Dialect:
     table = dialects if dialects is not None else default_dialects()
     try:
         return table[rir]
@@ -266,7 +271,7 @@ def _country(raw: str | None) -> str | None:
 def parse_bulk_whois(
     stream: Iterable[str],
     rir: Rir,
-    dialects: dict[Rir, Dialect] | None = None,
+    dialects: Mapping[Rir, Dialect] | None = None,
 ) -> tuple[list[Registration], dict[str, str | None], IngestReport]:
     """Parse one registry dump into registrations plus {org_id: country or None}.
 

@@ -186,13 +186,10 @@ def small_campaign(tmp_path):
     return camp, paths, tmp_path
 
 
-class StubResponse:
-    """An answer as Transport.request returns it: body is bytes as given, or
-    the JSON of any other value."""
-
-    def __init__(self, status_code, body):
-        self.status_code = status_code
-        self.body = body if isinstance(body, bytes) else json.dumps(body).encode()
+def stub_answer(status, body):
+    """An answer as Transport.request returns it: the status and the body,
+    bytes as given, or the JSON of any other value."""
+    return status, body if isinstance(body, bytes) else json.dumps(body).encode()
 
 
 def seeded_pending(seed, most=3):
@@ -217,13 +214,14 @@ class WorldSession:
         self.most_open = 0
         self.closed = False
 
-    def request(self, method, url, json=None, headers=None):
-        self.calls.append((method, url))
+    def request(self, method, path, body, headers):
+        self.calls.append((method, path))
         if method == "POST":
-            self.posts.append(json)
-            target = parse_address(json["target"])
+            payload = json.loads(body)
+            self.posts.append(payload)
+            target = parse_address(payload["target"])
             results = []
-            for probe_id in json["probe_ids"]:
+            for probe_id in payload["probe_ids"]:
                 try:
                     rtts = self.world.rtts(self.vantages[probe_id], target)
                 except UnknownTarget:
@@ -233,12 +231,12 @@ class WorldSession:
             mid = f"m-{len(self.posts)}"
             self.open[mid] = [self.pending(mid), results]
             self.most_open = max(self.most_open, len(self.open))
-            return StubResponse(200, {"id": mid})
-        mid = url.rsplit("/", 2)[-2]
+            return stub_answer(200, {"id": mid})
+        mid = path.rsplit("/", 2)[-2]
         if self.open[mid][0]:
             self.open[mid][0] -= 1
-            return StubResponse(200, {"status": "pending"})
-        return StubResponse(200, {"status": "done", "results": self.open.pop(mid)[1]})
+            return stub_answer(200, {"status": "pending"})
+        return stub_answer(200, {"status": "done", "results": self.open.pop(mid)[1]})
 
     def close(self):
         self.closed = True
@@ -291,10 +289,8 @@ class _LoopbackHandler(http.server.BaseHTTPRequestHandler):
             server.release.wait(timeout=10)
             self.close_connection = True
             return
-        reply = server.api.request(self.command, self.path, json=json.loads(body) if body else None,
-                                   headers=dict(self.headers))
-        data = reply.body
-        self.send_response(reply.status_code)
+        status, data = server.api.request(self.command, self.path, body, dict(self.headers))
+        self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
         self.end_headers()

@@ -782,7 +782,8 @@ def test_report_command_writes_tables(small_campaign):
             assert total == pytest.approx(1.0, abs=1e-9)
 
 
-@pytest.mark.parametrize("bad_input", ["--geodb", "--geodb-without-path", "--leased-prefixes"])
+@pytest.mark.parametrize("bad_input", ["--geodb", "--geodb-without-path", "--geodb-name-twice",
+                                       "--leased-prefixes"])
 def test_report_bad_input_leaves_old_report(small_campaign, capsys, bad_input):
     camp, paths, tmp_path = small_campaign
     audit_out = tmp_path / "audit.jsonl"
@@ -795,9 +796,14 @@ def test_report_bad_input_leaves_old_report(small_campaign, capsys, bad_input):
         (out_dir / name).write_bytes(f"previous {name}\n".encode())
 
     missing = str(tmp_path / "missing.csv")
+    geodb = tmp_path / "geodb.csv"
+    geodb.write_text("prefix,country\n")
     bad, message = {
         "--geodb": (["--geodb", f"alpha={missing}"], "missing.csv"),
         "--geodb-without-path": (["--geodb", "alpha"], "--geodb wants name=path, got 'alpha'"),
+        # the second table would replace the first without a word
+        "--geodb-name-twice": (["--geodb", f"alpha={geodb}", "--geodb", f"alpha={geodb}"],
+                               "geoaudit: --geodb names provider 'alpha' twice\n"),
         "--leased-prefixes": (["--leased-prefixes", missing], "missing.csv"),
     }[bad_input]
     rc = run(["report", "--audit", str(audit_out),
@@ -876,6 +882,25 @@ def test_a_short_csv_row_exits_2_naming_its_line(small_campaign, capsys, flag, n
     fields = len(row.split(","))
     assert (capsys.readouterr().err
             == f"geoaudit: {path}: line 3: {fields} fields, need {len(header.split(','))}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, name, text, where, family", [
+    ("--hitlist-v4", "hitlist_v4.csv", "addr,score\n192.0.2.1,100\n2001:db8::1,100\n",
+     "line 3: 2001:db8::1", 4),
+    ("--hitlist-v6", "hitlist_v6.txt", "2001:db8::1\n192.0.2.1\n", "192.0.2.1", 6),
+])
+def test_a_hitlist_address_of_the_other_family_exits_2(small_campaign, capsys, flag, name, text,
+                                                       where, family):
+    """An IPv4 address in the v6 hitlist would be planned unscored and pass
+    any --min-score; each hitlist holds its own family alone."""
+    camp, paths, tmp_path = small_campaign
+    path = tmp_path / name
+    path.write_text(text)
+    out = tmp_path / "audit.jsonl"
+    capsys.readouterr()
+    assert run(audit_argv(paths, str(out), extra=[flag, str(path)])) == 2
+    assert capsys.readouterr().err == f"geoaudit: {path}: {where} is not an IPv{family} address\n"
     assert not out.exists()
 
 

@@ -35,7 +35,7 @@ from geoaudit.measure import (
 from geoaudit.registry import _object, load_jsonl, parse_address, parse_prefix
 from geoaudit.vantage import VantagePoint
 
-from conftest import LoopbackApi, StubResponse, WorldSession, seeded_pending
+from conftest import LoopbackApi, WorldSession, seeded_pending, stub_answer
 
 
 def vp(vid, lat=0.0, lon=0.0, country="US"):
@@ -398,12 +398,12 @@ class StubSession:
         self.script = list(script)
         self.calls = []
 
-    def request(self, method, url, json=None, headers=None):
-        self.calls.append((method, url, json, headers))
+    def request(self, method, path, body, headers):
+        self.calls.append((method, path, None if body is None else json.loads(body), headers))
         action = self.script.pop(0)
         if isinstance(action, Exception):
             raise action
-        return StubResponse(*action)
+        return stub_answer(*action)
 
 
 def make_backend(session):
@@ -429,8 +429,8 @@ def test_live_backend_happy_path():
     rtts = backend.measure(vp("p-1"), parse_address("192.0.2.1"))
     assert rtts == [10.0, 11.5, 12.0]
 
-    method, url, payload, headers = session.calls[0]
-    assert (method, url) == ("POST", "https://api.example.net/v1/measurements")
+    method, path, payload, headers = session.calls[0]
+    assert (method, path) == ("POST", "/measurements")
     assert payload == {"target": "192.0.2.1", "probe_ids": ["p-1"],
                        "packets": SAMPLES_PER_PAIR, "tag": "audit"}
     assert headers["Authorization"] == "Key sekrit"
@@ -492,6 +492,20 @@ def test_live_backend_retries_every_transient_get(failure):
     assert backend.measure(vp("p-1"), parse_address("192.0.2.1")) == []
     assert sleeps == [2.0]
     assert [call[0] for call in session.calls] == ["POST", "GET", "GET"]
+
+
+@pytest.mark.parametrize("method", ["POST", "GET"])
+def test_a_bug_in_the_session_is_not_a_failed_exchange(method):
+    """Only NeverConnected, an OSError or an HTTPException is a failed
+    exchange: a TypeError from the session is a bug, and leaves at once
+    with its traceback, neither retried nor read as the API being down."""
+    bug = TypeError("the session's own mistake")
+    session = StubSession([bug] if method == "POST" else [(200, {"id": "m-7"}), bug])
+    backend, sleeps = make_backend(session)
+    with pytest.raises(TypeError, match="the session's own mistake"):
+        backend.measure(vp("p-1"), parse_address("192.0.2.1"))
+    assert sleeps == [] and backend.retries == 0
+    assert [call[0] for call in session.calls].count(method) == 1
 
 
 def test_live_backend_gives_up_after_retries():
@@ -627,6 +641,20 @@ def test_transport_keeps_one_connection_for_a_whole_run():
     assert server.methods.count("POST") == live.posts == len(jobs)
     assert server.methods.count("GET") == live.polls > len(jobs)  # some were pending
     assert live.retries == 0
+
+
+@pytest.mark.parametrize("slash", ["", "/"])
+def test_transport_sends_each_path_below_the_base_url(slash):
+    world, jobs = loopback_world(1)
+    (target, [vantage]), = jobs
+    api = WorldSession(world, [vantage])
+    with LoopbackApi(api) as server:
+        live = LiveBackend(server.base_url + slash, "k", sleep=lambda s: None)
+        try:
+            assert live.measure(vantage, target) == world.rtts(vantage, target)
+        finally:
+            live.close()
+    assert api.calls == [("POST", "/v1/measurements"), ("GET", "/v1/measurements/m-1/results")]
 
 
 def test_transport_reconnects_when_the_server_drops_an_idle_connection():

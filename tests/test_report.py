@@ -135,8 +135,10 @@ def test_characteristics_cross_tabs():
         record("10.0.0.0/24", Rir.ARIN, FC),
         record("10.0.1.0/24", Rir.ARIN, RI),
         record("10.0.2.0/24", Rir.ARIN, FC),
+        record("10.9.0.0/24", Rir.ARIN, FC),  # classified, but no registration: not counted
     ]
     by_status, by_year = characteristics(records, regs)
+    assert sum(by_status.values()) == sum(by_year.values()) == 3
     assert by_status[(FC, Status.ALLOCATED)] == 2
     assert by_status[(RI, Status.ASSIGNED)] == 1
     assert by_year[(FC, 2019)] == 1
@@ -234,6 +236,9 @@ def test_sankey_edges_flow_to_vantage_region():
             outcome("10.0.2.2", "DE", RI),
         ]),
         record("10.0.3.0/24", Rir.ARIN),  # filtered: no flow
+        # classified, but no classified target has a mapped vantage country: no flow
+        record("10.0.4.0/24", Rir.ARIN, RI, targets=[outcome("10.0.4.1", "XX", RI),
+                                                    outcome("10.0.4.2", "DE", None)]),
     ]
     edges = sankey_edges(records, REGION_MAP)
     assert edges == [(Rir.ARIN, Rir.ARIN, 1), (Rir.ARIN, Rir.RIPE, 2)]

@@ -85,6 +85,23 @@ def test_read_names_the_file_for_bad_input_alone():
         ["GeoAuditError", "OSError", "EOFError", "csv.Error", "zlib.error"])
 
 
+def test_live_request_retries_a_failed_exchange_alone():
+    """LiveBackend._request retries, or reports the backend unavailable,
+    only for what a failed exchange raises; a bug in the session (a
+    TypeError, say) leaves with its traceback."""
+    tree = ast.parse((ROOT / "src" / "geoaudit" / "measure.py").read_text(encoding="utf-8"))
+    backend = next(node for node in tree.body
+                   if isinstance(node, ast.ClassDef) and node.name == "LiveBackend")
+    request = next(node for node in backend.body
+                   if isinstance(node, ast.FunctionDef) and node.name == "_request")
+    sends = [node for node in ast.walk(request) if isinstance(node, ast.Try)
+             and "self.session.request" in ast.unparse(node.body[0])]
+    assert len(sends) == 1 and len(sends[0].handlers) == 1
+    names = _type_names(sends[0].handlers[0].type)
+    assert not {"Exception", "BaseException"} & set(names)
+    assert sorted(names) == ["HTTPException", "NeverConnected", "OSError"]
+
+
 def test_live_request_reads_a_malformed_answer_alone():
     """LiveBackend._request turns only a GeoAuditError from parsing a 200
     answer into BackendUnavailable: the answer readers raise it where a

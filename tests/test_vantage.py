@@ -58,6 +58,10 @@ def test_load_bad_ids_and_default_coords():
     assert (38.0, -97.0) in coords
     with pytest.raises(GeoAuditError):
         load_default_coords(io.StringIO("country,lon\nUS,-97.0\n"))  # no lat column
+    # off the globe, refused as geo.load_country_points refuses it
+    for row in ("US,500,999", "US,38.0,-181", "US,nan,-97.0"):
+        with pytest.raises(GeoAuditError, match="^line 2: point out of range for US: "):
+            load_default_coords(io.StringIO(f"country,lat,lon\n{row}\n"))
 
 
 def test_filter_vantages():

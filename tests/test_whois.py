@@ -6,6 +6,7 @@ import re
 
 import pytest
 
+from geoaudit import whois
 from geoaudit.errors import GeoAuditError
 from geoaudit.registry import Rir, Status, write_registrations
 from geoaudit.whois import (
@@ -186,6 +187,25 @@ def test_default_dialects_cover_all_rirs():
     assert dialect_for(Rir.APNIC).org_id_keys == ()
     with pytest.raises(GeoAuditError, match="^no dialect for RIPE$"):
         dialect_for(Rir.RIPE, {})
+
+
+def test_the_bundled_dialect_table_is_parsed_once(monkeypatch):
+    """Every parse without a table of its own reads the bundled one, so
+    the first call parses it and the rest share that parse."""
+    calls = []
+    monkeypatch.setattr(whois, "load_dialects",
+                        lambda fp, real=whois.load_dialects: calls.append(1) or real(fp))
+    default_dialects.cache_clear()
+    try:
+        dump = "NetRange: 192.0.2.0 - 192.0.2.255\nCountry: US\n"
+        for _ in range(3):
+            assert parse_bulk_whois(io.StringIO(dump), Rir.ARIN)[0]
+        assert default_dialects() is default_dialects()
+        assert calls == [1]
+        with pytest.raises(TypeError):  # shared by every caller, so no caller may change it
+            default_dialects()[Rir.ARIN] = None
+    finally:
+        default_dialects.cache_clear()  # later callers parse the real loader's table
 
 
 def test_load_dialects_requires_net_keys():
