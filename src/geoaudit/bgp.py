@@ -8,6 +8,7 @@ pieces share an origin, MixedAS otherwise.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 from typing import IO, Iterable
 
@@ -46,8 +47,22 @@ class Rib:
         return len(self.routes)
 
 
+# an origin ASN: AS in any case, or nothing, then ASCII digits; the value,
+# leading zeros aside, has at most 10 digits, so int() stays cheap
+_ASN = re.compile(r"(?:[Aa][Ss])?0*([0-9]{1,10})")
+_MAX_ASN = 2**32 - 1
+
+
+def _origin_asn(text: str) -> int:
+    """An origin ASN such as 64500 or AS64500, in [0, _MAX_ASN]."""
+    match = _ASN.fullmatch(text)
+    if match is None or int(match[1]) > _MAX_ASN:
+        raise GeoAuditError(f"bad origin ASN {text!r}: want <n> or AS<n>, n in 0..{_MAX_ASN}")
+    return int(match[1])
+
+
 def load_rib(fp: IO[str]) -> Rib:
-    """Read routes from lines of "<prefix> <origin_asn>".
+    """Read routes from lines of "<prefix> <origin_asn>" (_origin_asn).
 
     Comment lines (#) and blanks are skipped; default routes (/0) are
     dropped and counted; repeated prefixes merge their origins."""
@@ -62,9 +77,8 @@ def load_rib(fp: IO[str]) -> Rib:
             raise GeoAuditError(f"line {lineno}: expected '<prefix> <origin_asn>', got {text!r}")
         try:
             prefix = parse_prefix(parts[0])
-            asn_text = parts[1]
-            asn = int(asn_text[2:] if asn_text.upper().startswith("AS") else asn_text)
-        except (GeoAuditError, ValueError) as exc:
+            asn = _origin_asn(parts[1])
+        except GeoAuditError as exc:
             raise GeoAuditError(f"line {lineno}: {exc}") from None
         if prefix.prefixlen == 0:
             dropped += 1

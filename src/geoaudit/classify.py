@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import IO, Iterable, Mapping, Sequence
 
 from .bgp import Alignment, Rib, align
@@ -32,7 +33,6 @@ from .registry import (
     Registration,
     Rir,
     load_jsonl,
-    prefix_sort_key,
     record,
     write_jsonl,
 )
@@ -259,7 +259,7 @@ def audit_pipeline(
     """Classify every plan; exactly one record per prefix, sorted by prefix."""
     anycast = PrefixIndex((prefix, True) for prefix in anycast_prefixes)
     return [audit_prefix(plan, results_by_target, vantages_by_id, rib, anycast, nir_markers, config)
-            for plan in sorted(plans, key=lambda p: prefix_sort_key(p.prefix))]
+            for plan in sorted(plans, key=attrgetter("prefix"))]
 
 
 @dataclass

@@ -26,6 +26,7 @@ import sys
 import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import TYPE_CHECKING
 
 from .errors import BackendUnavailable, GeoAuditError
@@ -33,14 +34,12 @@ from .registry import (
     DEFAULT_PROPAGATION_FACTOR,
     Registration,
     Rir,
-    address_sort_key,
     default_region_map,
     load_region_map,
     load_registrations,
     open_text,
     oro_stats,
     parse_as,
-    prefix_sort_key,
     read_ini,
     read_tokens,
     write_oro_csv,
@@ -181,7 +180,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         reports[rir].circular_refs_dropped = circular.get(rir, 0)
         reports[rir].transfers_dropped = transferred.get(rir, 0)
         merged.extend(regs)
-    merged.sort(key=lambda r: prefix_sort_key(r.prefix))
+    merged.sort(key=attrgetter("prefix"))
 
     ordered = sorted(reports.values(), key=lambda rep: rep.rir.value)
     broken = [rep for rep in ordered if not rep.check_identity()]
@@ -250,7 +249,7 @@ def _build_plans(args, config: RunConfig) -> list[targets.TargetPlan]:
         if config.sample_fraction_v6 < 1.0:
             v6 = targets.sample_plans(v6, config.sample_fraction_v6, config.seed + 1)
         plans = v4 + v6
-    return sorted(plans, key=lambda p: prefix_sort_key(p.prefix))
+    return sorted(plans, key=attrgetter("prefix"))
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
@@ -327,7 +326,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
 
     if args.capture_results:
         # ordered by target, then vantage id, the order of target_results
-        flat = (res for target in sorted(results_by_target, key=address_sort_key)
+        flat = (res for target in sorted(results_by_target)
                 for res in results_by_target[target])
         with _output(args.capture_results) as fp:
             measure.write_results(flat, fp)
@@ -377,7 +376,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     providers = {}
     for spec_item in args.geodb or ():
         name, _, path = spec_item.partition("=")
-        if not path:
+        if not name or not path:  # a blank name would head geodb.csv rows with no provider
             raise GeoAuditError(f"--geodb wants name=path, got {spec_item!r}")
         if name in providers:  # one table would silently replace the other
             raise GeoAuditError(f"--geodb names provider {name!r} twice")

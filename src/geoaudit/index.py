@@ -1,7 +1,8 @@
 """Immutable prefix index over both address families.
 
-Built once from (prefix, value) pairs; a repeated prefix keeps the last
-value given. Each family keeps one map from prefix length, most specific
+Built once from (prefix, value) pairs of registry Prefixes, read as their
+(version, network, length) tuples; a repeated prefix keeps the last value
+given. Each family keeps one map from prefix length, most specific
 first, to (netmask, table), each table mapping a network address as an int
 to (prefix, value), and every entry sorted by (network, length) for the
 contained-prefix range scan. Nothing is written after construction, so any
@@ -13,9 +14,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Any, Iterable
 
-from .registry import Addr, Prefix
-
-_BITS = {4: 32, 6: 128}
+from .registry import _BITS, Addr, Prefix
 
 
 class PrefixIndex:
@@ -24,8 +23,9 @@ class PrefixIndex:
     def __init__(self, items: Iterable[tuple[Prefix, Any]] = ()):
         tables: dict[tuple[int, int], dict[int, tuple[Prefix, Any]]] = {}
         for prefix, value in items:
-            table = tables.setdefault((prefix.version, prefix.prefixlen), {})
-            table[int(prefix.network_address)] = (prefix, value)
+            version, net, plen = prefix
+            table = tables.setdefault((version, plen), {})
+            table[net] = (prefix, value)
         # per family: length -> (netmask, table), most specific first
         self._levels: dict[int, dict[int, tuple[int, dict]]] = {4: {}, 6: {}}
         # per family: (net, length, prefix, value) in address order
@@ -44,8 +44,8 @@ class PrefixIndex:
 
     def longest_match(self, addr: Addr) -> tuple[Prefix, Any] | None:
         """The most specific (prefix, value) containing addr, or None."""
-        a = int(addr)
-        for mask, table in self._levels[addr.version].values():
+        version, a = addr
+        for mask, table in self._levels[version].values():
             hit = table.get(a & mask)
             if hit is not None:
                 return hit
@@ -53,17 +53,18 @@ class PrefixIndex:
 
     def exact(self, prefix: Prefix) -> Any:
         """The value stored for exactly this prefix, or None."""
-        level = self._levels[prefix.version].get(prefix.prefixlen)
-        hit = level[1].get(int(prefix.network_address)) if level else None
+        version, net, plen = prefix
+        level = self._levels[version].get(plen)
+        hit = level[1].get(net) if level else None
         return None if hit is None else hit[1]
 
     def covering(self, prefix: Prefix) -> list[tuple[Prefix, Any]]:
         """Entries strictly less specific than, and containing, prefix;
         least specific first."""
-        net = int(prefix.network_address)
+        version, net, length = prefix
         out = []
-        for plen, (mask, table) in reversed(self._levels[prefix.version].items()):
-            if plen >= prefix.prefixlen:
+        for plen, (mask, table) in reversed(self._levels[version].items()):
+            if plen >= length:
                 break
             hit = table.get(net & mask)
             if hit is not None:
@@ -73,11 +74,11 @@ class PrefixIndex:
     def contained(self, prefix: Prefix) -> list[tuple[Prefix, Any]]:
         """Entries equal to or more specific than prefix, in address order
         (an equal prefix comes first)."""
-        entries = self._sorted[prefix.version]
-        net = int(prefix.network_address)
-        last = net | ((1 << (_BITS[prefix.version] - prefix.prefixlen)) - 1)
+        version, net, plen = prefix
+        entries = self._sorted[version]
+        last = net | ((1 << (_BITS[version] - plen)) - 1)
         out = []
-        for i in range(bisect_left(entries, (net, prefix.prefixlen)), len(entries)):
+        for i in range(bisect_left(entries, (net, plen)), len(entries)):
             entry_net, _, entry_prefix, value = entries[i]
             if entry_net > last:
                 break

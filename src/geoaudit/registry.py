@@ -1,8 +1,11 @@
 """Core registry domain types: RIRs, prefixes, registrations, the region map,
 the shared record codec, and out-of-region organization counts.
 
-Prefixes are plain ipaddress network objects (IPv4Network / IPv6Network),
-always in canonical form: parsing rejects anything with host bits set.
+An address is an Addr, (version, integer), and a prefix a Prefix,
+(version, network integer, length): small immutable tuples that sort, hash
+and compare as those tuples. Parsing rejects a prefix with host bits set, so
+a Prefix is always canonical. ipaddress is used here alone, at the text
+edges: it reads the spellings the fast paths leave to it, and it prints IPv6.
 """
 
 from __future__ import annotations
@@ -25,8 +28,6 @@ from typing import IO, Any, Callable, Iterable, Iterator, Mapping, Sequence, Typ
 
 from .errors import GeoAuditError
 
-Prefix = ipaddress.IPv4Network | ipaddress.IPv6Network
-Addr = ipaddress.IPv4Address | ipaddress.IPv6Address
 T = TypeVar("T")
 
 # share of the speed of light at which probes are assumed to travel in fiber;
@@ -58,69 +59,168 @@ class Status(enum.Enum):
         return self.value
 
 
-# the only spellings of an octet and of an IPv4 prefix length that the fast
-# paths below accept: decimal without leading zeros, in range
+# the only spellings of an octet and of a prefix length that the fast paths
+# below accept: decimal without leading zeros, in range
 _OCTETS = {str(n): n for n in range(256)}
-_V4_LENGTHS = {str(n): n for n in range(33)}
+_OCTET_TEXT = list(_OCTETS)
+_LENGTHS = {4: {str(n): n for n in range(33)}, 6: {str(n): n for n in range(129)}}
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
+_BITS = {4: 32, 6: 128}
+
+
+def _address_text(version: int, value: int) -> str:
+    """The text ipaddress prints for this address."""
+    if version == 4:
+        return (f"{_OCTET_TEXT[value >> 24]}.{_OCTET_TEXT[value >> 16 & 255]}."
+                f"{_OCTET_TEXT[value >> 8 & 255]}.{_OCTET_TEXT[value & 255]}")
+    return str(ipaddress.IPv6Address(value))
+
+
+class Addr(tuple):
+    """An IP address, Addr((version, integer)). It sorts, hashes and compares
+    as that tuple, so IPv4 sorts before IPv6; str() is its canonical text."""
+
+    __slots__ = ()
+
+    version = property(operator.itemgetter(0))
+
+    @property
+    def max_prefixlen(self) -> int:
+        return _BITS[self[0]]
+
+    def __int__(self) -> int:
+        return self[1]
+
+    def __str__(self) -> str:
+        return _address_text(*self)
+
+    def __repr__(self) -> str:
+        return f"Addr({str(self)!r})"
+
+
+class Prefix(tuple):
+    """A CIDR block, Prefix((version, network integer, length)), with no host
+    bits set. It sorts, hashes and compares as that tuple: by family, then
+    address, then length. str() is its canonical text; `addr in prefix` is
+    containment."""
+
+    __slots__ = ()
+
+    version = property(operator.itemgetter(0))
+    prefixlen = property(operator.itemgetter(2))
+
+    @property
+    def max_prefixlen(self) -> int:
+        return _BITS[self[0]]
+
+    @property
+    def network_address(self) -> Addr:
+        return Addr(self[:2])
+
+    def __contains__(self, addr) -> bool:
+        if type(addr) is not Addr:
+            raise TypeError(f"{addr!r} is not an Addr")
+        version, network, length = self
+        return addr[0] == version and (addr[1] ^ network) >> (_BITS[version] - length) == 0
+
+    def __str__(self) -> str:
+        return f"{_address_text(self[0], self[1])}/{self[2]}"
+
+    def __repr__(self) -> str:
+        return f"Prefix({str(self)!r})"
 
 
 def _dotted_quad(text: str) -> int | None:
     """The value of a canonical dotted quad such as 192.0.2.1, or None for any
     other text. ipaddress reads such a quad as this same value."""
-    parts = text.split(".")
-    if len(parts) != 4:
-        return None
     try:
-        a, b, c, d = [_OCTETS[part] for part in parts]
-    except KeyError:
+        a, b, c, d = text.split(".")
+        return _OCTETS[a] << 24 | _OCTETS[b] << 16 | _OCTETS[c] << 8 | _OCTETS[d]
+    except (KeyError, ValueError):  # ValueError: not four parts
         return None
-    return a << 24 | b << 16 | c << 8 | d
+
+
+def _hex_groups(text: str) -> int | None:
+    """The value of an IPv6 address written as hex groups, such as
+    2001:db8::1, or None for any other text: an embedded IPv4 address, a zone
+    id, or anything ipaddress refuses. ipaddress reads such text as this
+    same value."""
+    head, double, tail = text.partition("::")
+    high = head.split(":") if head else []
+    low = tail.split(":") if tail else []
+    if (len(high) + len(low) > 7) if double else len(high) != 8:
+        return None
+    value = 0
+    for group in high + ["0"] * (8 - len(high) - len(low)) + low:
+        if not 0 < len(group) <= 4 or not _HEX_DIGITS.issuperset(group):
+            return None
+        value = value << 16 | int(group, 16)
+    return value
+
+
+def _refuse_zone(address: ipaddress.IPv4Address | ipaddress.IPv6Address, kind: str,
+                 text: str) -> None:
+    """An IPv6 zone id (fe80::1%eth0) names a link of one host: an Addr has
+    no room for it, and the address without it is another address."""
+    if address.version == 6 and address.scope_id is not None:
+        raise GeoAuditError(f"bad {kind} {text!r}: IPv6 zone id {address.scope_id!r} not accepted")
 
 
 def parse_address(text: str) -> Addr:
     stripped = text.strip()
-    value = _dotted_quad(stripped)
+    # the fast paths; what they do not read, ipaddress reads or says why not
+    version, value = (6, _hex_groups(stripped)) if ":" in stripped else (4, _dotted_quad(stripped))
     if value is not None:
-        return ipaddress.IPv4Address(value)
+        return Addr((version, value))
     try:
-        return ipaddress.ip_address(stripped)
+        address = ipaddress.ip_address(stripped)
     except ValueError as exc:
         raise GeoAuditError(f"bad address {text!r}: {exc}") from None
+    _refuse_zone(address, "address", text)
+    return Addr((address.version, int(address)))
 
 
 def parse_prefix(text: str) -> Prefix:
     """Parse a CIDR prefix, rejecting non-canonical forms (host bits set)."""
     stripped = text.strip()
     addr, _, length = stripped.partition("/")
-    value = _dotted_quad(addr)
-    plen = _V4_LENGTHS.get(length)
-    if value is not None and plen is not None and not value & (0xFFFFFFFF >> plen):
-        return ipaddress.IPv4Network((value, plen))
+    version, value = (6, _hex_groups(addr)) if ":" in addr else (4, _dotted_quad(addr))
+    plen = _LENGTHS[version].get(length)
+    if value is not None and plen is not None and not value & ((1 << (_BITS[version] - plen)) - 1):
+        return Prefix((version, value, plen))
     try:
-        return ipaddress.ip_network(stripped, strict=True)
+        network = ipaddress.ip_network(stripped, strict=True)
     except ValueError as exc:
         raise GeoAuditError(f"bad prefix {text!r}: {exc}") from None
+    _refuse_zone(network.network_address, "prefix", text)
+    return Prefix((network.version, int(network.network_address), network.prefixlen))
 
 
-def prefix_sort_key(prefix: Prefix) -> tuple[int, int, int]:
-    return (prefix.version, int(prefix.network_address), prefix.prefixlen)
-
-
-def address_sort_key(addr: Addr) -> tuple[int, int]:
-    return (addr.version, int(addr))
+def prefix_sort_key(prefix: Prefix) -> Prefix:
+    """A prefix sorts as (version, network, length): it is its own key."""
+    return prefix
 
 
 def range_to_cidrs(lo: Addr, hi: Addr) -> list[Prefix]:
     """Split an inclusive address range into the minimal list of CIDR blocks.
 
     The result covers the range exactly, in address order, and no two
-    adjacent blocks can be merged into a larger legal block.
-    """
-    if lo.version != hi.version:
-        raise GeoAuditError(f"range mixes IPv{lo.version} and IPv{hi.version}")
-    if int(lo) > int(hi):
+    adjacent blocks can be merged into a larger legal block: each is the
+    largest block that starts where the last one ended and fits."""
+    (version, start), (hi_version, end) = lo, hi
+    if version != hi_version:
+        raise GeoAuditError(f"range mixes IPv{version} and IPv{hi_version}")
+    if start > end:
         raise GeoAuditError(f"range start {lo} above end {hi}")
-    return list(ipaddress.summarize_address_range(lo, hi))
+    bits = _BITS[version]
+    out = []
+    while start <= end:
+        # host bits: at most the start's trailing zeros, and what fits below end
+        host = min((start & -start).bit_length() - 1 if start else bits,
+                   (end - start + 1).bit_length() - 1)
+        out.append(Prefix((version, start, bits - host)))
+        start += 1 << host
+    return out
 
 
 def address_units(prefix: Prefix) -> float:
@@ -504,12 +604,12 @@ def _union_units(prefixes: Sequence[Prefix]) -> float:
     blocks count once, at the widest covering block."""
     total = 0.0
     last_end = -1
-    for prefix in sorted(prefixes, key=prefix_sort_key):
-        start = int(prefix.network_address)
+    for prefix in sorted(prefixes):
+        version, start, length = prefix
         if start <= last_end:
             continue  # contained in a block already counted
         total += address_units(prefix)
-        last_end = start + (1 << (prefix.max_prefixlen - prefix.prefixlen)) - 1
+        last_end = start + (1 << (_BITS[version] - length)) - 1
     return total
 
 

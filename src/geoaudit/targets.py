@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import IO, Iterable
 
 from .errors import GeoAuditError
@@ -22,7 +23,6 @@ from .registry import (
     parse_address,
     parse_as,
     parse_prefix,
-    prefix_sort_key,
     read_csv,
     read_tokens,
     record,
@@ -124,7 +124,7 @@ def build_target_plans(
     Scored entries below min_score are dropped; unscored (IPv6) entries
     always pass. At most TARGETS_PER_PREFIX lowest addresses per prefix."""
     index = registration_index(regs)
-    per_prefix: dict[tuple, tuple[Registration, list[Addr]]] = {}
+    per_prefix: dict[Prefix, tuple[Registration, list[Addr]]] = {}
     for entry in entries:
         if entry.score is not None and entry.score < min_score:
             continue
@@ -132,13 +132,12 @@ def build_target_plans(
         if hit is None:
             continue
         _, reg = hit
-        key = prefix_sort_key(reg.prefix)
-        per_prefix.setdefault(key, (reg, []))[1].append(entry.addr)
+        per_prefix.setdefault(reg.prefix, (reg, []))[1].append(entry.addr)
 
     plans = []
-    for key in sorted(per_prefix):
-        reg, addrs = per_prefix[key]
-        addrs = sorted(set(addrs), key=int)[:TARGETS_PER_PREFIX]
+    for prefix in sorted(per_prefix):
+        reg, addrs = per_prefix[prefix]
+        addrs = sorted(set(addrs))[:TARGETS_PER_PREFIX]
         plans.append(TargetPlan(registration=reg, targets=tuple(addrs)))
     return plans
 
@@ -149,8 +148,8 @@ def sample_plans(plans: Iterable[TargetPlan], fraction: float, seed: int) -> lis
     Sorting first makes the choice independent of input order."""
     if not 0.0 <= fraction <= 1.0:
         raise ValueError(f"fraction {fraction} outside [0, 1]")
-    ordered = sorted(plans, key=lambda p: prefix_sort_key(p.prefix))
+    ordered = sorted(plans, key=attrgetter("prefix"))
     k = round(len(ordered) * fraction)
     picked = random.Random(seed).sample(ordered, k)
-    picked.sort(key=lambda p: prefix_sort_key(p.prefix))
+    picked.sort(key=attrgetter("prefix"))
     return picked

@@ -31,7 +31,6 @@ from .registry import (
     parse_address,
     parse_as,
     parse_prefix,
-    prefix_sort_key,
     range_to_cidrs,
     read_ini,
 )
@@ -246,7 +245,7 @@ def _parse_net_value(value: str) -> list[Prefix]:
         return [parse_prefix(_pad_short_v4(value))]
     # a bare address registers the single-host block
     addr = parse_address(value)
-    return [parse_prefix(f"{addr}/{32 if addr.version == 4 else 128}")]
+    return [Prefix((addr.version, int(addr), addr.max_prefixlen))]
 
 
 def _find_transfer(lowered_values: Iterable[str], markers: tuple[str, ...]) -> Rir | None:
@@ -324,14 +323,14 @@ def parse_bulk_whois(
             orgs[rec.first(dialect.org_id_keys)] = _country(rec.first(dialect.org_country_keys))
 
     # collapse duplicate prefixes: the highest duplicate_rank wins
-    best: dict[tuple, Registration] = {}
+    best: dict[Prefix, Registration] = {}
     for reg in provisional:
-        key = prefix_sort_key(reg.prefix)
+        key = reg.prefix
         if key not in best or duplicate_rank(reg) > duplicate_rank(best[key]):
             best[key] = reg
     report.duplicates_dropped = len(provisional) - len(best)
 
-    emitted = sorted(best.values(), key=lambda r: prefix_sort_key(r.prefix))
+    emitted = [best[prefix] for prefix in sorted(best)]
     report.registrations_emitted = len(emitted)
     return emitted, orgs, report
 
@@ -374,12 +373,12 @@ def drop_circular_transfers(
     A record annotated as transferred away is dropped from its source dump.
     When two dumps each claim the same prefix was transferred to the other,
     both records are dropped and counted as circular."""
-    annotated: dict[tuple[Rir, tuple], Rir] = {}
+    annotated: dict[tuple[Rir, Prefix], Rir] = {}
     for rir, regs in regs_by_rir.items():
         for reg in regs:
             dest = _transfer_dest(reg)
             if dest is not None:
-                annotated[(rir, prefix_sort_key(reg.prefix))] = dest
+                annotated[(rir, reg.prefix)] = dest
 
     circular: dict[Rir, int] = {rir: 0 for rir in regs_by_rir}
     transferred: dict[Rir, int] = {rir: 0 for rir in regs_by_rir}
@@ -391,8 +390,7 @@ def drop_circular_transfers(
             if dest is None:
                 kept.append(reg)
                 continue
-            key = prefix_sort_key(reg.prefix)
-            if annotated.get((dest, key)) == rir:
+            if annotated.get((dest, reg.prefix)) == rir:
                 circular[rir] += 1
             else:
                 transferred[rir] += 1

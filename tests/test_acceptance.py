@@ -33,6 +33,7 @@ from geoaudit.registry import (
     Rir,
     Status,
     load_region_map,
+    parse_address,
     parse_prefix,
     range_to_cidrs,
 )
@@ -252,7 +253,8 @@ class LinearIndex:
 
     def enumerate_contained(self, prefix):
         qhi, qlo = self._halves(int(prefix.network_address))
-        bhi, blo = self._halves(int(prefix[-1]))
+        bhi, blo = self._halves(
+            int(prefix.network_address) | (1 << (prefix.max_prefixlen - prefix.prefixlen)) - 1)
         ge = (self.hi > qhi) | ((self.hi == qhi) & (self.lo >= qlo))
         le = (self.hi < bhi) | ((self.hi == bhi) & (self.lo <= blo))
         hit = ge & le & (self.plens >= np.uint64(prefix.prefixlen))
@@ -285,7 +287,7 @@ def _random_prefixes(rng, family, count):
                 # crowd into 2000::/8 so random blocks can collide
                 net = (0x20 << (bits - 8)) | (net & ((1 << (bits - 8)) - 1))
             net &= _net_mask(plen, bits)
-        prefix = ipaddress.ip_network((net, plen))
+        prefix = parse_prefix(str(ipaddress.ip_network((net, plen))))
         if prefix not in seen:
             seen.add(prefix)
             out.append(prefix)
@@ -313,9 +315,9 @@ def test_criterion_04_trie_oracle_equivalence():
                 if i % 2 == 0:
                     base = prefixes[rng.randrange(len(prefixes))]
                     tail = rng.getrandbits(bits - base.prefixlen) if base.prefixlen < bits else 0
-                    addr = addr_type(int(base.network_address) | tail)
+                    addr = parse_address(str(addr_type(int(base.network_address) | tail)))
                 else:
-                    addr = addr_type(rng.getrandbits(bits))
+                    addr = parse_address(str(addr_type(rng.getrandbits(bits))))
                 got = index.longest_match(addr)
                 want = oracle.longest_match(addr)
                 if want is None:
@@ -328,8 +330,8 @@ def test_criterion_04_trie_oracle_equivalence():
                 if i % 2 == 0:
                     base = prefixes[rng.randrange(len(prefixes))]
                     plen = rng.randint(qmin, base.prefixlen)
-                    query = ipaddress.ip_network(
-                        (int(base.network_address) & _net_mask(plen, bits), plen))
+                    query = parse_prefix(str(ipaddress.ip_network(
+                        (int(base.network_address) & _net_mask(plen, bits), plen))))
                 else:
                     query = _random_prefixes(rng, family, 1)[0]
                 got = index.contained(query)
@@ -349,20 +351,20 @@ def test_criterion_05_range_cover():
             lo = rng.randrange(0, (1 << bits) - span)
             hi = lo + span - 1
             addr_type = ipaddress.IPv4Address if family == 4 else ipaddress.IPv6Address
-            blocks = range_to_cidrs(addr_type(lo), addr_type(hi))
+            blocks = range_to_cidrs(parse_address(str(addr_type(lo))), parse_address(str(addr_type(hi))))
 
             # exact cover, in order, no gaps
             assert int(blocks[0].network_address) == lo
             cursor = lo
             for block in blocks:
                 assert int(block.network_address) == cursor
-                cursor += block.num_addresses
+                cursor += 1 << (block.max_prefixlen - block.prefixlen)
             assert cursor - 1 == hi
 
             # no adjacent pair may merge into a legal larger block
             for a, b in zip(blocks, blocks[1:]):
                 if a.prefixlen == b.prefixlen:
-                    size = a.num_addresses
+                    size = 1 << (a.max_prefixlen - a.prefixlen)
                     aligned = int(a.network_address) % (2 * size) == 0
                     assert not aligned
 

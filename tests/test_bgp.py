@@ -1,5 +1,6 @@
 import io
 import random
+import re
 
 import pytest
 
@@ -71,8 +72,19 @@ def test_load_rib_rejects_malformed_lines():
         load_rib(io.StringIO("10.0.0.0/8 64500\n192.0.2.0/24\n"))
     with pytest.raises(GeoAuditError, match=r"^line 1: bad prefix '10\.0\.0\.1/8': "):
         load_rib(io.StringIO("10.0.0.1/8 64500\n"))
-    with pytest.raises(GeoAuditError, match="^line 1: invalid literal for int"):
-        load_rib(io.StringIO("10.0.0.0/8 banana\n"))
+    # an origin is AS, in any case, or nothing, then ASCII digits up to 2**32 - 1;
+    # int() took a sign, underscores and non-ASCII digits, and any size
+    for origin in ["banana", "AS-5", "1_000", "AS\u0663", "+7", "99999999999", "4294967296", "AS", "-0"]:
+        with pytest.raises(GeoAuditError, match=f"^line 2: bad origin ASN {re.escape(repr(origin))}: "):
+            load_rib(io.StringIO(f"192.0.2.0/24 64500\n10.0.0.0/8 {origin}\n"))
+
+
+def test_load_rib_reads_every_origin_spelling():
+    rib = load_rib(io.StringIO("10.0.0.0/8 0\n10.0.0.0/8 as4294967295\n10.1.0.0/16 As007\n"
+                               "10.2.0.0/16 aS0004294967295\n"))
+    assert rib.routes.exact(parse_prefix("10.0.0.0/8")) == frozenset({0, 2**32 - 1})
+    assert rib.routes.exact(parse_prefix("10.1.0.0/16")) == frozenset({7})
+    assert rib.routes.exact(parse_prefix("10.2.0.0/16")) == frozenset({2**32 - 1})
 
 
 def test_load_rib_accepts_as_prefixed_origins():

@@ -782,8 +782,8 @@ def test_report_command_writes_tables(small_campaign):
             assert total == pytest.approx(1.0, abs=1e-9)
 
 
-@pytest.mark.parametrize("bad_input", ["--geodb", "--geodb-without-path", "--geodb-name-twice",
-                                       "--leased-prefixes"])
+@pytest.mark.parametrize("bad_input", ["--geodb", "--geodb-without-path", "--geodb-without-name",
+                                       "--geodb-name-twice", "--leased-prefixes"])
 def test_report_bad_input_leaves_old_report(small_campaign, capsys, bad_input):
     camp, paths, tmp_path = small_campaign
     audit_out = tmp_path / "audit.jsonl"
@@ -801,6 +801,8 @@ def test_report_bad_input_leaves_old_report(small_campaign, capsys, bad_input):
     bad, message = {
         "--geodb": (["--geodb", f"alpha={missing}"], "missing.csv"),
         "--geodb-without-path": (["--geodb", "alpha"], "--geodb wants name=path, got 'alpha'"),
+        # geodb.csv would get rows with a blank provider
+        "--geodb-without-name": (["--geodb", f"={geodb}"], f"--geodb wants name=path, got '={geodb}'"),
         # the second table would replace the first without a word
         "--geodb-name-twice": (["--geodb", f"alpha={geodb}", "--geodb", f"alpha={geodb}"],
                                "geoaudit: --geodb names provider 'alpha' twice\n"),

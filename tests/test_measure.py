@@ -166,17 +166,22 @@ SPECIAL_SAMPLES = [math.nan, math.inf, -math.inf, 0.0, -0.0, 1e-7, 1e16, 5e-324,
                    1.7976931348623157e308]
 
 
+def random_addresses(rng, n4, n6):
+    """n4 random IPv4 addresses, then n6 IPv6 ones, read through parse_address."""
+    return [parse_address(str(ipaddress.IPv4Address(rng.getrandbits(32)))) for _ in range(n4)] + \
+           [parse_address(str(ipaddress.IPv6Address(rng.getrandbits(128)))) for _ in range(n6)]
+
+
 def random_results(rng, n):
     """Results with v4 and v6 targets, 0-3 samples, some of them special,
     and vantage ids that JSON must escape."""
-    addrs = [ipaddress.IPv4Address(rng.getrandbits(32)) for _ in range(6)] + \
-            [ipaddress.IPv6Address(rng.getrandbits(128)) for _ in range(6)]
+    addrs = random_addresses(rng, 6, 6)
     out = []
     for _ in range(n):
         samples = tuple(rng.choice(SPECIAL_SAMPLES) if rng.random() < 0.1 else rng.uniform(0, 400)
                         for _ in range(rng.randint(0, 3)))
         # an equal target need not be the same object
-        target = ipaddress.ip_address(str(rng.choice(addrs)))
+        target = parse_address(str(rng.choice(addrs)))
         out.append(MeasurementResult(rng.choice(VANTAGE_IDS), target, samples))
     return out
 
@@ -374,10 +379,9 @@ def test_run_plan_orders_like_a_stable_sort_of_its_pairs():
     rng = random.Random(51)
     prefix = parse_prefix("192.0.2.0/24")
     for case in range(300):
-        addrs = [ipaddress.IPv4Address(rng.getrandbits(32)) for _ in range(3)] + \
-                [ipaddress.IPv6Address(rng.getrandbits(128)) for _ in range(2)]
+        addrs = random_addresses(rng, 3, 2)
         targets = [rng.choice(addrs) for _ in range(rng.randint(1, 6))]
-        targets = [ipaddress.ip_address(str(t)) if rng.random() < 0.3 else t for t in targets]
+        targets = [parse_address(str(t)) if rng.random() < 0.3 else t for t in targets]
         vantages = [vp(rng.choice(VANTAGE_IDS)) for _ in range(rng.randint(0, 6))]
 
         reference = Numbered(case)
@@ -834,8 +838,7 @@ def test_noise_bounds_and_independence_over_mixed_pairs():
     rng = random.Random(61)
     seen = set()
     for case in range(60):
-        addrs = [ipaddress.IPv4Address(rng.getrandbits(32)) for _ in range(3)] + \
-                [ipaddress.IPv6Address(rng.getrandbits(128)) for _ in range(3)]
+        addrs = random_addresses(rng, 3, 3)
         locations = {a: (rng.uniform(-90, 90), rng.uniform(-180, 180)) for a in addrs}
         vantages = [vp(vid, rng.uniform(-90, 90), rng.uniform(-180, 180))
                     for vid in rng.sample(VANTAGE_IDS, rng.randint(1, len(VANTAGE_IDS)))]
@@ -865,8 +868,7 @@ def random_campaign(seed, noise_ms):
     targets are v4 and v6, some unresponsive and some unknown to the world."""
     rng = random.Random(seed)
     vantages = [vp(f"v-{i:02d}", rng.uniform(-80, 80), rng.uniform(-180, 180)) for i in range(40)]
-    addrs = [ipaddress.IPv4Address(rng.getrandbits(32)) for _ in range(60)] + \
-            [ipaddress.IPv6Address(rng.getrandbits(128)) for _ in range(60)]
+    addrs = random_addresses(rng, 60, 60)
     located, dead, unknown = addrs[:80], addrs[80:100], addrs[100:]
     world = SyntheticWorld(
         target_locations={a: (rng.uniform(-80, 80), rng.uniform(-180, 180)) for a in located},

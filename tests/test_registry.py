@@ -50,12 +50,22 @@ def greedy_cover(lo: int, hi: int, bits: int) -> list[tuple[int, int]]:
     return blocks
 
 
+def size(prefix) -> int:
+    return 1 << (prefix.max_prefixlen - prefix.prefixlen)
+
+
 def as_pairs(prefixes) -> list[tuple[int, int]]:
-    return [(int(p.network_address), p.num_addresses) for p in prefixes]
+    return [(int(p.network_address), size(p)) for p in prefixes]
 
 
 def cidrs(lo, hi):
     return range_to_cidrs(parse_address(lo), parse_address(hi))
+
+
+def address(value: int, version: int = 4):
+    """The address ipaddress makes of value, read through parse_address."""
+    kind = ipaddress.IPv4Address if version == 4 else ipaddress.IPv6Address
+    return parse_address(str(kind(value)))
 
 
 def test_range_to_cidrs_known_values():
@@ -78,7 +88,7 @@ def test_range_to_cidrs_matches_greedy_oracle():
         base = rng.randrange(0, 2**32 - 2**17)
         lo = base + rng.randrange(0, 2**12)
         hi = lo + rng.randrange(0, 2**16)
-        got = range_to_cidrs(ipaddress.ip_address(lo), ipaddress.ip_address(hi))
+        got = range_to_cidrs(address(lo), address(hi))
         assert as_pairs(got) == greedy_cover(lo, hi, 32)
 
 
@@ -87,8 +97,22 @@ def test_range_to_cidrs_v6_matches_greedy_oracle():
     for _ in range(100):
         lo = (0x20010DB8 << 96) + rng.randrange(0, 2**40)
         hi = lo + rng.randrange(0, 2**20)
-        got = range_to_cidrs(ipaddress.ip_address(lo), ipaddress.ip_address(hi))
+        got = range_to_cidrs(address(lo, 6), address(hi, 6))
         assert as_pairs(got) == greedy_cover(lo, hi, 128)
+
+
+@pytest.mark.parametrize("version", [4, 6])
+def test_range_to_cidrs_edges_match_greedy_oracle(version):
+    """Address 0, the top address, a single address and the whole space."""
+    bits = 32 if version == 4 else 128
+    top = (1 << bits) - 1
+    kind = ipaddress.IPv4Address if version == 4 else ipaddress.IPv6Address
+    for lo, hi in [(0, 0), (top, top), (0, top), (0, 1), (1, top), (0, top - 1), (top - 1, top),
+                   (7, 7), (top >> 1, (top >> 1) + 1)]:
+        got = range_to_cidrs(address(lo, version), address(hi, version))
+        assert as_pairs(got) == greedy_cover(lo, hi, bits), (lo, hi)
+        assert [str(p) for p in got] == [
+            str(n) for n in ipaddress.summarize_address_range(kind(lo), kind(hi))]
 
 
 def test_range_to_cidrs_cover_is_exact_and_minimal():
@@ -96,18 +120,18 @@ def test_range_to_cidrs_cover_is_exact_and_minimal():
     for _ in range(200):
         lo = rng.randrange(0, 2**32 - 2**17)
         hi = lo + rng.randrange(0, 2**16)
-        got = range_to_cidrs(ipaddress.ip_address(lo), ipaddress.ip_address(hi))
+        got = range_to_cidrs(address(lo), address(hi))
         # exact cover, in order, no gaps or overlaps
         cur = lo
         for p in got:
             assert int(p.network_address) == cur
-            cur = int(p.broadcast_address) + 1
+            cur = int(p.network_address) + size(p)
         assert cur == hi + 1
         # no two adjacent blocks are mergeable into one legal block
         for a, b in zip(got, got[1:]):
             mergeable = (
-                a.num_addresses == b.num_addresses
-                and int(a.network_address) % (2 * a.num_addresses) == 0
+                size(a) == size(b)
+                and int(a.network_address) % (2 * size(a)) == 0
             )
             assert not mergeable, f"{a} + {b} should have merged"
 
@@ -131,11 +155,27 @@ def test_parse_prefix_rejects_host_bits():
 
 def seed_parse(parse, kind, text):
     """parse_address / parse_prefix as the seed wrote them: ipaddress alone.
-    Returns the value, or the error text."""
+    Returns the value, or the error text. An IPv6 zone id, which ipaddress
+    keeps, is refused."""
     try:
-        return parse(text.strip())
+        value = parse(text.strip())
     except ValueError as exc:
         return f"bad {kind} {text!r}: {exc}"
+    zone = getattr(getattr(value, "network_address", value), "scope_id", None)
+    if zone is not None:
+        return f"bad {kind} {text!r}: IPv6 zone id {zone!r} not accepted"
+    return value
+
+
+def agree_as_values(pairs, key):
+    """(ours, ipaddress's) pairs: both sort alike (ipaddress within each
+    family), and two of ours are equal, with one hash, exactly when the two
+    ipaddress values are equal."""
+    ours = [got for got, _ in pairs]
+    theirs = [want for _, want in pairs]
+    assert [str(v) for v in sorted(ours)] == [str(v) for v in sorted(theirs, key=key)]
+    assert len(set(ours)) == len(set(theirs)) == len(set(pairs))
+    assert all(hash(got) == hash(tuple(got)) for got in ours)
 
 
 def parsed(parse, text):
@@ -166,10 +206,18 @@ def address_texts(rng, n):
 
 def test_parse_address_matches_ipaddress():
     rng = random.Random(23)
+    pairs = []
     for text in address_texts(rng, 20000):
         got = parsed(parse_address, text)
         want = seed_parse(ipaddress.ip_address, "address", text)
-        assert type(got) is type(want) and got == want, text
+        if isinstance(want, str):
+            assert got == want, text
+            continue
+        assert (got.version, int(got), got.max_prefixlen, str(got)) == (
+            want.version, int(want), want.max_prefixlen, str(want)), text
+        pairs.append((got, want))
+    assert any(got.version == 6 for got, _ in pairs)
+    agree_as_values(pairs, key=lambda a: (a.version, a))
 
 
 def test_parse_prefix_matches_ipaddress():
@@ -177,6 +225,7 @@ def test_parse_prefix_matches_ipaddress():
     lengths = ["0", "8", "16", "24", "31", "32", "33", "08", "024", "-1", "", "+8", "255.0.0.0",
                "0.0.0.255", "64", "128", "129", "\uff18"]
     texts = list(address_texts(rng, 20000))
+    pairs = []
     for i, text in enumerate(texts):
         if i % 3 == 0:  # a canonical network of a random length: the fast path
             plen = rng.randint(0, 32)
@@ -186,9 +235,83 @@ def test_parse_prefix_matches_ipaddress():
             text = text.strip() + rng.choice(["/", "/", "/", "", "//"]) + rng.choice(lengths)
         got = parsed(parse_prefix, text)
         want = seed_parse(lambda t: ipaddress.ip_network(t, strict=True), "prefix", text)
-        assert type(got) is type(want) and got == want, text
-        if not isinstance(got, str):
-            assert (str(got), got.prefixlen, got.netmask) == (str(want), want.prefixlen, want.netmask)
+        if isinstance(want, str):
+            assert got == want, text
+            continue
+        assert (got.version, int(got.network_address), got.prefixlen, got.max_prefixlen, str(got)) == (
+            want.version, int(want.network_address), want.prefixlen, want.max_prefixlen, str(want)), text
+        pairs.append((got, want))
+    assert any(got.version == 6 for got, _ in pairs)
+    agree_as_values(pairs, key=lambda n: (n.version, n))
+    # containment: the first and the last address, one inside, the two just
+    # outside, and the other family's address of the same value
+    for got, want in pairs:
+        first, last = int(want.network_address), int(want.broadcast_address)
+        kind = type(want.network_address)
+        for value in {first, last, rng.randint(first, last), first - 1, last + 1}:
+            if 0 <= value < 1 << want.max_prefixlen:
+                assert (parse_address(str(kind(value))) in got) == (kind(value) in want), (got, value)
+        other = ipaddress.IPv6Address(first) if want.version == 4 else ipaddress.IPv4Address(first >> 96)
+        assert parse_address(str(other)) not in got
+
+
+def v6_texts(rng, n):
+    """IPv6 spellings around the hex-group fast path: 1-10 groups of 0-5 hex
+    digits in either case, with or without a '::' in place of some groups,
+    now and then with a zone id, an embedded IPv4 address or a stray
+    character; and canonical text."""
+    digits = "0123456789abcdefABCDEF"
+    for _ in range(n):
+        if rng.random() < 0.2:
+            yield str(ipaddress.IPv6Address(rng.getrandbits(128) >> rng.randrange(129) << rng.randrange(129)
+                                            & (1 << 128) - 1))
+            continue
+        groups = ["".join(rng.choice(digits) for _ in range(rng.choice([0, 1, 1, 2, 3, 4, 4, 4, 4, 5])))
+                  for _ in range(rng.randint(1, 10))]
+        text = ":".join(groups)
+        if rng.random() < 0.7:
+            at = rng.randint(0, len(groups))
+            text = ":".join(groups[:at]) + "::" + ":".join(groups[at + rng.randint(0, 3):])
+        tail = rng.random()
+        if tail < 0.05:
+            text += rng.choice(["%eth0", "%1", "%"])
+        elif tail < 0.1:
+            text += rng.choice([":192.0.2.1", "192.0.2.1", ":1.2.3"])
+        elif tail < 0.2:
+            at = rng.randint(0, len(text))
+            text = text[:at] + rng.choice(":.gGx_+- \u0663\uff11") + text[at:]
+        yield text
+
+
+def test_ipv6_spellings_match_ipaddress():
+    """parse_address and parse_prefix read hex-group IPv6 text themselves;
+    each agrees with ipaddress on every spelling, value and error text alike."""
+    rng = random.Random(31)
+    address_pairs, prefix_pairs = [], []
+    for text in v6_texts(rng, 20000):
+        got = parsed(parse_address, text)
+        want = seed_parse(ipaddress.ip_address, "address", text)
+        if isinstance(want, str):
+            assert got == want, text
+            length = rng.choice(["0", "64", "128", "129", "064", ""])
+        else:
+            assert (got.version, int(got), str(got)) == (want.version, int(want), str(want)), text
+            address_pairs.append((got, want))
+            value = int(want)
+            host = (value & -value).bit_length() - 1 if value else 128  # the lengths with no host bits
+            length = str(rng.randint(128 - host, 128)) if rng.random() < 0.8 else rng.choice(["64", "-1"])
+        text = f"{text}/{length}"
+        got = parsed(parse_prefix, text)
+        want = seed_parse(lambda t: ipaddress.ip_network(t, strict=True), "prefix", text)
+        if isinstance(want, str):
+            assert got == want, text
+        else:
+            assert (got.version, int(got.network_address), got.prefixlen, str(got)) == (
+                want.version, int(want.network_address), want.prefixlen, str(want)), text
+            prefix_pairs.append((got, want))
+    assert len(address_pairs) > 5000 and len(prefix_pairs) > 4000
+    agree_as_values(address_pairs, key=lambda a: (a.version, a))
+    agree_as_values(prefix_pairs, key=lambda n: (n.version, n))
 
 
 def test_address_units():
@@ -416,12 +539,12 @@ def maybe(rng, make):
 def random_prefix(rng):
     network, bits = rng.choice([(ipaddress.IPv4Network, 32), (ipaddress.IPv6Network, 128)])
     plen = rng.randint(0, bits)
-    return network((rng.getrandbits(bits) >> (bits - plen) << (bits - plen), plen))
+    return parse_prefix(str(network((rng.getrandbits(bits) >> (bits - plen) << (bits - plen), plen))))
 
 
 def random_address(rng):
     address, bits = rng.choice([(ipaddress.IPv4Address, 32), (ipaddress.IPv6Address, 128)])
-    return address(rng.getrandbits(bits))
+    return parse_address(str(address(rng.getrandbits(bits))))
 
 
 def random_float(rng):

@@ -117,3 +117,23 @@ def test_live_request_reads_a_malformed_answer_alone():
                       for stmt in node.body for call in ast.walk(stmt))]
     assert len(parses) == 1 and len(parses[0].handlers) == 1
     assert _type_names(parses[0].handlers[0].type) == ["GeoAuditError"]
+
+
+def _imported_modules(tree) -> set[str]:
+    """The top-level names of the modules an import statement in tree loads."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_only_registry_imports_ipaddress():
+    """registry.Addr and registry.Prefix are the one representation of an
+    address and a prefix: ipaddress, which reads and prints them at the text
+    edges, is imported by registry.py alone."""
+    importing = [path.name for path in sorted((ROOT / "src" / "geoaudit").glob("*.py"))
+                 if "ipaddress" in _imported_modules(ast.parse(path.read_text(encoding="utf-8")))]
+    assert importing == ["registry.py"]

@@ -450,6 +450,9 @@ def test_every_junk_net_value_is_a_registration_or_malformed():
     other exception is a bug that fails the parse."""
     rng = random.Random(29)
     dialects = default_dialects()
+    # an IPv6 zone id (fe80::1%eth0) names no block a registry can hold
+    _, _, rep = parse_bulk_whois(io.StringIO("NetRange: fe80::1%eth0\n"), Rir.ARIN, dialects)
+    assert rep.malformed_skipped == 1
     outcomes = set()
     for _ in range(20000):
         value = junk_net_value(rng)
