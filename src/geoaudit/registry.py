@@ -5,7 +5,8 @@ An address is an Addr, (version, integer), and a prefix a Prefix,
 (version, network integer, length): small immutable tuples that sort, hash
 and compare as those tuples. Parsing rejects a prefix with host bits set, so
 a Prefix is always canonical. ipaddress is used here alone, at the text
-edges: it reads the spellings the fast paths leave to it, and it prints IPv6.
+edges: it reads the spellings the fast paths leave to it, and it prints IPv6
+other than IPv4-mapped.
 """
 
 from __future__ import annotations
@@ -69,10 +70,14 @@ _BITS = {4: 32, 6: 128}
 
 
 def _address_text(version: int, value: int) -> str:
-    """The text ipaddress prints for this address."""
+    """The canonical text of this address, the same on every Python: dotted
+    for IPv4, and for IPv6 what ipaddress prints, except that an IPv4-mapped
+    address (::ffff:0:0/96) is hex, ::ffff:102:304, as before Python 3.13."""
     if version == 4:
         return (f"{_OCTET_TEXT[value >> 24]}.{_OCTET_TEXT[value >> 16 & 255]}."
                 f"{_OCTET_TEXT[value >> 8 & 255]}.{_OCTET_TEXT[value & 255]}")
+    if value >> 32 == 0xFFFF:
+        return f"::ffff:{value >> 16 & 0xFFFF:x}:{value & 0xFFFF:x}"
     return str(ipaddress.IPv6Address(value))
 
 

@@ -194,3 +194,48 @@ def test_contained_whole_space_is_independent_of_build_order():
     index = PrefixIndex((ours(p), None) for p in rng.sample(prefixes, len(prefixes)))
     got = [p for p, _ in index.contained(parse_prefix("0.0.0.0/0"))]
     assert got == [ours(p) for p in prefixes]
+
+
+def random_mixed_prefix(rng, near):
+    """A v4 or v6 prefix of any length: half of the time at either end of its
+    family or anywhere, otherwise somewhere inside or around a prefix of near."""
+    if rng.random() < 0.5:
+        bits = rng.choice([32, 128])
+        value = rng.choice([0, (1 << bits) - 1, rng.getrandbits(bits)])
+    else:
+        base = rng.choice(near)
+        bits = base.max_prefixlen
+        value = int(base.network_address) + rng.randrange(base.num_addresses)
+    plen = rng.randint(0, bits)
+    kind = ipaddress.IPv4Network if bits == 32 else ipaddress.IPv6Network
+    return kind((value >> (bits - plen) << (bits - plen), plen))
+
+
+def test_both_families_in_one_index_match_linear_scan():
+    """One index holds both families, sorted v4 before v6: every query keeps
+    to its own family, up to the top v4 address and from the bottom v6 one."""
+    rng = random.Random(2039)
+    edges = [ipaddress.ip_network(t) for t in ("0.0.0.0/0", "::/0", "255.255.255.255/32", "::/128")]
+    for size in (60, 120, 240):
+        prefixes = list(edges)
+        while len(prefixes) < size:
+            p = random_mixed_prefix(rng, prefixes)
+            if p not in prefixes:
+                prefixes.append(p)
+        index = PrefixIndex((ours(p), str(p)) for p in rng.sample(prefixes, len(prefixes)))
+        assert len(index) == len(prefixes)
+        queries = [ipaddress.ip_network(t) for t in ("0.0.0.0/0", "::/0", "255.255.255.0/24")]
+        queries += [rng.choice(prefixes) if rng.random() < 0.3 else random_mixed_prefix(rng, prefixes)
+                    for _ in range(300)]
+        for q in queries:
+            family = [p for p in prefixes if p.version == q.version]
+            contained = sorted((p for p in family if p.subnet_of(q)),
+                               key=lambda p: (int(p.network_address), p.prefixlen))
+            covering = sorted((p for p in family if p.prefixlen < q.prefixlen and q.subnet_of(p)),
+                              key=lambda p: p.prefixlen)
+            assert index.contained(ours(q)) == [(ours(p), str(p)) for p in contained], q
+            assert index.covering(ours(q)) == [(ours(p), str(p)) for p in covering], q
+            assert index.overlaps(ours(q)) == bool(contained or covering), q
+            addr = type(q.network_address)(int(q.network_address) + rng.randrange(q.num_addresses))
+            want = linear_longest_match(family, addr)
+            assert index.longest_match(ours(addr)) == (None if want is None else (ours(want), str(want)))
