@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
-from typing import IO, Iterable
+from typing import IO, Iterable, NamedTuple
 
 from .errors import GeoAuditError
 from .index import PrefixIndex
@@ -35,8 +34,7 @@ ALIGNMENT_ORDER = (
 )
 
 
-@dataclass
-class Rib:
+class Rib(NamedTuple):
     """Route table: an index mapping prefix -> frozenset of origins."""
 
     routes: PrefixIndex
@@ -89,8 +87,7 @@ def load_rib(fp: IO[str]) -> Rib:
     return Rib(routes=routes, default_routes_dropped=dropped)
 
 
-@dataclass(frozen=True)
-class AlignmentResult:
+class AlignmentResult(NamedTuple):
     alignment: Alignment
     origins: frozenset[int] = frozenset()
     covering_route: Prefix | None = None

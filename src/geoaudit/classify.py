@@ -18,9 +18,8 @@ removed at one stage is never counted at a later one.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, Iterable, Mapping, NamedTuple, Sequence
 
 from .bgp import Alignment, Rib, align
 from .errors import GeoAuditError
@@ -84,8 +83,7 @@ def classify_one(
 
 
 @record
-@dataclass(frozen=True)
-class TargetOutcome:
+class TargetOutcome(NamedTuple):
     target: Addr
     responded: bool
     vantage_id: str | None = None
@@ -97,8 +95,7 @@ class TargetOutcome:
 
 
 @record
-@dataclass(frozen=True)
-class ConsistencyRecord:
+class ConsistencyRecord(NamedTuple):
     """One row of audit output: exactly one of cls / filter_reason is set."""
 
     prefix: Prefix
@@ -131,8 +128,7 @@ def reconcile_targets(outcomes: Sequence[TargetOutcome]) -> tuple[ConsistencyCla
     return classes[0], False
 
 
-@dataclass
-class AuditConfig:
+class AuditConfig(NamedTuple):
     region_map: RegionMap
     geo: GeoConfig
     strict_no_org: bool = False
@@ -262,22 +258,22 @@ def audit_pipeline(
             for plan in sorted(plans, key=attrgetter("prefix"))]
 
 
-@dataclass
 class PipelineCounts:
-    candidates: int = 0
-    classified: int = 0
-    filtered: dict[FilterReason, int] = field(default_factory=dict)
-    by_class: dict[ConsistencyClass, int] = field(default_factory=dict)
+    """Records by outcome: every filter reason and class has a count, 0 or more."""
+
+    __slots__ = ("candidates", "classified", "filtered", "by_class")
+
+    def __init__(self):
+        self.candidates = self.classified = 0
+        self.filtered = dict.fromkeys(FilterReason, 0)
+        self.by_class = dict.fromkeys(ConsistencyClass, 0)
 
     def check_identity(self) -> bool:
         return self.candidates == self.classified + sum(self.filtered.values())
 
 
 def pipeline_counts(records: Iterable[ConsistencyRecord]) -> PipelineCounts:
-    counts = PipelineCounts(
-        filtered=dict.fromkeys(FilterReason, 0),
-        by_class=dict.fromkeys(ConsistencyClass, 0),
-    )
+    counts = PipelineCounts()
     for rec in records:
         counts.candidates += 1
         if rec.cls is not None:

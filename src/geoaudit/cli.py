@@ -25,9 +25,8 @@ import os
 import sys
 import zlib
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
 from operator import attrgetter
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import BackendUnavailable, GeoAuditError
 from .registry import (
@@ -57,8 +56,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """The settings of plan and audit. Each default is the built-in one, and
     its type casts the text of GEOAUDIT_<NAME> and of the config file."""
 
@@ -115,28 +113,28 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         parser = _read(path, read_ini)
         if parser.has_section("geoaudit"):
             file_values = dict(parser.items("geoaudit"))
-    unknown = sorted(set(file_values) - {f.name for f in fields(RunConfig)})
+    unknown = sorted(set(file_values) - set(RunConfig._fields))
     if unknown:
         raise GeoAuditError(f"{path}: unknown setting in [geoaudit]: {', '.join(unknown)}")
     values = {}
-    for f in fields(RunConfig):
-        if not hasattr(args, f.name):
+    for name, default in RunConfig._field_defaults.items():
+        if not hasattr(args, name):
             continue  # a setting this subcommand never reads
-        value = getattr(args, f.name)
-        source = f"--{f.name.replace('_', '-')}"
+        value = getattr(args, name)
+        source = f"--{name.replace('_', '-')}"
         if value is None:
-            env = f"GEOAUDIT_{f.name.upper()}"
+            env = f"GEOAUDIT_{name.upper()}"
             source, text = ((env, os.environ[env]) if env in os.environ
-                            else (f"{path} [geoaudit]", file_values.get(f.name)))
+                            else (f"{path} [geoaudit]", file_values.get(name)))
             try:
-                value = f.default if text is None else type(f.default)(text)
+                value = default if text is None else type(default)(text)
             except ValueError as exc:
-                raise GeoAuditError(f"{f.name} from {source}: {exc}") from None
-        if f.name in _RANGES:
-            ok, allowed = _RANGES[f.name]
+                raise GeoAuditError(f"{name} from {source}: {exc}") from None
+        if name in _RANGES:
+            ok, allowed = _RANGES[name]
             if not ok(value):
-                raise GeoAuditError(f"{f.name} from {source} is {value}, must be {allowed}")
-        values[f.name] = value
+                raise GeoAuditError(f"{name} from {source} is {value}, must be {allowed}")
+        values[name] = value
     return RunConfig(**values)
 
 

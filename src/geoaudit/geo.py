@@ -17,12 +17,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
-from importlib import resources
-from typing import IO, Iterable, Mapping
+from typing import IO, Iterable, Mapping, NamedTuple
 
 from .errors import GeoAuditError
-from .registry import DEFAULT_PROPAGATION_FACTOR, RegionMap, Rir, country_point, read_csv
+from .registry import DEFAULT_PROPAGATION_FACTOR, RegionMap, Rir, bundled, country_point, read_csv
 
 EARTH_RADIUS_KM = 6371.0088
 C_KM_PER_S = 299792.458
@@ -60,9 +58,7 @@ def load_country_points(fp: IO[str]) -> dict[str, tuple[tuple[float, float], ...
 
 
 def default_country_points() -> dict[str, tuple[tuple[float, float], ...]]:
-    ref = resources.files("geoaudit.data").joinpath("country_points.csv")
-    with ref.open("r", encoding="utf-8") as fp:
-        return load_country_points(fp)
+    return load_country_points(bundled("country_points.csv"))
 
 
 def check_point_coverage(points: CountryPoints, region_map: RegionMap) -> None:
@@ -106,13 +102,15 @@ class _NearestCountries:
         return found
 
 
-@dataclass(frozen=True)
 class GeoConfig:
-    country_points: CountryPoints
-    propagation_factor: float = DEFAULT_PROPAGATION_FACTOR
-    # vantage (lat, lon) -> its table, built on first use
-    _tables: dict[tuple[float, float], _NearestCountries] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
+    __slots__ = ("country_points", "propagation_factor", "_tables")
+
+    def __init__(self, country_points: CountryPoints,
+                 propagation_factor: float = DEFAULT_PROPAGATION_FACTOR):
+        self.country_points = country_points
+        self.propagation_factor = propagation_factor
+        # vantage (lat, lon) -> its table, built on first use
+        self._tables: dict[tuple[float, float], _NearestCountries] = {}
 
     def nearest(self, lat: float, lon: float) -> _NearestCountries:
         table = self._tables.get((lat, lon))
@@ -146,8 +144,7 @@ def feasible_rirs(countries: Iterable[str], region_map: RegionMap) -> frozenset[
     return frozenset(region_map.rir_of(cc) for cc in countries if cc in region_map)
 
 
-@dataclass(frozen=True)
-class FeasibleRegion:
+class FeasibleRegion(NamedTuple):
     vantage_id: str
     rtt_ms: float
     radius_km: float

@@ -11,8 +11,9 @@ the run on every backend.
 write_results and load_results are the capture codec: they write and read
 the same bytes as the generic JSONL codec in registry, only faster. A
 capture holds one line per (vantage, target) pair, so MeasurementResult is
-slotted and not frozen (nor hashable), and load_results checks each line
-inline rather than through a per-record decoder.
+a slotted class rather than a NamedTuple record (nor hashable), and
+load_results checks each line inline rather than through a per-record
+decoder.
 
 The live client sends a path below the API root and a body of bytes through
 its Transport, and gets back the status and the body's bytes: LiveBackend
@@ -31,7 +32,6 @@ import math
 import select
 import struct
 import time
-from dataclasses import dataclass, field
 from hashlib import blake2b
 from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -55,14 +55,31 @@ _NOISE_WORDS = struct.Struct("<3Q")  # a pair's digest: one word per sample (Syn
 _UNIT = 2.0 ** -53  # a word's top 53 bits times this are uniform in [0, 1)
 
 
-@dataclass(slots=True)
 class MeasurementResult:
-    """One (vantage, target) pair's RTT samples. Not frozen: a frozen
-    dataclass's __init__ pays object.__setattr__ per field."""
+    """One (vantage, target) pair's RTT samples. A replay builds one per
+    capture line, so this is a slotted class and not a NamedTuple: on
+    Python 3.11 its __init__ takes ~0.35 µs, a NamedTuple's ~0.54 µs.
+    Results compare equal by their fields; they are not hashable."""
 
-    vantage_id: str
-    target: Addr
-    rtts_ms: tuple[float, ...]
+    __slots__ = ("vantage_id", "target", "rtts_ms")
+
+    def __init__(self, vantage_id: str, target: Addr, rtts_ms: tuple[float, ...]):
+        self.vantage_id = vantage_id
+        self.target = target
+        self.rtts_ms = rtts_ms
+
+    def _key(self) -> tuple:
+        return self.vantage_id, self.target, self.rtts_ms
+
+    def __eq__(self, other):
+        if type(other) is not MeasurementResult:
+            return NotImplemented
+        return self._key() == other._key()
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return "MeasurementResult(%r, %r, %r)" % self._key()
 
     def to_json(self) -> dict:
         # no backend stamps a measurement; the capture format keeps the key
@@ -165,7 +182,6 @@ class Backend:
         pass
 
 
-@dataclass
 class SyntheticWorld:
     """Ground truth for the simulator: target coordinates, an unresponsive
     set, and additive uniform noise on top of great-circle baseline RTTs.
@@ -178,17 +194,20 @@ class SyntheticWorld:
     samples depend on the seed and the pair alone, not on which other
     vantages measure the target in the same call."""
 
-    target_locations: dict[Addr, tuple[float, float]] = field(default_factory=dict)
-    unresponsive: set[Addr] = field(default_factory=set)
-    noise_ms: float = 0.0
-    propagation_factor: float = DEFAULT_PROPAGATION_FACTOR
-    seed: int = 0
+    __slots__ = ("target_locations", "unresponsive", "noise_ms", "propagation_factor", "seed")
 
-    def __post_init__(self):
-        if not 0 < self.propagation_factor <= 1:
-            raise GeoAuditError(f"world propagation_factor is {self.propagation_factor}, must be in (0, 1]")
-        if not 0 <= self.noise_ms < math.inf:
-            raise GeoAuditError(f"world noise_ms is {self.noise_ms}, must be finite and at least 0")
+    def __init__(self, target_locations: dict[Addr, tuple[float, float]] | None = None,
+                 unresponsive: set[Addr] | None = None, noise_ms: float = 0.0,
+                 propagation_factor: float = DEFAULT_PROPAGATION_FACTOR, seed: int = 0):
+        if not 0 < propagation_factor <= 1:
+            raise GeoAuditError(f"world propagation_factor is {propagation_factor}, must be in (0, 1]")
+        if not 0 <= noise_ms < math.inf:
+            raise GeoAuditError(f"world noise_ms is {noise_ms}, must be finite and at least 0")
+        self.target_locations = {} if target_locations is None else target_locations
+        self.unresponsive = set() if unresponsive is None else unresponsive
+        self.noise_ms = noise_ms
+        self.propagation_factor = propagation_factor
+        self.seed = seed
 
     def _base_rtt_ms(self, vantage: VantagePoint, lat: float, lon: float) -> float:
         dist = haversine_km(vantage.lat, vantage.lon, lat, lon)
@@ -237,7 +256,11 @@ class SyntheticWorld:
         def point(value) -> tuple[float, float]:
             if len(_list(value)) != 2:
                 raise GeoAuditError(f"{value!r} is not a [lat, lon] pair")
-            return _number(value[0]), _number(value[1])
+            lat, lon = _number(value[0]), _number(value[1])
+            # the rule of a vantage and a country point; not (x <= y) also holds for NaN
+            if not (-90 <= lat <= 90 and -180 <= lon <= 180):
+                raise GeoAuditError(f"{lat!r}, {lon!r} is not a point on the globe")
+            return lat, lon
 
         targets = read("targets", _object, _object(obj).get("targets", {}))
         return cls(
@@ -525,7 +548,7 @@ def _replies(body, vantages: Sequence[VantagePoint]) -> dict[str, list[float]] |
 def _rtt(x) -> float:
     if type(x) not in (int, float):  # float() also reads "12" and true, as 12 and 1 ms
         raise GeoAuditError(f"rtt {x!r} is not a number")
-    return float(x)
+    return _number(x)
 
 
 def _measure_pairs(backend, jobs: Iterable[Job]) -> Iterator[dict[str, list[float]]]:

@@ -12,7 +12,6 @@ other than IPv4-mapped.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import datetime
 import enum
 import functools
@@ -23,9 +22,7 @@ import json
 import operator
 import types
 import typing
-from dataclasses import dataclass, replace
-from importlib import resources
-from typing import IO, Any, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import IO, Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
 
 from .errors import GeoAuditError
 
@@ -297,10 +294,12 @@ def load_jsonl(from_json: Callable[[Mapping], T], fp: IO[str]) -> list[T]:
     return out
 
 
-# The record codec: @record derives a frozen dataclass's to_json and
-# from_json from the annotated type of each field, so each type is spelled
-# one way in every JSONL file. from_json refuses a value of the wrong JSON
-# type instead of converting it; a missing key takes the field's default.
+# The record codec: @record derives a NamedTuple's to_json and from_json
+# from the annotated type of each field, so each type is spelled one way in
+# every JSONL file. from_json refuses a value of the wrong JSON type instead
+# of converting it; a missing key takes the field's default, and a field
+# without one is required. A record is a tuple, so it reaches JSON through
+# its to_json alone: json.dumps would write it as a list.
 
 _KEYS = {"cls": "class"}  # fields whose JSON key is not their name
 _JSON_NAMES = {str: "a string", bool: "a boolean", int: "an integer", float: "a number",
@@ -320,8 +319,14 @@ _text, _float, _list, _object = _exactly(str), _exactly(float), _exactly(list), 
 
 
 def _number(value) -> float:
-    """A JSON number, an int or a float, as a float."""
-    return float(value) if type(value) is int else _float(value)
+    """A JSON number, an int or a float, as a float; an int too large for a
+    float is refused."""
+    if type(value) is not int:
+        return _float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise GeoAuditError(f"an integer of {len(str(abs(value)))} digits is too large for a number") from None
 
 
 def _date(value) -> datetime.date:
@@ -368,22 +373,22 @@ def _codec(hint) -> tuple[Callable | None, Callable]:
             except (KeyError, TypeError):  # TypeError: a list or an object
                 raise GeoAuditError(f"{value!r} is not a {hint.__name__}") from None
         return operator.attrgetter("value"), decode
-    if dataclasses.is_dataclass(hint):
+    if hasattr(hint, "from_json"):  # a nested record
         return hint.to_json, hint.from_json
     return _CODECS[hint]
 
 
 def record(cls: type[T]) -> type[T]:
-    """Give a frozen dataclass to_json and from_json, derived from its
-    fields; a GeoAuditError from from_json names the key it refused or missed."""
+    """Give a NamedTuple to_json and from_json, derived from its _fields,
+    their type hints and _field_defaults; a GeoAuditError from from_json
+    names the key it refused or missed."""
     hints = typing.get_type_hints(cls)
-    fields = [(f.name, _KEYS.get(f.name, f.name), *_codec(hints[f.name]),
-               f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING)
-              for f in dataclasses.fields(cls)]
+    fields = [(name, _KEYS.get(name, name), *_codec(hints[name]), name not in cls._field_defaults)
+              for name in cls._fields]
 
     def to_json(self) -> dict:
-        return {key: getattr(self, name) if encode is None else encode(getattr(self, name))
-                for name, key, encode, _, _ in fields}
+        return {key: value if encode is None else encode(value)
+                for value, (_, key, encode, _, _) in zip(self, fields)}
 
     def from_json(obj: Mapping) -> T:
         _object(obj)
@@ -403,8 +408,7 @@ def record(cls: type[T]) -> type[T]:
 
 
 @record
-@dataclass(frozen=True)
-class Registration:
+class Registration(NamedTuple):
     """One registered block from a bulk WHOIS dump, reduced to the fields
     the audit needs."""
 
@@ -419,7 +423,7 @@ class Registration:
     def with_flag(self, flag: str) -> "Registration":
         if flag in self.flags:
             return self
-        return replace(self, flags=self.flags + (flag,))
+        return self._replace(flags=self.flags + (flag,))
 
 
 def duplicate_rank(reg: Registration) -> tuple:
@@ -574,26 +578,32 @@ def check_official_counts(region_map: RegionMap) -> None:
         raise GeoAuditError(f"region map counts {counts} differ from official {OFFICIAL_COUNTRY_COUNTS}")
 
 
+def bundled(name: str) -> IO[str]:
+    """A data file shipped in geoaudit/data, as text. pkgutil reads it through
+    the package's loader; importlib.resources would too, but on Python 3.13
+    it imports inspect and ast, which no command otherwise loads."""
+    import pkgutil
+
+    return io.StringIO(pkgutil.get_data(__package__, f"data/{name}").decode("utf-8"))
+
+
 def default_region_map() -> RegionMap:
     """The bundled country-to-RIR snapshot, checked against official counts."""
-    ref = resources.files("geoaudit.data").joinpath("region_map.csv")
-    with ref.open("r", encoding="utf-8") as fp:
-        region_map = load_region_map(fp)
+    region_map = load_region_map(bundled("region_map.csv"))
     check_official_counts(region_map)
     return region_map
 
 
-@dataclass
 class OroStats:
     """Out-of-region organizations for one registry and family."""
 
-    rir: Rir
-    family: int
-    prefixes: int = 0
-    oro_prefixes: int = 0
-    unknown_org: int = 0
-    units: float = 0.0
-    oro_units: float = 0.0
+    __slots__ = ("rir", "family", "prefixes", "oro_prefixes", "unknown_org", "units", "oro_units")
+
+    def __init__(self, rir: Rir, family: int):
+        self.rir = rir
+        self.family = family
+        self.prefixes = self.oro_prefixes = self.unknown_org = 0
+        self.units = self.oro_units = 0.0
 
     @property
     def prefix_fraction(self) -> float:
@@ -630,7 +640,9 @@ def oro_stats(
     oro_prefixes: dict[tuple[Rir, int], list[Prefix]] = {}
     for reg in regs:
         key = (reg.rir, reg.prefix.version)
-        row = rows.setdefault(key, OroStats(rir=reg.rir, family=reg.prefix.version))
+        row = rows.get(key)
+        if row is None:
+            row = rows[key] = OroStats(reg.rir, reg.prefix.version)
         row.prefixes += 1
         all_prefixes.setdefault(key, []).append(reg.prefix)
         if reg.org_country is None or reg.org_country not in region_map:

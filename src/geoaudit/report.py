@@ -8,8 +8,7 @@ here.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, Iterable, Mapping, NamedTuple, Sequence
 
 from .classify import ConsistencyClass, ConsistencyRecord, FilterReason, pipeline_counts
 from .index import PrefixIndex
@@ -65,8 +64,7 @@ def characteristics(
     return by_status, by_year
 
 
-@dataclass(frozen=True)
-class GeoDbEntry:
+class GeoDbEntry(NamedTuple):
     prefix: Prefix
     country: str
 
@@ -77,11 +75,11 @@ def load_geodb(fp: IO[str]) -> list[GeoDbEntry]:
         prefix=parse_prefix(row["prefix"]), country=row["country"].strip().upper()))
 
 
-@dataclass
 class DetectionStats:
-    eligible: int = 0
-    detected: int = 0
-    no_coverage: int = 0
+    __slots__ = ("eligible", "detected", "no_coverage")
+
+    def __init__(self):
+        self.eligible = self.detected = self.no_coverage = 0
 
     @property
     def covered(self) -> int:
@@ -137,10 +135,11 @@ def geodb_detection(
     return out
 
 
-@dataclass
 class LeasingStats:
-    records: int = 0
-    overlapping: int = 0
+    __slots__ = ("records", "overlapping")
+
+    def __init__(self):
+        self.records = self.overlapping = 0
 
     @property
     def fraction(self) -> float:

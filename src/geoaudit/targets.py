@@ -8,9 +8,8 @@ budget stays bounded and no address is probed for two prefixes.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from operator import attrgetter
-from typing import IO, Iterable
+from typing import IO, Iterable, NamedTuple
 
 from .errors import GeoAuditError
 from .index import PrefixIndex
@@ -33,8 +32,7 @@ from .registry import (
 TARGETS_PER_PREFIX = 2
 
 
-@dataclass(frozen=True)
-class HitlistEntry:
+class HitlistEntry(NamedTuple):
     addr: Addr
     score: int | None = None
 
@@ -76,8 +74,7 @@ def exclude_aliased(
 
 
 @record
-@dataclass(frozen=True)
-class TargetPlan:
+class TargetPlan(NamedTuple):
     registration: Registration
     targets: tuple[Addr, ...]
 

@@ -9,8 +9,7 @@ without losing reproducibility.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, NamedTuple, Sequence
 
 from .errors import GeoAuditError
 from .registry import (
@@ -31,9 +30,7 @@ COUNTRY_PICKS = 5
 STABLE_SET_CAP = 10
 
 
-@record
-@dataclass(frozen=True)
-class VantagePoint:
+class _VantageFields(NamedTuple):
     id: str
     country: str
     lat: float
@@ -42,17 +39,30 @@ class VantagePoint:
     asn: int | None = None
     connected: bool = True
 
-    def __post_init__(self):
-        object.__setattr__(self, "country", self.country.strip().upper())
+
+@record
+class VantagePoint(_VantageFields):
+    """A vantage whose fields are checked on every construction: _make and
+    _replace come here too."""
+
+    __slots__ = ()
+
+    def __new__(cls, id: str, country: str, lat: float, lon: float, kind: str = "probe",
+                asn: int | None = None, connected: bool = True):
         # as geo.load_country_points refuses a point; not (x <= y) also holds for NaN
-        if not -90 <= self.lat <= 90:
-            raise GeoAuditError(f"lat: {self.lat!r} is not in [-90, 90]")
-        if not -180 <= self.lon <= 180:
-            raise GeoAuditError(f"lon: {self.lon!r} is not in [-180, 180]")
+        if not -90 <= lat <= 90:
+            raise GeoAuditError(f"lat: {lat!r} is not in [-90, 90]")
+        if not -180 <= lon <= 180:
+            raise GeoAuditError(f"lon: {lon!r} is not in [-180, 180]")
         try:
-            self.id.encode()  # the simulator hashes the id as UTF-8
+            id.encode()  # the simulator hashes the id as UTF-8
         except UnicodeEncodeError:
-            raise GeoAuditError(f"id {self.id!r} is not valid UTF-8") from None
+            raise GeoAuditError(f"id {id!r} is not valid UTF-8") from None
+        return tuple.__new__(cls, (id, country.strip().upper(), lat, lon, kind, asn, connected))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "VantagePoint":
+        return cls(*iterable)
 
 
 def load_vantages(fp: IO[str]) -> list[VantagePoint]:
@@ -74,12 +84,11 @@ def load_default_coords(fp: IO[str]) -> set[tuple[float, float]]:
             for _, lat, lon in read_csv(fp, ["country", "lat", "lon"], country_point)}
 
 
-@dataclass
 class VantageFilterReport:
-    kept: int = 0
-    disconnected: int = 0
-    bad_id: int = 0
-    default_coords: int = 0
+    __slots__ = ("kept", "disconnected", "bad_id", "default_coords")
+
+    def __init__(self):
+        self.kept = self.disconnected = self.bad_id = self.default_coords = 0
 
 
 def filter_vantages(
@@ -131,11 +140,13 @@ def _stable_subset(candidates: Sequence[VantagePoint]) -> tuple[VantagePoint, ..
     return tuple(chosen)
 
 
-@dataclass
 class VantageSet:
-    per_rir: dict[Rir, tuple[VantagePoint, ...]] = field(default_factory=dict)
-    per_country: dict[str, tuple[VantagePoint, ...]] = field(default_factory=dict)
-    unmapped_country: int = 0
+    __slots__ = ("per_rir", "per_country", "unmapped_country")
+
+    def __init__(self):
+        self.per_rir: dict[Rir, tuple[VantagePoint, ...]] = {}
+        self.per_country: dict[str, tuple[VantagePoint, ...]] = {}
+        self.unmapped_country = 0
 
 
 def select_stable_sets(vantages: Iterable[VantagePoint], region_map: RegionMap) -> VantageSet:
@@ -172,8 +183,7 @@ def _rotate_pick(pool: Sequence[VantagePoint], count: int, offset: int) -> list[
     return [pool[(start + i) % len(pool)] for i in range(count)]
 
 
-@dataclass(frozen=True)
-class VantagePlan:
+class VantagePlan(NamedTuple):
     vantages: tuple[VantagePoint, ...]
     no_country_vantage: bool = False
     used_regional_fallback: bool = False

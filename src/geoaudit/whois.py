@@ -8,15 +8,12 @@ records feed a side table used to resolve org countries afterwards.
 
 from __future__ import annotations
 
-import dataclasses
 import datetime
 import functools
 import re
 import types
 import zlib
-from dataclasses import dataclass
-from importlib import resources
-from typing import IO, Iterable, Iterator, Mapping
+from typing import IO, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import GeoAuditError
 from .registry import (
@@ -25,6 +22,7 @@ from .registry import (
     Rir,
     Status,
     _date,
+    bundled,
     duplicate_rank,
     is_country_code,
     open_text,  # callers still reach it as whois.open_text
@@ -35,8 +33,8 @@ from .registry import (
     read_ini,
 )
 
-@dataclass(frozen=True)
-class Dialect:
+
+class Dialect(NamedTuple):
     rir: Rir
     net_keys: tuple[str, ...]
     status_keys: tuple[str, ...]
@@ -52,7 +50,7 @@ class Dialect:
 
 
 # every field but rir is a comma-separated list in the dialect table
-_DIALECT_LIST_KEYS = tuple(f.name for f in dataclasses.fields(Dialect) if f.name != "rir")
+_DIALECT_LIST_KEYS = Dialect._fields[1:]
 
 
 def load_dialects(fp: IO[str]) -> dict[Rir, Dialect]:
@@ -74,9 +72,7 @@ def load_dialects(fp: IO[str]) -> dict[Rir, Dialect]:
 def default_dialects() -> Mapping[Rir, Dialect]:
     """The bundled table, parsed once per process. Every caller shares it,
     so it is read-only."""
-    ref = resources.files("geoaudit.data").joinpath("dialects.ini")
-    with ref.open("r", encoding="utf-8") as fp:
-        return types.MappingProxyType(load_dialects(fp))
+    return types.MappingProxyType(load_dialects(bundled("dialects.ini")))
 
 
 def dialect_for(rir: Rir, dialects: Mapping[Rir, Dialect] | None = None) -> Dialect:
@@ -197,27 +193,23 @@ def parse_date(text: str | None) -> datetime.date | None:
     return None
 
 
-@dataclass
 class IngestReport:
-    """Counters for one dump. The identity
+    """Counters for one dump, each 0 to begin with. The identity
 
         registrations_emitted + duplicates_dropped + not_managed_skipped
             + malformed_skipped == net_records_read + split_extra_blocks
 
     holds for every parse; see check_identity()."""
 
-    rir: Rir
-    net_records_read: int = 0
-    org_records_read: int = 0
-    registrations_emitted: int = 0
-    duplicates_dropped: int = 0
-    not_managed_skipped: int = 0
-    malformed_skipped: int = 0
-    non_cidr_ranges_split: int = 0
-    split_extra_blocks: int = 0
-    unresolved_orgs: int = 0
-    circular_refs_dropped: int = 0
-    transfers_dropped: int = 0
+    __slots__ = ("rir", "net_records_read", "org_records_read", "registrations_emitted",
+                 "duplicates_dropped", "not_managed_skipped", "malformed_skipped",
+                 "non_cidr_ranges_split", "split_extra_blocks", "unresolved_orgs",
+                 "circular_refs_dropped", "transfers_dropped")
+
+    def __init__(self, rir: Rir):
+        self.rir = rir
+        for name in self.__slots__[1:]:
+            setattr(self, name, 0)
 
     def check_identity(self) -> bool:
         produced = (self.registrations_emitted + self.duplicates_dropped
@@ -347,7 +339,7 @@ def link_organizations(
     for reg in regs:
         country = orgs.get(reg.org_id) if reg.org_id else None
         if country:
-            out.append(dataclasses.replace(reg, org_country=country))
+            out.append(reg._replace(org_country=country))
             continue
         if reg.org_id and reg.org_id not in orgs:
             unresolved += 1

@@ -8,7 +8,6 @@ import os
 import random
 import subprocess
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -433,6 +432,7 @@ def test_backend_without_its_input_exits_2(small_campaign, capsys, backend, need
     assert not captured.exists() and not out.exists()
 
 
+HUGE = 10 ** 400  # a JSON integer too large for a float
 MALFORMED_LINE = [
     ("results", "rtts_ms", [None]),
     ("results", "rtts_ms", 5),
@@ -452,6 +452,9 @@ MALFORMED_LINE = [
     ("registrations.jsonl", "last_updated", "20210304"),  # Python 3.11+ fromisoformat reads both
     ("registrations.jsonl", "last_updated", "2021-W09-4"),
     ("audit.jsonl", "responded", "false"),  # a target's, read by report
+    pytest.param("results", "rtts_ms", [1.0, HUGE], id="results-rtts_ms-huge"),
+    pytest.param("vantages.jsonl", "lat", HUGE, id="vantages.jsonl-lat-huge"),
+    pytest.param("audit.jsonl", "min_rtt_ms", HUGE, id="audit.jsonl-min_rtt_ms-huge"),
 ]
 
 
@@ -492,6 +495,62 @@ def test_world_without_a_target_location_exits_2(small_campaign, capsys):
     assert run(audit_argv(paths, str(out), extra=["--capture-results", str(captured)])) == 2
     assert f"geoaudit: {paths['world.json']}: " in capsys.readouterr().err
     assert not captured.exists() and not out.exists()
+
+
+def test_a_live_rtt_too_large_for_a_float_exits_3(small_campaign, capsys, monkeypatch):
+    """An integer too large for a float in a live answer is a malformed
+    body: the API is unavailable, and nothing is written."""
+    camp, paths, tmp_path = small_campaign
+
+    class HugeRtt:
+        def __init__(self, base_url):
+            self.api = world_session(camp, paths)
+
+        def request(self, *args):
+            status, body = self.api.request(*args)
+            answer = json.loads(body)
+            for row in answer.get("results", [])[:1]:
+                row["rtts_ms"][0] = HUGE
+            return status, json.dumps(answer).encode()
+
+        def close(self):
+            pass
+
+    serve_campaign(monkeypatch, camp, paths, lambda mid: 0, lambda s: None)
+    monkeypatch.setattr(measure, "Transport", HugeRtt)
+    out, captured = tmp_path / "audit.jsonl", tmp_path / "captured.jsonl"
+    capsys.readouterr()
+    assert run(audit_argv(paths, str(out), extra=[*LIVE_ARGV, "--capture-results", str(captured)])) == 3
+    err = capsys.readouterr().err
+    assert "answered a malformed body: " in err and "401 digits is too large for a number" in err
+    assert not out.exists() and not captured.exists()
+
+
+@pytest.mark.parametrize("key, value, refusal", [
+    ("noise_ms", HUGE, "noise_ms: an integer of 401 digits is too large for a number"),
+    ("target", [0, HUGE], "an integer of 401 digits is too large for a number"),
+    ("target", [95.0, 400.0], "95.0, 400.0 is not a point on the globe"),
+    ("target", [0.0, -180.5], "0.0, -180.5 is not a point on the globe"),
+    ("target", [math.nan, 0.0], "nan, 0.0 is not a point on the globe"),
+    ("target", [0.0, math.inf], "0.0, inf is not a point on the globe"),
+], ids=["noise-huge", "point-huge", "off-95-400", "off-lon", "nan", "inf"])
+def test_a_bad_world_value_exits_2_naming_it(small_campaign, capsys, key, value, refusal):
+    """A world value that is no float, or a target off the globe, is refused
+    where the world is read; the target is named. Nothing is written."""
+    camp, paths, tmp_path = small_campaign
+    world = json.loads(Path(paths["world.json"]).read_text())
+    first = next(iter(world["targets"]))
+    if key == "noise_ms":
+        world["noise_ms"] = value
+    else:
+        world["targets"][first] = value
+        refusal = f"targets: {first}: {refusal}"
+    Path(paths["world.json"]).write_text(json.dumps(world))
+    out, captured = tmp_path / "audit.jsonl", tmp_path / "captured.jsonl"
+    capsys.readouterr()
+    assert run(audit_argv(paths, str(out), extra=["--capture-results", str(captured)])) == 2
+    assert capsys.readouterr().err == f"geoaudit: {paths['world.json']}: {refusal}\n"
+    assert not out.exists() and not captured.exists()
 
 
 @pytest.mark.parametrize("source", ["env", "file"])
@@ -1122,7 +1181,7 @@ def test_readme_lists_every_setting():
     section = readme.split("## Configuration", 1)[1].split("\n## ", 1)[0]
     rows = [line for line in section.splitlines() if line.startswith("|")][2:]
     env = [row.split("|")[3].strip().strip("`") for row in rows]
-    assert env == [f"GEOAUDIT_{f.name.upper()}" for f in fields(cli.RunConfig)]
+    assert env == [f"GEOAUDIT_{name.upper()}" for name in cli.RunConfig._fields]
 
 
 def test_audit_uses_bundled_data_by_default(small_campaign):
@@ -1171,8 +1230,14 @@ def test_each_command_imports_only_the_stages_it_runs(small_campaign):
                   {"classify", "measure", "report", "whois"}),
         "oro": (["oro", "--registrations", regs, "-o", str(tmp_path / "oro.csv")],
                 {"bgp", "classify", "geo", "measure", "targets", "vantage", "whois"}),
+        "plan": (["plan", "--registrations", regs, "--hitlist-v4", paths["hitlist_v4.csv"],
+                  "-o", str(tmp_path / "plans.jsonl")],
+                 {"bgp", "classify", "geo", "measure", "report", "vantage", "whois"}),
         "audit": (audit_argv(paths, str(tmp_path / "audit.jsonl"), extra=["--concurrency", "4"]),
                   {"report", "whois"}),
+        "report": (["report", "--audit", str(tmp_path / "audit.jsonl"), "--registrations", regs,
+                    "--out-dir", str(tmp_path / "report")],
+                   {"measure", "whois"}),
     }
     for name, (argv, unused) in commands.items():
         out = python_in_subprocess(RUN_AND_LIST_MODULES, *argv)
@@ -1181,6 +1246,9 @@ def test_each_command_imports_only_the_stages_it_runs(small_campaign):
         assert not {f"geoaudit.{stage}" for stage in unused} & set(modules), name
         assert "concurrent.futures" not in modules, name
         assert "http.client" not in modules, name  # only a live audit loads it
+        # records are NamedTuples: dataclasses, and the inspect it imports, would
+        # cost every command ~10 ms to import and more to build its classes
+        assert not {"dataclasses", "inspect"} & set(modules), name
 
 
 def test_live_audit_runs_on_the_standard_library(small_campaign):
@@ -1199,6 +1267,7 @@ def test_live_audit_runs_on_the_standard_library(small_campaign):
     assert len(server.peers) == 1
     assert server.methods.count("POST") == server.methods.count("GET") == len(camp.expected)
     assert "http.client" in modules and not {"requests", "urllib3"} & set(modules)
+    assert not {"dataclasses", "inspect"} & set(modules)
 
 
 def test_outputs_are_byte_identical_across_hash_seeds(small_campaign):

@@ -1,4 +1,3 @@
-import dataclasses
 import datetime
 import io
 import ipaddress
@@ -683,6 +682,15 @@ def jsonl(rows):
     return io.StringIO("".join(json.dumps(row) + "\n" for row in rows))
 
 
+def field_types(kind):
+    """Each field's annotated type as written; a NamedTuple holds it as a
+    ForwardRef, in the class that declares the fields."""
+    annotations = {}
+    for cls in reversed(kind.__mro__):
+        annotations.update(vars(cls).get("__annotations__", {}))
+    return {name: annotations[name].__forward_arg__ for name in kind._fields}
+
+
 @pytest.mark.parametrize("name", RECORDS)
 def test_random_records_round_trip_through_the_jsonl_codec(name):
     kind, make = RECORDS[name]
@@ -699,18 +707,18 @@ def test_every_field_refuses_the_json_types_it_does_not_take(name):
     kind, make = RECORDS[name]
     rng = random.Random(42)
     good = [make(rng).to_json() for _ in range(3)]
-    for field in dataclasses.fields(kind):
-        key = "class" if field.name == "cls" else field.name
-        probes = [(value, probe in ACCEPTS[field.type]) for probe, value in PROBES.items()]
-        probes += [([value], probe in ELEMENT_ACCEPTS[field.type])
-                   for probe, value in PROBES.items() if field.type in ELEMENT_ACCEPTS]
+    for name, type_text in field_types(kind).items():
+        key = "class" if name == "cls" else name
+        probes = [(value, probe in ACCEPTS[type_text]) for probe, value in PROBES.items()]
+        probes += [([value], probe in ELEMENT_ACCEPTS[type_text])
+                   for probe, value in PROBES.items() if type_text in ELEMENT_ACCEPTS]
         for value, accepted in probes:
             rows = good[:2] + [{**good[2], key: value}]
             if accepted:
                 loaded = load_jsonl(kind.from_json, jsonl(rows))[2]
-                if field.type.startswith("float") and value is not None:
-                    assert getattr(loaded, field.name) == float(value)
-                    assert type(getattr(loaded, field.name)) is float
+                if type_text.startswith("float") and value is not None:
+                    assert getattr(loaded, name) == float(value)
+                    assert type(getattr(loaded, name)) is float
                 continue
             with pytest.raises(GeoAuditError) as refused:
                 load_jsonl(kind.from_json, jsonl(rows))
@@ -721,15 +729,14 @@ def test_every_field_refuses_the_json_types_it_does_not_take(name):
 def test_a_missing_key_takes_the_default_or_is_refused(name):
     kind, make = RECORDS[name]
     row = make(random.Random(43)).to_json()
-    for field in dataclasses.fields(kind):
-        key = "class" if field.name == "cls" else field.name
+    for name in kind._fields:
+        key = "class" if name == "cls" else name
         rows = [row, {k: v for k, v in row.items() if k != key}]
-        if field.default is dataclasses.MISSING and field.default_factory is dataclasses.MISSING:
+        if name not in kind._field_defaults:
             with pytest.raises(GeoAuditError, match=f"^line 2: no '{key}'$"):
                 load_jsonl(kind.from_json, jsonl(rows))
         else:
-            default = field.default if field.default is not dataclasses.MISSING else field.default_factory()
-            assert getattr(load_jsonl(kind.from_json, jsonl(rows))[1], field.name) == default
+            assert getattr(load_jsonl(kind.from_json, jsonl(rows))[1], name) == kind._field_defaults[name]
 
 
 def test_a_refused_nested_value_names_its_path():

@@ -137,3 +137,12 @@ def test_only_registry_imports_ipaddress():
     importing = [path.name for path in sorted((ROOT / "src" / "geoaudit").glob("*.py"))
                  if "ipaddress" in _imported_modules(ast.parse(path.read_text(encoding="utf-8")))]
     assert importing == ["registry.py"]
+
+
+def test_no_module_imports_dataclasses():
+    """Records are NamedTuples and counters slotted classes: dataclasses, with
+    the inspect and ast it imports, would cost every command ~10 ms to load
+    and more to build its classes."""
+    importing = [path.name for path in sorted((ROOT / "src" / "geoaudit").glob("*.py"))
+                 if {"dataclasses", "inspect"} & _imported_modules(ast.parse(path.read_text(encoding="utf-8")))]
+    assert importing == []
