@@ -114,7 +114,15 @@ def write_records(records: Iterable[ConsistencyRecord], fp: IO[str]) -> int:
 
 
 def load_records(fp: IO[str]) -> list[ConsistencyRecord]:
-    return load_jsonl(ConsistencyRecord.from_json, fp)
+    return load_jsonl(_one_outcome, fp)
+
+
+def _one_outcome(obj) -> ConsistencyRecord:
+    """A record carrying both class and filter_reason, or neither, is refused."""
+    rec = ConsistencyRecord.from_json(obj)
+    if (rec.cls is None) is (rec.filter_reason is None):
+        raise GeoAuditError(f"carries {'neither class nor' if rec.cls is None else 'both class and'} filter_reason")
+    return rec
 
 
 def reconcile_targets(outcomes: Sequence[TargetOutcome]) -> tuple[ConsistencyClass | None, bool]:

@@ -71,6 +71,9 @@ class RunConfig(NamedTuple):
     tag: str = ""
 
 
+# flags that only build plans, refused with --plans; environment and file values are no flags
+_PLAN_BUILDING = ("registrations", "hitlist_v4", "hitlist_v6", "aliased_prefixes", "min_score",
+                  "sample_fraction_v4", "sample_fraction_v6")
 # setting -> (test of its value, the allowed range in words); resolve_config checks them
 _RANGES = {
     "propagation_factor": (lambda x: 0 < x <= 1, "in (0, 1]"),
@@ -106,7 +109,12 @@ def _output(path: str):
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """Each setting the subcommand has a flag for from its first source, the
-    others at their defaults; a value out of range names that source."""
+    others at their defaults; a value out of range names that source. With
+    --plans, a flag in _PLAN_BUILDING is refused, as it cannot take effect."""
+    if getattr(args, "plans", None):
+        given = [f"--{name.replace('_', '-')}" for name in _PLAN_BUILDING if getattr(args, name) is not None]
+        if given:
+            raise GeoAuditError(f"{', '.join(given)} cannot take effect with --plans")
     file_values: dict[str, str] = {}
     path = getattr(args, "config", None)
     if path:
@@ -366,6 +374,8 @@ def cmd_audit(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     from . import classify, report, targets
 
+    if args.same_region and not args.geodb:  # it qualifies geodb detection alone
+        raise GeoAuditError("--same-region cannot take effect without --geodb")
     # every input is read before the first table is replaced, so a bad path
     # leaves the previous report whole
     records = _read(args.audit, classify.load_records)
@@ -397,7 +407,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     if regs is not None:
         with out("oro.csv") as fp:
             write_oro_csv(oro_stats(regs, region_map), fp)
-        by_status, by_year = report.characteristics(records, {r.prefix: r for r in regs})
+        by_status, by_year = report.characteristics(records, targets.registrations_by_prefix(regs))
         with out("characteristics_status.csv") as sfp, out("characteristics_age.csv") as yfp:
             report.write_characteristics_csv(by_status, by_year, sfp, yfp)
 

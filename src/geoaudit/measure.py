@@ -17,11 +17,11 @@ decoder.
 
 The live client sends a path below the API root and a body of bytes through
 its Transport, and gets back the status and the body's bytes: LiveBackend
-encodes each request and reads each answer itself. It reads an answer as an
-input file is read: a value that is not the documented shape raises
-GeoAuditError where it is found, and any other exception while reading is a
-bug. Only what a failed exchange raises is retried or reported as the
-backend unavailable; any other exception from the transport is a bug too.
+encodes each request and reads each key of an answer through registry.field,
+as world.json is read. A value not of the documented shape raises
+GeoAuditError where it is found; any other exception while reading is a bug.
+Only what a failed exchange raises is retried or reported as the backend
+unavailable; any other exception from the transport is a bug too.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import BackendUnavailable, GeoAuditError, UnknownTarget
 from .geo import C_KM_PER_S, DEFAULT_PROPAGATION_FACTOR, haversine_km
-from .registry import (_JSON_NAMES, Addr, Prefix, _list, _number, _object, _text, json_lines,
+from .registry import (Addr, Prefix, _list, _number, _object, _text, field, json_lines,
                        parse_address, parse_as)
 from .vantage import VantagePoint
 
@@ -142,14 +142,12 @@ def load_results(fp: IO[str]) -> list[MeasurementResult]:
                 rtts, vantage_id, target = obj["rtts_ms"], obj["vantage_id"], obj["target"]
             except KeyError as exc:
                 raise GeoAuditError(f"no {exc}") from None
-            if type(rtts) is not list:
-                raise GeoAuditError(f"rtts_ms {rtts!r} is not a list")
-            if not _FLOAT.issuperset(map(type, rtts)):
-                rtts = [_rtt(x) for x in rtts]  # an int becomes a float, anything else raises
+            if type(rtts) is not list or not _FLOAT.issuperset(map(type, rtts)):
+                rtts = field(obj, "rtts_ms", _numbers)  # an int becomes a float, anything else raises
             if type(vantage_id) is not str:  # str() would read null as the vantage "None"
-                raise GeoAuditError(f"vantage_id {vantage_id!r} is not a string")
+                raise GeoAuditError(f"vantage_id: {vantage_id!r} is not a string")
             if type(target) is not str:
-                raise GeoAuditError(f"target {target!r} is not a string")
+                raise GeoAuditError(f"target: {target!r} is not a string")
             addr = addrs.get(target)
             if addr is None:
                 addr = addrs[target] = parse_address(target)
@@ -245,14 +243,7 @@ class SyntheticWorld:
 
     @classmethod
     def from_json(cls, obj: Mapping, seed: int = 0) -> "SyntheticWorld":
-        """As strict as the record codec: a target's point is a list of
-        exactly two JSON numbers, and a refusal names the key."""
-        def read(key: str, decode: Callable, value):
-            try:
-                return decode(value)
-            except GeoAuditError as exc:
-                raise GeoAuditError(f"{key}: {exc}") from None
-
+        """Each key read by registry.field; a point is a list of two JSON numbers."""
         def point(value) -> tuple[float, float]:
             if len(_list(value)) != 2:
                 raise GeoAuditError(f"{value!r} is not a [lat, lon] pair")
@@ -262,15 +253,13 @@ class SyntheticWorld:
                 raise GeoAuditError(f"{lat!r}, {lon!r} is not a point on the globe")
             return lat, lon
 
-        targets = read("targets", _object, _object(obj).get("targets", {}))
         return cls(
-            target_locations={parse_address(a): read(f"targets: {a}", point, p)
-                              for a, p in targets.items()},
-            unresponsive={parse_address(read("unresponsive", _text, a))
-                          for a in read("unresponsive", _list, obj.get("unresponsive", []))},
-            noise_ms=read("noise_ms", _number, obj.get("noise_ms", 0.0)),
-            propagation_factor=read("propagation_factor", _number,
-                                    obj.get("propagation_factor", DEFAULT_PROPAGATION_FACTOR)),
+            target_locations=field(obj, "targets", lambda targets: {
+                parse_address(a): field(targets, a, point) for a in _object(targets)}, {}),
+            unresponsive=field(obj, "unresponsive",
+                               lambda v: {parse_address(_text(a)) for a in _list(v)}, set()),
+            noise_ms=field(obj, "noise_ms", _number, 0.0),
+            propagation_factor=field(obj, "propagation_factor", _number, DEFAULT_PROPAGATION_FACTOR),
             seed=seed,
         )
 
@@ -466,7 +455,7 @@ class LiveBackend(Backend):
         payload = {"target": str(target), "probe_ids": probe_ids, "packets": SAMPLES_PER_PAIR}
         if self.tag:
             payload["tag"] = self.tag
-        return self._request("POST", "/measurements", lambda body: _get(body, "id", str),
+        return self._request("POST", "/measurements", lambda body: field(body, "id", _text),
                              json.dumps(payload).encode())
 
     def measure_targets(self, jobs: Iterable[Job]) -> Iterator[dict[str, list[float]]]:
@@ -508,26 +497,18 @@ class LiveBackend(Backend):
                 self.sleep(POLL_INTERVAL_S)
 
 
-# The live API's answers, read as docs/live-api.md lays them out: each
-# reader raises GeoAuditError at the first value that is not that shape.
+# The live API's answers, read through registry.field as docs/live-api.md
+# lays them out: each raises GeoAuditError at the first value not that shape.
 
-def _get(obj, key: str, kind: type | None = None):
-    """obj[key], obj a JSON object that has key, its value of type kind if given."""
-    if type(obj) is not dict:
-        raise GeoAuditError(f"{obj!r} is not an object")
-    try:
-        value = obj[key]
-    except KeyError:
-        raise GeoAuditError(f"no {key!r}") from None
-    if kind is not None and type(value) is not kind:  # str() would read null as "None"
-        raise GeoAuditError(f"{key} {value!r} is not {_JSON_NAMES[kind]}")
-    return value
+def _numbers(value) -> list[float]:
+    """A JSON list of numbers, each as a float."""
+    return [_number(x) for x in _list(value)]
 
 
 def _replies(body, vantages: Sequence[VantagePoint]) -> dict[str, list[float]] | None:
     """The replies in a results answer, or None while it is pending. Each
     row comes from a probe the measurement asked for, at most once."""
-    status = _get(body, "status")
+    status = field(body, "status", lambda v: v)
     if status == "pending":
         return None
     if status != "done":
@@ -535,20 +516,14 @@ def _replies(body, vantages: Sequence[VantagePoint]) -> dict[str, list[float]] |
     asked = {v.id for v in vantages}
     out = {}
     # a probe missing from results got no reply, as does one with "rtts_ms": []
-    for row in _get(body, "results", list) if "results" in body else ():
-        probe = _get(row, "probe_id", str)
+    for row in field(body, "results", _list, ()):
+        probe = field(row, "probe_id", _text)
         if probe not in asked:
             raise GeoAuditError(f"probe_id {probe!r} was not asked for")
         if probe in out:
             raise GeoAuditError(f"probe_id {probe!r} answers twice")
-        out[probe] = [_rtt(x) for x in _get(row, "rtts_ms", list)]
+        out[probe] = field(row, "rtts_ms", _numbers)
     return out
-
-
-def _rtt(x) -> float:
-    if type(x) not in (int, float):  # float() also reads "12" and true, as 12 and 1 ms
-        raise GeoAuditError(f"rtt {x!r} is not a number")
-    return _number(x)
 
 
 def _measure_pairs(backend, jobs: Iterable[Job]) -> Iterator[dict[str, list[float]]]:

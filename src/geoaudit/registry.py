@@ -1,5 +1,5 @@
 """Core registry domain types: RIRs, prefixes, registrations, the region map,
-the shared record codec, and out-of-region organization counts.
+the shared record codec and field, and out-of-region organization counts.
 
 An address is an Addr, (version, integer), and a prefix a Prefix,
 (version, network integer, length): small immutable tuples that sort, hash
@@ -296,14 +296,30 @@ def load_jsonl(from_json: Callable[[Mapping], T], fp: IO[str]) -> list[T]:
 
 # The record codec: @record derives a NamedTuple's to_json and from_json
 # from the annotated type of each field, so each type is spelled one way in
-# every JSONL file. from_json refuses a value of the wrong JSON type instead
-# of converting it; a missing key takes the field's default, and a field
-# without one is required. A record is a tuple, so it reaches JSON through
-# its to_json alone: json.dumps would write it as a list.
+# every JSONL file. from_json reads each key through field: a wrong JSON type
+# is refused, not converted, and a missing key takes the field's default or,
+# without one, is refused. A record reaches JSON through to_json alone:
+# json.dumps would write its tuple as a list.
 
 _KEYS = {"cls": "class"}  # fields whose JSON key is not their name
 _JSON_NAMES = {str: "a string", bool: "a boolean", int: "an integer", float: "a number",
                list: "a list", dict: "an object"}
+REQUIRED = object()  # field's default for a key that must be present
+
+
+def field(obj, key: str, decode: Callable[[Any], T], default: Any = REQUIRED) -> T:
+    """decode of obj[key], obj a JSON object. A missing key gives default, or is
+    refused as no 'key' if that is REQUIRED; decode's GeoAuditError gets 'key: '."""
+    if type(obj) is not dict:
+        raise GeoAuditError(f"{obj!r} is not an object")
+    if key not in obj:
+        if default is REQUIRED:
+            raise GeoAuditError(f"no {key!r}")
+        return default
+    try:
+        return decode(obj[key])
+    except GeoAuditError as exc:
+        raise GeoAuditError(f"{key}: {exc}") from None
 
 
 def _exactly(kind: type) -> Callable:
@@ -379,29 +395,18 @@ def _codec(hint) -> tuple[Callable | None, Callable]:
 
 
 def record(cls: type[T]) -> type[T]:
-    """Give a NamedTuple to_json and from_json, derived from its _fields,
-    their type hints and _field_defaults; a GeoAuditError from from_json
-    names the key it refused or missed."""
+    """Give a NamedTuple to_json and from_json, derived from its _fields, their
+    type hints and _field_defaults; from_json reads each key through field."""
     hints = typing.get_type_hints(cls)
-    fields = [(name, _KEYS.get(name, name), *_codec(hints[name]), name not in cls._field_defaults)
+    fields = [(_KEYS.get(name, name), *_codec(hints[name]), cls._field_defaults.get(name, REQUIRED))
               for name in cls._fields]
 
     def to_json(self) -> dict:
         return {key: value if encode is None else encode(value)
-                for value, (_, key, encode, _, _) in zip(self, fields)}
+                for value, (key, encode, _, _) in zip(self, fields)}
 
     def from_json(obj: Mapping) -> T:
-        _object(obj)
-        values = {}
-        for name, key, _, decode, required in fields:
-            if key in obj:
-                try:
-                    values[name] = decode(obj[key])
-                except GeoAuditError as exc:
-                    raise GeoAuditError(f"{key}: {exc}") from None
-            elif required:
-                raise GeoAuditError(f"no {key!r}")
-        return cls(**values)
+        return cls(*[field(obj, key, decode, default) for key, _, decode, default in fields])
 
     cls.to_json, cls.from_json = to_json, staticmethod(from_json)
     return cls
@@ -429,7 +434,7 @@ class Registration(NamedTuple):
 def duplicate_rank(reg: Registration) -> tuple:
     """Rank of a row among the rows of one prefix; the highest wins. It
     compares last_updated, then the registry name, org_id and the row's
-    sorted-key JSON without the flag targets.registration_index adds: a
+    sorted-key JSON without the flag targets.registrations_by_prefix adds: a
     total order on content, so the winner never depends on input order."""
     row = reg.to_json()
     row["flags"] = [flag for flag in reg.flags if flag != "cross_rir_duplicate"]

@@ -96,10 +96,10 @@ def load_plans(fp: IO[str]) -> list[TargetPlan]:
     return plans
 
 
-def registration_index(regs: Iterable[Registration]) -> PrefixIndex:
-    """Index registrations by prefix, both families. When two rows carry the
-    same prefix, the highest duplicate_rank wins, most recently updated
-    first; the survivor is flagged."""
+def registrations_by_prefix(regs: Iterable[Registration]) -> dict[Prefix, Registration]:
+    """One registration per prefix. When two rows carry the same prefix, the
+    highest duplicate_rank wins, most recently updated first; the survivor
+    is flagged. Planning and the report both join on this winner."""
     by_prefix: dict[Prefix, Registration] = {}
     for reg in regs:
         old = by_prefix.get(reg.prefix)
@@ -108,7 +108,7 @@ def registration_index(regs: Iterable[Registration]) -> PrefixIndex:
             continue
         winner = reg if duplicate_rank(reg) > duplicate_rank(old) else old
         by_prefix[reg.prefix] = winner.with_flag("cross_rir_duplicate")
-    return PrefixIndex(by_prefix.items())
+    return by_prefix
 
 
 def build_target_plans(
@@ -120,7 +120,7 @@ def build_target_plans(
 
     Scored entries below min_score are dropped; unscored (IPv6) entries
     always pass. At most TARGETS_PER_PREFIX lowest addresses per prefix."""
-    index = registration_index(regs)
+    index = PrefixIndex(registrations_by_prefix(regs).items())
     per_prefix: dict[Prefix, tuple[Registration, list[Addr]]] = {}
     for entry in entries:
         if entry.score is not None and entry.score < min_score:

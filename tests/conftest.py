@@ -158,12 +158,17 @@ def write_campaign(tmp_path, camp: Campaign) -> dict[str, str]:
     return out
 
 
-def audit_argv(paths: dict[str, str], out_path: str, extra: list[str] | None = None) -> list[str]:
+def audit_argv(paths: dict[str, str], out_path: str, extra: list[str] | None = None,
+               plans: str | None = None) -> list[str]:
+    """An audit of the campaign at paths; given plans, of that plans file in
+    place of the registrations and hitlists, which --plans refuses."""
+    inputs = ["--registrations", paths["registrations.jsonl"], "--hitlist-v4", paths["hitlist_v4.csv"]]
+    if "hitlist_v6.txt" in paths:
+        inputs += ["--hitlist-v6", paths["hitlist_v6.txt"]]
     argv = [
         "audit",
-        "--registrations", paths["registrations.jsonl"],
+        *(["--plans", plans] if plans else inputs),
         "--rib", paths["rib.txt"],
-        "--hitlist-v4", paths["hitlist_v4.csv"],
         "--vantages", paths["vantages.jsonl"],
         "--region-map", paths["region_map.csv"],
         "--country-points", paths["country_points.csv"],
@@ -172,8 +177,6 @@ def audit_argv(paths: dict[str, str], out_path: str, extra: list[str] | None = N
         "--seed", "7",
         "-o", out_path,
     ]
-    if "hitlist_v6.txt" in paths:
-        argv += ["--hitlist-v6", paths["hitlist_v6.txt"]]
     if extra:
         argv += extra
     return argv

@@ -76,17 +76,19 @@ def loaders(tmp_path_factory):
     for name in ("plans.jsonl", "capture.jsonl", "audit.jsonl"):
         paths[name] = str(tmp / name)
 
-    audit = audit_argv(paths, paths["audit.jsonl"], extra=[
+    audit_inputs = [
         "--config", paths["geoaudit.ini"], "--bad-probes", paths["bad_probes.txt"],
         "--default-coords", paths["default_coords.csv"],
-        "--anycast-prefixes", paths["anycast.txt"], "--nir-markers", paths["nir_markers.txt"]])
+        "--anycast-prefixes", paths["anycast.txt"], "--nir-markers", paths["nir_markers.txt"]]
+    audit = audit_argv(paths, paths["audit.jsonl"], extra=audit_inputs)
     commands = [
         ["ingest", "--arin", paths["arin.txt"], "--dialects", paths["dialects.ini"],
          "-o", str(tmp / "ingested.jsonl")],
         ["plan", "--registrations", paths["registrations.jsonl"],
          "--hitlist-v4", paths["hitlist_v4.csv"], "--hitlist-v6", paths["hitlist_v6.txt"],
          "--aliased-prefixes", paths["aliased.txt"], "-o", paths["plans.jsonl"]],
-        audit + ["--plans", paths["plans.jsonl"], "--capture-results", paths["capture.jsonl"]],
+        audit_argv(paths, paths["audit.jsonl"], plans=paths["plans.jsonl"],
+                   extra=audit_inputs + ["--capture-results", paths["capture.jsonl"]]),
         audit + ["--backend", "replay", "--results", paths["capture.jsonl"]],
         ["report", "--audit", paths["audit.jsonl"], "--registrations", paths["registrations.jsonl"],
          "--geodb", f"alpha={paths['geodb.csv']}", "--leased-prefixes", paths["leased.txt"],

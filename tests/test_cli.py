@@ -210,8 +210,8 @@ def test_audit_refuses_a_prefix_or_target_planned_twice(small_campaign, capsys):
         ([doubled] + lines[1:], f"target {target}"),
     ]
     captured, out = tmp_path / "captured.jsonl", tmp_path / "audit.jsonl"
-    argv = audit_argv(paths, str(out), extra=["--plans", str(plans_path),
-                                              "--capture-results", str(captured)])
+    argv = audit_argv(paths, str(out), plans=str(plans_path),
+                      extra=["--capture-results", str(captured)])
     for text, repeated in cases:
         plans_path.write_text("".join(text))
         capsys.readouterr()
@@ -584,6 +584,49 @@ def test_plan_needs_plans_or_registrations(tmp_path, capsys):
     assert not out.exists()
 
 
+PLAN_BUILDING_FLAGS = {"--registrations": "regs.jsonl", "--hitlist-v4": "hits.csv",
+                       "--hitlist-v6": "hits.txt", "--aliased-prefixes": "aliased.txt",
+                       "--min-score": "5", "--sample-fraction-v4": "0.5",
+                       "--sample-fraction-v6": "0.5"}
+
+
+@pytest.mark.parametrize("command", ["plan", "audit"])
+@pytest.mark.parametrize("flag", PLAN_BUILDING_FLAGS)
+def test_a_plan_building_flag_with_plans_is_refused(tmp_path, capsys, command, flag):
+    """--plans skips building plans, so a flag that only builds them is
+    refused before any input is read: no path given here exists."""
+    missing = str(tmp_path / "missing")
+    argv = [command, "--plans", missing, flag, PLAN_BUILDING_FLAGS[flag], "-o", str(tmp_path / "out")]
+    if command == "audit":
+        argv += ["--rib", missing, "--vantages", missing, "--config", missing]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == f"geoaudit: {flag} cannot take effect with --plans\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_plan_settings_from_the_environment_or_a_file_are_accepted_with_plans(
+        small_campaign, monkeypatch):
+    camp, paths, tmp_path = small_campaign
+    plans, out = tmp_path / "plans.jsonl", tmp_path / "audit.jsonl"
+    assert run(["plan", "--registrations", paths["registrations.jsonl"],
+                "--hitlist-v4", paths["hitlist_v4.csv"], "-o", str(plans)]) == 0
+    cfg = tmp_path / "geoaudit.ini"
+    cfg.write_text("[geoaudit]\nsample_fraction_v4 = 0.5\n")
+    monkeypatch.setenv("GEOAUDIT_MIN_SCORE", "5")
+    assert run(audit_argv(paths, str(out), plans=str(plans), extra=["--config", str(cfg)])) == 0
+    assert out.exists()
+
+
+def test_report_same_region_without_geodb_is_refused(tmp_path, capsys):
+    """--same-region qualifies geodb detection alone; without a --geodb it
+    is refused before the audit is read."""
+    out_dir = tmp_path / "report"
+    assert run(["report", "--audit", str(tmp_path / "missing.jsonl"), "--same-region",
+                "--out-dir", str(out_dir)]) == 2
+    assert capsys.readouterr().err == "geoaudit: --same-region cannot take effect without --geodb\n"
+    assert not out_dir.exists()
+
+
 def test_org_country_without_a_vantage_is_flagged(small_campaign):
     camp, paths, tmp_path = small_campaign
     bad = tmp_path / "bad_probes.txt"
@@ -839,6 +882,55 @@ def test_report_command_writes_tables(small_campaign):
         for row in csv.DictReader(fp):
             total = sum(float(row[c]) for c in ("FC", "OC", "OI", "RI", "FI"))
             assert total == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("change, refusal", [
+    ({"filter_reason": "anycast"}, "carries both class and filter_reason"),
+    ({"class": None}, "carries neither class nor filter_reason"),
+])
+def test_report_refuses_a_record_without_exactly_one_outcome(small_campaign, capsys, change, refusal):
+    """Every audit record carries a class or a filter reason, never both: a
+    record with both or neither would break the accounting identity, so it
+    is refused where audit.jsonl is read, naming the line."""
+    camp, paths, tmp_path = small_campaign
+    audit_out = tmp_path / "audit.jsonl"
+    assert run(audit_argv(paths, str(audit_out))) == 0
+    lines = audit_out.read_text().splitlines(keepends=True)
+    at = next(n for n, line in enumerate(lines) if json.loads(line)["class"] is not None)
+    lines[at] = json.dumps({**json.loads(lines[at]), **change}) + "\n"
+    audit_out.write_text("".join(lines))
+    out_dir = tmp_path / "report"
+    capsys.readouterr()
+    assert run(["report", "--audit", str(audit_out), "--region-map", paths["region_map.csv"],
+                "--out-dir", str(out_dir)]) == 2
+    assert capsys.readouterr().err == f"geoaudit: {audit_out}: line {at + 1}: {refusal}\n"
+    assert not out_dir.exists()
+
+
+def test_report_joins_the_registration_the_audit_classified(tmp_path):
+    """Two registries register one prefix: planning keeps the row with the
+    highest duplicate_rank, here the ARIN row updated later, and the
+    characteristics tables count that row, not the last one in the file."""
+    from geoaudit import targets
+    from geoaudit.registry import load_registrations, parse_address
+
+    regs_path = tmp_path / "registrations.jsonl"
+    regs_path.write_text(
+        '{"prefix": "192.0.2.0/24", "rir": "ARIN", "org_country": "US", "status": "allocated", '
+        '"last_updated": "2024-03-01"}\n'
+        '{"prefix": "192.0.2.0/24", "rir": "RIPE", "org_country": "NL", "status": "assigned", '
+        '"last_updated": "2010-03-01"}\n')
+    with open(regs_path) as fp:
+        regs = load_registrations(fp)
+    plans = targets.build_target_plans(regs, [targets.HitlistEntry(parse_address("192.0.2.1"))])
+    assert [plan.registration.rir.value for plan in plans] == ["ARIN"]
+    audit_out = tmp_path / "audit.jsonl"
+    audit_out.write_text('{"prefix": "192.0.2.0/24", "rir_reg": "ARIN", "class": "FC"}\n')
+    out_dir = tmp_path / "report"
+    assert run(["report", "--audit", str(audit_out), "--registrations", str(regs_path),
+                "--out-dir", str(out_dir)]) == 0
+    assert (out_dir / "characteristics_status.csv").read_text() == "class,status,count\nFC,allocated,1\n"
+    assert (out_dir / "characteristics_age.csv").read_text() == "class,year,count\nFC,2024,1\n"
 
 
 @pytest.mark.parametrize("bad_input", ["--geodb", "--geodb-without-path", "--geodb-without-name",

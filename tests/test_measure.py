@@ -32,7 +32,7 @@ from geoaudit.measure import (
     run_plan,
     write_results,
 )
-from geoaudit.registry import _object, load_jsonl, parse_address, parse_prefix
+from geoaudit.registry import _number, _object, load_jsonl, parse_address, parse_prefix
 from geoaudit.vantage import VantagePoint
 
 from conftest import LoopbackApi, WorldSession, seeded_pending, stub_answer
@@ -125,13 +125,16 @@ def oracle_from_json(obj, parse, name):
     except KeyError as exc:
         raise GeoAuditError(f"no {exc}") from None
     if type(rtts) is not list:
-        raise GeoAuditError(f"rtts_ms {rtts!r} is not a list")
+        raise GeoAuditError(f"rtts_ms: {rtts!r} is not a list")
     if not {float}.issuperset(map(type, rtts)):
-        rtts = [measure._rtt(x) for x in rtts]
+        try:
+            rtts = [_number(x) for x in rtts]
+        except GeoAuditError as exc:
+            raise GeoAuditError(f"rtts_ms: {exc}") from None
     if type(vantage_id) is not str:
-        raise GeoAuditError(f"vantage_id {vantage_id!r} is not a string")
+        raise GeoAuditError(f"vantage_id: {vantage_id!r} is not a string")
     if type(target) is not str:
-        raise GeoAuditError(f"target {target!r} is not a string")
+        raise GeoAuditError(f"target: {target!r} is not a string")
     return MeasurementResult(name(vantage_id), parse(target), tuple(rtts))
 
 
@@ -551,18 +554,18 @@ MALFORMED = {
     "rtt-not-a-number": ([(200, {"id": "m-1"}),
                           (200, {"status": "done",
                                  "results": [{"probe_id": "p-1", "rtts_ms": [1.0, "x"]}]})],
-                         f"{RESULTS} rtt 'x' is not a number"),
+                         f"{RESULTS} rtts_ms: 'x' is not a number"),
     "rtt-true": ([(200, {"id": "m-1"}),
                   (200, {"status": "done", "results": [{"probe_id": "p-1", "rtts_ms": [True]}]})],
-                 f"{RESULTS} rtt True is not a number"),
+                 f"{RESULTS} rtts_ms: True is not a number"),
     "status-failed": ([(200, {"id": "m-1"}), (200, {"status": "failed"})],
                       f"{RESULTS} status 'failed'"),
     "probe-id-null": ([(200, {"id": "m-1"}),
                        (200, {"status": "done", "results": [{"probe_id": None, "rtts_ms": []}]})],
-                      f"{RESULTS} probe_id None is not a string"),
+                      f"{RESULTS} probe_id: None is not a string"),
     "probe-id-number": ([(200, {"id": "m-1"}),
                          (200, {"status": "done", "results": [{"probe_id": 5, "rtts_ms": []}]})],
-                        f"{RESULTS} probe_id 5 is not a string"),
+                        f"{RESULTS} probe_id: 5 is not a string"),
     "probe-not-asked-for": ([(200, {"id": "m-1"}),
                              (200, {"status": "done",
                                     "results": [{"probe_id": "p-2", "rtts_ms": [1.0]}]})],
@@ -572,19 +575,19 @@ MALFORMED = {
     "post-list-body": ([(200, ["m-1"])],
                        "POST /measurements answered a malformed body: ['m-1'] is not an object"),
     "post-id-null": ([(200, {"id": None})],
-                     "POST /measurements answered a malformed body: id None is not a string"),
+                     "POST /measurements answered a malformed body: id: None is not a string"),
     "post-id-number": ([(200, {"id": 7})],
-                       "POST /measurements answered a malformed body: id 7 is not a string"),
+                       "POST /measurements answered a malformed body: id: 7 is not a string"),
     "results-not-a-list": ([(200, {"id": "m-1"}), (200, {"status": "done", "results": {}})],
-                           f"{RESULTS} results {{}} is not a list"),
+                           f"{RESULTS} results: {{}} is not a list"),
     "row-not-an-object": ([(200, {"id": "m-1"}), (200, {"status": "done", "results": ["p-1"]})],
                           f"{RESULTS} 'p-1' is not an object"),
     "rtts-not-a-list": ([(200, {"id": "m-1"}),
                          (200, {"status": "done", "results": [{"probe_id": "p-1", "rtts_ms": 1.0}]})],
-                        f"{RESULTS} rtts_ms 1.0 is not a list"),
+                        f"{RESULTS} rtts_ms: 1.0 is not a list"),
     "rtts-null": ([(200, {"id": "m-1"}),
                    (200, {"status": "done", "results": [{"probe_id": "p-1", "rtts_ms": None}]})],
-                  f"{RESULTS} rtts_ms None is not a list"),
+                  f"{RESULTS} rtts_ms: None is not a list"),
     "probe-twice": ([(200, {"id": "m-1"}),
                      (200, {"status": "done", "results": [{"probe_id": "p-1", "rtts_ms": [1.0]},
                                                           {"probe_id": "p-1", "rtts_ms": [2.0]}]})],
@@ -600,6 +603,49 @@ def test_live_backend_fails_on_a_malformed_answer(script, message):
         backend.measure(vp("p-1"), parse_address("192.0.2.1"))
     assert str(exc.value) == message
     assert sleeps == [] and not session.script  # at the first answer, without a retry
+
+
+def read_live_row(row):
+    """The replies of a results answer whose one row is row, as the live
+    client reads them; a malformed row raises GeoAuditError with the
+    refusal the client reports."""
+    session = StubSession([(200, {"id": "m-1"}), (200, {"status": "done", "results": [row]})])
+    backend, _ = make_backend(session)
+    try:
+        return backend.measure(vp("p-1"), parse_address("192.0.2.1"))
+    except BackendUnavailable as exc:
+        raise GeoAuditError(str(exc).removeprefix(f"{RESULTS} ")) from None
+
+
+# reader, a valid object, its required key (world.json has none), and a key
+# with a value of the wrong JSON type and the type that key takes
+READERS = {
+    "record": (VantagePoint.from_json, {"id": "v-1", "country": "US", "lat": 1.0, "lon": 2.0},
+               "lat", ("lon", "12", "a number")),
+    "world.json": (SyntheticWorld.from_json, {"noise_ms": 1.0}, None, ("noise_ms", "12", "a number")),
+    "live answer": (read_live_row, {"probe_id": "p-1", "rtts_ms": [1.0]}, "probe_id",
+                    ("probe_id", 5, "a string")),
+}
+
+
+@pytest.mark.parametrize("read, valid, required, wrong", READERS.values(), ids=READERS)
+def test_every_json_reader_refuses_in_one_format(read, valid, required, wrong):
+    """A record, world.json and a live answer are read through one field
+    reader, so the same fault is refused in the same words by each."""
+    read(valid)
+    key, value, kind = wrong
+    with pytest.raises(GeoAuditError) as exc:
+        read({**valid, key: value})
+    assert str(exc.value) == f"{key}: {value!r} is not {kind}"
+    with pytest.raises(GeoAuditError) as exc:
+        read([valid])
+    assert str(exc.value) == f"{[valid]!r} is not an object"
+    if required is None:
+        assert read({}).noise_ms == 0.0  # every world.json key has a default
+    else:
+        with pytest.raises(GeoAuditError) as exc:
+            read({k: v for k, v in valid.items() if k != required})
+        assert str(exc.value) == f"no {required!r}"
 
 
 @pytest.mark.parametrize("bug", [KeyError, TypeError, ValueError])

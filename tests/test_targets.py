@@ -15,7 +15,7 @@ from geoaudit.targets import (
     load_hitlist_v6,
     load_plans,
     load_prefix_list,
-    registration_index,
+    registrations_by_prefix,
     sample_plans,
     write_plans,
 )
@@ -54,22 +54,20 @@ def test_exclude_aliased():
     assert [str(e.addr) for e in kept] == ["10.1.0.1", "2001:db9::1"]
 
 
-def test_registration_index_cross_registry_collision():
+def test_registrations_by_prefix_cross_registry_collision():
     a = reg("192.0.2.0/24", Rir.ARIN, last_updated=datetime.date(2020, 1, 1))
     b = reg("192.0.2.0/24", Rir.RIPE, last_updated=datetime.date(2021, 1, 1))
-    index = registration_index([a, b])
-    winner = index.exact(parse_prefix("192.0.2.0/24"))
+    winner = registrations_by_prefix([a, b])[parse_prefix("192.0.2.0/24")]
     assert winner.rir is Rir.RIPE
     assert "cross_rir_duplicate" in winner.flags
 
     # same date: the lexicographically larger registry name survives
     c = reg("198.51.100.0/24", Rir.ARIN, last_updated=datetime.date(2020, 1, 1))
     d = reg("198.51.100.0/24", Rir.APNIC, last_updated=datetime.date(2020, 1, 1))
-    index = registration_index([c, d])
-    assert index.exact(parse_prefix("198.51.100.0/24")).rir is Rir.ARIN
+    assert registrations_by_prefix([c, d])[parse_prefix("198.51.100.0/24")].rir is Rir.ARIN
 
 
-def test_registration_index_full_tie_is_order_free():
+def test_registrations_by_prefix_full_tie_is_order_free():
     # same prefix, registry and date: content decides, in every input order
     day = datetime.date(2020, 1, 1)
     rows = [
@@ -80,8 +78,7 @@ def test_registration_index_full_tie_is_order_free():
     ]
     winners = set()
     for order in itertools.permutations(rows):
-        index = registration_index(order)
-        winners.add(index.exact(parse_prefix("203.0.113.0/24")))
+        winners.add(registrations_by_prefix(order)[parse_prefix("203.0.113.0/24")])
     assert len(winners) == 1
     (winner,) = winners
     # ORG-B beats ORG-A; between the two ORG-B rows the sorted-key JSON
