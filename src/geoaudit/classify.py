@@ -172,12 +172,9 @@ def audit_prefix(
         any_response = any_response or responded
         outcomes.append(TargetOutcome(target=target, responded=responded))
 
-    rir_org = None
-    if reg.org_country is not None:
-        if reg.org_country in config.region_map:
-            rir_org = config.region_map.rir_of(reg.org_country)
-        else:
-            flags.append("org_country_unmapped")
+    rir_org = config.region_map.get(reg.org_country)
+    if rir_org is None and reg.org_country is not None:
+        flags.append("org_country_unmapped")
 
     def record(targets: Sequence[TargetOutcome] = outcomes, **kwargs) -> ConsistencyRecord:
         return ConsistencyRecord(

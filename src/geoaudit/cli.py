@@ -71,9 +71,11 @@ class RunConfig(NamedTuple):
     tag: str = ""
 
 
-# flags that only build plans, refused with --plans; environment and file values are no flags
+# flags that only build plans, refused with --plans, and flags that only the
+# live backend reads, refused with another; environment and file values are no flags
 _PLAN_BUILDING = ("registrations", "hitlist_v4", "hitlist_v6", "aliased_prefixes", "min_score",
                   "sample_fraction_v4", "sample_fraction_v6")
+_LIVE_ONLY = ("base_url", "api_key", "tag")
 # setting -> (test of its value, the allowed range in words); resolve_config checks them
 _RANGES = {
     "propagation_factor": (lambda x: 0 < x <= 1, "in (0, 1]"),
@@ -107,14 +109,21 @@ def _output(path: str):
             os.remove(tmp)
 
 
+def _refuse_flags(args: argparse.Namespace, names, reason: str) -> None:
+    given = [f"--{name.replace('_', '-')}" for name in names if getattr(args, name) is not None]
+    if given:
+        raise GeoAuditError(f"{', '.join(given)} cannot take effect {reason}")
+
+
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """Each setting the subcommand has a flag for from its first source, the
-    others at their defaults; a value out of range names that source. With
-    --plans, a flag in _PLAN_BUILDING is refused, as it cannot take effect."""
+    others at their defaults; a value out of range names that source. A flag
+    that cannot take effect is refused: one in _PLAN_BUILDING with --plans,
+    one in _LIVE_ONLY with a backend other than live."""
     if getattr(args, "plans", None):
-        given = [f"--{name.replace('_', '-')}" for name in _PLAN_BUILDING if getattr(args, name) is not None]
-        if given:
-            raise GeoAuditError(f"{', '.join(given)} cannot take effect with --plans")
+        _refuse_flags(args, _PLAN_BUILDING, "with --plans")
+    if getattr(args, "backend", "live") != "live":
+        _refuse_flags(args, _LIVE_ONLY, f"with --backend {args.backend}")
     file_values: dict[str, str] = {}
     path = getattr(args, "config", None)
     if path:

@@ -11,6 +11,10 @@ point, about 244 minima). A country is inside the disk exactly when that
 distance is <= the radius, so a bisection gives the same set as a scan of
 every point. An audit builds one table per distinct lowest-RTT vantage and
 memoises its sets and registries per (cut, vantage country, region map).
+
+Inputs are checked where they enter, not here: a point by registry.point,
+an RTT by measure.target_results, the propagation factor by
+cli.resolve_config. So no distance or radius is NaN or negative.
 """
 
 from __future__ import annotations
@@ -39,10 +43,6 @@ def rtt_to_radius_km(rtt_ms: float, propagation_factor: float = DEFAULT_PROPAGAT
     """Upper bound on vantage-target distance for a round-trip time.
 
     One-way time is rtt/2; signals cover at most factor * c in that time."""
-    if rtt_ms < 0:
-        raise GeoAuditError(f"rtt {rtt_ms} ms")
-    if not 0 < propagation_factor <= 1:
-        raise ValueError(f"propagation factor {propagation_factor} outside (0, 1]")
     return (rtt_ms / 1000.0) / 2.0 * propagation_factor * C_KM_PER_S
 
 
@@ -77,16 +77,13 @@ class _NearestCountries:
             (min(haversine_km(lat, lon, plat, plon) for plat, plon in pts), cc)
             for cc, pts in points.items() if pts
         )
-        # a NaN distance is never <= a radius, and would break the ordering
-        ranked = [(d, cc) for d, cc in ranked if not math.isnan(d)]
         self.dists = [d for d, _ in ranked]
         self.countries = [cc for _, cc in ranked]
         self._regions: dict[tuple, tuple[frozenset[str], frozenset[Rir]]] = {}
 
     def cut(self, radius_km: float) -> int:
-        """How many countries have their nearest point within radius_km
-        (none for a NaN radius, as for the <= of a scan)."""
-        return bisect_right(self.dists, radius_km) if radius_km >= 0 else 0
+        """How many countries have their nearest point within radius_km."""
+        return bisect_right(self.dists, radius_km)
 
     def region(self, cut: int, vantage_country: str | None,
                region_map: RegionMap) -> tuple[frozenset[str], frozenset[Rir]]:
@@ -128,10 +125,7 @@ def min_rtt(results: Iterable) -> tuple[str, float]:
     for res in results:
         if not res.rtts_ms:
             continue
-        low = min(res.rtts_ms)
-        if low < 0:
-            raise GeoAuditError(f"rtt {low} ms from {res.vantage_id}")
-        cand = (low, res.vantage_id)
+        cand = (min(res.rtts_ms), res.vantage_id)
         if best is None or cand < best:
             best = cand
     if best is None:
@@ -141,7 +135,7 @@ def min_rtt(results: Iterable) -> tuple[str, float]:
 
 def feasible_rirs(countries: Iterable[str], region_map: RegionMap) -> frozenset[Rir]:
     """Map feasible countries onto registries, skipping unmapped codes."""
-    return frozenset(region_map.rir_of(cc) for cc in countries if cc in region_map)
+    return frozenset(map(region_map.get, countries)) - {None}
 
 
 class FeasibleRegion(NamedTuple):

@@ -38,7 +38,7 @@ from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence
 from .errors import BackendUnavailable, GeoAuditError, UnknownTarget
 from .geo import C_KM_PER_S, DEFAULT_PROPAGATION_FACTOR, haversine_km
 from .registry import (Addr, Prefix, _list, _number, _object, _text, field, json_lines,
-                       parse_address, parse_as)
+                       parse_address, parse_as, point, refuse_repeats)
 from .vantage import VantagePoint
 
 SAMPLES_PER_PAIR = 3
@@ -150,7 +150,7 @@ def load_results(fp: IO[str]) -> list[MeasurementResult]:
                 raise GeoAuditError(f"target: {target!r} is not a string")
             addr = addrs.get(target)
             if addr is None:
-                addr = addrs[target] = parse_address(target)
+                addr = addrs[target] = field(obj, "target", parse_address)
         except GeoAuditError as exc:
             raise GeoAuditError(f"line {n}: {exc}") from None
         append(MeasurementResult(names.setdefault(vantage_id, vantage_id), addr, tuple(rtts)))
@@ -243,19 +243,20 @@ class SyntheticWorld:
 
     @classmethod
     def from_json(cls, obj: Mapping, seed: int = 0) -> "SyntheticWorld":
-        """Each key read by registry.field; a point is a list of two JSON numbers."""
-        def point(value) -> tuple[float, float]:
+        """Each key read by registry.field; a location is a list of two JSON
+        numbers, a registry.point. Two spellings of one target are refused."""
+        def location(value) -> tuple[float, float]:
             if len(_list(value)) != 2:
                 raise GeoAuditError(f"{value!r} is not a [lat, lon] pair")
-            lat, lon = _number(value[0]), _number(value[1])
-            # the rule of a vantage and a country point; not (x <= y) also holds for NaN
-            if not (-90 <= lat <= 90 and -180 <= lon <= 180):
-                raise GeoAuditError(f"{lat!r}, {lon!r} is not a point on the globe")
-            return lat, lon
+            return point(_number(value[0]), _number(value[1]))
+
+        def locations(targets) -> dict[Addr, tuple[float, float]]:
+            addrs = [parse_address(a) for a in _object(targets)]
+            refuse_repeats(addrs, "address")
+            return {addr: field(targets, a, location) for addr, a in zip(addrs, targets)}
 
         return cls(
-            target_locations=field(obj, "targets", lambda targets: {
-                parse_address(a): field(targets, a, point) for a in _object(targets)}, {}),
+            target_locations=field(obj, "targets", locations, {}),
             unresponsive=field(obj, "unresponsive",
                                lambda v: {parse_address(_text(a)) for a in _list(v)}, set()),
             noise_ms=field(obj, "noise_ms", _number, 0.0),

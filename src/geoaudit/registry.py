@@ -1,5 +1,6 @@
 """Core registry domain types: RIRs, prefixes, registrations, the region map,
-the shared record codec and field, and out-of-region organization counts.
+the shared record codec and field, the one check of a point on the globe,
+and out-of-region organization counts.
 
 An address is an Addr, (version, integer), and a prefix a Prefix,
 (version, network integer, length): small immutable tuples that sort, hash
@@ -493,14 +494,20 @@ def read_csv(lines: Iterable[str], header: Sequence[str], parse_row: Callable[[d
     return out
 
 
+def point(lat: float, lon: float) -> tuple[float, float]:
+    """(lat, lon) if it is a point on the globe, else GeoAuditError naming
+    the key out of range; not (x <= y) also holds for NaN."""
+    if not -90 <= lat <= 90:
+        raise GeoAuditError(f"lat: {lat!r} is not in [-90, 90]")
+    if not -180 <= lon <= 180:
+        raise GeoAuditError(f"lon: {lon!r} is not in [-180, 180]")
+    return lat, lon
+
+
 def country_point(row: Mapping[str, str]) -> tuple[str, float, float]:
-    """A row of a country,lat,lon CSV: the country code, upper case, and a
-    point on the globe; NaN is refused with the rest."""
-    cc = row["country"].strip().upper()
-    lat, lon = parse_as(float, row["lat"]), parse_as(float, row["lon"])
-    if not (-90 <= lat <= 90 and -180 <= lon <= 180):
-        raise GeoAuditError(f"point out of range for {cc}: {lat},{lon}")
-    return cc, lat, lon
+    """A row of a country,lat,lon CSV: the country code, upper case, and a point."""
+    lat, lon = point(parse_as(float, row["lat"]), parse_as(float, row["lon"]))
+    return row["country"].strip().upper(), lat, lon
 
 
 def read_ini(fp: IO[str]):
@@ -546,17 +553,12 @@ class RegionMap:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def __contains__(self, country: str) -> bool:
-        return country in self._entries
-
     def __iter__(self):
         return iter(self._entries)
 
-    def rir_of(self, country: str) -> Rir:
-        try:
-            return self._entries[country]
-        except KeyError:
-            raise GeoAuditError(f"country {country!r} not in region map") from None
+    def get(self, country: str | None) -> Rir | None:
+        """The registry of country, or None for a country the map lacks."""
+        return self._entries.get(country)
 
     def counts(self) -> dict[Rir, int]:
         counts = dict.fromkeys(Rir, 0)
@@ -567,14 +569,10 @@ class RegionMap:
 
 def load_region_map(fp: IO[str]) -> RegionMap:
     """Load a region map from CSV with a country,rir header."""
-    entries: dict[str, Rir] = {}
     rows = read_csv(fp, ["country", "rir"], lambda row: (
         row["country"].strip().upper(), parse_as(Rir, row["rir"].strip().upper())), comments=True)
-    for cc, rir in rows:
-        if cc in entries:
-            raise GeoAuditError(f"duplicate country {cc} in region map")
-        entries[cc] = rir
-    return RegionMap(entries)
+    refuse_repeats((cc for cc, _ in rows), "country")
+    return RegionMap(dict(rows))
 
 
 def check_official_counts(region_map: RegionMap) -> None:
@@ -650,10 +648,10 @@ def oro_stats(
             row = rows[key] = OroStats(reg.rir, reg.prefix.version)
         row.prefixes += 1
         all_prefixes.setdefault(key, []).append(reg.prefix)
-        if reg.org_country is None or reg.org_country not in region_map:
+        rir_org = region_map.get(reg.org_country)
+        if rir_org is None:
             row.unknown_org += 1
-            continue
-        if region_map.rir_of(reg.org_country) != reg.rir:
+        elif rir_org != reg.rir:
             row.oro_prefixes += 1
             oro_prefixes.setdefault(key, []).append(reg.prefix)
     ordered = {}

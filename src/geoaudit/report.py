@@ -119,14 +119,10 @@ def geodb_detection(
             stats = out[name][rec.rir_reg]
             stats.eligible += 1
             hit = index.longest_match(probe_addr)
-            if hit is None:
+            provider_rir = None if hit is None else region_map.get(hit[1])
+            if provider_rir is None:
                 stats.no_coverage += 1
                 continue
-            _, country = hit
-            if country not in region_map:
-                stats.no_coverage += 1
-                continue
-            provider_rir = region_map.rir_of(country)
             detected = provider_rir != rec.rir_reg
             if require_geo_agreement:
                 detected = detected and provider_rir in rec.rir_geo
@@ -179,8 +175,8 @@ def sankey_edges(
             continue
         dest: Rir | None = None
         for outcome in rec.targets:
-            if outcome.cls is not None and outcome.vantage_country in region_map:
-                dest = region_map.rir_of(outcome.vantage_country)
+            dest = None if outcome.cls is None else region_map.get(outcome.vantage_country)
+            if dest is not None:
                 break
         if dest is None:
             continue

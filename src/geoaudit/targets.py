@@ -143,8 +143,6 @@ def sample_plans(plans: Iterable[TargetPlan], fraction: float, seed: int) -> lis
     """Deterministic subsample: sorts by prefix, keeps round(n * fraction).
 
     Sorting first makes the choice independent of input order."""
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError(f"fraction {fraction} outside [0, 1]")
     ordered = sorted(plans, key=attrgetter("prefix"))
     k = round(len(ordered) * fraction)
     picked = random.Random(seed).sample(ordered, k)

@@ -19,6 +19,7 @@ from .registry import (
     Rir,
     country_point,
     load_jsonl,
+    point,
     read_csv,
     read_tokens,
     record,
@@ -42,18 +43,14 @@ class _VantageFields(NamedTuple):
 
 @record
 class VantagePoint(_VantageFields):
-    """A vantage whose fields are checked on every construction: _make and
-    _replace come here too."""
+    """A vantage whose fields are checked on every construction, its point by
+    registry.point: _make and _replace come here too."""
 
     __slots__ = ()
 
     def __new__(cls, id: str, country: str, lat: float, lon: float, kind: str = "probe",
                 asn: int | None = None, connected: bool = True):
-        # as geo.load_country_points refuses a point; not (x <= y) also holds for NaN
-        if not -90 <= lat <= 90:
-            raise GeoAuditError(f"lat: {lat!r} is not in [-90, 90]")
-        if not -180 <= lon <= 180:
-            raise GeoAuditError(f"lon: {lon!r} is not in [-180, 180]")
+        point(lat, lon)
         try:
             id.encode()  # the simulator hashes the id as UTF-8
         except UnicodeEncodeError:
@@ -160,10 +157,11 @@ def select_stable_sets(vantages: Iterable[VantagePoint], region_map: RegionMap) 
     by_rir: dict[Rir, list[VantagePoint]] = {rir: [] for rir in Rir}
     for cc in sorted(by_country):
         vset.per_country[cc] = _stable_subset(by_country[cc])
-        if cc in region_map:
-            by_rir[region_map.rir_of(cc)].extend(by_country[cc])
-        else:
+        rir = region_map.get(cc)
+        if rir is None:
             vset.unmapped_country += len(by_country[cc])
+        else:
+            by_rir[rir].extend(by_country[cc])
     for rir in Rir:
         vset.per_rir[rir] = _stable_subset(by_rir[rir])
     return vset

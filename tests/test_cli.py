@@ -356,23 +356,27 @@ def test_audit_counts_unmapped_country_vantages(small_campaign, capsys):
     assert unmapped.read_bytes() == mapped.read_bytes()
 
 
-@pytest.mark.parametrize("bad", ["NaN", "Infinity"])
-def test_replay_of_a_sample_not_finite_exits_2(small_campaign, capsys, bad):
+@pytest.mark.parametrize("bad", ["-1.0", "NaN", "Infinity"])
+def test_replay_of_a_bad_rtt_exits_2_writing_nothing(small_campaign, capsys, bad):
+    """measure.target_results checks every RTT, from every backend: a
+    replayed sample that is negative or not finite exits 2 naming the pair,
+    before the audit or a capture is written."""
     camp, paths, tmp_path = small_campaign
-    captured = tmp_path / "results.jsonl"
+    results = tmp_path / "results.jsonl"
     assert run(audit_argv(paths, str(tmp_path / "sim.jsonl"),
-                          extra=["--capture-results", str(captured)])) == 0
-    rows = [json.loads(line) for line in captured.read_text().splitlines()]
+                          extra=["--capture-results", str(results)])) == 0
+    rows = [json.loads(line) for line in results.read_text().splitlines()]
     row = next(row for row in rows if row["rtts_ms"])
     row["rtts_ms"][-1] = float(bad)  # one sample is enough
-    captured.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in rows))
-    assert bad in captured.read_text()
-    out = tmp_path / "replay.jsonl"
+    results.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in rows))
+    assert bad in results.read_text()
+    out, captured = tmp_path / "audit.jsonl", tmp_path / "captured.jsonl"
     capsys.readouterr()
-    assert run(audit_argv(paths, str(out),
-                          extra=["--backend", "replay", "--results", str(captured)])) == 2
-    assert f"{row['vantage_id']} -> {row['target']}: " in capsys.readouterr().err
-    assert not out.exists()
+    assert run(audit_argv(paths, str(out), extra=["--backend", "replay", "--results", str(results),
+                                                  "--capture-results", str(captured)])) == 2
+    assert (capsys.readouterr().err
+            == f"geoaudit: {row['vantage_id']} -> {row['target']}: {float(bad)} ms\n")
+    assert not out.exists() and not captured.exists()
 
 
 @pytest.mark.parametrize("name, value", [("propagation_factor", 0), ("propagation_factor", -0.5),
@@ -406,6 +410,23 @@ def test_malformed_world_exits_2_naming_the_key(small_campaign, capsys, doc, mes
     capsys.readouterr()
     assert run(audit_argv(paths, str(out))) == 2
     assert capsys.readouterr().err == f"geoaudit: {paths['world.json']}: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("spellings", [("2001:db8::1", "2001:DB8::1"), ("192.0.2.1", " 192.0.2.1")],
+                         ids=["v6-case", "v4-space"])
+def test_a_world_target_listed_twice_exits_2(small_campaign, capsys, spellings):
+    """Two spellings of one target in world.json are refused, as a pair
+    archived twice is: neither location is kept over the other."""
+    camp, paths, tmp_path = small_campaign
+    world = json.loads(Path(paths["world.json"]).read_text())
+    world["targets"].update({spellings[0]: [1.0, 2.0], spellings[1]: [50.0, 60.0]})
+    Path(paths["world.json"]).write_text(json.dumps(world))
+    out = tmp_path / "audit.jsonl"
+    capsys.readouterr()
+    assert run(audit_argv(paths, str(out))) == 2
+    assert (capsys.readouterr().err
+            == f"geoaudit: {paths['world.json']}: targets: address {spellings[0]} appears twice\n")
     assert not out.exists()
 
 
@@ -529,10 +550,10 @@ def test_a_live_rtt_too_large_for_a_float_exits_3(small_campaign, capsys, monkey
 @pytest.mark.parametrize("key, value, refusal", [
     ("noise_ms", HUGE, "noise_ms: an integer of 401 digits is too large for a number"),
     ("target", [0, HUGE], "an integer of 401 digits is too large for a number"),
-    ("target", [95.0, 400.0], "95.0, 400.0 is not a point on the globe"),
-    ("target", [0.0, -180.5], "0.0, -180.5 is not a point on the globe"),
-    ("target", [math.nan, 0.0], "nan, 0.0 is not a point on the globe"),
-    ("target", [0.0, math.inf], "0.0, inf is not a point on the globe"),
+    ("target", [95.0, 400.0], "lat: 95.0 is not in [-90, 90]"),
+    ("target", [0.0, -180.5], "lon: -180.5 is not in [-180, 180]"),
+    ("target", [math.nan, 0.0], "lat: nan is not in [-90, 90]"),
+    ("target", [0.0, math.inf], "lon: inf is not in [-180, 180]"),
 ], ids=["noise-huge", "point-huge", "off-95-400", "off-lon", "nan", "inf"])
 def test_a_bad_world_value_exits_2_naming_it(small_campaign, capsys, key, value, refusal):
     """A world value that is no float, or a target off the globe, is refused
@@ -614,6 +635,36 @@ def test_plan_settings_from_the_environment_or_a_file_are_accepted_with_plans(
     cfg.write_text("[geoaudit]\nsample_fraction_v4 = 0.5\n")
     monkeypatch.setenv("GEOAUDIT_MIN_SCORE", "5")
     assert run(audit_argv(paths, str(out), plans=str(plans), extra=["--config", str(cfg)])) == 0
+    assert out.exists()
+
+
+LIVE_ONLY_FLAGS = {"--base-url": "http://127.0.0.1:9", "--api-key": "k", "--tag": "t"}
+
+
+@pytest.mark.parametrize("backend", ["replay", "simulate"])
+@pytest.mark.parametrize("flag", LIVE_ONLY_FLAGS)
+def test_a_live_flag_with_another_backend_is_refused(tmp_path, capsys, backend, flag):
+    """Only the live backend reads --base-url, --api-key and --tag, so with
+    another backend each is refused before any input is read: no path given
+    here exists."""
+    missing = str(tmp_path / "missing")
+    argv = ["audit", "--plans", missing, "--rib", missing, "--vantages", missing,
+            "--config", missing, "--backend", backend, flag, LIVE_ONLY_FLAGS[flag],
+            "-o", str(tmp_path / "out")]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == f"geoaudit: {flag} cannot take effect with --backend {backend}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_live_settings_from_the_environment_or_a_file_are_accepted_with_another_backend(
+        small_campaign, monkeypatch):
+    """The refusal is of flags alone; --concurrency is accepted on every backend."""
+    camp, paths, tmp_path = small_campaign
+    cfg = tmp_path / "geoaudit.ini"
+    cfg.write_text("[geoaudit]\nbase_url = http://127.0.0.1:9\ntag = t\n")
+    monkeypatch.setenv("GEOAUDIT_API_KEY", "k")
+    out = tmp_path / "audit.jsonl"
+    assert run(audit_argv(paths, str(out), extra=["--config", str(cfg), "--concurrency", "4"])) == 0
     assert out.exists()
 
 

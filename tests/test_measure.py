@@ -32,7 +32,7 @@ from geoaudit.measure import (
     run_plan,
     write_results,
 )
-from geoaudit.registry import _number, _object, load_jsonl, parse_address, parse_prefix
+from geoaudit.registry import _number, _object, field, load_jsonl, parse_address, parse_prefix
 from geoaudit.vantage import VantagePoint
 
 from conftest import LoopbackApi, WorldSession, seeded_pending, stub_answer
@@ -135,7 +135,7 @@ def oracle_from_json(obj, parse, name):
         raise GeoAuditError(f"vantage_id: {vantage_id!r} is not a string")
     if type(target) is not str:
         raise GeoAuditError(f"target: {target!r} is not a string")
-    return MeasurementResult(name(vantage_id), parse(target), tuple(rtts))
+    return MeasurementResult(name(vantage_id), field(obj, "target", parse), tuple(rtts))
 
 
 def oracle_load_results(fp):
@@ -297,6 +297,13 @@ def test_load_results_reads_only_json_numbers():
     for bad in ("[true]", '["12"]', "[null]", "[[1]]", "5", '"5"', "{}", "null"):
         with pytest.raises(GeoAuditError, match="^line 2: "):
             load_results(io.StringIO(good + good.replace("[5, 2.5]", bad)))
+
+
+def test_load_results_names_the_key_of_a_bad_target():
+    """A capture's target is refused as an audit record's is: with its key."""
+    good = '{"rtts_ms": [5.0], "target": "192.0.2.1", "timestamp": 0.0, "vantage_id": "v-1"}\n'
+    with pytest.raises(GeoAuditError, match="^line 2: target: bad address 'x': "):
+        load_results(io.StringIO(good + good.replace("192.0.2.1", "x")))
 
 
 def test_replay_backend():

@@ -520,14 +520,13 @@ def test_default_region_map_matches_official_counts():
 
 def test_default_region_map_spot_checks():
     region_map = default_region_map()
-    assert region_map.rir_of("US") is Rir.ARIN
-    assert region_map.rir_of("DE") is Rir.RIPE
-    assert region_map.rir_of("JP") is Rir.APNIC
-    assert region_map.rir_of("BR") is Rir.LACNIC
-    assert region_map.rir_of("MU") is Rir.AFRINIC
+    assert region_map.get("US") is Rir.ARIN
+    assert region_map.get("DE") is Rir.RIPE
+    assert region_map.get("JP") is Rir.APNIC
+    assert region_map.get("BR") is Rir.LACNIC
+    assert region_map.get("MU") is Rir.AFRINIC
     assert "US" in region_map
-    with pytest.raises(GeoAuditError, match="^country 'XX' not in region map$"):
-        region_map.rir_of("XX")
+    assert region_map.get("XX") is None and region_map.get(None) is None
     # partition: every country is counted under exactly one RIR
     assert sum(region_map.counts().values()) == len(region_map)
 
@@ -535,16 +534,16 @@ def test_default_region_map_spot_checks():
 def test_load_region_map_validation():
     good = io.StringIO("country,rir\nus,arin\nde,ripe\n")
     region_map = load_region_map(good)
-    assert region_map.rir_of("US") is Rir.ARIN
-    assert region_map.rir_of("DE") is Rir.RIPE
+    assert region_map.get("US") is Rir.ARIN
+    assert region_map.get("DE") is Rir.RIPE
 
     # provenance comments above the header are ignored
     commented = io.StringIO("# retrieved 2026-08-16\ncountry,rir\nus,arin\n")
-    assert load_region_map(commented).rir_of("US") is Rir.ARIN
+    assert load_region_map(commented).get("US") is Rir.ARIN
 
     with pytest.raises(GeoAuditError):
         load_region_map(io.StringIO("cc,registry\nUS,ARIN\n"))
-    with pytest.raises(GeoAuditError):
+    with pytest.raises(GeoAuditError, match="^country US appears twice$"):
         load_region_map(io.StringIO("country,rir\nUS,ARIN\nUS,RIPE\n"))
     with pytest.raises(GeoAuditError):
         load_region_map(io.StringIO("country,rir\nUS,NOTARIR\n"))

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -146,3 +147,15 @@ def test_no_module_imports_dataclasses():
     importing = [path.name for path in sorted((ROOT / "src" / "geoaudit").glob("*.py"))
                  if {"dataclasses", "inspect"} & _imported_modules(ast.parse(path.read_text(encoding="utf-8")))]
     assert importing == []
+
+
+def test_src_imports_only_the_standard_library():
+    """geoaudit declares no dependency, so every absolute import in
+    src/geoaudit is of a standard-library module. The dev extra installs
+    requests and numpy, so an installed test run would not catch a stray
+    import of either."""
+    third_party = [f"{path.name}: {name}"
+                   for path in sorted((ROOT / "src" / "geoaudit").glob("*.py"))
+                   for name in sorted(_imported_modules(ast.parse(path.read_text(encoding="utf-8"))))
+                   if name not in sys.stdlib_module_names]
+    assert third_party == []

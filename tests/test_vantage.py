@@ -58,9 +58,11 @@ def test_load_bad_ids_and_default_coords():
     assert (38.0, -97.0) in coords
     with pytest.raises(GeoAuditError):
         load_default_coords(io.StringIO("country,lon\nUS,-97.0\n"))  # no lat column
-    # off the globe, refused as geo.load_country_points refuses it
-    for row in ("US,500,999", "US,38.0,-181", "US,nan,-97.0"):
-        with pytest.raises(GeoAuditError, match="^line 2: point out of range for US: "):
+    # off the globe, refused by registry.point as a vantage's point is
+    for row, refusal in [("US,500,999", r"lat: 500\.0 is not in \[-90, 90\]"),
+                         ("US,38.0,-181", r"lon: -181\.0 is not in \[-180, 180\]"),
+                         ("US,nan,-97.0", r"lat: nan is not in \[-90, 90\]")]:
+        with pytest.raises(GeoAuditError, match=f"^line 2: {refusal}$"):
             load_default_coords(io.StringIO(f"country,lat,lon\n{row}\n"))
 
 
