@@ -10,20 +10,24 @@ places it (rir_geo, a set). Five classes cover every combination:
   RI  region-inconsistent  home org, used somewhere else entirely
   FI  fully inconsistent   foreign org, used in neither region
 
-Filters run in a fixed order before classification: unresponsive, anycast,
-NIR-managed, then BGP alignment. Order matters for the accounting: a prefix
-removed at one stage is never counted at a later one.
+Filters run in FilterReason order before inference: unresponsive, anycast,
+NIR-managed, BGP supernet or mixed origin, unadvertised, and (with
+strict_no_org) no org country. Each responsive target of a prefix that
+passes them is then located and classified; targets of two classes make
+the prefix conflicting, and one whose responsive targets all get an empty
+feasible set is filtered unresponsive. Order matters for the accounting:
+a prefix removed at one stage is never counted at a later one.
 """
 
 from __future__ import annotations
 
 import enum
 from operator import attrgetter
-from typing import IO, Iterable, Mapping, NamedTuple, Sequence
+from typing import IO, TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 from .bgp import Alignment, Rib, align
 from .errors import GeoAuditError
-from .geo import FeasibleRegion, GeoConfig, infer_region
+from .geo import GeoConfig, infer_region
 from .index import PrefixIndex
 from .registry import (
     Addr,
@@ -35,8 +39,10 @@ from .registry import (
     record,
     write_jsonl,
 )
-from .targets import TargetPlan
-from .vantage import VantagePoint
+
+if TYPE_CHECKING:  # annotations only: report loads classify without either
+    from .targets import TargetPlan
+    from .vantage import VantagePoint
 
 
 class ConsistencyClass(enum.Enum):
@@ -125,17 +131,6 @@ def _one_outcome(obj) -> ConsistencyRecord:
     return rec
 
 
-def reconcile_targets(outcomes: Sequence[TargetOutcome]) -> tuple[ConsistencyClass | None, bool]:
-    """Combine per-target classes: (class, conflicting). Two responsive
-    targets that disagree are a conflict; otherwise the lone class wins."""
-    classes = [o.cls for o in outcomes if o.cls is not None]
-    if not classes:
-        return None, False
-    if len(set(classes)) > 1:
-        return None, True
-    return classes[0], False
-
-
 class AuditConfig(NamedTuple):
     region_map: RegionMap
     geo: GeoConfig
@@ -151,6 +146,29 @@ def _is_nir_managed(reg: Registration, nir_markers: Sequence[str]) -> bool:
     return any(marker.lower() in h for h in lowered for marker in nir_markers if marker)
 
 
+def _filter_reason(reg: Registration, rir_org: Rir | None, responded: bool, rib: Rib,
+                   anycast: PrefixIndex, nir_markers: Sequence[str], strict_no_org: bool,
+                   flags: list[str]) -> FilterReason | None:
+    """The first filter that removes the prefix before inference, in
+    FilterReason order, or None; appends moas to flags on the way."""
+    if not responded:
+        return FilterReason.UNRESPONSIVE
+    if anycast.overlaps(reg.prefix):
+        return FilterReason.ANYCAST
+    if _is_nir_managed(reg, nir_markers):
+        return FilterReason.NIR
+    alignment = align(reg.prefix, rib)
+    if alignment.moas:
+        flags.append("moas")
+    if alignment.alignment in (Alignment.SUPERNET, Alignment.MIXED_AS):
+        return FilterReason.BGP_SUPERNET_OR_MIXED
+    if alignment.alignment is Alignment.UNADVERTISED:
+        return FilterReason.UNADVERTISED
+    if strict_no_org and rir_org is None:
+        return FilterReason.NO_ORG_COUNTRY
+    return None
+
+
 def audit_prefix(
     plan: TargetPlan,
     results_by_target: Mapping[Addr, Sequence],
@@ -163,89 +181,53 @@ def audit_prefix(
     """Run the filter chain and classification for a single prefix."""
     reg = plan.registration
     flags = list(reg.flags)
-
-    outcomes: list[TargetOutcome] = []
-    any_response = False
-    for target in plan.targets:
-        results = results_by_target.get(target, ())
-        responded = any(res.rtts_ms for res in results)
-        any_response = any_response or responded
-        outcomes.append(TargetOutcome(target=target, responded=responded))
-
     rir_org = config.region_map.get(reg.org_country)
     if rir_org is None and reg.org_country is not None:
         flags.append("org_country_unmapped")
-
-    def record(targets: Sequence[TargetOutcome] = outcomes, **kwargs) -> ConsistencyRecord:
-        return ConsistencyRecord(
-            prefix=reg.prefix,
-            rir_reg=reg.rir,
-            rir_org=rir_org,
-            org_country=reg.org_country,
-            flags=tuple(flags),
-            targets=tuple(targets),
-            **kwargs,
-        )
-
-    # (1) unresponsive
-    if not any_response:
-        return record(filter_reason=FilterReason.UNRESPONSIVE)
-    # (2) anycast overlap
-    if anycast.overlaps(reg.prefix):
-        return record(filter_reason=FilterReason.ANYCAST)
-    # (3) NIR-managed space
-    if _is_nir_managed(reg, nir_markers):
-        return record(filter_reason=FilterReason.NIR)
-    # (4) BGP alignment
-    alignment = align(reg.prefix, rib)
-    if alignment.moas:
-        flags.append("moas")
-    if alignment.alignment in (Alignment.SUPERNET, Alignment.MIXED_AS):
-        return record(filter_reason=FilterReason.BGP_SUPERNET_OR_MIXED)
-    if alignment.alignment is Alignment.UNADVERTISED:
-        return record(filter_reason=FilterReason.UNADVERTISED)
-    # strict mode refuses to classify without an org country
-    if config.strict_no_org and rir_org is None:
-        return record(filter_reason=FilterReason.NO_ORG_COUNTRY)
-    if reg.org_country is None and "no_org_country" not in flags:
-        flags.append("no_org_country")
-
-    # (5) per-target inference and classification
-    final_outcomes: list[TargetOutcome] = []
-    for outcome in outcomes:
-        if not outcome.responded:
-            final_outcomes.append(outcome)
-            continue
-        # a responsive target has a reply, so min_rtt finds one
-        region: FeasibleRegion = infer_region(
-            results_by_target.get(outcome.target, ()),
-            vantages_by_id, config.geo, config.region_map,
-        )
-        if not region.rirs:
-            flags.append("empty_geo_set")
-            final_outcomes.append(outcome)
-            continue
-        final_outcomes.append(TargetOutcome(
-            target=outcome.target,
-            responded=True,
-            vantage_id=region.vantage_id,
-            vantage_country=vantages_by_id[region.vantage_id].country,
-            min_rtt_ms=region.rtt_ms,
-            radius_km=region.radius_km,
-            rirs=region.rirs,
-            cls=classify_one(reg.rir, rir_org, region.rirs),
-        ))
-
-    rir_geo = frozenset().union(*(o.rirs for o in final_outcomes)) if final_outcomes else frozenset()
-
-    # (6) reconciliation across targets
-    cls, conflict = reconcile_targets(final_outcomes)
-    if conflict:
-        return record(final_outcomes, rir_geo=rir_geo, filter_reason=FilterReason.CONFLICTING)
-    if cls is None:
-        # responsive targets all failed inference; treat as unresponsive
-        return record(final_outcomes, rir_geo=rir_geo, filter_reason=FilterReason.UNRESPONSIVE)
-    return record(final_outcomes, rir_geo=rir_geo, cls=cls)
+    targets = [TargetOutcome(target, any(res.rtts_ms for res in results_by_target.get(target, ())))
+               for target in plan.targets]
+    reason = _filter_reason(reg, rir_org, any(o.responded for o in targets), rib,
+                            anycast, nir_markers, config.strict_no_org, flags)
+    cls = None
+    if reason is None:
+        if reg.org_country is None and "no_org_country" not in flags:
+            flags.append("no_org_country")
+        for i, outcome in enumerate(targets):
+            if not outcome.responded:
+                continue
+            # a responsive target has a reply, so min_rtt finds one
+            region = infer_region(results_by_target[outcome.target], vantages_by_id,
+                                  config.geo, config.region_map)
+            if not region.rirs:
+                if "empty_geo_set" not in flags:
+                    flags.append("empty_geo_set")
+                continue
+            targets[i] = TargetOutcome(
+                target=outcome.target,
+                responded=True,
+                vantage_id=region.vantage_id,
+                vantage_country=vantages_by_id[region.vantage_id].country,
+                min_rtt_ms=region.rtt_ms,
+                radius_km=region.radius_km,
+                rirs=region.rirs,
+                cls=classify_one(reg.rir, rir_org, region.rirs),
+            )
+        classes = {o.cls for o in targets if o.cls is not None}
+        if len(classes) == 1:
+            (cls,) = classes
+        else:
+            reason = FilterReason.CONFLICTING if classes else FilterReason.UNRESPONSIVE
+    return ConsistencyRecord(
+        prefix=reg.prefix,
+        rir_reg=reg.rir,
+        rir_org=rir_org,
+        org_country=reg.org_country,
+        rir_geo=frozenset().union(*(o.rirs for o in targets)),
+        cls=cls,
+        filter_reason=reason,
+        flags=tuple(flags),
+        targets=tuple(targets),
+    )
 
 
 def audit_pipeline(

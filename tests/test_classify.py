@@ -1,5 +1,6 @@
 import io
 import itertools
+import random
 
 import pytest
 
@@ -15,7 +16,6 @@ from geoaudit.classify import (
     classify_one,
     load_records,
     pipeline_counts,
-    reconcile_targets,
     write_records,
 )
 from geoaudit.errors import GeoAuditError
@@ -79,18 +79,6 @@ def test_classify_one_full_truth_table():
     assert combos == 775
 
 
-def test_reconcile_targets():
-    def outcome(cls):
-        return TargetOutcome(target=parse_address("192.0.2.1"), responded=cls is not None, cls=cls)
-
-    assert reconcile_targets([]) == (None, False)
-    assert reconcile_targets([outcome(None)]) == (None, False)
-    assert reconcile_targets([outcome(FC)]) == (FC, False)
-    assert reconcile_targets([outcome(FC), outcome(None)]) == (FC, False)
-    assert reconcile_targets([outcome(FC), outcome(FC)]) == (FC, False)
-    assert reconcile_targets([outcome(FC), outcome(RI)]) == (None, True)
-
-
 # harness for audit_prefix: three countries, one vantage each
 REGION_MAP = RegionMap({"US": Rir.ARIN, "DE": Rir.RIPE, "JP": Rir.APNIC})
 POINTS = {"US": ((40.0, -100.0),), "DE": ((50.0, 10.0),), "JP": ((35.0, 140.0),)}
@@ -139,6 +127,28 @@ def test_audit_prefix_classifies_ri_elsewhere():
     rec = run_one(plan, {parse_address("192.0.2.1"): [near("v-de", "192.0.2.1")]})
     assert rec.cls is RI
     assert rec.rir_geo == frozenset({Rir.RIPE})
+
+
+@pytest.mark.parametrize("first, second, cls, reason, flags", [
+    ("v-us", "v-us", FC, None, ()),
+    ("v-us", None, FC, None, ()),
+    (None, "v-us", FC, None, ()),
+    ("v-us", "v-xx", FC, None, ("empty_geo_set",)),
+    ("v-us", "v-de", None, FilterReason.CONFLICTING, ()),
+    (None, None, None, FilterReason.UNRESPONSIVE, ()),
+    ("v-xx", None, None, FilterReason.UNRESPONSIVE, ("empty_geo_set",)),
+    # two targets with an empty feasible set flag the record once
+    ("v-xx", "v-xx", None, FilterReason.UNRESPONSIVE, ("empty_geo_set",)),
+])
+def test_audit_prefix_two_targets(first, second, cls, reason, flags):
+    """Two targets agreeing, or one beside a silent or unlocated one, give
+    the record their class; two classes make it conflicting, none unresponsive.
+    None is a silent target; v-xx answers at 1 ms, too close to reach a point."""
+    targets = ("192.0.2.1", "192.0.2.2")
+    results = {parse_address(t): [near(vid, t, rtt=1.0) if vid else silent("v-us", t)]
+               for t, vid in zip(targets, (first, second))}
+    rec = run_one(make_plan(targets=targets), results)
+    assert (rec.cls, rec.filter_reason, rec.flags) == (cls, reason, flags)
 
 
 def test_audit_prefix_unresponsive_comes_first():
@@ -252,6 +262,57 @@ def test_audit_prefix_empty_geo_set():
     rec = run_one(plan, {parse_address("192.0.2.1"): [near("v-xx", "192.0.2.1", rtt=1.0)]})
     assert "empty_geo_set" in rec.flags
     assert rec.filter_reason is FilterReason.UNRESPONSIVE
+
+
+RIBS = {
+    "exact": "192.0.2.0/24 65000\n",
+    "moas": "192.0.2.0/24 65000\n192.0.2.0/24 65001\n",
+    "covering": "192.0.0.0/16 65000\n",
+    "same-origin pieces": "192.0.2.0/25 65000\n192.0.2.128/25 65000\n",
+    "mixed pieces": "192.0.2.0/25 65000\n192.0.2.128/25 65001\n",
+    "unrelated": "10.0.0.0/8 65000\n",
+}
+STRICT = AuditConfig(region_map=REGION_MAP, geo=GeoConfig(country_points=POINTS), strict_no_org=True)
+
+
+def random_results(rng, target):
+    """No result, a silent one, or replies from random vantages; v-xx
+    answers at 1 ms, too close to reach any point."""
+    vids = rng.sample(sorted(VANTAGES), rng.randint(0, len(VANTAGES)))
+    return [silent(vid, target) if rng.random() < 0.2
+            else near(vid, target, rtt=1.0 if vid == "v-xx" else rng.choice([2.0, 30.0, 120.0]))
+            for vid in vids]
+
+
+def test_audit_prefix_record_invariants_on_random_inputs():
+    rng = random.Random(25)
+    seen = set()
+    for _ in range(2000):
+        targets = ("192.0.2.1", "192.0.2.2")[:rng.randint(1, 2)]
+        plan = make_plan(targets=targets, rir=rng.choice([Rir.ARIN, Rir.APNIC]),
+                         org_country=rng.choice(["US", "DE", "XX", None]), org_id="JPNIC-NET")
+        results = {parse_address(t): random_results(rng, t) for t in targets}
+        rec = run_one(plan, results, rib_text=RIBS[rng.choice(sorted(RIBS))],
+                      anycast=[parse_prefix("192.0.2.0/24")] if rng.random() < 0.2 else (),
+                      nir_markers=["jpnic"] if rng.random() < 0.2 else ["krnic"],
+                      config=STRICT if rng.random() < 0.5 else CONFIG)
+        seen.add(rec.cls or rec.filter_reason)
+
+        assert (rec.cls is None) is not (rec.filter_reason is None)
+        assert rec.rir_geo == frozenset().union(*(o.rirs for o in rec.targets))
+        assert len(set(rec.flags)) == len(rec.flags)
+        assert [o.target for o in rec.targets] == [parse_address(t) for t in targets]
+        for o in rec.targets:
+            assert (o.cls is None) is (o.vantage_id is None)
+        classes = {o.cls for o in rec.targets} - {None}
+        if rec.cls is not None:
+            assert classes == {rec.cls}
+        elif rec.filter_reason is FilterReason.CONFLICTING:
+            assert len(classes) > 1
+        else:  # filtered before inference, or no target located
+            assert classes == set()
+    # the draw reaches every class and every filter reason
+    assert seen == set(ConsistencyClass) | set(FilterReason)
 
 
 def test_audit_pipeline_one_record_per_plan_sorted():

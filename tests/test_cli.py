@@ -1380,7 +1380,7 @@ def test_each_command_imports_only_the_stages_it_runs(small_campaign):
                   {"report", "whois"}),
         "report": (["report", "--audit", str(tmp_path / "audit.jsonl"), "--registrations", regs,
                     "--out-dir", str(tmp_path / "report")],
-                   {"measure", "whois"}),
+                   {"measure", "vantage", "whois"}),
     }
     for name, (argv, unused) in commands.items():
         out = python_in_subprocess(RUN_AND_LIST_MODULES, *argv)
@@ -1392,6 +1392,8 @@ def test_each_command_imports_only_the_stages_it_runs(small_campaign):
         # records are NamedTuples: dataclasses, and the inspect it imports, would
         # cost every command ~10 ms to import and more to build its classes
         assert not {"dataclasses", "inspect"} & set(modules), name
+        # only vantage.prefix_rotation and the simulator hash; hashlib costs ~4 ms
+        assert ("hashlib" in modules) is (name == "audit"), name
 
 
 def test_live_audit_runs_on_the_standard_library(small_campaign):

@@ -5,6 +5,8 @@ import importlib
 import sys
 from pathlib import Path
 
+from geoaudit.classify import FilterReason
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -159,3 +161,23 @@ def test_src_imports_only_the_standard_library():
                    for name in sorted(_imported_modules(ast.parse(path.read_text(encoding="utf-8"))))
                    if name not in sys.stdlib_module_names]
     assert third_party == []
+
+
+def test_readme_names_every_record_flag_and_filter_reason():
+    """Every flag src/geoaudit writes (a with_flag or flags.append argument,
+    or an f-string's constant prefix) and every FilterReason value is named
+    in backticks in README.md, so the record flags table keeps up."""
+    names = [f"`{reason.value}`" for reason in FilterReason]
+    for path in sorted((ROOT / "src" / "geoaudit").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and ast.unparse(node.func).endswith(("with_flag", "flags.append"))):
+                continue
+            arg = node.args[0]
+            if isinstance(arg, ast.Constant):
+                names.append(f"`{arg.value}`")
+            else:  # an f-string: its text up to the first placeholder
+                names.append(f"`{arg.values[0].value}")
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert len(names) > len(FilterReason) + 10
+    assert sorted(name for name in names if name not in readme) == []
