@@ -8,12 +8,12 @@ reply (a replay gap, a probe error) becomes an empty result, so one dead
 probe never sinks a prefix, and an RTT that is negative or not finite fails
 the run on every backend.
 
-write_results and load_results are the capture codec: they write and read
-the same bytes as the generic JSONL codec in registry, only faster. A
-capture holds one line per (vantage, target) pair, so MeasurementResult is
-a slotted class rather than a NamedTuple record (nor hashable), and
-load_results checks each line inline rather than through a per-record
-decoder.
+write_results and load_results are the capture codec: one line per
+(vantage, target) pair, the bytes of the generic JSONL codec in registry,
+only faster. target_results builds a MeasurementResult per planned pair on
+every backend, so that is a slotted class, not a NamedTuple (nor hashable).
+load_results checks each line inline and builds the replay's mapping,
+replies by target then vantage id, with no result in between.
 
 The live client sends a path below the API root and a body of bytes through
 its Transport, and gets back the status and the body's bytes: LiveBackend
@@ -56,10 +56,10 @@ _UNIT = 2.0 ** -53  # a word's top 53 bits times this are uniform in [0, 1)
 
 
 class MeasurementResult:
-    """One (vantage, target) pair's RTT samples. A replay builds one per
-    capture line, so this is a slotted class and not a NamedTuple: on
-    Python 3.11 its __init__ takes ~0.35 µs, a NamedTuple's ~0.54 µs.
-    Results compare equal by their fields; they are not hashable."""
+    """One (vantage, target) pair's RTT samples. target_results builds one
+    per planned pair on every backend, so this is a slotted class and not a
+    NamedTuple: on Python 3.11 its __init__ takes ~0.35 µs, a NamedTuple's
+    ~0.54 µs. Results compare equal by their fields; they are not hashable."""
 
     __slots__ = ("vantage_id", "target", "rtts_ms")
 
@@ -124,16 +124,16 @@ def write_results(results: Iterable[MeasurementResult], fp: IO[str]) -> int:
     return n
 
 
-def load_results(fp: IO[str]) -> list[MeasurementResult]:
-    """The results of a capture, in line order. Each line is an object with
-    rtts_ms, a list of JSON numbers, and target and vantage_id, strings;
-    other keys are ignored, and a line that is not so raises GeoAuditError
-    naming its number. Results for the same target share one address
-    object, parsed once, and results from the same vantage one id string."""
-    addrs: dict[str, Addr] = {}
+def load_results(fp: IO[str]) -> dict[Addr, dict[str, tuple[float, ...]]]:
+    """A capture's replies by target, then vantage id: what a replay serves.
+    Each line is an object with rtts_ms, a list of JSON numbers, and target
+    and vantage_id, strings; other keys are ignored. A line that is not so,
+    or that repeats an earlier line's pair, raises GeoAuditError naming its
+    number. Each distinct target text is parsed once, two spellings of one
+    address are one target, and one vantage's lines share one id string."""
+    by_text: dict[str, dict[str, tuple[float, ...]]] = {}  # a target's text -> its replies
     names: dict[str, str] = {}
-    out = []
-    append = out.append
+    out: dict[Addr, dict[str, tuple[float, ...]]] = {}
     for n, obj in json_lines(fp):
         try:
             if type(obj) is not dict:
@@ -148,12 +148,14 @@ def load_results(fp: IO[str]) -> list[MeasurementResult]:
                 raise GeoAuditError(f"vantage_id: {vantage_id!r} is not a string")
             if type(target) is not str:
                 raise GeoAuditError(f"target: {target!r} is not a string")
-            addr = addrs.get(target)
-            if addr is None:
-                addr = addrs[target] = field(obj, "target", parse_address)
+            replies = by_text.get(target)
+            if replies is None:
+                replies = by_text[target] = out.setdefault(field(obj, "target", parse_address), {})
+            if vantage_id in replies:
+                raise GeoAuditError(f"{vantage_id} -> {parse_address(target)} is archived twice")
         except GeoAuditError as exc:
             raise GeoAuditError(f"line {n}: {exc}") from None
-        append(MeasurementResult(names.setdefault(vantage_id, vantage_id), addr, tuple(rtts)))
+        replies[names.setdefault(vantage_id, vantage_id)] = tuple(rtts)
     return out
 
 
@@ -287,23 +289,14 @@ class SimulateBackend(Backend):
 
 
 class ReplayBackend(Backend):
-    """Serves RTTs from a result archive, indexed by target, then vantage.
+    """Serves RTTs from a capture's replies by target, then vantage id, as
+    load_results reads them.
 
-    misses counts the planned (vantage, target) pairs the archive lacks;
-    each comes back as no reply. An archive that lists a pair twice is
-    refused: no reply is kept over another."""
+    misses counts the planned (vantage, target) pairs the capture lacks;
+    each comes back as no reply."""
 
-    def __init__(self, results: Iterable[MeasurementResult]):
-        self._index: dict[Addr, dict[str, tuple[float, ...]]] = {}
-        target = replies = None
-        for res in results:
-            # a capture lists each target's results together: hash it once per run
-            if res.target is not target:
-                target = res.target
-                replies = self._index.setdefault(target, {})
-            if res.vantage_id in replies:
-                raise GeoAuditError(f"{res.vantage_id} -> {target} is archived twice")
-            replies[res.vantage_id] = res.rtts_ms
+    def __init__(self, replies: Mapping[Addr, Mapping[str, Sequence[float]]]):
+        self._index = replies
         self.misses = 0
 
     def measure_targets(self, jobs: Iterable[Job]) -> Iterator[dict[str, tuple[float, ...]]]:

@@ -301,7 +301,7 @@ def parse_bulk_whois(
             flags: list[str] = []
             if len(blocks) > 1:
                 flags.append("split_from_range")
-            for maint in rec.all(dialect.maintainer_keys):
+            for maint in dict.fromkeys(rec.all(dialect.maintainer_keys)):
                 flags.append(f"mnt:{maint}")
             transfer_dest = _find_transfer(lowered, dialect.transfer_markers)
             if transfer_dest is not None:

@@ -204,7 +204,8 @@ class WorldSession:
     """A live API answering from a SyntheticWorld; a probe without replies
     is left out of the results, which the API contract allows. Measurement
     id m-<n> is the n-th POST; it answers pending(id) times pending before
-    done. calls logs every request, and most_open the most measurements
+    done, and done to every GET after, as a finished measurement stays
+    readable. calls logs every request, and most_open the most measurements
     ever created and not yet done."""
 
     def __init__(self, world, vantages, pending=lambda mid: 0):
@@ -212,6 +213,7 @@ class WorldSession:
         self.vantages = {v.id: v for v in vantages}
         self.pending = pending
         self.open = {}  # measurement id -> [pending answers left, results]
+        self.done = {}  # measurement id -> results
         self.calls = []
         self.posts = []
         self.most_open = 0
@@ -236,10 +238,12 @@ class WorldSession:
             self.most_open = max(self.most_open, len(self.open))
             return stub_answer(200, {"id": mid})
         mid = path.rsplit("/", 2)[-2]
-        if self.open[mid][0]:
-            self.open[mid][0] -= 1
-            return stub_answer(200, {"status": "pending"})
-        return stub_answer(200, {"status": "done", "results": self.open.pop(mid)[1]})
+        if mid in self.open:
+            if self.open[mid][0]:
+                self.open[mid][0] -= 1
+                return stub_answer(200, {"status": "pending"})
+            self.done[mid] = self.open.pop(mid)[1]
+        return stub_answer(200, {"status": "done", "results": self.done[mid]})
 
     def close(self):
         self.closed = True

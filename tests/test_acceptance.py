@@ -26,7 +26,7 @@ from geoaudit.geo import (
     rtt_to_radius_km,
 )
 from geoaudit.index import PrefixIndex
-from geoaudit.measure import load_results
+from geoaudit.measure import MeasurementResult, load_results
 from geoaudit.registry import (
     RegionMap,
     Registration,
@@ -161,10 +161,9 @@ def test_criterion_03_speed_of_light(tmp_path):
         with open(paths["country_points.csv"]) as fp:
             points = load_country_points(fp)
 
-        by_target = {}
         with open(captured) as fp:
-            for res in load_results(fp):
-                by_target.setdefault(res.target, []).append(res)
+            by_target = {target: [MeasurementResult(vid, target, rtts) for vid, rtts in replies.items()]
+                         for target, replies in load_results(fp).items()}
 
         # wider factor, wider disk: country sets only grow
         cfg_23 = GeoConfig(country_points=points, propagation_factor=2.0 / 3.0)

@@ -255,7 +255,7 @@ def test_audit_refuses_a_vantage_id_that_is_not_utf8(small_campaign, capsys):
 
 def test_replay_refuses_a_pair_archived_twice(small_campaign, capsys):
     """A capture that lists a (target, vantage) pair twice exits 2 naming
-    the pair: no reply is kept over another."""
+    the pair and its second line: no reply is kept over another."""
     camp, paths, tmp_path = small_campaign
     captured = tmp_path / "results.jsonl"
     assert run(audit_argv(paths, str(tmp_path / "sim.jsonl"),
@@ -268,7 +268,8 @@ def test_replay_refuses_a_pair_archived_twice(small_campaign, capsys):
     assert run(audit_argv(paths, str(out), extra=["--backend", "replay",
                                                   "--results", str(captured)])) == 2
     assert (capsys.readouterr().err
-            == f"geoaudit: {captured}: {row['vantage_id']} -> {row['target']} is archived twice\n")
+            == f"geoaudit: {captured}: line {len(lines) + 1}: "
+               f"{row['vantage_id']} -> {row['target']} is archived twice\n")
     assert not out.exists()
 
 
@@ -336,6 +337,57 @@ def test_audit_prints_live_request_tallies(small_campaign, capsys, monkeypatch):
     assert n == len(camp.expected) and [m for m, _ in api.calls] == ["POST", "GET", "GET"] * n
     assert f"live requests: posts={n} polls={2 * n} retries=0 rounds={n}" in stdout
     assert stdout.index("vantages:") < stdout.index("live requests:") < stdout.index("candidates=")
+
+
+def test_live_audit_resends_a_finishing_get_whose_answer_is_lost(small_campaign, capsys,
+                                                                 monkeypatch):
+    """Under --concurrency 3, every fifth GET that finishes a measurement is
+    answered by the API and then lost, as a connection reset after the
+    answer would lose it. The client sends that GET again after a 2 s sleep,
+    the measurement still reads done, and the audit writes the simulated
+    bytes, each target posted once."""
+    camp, paths, tmp_path = small_campaign
+    sim = tmp_path / "sim.jsonl"
+    assert run(audit_argv(paths, str(sim))) == 0
+    sleeps = []
+    sessions = serve_campaign(monkeypatch, camp, paths, lambda mid: 0, sleeps.append)
+    live = [*LIVE_ARGV, "--concurrency", "3"]
+    assert run(audit_argv(paths, str(tmp_path / "clean.jsonl"), extra=live)) == 0
+    [clean] = sessions  # the same audit with no answer lost: the job order
+    assert not sleeps
+    transports = []
+
+    class LosesEveryFifthFinish:
+        def __init__(self, base_url):
+            self.api = world_session(camp, paths)  # pending 0: every GET finishes its measurement
+            self.finishes = self.lost = 0
+            transports.append(self)
+
+        def request(self, method, path, body, headers):
+            answer = self.api.request(method, path, body, headers)
+            if method == "GET":
+                self.finishes += 1
+                if self.finishes % 5 == 0:
+                    self.lost += 1
+                    raise OSError("connection reset by peer")
+            return answer
+
+        def close(self):
+            self.api.close()
+
+    monkeypatch.setattr(measure, "Transport", LosesEveryFifthFinish)
+    out = tmp_path / "audit.jsonl"
+    capsys.readouterr()
+    assert run(audit_argv(paths, str(out), extra=live)) == 0
+    stdout = capsys.readouterr().out
+    assert out.read_bytes() == sim.read_bytes()
+    [transport] = transports
+    api, n, lost = transport.api, len(clean.posts), transport.lost
+    assert lost == (n + lost) // 5 > 0
+    assert api.posts == clean.posts and len({post["target"] for post in api.posts}) == n
+    assert not api.open and len(api.done) == n
+    assert f"live requests: posts={n} polls={n + lost} retries={lost} rounds=0" in stdout
+    assert sleeps == [measure.RETRY_BASE_DELAY_S] * lost == [2.0] * lost
 
 
 def test_audit_counts_unmapped_country_vantages(small_campaign, capsys):

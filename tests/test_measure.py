@@ -7,6 +7,7 @@ import ipaddress
 import json
 import math
 import random
+import re
 import select
 import socket
 import time
@@ -143,6 +144,42 @@ def oracle_load_results(fp):
     return load_jsonl(lambda obj: oracle_from_json(obj, parse, name), fp)
 
 
+def oracle_replies(text):
+    """oracle_load_results' list indexed as load_results indexes it: replies
+    by target, then vantage id, and a pair listed twice refused naming its
+    line, unless the oracle refuses an earlier line."""
+    lines = list(io.StringIO(text, newline=""))
+    numbers = [n for n, line in enumerate(lines, 1) if line.strip()]  # json_lines' non-blank lines
+    try:
+        results, refusal = oracle_load_results(io.StringIO(text, newline="")), None
+    except GeoAuditError as exc:
+        bad = int(re.match(r"line (\d+): ", str(exc))[1])
+        results, refusal = oracle_load_results(io.StringIO("".join(lines[:bad - 1]), newline="")), exc
+    out = {}
+    for n, res in zip(numbers, results):
+        replies = out.setdefault(res.target, {})
+        if res.vantage_id in replies:
+            raise GeoAuditError(f"line {n}: {res.vantage_id} -> {res.target} is archived twice")
+        replies[res.vantage_id] = res.rtts_ms
+    if refusal is not None:
+        raise refusal
+    return out
+
+
+def replies_of(results):
+    """Results as load_results maps them: samples by target, then vantage id."""
+    out = {}
+    for res in results:
+        out.setdefault(res.target, {})[res.vantage_id] = res.rtts_ms
+    return out
+
+
+def results_of(replies):
+    """The results of a replies mapping, target by target in its order."""
+    return [MeasurementResult(vantage_id, target, rtts)
+            for target, by_vantage in replies.items() for vantage_id, rtts in by_vantage.items()]
+
+
 def test_results_round_trip():
     # mixed families, each target measured from several vantages
     targets = ["192.0.2.1", "2001:db8::1", "198.51.100.7", "2001:db8:0:0:1::"]
@@ -153,15 +190,33 @@ def test_results_round_trip():
     assert write_results(results, first) == len(results)
     text = first.getvalue()
     loaded = load_results(io.StringIO(text))
-    assert loaded == results
-    assert loaded == oracle_load_results(io.StringIO(text))
-    # a target read from several lines is one shared address object
-    by_target = {}
-    for res in loaded:
-        assert by_target.setdefault(str(res.target), res.target) is res.target
+    assert loaded == replies_of(results)
+    assert loaded == oracle_replies(text)
+    # the lines of one vantage share one id string
+    by_id = {}
+    for by_vantage in loaded.values():
+        for vantage_id in by_vantage:
+            assert by_id.setdefault(vantage_id, vantage_id) is vantage_id
     again = io.StringIO()
-    write_results(loaded, again)
+    write_results(results_of(loaded), again)
     assert again.getvalue() == text
+
+
+def test_load_results_builds_the_replay_mapping_and_no_result(monkeypatch):
+    """load_results returns replies by target, then vantage id, without a
+    MeasurementResult, and ReplayBackend serves that mapping as given."""
+    def no_result(*args):
+        raise AssertionError("load_results built a MeasurementResult")
+
+    monkeypatch.setattr(measure, "MeasurementResult", no_result)
+    text = ('{"rtts_ms": [1.5], "target": "192.0.2.1", "timestamp": 0.0, "vantage_id": "v-1"}\n'
+            '{"rtts_ms": [], "target": "192.0.2.1", "timestamp": 0.0, "vantage_id": "v-2"}\n'
+            '{"rtts_ms": [2.0, 3], "target": "2001:db8::1", "timestamp": 0.0, "vantage_id": "v-1"}\n')
+    loaded = load_results(io.StringIO(text))
+    assert loaded == {parse_address("192.0.2.1"): {"v-1": (1.5,), "v-2": ()},
+                      parse_address("2001:db8::1"): {"v-1": (2.0, 3.0)}}
+    assert type(loaded) is dict and all(type(r) is dict for r in loaded.values())
+    assert ReplayBackend(loaded)._index is loaded
 
 
 VANTAGE_IDS = ["v-1", "v-2", 'q"uote', "back\\slash", "m\u00fcnchen", "\u6771\u4eac", "tab\tid"]
@@ -189,9 +244,10 @@ def random_results(rng, n):
     return out
 
 
-def spelled(res):
-    """A result as comparable values, NaN included."""
-    return res.vantage_id, res.target, tuple(map(repr, res.rtts_ms))
+def spelled(replies):
+    """A replies mapping as comparable values, NaN included."""
+    return {target: {vantage_id: tuple(map(repr, rtts)) for vantage_id, rtts in by_vantage.items()}
+            for target, by_vantage in replies.items()}
 
 
 def test_results_codec_writes_the_generic_bytes():
@@ -206,11 +262,19 @@ def test_results_codec_writes_the_generic_bytes():
     assert write_results(results, out) == len(results)
     text = out.getvalue()
     assert text == "".join(json.dumps(r.to_json(), sort_keys=True) + "\n" for r in results)
-    loaded = load_results(io.StringIO(text))
-    assert [spelled(r) for r in loaded] == [spelled(r) for r in results]
-    again = io.StringIO()
-    write_results(loaded, again)
-    assert again.getvalue() == text
+    # the results repeat pairs, which a capture refuses as the oracle does;
+    # each line alone reads back as its result and writes the same bytes
+    with pytest.raises(GeoAuditError) as got:
+        load_results(io.StringIO(text))
+    with pytest.raises(GeoAuditError, match="is archived twice$") as want:
+        oracle_replies(text)
+    assert str(got.value) == str(want.value)
+    for line, res in zip(text.splitlines(keepends=True), results, strict=True):
+        loaded = load_results(io.StringIO(line))
+        assert spelled(loaded) == spelled(replies_of([res]))
+        again = io.StringIO()
+        write_results(results_of(loaded), again)
+        assert again.getvalue() == line
 
     # numbers that are not floats are written as the encoder writes them
     odd = [MeasurementResult("v-1", parse_address("192.0.2.1"), (10, 2.5, True)),
@@ -277,25 +341,25 @@ def test_load_results_agrees_with_the_record_decoder():
             lines.insert(rng.randint(0, len(lines)), rng.choice(["", "   ", "\t", "\x0b"]))
         text = "".join(line + rng.choice(["\n", "\r\n"]) for line in lines)
         try:
-            want = oracle_load_results(io.StringIO(text, newline=""))
+            want = oracle_replies(text)
         except GeoAuditError as exc:
             refused += 1
             with pytest.raises(GeoAuditError) as got:
                 load_results(io.StringIO(text, newline=""))
             assert str(got.value) == str(exc), text
         else:
-            assert [spelled(r) for r in load_results(io.StringIO(text, newline=""))] == \
-                [spelled(r) for r in want], text
+            assert spelled(load_results(io.StringIO(text, newline=""))) == spelled(want), text
     assert 50 < refused < 350  # both kinds of capture were read
 
 
 def test_load_results_reads_only_json_numbers():
     good = '{"rtts_ms": [5, 2.5], "target": "192.0.2.1", "timestamp": 0.0, "vantage_id": "v-1"}\n'
-    loaded = load_results(io.StringIO(good))
-    assert [type(x) for x in loaded[0].rtts_ms] == [float, float]
-    assert loaded[0].rtts_ms == (5.0, 2.5)
+    [[rtts]] = [by_vantage.values() for by_vantage in load_results(io.StringIO(good)).values()]
+    assert [type(x) for x in rtts] == [float, float]
+    assert rtts == (5.0, 2.5)
     for bad in ("[true]", '["12"]', "[null]", "[[1]]", "5", '"5"', "{}", "null"):
-        with pytest.raises(GeoAuditError, match="^line 2: "):
+        # the line repeats the pair: its samples are refused before the repeat is
+        with pytest.raises(GeoAuditError, match="^line 2: rtts_ms: "):
             load_results(io.StringIO(good + good.replace("[5, 2.5]", bad)))
 
 
@@ -307,8 +371,7 @@ def test_load_results_names_the_key_of_a_bad_target():
 
 
 def test_replay_backend():
-    res = MeasurementResult("v-1", parse_address("192.0.2.1"), (7.0, 8.0))
-    backend = ReplayBackend([res])
+    backend = ReplayBackend({parse_address("192.0.2.1"): {"v-1": (7.0, 8.0)}})
     assert backend.measure(vp("v-1"), parse_address("192.0.2.1")) == [7.0, 8.0]
     assert backend.misses == 0
     assert backend.measure(vp("v-2"), parse_address("192.0.2.1")) == []  # a gap: no reply
@@ -323,9 +386,60 @@ def test_replay_backend():
     assert backend.misses == 4
 
 
+def test_capture_round_trip_replays_every_written_pair():
+    """Seeded plans over v4 and v6 targets, each written pair with 0-3
+    samples and some pairs left out: write_results, load_results and
+    ReplayBackend serve every written pair's samples and count every other
+    planned pair as a miss. An address spelled in upper-case hex on some
+    lines is one target; its pair on a further line, in either spelling,
+    is refused naming the later line."""
+    respelled = refused = 0
+    for seed in range(250):
+        rng = random.Random(seed)
+        addrs = random_addresses(rng, 3, 3)
+        vantages = [vp(vid) for vid in rng.sample(VANTAGE_IDS, rng.randint(1, len(VANTAGE_IDS)))]
+        plans = [(rng.sample(addrs, rng.randint(1, 3)),
+                  rng.sample(vantages, rng.randint(0, min(4, len(vantages)))))
+                 for _ in range(rng.randint(1, 5))]
+        planned = sorted({(target, v.id) for targets, plan_vantages in plans
+                          for target in targets for v in plan_vantages})
+        written = {pair: tuple(rng.uniform(0, 400) for _ in range(rng.randint(0, 3)))
+                   for pair in planned if rng.random() < 0.8}
+        capture = io.StringIO()
+        write_results([MeasurementResult(vid, target, rtts) for (target, vid), rtts in written.items()],
+                      capture)
+        lines = capture.getvalue().splitlines(keepends=True)
+        for i, ((target, _), line) in enumerate(zip(written, lines)):
+            spelling = str(target).upper()
+            if spelling != str(target) and rng.random() < 0.5:
+                lines[i] = line.replace(f'"{target}"', f'"{spelling}"')
+                respelled += 1
+
+        replay = ReplayBackend(load_results(io.StringIO("".join(lines))))
+        assert len(replay._index) == len({target for target, _ in written})
+        jobs = [(target, plan_vantages) for targets, plan_vantages in plans for target in targets]
+        for (target, plan_vantages), replies in zip(jobs, replay.measure_targets(jobs), strict=True):
+            assert replies == {v.id: written[target, v.id] for v in plan_vantages
+                               if (target, v.id) in written}
+        assert replay.misses == sum((target, v.id) not in written for target, plan_vantages in jobs
+                                    for v in plan_vantages)
+
+        v6 = [i for i, (target, _) in enumerate(written) if target.version == 6]
+        if v6:
+            i = rng.choice(v6)
+            target, vid = list(written)[i]
+            again = lines[i].replace(f'"{target}"', f'"{str(target).upper()}"')
+            j = rng.randint(0, len(lines))
+            lines.insert(j, again)
+            with pytest.raises(GeoAuditError) as got:
+                ReplayBackend(load_results(io.StringIO("".join(lines))))
+            assert str(got.value) == f"line {max(i + (j <= i), j) + 1}: {vid} -> {target} is archived twice"
+            refused += 1
+    assert respelled > 50 and refused > 100
+
+
 def test_run_plan_replay_miss_is_an_empty_result():
-    res = MeasurementResult("v-1", parse_address("192.0.2.1"), (7.0,))
-    backend = ReplayBackend([res])
+    backend = ReplayBackend({parse_address("192.0.2.1"): {"v-1": (7.0,)}})
     out = run_plan(parse_prefix("192.0.2.0/24"), [parse_address("192.0.2.1")],
                    [vp("v-1"), vp("v-2")], backend)
     assert len(out) == 2
@@ -334,8 +448,7 @@ def test_run_plan_replay_miss_is_an_empty_result():
     assert by_vantage["v-2"].rtts_ms == ()
 
     # a backend that returns more samples is cut to SAMPLES_PER_PAIR
-    five = ReplayBackend([MeasurementResult("v-1", parse_address("192.0.2.1"),
-                                            (5.0, 4.0, 3.0, 2.0, 1.0))])
+    five = ReplayBackend({parse_address("192.0.2.1"): {"v-1": (5.0, 4.0, 3.0, 2.0, 1.0)}})
     out = run_plan(parse_prefix("192.0.2.0/24"), [parse_address("192.0.2.1")],
                    [vp("v-1")], five)
     assert out[0].rtts_ms == (5.0, 4.0, 3.0)

@@ -591,6 +591,30 @@ def test_parse_apnic_dump_inline_country_only():
     assert by_prefix["202.12.28.0/24"].org_country == "AU"
 
 
+def test_each_maintainer_is_flagged_once():
+    """A maintainer named twice, under one key or under two, is one mnt:
+    flag; the flags keep the order the maintainers first appear in."""
+    ripe = """\
+inetnum:        193.0.0.0 - 193.0.0.255
+country:        NL
+status:         ASSIGNED PA
+mnt-by:         X-MNT
+mnt-by:         Y-MNT
+mnt-by:         X-MNT
+"""
+    apnic = """\
+inetnum:        203.0.112.0 - 203.0.113.255
+country:        JP
+status:         ASSIGNED NON-PORTABLE
+mnt-by:         MAINT-JP-EX
+mnt-irt:        MAINT-JP-EX
+"""
+    [reg], _, _ = parse_bulk_whois(io.StringIO(ripe), Rir.RIPE)
+    assert reg.flags == ("mnt:X-MNT", "mnt:Y-MNT")
+    [reg], _, _ = parse_bulk_whois(io.StringIO(apnic), Rir.APNIC)
+    assert reg.flags == ("mnt:MAINT-JP-EX",)
+
+
 def test_parse_lacnic_dump_short_prefixes_and_changed_dates():
     regs, _, report = parse_bulk_whois(io.StringIO(LACNIC_DUMP), Rir.LACNIC)
     assert report.registrations_emitted == 2
