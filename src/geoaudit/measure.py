@@ -3,10 +3,14 @@
 Every backend answers one question, for a sequence of targets in order:
 the RTT samples (up to three) from each of a plan's vantages to a target
 (one live measurement carrying every planned probe); measure_targets is the
-one method a backend implements. In target_results, a vantage without a
-reply (a replay gap, a probe error) becomes an empty result, so one dead
-probe never sinks a prefix, and an RTT that is negative or not finite fails
-the run on every backend.
+one method a backend implements, and the audit's one way to measure. In
+target_results, a vantage without a reply (a replay gap, a probe error)
+becomes an empty result, so one dead probe never sinks a prefix, and an RTT
+that is negative or not finite fails the run on every backend.
+
+Backend.measure, SyntheticWorld.rtts and run_plan measure pair by pair for
+the benchmark's traced replica and API stub, their only callers; they go
+once the benchmark measures through measure_targets.
 
 write_results and load_results are the capture codec: one line per
 (vantage, target) pair, the bytes of the generic JSONL codec in registry,
@@ -161,8 +165,7 @@ def load_results(fp: IO[str]) -> dict[Addr, dict[str, tuple[float, ...]]]:
 
 class Backend:
     """A measurement backend. measure_targets is the one method a backend
-    implements; measure is one pair through it, kept for callers that work
-    pair by pair. tally is the line an audit prints about the run, and close
+    implements. tally is the line an audit prints about the run, and close
     releases what the backend holds: only a live one holds anything."""
 
     def measure_targets(self, jobs: Iterable[Job]) -> Iterator[Mapping[str, Sequence[float]]]:
@@ -172,7 +175,8 @@ class Backend:
         raise NotImplementedError
 
     def measure(self, vantage: VantagePoint, target: Addr) -> list[float]:
-        """RTT samples in ms; empty when the vantage got no reply."""
+        """One pair through measure_targets (see the module docstring): RTT
+        samples in ms, empty when the vantage got no reply."""
         return list(next(self.measure_targets([(target, [vantage])])).get(vantage.id, ()))
 
     def tally(self) -> str:
@@ -241,6 +245,7 @@ class SyntheticWorld:
         return out
 
     def rtts(self, vantage: VantagePoint, target: Addr) -> list[float]:
+        """One pair through rtts_by_vantage (see the module docstring)."""
         return self.rtts_by_vantage(target, [vantage]).get(vantage.id, [])
 
     @classmethod
@@ -520,11 +525,6 @@ def _replies(body, vantages: Sequence[VantagePoint]) -> dict[str, list[float]] |
     return out
 
 
-def _measure_pairs(backend, jobs: Iterable[Job]) -> Iterator[dict[str, list[float]]]:
-    """measure_targets over a backend that has only measure."""
-    return ({v.id: backend.measure(v, target) for v in vantages} for target, vantages in jobs)
-
-
 def target_results(target: Addr, vantages: Iterable[VantagePoint],
                    replies: Mapping[str, Sequence[float]]) -> list[MeasurementResult]:
     """One result per vantage, by vantage id, with at most SAMPLES_PER_PAIR
@@ -546,14 +546,10 @@ def run_plan(
     vantages: Iterable[VantagePoint],
     backend: Backend,
 ) -> list[MeasurementResult]:
-    """Measure every vantage/target pair in a plan through one measure_targets
-    call, or pair by pair through measure when the backend has only that.
-    Results come in target_results order, targets as planned."""
-    measure_targets = getattr(backend, "measure_targets", None) or functools.partial(
-        _measure_pairs, backend)
-    vantages = list(vantages)  # the backend keeps the plan's order
-    jobs = [(target, vantages) for target in targets]
-    out = []
-    for (target, _), replies in zip(jobs, measure_targets(jobs), strict=True):
-        out += target_results(target, vantages, replies)
-    return out
+    """A plan measured pair by pair through backend.measure (see the module
+    docstring), in target_results order, targets as planned; prefix is
+    unused."""
+    vantages = list(vantages)
+    return [res for target in targets
+            for res in target_results(target, vantages,
+                                      {v.id: backend.measure(v, target) for v in vantages})]

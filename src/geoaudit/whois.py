@@ -24,7 +24,6 @@ from .registry import (
     _date,
     bundled,
     duplicate_rank,
-    is_country_code,
     open_text,  # callers still reach it as whois.open_text
     parse_address,
     parse_as,
@@ -240,23 +239,25 @@ def _parse_net_value(value: str) -> list[Prefix]:
     return [Prefix((addr.version, int(addr), addr.max_prefixlen))]
 
 
+# a registry name at the start of a word: "ripencc" is RIPE, "clearing" is not ARIN
+_REGISTRY_WORD = re.compile(r"\b(arin|ripe|apnic|lacnic|afrinic)")
+_COUNTRY = re.compile(r"([A-Za-z]{2})\b")  # "DE # Germany", "us", "US, CA"; not "China"
+
+
 def _find_transfer(lowered_values: Iterable[str], markers: tuple[str, ...]) -> Rir | None:
+    """The registry named first after a transfer marker, if any."""
     for lowered in lowered_values:
         for marker in markers:
             pos = lowered.find(marker)
-            if pos < 0:
-                continue
-            tail = lowered[pos + len(marker):]
-            match = re.search(r"(arin|ripe|apnic|lacnic|afrinic)", tail)
-            if match:
-                return Rir(match.group(1).upper())
+            if pos >= 0 and (match := _REGISTRY_WORD.search(lowered, pos + len(marker))):
+                return Rir(match[1].upper())
     return None
 
 
 def _country(raw: str | None) -> str | None:
-    """The country code a WHOIS value starts with, if any."""
-    token = raw.strip().upper()[:2] if raw else ""
-    return token if is_country_code(token) else None
+    """The country code a WHOIS value starts with: two letters standing alone."""
+    match = _COUNTRY.match(raw.strip()) if raw else None
+    return match[1].upper() if match else None
 
 
 def parse_bulk_whois(

@@ -189,6 +189,16 @@ def small_campaign(tmp_path):
     return camp, paths, tmp_path
 
 
+def measure_plan(backend, targets, vantages):
+    """A plan's results, measured as cli.cmd_audit measures: one
+    measure_targets call for every target's job, each target's replies
+    through target_results; target by target, as planned."""
+    vantages = list(vantages)
+    jobs = [(target, vantages) for target in targets]
+    return [res for (target, _), replies in zip(jobs, backend.measure_targets(jobs), strict=True)
+            for res in measure.target_results(target, vantages, replies)]
+
+
 def stub_answer(status, body):
     """An answer as Transport.request returns it: the status and the body,
     bytes as given, or the JSON of any other value."""
@@ -225,14 +235,13 @@ class WorldSession:
             payload = json.loads(body)
             self.posts.append(payload)
             target = parse_address(payload["target"])
-            results = []
-            for probe_id in payload["probe_ids"]:
-                try:
-                    rtts = self.world.rtts(self.vantages[probe_id], target)
-                except UnknownTarget:
-                    rtts = []
-                if rtts:
-                    results.append({"probe_id": probe_id, "rtts_ms": rtts})
+            try:
+                replies = self.world.rtts_by_vantage(
+                    target, [self.vantages[probe_id] for probe_id in payload["probe_ids"]])
+            except UnknownTarget:
+                replies = {}
+            results = [{"probe_id": probe_id, "rtts_ms": replies[probe_id]}
+                       for probe_id in payload["probe_ids"] if replies.get(probe_id)]
             mid = f"m-{len(self.posts)}"
             self.open[mid] = [self.pending(mid), results]
             self.most_open = max(self.most_open, len(self.open))

@@ -30,17 +30,22 @@ from geoaudit.measure import (
     SyntheticWorld,
     Transport,
     load_results,
-    run_plan,
     write_results,
 )
 from geoaudit.registry import _number, _object, field, load_jsonl, parse_address, parse_prefix
 from geoaudit.vantage import VantagePoint
 
-from conftest import LoopbackApi, WorldSession, seeded_pending, stub_answer
+from conftest import LoopbackApi, WorldSession, measure_plan, seeded_pending, stub_answer
 
 
 def vp(vid, lat=0.0, lon=0.0, country="US"):
     return VantagePoint(id=vid, kind="probe", country=country, lat=lat, lon=lon)
+
+
+def replies_to(backend, vantage, target):
+    """The replies to one target from one vantage, through measure_targets."""
+    [replies] = backend.measure_targets([(target, [vantage])])
+    return replies
 
 
 def world_with(targets, **kw):
@@ -51,14 +56,14 @@ def test_base_rtt_inverts_the_radius_formula():
     # a target 999.3081933 km away must read ~10 ms at 2/3 c
     lat = math.degrees(999.3081933 / EARTH_RADIUS_KM)
     world = world_with({"192.0.2.1": (lat, 0.0)})
-    rtt = world.rtts(vp("v-1", 0.0, 0.0), parse_address("192.0.2.1"))[0]  # no noise
+    rtt = world.rtts_by_vantage(parse_address("192.0.2.1"), [vp("v-1", 0.0, 0.0)])["v-1"][0]  # no noise
     assert rtt == pytest.approx(10.0, abs=1e-6)
 
 
 def test_base_rtt_quarter_meridian():
     # pole to equator along one meridian: pi/2 * R, checked without haversine
     world = world_with({"192.0.2.1": (90.0, 0.0)}, propagation_factor=1.0)
-    rtt = world.rtts(vp("v-1", 0.0, 0.0), parse_address("192.0.2.1"))[0]  # no noise
+    rtt = world.rtts_by_vantage(parse_address("192.0.2.1"), [vp("v-1", 0.0, 0.0)])["v-1"][0]  # no noise
     dist = math.pi / 2 * EARTH_RADIUS_KM
     want = 2.0 * dist / 299.792458
     assert rtt == pytest.approx(want, rel=1e-9)
@@ -66,7 +71,7 @@ def test_base_rtt_quarter_meridian():
 
 def test_zero_noise_gives_identical_samples():
     world = world_with({"192.0.2.1": (10.0, 10.0)})
-    rtts = world.rtts(vp("v-1"), parse_address("192.0.2.1"))
+    rtts = world.rtts_by_vantage(parse_address("192.0.2.1"), [vp("v-1")])["v-1"]
     assert len(rtts) == SAMPLES_PER_PAIR
     assert len(set(rtts)) == 1
 
@@ -75,8 +80,8 @@ def test_noise_is_additive_and_bounded():
     target = parse_address("192.0.2.1")
     quiet = world_with({"192.0.2.1": (10.0, 10.0)})
     noisy = world_with({"192.0.2.1": (10.0, 10.0)}, noise_ms=5.0, seed=3)
-    base = quiet.rtts(vp("v-1"), target)[0]
-    samples = noisy.rtts(vp("v-1"), target)
+    base = quiet.rtts_by_vantage(target, [vp("v-1")])["v-1"][0]
+    samples = noisy.rtts_by_vantage(target, [vp("v-1")])["v-1"]
     assert len(samples) == SAMPLES_PER_PAIR
     for s in samples:
         assert base <= s <= base + 5.0
@@ -86,17 +91,18 @@ def test_noise_is_additive_and_bounded():
 def test_noise_is_deterministic_per_seed_and_pair():
     target = parse_address("192.0.2.1")
     mk = lambda seed: world_with({"192.0.2.1": (10.0, 10.0)}, noise_ms=5.0, seed=seed)
-    assert mk(3).rtts(vp("v-1"), target) == mk(3).rtts(vp("v-1"), target)
-    assert mk(3).rtts(vp("v-1"), target) != mk(4).rtts(vp("v-1"), target)
-    assert mk(3).rtts(vp("v-1"), target) != mk(3).rtts(vp("v-2"), target)
+    rtts = lambda seed, vid: mk(seed).rtts_by_vantage(target, [vp(vid)])[vid]
+    assert rtts(3, "v-1") == rtts(3, "v-1")
+    assert rtts(3, "v-1") != rtts(4, "v-1")
+    assert rtts(3, "v-1") != rtts(3, "v-2")
 
 
 def test_unresponsive_and_unknown_targets():
     world = world_with({"192.0.2.1": (0.0, 0.0)})
     world.unresponsive.add(parse_address("192.0.2.9"))
-    assert world.rtts(vp("v-1"), parse_address("192.0.2.9")) == []
+    assert world.rtts_by_vantage(parse_address("192.0.2.9"), [vp("v-1")]) == {}
     with pytest.raises(UnknownTarget):
-        world.rtts(vp("v-1"), parse_address("198.51.100.1"))
+        world.rtts_by_vantage(parse_address("198.51.100.1"), [vp("v-1")])
 
 
 def test_world_from_json():
@@ -253,7 +259,7 @@ def spelled(replies):
 def test_results_codec_writes_the_generic_bytes():
     rng = random.Random(41)
     results = random_results(rng, 1500)
-    # runs of one target object, as run_plan lists them
+    # runs of one target object, as target_results lists them
     runs = sorted(random_results(rng, 500), key=lambda r: (r.target.version, int(r.target)))
     shared = {}
     results += [MeasurementResult(r.vantage_id, shared.setdefault(r.target, r.target), r.rtts_ms)
@@ -372,9 +378,9 @@ def test_load_results_names_the_key_of_a_bad_target():
 
 def test_replay_backend():
     backend = ReplayBackend({parse_address("192.0.2.1"): {"v-1": (7.0, 8.0)}})
-    assert backend.measure(vp("v-1"), parse_address("192.0.2.1")) == [7.0, 8.0]
+    assert replies_to(backend, vp("v-1"), parse_address("192.0.2.1")) == {"v-1": (7.0, 8.0)}
     assert backend.misses == 0
-    assert backend.measure(vp("v-2"), parse_address("192.0.2.1")) == []  # a gap: no reply
+    assert replies_to(backend, vp("v-2"), parse_address("192.0.2.1")) == {}  # a gap: no reply
     assert backend.misses == 1
     replies = backend.measure_targets([
         (parse_address("192.0.2.1"), [vp("v-1"), vp("v-2"), vp("v-3")]),
@@ -438,10 +444,9 @@ def test_capture_round_trip_replays_every_written_pair():
     assert respelled > 50 and refused > 100
 
 
-def test_run_plan_replay_miss_is_an_empty_result():
+def test_measure_plan_replay_miss_is_an_empty_result():
     backend = ReplayBackend({parse_address("192.0.2.1"): {"v-1": (7.0,)}})
-    out = run_plan(parse_prefix("192.0.2.0/24"), [parse_address("192.0.2.1")],
-                   [vp("v-1"), vp("v-2")], backend)
+    out = measure_plan(backend, [parse_address("192.0.2.1")], [vp("v-1"), vp("v-2")])
     assert len(out) == 2
     by_vantage = {r.vantage_id: r for r in out}
     assert by_vantage["v-1"].rtts_ms == (7.0,)
@@ -449,37 +454,33 @@ def test_run_plan_replay_miss_is_an_empty_result():
 
     # a backend that returns more samples is cut to SAMPLES_PER_PAIR
     five = ReplayBackend({parse_address("192.0.2.1"): {"v-1": (5.0, 4.0, 3.0, 2.0, 1.0)}})
-    out = run_plan(parse_prefix("192.0.2.0/24"), [parse_address("192.0.2.1")],
-                   [vp("v-1")], five)
+    out = measure_plan(five, [parse_address("192.0.2.1")], [vp("v-1")])
     assert out[0].rtts_ms == (5.0, 4.0, 3.0)
 
-    # measured pair by pair, a miss still costs only its own pair
-    out = run_plan(parse_prefix("192.0.2.0/24"), [parse_address("192.0.2.1")],
-                   [vp("v-2"), vp("v-1")], PairOnly(backend))
+    # vantages in any order: a miss still costs only its own pair
+    out = measure_plan(backend, [parse_address("192.0.2.1")], [vp("v-2"), vp("v-1")])
     assert [r.rtts_ms for r in out] == [(7.0,), ()]
 
 
-def test_run_plan_measurement_order_and_bad_rtt():
+def test_measure_plan_measurement_order_and_bad_rtt():
     # targets as planned, each target's results by vantage id
     world = world_with({"192.0.2.1": (0.0, 0.0), "192.0.2.2": (0.0, 0.0)})
-    out = run_plan(parse_prefix("192.0.2.0/24"),
-                   [parse_address("192.0.2.2"), parse_address("192.0.2.1")],
-                   [vp("v-b"), vp("v-a")], SimulateBackend(world))
+    out = measure_plan(SimulateBackend(world), [parse_address("192.0.2.2"), parse_address("192.0.2.1")],
+                       [vp("v-b"), vp("v-a")])
     assert [(str(r.target), r.vantage_id) for r in out] == [
         ("192.0.2.2", "v-a"), ("192.0.2.2", "v-b"), ("192.0.2.1", "v-a"), ("192.0.2.1", "v-b")]
 
-    class Hostile:
+    class Hostile(Backend):
         def __init__(self, rtt):
             self.rtt = rtt
 
-        def measure(self, vantage, target):
-            return [10.0, self.rtt]
+        def measure_targets(self, jobs):
+            return ({v.id: [10.0, self.rtt] for v in vantages} for _, vantages in jobs)
 
     # an RTT that is negative or not finite fails the plan
     for rtt in (-1.0, math.nan, math.inf):
         with pytest.raises(GeoAuditError, match=f"^v-1 -> 192.0.2.1: {rtt} ms$"):
-            run_plan(parse_prefix("192.0.2.0/24"), [parse_address("192.0.2.1")],
-                     [vp("v-1")], Hostile(rtt))
+            measure_plan(Hostile(rtt), [parse_address("192.0.2.1")], [vp("v-1")])
 
 
 class Numbered(Backend):
@@ -495,12 +496,11 @@ class Numbered(Backend):
                    for v in vantages if self.rng.random() < 0.8}
 
 
-def test_run_plan_orders_like_a_stable_sort_of_its_pairs():
+def test_measure_plan_orders_like_a_stable_sort_of_its_pairs():
     """Targets as planned, each target's pairs stably sorted by vantage id:
     duplicate targets (two plans of a hand-written --plans file, or one
     plan listing an address twice) and unsorted or repeated vantage ids."""
     rng = random.Random(51)
-    prefix = parse_prefix("192.0.2.0/24")
     for case in range(300):
         addrs = random_addresses(rng, 3, 2)
         targets = [rng.choice(addrs) for _ in range(rng.randint(1, 6))]
@@ -515,7 +515,7 @@ def test_run_plan_orders_like_a_stable_sort_of_its_pairs():
                                               tuple(replies.get(v.id, ())[:SAMPLES_PER_PAIR]))
                             for v in vantages), key=lambda r: r.vantage_id)
 
-        got = run_plan(prefix, targets, vantages, Numbered(case))
+        got = measure_plan(Numbered(case), targets, vantages)
         assert got == want
         assert [id(r.target) for r in got] == [id(r.target) for r in want]
 
@@ -553,8 +553,8 @@ def test_live_backend_happy_path():
                "results": [{"probe_id": "p-1", "rtts_ms": [10.0, 11.5, 12.0]}]}),
     ])
     backend, sleeps = make_backend(session)
-    rtts = backend.measure(vp("p-1"), parse_address("192.0.2.1"))
-    assert rtts == [10.0, 11.5, 12.0]
+    replies = replies_to(backend, vp("p-1"), parse_address("192.0.2.1"))
+    assert replies == {"p-1": [10.0, 11.5, 12.0]}
 
     method, path, payload, headers = session.calls[0]
     assert (method, path) == ("POST", "/measurements")
@@ -574,7 +574,7 @@ def test_live_backend_retries_with_backoff():
         (200, {"status": "done", "results": []}),
     ])
     backend, sleeps = make_backend(session)
-    assert backend.measure(vp("p-9"), parse_address("192.0.2.1")) == []
+    assert replies_to(backend, vp("p-9"), parse_address("192.0.2.1")) == {}
     assert sleeps == [2.0, 4.0, 2.0]
     assert [call[0] for call in session.calls] == ["POST"] * 3 + ["GET"] * 2
     assert (backend.posts, backend.polls, backend.retries, backend.rounds) == (3, 2, 3, 0)
@@ -616,7 +616,7 @@ def test_live_backend_never_resends_a_post_the_api_may_have_created(failure):
 def test_live_backend_retries_every_transient_get(failure):
     session = StubSession([(200, {"id": "m-5"}), failure, (200, {"status": "done", "results": []})])
     backend, sleeps = make_backend(session)
-    assert backend.measure(vp("p-1"), parse_address("192.0.2.1")) == []
+    assert replies_to(backend, vp("p-1"), parse_address("192.0.2.1")) == {}
     assert sleeps == [2.0]
     assert [call[0] for call in session.calls] == ["POST", "GET", "GET"]
 
@@ -630,7 +630,7 @@ def test_a_bug_in_the_session_is_not_a_failed_exchange(method):
     session = StubSession([bug] if method == "POST" else [(200, {"id": "m-7"}), bug])
     backend, sleeps = make_backend(session)
     with pytest.raises(TypeError, match="the session's own mistake"):
-        backend.measure(vp("p-1"), parse_address("192.0.2.1"))
+        replies_to(backend, vp("p-1"), parse_address("192.0.2.1"))
     assert sleeps == [] and backend.retries == 0
     assert [call[0] for call in session.calls].count(method) == 1
 
@@ -648,7 +648,7 @@ def test_live_backend_gives_up_on_a_measurement_that_never_finishes():
     session = StubSession([(200, {"id": "m-6"})] + [(200, {"status": "pending"})] * POLL_ATTEMPTS)
     backend, sleeps = make_backend(session)
     with pytest.raises(BackendUnavailable, match="m-6 never finished"):
-        backend.measure(vp("p-1"), parse_address("192.0.2.1"))
+        replies_to(backend, vp("p-1"), parse_address("192.0.2.1"))
     assert [call[0] for call in session.calls] == ["POST"] + ["GET"] * POLL_ATTEMPTS
     # no sleep after the last pending poll: the run fails at once
     assert sleeps == [POLL_INTERVAL_S] * (POLL_ATTEMPTS - 1)
@@ -720,7 +720,7 @@ def test_live_backend_fails_on_a_malformed_answer(script, message):
     session = StubSession(script)
     backend, sleeps = make_backend(session)
     with pytest.raises(BackendUnavailable) as exc:
-        backend.measure(vp("p-1"), parse_address("192.0.2.1"))
+        replies_to(backend, vp("p-1"), parse_address("192.0.2.1"))
     assert str(exc.value) == message
     assert sleeps == [] and not session.script  # at the first answer, without a retry
 
@@ -732,7 +732,7 @@ def read_live_row(row):
     session = StubSession([(200, {"id": "m-1"}), (200, {"status": "done", "results": [row]})])
     backend, _ = make_backend(session)
     try:
-        return backend.measure(vp("p-1"), parse_address("192.0.2.1"))
+        return replies_to(backend, vp("p-1"), parse_address("192.0.2.1"))
     except BackendUnavailable as exc:
         raise GeoAuditError(str(exc).removeprefix(f"{RESULTS} ")) from None
 
@@ -779,7 +779,7 @@ def test_a_bug_in_reading_an_answer_is_not_a_broken_api(monkeypatch, bug):
     session = StubSession([(200, {"id": "m-1"}), (200, {"status": "done", "results": []})])
     backend, _ = make_backend(session)
     with pytest.raises(bug, match="the reader's own mistake"):
-        backend.measure(vp("p-1"), parse_address("192.0.2.1"))
+        replies_to(backend, vp("p-1"), parse_address("192.0.2.1"))
 
 
 def test_live_backend_holds_one_session():
@@ -821,7 +821,7 @@ def test_transport_sends_each_path_below_the_base_url(slash):
     with LoopbackApi(api) as server:
         live = LiveBackend(server.base_url + slash, "k", sleep=lambda s: None)
         try:
-            assert live.measure(vantage, target) == world.rtts(vantage, target)
+            assert replies_to(live, vantage, target) == world.rtts_by_vantage(target, [vantage])
         finally:
             live.close()
     assert api.calls == [("POST", "/v1/measurements"), ("GET", "/v1/measurements/m-1/results")]
@@ -833,7 +833,7 @@ def test_transport_reconnects_when_the_server_drops_an_idle_connection():
         live = LiveBackend(server.base_url, "k", sleep=lambda s: None)
         try:
             for target, vantages in jobs:
-                assert live.measure(vantages[0], target) == world.rtts(vantages[0], target)
+                assert replies_to(live, vantages[0], target) == world.rtts_by_vantage(target, vantages)
                 # the server closed the connection after its answer; wait until the client's
                 # end has seen it, so the next request meets a connection already dropped
                 assert server.closed.acquire(timeout=5)
@@ -859,7 +859,7 @@ def test_transport_retries_a_post_whose_connection_was_refused():
         live = LiveBackend(f"http://127.0.0.1:{port}/v1", "k", sleep=sleep)
         (target, [vantage]), = jobs
         try:
-            assert live.measure(vantage, target) == world.rtts(vantage, target)
+            assert replies_to(live, vantage, target) == world.rtts_by_vantage(target, [vantage])
         finally:
             live.session.close()
     assert sleeps == [2.0]
@@ -880,9 +880,9 @@ def test_transport_read_timeout_fails_a_post_and_retries_a_get(monkeypatch, meth
             if method == "POST":
                 with pytest.raises(BackendUnavailable,
                                    match="may have created the measurement: timed out$"):
-                    live.measure(vantage, target)
+                    replies_to(live, vantage, target)
             else:
-                assert live.measure(vantage, target) == world.rtts(vantage, target)
+                assert replies_to(live, vantage, target) == world.rtts_by_vantage(target, [vantage])
         finally:
             live.session.close()
         assert time.monotonic() - start < 5  # the client gave up, not the server
@@ -959,16 +959,6 @@ def test_live_window_sleeps_once_per_round(n):
 
 
 # -- one call per target: every backend agrees with the others --------------------
-
-class PairOnly:
-    """A backend that measures one pair per call, like a tracing wrapper."""
-
-    def __init__(self, inner):
-        self.inner = inner
-
-    def measure(self, vantage, target):
-        return self.inner.measure(vantage, target)
-
 
 def reference_base(world, vantage, target):
     """The great-circle RTT in ms, written out independently."""
@@ -1056,11 +1046,13 @@ def outcome(call, *args):
 
 @pytest.mark.parametrize("seed,noise_ms", [(11, 4.0), (12, 0.0)])
 def test_every_backend_measures_a_plan_alike(seed, noise_ms):
+    """Every backend measures a plan alike, as the audit measures it. The
+    pair-by-pair shims the benchmark's replica and stub call (run_plan,
+    Backend.measure and SyntheticWorld.rtts) agree with that on every
+    backend; this is the one test that calls them."""
     world, vantages, plans = random_campaign(seed, noise_ms)
-    prefix = parse_prefix("192.0.2.0/24")
     simulate = SimulateBackend(world)
-    expected = [run_plan(prefix, targets, plan_vantages, simulate)
-                for targets, plan_vantages in plans]
+    expected = [measure_plan(simulate, targets, plan_vantages) for targets, plan_vantages in plans]
     # each measurement of a target the world cannot place is counted
     assert simulate.unknown_targets == sum(
         t not in world.target_locations and t not in world.unresponsive
@@ -1083,9 +1075,8 @@ def test_every_backend_measures_a_plan_alike(seed, noise_ms):
         assert archived.setdefault((r.vantage_id, r.target), r) == r
     write_results(archived.values(), capture)
     replay = ReplayBackend(load_results(io.StringIO(capture.getvalue())))
-    for backend in (live, replay, PairOnly(simulate)):
-        got = [run_plan(prefix, targets, plan_vantages, backend)
-               for targets, plan_vantages in plans]
+    for backend in (live, replay):
+        got = [measure_plan(backend, targets, plan_vantages) for targets, plan_vantages in plans]
         assert got == expected
     assert replay.misses == 0
 
@@ -1095,11 +1086,18 @@ def test_every_backend_measures_a_plan_alike(seed, noise_ms):
     assert len(session.posts) == methods.count("GET") == measured
     assert all(post["probe_ids"] for post in session.posts)
 
-    # measure is one pair: a target the world cannot place gives no reply
+    # the shims: run_plan measures pair by pair, as the benchmark's replica does
+    prefix = parse_prefix("192.0.2.0/24")
     for backend in (simulate, live, replay):
-        for targets, plan_vantages in plans[:50]:
-            for target in targets:
-                for v in plan_vantages[:2]:
-                    want = outcome(reference_rtts, world, v, target)
+        got = [measure.run_plan(prefix, targets, plan_vantages, backend)
+               for targets, plan_vantages in plans]
+        assert got == expected
+    # measure and rtts are one pair: a target the world cannot place gives no reply
+    for targets, plan_vantages in plans[:50]:
+        for target in targets:
+            for v in plan_vantages[:2]:
+                want = outcome(reference_rtts, world, v, target)
+                assert outcome(world.rtts, v, target) == want
+                for backend in (simulate, live, replay):
                     assert backend.measure(v, target) == ([] if want is UnknownTarget else want)
     assert replay.misses == 0

@@ -30,6 +30,29 @@ def test_every_top_level_definition_is_used_outside_itself():
     assert sorted(f"{module}.{name}" for name, module in defined.items() if name not in used) == []
 
 
+def _pair_shim_users(directory: str) -> list[str]:
+    """file:definition for each top-level definition in directory that names
+    run_plan, or an attribute measure or rtts, outside its own definition."""
+    users = set()
+    for path in sorted((ROOT / directory).glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(stmt):
+                if (isinstance(node, ast.Name) and node.id == "run_plan"
+                        or isinstance(node, ast.alias) and node.name == "run_plan"
+                        or isinstance(node, ast.Attribute)
+                        and node.attr in ("run_plan", "measure", "rtts")):
+                    users.add(f"{path.name}:{getattr(stmt, 'name', ast.unparse(stmt))}")
+    return sorted(users)
+
+
+def test_the_pair_by_pair_shims_serve_the_benchmark_alone():
+    """Backend.measure, SyntheticWorld.rtts and run_plan measure pair by pair
+    for the benchmark's replica and API stub. In src/ only run_plan calls one
+    of them; in the tier-1 suite only the test that holds them to the audit's
+    measure_targets path does. Deleting them takes nothing else along."""
+    assert _pair_shim_users("src/geoaudit") == ["measure.py:run_plan"]
+    assert _pair_shim_users("tests") == ["test_measure.py:test_every_backend_measures_a_plan_alike"]
+
 
 def _type_names(node) -> list[str]:
     """The names in the type operand of an except clause or an isinstance."""

@@ -652,6 +652,56 @@ def test_drop_circular_transfers():
     assert "193.0.0.0/24" in ripe_prefixes
 
 
+def test_a_transfer_marker_names_a_registry_at_a_word_start():
+    """After the marker, a registry name counts only where a word starts:
+    "ripencc" is RIPE, but "clearing" is not ARIN nor "stripe" RIPE, so a
+    block moved to such a company is not dropped as transferred out."""
+    arin = """\
+NetRange:       192.0.2.0 - 192.0.2.255
+NetType:        Direct Assignment
+Comment:        Transferred to Stripe Inc
+Updated:        2020-01-01
+
+NetRange:       198.51.100.0 - 198.51.100.255
+NetType:        Direct Assignment
+Comment:        Transferred to RIPENCC
+Updated:        2020-01-01
+"""
+    ripe = """\
+inetnum:        193.0.0.0 - 193.0.0.255
+country:        NL
+status:         ASSIGNED PA
+remarks:        transferred to Clearing House GmbH
+"""
+    arin_regs, _, _ = parse_bulk_whois(io.StringIO(arin), Rir.ARIN)
+    ripe_regs, _, _ = parse_bulk_whois(io.StringIO(ripe), Rir.RIPE)
+    assert [reg.flags for reg in arin_regs] == [(), ("transfer_to:RIPE",)]
+    assert [reg.flags for reg in ripe_regs] == [()]
+    kept, circular, transferred = drop_circular_transfers({Rir.ARIN: arin_regs, Rir.RIPE: ripe_regs})
+    assert [str(reg.prefix) for reg in kept[Rir.ARIN]] == ["192.0.2.0/24"]
+    assert [str(reg.prefix) for reg in kept[Rir.RIPE]] == ["193.0.0.0/24"]
+    assert transferred == {Rir.ARIN: 1, Rir.RIPE: 0}
+    assert circular == {Rir.ARIN: 0, Rir.RIPE: 0}
+
+
+@pytest.mark.parametrize("value, code", [
+    ("DE # Germany", "DE"), ("us", "US"), ("US, CA", "US"), (" jp ", "JP"),
+    ("China", None), ("Germany", None), ("DE1", None), ("U.S.", None), ("", None),
+])
+def test_a_country_code_is_two_letters_standing_alone(value, code):
+    """A country value is read as a code only where it starts with two
+    letters that end a word: the first two letters of a name would read
+    China as CH, Switzerland, a region the record never named. A record
+    whose country is not a code carries no_org_country."""
+    apnic = f"inetnum: 203.0.112.0 - 203.0.113.255\ncountry: {value}\nstatus: ALLOCATED PORTABLE\n"
+    [reg], _, _ = parse_bulk_whois(io.StringIO(apnic), Rir.APNIC)
+    assert reg.org_country == code
+    [linked], _ = link_organizations([reg], {})
+    assert ("no_org_country" in linked.flags) == (code is None)
+    arin = f"OrgID: EX-1\nOrgName: Example\nCountry: {value}\n"
+    assert parse_bulk_whois(io.StringIO(arin), Rir.ARIN)[1] == {"EX-1": code}
+
+
 def test_open_text_reads_gzip_transparently(tmp_path):
     plain = tmp_path / "dump.txt"
     plain.write_text(ARIN_DUMP)
