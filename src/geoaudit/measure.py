@@ -6,7 +6,9 @@ the RTT samples (up to three) from each of a plan's vantages to a target
 one method a backend implements, and the audit's one way to measure. In
 target_results, a vantage without a reply (a replay gap, a probe error)
 becomes an empty result, so one dead probe never sinks a prefix, and an RTT
-that is negative or not finite fails the run on every backend.
+that is negative or not finite fails the run on every backend. The audit
+closes its backend once the last reply is in: a replay lets go of its
+capture and a simulator of its world, so classification reuses that memory.
 
 Backend.measure, SyntheticWorld.rtts and run_plan measure pair by pair for
 the benchmark's traced replica and API stub, their only callers; they go
@@ -36,7 +38,9 @@ import math
 import select
 import struct
 import time
-from hashlib import blake2b
+# the object hashlib.blake2b is, without hashlib's load of OpenSSL (_hashlib,
+# ~3.6 MB resident); hashlib has no other BLAKE2b, so nothing to fall back to
+from _blake2 import blake2b
 from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import BackendUnavailable, GeoAuditError, UnknownTarget
@@ -165,8 +169,12 @@ def load_results(fp: IO[str]) -> dict[Addr, dict[str, tuple[float, ...]]]:
 
 class Backend:
     """A measurement backend. measure_targets is the one method a backend
-    implements. tally is the line an audit prints about the run, and close
-    releases what the backend holds: only a live one holds anything."""
+    implements. tally is the line an audit prints about the run, and reads
+    the same after close. close releases what the backend holds once the
+    last reply is read: a replay's capture, a simulator's world, a live
+    client's connection, so that classification reuses their memory. A
+    replay or a simulator measuring after close is a bug: it raises
+    RuntimeError."""
 
     def measure_targets(self, jobs: Iterable[Job]) -> Iterator[Mapping[str, Sequence[float]]]:
         """The replies to each (target, vantages) job, in job order: RTT
@@ -282,6 +290,8 @@ class SimulateBackend(Backend):
 
     def measure_targets(self, jobs: Iterable[Job]) -> Iterator[dict[str, list[float]]]:
         for target, vantages in jobs:
+            if self.world is None:
+                raise RuntimeError("SimulateBackend measured after close()")
             try:
                 replies = self.world.rtts_by_vantage(target, vantages)
             except UnknownTarget:
@@ -291,6 +301,9 @@ class SimulateBackend(Backend):
 
     def tally(self) -> str:
         return f"unknown targets: {self.unknown_targets}"
+
+    def close(self) -> None:
+        self.world = None
 
 
 class ReplayBackend(Backend):
@@ -306,12 +319,17 @@ class ReplayBackend(Backend):
 
     def measure_targets(self, jobs: Iterable[Job]) -> Iterator[dict[str, tuple[float, ...]]]:
         for target, vantages in jobs:
+            if self._index is None:
+                raise RuntimeError("ReplayBackend measured after close()")
             archived = self._index.get(target, {})
             self.misses += sum(v.id not in archived for v in vantages)
             yield {v.id: archived[v.id] for v in vantages if v.id in archived}
 
     def tally(self) -> str:
         return f"replay misses: {self.misses} pairs"
+
+    def close(self) -> None:
+        self._index = None
 
 
 class NeverConnected(Exception):

@@ -5,9 +5,9 @@ and out-of-region organization counts.
 An address is an Addr, (version, integer), and a prefix a Prefix,
 (version, network integer, length): small immutable tuples that sort, hash
 and compare as those tuples. Parsing rejects a prefix with host bits set, so
-a Prefix is always canonical. ipaddress is used here alone, at the text
-edges: it reads the spellings the fast paths leave to it, and it prints IPv6
-other than IPv4-mapped.
+a Prefix is always canonical. Both print from their integers. ipaddress
+is used here alone, and only to read the spellings the fast paths leave to
+it.
 """
 
 from __future__ import annotations
@@ -18,9 +18,9 @@ import enum
 import functools
 import gzip
 import io
-import ipaddress
 import json
 import operator
+import struct
 import types
 import typing
 from typing import IO, Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
@@ -65,18 +65,33 @@ _OCTET_TEXT = list(_OCTETS)
 _LENGTHS = {4: {str(n): n for n in range(33)}, 6: {str(n): n for n in range(129)}}
 _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 _BITS = {4: 32, 6: 128}
+_GROUPS = struct.Struct(">8H")  # an IPv6 address's eight 16-bit groups
+_ZERO_RUNS = [":0" * n + ":" for n in range(9)]  # n zero groups, framed by colons
 
 
 def _address_text(version: int, value: int) -> str:
     """The canonical text of this address, the same on every Python: dotted
-    for IPv4, and for IPv6 what ipaddress prints, except that an IPv4-mapped
-    address (::ffff:0:0/96) is hex, ::ffff:102:304, as before Python 3.13."""
+    for IPv4, and for IPv6 the RFC 5952 text ipaddress prints: lower-case
+    hex groups, the longest run of two or more zero groups as ::, the first
+    such run on a tie. An IPv4-mapped address (::ffff:0:0/96) is hex too,
+    ::ffff:102:304, as before Python 3.13."""
     if version == 4:
         return (f"{_OCTET_TEXT[value >> 24]}.{_OCTET_TEXT[value >> 16 & 255]}."
                 f"{_OCTET_TEXT[value >> 8 & 255]}.{_OCTET_TEXT[value & 255]}")
-    if value >> 32 == 0xFFFF:
-        return f"::ffff:{value >> 16 & 0xFFFF:x}:{value & 0xFFFF:x}"
-    return str(ipaddress.IPv6Address(value))
+    groups = _GROUPS.unpack(value.to_bytes(16, "big"))
+    text = "%x:%x:%x:%x:%x:%x:%x:%x" % groups
+    zeros = groups.count(0)
+    if zeros < 2:
+        return text
+    # from the longest run the zero groups could make down, the first run
+    # found is the longest, and the leftmost of that length; a group is "0"
+    # only when it is zero, and the colons framing it keep "10" from matching
+    framed = f":{text}:"
+    for n in range(zeros, 1, -1):
+        at = framed.find(_ZERO_RUNS[n])
+        if at >= 0:
+            return f"{text[:at - 1] if at else ''}::{text[at + 2 * n:]}"
+    return text
 
 
 class Addr(tuple):
@@ -161,12 +176,24 @@ def _hex_groups(text: str) -> int | None:
     return value
 
 
-def _refuse_zone(address: ipaddress.IPv4Address | ipaddress.IPv6Address, kind: str,
-                 text: str) -> None:
-    """An IPv6 zone id (fe80::1%eth0) names a link of one host: an Addr has
-    no room for it, and the address without it is another address."""
+def _ipaddress_reads(kind: str, text: str):
+    """What ipaddress reads from a spelling the fast paths leave to it: an
+    address, or with kind "prefix" a strict network. Text it refuses, or an
+    IPv6 zone id (fe80::1%eth0), raises GeoAuditError: a zone names a link
+    of one host, an Addr has no room for it, and the address without it is
+    another address. Only such a spelling loads ipaddress (~2 ms)."""
+    import ipaddress
+
+    stripped = text.strip()
+    try:
+        parsed = (ipaddress.ip_address(stripped) if kind == "address"
+                  else ipaddress.ip_network(stripped, strict=True))
+    except ValueError as exc:
+        raise GeoAuditError(f"bad {kind} {text!r}: {exc}") from None
+    address = parsed if kind == "address" else parsed.network_address
     if address.version == 6 and address.scope_id is not None:
         raise GeoAuditError(f"bad {kind} {text!r}: IPv6 zone id {address.scope_id!r} not accepted")
+    return parsed
 
 
 def parse_address(text: str) -> Addr:
@@ -175,11 +202,7 @@ def parse_address(text: str) -> Addr:
     version, value = (6, _hex_groups(stripped)) if ":" in stripped else (4, _dotted_quad(stripped))
     if value is not None:
         return Addr((version, value))
-    try:
-        address = ipaddress.ip_address(stripped)
-    except ValueError as exc:
-        raise GeoAuditError(f"bad address {text!r}: {exc}") from None
-    _refuse_zone(address, "address", text)
+    address = _ipaddress_reads("address", text)
     return Addr((address.version, int(address)))
 
 
@@ -191,11 +214,7 @@ def parse_prefix(text: str) -> Prefix:
     plen = _LENGTHS[version].get(length)
     if value is not None and plen is not None and not value & ((1 << (_BITS[version] - plen)) - 1):
         return Prefix((version, value, plen))
-    try:
-        network = ipaddress.ip_network(stripped, strict=True)
-    except ValueError as exc:
-        raise GeoAuditError(f"bad prefix {text!r}: {exc}") from None
-    _refuse_zone(network.network_address, "prefix", text)
+    network = _ipaddress_reads("prefix", text)
     return Prefix((network.version, int(network.network_address), network.prefixlen))
 
 

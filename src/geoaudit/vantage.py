@@ -8,7 +8,6 @@ without losing reproducibility.
 
 from __future__ import annotations
 
-import hashlib
 from typing import IO, Iterable, NamedTuple, Sequence
 
 from .errors import GeoAuditError
@@ -25,6 +24,17 @@ from .registry import (
     record,
     refuse_repeats,
 )
+
+# CPython's own SHA-256, with hashlib's digests but without its load of
+# OpenSSL (_hashlib, ~3.6 MB resident): _sha2 on 3.12+, _sha256 before;
+# hashlib only on a build that has neither
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 REGIONAL_PICKS = 3
 COUNTRY_PICKS = 5
@@ -169,7 +179,7 @@ def select_stable_sets(vantages: Iterable[VantagePoint], region_map: RegionMap) 
 
 def prefix_rotation(prefix: Prefix) -> int:
     """Stable non-negative hash used to rotate pool picks per prefix."""
-    digest = hashlib.sha256(str(prefix).encode("ascii")).digest()
+    digest = sha256(str(prefix).encode("ascii")).digest()
     return int.from_bytes(digest[:8], "big")
 
 

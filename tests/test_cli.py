@@ -1434,6 +1434,8 @@ def test_each_command_imports_only_the_stages_it_runs(small_campaign):
                     "--out-dir", str(tmp_path / "report")],
                    {"measure", "vantage", "whois"}),
     }
+    # what the interpreter loads before any command: a site hook may load ipaddress
+    startup = set(json.loads(python_in_subprocess("import json, sys; print(json.dumps(sorted(sys.modules)))")))
     for name, (argv, unused) in commands.items():
         out = python_in_subprocess(RUN_AND_LIST_MODULES, *argv)
         code, modules = json.loads(out.splitlines()[-1])
@@ -1444,8 +1446,43 @@ def test_each_command_imports_only_the_stages_it_runs(small_campaign):
         # records are NamedTuples: dataclasses, and the inspect it imports, would
         # cost every command ~10 ms to import and more to build its classes
         assert not {"dataclasses", "inspect"} & set(modules), name
-        # only vantage.prefix_rotation and the simulator hash; hashlib costs ~4 ms
-        assert ("hashlib" in modules) is (name == "audit"), name
+        # vantage.prefix_rotation and the simulator hash with CPython's own
+        # SHA-256 and BLAKE2b: OpenSSL's _hashlib costs ~4 ms and ~3.6 MB
+        assert "_hashlib" not in modules, name
+        # addresses print from their integers; only an unusual spelling loads ipaddress
+        assert "ipaddress" not in set(modules) - startup, name
+
+
+DIGESTS_WITHOUT = """
+import json, sys
+for name in sys.argv[1:]:
+    sys.modules[name] = None  # as on a build without the module
+from geoaudit import measure, vantage
+from geoaudit.registry import parse_address, parse_prefix
+world = measure.SyntheticWorld({parse_address("2001:db8::1"): (48.1, 11.6)}, noise_ms=5.0, seed=3)
+print(json.dumps([
+    vantage.sha256.__module__,
+    [vantage.prefix_rotation(parse_prefix(p)) for i in range(100)
+     for p in (f"10.{i}.0.0/16", f"2001:db8:{i:x}::/48")],
+    world.rtts_by_vantage(parse_address("2001:db8::1"),
+                          [vantage.VantagePoint(v, "DE", 0.0, 0.0) for v in ("v-1", "m\u00fcnchen")]),
+]))
+"""
+
+
+def test_the_digests_fall_back_to_hashlib_alike():
+    """A build without CPython's own SHA-256 (Fedora's, say) takes
+    prefix_rotation's from hashlib, with the same values; the simulator's
+    samples are unchanged. Without _blake2 hashlib has no BLAKE2b either,
+    so the simulator takes it from _blake2 alone: there is no fallback."""
+    builtin = json.loads(python_in_subprocess(DIGESTS_WITHOUT).splitlines()[-1])
+    fallback = json.loads(python_in_subprocess(DIGESTS_WITHOUT, "_sha2", "_sha256").splitlines()[-1])
+    assert (builtin[0], fallback[0]) == ("_sha2" if sys.version_info >= (3, 12) else "_sha256",
+                                         "_hashlib")
+    assert fallback[1:] == builtin[1:]
+    assert python_in_subprocess(
+        "import sys; sys.modules['_blake2'] = None; import hashlib; print(hasattr(hashlib, 'blake2b'))"
+    ).splitlines()[-1] == "False"
 
 
 def test_live_audit_runs_on_the_standard_library(small_campaign):

@@ -11,6 +11,7 @@ import re
 import select
 import socket
 import time
+import weakref
 
 import pytest
 
@@ -32,8 +33,9 @@ from geoaudit.measure import (
     load_results,
     write_results,
 )
-from geoaudit.registry import _number, _object, field, load_jsonl, parse_address, parse_prefix
-from geoaudit.vantage import VantagePoint
+from geoaudit.registry import (Prefix, _number, _object, field, load_jsonl, parse_address,
+                               parse_prefix)
+from geoaudit.vantage import VantagePoint, prefix_rotation, sha256
 
 from conftest import LoopbackApi, WorldSession, measure_plan, seeded_pending, stub_answer
 
@@ -390,6 +392,54 @@ def test_replay_backend():
     assert backend.misses == 3
     assert next(replies) == {}
     assert backend.misses == 4
+
+
+class Capture(dict):
+    """A capture mapping a weak reference can watch."""
+
+
+class World(SyntheticWorld):
+    """A world a weak reference can watch."""
+
+
+def test_close_releases_the_capture_and_the_world():
+    """close lets go of what a replay or a simulator measures from, so the
+    audit's classification reuses its memory; tally reads as before, and
+    measuring after close is a bug that raises, not a run of replay misses
+    or unknown targets."""
+    target = parse_address("192.0.2.1")
+    jobs = [(target, [vp("v-1"), vp("v-2")])]
+    replay = ReplayBackend(Capture({target: {"v-1": (7.0, 8.0)}}))
+    simulate = SimulateBackend(World(target_locations={parse_address("192.0.2.9"): (1.0, 2.0)}))
+    held = [weakref.ref(replay._index), weakref.ref(simulate.world)]
+    for backend in (replay, simulate):
+        assert list(backend.measure_targets(jobs)) == [{"v-1": (7.0, 8.0)} if backend is replay else {}]
+        tally = backend.tally()
+        backend.close()
+        assert backend.tally() == tally
+        with pytest.raises(RuntimeError, match="measured after close"):
+            next(backend.measure_targets(jobs))
+        assert backend.tally() == tally
+    assert [ref() for ref in held] == [None, None]
+    assert (replay.tally(), simulate.tally()) == ("replay misses: 1 pairs", "unknown targets: 1")
+
+
+def test_the_builtin_digests_are_hashlibs():
+    """prefix_rotation's SHA-256 and the simulator's BLAKE2b-192 come from
+    CPython's builtin modules, not OpenSSL's; on 2,000 seeded prefixes and
+    pair texts, with non-ASCII vantage ids among them, they give hashlib's
+    digests, so every rotation and sample keeps its bits."""
+    rng = random.Random(29)
+    for addr in random_addresses(rng, 1000, 1000):
+        host = addr.max_prefixlen - rng.randint(0, addr.max_prefixlen)
+        prefix = Prefix((addr.version, int(addr) >> host << host, addr.max_prefixlen - host))
+        text = str(prefix).encode("ascii")
+        assert sha256(text).digest() == hashlib.sha256(text).digest()
+        assert prefix_rotation(prefix) == int.from_bytes(hashlib.sha256(text).digest()[:8], "big")
+        pair = f"{rng.getrandbits(rng.choice([8, 64, 200]))}:{rng.choice(VANTAGE_IDS)}:{addr}".encode()
+        assert (measure.blake2b(pair, digest_size=24).digest()
+                == hashlib.blake2b(pair, digest_size=24).digest())
+    assert measure._NOISE_WORDS.size == 24
 
 
 def test_capture_round_trip_replays_every_written_pair():

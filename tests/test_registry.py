@@ -158,9 +158,64 @@ def test_parse_prefix_rejects_host_bits():
     ("::1.2.3.4", "::102:304"),  # IPv4-compatible
     ("::", "::"),
     ("1:0:0:2:0:0:3:4", "1::2:0:0:3:4"),  # the first of two equal zero runs
+    ("0:0:1:0:0:0:1:0", "0:0:1::1:0"),  # the longer run, though later
+    ("1:0:1:0:1:0:1:0", "1:0:1:0:1:0:1:0"),  # a lone zero group stays
+    ("1:0:0:0:0:0:0:0", "1::"),
+    ("0:0:0:0:0:0:0:1", "::1"),
+    ("2A00:0DB8:00F0::", "2a00:db8:f0::"),
 ])
 def test_address_text_is_pinned(text, want):
     assert str(parse_address(text)) == want
+
+
+def rfc5952_text(value):
+    """RFC 5952 text of a 128-bit value, written out group by group: lower-case
+    hex without leading zeros, and the longest run of two or more zero groups,
+    the first such run on a tie, as ::."""
+    groups = [value >> shift & 0xFFFF for shift in range(112, -16, -16)]
+    start, length = 0, 1  # the longest zero run so far; a single zero group stays
+    i = 0
+    while i < 8:
+        j = i
+        while j < 8 and groups[j] == 0:
+            j += 1
+        if j - i > length:
+            start, length = i, j - i
+        i = max(j, i + 1)
+    hexes = [format(group, "x") for group in groups]
+    if length < 2:
+        return ":".join(hexes)
+    return ":".join(hexes[:start]) + "::" + ":".join(hexes[start + length:])
+
+
+def test_ipv6_text_matches_a_reference_and_ipaddress():
+    """Seeded IPv6 values, each group zero with a chance drawn per value, so
+    zero runs of every length sit side by side, at either end and in ties;
+    IPv4-mapped ones among them. str() of each, and of a prefix of it, is
+    the reference's text, and ipaddress's for an address not IPv4-mapped
+    (Python 3.13 prints those dotted); parsing the text gives the value back."""
+    rng = random.Random(53)
+    mapped = 0
+    for _ in range(20000):
+        p_zero = rng.random()
+        value = 0
+        for _ in range(8):
+            value = value << 16 | (0 if rng.random() < p_zero else rng.choice(
+                [rng.getrandbits(16), rng.getrandbits(4), 0xFFFF]))
+        if rng.random() < 0.05:
+            value = 0xFFFF << 32 | rng.getrandbits(32) >> rng.choice([0, 16, 32])
+        text = str(parse_address(str(ipaddress.IPv6Address(value))))
+        assert text == rfc5952_text(value), hex(value)
+        if value >> 32 == 0xFFFF:
+            mapped += 1
+        else:
+            assert text == str(ipaddress.IPv6Address(value)), hex(value)
+        assert parse_address(text) == (6, value)
+        host = rng.randint(0, 128)
+        network = value >> host << host
+        assert str(parse_prefix(f"{rfc5952_text(network)}/{128 - host}")) == (
+            f"{rfc5952_text(network)}/{128 - host}")
+    assert mapped > 500
 
 
 def test_mapped_prefix_text_is_pinned_in_registrations():
