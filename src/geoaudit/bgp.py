@@ -13,7 +13,7 @@ from typing import IO, Iterable, NamedTuple
 
 from .errors import GeoAuditError
 from .index import PrefixIndex
-from .registry import Prefix, Registration, Rir, parse_prefix
+from .registry import Prefix, Registration, Rir, parse_prefix, read_tokens
 
 
 class Alignment(enum.Enum):
@@ -59,30 +59,24 @@ def _origin_asn(text: str) -> int:
     return int(match[1])
 
 
-def load_rib(fp: IO[str]) -> Rib:
-    """Read routes from lines of "<prefix> <origin_asn>" (_origin_asn).
+def _route(text: str) -> tuple[Prefix, int]:
+    """A "<prefix> <origin_asn>" line of a RIB (_origin_asn)."""
+    parts = text.split()
+    if len(parts) != 2:
+        raise GeoAuditError(f"expected '<prefix> <origin_asn>', got {text!r}")
+    return parse_prefix(parts[0]), _origin_asn(parts[1])
 
-    Comment lines (#) and blanks are skipped; default routes (/0) are
-    dropped and counted; repeated prefixes merge their origins."""
+
+def load_rib(fp: IO[str]) -> Rib:
+    """The routes (_route) read_tokens yields, one by one: default routes
+    (/0) are dropped and counted, repeated prefixes merge their origins."""
     origins: dict[Prefix, set[int]] = {}
     dropped = 0
-    for lineno, line in enumerate(fp, start=1):
-        text = line.split("#", 1)[0].strip()
-        if not text:
-            continue
-        parts = text.split()
-        if len(parts) != 2:
-            raise GeoAuditError(f"line {lineno}: expected '<prefix> <origin_asn>', got {text!r}")
-        try:
-            prefix = parse_prefix(parts[0])
-            asn = _origin_asn(parts[1])
-        except GeoAuditError as exc:
-            raise GeoAuditError(f"line {lineno}: {exc}") from None
+    for prefix, asn in read_tokens(fp, _route):
         if prefix.prefixlen == 0:
             dropped += 1
-            continue
-        origins.setdefault(prefix, set()).add(asn)
-
+        else:
+            origins.setdefault(prefix, set()).add(asn)
     routes = PrefixIndex((prefix, frozenset(asns)) for prefix, asns in origins.items())
     return Rib(routes=routes, default_routes_dropped=dropped)
 
@@ -113,16 +107,13 @@ def align(prefix: Prefix, rib: Rib) -> AlignmentResult:
     return AlignmentResult(Alignment.UNADVERTISED)
 
 
-def alignment_table(
-    regs: Iterable[Registration],
-    rib: Rib,
-    family: int | None = None,
-) -> dict[Rir, dict[Alignment, float]]:
-    """Fraction of each registry's prefixes in each alignment class. Rows
-    appear only for registries with at least one prefix and sum to 1."""
+def alignment_table(regs: Iterable[Registration], rib: Rib, family: int) -> dict[Rir, dict[Alignment, float]]:
+    """Fraction of each registry's prefixes of one family (4 or 6) in each
+    alignment class. Rows appear only for registries with at least one such
+    prefix and sum to 1."""
     counts: dict[Rir, dict[Alignment, int]] = {}
     for reg in regs:
-        if family is not None and reg.prefix.version != family:
+        if reg.prefix.version != family:
             continue
         row = counts.get(reg.rir)
         if row is None:

@@ -190,7 +190,7 @@ def audit_prefix(
                             anycast, nir_markers, config.strict_no_org, flags)
     cls = None
     if reason is None:
-        if reg.org_country is None and "no_org_country" not in flags:
+        if reg.org_country is None:
             flags.append("no_org_country")
         for i, outcome in enumerate(targets):
             if not outcome.responded:
@@ -199,8 +199,7 @@ def audit_prefix(
             region = infer_region(results_by_target[outcome.target], vantages_by_id,
                                   config.geo, config.region_map)
             if not region.rirs:
-                if "empty_geo_set" not in flags:
-                    flags.append("empty_geo_set")
+                flags.append("empty_geo_set")
                 continue
             targets[i] = TargetOutcome(
                 target=outcome.target,
@@ -225,7 +224,7 @@ def audit_prefix(
         rir_geo=frozenset().union(*(o.rirs for o in targets)),
         cls=cls,
         filter_reason=reason,
-        flags=tuple(flags),
+        flags=tuple(dict.fromkeys(flags)),  # each flag once, in first-seen order
         targets=tuple(targets),
     )
 

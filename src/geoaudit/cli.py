@@ -321,7 +321,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
     vantages_by_id = {v.id: v for v in vantages}
 
     anycast = _read(args.anycast_prefixes, targets.load_prefix_list) if args.anycast_prefixes else []
-    nir_markers = _read(args.nir_markers, read_tokens) if args.nir_markers else []
+    nir_markers = _read(args.nir_markers, lambda fp: list(read_tokens(fp))) if args.nir_markers else []
 
     backend = _make_backend(args, config)
 

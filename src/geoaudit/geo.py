@@ -52,7 +52,7 @@ CountryPoints = Mapping[str, tuple[tuple[float, float], ...]]
 def load_country_points(fp: IO[str]) -> dict[str, tuple[tuple[float, float], ...]]:
     """Load representative points from CSV with a country,lat,lon header."""
     acc: dict[str, list[tuple[float, float]]] = {}
-    for cc, lat, lon in read_csv(fp, ["country", "lat", "lon"], country_point, comments=True):
+    for cc, lat, lon in read_csv(fp, ["country", "lat", "lon"], country_point):
         acc.setdefault(cc, []).append((lat, lon))
     return {cc: tuple(points) for cc, points in acc.items()}
 

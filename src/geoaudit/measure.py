@@ -172,9 +172,8 @@ class Backend:
     implements. tally is the line an audit prints about the run, and reads
     the same after close. close releases what the backend holds once the
     last reply is read: a replay's capture, a simulator's world, a live
-    client's connection, so that classification reuses their memory. A
-    replay or a simulator measuring after close is a bug: it raises
-    RuntimeError."""
+    client's connection, so that classification reuses their memory. Any
+    backend measuring after close is a bug: it raises RuntimeError."""
 
     def measure_targets(self, jobs: Iterable[Job]) -> Iterator[Mapping[str, Sequence[float]]]:
         """The replies to each (target, vantages) job, in job order: RTT
@@ -407,8 +406,8 @@ class LiveBackend(Backend):
     measurement (a 429 or 503 answer, or NeverConnected), so a retry never
     pays for a second one. posts and polls count the POST and GET requests
     sent, retries the ones sent again, and rounds the POLL_INTERVAL_S
-    sleeps. session is a Transport to base_url; tests inject session and
-    sleep."""
+    sleeps. session is a Transport to base_url, None once closed; tests
+    inject session and sleep."""
 
     def __init__(self, base_url: str, api_key: str, tag: str | None = None, session=None,
                  sleep: Callable[[float], None] = time.sleep, in_flight: int = 1):
@@ -425,6 +424,7 @@ class LiveBackend(Backend):
 
     def close(self) -> None:
         self.session.close()  # its keep-alive connection
+        self.session = None
 
     def _request(self, method: str, path: str, parse: Callable, body: bytes | None = None):
         """parse of the JSON body of the 200 answer. BackendUnavailable when
@@ -487,6 +487,8 @@ class LiveBackend(Backend):
         finished: dict[int, dict[str, list[float]]] = {}  # held until every earlier job's are out
         posted = first = 0  # the next job to post, the next to hand on
         while first < len(jobs):
+            if self.session is None:  # a closed transport would quietly reconnect
+                raise RuntimeError("LiveBackend measured after close()")
             while posted < len(jobs) and len(outstanding) < self.in_flight:
                 target, vantages = jobs[posted]
                 if vantages:  # the API rejects an empty probe_ids

@@ -482,28 +482,34 @@ def refuse_repeats(keys: Iterable, what: str) -> None:
         seen.add(key)
 
 
-def read_tokens(fp: IO[str]) -> list[str]:
-    """One token per line; '#' starts a comment and blank lines are skipped."""
-    tokens = (line.split("#", 1)[0].strip() for line in fp)
-    return [token for token in tokens if token]
+def read_tokens(fp: Iterable[str], parse: Callable[[str], T] = str) -> Iterator[T]:
+    """parse of each line's text, stripped, yielded as the lines are read:
+    '#' to the end of a line is a comment, and a line left blank is
+    skipped. A value parse refuses with GeoAuditError is refused naming its
+    line. The one reader of list inputs and of the RIB."""
+    for n, line in enumerate(fp, 1):
+        text = line.split("#", 1)[0].strip()
+        if text:
+            try:
+                value = parse(text)
+            except GeoAuditError as exc:
+                raise GeoAuditError(f"line {n}: {exc}") from None
+            yield value
 
 
-def read_csv(lines: Iterable[str], header: Sequence[str], parse_row: Callable[[dict], T],
-             comments: bool = False) -> list[T]:
+def read_csv(lines: Iterable[str], header: Sequence[str], parse_row: Callable[[dict], T]) -> list[T]:
     """parse_row of each row, a dict keyed by header, of a CSV whose header
-    row is header once stripped; fields past the header's are dropped, and
-    with comments so is a line starting with '#'. A row with fewer fields,
-    or one parse_row refuses, raises GeoAuditError naming its line."""
+    row is header once stripped; fields past the header's are dropped. A
+    line that is blank or whose first non-blank character is '#' is
+    skipped, above the header too. A row with fewer fields, or one
+    parse_row refuses, raises GeoAuditError naming its line."""
     at = [0]  # at[0]: the lines read so far, so a parsed row's last line
-    rows = csv.reader(line for at[0], line in enumerate(lines, 1)
-                      if not (comments and line.lstrip().startswith("#")))
+    rows = csv.reader(line for at[0], line in enumerate(lines, 1) if line.lstrip()[:1] not in ("", "#"))
     names = next(rows, None)
     if names is None or [name.strip() for name in names] != list(header):
         raise GeoAuditError(f"need a {','.join(header)} header, got {names}")
     out = []
     for fields in rows:
-        if not fields:
-            continue  # a blank line
         if len(fields) < len(header):
             raise GeoAuditError(f"line {at[0]}: {len(fields)} fields, need {len(header)}")
         try:
@@ -589,7 +595,7 @@ class RegionMap:
 def load_region_map(fp: IO[str]) -> RegionMap:
     """Load a region map from CSV with a country,rir header."""
     rows = read_csv(fp, ["country", "rir"], lambda row: (
-        row["country"].strip().upper(), parse_as(Rir, row["rir"].strip().upper())), comments=True)
+        row["country"].strip().upper(), parse_as(Rir, row["rir"].strip().upper())))
     refuse_repeats((cc for cc, _ in rows), "country")
     return RegionMap(dict(rows))
 

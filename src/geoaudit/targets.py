@@ -54,12 +54,12 @@ def load_hitlist_v4(fp: IO[str]) -> list[HitlistEntry]:
 
 def load_hitlist_v6(fp: IO[str]) -> list[HitlistEntry]:
     """One IPv6 address per line; no responsiveness scores."""
-    return [HitlistEntry(addr=_address(token, 6), score=None) for token in read_tokens(fp)]
+    return list(read_tokens(fp, lambda token: HitlistEntry(addr=_address(token, 6), score=None)))
 
 
 def load_prefix_list(fp: IO[str]) -> list[Prefix]:
-    """One prefix per line with # comments; used for alias/anycast/lease lists."""
-    return [parse_prefix(token) for token in read_tokens(fp)]
+    """One prefix per line (read_tokens); used for alias/anycast/lease lists."""
+    return list(read_tokens(fp, parse_prefix))
 
 
 def exclude_aliased(

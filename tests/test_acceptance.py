@@ -411,7 +411,7 @@ def test_criterion_06_bgp_alignment():
             for p in ("10.1.0.0/16", "10.2.4.0/24", "10.3.0.0/20",
                       "10.4.0.0/20", "10.5.0.0/24")
         ]
-        table = alignment_table(regs, rib)
+        table = alignment_table(regs, rib, family=4)
         row = table[Rir.ARIN]
         for alignment in Alignment:
             assert row[alignment] == pytest.approx(0.2)

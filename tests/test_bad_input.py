@@ -19,7 +19,9 @@ from importlib import resources
 import pytest
 
 from geoaudit import cli
+from geoaudit.bgp import Rib
 from geoaudit.errors import GeoAuditError
+from geoaudit.registry import RegionMap, parse_prefix
 
 from conftest import audit_argv, build_campaign, write_campaign
 
@@ -206,3 +208,67 @@ def test_junk_input_loads_or_is_refused_naming_its_file(loaders, monkeypatch, na
         except BaseException as exc:
             raise AssertionError(f"{name}: {data!r} raised {exc!r}") from exc
     assert refused > JUNK_PER_LOADER // 10  # the junk reaches the refusals
+
+
+# each line-based input: whether it is a CSV, and a value its loader refuses
+# with the refusal's text, or None where every token is a value
+LINE_INPUTS = {
+    "hitlist_v4.csv": (True, "2001:db8::1,100", "2001:db8::1 is not an IPv4 address"),
+    "default_coords.csv": (True, "US,91,0", "lat: 91.0 is not in [-90, 90]"),
+    "country_points.csv": (True, "US,0,181", "lon: 181.0 is not in [-180, 180]"),
+    "region_map.csv": (True, "ZZ,NOWHERE", "'NOWHERE' is not a valid Rir"),
+    "geodb.csv": (True, "10.1.0.0/15,US", "bad prefix '10.1.0.0/15': 10.1.0.0/15 has host bits set"),
+    "hitlist_v6.txt": (False, "192.0.2.1", "192.0.2.1 is not an IPv6 address"),
+    "aliased.txt": (False, "10.1.0.0/15", "bad prefix '10.1.0.0/15': 10.1.0.0/15 has host bits set"),
+    "anycast.txt": (False, "10.1.0.0/15", "bad prefix '10.1.0.0/15': 10.1.0.0/15 has host bits set"),
+    "leased.txt": (False, "10.1.0.0/15", "bad prefix '10.1.0.0/15': 10.1.0.0/15 has host bits set"),
+    "rib.txt": (False, "10.0.0.0/8", "expected '<prefix> <origin_asn>', got '10.0.0.0/8'"),
+    "bad_probes.txt": (False, None, None),
+    "nir_markers.txt": (False, None, None),
+}
+BLANKS = ["", "   ", "\t"]
+COMMENTS = ["#", "# a note", "  # indented", "#,1,2", "#10.0.0.0/8 64500"]
+
+
+def comparable(value):
+    """value as == compares it by content: a region map as its mapping, a
+    RIB as its routes of each family and its dropped default routes."""
+    if isinstance(value, RegionMap):
+        return {cc: value.get(cc) for cc in value}
+    if isinstance(value, Rib):
+        return ([value.routes.contained(parse_prefix(p)) for p in ("0.0.0.0/0", "::/0")],
+                value.default_routes_dropped)
+    return value
+
+
+def test_every_line_input_skips_comments_and_blanks_and_names_a_refused_line(loaders, monkeypatch):
+    """# lines and blank lines anywhere, in a CSV above its header too, load
+    the value the clean file loads; in a list or a RIB, so does # to the end
+    of a line. A value the loader refuses on line k is refused as line k."""
+    assert sorted(LINE_INPUTS) == sorted(name for name in INPUTS
+                                         if name.endswith((".csv", ".txt")) and name != "arin.txt")
+    data = ""
+    monkeypatch.setattr(cli, "open_text", lambda path: io.StringIO(data))
+    rng = random.Random(41)
+    for name, (is_csv, bad, refusal) in LINE_INPUTS.items():
+        path, loader = loaders[name]
+        with open(path, encoding="utf-8") as fp:
+            clean = fp.read().splitlines()
+        data = "\n".join(clean) + "\n"
+        want = comparable(cli._read(path, loader))
+        for _ in range(40):
+            lines = [line if is_csv or rng.random() < 0.5 else f"{line}  {rng.choice(COMMENTS)}"
+                     for line in clean]
+            for _ in range(rng.randint(1, 6)):
+                lines.insert(rng.randint(0, len(lines)), rng.choice(BLANKS + COMMENTS))
+            data = "\n".join(lines) + "\n"
+            assert comparable(cli._read(path, loader)) == want, (name, data)
+            if bad is None:
+                continue
+            first = lines.index(clean[0]) + 1 if is_csv else 0  # a refused value comes after the header
+            at = rng.randint(first, len(lines))
+            lines.insert(at, bad if is_csv else f"{bad} {rng.choice(['', '# a note'])}")
+            data = "\n".join(lines) + "\n"
+            with pytest.raises(GeoAuditError) as exc:
+                cli._read(path, loader)
+            assert str(exc.value) == f"{path}: line {at + 1}: {refusal}", (name, data)

@@ -178,15 +178,14 @@ def test_alignment_table_rows_sum_to_one(rib):
         reg("2001:db8::/32", Rir.RIPE),     # aligned, v6
         reg("203.0.112.0/22", Rir.APNIC),   # supernet over the /23
     ]
-    table = alignment_table(regs, rib)
-    assert table[Rir.ARIN][Alignment.ALIGNED] == 0.25
-    assert table[Rir.ARIN][Alignment.SUBNET] == 0.25
-    assert table[Rir.ARIN][Alignment.MIXED_AS] == 0.25
-    assert table[Rir.ARIN][Alignment.UNADVERTISED] == 0.25
-    assert table[Rir.APNIC][Alignment.SUPERNET] == 1.0
-    for row in table.values():
+    v4 = alignment_table(regs, rib, family=4)
+    assert v4[Rir.ARIN][Alignment.ALIGNED] == 0.25
+    assert v4[Rir.ARIN][Alignment.SUBNET] == 0.25
+    assert v4[Rir.ARIN][Alignment.MIXED_AS] == 0.25
+    assert v4[Rir.ARIN][Alignment.UNADVERTISED] == 0.25
+    assert v4[Rir.APNIC][Alignment.SUPERNET] == 1.0
+    assert Rir.RIPE not in v4  # its one prefix is IPv6
+    v6 = alignment_table(regs, rib, family=6)
+    assert list(v6) == [Rir.RIPE] and v6[Rir.RIPE][Alignment.ALIGNED] == 1.0
+    for row in [*v4.values(), *v6.values()]:
         assert abs(sum(row.values()) - 1.0) < 1e-9
-
-    v4_only = alignment_table(regs, rib, family=4)
-    assert Rir.RIPE not in v4_only
-    assert sum(v4_only[Rir.ARIN].values()) == pytest.approx(1.0)

@@ -315,6 +315,27 @@ def test_audit_prefix_record_invariants_on_random_inputs():
     assert seen == set(ConsistencyClass) | set(FilterReason)
 
 
+# flags an audit adds, and flags only ingest or plan set
+AUDIT_FLAGS = ("moas", "org_country_unmapped", "no_org_country", "empty_geo_set")
+OTHER_FLAGS = ("split_from_range", "mnt:JPNIC-MNT", "cross_rir_duplicate")
+
+
+def test_audit_prefix_flags_each_flag_once_in_first_seen_order():
+    """A registration may already carry a flag the audit adds, even twice;
+    the record carries each flag once, in the order it was first seen."""
+    rng = random.Random(29)
+    for _ in range(1500):
+        reg_flags = tuple(rng.choice(AUDIT_FLAGS + OTHER_FLAGS) for _ in range(rng.randint(0, 5)))
+        targets = ("192.0.2.1", "192.0.2.2")[:rng.randint(1, 2)]
+        plan = make_plan(targets=targets, org_country=rng.choice(["US", "DE", "XX", None]),
+                         flags=reg_flags)
+        results = {parse_address(t): random_results(rng, t) for t in targets}
+        rec = run_one(plan, results, rib_text=RIBS[rng.choice(["exact", "moas", "covering"])])
+        assert len(set(rec.flags)) == len(rec.flags), rec.flags
+        assert rec.flags[:len(set(reg_flags))] == tuple(dict.fromkeys(reg_flags))
+        assert set(rec.flags) - set(reg_flags) <= set(AUDIT_FLAGS)
+
+
 def test_audit_pipeline_one_record_per_plan_sorted():
     plans = [
         make_plan("198.51.100.0/24", targets=("198.51.100.1",)),

@@ -1144,7 +1144,7 @@ def test_a_short_csv_row_exits_2_naming_its_line(small_campaign, capsys, flag, n
 @pytest.mark.parametrize("flag, name, text, where, family", [
     ("--hitlist-v4", "hitlist_v4.csv", "addr,score\n192.0.2.1,100\n2001:db8::1,100\n",
      "line 3: 2001:db8::1", 4),
-    ("--hitlist-v6", "hitlist_v6.txt", "2001:db8::1\n192.0.2.1\n", "192.0.2.1", 6),
+    ("--hitlist-v6", "hitlist_v6.txt", "2001:db8::1\n192.0.2.1\n", "line 2: 192.0.2.1", 6),
 ])
 def test_a_hitlist_address_of_the_other_family_exits_2(small_campaign, capsys, flag, name, text,
                                                        where, family):

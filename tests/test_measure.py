@@ -863,6 +863,23 @@ def test_transport_keeps_one_connection_for_a_whole_run():
     assert live.retries == 0
 
 
+def test_a_closed_live_backend_refuses_to_measure():
+    """As replay and simulate do, a live backend measuring after close
+    raises, and its transport opens no second connection to do it."""
+    world, jobs = loopback_world(3)
+    with LoopbackApi(WorldSession(world, [vp("v-1")])) as server:
+        live = LiveBackend(server.base_url, "k", sleep=lambda s: None)
+        assert list(live.measure_targets(jobs[:1])) == list(SimulateBackend(world).measure_targets(jobs[:1]))
+        tally = live.tally()
+        live.close()
+        assert live.tally() == tally
+        with pytest.raises(RuntimeError, match="^LiveBackend measured after close"):
+            next(live.measure_targets(jobs[1:]))
+        assert live.tally() == tally
+    assert len(server.peers) == 1
+    assert server.methods == ["POST", "GET"]
+
+
 @pytest.mark.parametrize("slash", ["", "/"])
 def test_transport_sends_each_path_below_the_base_url(slash):
     world, jobs = loopback_world(1)

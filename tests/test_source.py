@@ -231,3 +231,14 @@ def test_readme_names_every_record_flag_and_filter_reason():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     assert len(names) > len(FilterReason) + 10
     assert sorted(name for name in names if name not in readme) == []
+
+
+def test_only_the_line_readers_know_the_comment_mark():
+    """registry.read_tokens and registry.read_csv hold the one comment rule
+    of list, RIB and CSV inputs, and whois keeps the RPSL dumps' own #/%
+    rule: the string "#" appears in no other module, so no loader grows a
+    comment rule of its own."""
+    marking = [path.name for path in sorted((ROOT / "src" / "geoaudit").glob("*.py"))
+               if any(isinstance(node, ast.Constant) and node.value == "#"
+                      for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))))]
+    assert marking == ["registry.py", "whois.py"]
