@@ -463,14 +463,15 @@ def duplicate_rank(reg: Registration) -> tuple:
 
 
 def open_text(path: str) -> IO[str]:
-    """Open a text file, decompressing gzip transparently (magic sniff)."""
+    """Open a UTF-8 text file, decompressing gzip transparently (magic
+    sniff); one leading byte order mark is dropped."""
     with open(path, "rb") as probe:
         magic = probe.read(2)
     if magic == b"\x1f\x8b":
         raw = gzip.open(path, "rb")
     else:
         raw = open(path, "rb")
-    return io.TextIOWrapper(raw, encoding="utf-8", errors="replace")
+    return io.TextIOWrapper(raw, encoding="utf-8-sig", errors="replace")
 
 
 def refuse_repeats(keys: Iterable, what: str) -> None:

@@ -166,9 +166,10 @@ def sankey_edges(
     records: Iterable[ConsistencyRecord],
     region_map: RegionMap,
 ) -> list[tuple[Rir, Rir, int]]:
-    """Flow counts from registered region to measured region, the latter
-    taken as the region of the minimum-RTT vantage's country on the first
-    classified target."""
+    """Flow counts of classified records from registered region to measured
+    region: the region the map gives the vantage country of the first
+    classified target whose vantage country it knows. A record with no
+    such target is left out of sankey.csv."""
     counts: dict[tuple[Rir, Rir], int] = {}
     for rec in records:
         if rec.cls is None:

@@ -21,7 +21,6 @@ from .registry import (
     Registration,
     Rir,
     Status,
-    _date,
     bundled,
     duplicate_rank,
     open_text,  # callers still reach it as whois.open_text
@@ -157,38 +156,28 @@ def normalize_status(text: str | None) -> Status:
     return Status.LEGACY_OR_UNKNOWN
 
 
-_DATE_PATTERNS = ("%Y-%m-%d", "%Y%m%d", "%Y-%m-%dT%H:%M:%SZ")
-# the shapes registries write, in ASCII digits: YYYY-MM-DD, its UTC
-# timestamp and YYYYMMDD. strptime reads such a token as this date exactly
-# when datetime.date() accepts its fields; else no pattern and no
-# fromisoformat reads it.
-_FAST_DATE = re.compile(r"(\d{4})-(\d\d)-(\d\d)(?:T\d\d:\d\d:\d\dZ)?|(\d{4})(\d\d)(\d\d)", re.ASCII)
+# One token, one date: %Y-%m-%d, %Y%m%d and %Y-%m-%dT%H:%M:%SZ as
+# datetime's format parser reads them (any decimal digit, t and z in either
+# case), but with seconds 0-59 only, since datetime refuses 60 and 61;
+# failing those, YYYY-MM-DD in ASCII digits before a T, as Python 3.10's
+# fromisoformat reads a timestamp's day. A token that matches but names no
+# real day yields nothing.
+_Y, _M, _D = r"(\d{4})", r"(1[0-2]|0[1-9]|[1-9])", r"(3[01]|[12]\d|0[1-9]|[1-9])"
+_DATE = re.compile(rf"{_Y}-{_M}-{_D}(?:T(?:2[0-3]|[01]\d|\d):(?:[0-5]\d|\d):(?:[0-5]\d|\d)Z)?"
+                   rf"|{_Y}{_M}{_D}|([0-9]{{4}})-([0-9]{{2}})-([0-9]{{2}})(?-i:T).*", re.IGNORECASE)
 
 
 def parse_date(text: str | None) -> datetime.date | None:
-    # RPSL changed attributes put an email before the date, so every
-    # whitespace token is a candidate
+    """The first date a token of text spells; RPSL changed attributes put an
+    email before the date, so every whitespace token is a candidate."""
     if not text:
         return None
-    for token in text.strip().split():
-        fast = _FAST_DATE.fullmatch(token)
-        if fast:
-            year, month, day = fast.group(1, 2, 3) if fast.group(1) else fast.group(4, 5, 6)
+    for token in text.split():
+        if match := _DATE.fullmatch(token):
             try:
-                return datetime.date(int(year), int(month), int(day))
+                return datetime.date(*[int(field) for field in match.groups() if field])
             except ValueError:
                 continue
-        if token[:4].isdecimal():  # every pattern starts with %Y, four digits
-            for pattern in _DATE_PATTERNS:
-                try:
-                    return datetime.datetime.strptime(token, pattern).date()
-                except ValueError:
-                    continue
-        if "T" in token:
-            try:  # YYYY-MM-DD only: 3.11+ fromisoformat also reads 20210304, 3.10 does not
-                return _date(token.split("T", 1)[0])
-            except GeoAuditError:
-                pass
     return None
 
 
@@ -366,20 +355,16 @@ def drop_circular_transfers(
     A record annotated as transferred away is dropped from its source dump.
     When two dumps each claim the same prefix was transferred to the other,
     both records are dropped and counted as circular."""
-    annotated: dict[tuple[Rir, Prefix], Rir] = {}
-    for rir, regs in regs_by_rir.items():
-        for reg in regs:
-            dest = _transfer_dest(reg)
-            if dest is not None:
-                annotated[(rir, reg.prefix)] = dest
+    dests = {rir: [_transfer_dest(reg) for reg in regs] for rir, regs in regs_by_rir.items()}
+    annotated = {(rir, reg.prefix): dest for rir, regs in regs_by_rir.items()
+                 for reg, dest in zip(regs, dests[rir]) if dest is not None}
 
     circular: dict[Rir, int] = {rir: 0 for rir in regs_by_rir}
     transferred: dict[Rir, int] = {rir: 0 for rir in regs_by_rir}
     out: dict[Rir, list[Registration]] = {}
     for rir, regs in regs_by_rir.items():
         kept: list[Registration] = []
-        for reg in regs:
-            dest = _transfer_dest(reg)
+        for reg, dest in zip(regs, dests[rir]):
             if dest is None:
                 kept.append(reg)
                 continue

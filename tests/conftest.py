@@ -4,11 +4,14 @@ ground truth, written out as the file set the CLI consumes."""
 from __future__ import annotations
 
 import http.server
+import importlib.util
 import ipaddress
 import json
 import random
+import sys
 import threading
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +32,21 @@ CLUSTERS: dict[Rir, list[tuple[str, float, float]]] = {
 }
 
 CLASS_PATTERN = ("FC", "OC", "OI", "RI", "FI")
+
+GEOBENCH = Path(__file__).resolve().parent.parent / "geobench"
+
+
+def load_geobench(name: str):
+    """geobench/<name>.py, the benchmark's own module, imported read-only
+    from its file and kept out of sys.modules once loaded."""
+    spec = importlib.util.spec_from_file_location(f"geobench_{name}", GEOBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up by name
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
 
 
 @dataclass

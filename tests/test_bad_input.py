@@ -193,7 +193,7 @@ def test_junk_input_loads_or_is_refused_naming_its_file(loaders, monkeypatch, na
         raw.name = path  # configparser names its errors after the file
         if data[:2] == b"\x1f\x8b":
             raw = gzip.GzipFile(path, fileobj=raw)
-        return io.TextIOWrapper(raw, encoding="utf-8", errors="replace")
+        return io.TextIOWrapper(raw, encoding="utf-8-sig", errors="replace")
 
     monkeypatch.setattr(cli, "open_text", open_junk)
     rng = random.Random(f"junk:{name}")

@@ -87,6 +87,39 @@ def test_ingest_broken_identity_exits_2(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+def test_a_leading_byte_order_mark_is_dropped(tmp_path, capsys):
+    """One UTF-8 BOM in front of a dump, plain or gzip, or of a CSV header
+    changes nothing: the first record and the header read as without it."""
+    rng = random.Random(41)
+    countries = ["DE", "FR", "NL", "US"]
+    dump = "\n".join(f"inetnum: 193.0.{n}.0 - 193.0.{n}.255\nstatus: ALLOCATED PA\n"
+                     f"country: {rng.choice(countries)}\nlast-modified: 20{rng.randint(10, 24)}"
+                     f"-{rng.randint(1, 12):02d}-{rng.randint(1, 28):02d}T08:00:00Z\n"
+                     for n in rng.sample(range(256), 5)).encode()
+    region_map = ("country,rir\n" + "".join(f"{cc},{rng.choice(['ARIN', 'RIPE'])}\n"
+                                            for cc in countries)).encode()
+    bom = "\ufeff".encode()
+
+    def ingest(name, data):
+        (tmp_path / name).write_bytes(data)
+        out = tmp_path / f"{name}.jsonl"
+        assert run(["ingest", "--ripe", str(tmp_path / name), "-o", str(out)]) == 0
+        return capsys.readouterr().out.splitlines()[0], out.read_bytes()
+
+    def oro(name, data):
+        (tmp_path / name).write_bytes(data)
+        out = tmp_path / f"{name}.oro.csv"
+        assert run(["oro", "--registrations", str(tmp_path / "ripe.db.jsonl"),
+                    "--region-map", str(tmp_path / name), "-o", str(out)]) == 0, capsys.readouterr().err
+        return out.read_bytes()
+
+    plain = ingest("ripe.db", dump)
+    assert plain[0].startswith("RIPE: nets=5 emitted=5 ")
+    assert ingest("bom.db", bom + dump) == plain
+    assert ingest("bom.db.gz", gzip.compress(bom + dump)) == plain
+    assert oro("bom.csv", bom + region_map) == oro("region_map.csv", region_map)
+
+
 def test_align_writes_fractions(small_campaign, capsys):
     camp, paths, tmp_path = small_campaign
     out = tmp_path / "alignment.csv"
@@ -1451,6 +1484,8 @@ def test_each_command_imports_only_the_stages_it_runs(small_campaign):
         assert "_hashlib" not in modules, name
         # addresses print from their integers; only an unusual spelling loads ipaddress
         assert "ipaddress" not in set(modules) - startup, name
+        # whois.parse_date reads every date spelling with one compiled pattern
+        assert "_strptime" not in modules, name
 
 
 DIGESTS_WITHOUT = """

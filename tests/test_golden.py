@@ -12,9 +12,7 @@ digests changed and why."""
 
 import gzip
 import hashlib
-import importlib.util
 import json
-import sys
 from pathlib import Path
 
 import geoaudit
@@ -22,9 +20,8 @@ from geoaudit import cli
 from geoaudit.measure import SyntheticWorld
 from geoaudit.vantage import load_vantages
 
-from conftest import LoopbackApi, WorldSession
+from conftest import LoopbackApi, WorldSession, load_geobench
 
-GEN = Path(__file__).resolve().parent.parent / "geobench" / "gen.py"
 SEED = 1
 SIZES = {"n_bulk": 200, "n_audit": 24}
 
@@ -71,17 +68,6 @@ OUTPUTS = {
 }
 
 
-def load_gen():
-    spec = importlib.util.spec_from_file_location("geobench_gen", GEN)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up by name
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        del sys.modules[spec.name]
-    return module
-
-
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -93,7 +79,7 @@ def check_pinned(what: str, got: dict[str, str], pinned: dict[str, str]) -> None
 
 
 def test_every_output_keeps_its_pinned_bytes(tmp_path):
-    gen = load_gen()
+    gen = load_geobench("gen")
     camp = gen.build_campaign(SEED, str(Path(geoaudit.__file__).parent / "data"), **SIZES)
     check_pinned("input", {name: sha256(gzip.decompress(data) if name.endswith(".gz") else data)
                            for name, data in camp.files.items()}, INPUTS)

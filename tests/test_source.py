@@ -242,3 +242,18 @@ def test_only_the_line_readers_know_the_comment_mark():
                if any(isinstance(node, ast.Constant) and node.value == "#"
                       for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))))]
     assert marking == ["registry.py", "whois.py"]
+
+
+def test_dates_are_read_by_one_grammar_without_strptime():
+    """whois.parse_date reads every date spelling through its one compiled
+    pattern: no file of the package, code or data, names strptime, so no
+    fallback parser grows back beside it, and whois takes no date reader
+    from registry."""
+    naming = [path.relative_to(ROOT).as_posix()
+              for path in sorted((ROOT / "src" / "geoaudit").rglob("*"))
+              if path.is_file() and "__pycache__" not in path.parts and b"strptime" in path.read_bytes()]
+    assert naming == []
+    tree = ast.parse((ROOT / "src" / "geoaudit" / "whois.py").read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert "_date" not in imported

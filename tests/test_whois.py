@@ -8,7 +8,7 @@ import pytest
 
 from geoaudit import whois
 from geoaudit.errors import GeoAuditError
-from geoaudit.registry import Rir, Status, write_registrations
+from geoaudit.registry import Registration, Rir, Status, parse_prefix, write_registrations
 from geoaudit.whois import (
     RawRecord,
     _parse_net_value,
@@ -682,6 +682,52 @@ remarks:        transferred to Clearing House GmbH
     assert [str(reg.prefix) for reg in kept[Rir.RIPE]] == ["193.0.0.0/24"]
     assert transferred == {Rir.ARIN: 1, Rir.RIPE: 0}
     assert circular == {Rir.ARIN: 0, Rir.RIPE: 0}
+
+
+def seed_drop_circular_transfers(regs_by_rir):
+    """drop_circular_transfers as the seed wrote it: each row's destination
+    read once to index the annotations and once more to sort the row."""
+    annotated = {}
+    for rir, regs in regs_by_rir.items():
+        for reg in regs:
+            dest = whois._transfer_dest(reg)
+            if dest is not None:
+                annotated[(rir, reg.prefix)] = dest
+    circular, transferred = {rir: 0 for rir in regs_by_rir}, {rir: 0 for rir in regs_by_rir}
+    out = {}
+    for rir, regs in regs_by_rir.items():
+        out[rir] = [reg for reg in regs if whois._transfer_dest(reg) is None]
+        for reg in regs:
+            dest = whois._transfer_dest(reg)
+            if dest is not None:
+                if annotated.get((dest, reg.prefix)) == rir:
+                    circular[rir] += 1
+                else:
+                    transferred[rir] += 1
+    return out, circular, transferred
+
+
+def test_drop_circular_transfers_reads_each_destination_once(monkeypatch):
+    """Seeded rows over a few shared prefixes, some annotated as transferred
+    to a random registry: the result is the seed's, and each row's
+    destination is read from its flags exactly once."""
+    rng = random.Random(29)
+    prefixes = [parse_prefix(f"198.51.{n}.0/24") for n in range(12)]
+    regs_by_rir = {}
+    for rir in rng.sample(list(Rir), 4):
+        regs_by_rir[rir] = []
+        for prefix in rng.sample(prefixes, rng.randint(0, len(prefixes))):
+            flags = ("mnt:X",) + ((f"transfer_to:{rng.choice(list(Rir)).value}",)
+                                  if rng.random() < 0.6 else ())
+            regs_by_rir[rir].append(Registration(prefix=prefix, rir=rir, flags=flags))
+    expected = seed_drop_circular_transfers(regs_by_rir)
+    assert sum(expected[1].values()) and sum(expected[2].values())  # both counters are reached
+
+    reads = []
+    transfer_dest = whois._transfer_dest
+    monkeypatch.setattr(whois, "_transfer_dest", lambda reg: reads.append(reg) or transfer_dest(reg))
+    assert drop_circular_transfers(regs_by_rir) == expected
+    assert len(reads) == sum(map(len, regs_by_rir.values()))
 
 
 @pytest.mark.parametrize("value, code", [
