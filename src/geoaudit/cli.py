@@ -20,11 +20,12 @@ from __future__ import annotations
 import argparse
 import csv
 import gc
+import io
 import json
 import os
 import sys
 import zlib
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stdout
 from operator import attrgetter
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -546,7 +547,11 @@ def main(argv: list[str] | None = None) -> int:
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        return args.func(args)
+        try:  # what it prints goes out once it returns, so a closed stdout costs no file
+            with redirect_stdout(io.StringIO()) as held:
+                return args.func(args)
+        finally:
+            sys.stdout.write(held.getvalue())
     except BackendUnavailable as exc:
         print(f"geoaudit: backend unavailable: {exc}", file=sys.stderr)
         return 3

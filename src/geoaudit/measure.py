@@ -90,12 +90,10 @@ class MeasurementResult:
         return "MeasurementResult(%r, %r, %r)" % self._key()
 
     def to_json(self) -> dict:
-        # no backend stamps a measurement; the capture format keeps the key
         return {
             "vantage_id": self.vantage_id,
             "target": str(self.target),
             "rtts_ms": list(self.rtts_ms),
-            "timestamp": 0.0,
         }
 
 
@@ -116,7 +114,7 @@ def write_results(results: Iterable[MeasurementResult], fp: IO[str]) -> int:
     for res in results:
         if res.target is not target:
             target = res.target
-            middle = f'], "target": {encode(str(target))}, "timestamp": 0.0'
+            middle = f'], "target": {encode(str(target))}'
         tail = tails.get(res.vantage_id)
         if tail is None:
             tail = tails[res.vantage_id] = f', "vantage_id": {encode(res.vantage_id)}}}\n'

@@ -184,11 +184,7 @@ def prefix_rotation(prefix: Prefix) -> int:
 
 
 def _rotate_pick(pool: Sequence[VantagePoint], count: int, offset: int) -> list[VantagePoint]:
-    if not pool:
-        return []
-    count = min(count, len(pool))
-    start = offset % len(pool)
-    return [pool[(start + i) % len(pool)] for i in range(count)]
+    return [pool[(offset + i) % len(pool)] for i in range(min(count, len(pool)))]
 
 
 class VantagePlan(NamedTuple):

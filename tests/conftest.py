@@ -276,6 +276,44 @@ class WorldSession:
         self.closed = True
 
 
+# what a seeded fault schedule injects: no connection could be opened, the
+# connection broke before or after the API acted on the request, or the API
+# answered an error without acting on it
+FAULTS = ("never_connected", "lost_before", "lost_after", 429, 503, 500)
+
+
+class FaultySession:
+    """api (a WorldSession) behind a network that fails a seeded share, rate,
+    of requests, each with a fault drawn from FAULTS. log holds (method,
+    path, what the client got) for every request: a fault, or the API's
+    "created", "pending" or "done"; sleep logs the client's sleeps there
+    too, as ("sleep", None, seconds)."""
+
+    def __init__(self, api, seed, rate):
+        self.api = api
+        self.rng = random.Random(seed)
+        self.rate = rate
+        self.log = []
+
+    def sleep(self, seconds):
+        self.log.append(("sleep", None, seconds))
+
+    def request(self, method, path, body, headers):
+        fault = self.rng.choice(FAULTS) if self.rng.random() < self.rate else None
+        if fault in (None, "lost_after"):
+            status, answer = self.api.request(method, path, body, headers)
+        got = fault or ("created" if method == "POST" else json.loads(answer)["status"])
+        self.log.append((method, path, got))
+        if fault == "never_connected":
+            raise measure.NeverConnected("connection refused")
+        if fault in ("lost_before", "lost_after"):
+            raise OSError(f"connection reset, {fault}")
+        return stub_answer(fault, {}) if fault else (status, answer)
+
+    def close(self):
+        self.api.close()
+
+
 LIVE_ARGV = ["--backend", "live", "--base-url", "https://api.example.net/v1", "--api-key", "k"]
 
 
@@ -287,13 +325,14 @@ def world_session(camp, paths, pending=lambda mid: 0) -> WorldSession:
         return WorldSession(world, load_vantages(fp), pending)
 
 
-def serve_campaign(monkeypatch, camp, paths, pending, sleep):
-    """Point the CLI's live backend at world_sessions instead of a Transport,
-    and at sleep for its sleeps; returns the list of sessions it makes."""
+def serve_campaign(monkeypatch, camp, paths, pending, sleep, wrap=lambda api: api):
+    """Point the CLI's live backend at world_sessions, each passed through
+    wrap, instead of a Transport, and at sleep for its sleeps; returns the
+    list of sessions it makes."""
     sessions = []
 
     def session(base_url):
-        sessions.append(world_session(camp, paths, pending))
+        sessions.append(wrap(world_session(camp, paths, pending)))
         return sessions[-1]
 
     class Unslept(measure.LiveBackend):

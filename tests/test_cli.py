@@ -16,8 +16,8 @@ from geoaudit import classify, cli, measure, whois
 from geoaudit.errors import BackendUnavailable
 from geoaudit.registry import DEFAULT_PROPAGATION_FACTOR
 
-from conftest import (LIVE_ARGV, LoopbackApi, audit_argv, build_campaign, serve_campaign,
-                      world_session, write_campaign)
+from conftest import (FAULTS, LIVE_ARGV, FaultySession, LoopbackApi, audit_argv, build_campaign,
+                      seeded_pending, serve_campaign, world_session, write_campaign)
 
 ARIN_DUMP = """\
 NetRange:       192.0.2.0 - 192.0.2.255
@@ -421,6 +421,37 @@ def test_live_audit_resends_a_finishing_get_whose_answer_is_lost(small_campaign,
     assert not api.open and len(api.done) == n
     assert f"live requests: posts={n} polls={n + lost} retries={lost} rounds=0" in stdout
     assert sleeps == [measure.RETRY_BASE_DELAY_S] * lost == [2.0] * lost
+
+
+def test_a_live_audit_under_seeded_faults_writes_all_or_nothing(small_campaign, capsys,
+                                                               monkeypatch):
+    """Live audits behind seeded schedules that fail 2% of requests, at
+    --concurrency 1, 2 and 8: one that completes writes the simulated audit
+    and capture; one the backend gives up on exits 3 and writes neither."""
+    camp, paths, tmp_path = small_campaign
+    sim, sim_capture = tmp_path / "sim.jsonl", tmp_path / "sim_capture.jsonl"
+    assert run(audit_argv(paths, str(sim), extra=["--capture-results", str(sim_capture)])) == 0
+    # each audit's session is scheduled by the seed of the loop below
+    sessions = serve_campaign(monkeypatch, camp, paths, seeded_pending(5), lambda s: None,
+                              wrap=lambda api: FaultySession(api, seed, 0.02))
+    exits = []
+    for seed in range(12):
+        out, capture = tmp_path / f"live-{seed}.jsonl", tmp_path / f"capture-{seed}.jsonl"
+        capsys.readouterr()
+        exits.append(run(audit_argv(paths, str(out), extra=[
+            *LIVE_ARGV, "--concurrency", str((1, 2, 8)[seed % 3]), "--capture-results", str(capture)])))
+        if exits[-1] == 0:
+            assert out.read_bytes() == sim.read_bytes()
+            assert capture.read_bytes() == sim_capture.read_bytes()
+        else:
+            assert exits[-1] == 3
+            assert capsys.readouterr().err.startswith("geoaudit: backend unavailable: ")
+            assert not out.exists() and not capture.exists()
+    assert set(exits) == {0, 3}
+    # a completed audit retried a fault on its way
+    assert any(got in FAULTS for session, code in zip(sessions, exits, strict=True) if code == 0
+               for _, _, got in session.log)
+    assert not [p.name for p in tmp_path.iterdir() if p.suffix == ".tmp"]
 
 
 def test_audit_counts_unmapped_country_vantages(small_campaign, capsys):
@@ -1539,29 +1570,61 @@ def test_live_audit_runs_on_the_standard_library(small_campaign):
     assert not {"dataclasses", "inspect"} & set(modules)
 
 
+RUN_EACH = """
+import json, sys
+from geoaudit import cli
+print(json.dumps([cli.main(argv) for argv in json.loads(sys.argv[1])]))
+"""
+
+
 def test_outputs_are_byte_identical_across_hash_seeds(small_campaign):
-    """Two processes with different string hashes write the same bytes, so no
-    set or dict order keyed by a string leaks into an output."""
+    """Two processes with different string hashes write the same bytes and
+    print the same lines, so no set or dict order keyed by a string leaks
+    into an output of any command."""
     camp, paths, tmp_path = small_campaign
     (tmp_path / "arin.txt").write_text(ARIN_DUMP)
     (tmp_path / "ripe.txt").write_text(RIPE_DUMP)
-    written = []
+    prefixes = sorted(camp.expected)
+    for name, country in (("alpha", "JP"), ("beta", "DE")):  # given below out of name order
+        (tmp_path / f"{name}.csv").write_text(
+            "prefix,country\n" + "".join(f"{p},{country}\n" for p in prefixes[::3]))
+    leased = [p for p in prefixes if camp.expected[p] in ("FI", "RI")][::2]
+    (tmp_path / "leased.txt").write_text("".join(f"{p}\n" for p in leased))
+    regs = paths["registrations.jsonl"]
+    written, printed = [], []
     for hash_seed in ("1", "2"):
         out = tmp_path / f"hash-{hash_seed}"
         out.mkdir()
         commands = [
             ["ingest", "--arin", str(tmp_path / "arin.txt"), "--ripe", str(tmp_path / "ripe.txt"),
              "-o", str(out / "registrations.jsonl")],
+            ["align", "--registrations", regs, "--rib", paths["rib.txt"], "-o", str(out / "alignment.csv")],
+            ["oro", "--registrations", regs, "--region-map", paths["region_map.csv"],
+             "-o", str(out / "oro.csv")],
+            ["plan", "--registrations", regs, "--hitlist-v4", paths["hitlist_v4.csv"],
+             "--hitlist-v6", paths["hitlist_v6.txt"], "--sample-fraction-v4", "0.5", "--seed", "7",
+             "-o", str(out / "plans.jsonl")],
             audit_argv(paths, str(out / "audit.jsonl"),
                        extra=["--capture-results", str(out / "results.jsonl")]),
+            ["report", "--audit", str(out / "audit.jsonl"), "--registrations", regs,
+             "--region-map", paths["region_map.csv"], "--geodb", f"beta={tmp_path / 'beta.csv'}",
+             "--geodb", f"alpha={tmp_path / 'alpha.csv'}", "--leased-prefixes", str(tmp_path / "leased.txt"),
+             "--out-dir", str(out / "report")],
         ]
-        for argv in commands:
-            stdout = python_in_subprocess(RUN_AND_LIST_MODULES, *argv, PYTHONHASHSEED=hash_seed)
-            assert json.loads(stdout.splitlines()[-1])[0] == 0
-        written.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
-    assert sorted(written[0]) == ["audit.jsonl", "registrations.jsonl", "results.jsonl"]
+        stdout = python_in_subprocess(RUN_EACH, json.dumps(commands), PYTHONHASHSEED=hash_seed)
+        *lines, codes = stdout.splitlines()
+        assert json.loads(codes) == [0] * len(commands)
+        printed.append("\n".join(lines).replace(str(out), "OUT"))
+        written.append({p.relative_to(out).as_posix(): p.read_bytes()
+                        for p in sorted(out.rglob("*")) if p.is_file()})
+    assert sorted(written[0]) == [
+        "alignment.csv", "audit.jsonl", "oro.csv", "plans.jsonl", "registrations.jsonl",
+        "report/characteristics_age.csv", "report/characteristics_status.csv",
+        "report/distribution.csv", "report/geodb.csv", "report/leasing.csv", "report/oro.csv",
+        "report/sankey.csv", "report/summary.txt", "results.jsonl"]
     assert all(written[0].values())
     assert written[0] == written[1]
+    assert printed[0] == printed[1]
 
 
 def test_importing_the_package_loads_no_stage():

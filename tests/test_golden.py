@@ -7,13 +7,22 @@ against a loopback API and the replay of its capture, and report. The sha256
 of each decompressed input is checked first, so a failure tells a generator
 change from a pipeline change; then the sha256 of every file written.
 
-A change that alters output bytes on purpose edits OUTPUTS, and says which
-digests changed and why."""
+What each command prints is pinned too, with the output directory spelled
+OUT. A closed stdout must not cost a file: each command, run with a stdout
+that raises BrokenPipeError, still writes every file a normal run writes.
 
+A change that alters output bytes on purpose edits OUTPUTS (or STDOUT), and
+says which digests changed and why."""
+
+import errno
 import gzip
 import hashlib
+import io
 import json
+import sys
 from pathlib import Path
+
+import pytest
 
 import geoaudit
 from geoaudit import cli
@@ -46,14 +55,26 @@ INPUTS = {
     "world.json": "3ab4068fc113276d649588b192a8c3bbef42a4eebbbb29d2018713e64787edc5",
 }
 
+STDOUT = {
+    "align": "ed8db34427d0150ccf8a20961070c573832a876e663509844398434bb3eab1c9",
+    "audit_live": "760c32fb571b17c98307d73b003e66757bf6cf875286e6ee7a9ddb6f612c5c6e",
+    "audit_live_replay": "19f73fabfd71012359e4416e100c44fab0410e7d468e431059393325167df7ef",
+    "audit_replay": "f9f60795db35e13337deeeaff0643141559924731d459986d6999a74d825d92d",
+    "audit_simulate": "ea1c4aab68dbf329d10ad09926c28423efce79ac699c2e295b1f24f8289d82e8",
+    "ingest": "6efda2717743a138f1287424f0c8c5a8eda90817b6f4666d2d190b5a24997c1b",
+    "oro": "d3dbeb6cb27af98f234c64607646b3fd1ad0cc880d511987331a02ff254f7e0d",
+    "plan": "7873636318d0775cc373ac1b0be6e43b6f2e4aa888f1e3ce4f12c4a7b50b2538",
+    "report": "054e5b78d3f1d5e07934f096ad051c67f6dc1b8e128dc80967e99bf89f57ace0",
+}
+
 OUTPUTS = {
     "alignment.csv": "867f10fb8d489606fff9c26fc3b12a7289aea48f683521b523a3ec0004b57c41",
     "audit_live.jsonl": "b36f1d4f858978b12409a33bb06df07147a6a90f5ae99ccbb4b1cf491d1c97c5",
     "audit_live_replay.jsonl": "b36f1d4f858978b12409a33bb06df07147a6a90f5ae99ccbb4b1cf491d1c97c5",
     "audit_replay.jsonl": "b36f1d4f858978b12409a33bb06df07147a6a90f5ae99ccbb4b1cf491d1c97c5",
     "audit_simulate.jsonl": "b36f1d4f858978b12409a33bb06df07147a6a90f5ae99ccbb4b1cf491d1c97c5",
-    "capture_live.jsonl": "0b0e5b5f36c0e15ab1729db736c9e9387788cc2ffc13a09623920df92585c613",
-    "capture_simulate.jsonl": "0b0e5b5f36c0e15ab1729db736c9e9387788cc2ffc13a09623920df92585c613",
+    "capture_live.jsonl": "90930682423b491ea1a42a8ad68ded0eef098a927b7d66e60965d3051d71ee0e",
+    "capture_simulate.jsonl": "90930682423b491ea1a42a8ad68ded0eef098a927b7d66e60965d3051d71ee0e",
     "oro.csv": "4c7fad782856dc8fc156e05b033d9ad1fe1a0aa1ab47dcb272d659accd4be91a",
     "plans.jsonl": "eea1a47e7217677b74b1458167d7e5988b0dfe079afb91c94e0f9d838732dd83",
     "registrations.jsonl": "c4ef82a500e924dc2980cf517cbc5b76621bf0cb85deb1eec804e544fd2bb4fb",
@@ -78,54 +99,138 @@ def check_pinned(what: str, got: dict[str, str], pinned: dict[str, str]) -> None
     assert not changed, f"{what} bytes changed:\n" + "\n".join(changed)
 
 
-def test_every_output_keeps_its_pinned_bytes(tmp_path):
+def written(out: Path) -> dict[str, str]:
+    """The sha256 of every file below out, by its path relative to out."""
+    return {path.relative_to(out).as_posix(): sha256(path.read_bytes())
+            for path in out.rglob("*") if path.is_file()}
+
+
+@pytest.fixture(scope="module")
+def campaign(tmp_path_factory):
+    """The campaign's files by name, their content checked against INPUTS first."""
     gen = load_geobench("gen")
     camp = gen.build_campaign(SEED, str(Path(geoaudit.__file__).parent / "data"), **SIZES)
     check_pinned("input", {name: sha256(gzip.decompress(data) if name.endswith(".gz") else data)
                            for name, data in camp.files.items()}, INPUTS)
+    return camp, gen.write_campaign(camp, str(tmp_path_factory.mktemp("camp")))
 
-    c = gen.write_campaign(camp, str(tmp_path / "camp"))
-    out = tmp_path / "out"
-    out.mkdir()
+
+def plan_inputs(c: dict[str, str], out: Path) -> list[str]:
+    """Plan flags over the campaign at c, with the registrations ingest writes below out."""
+    return ["--registrations", str(out / "registrations.jsonl"),
+            "--hitlist-v4", c["hitlist_v4.csv"], "--hitlist-v6", c["hitlist_v6.txt"],
+            "--aliased-prefixes", c["aliased.txt"], "--seed", str(SEED)]
+
+
+def audit_argv(c: dict[str, str], out: Path) -> list[str]:
+    """An audit of the campaign at c, as plan_inputs, with no backend chosen."""
+    return ["audit", *plan_inputs(c, out), "--rib", c["rib.txt"], "--vantages", c["vantages.jsonl"],
+            "--bad-probes", c["bad_probes.txt"], "--default-coords", c["default_coords.csv"],
+            "--anycast-prefixes", c["anycast.txt"], "--nir-markers", c["nir_markers.txt"],
+            "--strict-no-org"]
+
+
+def commands(c: dict[str, str], out: Path) -> dict[str, list[str]]:
+    """Every subcommand over the campaign at c, writing below out, in the order they run."""
     o = lambda name: str(out / name)  # noqa: E731
     regs = o("registrations.jsonl")
-    plan_inputs = ["--registrations", regs, "--hitlist-v4", c["hitlist_v4.csv"],
-                   "--hitlist-v6", c["hitlist_v6.txt"], "--aliased-prefixes", c["aliased.txt"],
-                   "--seed", str(SEED)]
-    audit = ["audit", *plan_inputs, "--rib", c["rib.txt"], "--vantages", c["vantages.jsonl"],
-             "--bad-probes", c["bad_probes.txt"], "--default-coords", c["default_coords.csv"],
-             "--anycast-prefixes", c["anycast.txt"], "--nir-markers", c["nir_markers.txt"],
-             "--strict-no-org"]
-    ingest = ["ingest", "-o", regs]
-    for rir in gen.RIRS:
-        ingest += [f"--{rir.lower()}", c[f"{rir.lower()}.db.gz"]]
-    commands = [
-        ingest,
-        ["align", "--registrations", regs, "--rib", c["rib.txt"], "-o", o("alignment.csv")],
-        ["oro", "--registrations", regs, "-o", o("oro.csv")],
-        ["plan", *plan_inputs, "-o", o("plans.jsonl")],
-        [*audit, "--backend", "simulate", "--world", c["world.json"],
-         "--capture-results", o("capture_simulate.jsonl"), "-o", o("audit_simulate.jsonl")],
-        [*audit, "--backend", "replay", "--results", o("capture_simulate.jsonl"),
-         "-o", o("audit_replay.jsonl")],
-        ["report", "--audit", o("audit_simulate.jsonl"), "--registrations", regs,
-         "--geodb", f"alpha={c['geodb_alpha.csv']}", "--geodb", f"beta={c['geodb_beta.csv']}",
-         "--leased-prefixes", c["leased.txt"], "--out-dir", o("report")],
-    ]
-    for argv in commands:
-        assert cli.main(argv) == 0, argv[0]
+    return {
+        "ingest": ["ingest", "-o", regs, *(arg for rir in ("arin", "ripe", "apnic", "lacnic", "afrinic")
+                                          for arg in (f"--{rir}", c[f"{rir}.db.gz"]))],
+        "align": ["align", "--registrations", regs, "--rib", c["rib.txt"], "-o", o("alignment.csv")],
+        "oro": ["oro", "--registrations", regs, "-o", o("oro.csv")],
+        "plan": ["plan", *plan_inputs(c, out), "-o", o("plans.jsonl")],
+        "audit_simulate": [*audit_argv(c, out), "--backend", "simulate", "--world", c["world.json"],
+                           "--capture-results", o("capture_simulate.jsonl"),
+                           "-o", o("audit_simulate.jsonl")],
+        "audit_replay": [*audit_argv(c, out), "--backend", "replay", "--results", o("capture_simulate.jsonl"),
+                         "-o", o("audit_replay.jsonl")],
+        "report": ["report", "--audit", o("audit_simulate.jsonl"), "--registrations", regs,
+                   "--geodb", f"alpha={c['geodb_alpha.csv']}", "--geodb", f"beta={c['geodb_beta.csv']}",
+                   "--leased-prefixes", c["leased.txt"], "--out-dir", o("report")],
+    }
 
+
+@pytest.fixture(scope="module")
+def golden(campaign, tmp_path_factory):
+    """Every command run once over the campaign, then a live audit against a
+    loopback API and the replay of its capture: the output directory, and
+    what each command printed, the directory spelled OUT."""
+    camp, c = campaign
+    out = tmp_path_factory.mktemp("out")
+    audit = audit_argv(c, out)
+    argvs = commands(c, out)
     # the live API answers from the same world, at the audit's seed
     world = SyntheticWorld.from_json(json.loads(camp.files["world.json"]), seed=SEED)
     with open(c["vantages.jsonl"]) as fp:
         api = WorldSession(world, load_vantages(fp))
+    stdout = {}
     with LoopbackApi(api) as server:
-        assert cli.main([*audit, "--backend", "live", "--base-url", server.base_url,
-                         "--api-key", "k", "--concurrency", "3",
-                         "--capture-results", o("capture_live.jsonl"),
-                         "-o", o("audit_live.jsonl")]) == 0
-    assert cli.main([*audit, "--backend", "replay", "--results", o("capture_live.jsonl"),
-                     "-o", o("audit_live_replay.jsonl")]) == 0
+        argvs["audit_live"] = [*audit, "--backend", "live", "--base-url", server.base_url,
+                               "--api-key", "k", "--concurrency", "3",
+                               "--capture-results", str(out / "capture_live.jsonl"),
+                               "-o", str(out / "audit_live.jsonl")]
+        argvs["audit_live_replay"] = [*audit, "--backend", "replay",
+                                      "--results", str(out / "capture_live.jsonl"),
+                                      "-o", str(out / "audit_live_replay.jsonl")]
+        for name, argv in argvs.items():
+            held = io.StringIO()
+            sys.stdout, real = held, sys.stdout
+            try:
+                assert cli.main(argv) == 0, name
+            finally:
+                sys.stdout = real
+            stdout[name] = held.getvalue().replace(str(out), "OUT")
+    return out, stdout
 
-    check_pinned("output", {path.relative_to(out).as_posix(): sha256(path.read_bytes())
-                            for path in out.rglob("*") if path.is_file()}, OUTPUTS)
+
+def test_every_output_keeps_its_pinned_bytes(golden):
+    out, _ = golden
+    check_pinned("output", written(out), OUTPUTS)
+
+
+def test_every_command_prints_its_pinned_lines(golden):
+    _, stdout = golden
+    check_pinned("stdout", {name: sha256(text.encode()) for name, text in stdout.items()}, STDOUT)
+
+
+class ClosedStdout(io.StringIO):
+    """A stdout whose reader is gone, as under `geoaudit ... | head -0`."""
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+
+def test_a_closed_stdout_costs_no_output(campaign, tmp_path, capsys, monkeypatch):
+    """Each command writes every file before it prints: with stdout closed it
+    exits 2, naming the broken pipe, and its files are a normal run's."""
+    _, c = campaign
+    out = tmp_path / "out"
+    out.mkdir()
+    exits = {}
+    for name, argv in commands(c, out).items():
+        with monkeypatch.context() as m:
+            m.setattr(sys, "stdout", ClosedStdout())
+            exits[name] = cli.main(argv), capsys.readouterr().err
+    check_pinned("output", written(out),
+                 {name: digest for name, digest in OUTPUTS.items() if "live" not in name})
+    assert set(exits.values()) == {(2, "geoaudit: [Errno 32] Broken pipe\n")}
+
+
+# the capture's bytes before its lines lost the constant "timestamp": 0.0
+TIMESTAMPED_CAPTURE = "0b0e5b5f36c0e15ab1729db736c9e9387788cc2ffc13a09623920df92585c613"
+
+
+def test_a_capture_with_timestamps_replays_alike(campaign, golden, tmp_path):
+    """A capture written by an earlier version, each line also carrying
+    "timestamp": 0.0, replays to the pinned audit: the reader ignores the key."""
+    _, c = campaign
+    out, _ = golden
+    old = tmp_path / "capture_timestamped.jsonl"
+    old.write_text((out / "capture_simulate.jsonl").read_text().replace(
+        '"vantage_id"', '"timestamp": 0.0, "vantage_id"'))
+    assert sha256(old.read_bytes()) == TIMESTAMPED_CAPTURE
+    replayed = tmp_path / "audit.jsonl"
+    assert cli.main([*audit_argv(c, out), "--backend", "replay", "--results", str(old),
+                     "-o", str(replayed)]) == 0
+    assert sha256(replayed.read_bytes()) == OUTPUTS["audit_replay.jsonl"]

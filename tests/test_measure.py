@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import functools
 import hashlib
@@ -19,8 +20,10 @@ from geoaudit import measure
 from geoaudit.errors import BackendUnavailable, GeoAuditError, UnknownTarget
 from geoaudit.geo import C_KM_PER_S, EARTH_RADIUS_KM, haversine_km
 from geoaudit.measure import (
+    MAX_RETRIES,
     POLL_ATTEMPTS,
     POLL_INTERVAL_S,
+    RETRY_BASE_DELAY_S,
     SAMPLES_PER_PAIR,
     Backend,
     LiveBackend,
@@ -37,7 +40,8 @@ from geoaudit.registry import (Prefix, _number, _object, field, load_jsonl, pars
                                parse_prefix)
 from geoaudit.vantage import VantagePoint, prefix_rotation, sha256
 
-from conftest import LoopbackApi, WorldSession, measure_plan, seeded_pending, stub_answer
+from conftest import (FAULTS, FaultySession, LoopbackApi, WorldSession, measure_plan,
+                      seeded_pending, stub_answer)
 
 
 def vp(vid, lat=0.0, lon=0.0, country="US"):
@@ -197,6 +201,9 @@ def test_results_round_trip():
     first = io.StringIO()
     assert write_results(results, first) == len(results)
     text = first.getvalue()
+    # a line is its pair and its samples, nothing more
+    assert text.splitlines()[:2] == ['{"rtts_ms": [1.5, 2.0, 2.25], "target": "192.0.2.1", "vantage_id": "v-0"}',
+                                     '{"rtts_ms": [], "target": "192.0.2.1", "vantage_id": "v-1"}']
     loaded = load_results(io.StringIO(text))
     assert loaded == replies_of(results)
     assert loaded == oracle_replies(text)
@@ -361,7 +368,7 @@ def test_load_results_agrees_with_the_record_decoder():
 
 
 def test_load_results_reads_only_json_numbers():
-    good = '{"rtts_ms": [5, 2.5], "target": "192.0.2.1", "timestamp": 0.0, "vantage_id": "v-1"}\n'
+    good = '{"rtts_ms": [5, 2.5], "target": "192.0.2.1", "vantage_id": "v-1"}\n'
     [[rtts]] = [by_vantage.values() for by_vantage in load_results(io.StringIO(good)).values()]
     assert [type(x) for x in rtts] == [float, float]
     assert rtts == (5.0, 2.5)
@@ -373,7 +380,7 @@ def test_load_results_reads_only_json_numbers():
 
 def test_load_results_names_the_key_of_a_bad_target():
     """A capture's target is refused as an audit record's is: with its key."""
-    good = '{"rtts_ms": [5.0], "target": "192.0.2.1", "timestamp": 0.0, "vantage_id": "v-1"}\n'
+    good = '{"rtts_ms": [5.0], "target": "192.0.2.1", "vantage_id": "v-1"}\n'
     with pytest.raises(GeoAuditError, match="^line 2: target: bad address 'x': "):
         load_results(io.StringIO(good + good.replace("192.0.2.1", "x")))
 
@@ -1023,6 +1030,87 @@ def test_live_window_sleeps_once_per_round(n):
         assert sleeps == [POLL_INTERVAL_S] * rounds
         assert session.most_open == in_flight
         assert (live.posts, live.polls, live.rounds) == (n, 2 * n, rounds)
+
+
+# -- seeded fault schedules ------------------------------------------------------
+
+def faulty_case(seed):
+    """A seeded world of 16 targets, two unresponsive and three it cannot
+    place; 4-16 jobs of 0-4 of its 6 vantages; and a fault rate."""
+    rng = random.Random(seed)
+    vantages = [vp(f"v-{i}", rng.uniform(-80, 80), rng.uniform(-180, 180)) for i in range(6)]
+    addrs = random_addresses(rng, 8, 8)
+    world = SyntheticWorld(
+        target_locations={a: (rng.uniform(-80, 80), rng.uniform(-180, 180)) for a in addrs[:13]},
+        unresponsive=set(addrs[:2]), noise_ms=3.0, seed=seed)
+    jobs = [(target, rng.sample(vantages, rng.randint(0, 4)))
+            for target in rng.sample(addrs, rng.randint(4, 16))]
+    return world, vantages, jobs, rng.choice([0.0, 0.02, 0.1])
+
+
+def poll_rounds(log):
+    """The number of poll rounds in a FaultySession's log of a completed run,
+    checking every sleep on the way: after a faulted request, the backoff of
+    its run of faults (2, 4, 8 s), then the same request again; otherwise
+    POLL_INTERVAL_S, once, after a round in which a measurement was pending."""
+    rounds = faults = 0
+    pending = False
+    for i, (method, path, got) in enumerate(log):
+        if method == "sleep":
+            if faults:
+                assert got == RETRY_BASE_DELAY_S * 2 ** (faults - 1)
+                assert log[i + 1][:2] == log[i - 1][:2]
+            else:
+                assert got == POLL_INTERVAL_S and pending
+                rounds += 1
+                pending = False
+        else:
+            assert not faults or log[i - 1][0] == "sleep"  # a retry waits out its backoff
+            faults = faults + 1 if got in FAULTS else 0
+            pending |= got == "pending"
+    assert not faults and not pending
+    return rounds
+
+
+@pytest.mark.parametrize("in_flight", [1, 2, 8])
+def test_live_window_under_seeded_faults(in_flight):
+    """Seeded schedules fail 0%, 2% or 10% of requests, with every fault
+    FAULTS names. A run either completes, with the simulator's replies,
+    each planned target created once in job order, nothing left open and
+    every counter and sleep accounted for by the log; or it raises
+    BackendUnavailable at a fault it may not retry: a POST the API may
+    have acted on, or a request's fourth fault in a row."""
+    outcomes = collections.Counter()  # (rate, completed) -> runs
+    for seed in range(400):
+        world, vantages, jobs, rate = faulty_case(seed)
+        api = WorldSession(world, vantages, pending=seeded_pending(seed))
+        session = FaultySession(api, f"{seed}:{in_flight}", rate)
+        live = LiveBackend("https://api.example.net/v1", "k", session=session, sleep=session.sleep,
+                           in_flight=in_flight)
+        try:
+            replies = list(live.measure_targets(jobs))
+        except BackendUnavailable:
+            replies = None
+        outcomes[rate, replies is not None] += 1
+        requests = [entry for entry in session.log if entry[0] != "sleep"]
+        if replies is None:
+            method, _, got = requests[-1]
+            streak = next((n for n, entry in enumerate(reversed(requests)) if entry[2] not in FAULTS),
+                          len(requests))  # the faults that end the log
+            assert (method == "POST" and got in ("lost_before", "lost_after", 500)
+                    or streak == MAX_RETRIES + 1), (seed, requests[-streak:])
+            continue
+        assert replies == list(SimulateBackend(world).measure_targets(jobs)), seed
+        assert [post["target"] for post in api.posts] == [str(t) for t, v in jobs if v]
+        assert not api.open
+        methods = [method for method, _, _ in requests]
+        assert (live.posts, live.polls) == (methods.count("POST"), methods.count("GET"))
+        assert live.retries == sum(got in FAULTS for _, _, got in requests)
+        assert live.rounds == poll_rounds(session.log)
+        assert len(session.log) - len(requests) == live.rounds + live.retries
+    # with no fault every run completes; with faults, runs of both kinds
+    assert not outcomes[0.0, False] and all(outcomes[rate, done] for rate in (0.02, 0.1)
+                                            for done in (False, True))
 
 
 # -- one call per target: every backend agrees with the others --------------------
