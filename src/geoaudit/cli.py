@@ -77,6 +77,11 @@ class RunConfig(NamedTuple):
 _PLAN_BUILDING = ("registrations", "hitlist_v4", "hitlist_v6", "aliased_prefixes", "min_score",
                   "sample_fraction_v4", "sample_fraction_v6")
 _LIVE_ONLY = ("base_url", "api_key", "tag")
+# the text flags that name no file a command reads; every other one names an input
+_NOT_INPUTS = ("command", "backend", "capture_results", "output", "out_dir", *_LIVE_ONLY)
+# every table report can write into --out-dir
+_REPORT_TABLES = ("distribution.csv", "summary.txt", "sankey.csv", "oro.csv", "geodb.csv",
+                  "characteristics_status.csv", "characteristics_age.csv", "leasing.csv")
 # setting -> (test of its value, the allowed range in words); resolve_config checks them
 _RANGES = {
     "propagation_factor": (lambda x: 0 < x <= 1, "in (0, 1]"),
@@ -86,14 +91,15 @@ _RANGES = {
 }
 
 
-def _read(path: str, loader):
-    """Parse one input (gzip ok) with loader(fp). Bad input, a file that
-    cannot be read or decompressed, or a CSV the csv module refuses,
-    raises GeoAuditError naming path; any other exception is a bug."""
-    with open_text(path) as fp:
+def _read(path: str, loader, errors: str = "strict"):
+    """Parse one input (gzip ok, strict UTF-8 unless errors says) with
+    loader(fp). Bad input, a byte that is not UTF-8, a file that cannot be
+    read or decompressed, or a CSV the csv module refuses, raises
+    GeoAuditError naming path; any other exception is a bug."""
+    with open_text(path, errors) as fp:
         try:
             return loader(fp)
-        except (GeoAuditError, OSError, EOFError, csv.Error, zlib.error) as exc:
+        except (GeoAuditError, OSError, EOFError, UnicodeDecodeError, csv.Error, zlib.error) as exc:
             raise GeoAuditError(f"{path}: {exc}") from None
 
 
@@ -110,10 +116,34 @@ def _output(path: str):
             os.remove(tmp)
 
 
+def _flag(name: str) -> str:
+    return f"--{name.replace('_', '-')}"
+
+
 def _refuse_flags(args: argparse.Namespace, names, reason: str) -> None:
-    given = [f"--{name.replace('_', '-')}" for name in names if getattr(args, name) is not None]
+    given = [_flag(name) for name in names if getattr(args, name) is not None]
     if given:
         raise GeoAuditError(f"{', '.join(given)} cannot take effect {reason}")
+
+
+def _refuse_aliases(args: argparse.Namespace) -> None:
+    """Refuse, naming both flags, two outputs that resolve to one file or an
+    output that resolves to an input: the later write would replace the
+    other file whole. main runs it before the command reads anything."""
+    if args.command == "report":
+        outputs = [("--out-dir", os.path.join(args.out_dir, name)) for name in _REPORT_TABLES]
+    else:  # in the order the command writes them
+        outputs = [(_flag(name), getattr(args, name, None)) for name in ("capture_results", "output")]
+    inputs = [(_flag(name), path) for name, path in vars(args).items()
+              if type(path) is str and name not in _NOT_INPUTS]
+    inputs += [("--geodb", spec.partition("=")[2]) for spec in getattr(args, "geodb", None) or ()]
+    written: dict[str, str] = {}  # resolved path -> the flag of the output that writes it
+    for n, (flag, path) in enumerate(outputs + inputs):
+        real = os.path.realpath(path) if path else None
+        if real in written:
+            raise GeoAuditError(f"{written[real]} and {flag} name one file: {path}")
+        if real and n < len(outputs):
+            written[real] = flag
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
@@ -139,7 +169,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         if not hasattr(args, name):
             continue  # a setting this subcommand never reads
         value = getattr(args, name)
-        source = f"--{name.replace('_', '-')}"
+        source = _flag(name)
         if value is None:
             env = f"GEOAUDIT_{name.upper()}"
             source, text = ((env, os.environ[env]) if env in os.environ
@@ -182,7 +212,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         path = getattr(args, rir.value.lower(), None)
         if not path:
             continue
-        regs, orgs, rep = _read(path, lambda fp: whois.parse_bulk_whois(fp, rir, dialects))
+        # the one input whose bytes may be replaced: RIPE database exports are Latin-1
+        regs, orgs, rep = _read(path, lambda fp: whois.parse_bulk_whois(fp, rir, dialects), "replace")
         regs, rep.unresolved_orgs = whois.link_organizations(regs, orgs)
         regs_by_rir[rir] = regs
         reports[rir] = rep
@@ -549,6 +580,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         try:  # what it prints goes out once it returns, so a closed stdout costs no file
             with redirect_stdout(io.StringIO()) as held:
+                _refuse_aliases(args)
                 return args.func(args)
         finally:
             sys.stdout.write(held.getvalue())

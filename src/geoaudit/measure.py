@@ -15,11 +15,11 @@ the benchmark's traced replica and API stub, their only callers; they go
 once the benchmark measures through measure_targets.
 
 write_results and load_results are the capture codec: one line per
-(vantage, target) pair, the bytes of the generic JSONL codec in registry,
-only faster. target_results builds a MeasurementResult per planned pair on
-every backend, so that is a slotted class, not a NamedTuple (nor hashable).
-load_results checks each line inline and builds the replay's mapping,
-replies by target then vantage id, with no result in between.
+(vantage, target) pair, spelled one way, as the generic encoder spells it,
+only faster. target_results builds a MeasurementResult, three slots, per
+planned pair on every backend. load_results checks each line inline and
+builds the replay's mapping, replies by target then vantage id, with no
+result in between.
 
 The live client sends a path below the API root and a body of bytes through
 its Transport, and gets back the status and the body's bytes: LiveBackend
@@ -64,10 +64,10 @@ _UNIT = 2.0 ** -53  # a word's top 53 bits times this are uniform in [0, 1)
 
 
 class MeasurementResult:
-    """One (vantage, target) pair's RTT samples. target_results builds one
-    per planned pair on every backend, so this is a slotted class and not a
-    NamedTuple: on Python 3.11 its __init__ takes ~0.35 µs, a NamedTuple's
-    ~0.54 µs. Results compare equal by their fields; they are not hashable."""
+    """One (vantage, target) pair's RTT samples: three slots, read as
+    attributes, and no ==, repr or encoding. target_results builds one per
+    planned pair on every backend, so this is a slotted class and not a
+    NamedTuple: on Python 3.11 its __init__ takes ~0.35 µs, a NamedTuple's ~0.54 µs."""
 
     __slots__ = ("vantage_id", "target", "rtts_ms")
 
@@ -76,57 +76,29 @@ class MeasurementResult:
         self.target = target
         self.rtts_ms = rtts_ms
 
-    def _key(self) -> tuple:
-        return self.vantage_id, self.target, self.rtts_ms
-
-    def __eq__(self, other):
-        if type(other) is not MeasurementResult:
-            return NotImplemented
-        return self._key() == other._key()
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return "MeasurementResult(%r, %r, %r)" % self._key()
-
-    def to_json(self) -> dict:
-        return {
-            "vantage_id": self.vantage_id,
-            "target": str(self.target),
-            "rtts_ms": list(self.rtts_ms),
-        }
-
 
 # A capture repeats each target once per vantage, so the codec formats or
 # parses each distinct target and vantage id once per call.
 
 def write_results(results: Iterable[MeasurementResult], fp: IO[str]) -> int:
-    """One sorted-key JSON line per result, the bytes write_jsonl writes.
+    """One line per result: the bytes json.dumps(..., sort_keys=True) writes
+    for {"rtts_ms": [...], "target": "...", "vantage_id": "..."}.
 
-    Lines are put together from fragments, each target and vantage id
-    encoded once and each sample spelled by float.__repr__, as the encoder
-    spells it. A line with a sample that is not a finite float goes through
-    the generic encoder, which spells NaN and Infinity its own way."""
+    Each sample is a finite float, as target_results makes it, and is
+    spelled by float.__repr__, as the encoder spells it; each target and
+    vantage id is encoded once per call. A line has this one spelling."""
     encode = json.JSONEncoder(sort_keys=True).encode
     tails: dict[str, str] = {}
     target = middle = None
     n = 0
-    for res in results:
+    for n, res in enumerate(results, 1):
         if res.target is not target:
             target = res.target
             middle = f'], "target": {encode(str(target))}'
         tail = tails.get(res.vantage_id)
         if tail is None:
             tail = tails[res.vantage_id] = f', "vantage_id": {encode(res.vantage_id)}}}\n'
-        try:
-            samples = ", ".join(map(float.__repr__, res.rtts_ms))
-        except TypeError:
-            samples = "n"
-        if "n" in samples:  # nan, inf or not a float
-            fp.write(encode(res.to_json()) + "\n")
-        else:
-            fp.write('{"rtts_ms": [' + samples + middle + tail)
-        n += 1
+        fp.write('{"rtts_ms": [' + ", ".join(map(float.__repr__, res.rtts_ms)) + middle + tail)
     return n
 
 

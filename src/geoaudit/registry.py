@@ -119,8 +119,8 @@ class Addr(tuple):
 class Prefix(tuple):
     """A CIDR block, Prefix((version, network integer, length)), with no host
     bits set. It sorts, hashes and compares as that tuple: by family, then
-    address, then length. str() is its canonical text; `addr in prefix` is
-    containment."""
+    address, then length. str() is its canonical text. `x in prefix` raises
+    TypeError rather than search the tuple; PrefixIndex answers containment."""
 
     __slots__ = ()
 
@@ -135,11 +135,7 @@ class Prefix(tuple):
     def network_address(self) -> Addr:
         return Addr(self[:2])
 
-    def __contains__(self, addr) -> bool:
-        if type(addr) is not Addr:
-            raise TypeError(f"{addr!r} is not an Addr")
-        version, network, length = self
-        return addr[0] == version and (addr[1] ^ network) >> (_BITS[version] - length) == 0
+    __contains__ = None
 
     def __str__(self) -> str:
         return f"{_address_text(self[0], self[1])}/{self[2]}"
@@ -462,16 +458,17 @@ def duplicate_rank(reg: Registration) -> tuple:
             json.dumps(row, sort_keys=True))
 
 
-def open_text(path: str) -> IO[str]:
+def open_text(path: str, errors: str = "strict") -> IO[str]:
     """Open a UTF-8 text file, decompressing gzip transparently (magic
-    sniff); one leading byte order mark is dropped."""
+    sniff); one leading byte order mark is dropped. errors is the codec's
+    handler of a byte that is not UTF-8: strict raises UnicodeDecodeError."""
     with open(path, "rb") as probe:
         magic = probe.read(2)
     if magic == b"\x1f\x8b":
         raw = gzip.open(path, "rb")
     else:
         raw = open(path, "rb")
-    return io.TextIOWrapper(raw, encoding="utf-8-sig", errors="replace")
+    return io.TextIOWrapper(raw, encoding="utf-8-sig", errors=errors)
 
 
 def refuse_repeats(keys: Iterable, what: str) -> None:
@@ -575,9 +572,6 @@ class RegionMap:
             if not is_country_code(cc):
                 raise GeoAuditError(f"bad country code {cc!r}")
         self._entries = dict(sorted(entries.items()))
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
     def __iter__(self):
         return iter(self._entries)

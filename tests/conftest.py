@@ -217,6 +217,12 @@ def measure_plan(backend, targets, vantages):
             for res in measure.target_results(target, vantages, replies)]
 
 
+def fields(results):
+    """Results as (vantage_id, target, rtts_ms) tuples: a result has no ==
+    of its own, so tests compare these."""
+    return [(r.vantage_id, r.target, r.rtts_ms) for r in results]
+
+
 def stub_answer(status, body):
     """An answer as Transport.request returns it: the status and the body,
     bytes as given, or the JSON of any other value."""

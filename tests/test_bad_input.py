@@ -6,8 +6,9 @@ pass to _read, recorded from one run of each command, and every junk input
 is a mutation of the first lines of the file that loader read: random
 bytes, a cut or a splice, a CSV row short of a field, a JSON value of the
 wrong shape, or the same bytes gzipped and then cut or corrupted. The junk
-is served from memory, opened as registry.open_text opens a file, so each
-of the many inputs costs no file system round trip.
+is served from memory, opened as registry.open_text opens a file with the
+errors handler the command gave _read (strict, but for a WHOIS dump), so
+each of the many inputs costs no file system round trip.
 """
 
 import gzip
@@ -65,7 +66,8 @@ SAMPLE_LINES = 6  # of each input, the lines its junk is made from
 
 @pytest.fixture(scope="module")
 def loaders(tmp_path_factory):
-    """Input name -> (the file that input was read from, the loader _read got)."""
+    """Input name -> (the file that input was read from, the loader and the
+    decoding errors handler _read got)."""
     tmp = tmp_path_factory.mktemp("loaders")
     paths = write_campaign(tmp, build_campaign(fc_per_region=1, planted_per_class=1,
                                                v6_fc_per_region=1))
@@ -100,9 +102,9 @@ def loaders(tmp_path_factory):
     seen = {}
     real_read = cli._read
 
-    def recording_read(path, loader):
-        seen.setdefault(names[path], (path, loader))
-        return real_read(path, loader)
+    def recording_read(path, loader, errors="strict"):
+        seen.setdefault(names[path], (path, loader, errors))
+        return real_read(path, loader, errors)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cli, "_read", recording_read)
@@ -183,17 +185,17 @@ def mutate(rng, good: bytes) -> bytes:
 
 @pytest.mark.parametrize("name", INPUTS)
 def test_junk_input_loads_or_is_refused_naming_its_file(loaders, monkeypatch, name):
-    path, loader = loaders[name]
+    path, loader, errors = loaders[name]
     with open(path, "rb") as fp:
         good = b"".join(fp.readlines()[:SAMPLE_LINES])
     data = b""
 
-    def open_junk(path):
+    def open_junk(path, errors):
         raw = io.BytesIO(data)
         raw.name = path  # configparser names its errors after the file
         if data[:2] == b"\x1f\x8b":
             raw = gzip.GzipFile(path, fileobj=raw)
-        return io.TextIOWrapper(raw, encoding="utf-8-sig", errors="replace")
+        return io.TextIOWrapper(raw, encoding="utf-8-sig", errors=errors)
 
     monkeypatch.setattr(cli, "open_text", open_junk)
     rng = random.Random(f"junk:{name}")
@@ -201,7 +203,7 @@ def test_junk_input_loads_or_is_refused_naming_its_file(loaders, monkeypatch, na
     for _ in range(JUNK_PER_LOADER):
         data = mutate(rng, good)
         try:
-            cli._read(path, loader)
+            cli._read(path, loader, errors)
         except GeoAuditError as exc:
             assert str(exc).startswith(f"{path}: "), (data, exc)
             refused += 1
@@ -248,10 +250,10 @@ def test_every_line_input_skips_comments_and_blanks_and_names_a_refused_line(loa
     assert sorted(LINE_INPUTS) == sorted(name for name in INPUTS
                                          if name.endswith((".csv", ".txt")) and name != "arin.txt")
     data = ""
-    monkeypatch.setattr(cli, "open_text", lambda path: io.StringIO(data))
+    monkeypatch.setattr(cli, "open_text", lambda path, errors: io.StringIO(data))
     rng = random.Random(41)
     for name, (is_csv, bad, refusal) in LINE_INPUTS.items():
-        path, loader = loaders[name]
+        path, loader, _ = loaders[name]
         with open(path, encoding="utf-8") as fp:
             clean = fp.read().splitlines()
         data = "\n".join(clean) + "\n"

@@ -120,6 +120,51 @@ def test_a_leading_byte_order_mark_is_dropped(tmp_path, capsys):
     assert oro("bom.csv", bom + region_map) == oro("region_map.csv", region_map)
 
 
+def test_a_latin1_byte_in_a_dump_reads_as_a_replacement(tmp_path, capsys):
+    """RIPE database exports are Latin-1: a gzip dump with such a byte
+    ingests every record, the byte read as U+FFFD, the one input so read."""
+    def ingest(name, text, encoding):
+        (tmp_path / name).write_bytes(gzip.compress(text.encode(encoding)))
+        out = tmp_path / f"{name}.jsonl"
+        assert run(["ingest", "--ripe", str(tmp_path / name), "-o", str(out)]) == 0
+        return capsys.readouterr().out.splitlines()[0], out.read_text(encoding="utf-8")
+
+    latin1 = RIPE_DUMP.replace("ORG-EX1", "ORG-\u00c91")
+    tally, regs = ingest("latin1.db.gz", latin1, "latin-1")
+    assert (tally, regs) == ingest("replaced.db.gz", latin1.replace("\u00c9", "\ufffd"), "utf-8")
+    assert tally.startswith("RIPE: nets=1 emitted=1 ") and " orgs=1 unresolved=0 " in tally
+    assert '"org_country": "DE", "org_id": "ORG-\\ufffd1-RIPE"' in regs
+
+
+@pytest.mark.parametrize("name", ["capture", "capture.gz", "registrations"])
+def test_a_byte_that_is_not_utf8_exits_2_naming_its_file(small_campaign, capsys, name):
+    """Every input but a dump is strict UTF-8. One byte of a capture's
+    vantage id set to 0xff, plain or gzip, is refused naming the capture,
+    where a replacement would have replayed that pair as no reply; so is
+    such a byte in the registrations oro reads."""
+    camp, paths, tmp_path = small_campaign
+    out = tmp_path / "out"
+    if name == "registrations":
+        bad = tmp_path / "registrations.jsonl"
+        data = bad.read_bytes()
+        at = data.index(b'"org_id": "') + len(b'"org_id": "')
+        argv = ["oro", "--registrations", str(bad), "-o", str(out)]
+    else:
+        bad = tmp_path / "results.jsonl"
+        assert run(audit_argv(paths, str(tmp_path / "sim.jsonl"),
+                              extra=["--capture-results", str(bad)])) == 0
+        data = bad.read_bytes()
+        at = data.index(b'"vantage_id": "') + len(b'"vantage_id": "')
+        argv = audit_argv(paths, str(out), extra=["--backend", "replay", "--results", str(bad)])
+    data = data[:at] + b"\xff" + data[at + 1:]
+    bad.write_bytes(gzip.compress(data) if name.endswith(".gz") else data)
+    capsys.readouterr()
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith(
+        f"geoaudit: {bad}: 'utf-8' codec can't decode byte 0xff in position ")
+    assert not out.exists()
+
+
 def test_align_writes_fractions(small_campaign, capsys):
     camp, paths, tmp_path = small_campaign
     out = tmp_path / "alignment.csv"

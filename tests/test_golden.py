@@ -10,6 +10,8 @@ change from a pipeline change; then the sha256 of every file written.
 What each command prints is pinned too, with the output directory spelled
 OUT. A closed stdout must not cost a file: each command, run with a stdout
 that raises BrokenPipeError, still writes every file a normal run writes.
+Nor may a command write over its own input or its other output: each
+such pair of paths is refused before anything is read.
 
 A change that alters output bytes on purpose edits OUTPUTS (or STDOUT), and
 says which digests changed and why."""
@@ -19,6 +21,8 @@ import gzip
 import hashlib
 import io
 import json
+import os
+import shutil
 import sys
 from pathlib import Path
 
@@ -234,3 +238,82 @@ def test_a_capture_with_timestamps_replays_alike(campaign, golden, tmp_path):
     assert cli.main([*audit_argv(c, out), "--backend", "replay", "--results", str(old),
                      "-o", str(replayed)]) == 0
     assert sha256(replayed.read_bytes()) == OUTPUTS["audit_replay.jsonl"]
+
+
+# the flags that name what a command writes; report writes its tables into --out-dir
+OUTPUT_FLAGS = ("--capture-results", "-o", "--out-dir")
+# every flag that names a file a command reads
+INPUT_FLAGS = {"--config", "--dialects", "--arin", "--ripe", "--apnic", "--lacnic", "--afrinic",
+               "--registrations", "--plans", "--hitlist-v4", "--hitlist-v6", "--aliased-prefixes",
+               "--rib", "--vantages", "--bad-probes", "--default-coords", "--anycast-prefixes",
+               "--nir-markers", "--region-map", "--country-points", "--results", "--world",
+               "--audit", "--geodb", "--leased-prefixes"}
+# input flags the golden commands leave out, each given a file of its own
+EXTRA_INPUTS = {"ingest": ["--dialects"], "plan": ["--config"],
+                "audit_simulate": ["--config", "--region-map", "--country-points"],
+                "audit_replay": ["--plans"], "report": ["--region-map"]}
+
+
+def input_values(argv: list[str]) -> list[tuple[int, str, str]]:
+    """(index, flag, path) for each value of argv that names a file the command reads."""
+    out = []
+    for i, (flag, value) in enumerate(zip(argv, argv[1:]), 1):
+        path = value.partition("=")[2] if flag == "--geodb" else value
+        if flag.startswith("-") and flag not in OUTPUT_FLAGS and os.path.isfile(path):
+            out.append((i, flag, path))
+    return out
+
+
+def test_no_output_lands_on_an_input_or_another_output(campaign, golden, tmp_path, capsys):
+    """Two outputs that resolve to one file, or an output that resolves to an
+    input, are refused before anything is read: exit 2 naming both flags,
+    nothing printed, and every file as it was. Each input flag of each
+    command is tried against each of its outputs, the output spelled through
+    a link to the input's directory."""
+    _, c = campaign
+    out = tmp_path / "out"
+    shutil.copytree(golden[0], out)
+    assert sorted(path.name for path in (out / "report").iterdir()) == sorted(cli._REPORT_TABLES)
+    camp = tmp_path / "camp"
+    camp.mkdir()
+    c = {name: shutil.copy(path, camp) for name, path in c.items()}
+    tables = tmp_path / "tables"
+    tables.mkdir()
+    (tmp_path / "link").symlink_to(tmp_path)
+    link = lambda path: str(tmp_path / "link" / Path(path).relative_to(tmp_path))  # noqa: E731
+
+    def refused(argv: list[str], first: str, second: str, path: str) -> None:
+        assert cli.main(argv) == 2, argv
+        assert capsys.readouterr() == ("", f"geoaudit: {first} and {second} name one file: {path}\n")
+
+    argvs = commands(c, out)
+    for name, flags in EXTRA_INPUTS.items():
+        for flag in flags:
+            extra = tmp_path / f"{name}{flag}"
+            extra.write_text("x\n")
+            argvs[name] += [flag, str(extra)]
+    before = written(tmp_path)
+    tried = set()
+    for name, argv in argvs.items():
+        for i, flag, path in input_values(argv):
+            tried.add(flag)
+            if name == "report":  # an input that is one of the tables
+                for table in cli._REPORT_TABLES:
+                    shutil.copy(path, tables / table)
+                    moved = argv[i].replace(path, str(tables / table))
+                    refused([*argv[:i], moved, *argv[i + 1:], "--out-dir", link(tables)],
+                            "--out-dir", flag, str(tables / table))
+                    os.remove(tables / table)
+                continue
+            for output in ("--capture-results", "-o"):
+                if output in argv:
+                    at = argv.index(output) + 1
+                    refused([*argv[:at], link(path), *argv[at + 1:]],
+                            "--output" if output == "-o" else output, flag, path)
+        if "--capture-results" in argv:
+            at = argv.index("-o") + 1
+            capture = argv[argv.index("--capture-results") + 1]
+            refused([*argv[:at], link(capture), *argv[at + 1:]],
+                    "--capture-results", "--output", link(capture))
+    assert written(tmp_path) == before
+    assert tried == INPUT_FLAGS

@@ -185,13 +185,3 @@ def test_counters_start_at_zero_and_stay_mutable():
     assert counts.filtered == dict.fromkeys(FilterReason, 0)
     assert counts.by_class == dict.fromkeys(ConsistencyClass, 0)
     assert PipelineCounts().filtered is not counts.filtered
-
-
-def test_measurement_results_compare_by_their_fields():
-    one = MeasurementResult("v-1", ADDR, (1.0, 2.0))
-    assert one == MeasurementResult("v-1", parse_address("192.0.2.1"), (1.0, 2.0))
-    assert one != MeasurementResult("v-2", ADDR, (1.0, 2.0))
-    assert one != ("v-1", ADDR, (1.0, 2.0))
-    assert repr(one) == "MeasurementResult('v-1', Addr('192.0.2.1'), (1.0, 2.0))"
-    with pytest.raises(TypeError):
-        hash(one)

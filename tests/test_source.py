@@ -99,8 +99,9 @@ def test_no_except_clause_names_attribute_error():
 
 def test_read_names_the_file_for_bad_input_alone():
     """cli._read turns exactly these into a GeoAuditError naming the file:
-    bad input, a file that cannot be read or decompressed, and a CSV the
-    csv module refuses. Anything else a loader raises is a bug."""
+    bad input, a byte that is not UTF-8, a file that cannot be read or
+    decompressed, and a CSV the csv module refuses. Anything else a loader
+    raises is a bug."""
     tree = ast.parse((ROOT / "src" / "geoaudit" / "cli.py").read_text(encoding="utf-8"))
     read = next(node for node in tree.body
                 if isinstance(node, ast.FunctionDef) and node.name == "_read")
@@ -108,7 +109,7 @@ def test_read_names_the_file_for_bad_input_alone():
     assert len(handlers) == 1
     caught = handlers[0].type.elts if isinstance(handlers[0].type, ast.Tuple) else [handlers[0].type]
     assert sorted(map(ast.unparse, caught)) == sorted(
-        ["GeoAuditError", "OSError", "EOFError", "csv.Error", "zlib.error"])
+        ["GeoAuditError", "OSError", "EOFError", "UnicodeDecodeError", "csv.Error", "zlib.error"])
 
 
 def test_live_request_retries_a_failed_exchange_alone():
@@ -242,6 +243,24 @@ def test_only_the_line_readers_know_the_comment_mark():
                if any(isinstance(node, ast.Constant) and node.value == "#"
                       for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))))]
     assert marking == ["registry.py", "whois.py"]
+
+
+# the codec error handlers that let a byte that is not UTF-8 through
+_LENIENT = {"replace", "ignore", "surrogateescape", "surrogatepass", "backslashreplace",
+            "xmlcharrefreplace", "namereplace"}
+
+
+def test_only_the_dump_read_replaces_bytes():
+    """Every input is strict UTF-8 but a WHOIS dump, whose RIPE exports are
+    Latin-1: the string "replace" appears once, in cli.cmd_ingest's read of
+    a dump, and no module names another lenient handler, so no reader grows
+    a replacement of its own."""
+    naming = [f"{path.name}:{getattr(stmt, 'name', None)}:{node.value}"
+              for path in sorted((ROOT / "src" / "geoaudit").glob("*.py"))
+              for stmt in ast.parse(path.read_text(encoding="utf-8")).body
+              for node in ast.walk(stmt)
+              if isinstance(node, ast.Constant) and node.value in _LENIENT]
+    assert naming == ["cli.py:cmd_ingest:replace"]
 
 
 def test_dates_are_read_by_one_grammar_without_strptime():
