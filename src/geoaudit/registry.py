@@ -448,14 +448,23 @@ class Registration(NamedTuple):
 
 
 def duplicate_rank(reg: Registration) -> tuple:
-    """Rank of a row among the rows of one prefix; the highest wins. It
-    compares last_updated, then the registry name, org_id and the row's
-    sorted-key JSON without the flag targets.registrations_by_prefix adds: a
-    total order on content, so the winner never depends on input order."""
-    row = reg.to_json()
-    row["flags"] = [flag for flag in reg.flags if flag != "cross_rir_duplicate"]
+    """Rank of a row among the rows of one prefix; the highest wins: by
+    last_updated, then registry name, org_id and the row's sorted-key JSON,
+    flags and all (an input row's cross_rir_duplicate too; ingest never
+    writes it). A total order on content: the winner ignores input order."""
     return (reg.last_updated or datetime.date.min, reg.rir.value, reg.org_id or "",
-            json.dumps(row, sort_keys=True))
+            json.dumps(reg.to_json(), sort_keys=True))
+
+
+def winners_by_prefix(regs: Iterable[Registration]) -> dict[Prefix, tuple[Registration, int]]:
+    """Per prefix, in first-seen order, the row of highest duplicate_rank and
+    how many rows register it; rows that tie are equal, and the first seen
+    stays. Ingest and planning both pick their one row per prefix here."""
+    best: dict[Prefix, tuple[Registration, int]] = {}
+    for reg in regs:
+        old = best.get(reg.prefix)
+        best[reg.prefix] = (reg, 1) if old is None else (max(old[0], reg, key=duplicate_rank), old[1] + 1)
+    return best
 
 
 def open_text(path: str, errors: str = "strict") -> IO[str]:

@@ -17,7 +17,6 @@ from .registry import (
     Addr,
     Prefix,
     Registration,
-    duplicate_rank,
     load_jsonl,
     parse_address,
     parse_as,
@@ -26,6 +25,7 @@ from .registry import (
     read_tokens,
     record,
     refuse_repeats,
+    winners_by_prefix,
     write_jsonl,
 )
 
@@ -97,18 +97,11 @@ def load_plans(fp: IO[str]) -> list[TargetPlan]:
 
 
 def registrations_by_prefix(regs: Iterable[Registration]) -> dict[Prefix, Registration]:
-    """One registration per prefix. When two rows carry the same prefix, the
-    highest duplicate_rank wins, most recently updated first; the survivor
-    is flagged. Planning and the report both join on this winner."""
-    by_prefix: dict[Prefix, Registration] = {}
-    for reg in regs:
-        old = by_prefix.get(reg.prefix)
-        if old is None:
-            by_prefix[reg.prefix] = reg
-            continue
-        winner = reg if duplicate_rank(reg) > duplicate_rank(old) else old
-        by_prefix[reg.prefix] = winner.with_flag("cross_rir_duplicate")
-    return by_prefix
+    """One registration per prefix, in first-seen order: the winner of
+    registry.winners_by_prefix, flagged cross_rir_duplicate if two or more
+    rows register it. Planning and the report both join on this winner."""
+    return {prefix: reg.with_flag("cross_rir_duplicate") if n > 1 else reg
+            for prefix, (reg, n) in winners_by_prefix(regs).items()}
 
 
 def build_target_plans(

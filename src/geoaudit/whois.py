@@ -22,13 +22,13 @@ from .registry import (
     Rir,
     Status,
     bundled,
-    duplicate_rank,
     open_text,  # callers still reach it as whois.open_text
     parse_address,
     parse_as,
     parse_prefix,
     range_to_cidrs,
     read_ini,
+    winners_by_prefix,
 )
 
 
@@ -256,10 +256,9 @@ def parse_bulk_whois(
 ) -> tuple[list[Registration], dict[str, str | None], IngestReport]:
     """Parse one registry dump into registrations plus {org_id: country or None}.
 
-    Within a dump, duplicate records for the same prefix collapse to the
-    one with the highest registry.duplicate_rank: the most recently updated,
-    then the larger org_id, then the larger content, whatever the line order.
-    """
+    Rows come in prefix order, one per prefix: registry.winners_by_prefix
+    keeps the highest duplicate_rank, the most recently updated first, and
+    duplicates_dropped counts the rest, whatever the line order."""
     dialect = dialect_for(rir, dialects)
     report = IngestReport(rir=rir)
     provisional: list[Registration] = []
@@ -304,15 +303,9 @@ def parse_bulk_whois(
             report.org_records_read += 1
             orgs[rec.first(dialect.org_id_keys)] = _country(rec.first(dialect.org_country_keys))
 
-    # collapse duplicate prefixes: the highest duplicate_rank wins
-    best: dict[Prefix, Registration] = {}
-    for reg in provisional:
-        key = reg.prefix
-        if key not in best or duplicate_rank(reg) > duplicate_rank(best[key]):
-            best[key] = reg
+    best = winners_by_prefix(provisional)
     report.duplicates_dropped = len(provisional) - len(best)
-
-    emitted = [best[prefix] for prefix in sorted(best)]
+    emitted = [best[prefix][0] for prefix in sorted(best)]
     report.registrations_emitted = len(emitted)
     return emitted, orgs, report
 

@@ -234,15 +234,31 @@ def test_readme_names_every_record_flag_and_filter_reason():
     assert sorted(name for name in names if name not in readme) == []
 
 
+def _modules_where(found) -> list[str]:
+    """The src/geoaudit modules with an AST node that found accepts."""
+    return [path.name for path in sorted((ROOT / "src" / "geoaudit").glob("*.py"))
+            if any(found(node) for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))))]
+
+
 def test_only_the_line_readers_know_the_comment_mark():
     """registry.read_tokens and registry.read_csv hold the one comment rule
     of list, RIB and CSV inputs, and whois keeps the RPSL dumps' own #/%
     rule: the string "#" appears in no other module, so no loader grows a
     comment rule of its own."""
-    marking = [path.name for path in sorted((ROOT / "src" / "geoaudit").glob("*.py"))
-               if any(isinstance(node, ast.Constant) and node.value == "#"
-                      for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))))]
-    assert marking == ["registry.py", "whois.py"]
+    assert _modules_where(lambda node: isinstance(node, ast.Constant)
+                          and node.value == "#") == ["registry.py", "whois.py"]
+
+
+def test_the_winner_rule_for_a_shared_prefix_has_one_home():
+    """registry.winners_by_prefix is the one rule for rows that share a
+    prefix: duplicate_rank is named in registry.py alone, so no module keeps
+    a ranking loop of its own, and the string "cross_rir_duplicate" appears
+    in targets.py alone, where planning flags a winner after ranking."""
+    names = ("id", "attr", "name")  # a Name, an Attribute, a def or an import
+    assert _modules_where(lambda node: any(getattr(node, key, None) == "duplicate_rank"
+                                           for key in names)) == ["registry.py"]
+    assert _modules_where(lambda node: isinstance(node, ast.Constant)
+                          and node.value == "cross_rir_duplicate") == ["targets.py"]
 
 
 # the codec error handlers that let a byte that is not UTF-8 through
