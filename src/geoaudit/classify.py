@@ -37,6 +37,7 @@ from .registry import (
     Rir,
     load_jsonl,
     record,
+    refuse_repeats,
     write_jsonl,
 )
 
@@ -120,7 +121,11 @@ def write_records(records: Iterable[ConsistencyRecord], fp: IO[str]) -> int:
 
 
 def load_records(fp: IO[str]) -> list[ConsistencyRecord]:
-    return load_jsonl(_one_outcome, fp)
+    """A prefix in two records is refused, as an audit writes one record
+    per plan, so the report counts each prefix once."""
+    records = load_jsonl(_one_outcome, fp)
+    refuse_repeats((rec.prefix for rec in records), "prefix")
+    return records
 
 
 def _one_outcome(obj) -> ConsistencyRecord:

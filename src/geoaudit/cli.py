@@ -72,13 +72,14 @@ class RunConfig(NamedTuple):
     tag: str = ""
 
 
-# flags that only build plans, refused with --plans, and flags that only the
-# live backend reads, refused with another; environment and file values are no flags
+# flags that only build plans, refused with --plans, and the flags that one
+# backend alone reads, refused with another; environment and file values are no flags
 _PLAN_BUILDING = ("registrations", "hitlist_v4", "hitlist_v6", "aliased_prefixes", "min_score",
                   "sample_fraction_v4", "sample_fraction_v6")
-_LIVE_ONLY = ("base_url", "api_key", "tag")
+_BACKEND_FLAGS = {"replay": ("results",), "simulate": ("world",),
+                  "live": ("base_url", "api_key", "tag", "concurrency")}
 # the text flags that name no file a command reads; every other one names an input
-_NOT_INPUTS = ("command", "backend", "capture_results", "output", "out_dir", *_LIVE_ONLY)
+_NOT_INPUTS = ("command", "backend", "capture_results", "output", "out_dir", *_BACKEND_FLAGS["live"])
 # every table report can write into --out-dir
 _REPORT_TABLES = ("distribution.csv", "summary.txt", "sankey.csv", "oro.csv", "geodb.csv",
                   "characteristics_status.csv", "characteristics_age.csv", "leasing.csv")
@@ -150,11 +151,13 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     """Each setting the subcommand has a flag for from its first source, the
     others at their defaults; a value out of range names that source. A flag
     that cannot take effect is refused: one in _PLAN_BUILDING with --plans,
-    one in _LIVE_ONLY with a backend other than live."""
+    one that _BACKEND_FLAGS gives a backend other than --backend."""
     if getattr(args, "plans", None):
         _refuse_flags(args, _PLAN_BUILDING, "with --plans")
-    if getattr(args, "backend", "live") != "live":
-        _refuse_flags(args, _LIVE_ONLY, f"with --backend {args.backend}")
+    if hasattr(args, "backend"):  # audit's; plan has none
+        others = [name for backend, names in _BACKEND_FLAGS.items() if backend != args.backend
+                  for name in names]
+        _refuse_flags(args, others, f"with --backend {args.backend}")
     file_values: dict[str, str] = {}
     path = getattr(args, "config", None)
     if path:
@@ -540,7 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--propagation-factor", type=float,
                    help="fraction of c used for radii (default 2/3)")
     p.add_argument("--concurrency", type=int,
-                   help="live: measurements in flight (default 1); replay and simulate ignore it")
+                   help="live: measurements in flight (default 1)")
     p.add_argument("--strict-no-org", action="store_true",
                    help="filter prefixes without an org country instead of classifying")
     p.add_argument("--capture-results", help="write raw measurements for later replay")

@@ -22,6 +22,7 @@ from .registry import (
     oro_stats,
     parse_prefix,
     read_csv,
+    refuse_repeats,
     write_oro_csv,
 )
 
@@ -70,9 +71,12 @@ class GeoDbEntry(NamedTuple):
 
 
 def load_geodb(fp: IO[str]) -> list[GeoDbEntry]:
-    """CSV with a prefix,country header: one provider's geolocation table."""
-    return read_csv(fp, ["prefix", "country"], lambda row: GeoDbEntry(
+    """CSV with a prefix,country header: one provider's geolocation table.
+    A prefix in two rows is refused, rather than the last row winning."""
+    entries = read_csv(fp, ["prefix", "country"], lambda row: GeoDbEntry(
         prefix=parse_prefix(row["prefix"]), country=row["country"].strip().upper()))
+    refuse_repeats((entry.prefix for entry in entries), "prefix")
+    return entries
 
 
 class DetectionStats:

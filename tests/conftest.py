@@ -177,9 +177,11 @@ def write_campaign(tmp_path, camp: Campaign) -> dict[str, str]:
 
 
 def audit_argv(paths: dict[str, str], out_path: str, extra: list[str] | None = None,
-               plans: str | None = None) -> list[str]:
+               plans: str | None = None, backend: str = "simulate") -> list[str]:
     """An audit of the campaign at paths; given plans, of that plans file in
-    place of the registrations and hitlists, which --plans refuses."""
+    place of the registrations and hitlists, which --plans refuses. The
+    simulate backend reads the campaign's world; the flags of another
+    backend, such as LIVE_ARGV, come in extra."""
     inputs = ["--registrations", paths["registrations.jsonl"], "--hitlist-v4", paths["hitlist_v4.csv"]]
     if "hitlist_v6.txt" in paths:
         inputs += ["--hitlist-v6", paths["hitlist_v6.txt"]]
@@ -190,8 +192,8 @@ def audit_argv(paths: dict[str, str], out_path: str, extra: list[str] | None = N
         "--vantages", paths["vantages.jsonl"],
         "--region-map", paths["region_map.csv"],
         "--country-points", paths["country_points.csv"],
-        "--backend", "simulate",
-        "--world", paths["world.json"],
+        "--backend", backend,
+        *(["--world", paths["world.json"]] if backend == "simulate" else []),
         "--seed", "7",
         "-o", out_path,
     ]
@@ -320,7 +322,7 @@ class FaultySession:
         self.api.close()
 
 
-LIVE_ARGV = ["--backend", "live", "--base-url", "https://api.example.net/v1", "--api-key", "k"]
+LIVE_ARGV = ["--base-url", "https://api.example.net/v1", "--api-key", "k"]
 
 
 def world_session(camp, paths, pending=lambda mid: 0) -> WorldSession:

@@ -634,7 +634,7 @@ def test_criterion_09_report_fidelity():
         assert strict["alpha"][Rir.ARIN].detected == 1
 
 
-def test_criterion_10_determinism(tmp_path, monkeypatch):
+def test_criterion_10_determinism(tmp_path, monkeypatch, capsys):
     with criterion(10, "byte-identical output across runs, concurrency, backends, replay"):
         camp = build_campaign(fc_per_region=4, planted_per_class=1, v6_fc_per_region=1)
         paths = write_campaign(tmp_path, camp)
@@ -643,35 +643,32 @@ def test_criterion_10_determinism(tmp_path, monkeypatch):
         runs = {
             "a": ["--capture-results", str(captured)],
             "b": [],
-            "c": ["--concurrency", "4"],
         }
         outputs = {}
         for name, extra in runs.items():
             out = tmp_path / f"{name}.jsonl"
             assert cli.main(audit_argv(paths, str(out), extra=extra)) == 0
             outputs[name] = out.read_bytes()
-        assert outputs["a"] == outputs["b"] == outputs["c"]
+        assert outputs["a"] == outputs["b"]
 
         replay_bytes = []
-        for name, extra in (("r1", []), ("r2", []), ("r4", ["--concurrency", "4"])):
+        for name in ("r1", "r2"):
             out = tmp_path / f"{name}.jsonl"
-            argv = [
-                "audit",
-                "--registrations", paths["registrations.jsonl"],
-                "--rib", paths["rib.txt"],
-                "--hitlist-v4", paths["hitlist_v4.csv"],
-                "--hitlist-v6", paths["hitlist_v6.txt"],
-                "--vantages", paths["vantages.jsonl"],
-                "--region-map", paths["region_map.csv"],
-                "--country-points", paths["country_points.csv"],
-                "--backend", "replay", "--results", str(captured),
-                "--seed", "7",
-                "-o", str(out),
-                *extra,
-            ]
+            argv = audit_argv(paths, str(out), backend="replay", extra=["--results", str(captured)])
             assert cli.main(argv) == 0
             replay_bytes.append(out.read_bytes())
-        assert replay_bytes[0] == replay_bytes[1] == replay_bytes[2] == outputs["a"]
+        assert replay_bytes[0] == replay_bytes[1] == outputs["a"]
+
+        # only the live backend measures in flight: simulate and replay
+        # refuse --concurrency and write nothing
+        refused = tmp_path / "refused.jsonl"
+        for backend, extra in (("simulate", []), ("replay", ["--results", str(captured)])):
+            capsys.readouterr()
+            argv = audit_argv(paths, str(refused), backend=backend, extra=[*extra, "--concurrency", "4"])
+            assert cli.main(argv) == 2
+            assert (capsys.readouterr().err
+                    == f"geoaudit: --concurrency cannot take effect with --backend {backend}\n")
+            assert not refused.exists()
 
         # the live client against an API answering from the same world, each
         # measurement pending 0-3 times, at several windows
@@ -680,7 +677,7 @@ def test_criterion_10_determinism(tmp_path, monkeypatch):
         for k in (1, 2, 8):
             out, capture = tmp_path / f"live{k}.jsonl", tmp_path / f"live{k}_results.jsonl"
             live = [*LIVE_ARGV, "--concurrency", str(k), "--capture-results", str(capture)]
-            assert cli.main(audit_argv(paths, str(out), extra=live)) == 0
+            assert cli.main(audit_argv(paths, str(out), backend="live", extra=live)) == 0
             assert out.read_bytes() == outputs["a"]
             assert capture.read_bytes() == captured.read_bytes()
         assert sleeps  # some measurements were pending

@@ -84,7 +84,6 @@ def loaders(tmp_path_factory):
         "--config", paths["geoaudit.ini"], "--bad-probes", paths["bad_probes.txt"],
         "--default-coords", paths["default_coords.csv"],
         "--anycast-prefixes", paths["anycast.txt"], "--nir-markers", paths["nir_markers.txt"]]
-    audit = audit_argv(paths, paths["audit.jsonl"], extra=audit_inputs)
     commands = [
         ["ingest", "--arin", paths["arin.txt"], "--dialects", paths["dialects.ini"],
          "-o", str(tmp / "ingested.jsonl")],
@@ -93,7 +92,8 @@ def loaders(tmp_path_factory):
          "--aliased-prefixes", paths["aliased.txt"], "-o", paths["plans.jsonl"]],
         audit_argv(paths, paths["audit.jsonl"], plans=paths["plans.jsonl"],
                    extra=audit_inputs + ["--capture-results", paths["capture.jsonl"]]),
-        audit + ["--backend", "replay", "--results", paths["capture.jsonl"]],
+        audit_argv(paths, paths["audit.jsonl"], backend="replay",
+                   extra=audit_inputs + ["--results", paths["capture.jsonl"]]),
         ["report", "--audit", paths["audit.jsonl"], "--registrations", paths["registrations.jsonl"],
          "--geodb", f"alpha={paths['geodb.csv']}", "--leased-prefixes", paths["leased.txt"],
          "--region-map", paths["region_map.csv"], "--out-dir", str(tmp / "report")],

@@ -155,7 +155,7 @@ def test_a_byte_that_is_not_utf8_exits_2_naming_its_file(small_campaign, capsys,
                               extra=["--capture-results", str(bad)])) == 0
         data = bad.read_bytes()
         at = data.index(b'"vantage_id": "') + len(b'"vantage_id": "')
-        argv = audit_argv(paths, str(out), extra=["--backend", "replay", "--results", str(bad)])
+        argv = audit_argv(paths, str(out), backend="replay", extra=["--results", str(bad)])
     data = data[:at] + b"\xff" + data[at + 1:]
     bad.write_bytes(gzip.compress(data) if name.endswith(".gz") else data)
     capsys.readouterr()
@@ -231,16 +231,21 @@ def test_interrupted_output_keeps_old_file(small_campaign, capsys, monkeypatch):
     assert not list(tmp_path.glob("*.tmp"))
 
 
-def test_audit_is_deterministic_across_runs_and_threads(small_campaign):
+def test_audit_is_deterministic_across_runs_and_threads(small_campaign, capsys):
+    """Two simulated audits write the same bytes. Only the live backend
+    measures in threads, so --concurrency with simulate is refused and
+    writes nothing; live audits at several windows are criterion 10's."""
     camp, paths, tmp_path = small_campaign
     out1 = tmp_path / "a1.jsonl"
     out2 = tmp_path / "a2.jsonl"
     out4 = tmp_path / "a4.jsonl"
     assert run(audit_argv(paths, str(out1))) == 0
     assert run(audit_argv(paths, str(out2))) == 0
-    assert run(audit_argv(paths, str(out4), extra=["--concurrency", "4"])) == 0
     assert out1.read_bytes() == out2.read_bytes()
-    assert out1.read_bytes() == out4.read_bytes()
+    capsys.readouterr()
+    assert run(audit_argv(paths, str(out4), extra=["--concurrency", "4"])) == 2
+    assert capsys.readouterr().err == "geoaudit: --concurrency cannot take effect with --backend simulate\n"
+    assert not out4.exists()
 
 
 def test_audit_capture_then_replay_agrees(small_campaign):
@@ -343,8 +348,7 @@ def test_replay_refuses_a_pair_archived_twice(small_campaign, capsys):
     captured.write_text("".join(lines) + json.dumps({**row, "rtts_ms": [1.0]}) + "\n")
     out = tmp_path / "replay.jsonl"
     capsys.readouterr()
-    assert run(audit_argv(paths, str(out), extra=["--backend", "replay",
-                                                  "--results", str(captured)])) == 2
+    assert run(audit_argv(paths, str(out), backend="replay", extra=["--results", str(captured)])) == 2
     assert (capsys.readouterr().err
             == f"geoaudit: {captured}: line {len(lines) + 1}: "
                f"{row['vantage_id']} -> {row['target']} is archived twice\n")
@@ -356,10 +360,10 @@ def test_audit_replay_counts_misses(small_campaign, capsys):
     sim_out = tmp_path / "sim.jsonl"
     captured = tmp_path / "results.jsonl"
     assert run(audit_argv(paths, str(sim_out), extra=["--capture-results", str(captured)])) == 0
-    replay = ["--backend", "replay", "--results", str(captured)]
+    replay = ["--results", str(captured)]
     replay_out = tmp_path / "replay.jsonl"
     capsys.readouterr()
-    assert run(audit_argv(paths, str(replay_out), extra=replay)) == 0
+    assert run(audit_argv(paths, str(replay_out), backend="replay", extra=replay)) == 0
     assert "replay misses: 0 pairs" in capsys.readouterr().out
 
     # drop a pair that is not its target's lowest RTT, so no inference changes
@@ -372,7 +376,7 @@ def test_audit_replay_counts_misses(small_campaign, capsys):
     dropped = next(i for i, row in enumerate(rows)
                    if row["rtts_ms"] and min(row["rtts_ms"]) > lowest[row["target"]])
     captured.write_text("".join(lines[:dropped] + lines[dropped + 1:]))
-    assert run(audit_argv(paths, str(replay_out), extra=replay)) == 0
+    assert run(audit_argv(paths, str(replay_out), backend="replay", extra=replay)) == 0
     stdout = capsys.readouterr().out
     assert "replay misses: 1 pairs" in stdout
     assert stdout.index("vantages:") < stdout.index("replay misses:") < stdout.index("candidates=")
@@ -407,7 +411,7 @@ def test_audit_prints_live_request_tallies(small_campaign, capsys, monkeypatch):
     # every measurement is pending once
     sessions = serve_campaign(monkeypatch, camp, paths, lambda mid: 1, lambda s: None)
     capsys.readouterr()
-    assert run(audit_argv(paths, str(tmp_path / "audit.jsonl"), extra=LIVE_ARGV)) == 0
+    assert run(audit_argv(paths, str(tmp_path / "audit.jsonl"), backend="live", extra=LIVE_ARGV)) == 0
     stdout = capsys.readouterr().out
     [api] = sessions
     assert api.closed  # the audit closes its connection to the API
@@ -430,7 +434,7 @@ def test_live_audit_resends_a_finishing_get_whose_answer_is_lost(small_campaign,
     sleeps = []
     sessions = serve_campaign(monkeypatch, camp, paths, lambda mid: 0, sleeps.append)
     live = [*LIVE_ARGV, "--concurrency", "3"]
-    assert run(audit_argv(paths, str(tmp_path / "clean.jsonl"), extra=live)) == 0
+    assert run(audit_argv(paths, str(tmp_path / "clean.jsonl"), backend="live", extra=live)) == 0
     [clean] = sessions  # the same audit with no answer lost: the job order
     assert not sleeps
     transports = []
@@ -456,7 +460,7 @@ def test_live_audit_resends_a_finishing_get_whose_answer_is_lost(small_campaign,
     monkeypatch.setattr(measure, "Transport", LosesEveryFifthFinish)
     out = tmp_path / "audit.jsonl"
     capsys.readouterr()
-    assert run(audit_argv(paths, str(out), extra=live)) == 0
+    assert run(audit_argv(paths, str(out), backend="live", extra=live)) == 0
     stdout = capsys.readouterr().out
     assert out.read_bytes() == sim.read_bytes()
     [transport] = transports
@@ -483,7 +487,7 @@ def test_a_live_audit_under_seeded_faults_writes_all_or_nothing(small_campaign, 
     for seed in range(12):
         out, capture = tmp_path / f"live-{seed}.jsonl", tmp_path / f"capture-{seed}.jsonl"
         capsys.readouterr()
-        exits.append(run(audit_argv(paths, str(out), extra=[
+        exits.append(run(audit_argv(paths, str(out), backend="live", extra=[
             *LIVE_ARGV, "--concurrency", str((1, 2, 8)[seed % 3]), "--capture-results", str(capture)])))
         if exits[-1] == 0:
             assert out.read_bytes() == sim.read_bytes()
@@ -533,7 +537,7 @@ def test_replay_of_a_bad_rtt_exits_2_writing_nothing(small_campaign, capsys, bad
     assert bad in results.read_text()
     out, captured = tmp_path / "audit.jsonl", tmp_path / "captured.jsonl"
     capsys.readouterr()
-    assert run(audit_argv(paths, str(out), extra=["--backend", "replay", "--results", str(results),
+    assert run(audit_argv(paths, str(out), backend="replay", extra=["--results", str(results),
                                                   "--capture-results", str(captured)])) == 2
     assert (capsys.readouterr().err
             == f"geoaudit: {row['vantage_id']} -> {row['target']}: {float(bad)} ms\n")
@@ -604,10 +608,9 @@ def test_world_that_is_not_json_exits_2(small_campaign, capsys):
 def test_backend_without_its_input_exits_2(small_campaign, capsys, backend, needs):
     camp, paths, tmp_path = small_campaign
     captured, out = tmp_path / "captured.jsonl", tmp_path / "audit.jsonl"
-    argv = audit_argv(paths, str(out), extra=["--backend", backend,
-                                              "--capture-results", str(captured)])
-    at = argv.index("--world")
-    del argv[at:at + 2]
+    argv = [arg for arg in audit_argv(paths, str(out), backend=backend,
+                                      extra=["--capture-results", str(captured)])
+            if arg not in ("--world", paths["world.json"])]
     capsys.readouterr()
     assert run(argv) == 2
     assert f"{backend} backend needs {needs}" in capsys.readouterr().err
@@ -650,7 +653,8 @@ def test_malformed_jsonl_input_exits_2_naming_file_and_line(small_campaign, caps
         paths = {**paths, name: str(tmp_path / "results.jsonl")}
         assert run(audit_argv(paths, str(tmp_path / "sim.jsonl"),
                               extra=["--capture-results", paths[name]])) == 0
-        argv += ["--backend", "replay", "--results", paths[name]]
+        argv = audit_argv(paths, str(out), backend="replay",
+                          extra=["--capture-results", str(captured), "--results", paths[name]])
     if name == "audit.jsonl":
         paths = {**paths, name: str(tmp_path / "audit.jsonl")}
         assert run(audit_argv(paths, paths[name])) == 0
@@ -702,7 +706,8 @@ def test_a_live_rtt_too_large_for_a_float_exits_3(small_campaign, capsys, monkey
     monkeypatch.setattr(measure, "Transport", HugeRtt)
     out, captured = tmp_path / "audit.jsonl", tmp_path / "captured.jsonl"
     capsys.readouterr()
-    assert run(audit_argv(paths, str(out), extra=[*LIVE_ARGV, "--capture-results", str(captured)])) == 3
+    extra = [*LIVE_ARGV, "--capture-results", str(captured)]
+    assert run(audit_argv(paths, str(out), backend="live", extra=extra)) == 3
     err = capsys.readouterr().err
     assert "answered a malformed body: " in err and "401 digits is too large for a number" in err
     assert not out.exists() and not captured.exists()
@@ -799,33 +804,51 @@ def test_plan_settings_from_the_environment_or_a_file_are_accepted_with_plans(
     assert out.exists()
 
 
-LIVE_ONLY_FLAGS = {"--base-url": "http://127.0.0.1:9", "--api-key": "k", "--tag": "t"}
+# each flag that one backend alone reads: (that backend, a value)
+BACKEND_FLAGS = {"--results": ("replay", "results.jsonl"), "--world": ("simulate", "world.json"),
+                 "--base-url": ("live", "http://127.0.0.1:9"), "--api-key": ("live", "k"),
+                 "--tag": ("live", "t"), "--concurrency": ("live", "4")}
 
 
-@pytest.mark.parametrize("backend", ["replay", "simulate"])
-@pytest.mark.parametrize("flag", LIVE_ONLY_FLAGS)
-def test_a_live_flag_with_another_backend_is_refused(tmp_path, capsys, backend, flag):
-    """Only the live backend reads --base-url, --api-key and --tag, so with
-    another backend each is refused before any input is read: no path given
-    here exists."""
+def refuse_with_another_backend(tmp_path, capsys, backend, flag):
+    """flag with backend exits 2 naming both, before any input is read: no
+    path given here exists."""
     missing = str(tmp_path / "missing")
     argv = ["audit", "--plans", missing, "--rib", missing, "--vantages", missing,
-            "--config", missing, "--backend", backend, flag, LIVE_ONLY_FLAGS[flag],
+            "--config", missing, "--backend", backend, flag, BACKEND_FLAGS[flag][1],
             "-o", str(tmp_path / "out")]
     assert run(argv) == 2
     assert capsys.readouterr().err == f"geoaudit: {flag} cannot take effect with --backend {backend}\n"
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("backend", ["replay", "simulate"])
+@pytest.mark.parametrize("flag", [flag for flag, (owner, _) in BACKEND_FLAGS.items() if owner == "live"])
+def test_a_live_flag_with_another_backend_is_refused(tmp_path, capsys, backend, flag):
+    """Only the live backend reads --base-url, --api-key, --tag and
+    --concurrency, so another backend refuses each."""
+    refuse_with_another_backend(tmp_path, capsys, backend, flag)
+
+
+@pytest.mark.parametrize("flag, backend", [(flag, backend) for flag in ("--results", "--world")
+                                           for backend in ("replay", "simulate", "live")
+                                           if backend != BACKEND_FLAGS[flag][0]])
+def test_the_input_of_one_backend_with_another_is_refused(tmp_path, capsys, flag, backend):
+    """Only replay reads --results and only simulate reads --world, so
+    another backend refuses each."""
+    refuse_with_another_backend(tmp_path, capsys, backend, flag)
+
+
 def test_live_settings_from_the_environment_or_a_file_are_accepted_with_another_backend(
         small_campaign, monkeypatch):
-    """The refusal is of flags alone; --concurrency is accepted on every backend."""
+    """The refusal is of flags alone: the live settings, concurrency too,
+    are accepted from the environment or a file with any backend."""
     camp, paths, tmp_path = small_campaign
     cfg = tmp_path / "geoaudit.ini"
-    cfg.write_text("[geoaudit]\nbase_url = http://127.0.0.1:9\ntag = t\n")
+    cfg.write_text("[geoaudit]\nbase_url = http://127.0.0.1:9\ntag = t\nconcurrency = 4\n")
     monkeypatch.setenv("GEOAUDIT_API_KEY", "k")
     out = tmp_path / "audit.jsonl"
-    assert run(audit_argv(paths, str(out), extra=["--config", str(cfg), "--concurrency", "4"])) == 0
+    assert run(audit_argv(paths, str(out), extra=["--config", str(cfg)])) == 0
     assert out.exists()
 
 
@@ -889,7 +912,7 @@ def test_out_of_range_setting_exits_2_before_any_input(small_campaign, capsys, m
     monkeypatch.setattr(cli, "_read", recording_read)
     monkeypatch.setattr(cli, "_make_backend", lambda *a: backends.append(a))
     capsys.readouterr()
-    assert run(audit_argv(paths, str(out), extra=extra)) == 2
+    assert run(audit_argv(paths, str(out), backend="live", extra=[*LIVE_ARGV, *extra])) == 2
     assert f"{name} from {where} is " in capsys.readouterr().err
     assert read == ([str(tmp_path / "geoaudit.ini")] if source == "file" else [])
     assert backends == []
@@ -938,9 +961,9 @@ def test_live_backend_needs_url_and_key(small_campaign, capsys, monkeypatch, giv
     built = []
     monkeypatch.setattr(measure, "LiveBackend", lambda *a, **kw: built.append(a))
     captured, out = tmp_path / "captured.jsonl", tmp_path / "audit.jsonl"
-    extra = ["--backend", "live", "--capture-results", str(captured), *given]
+    extra = ["--capture-results", str(captured), *given]
     capsys.readouterr()
-    assert run(audit_argv(paths, str(out), extra=extra)) == 2
+    assert run(audit_argv(paths, str(out), backend="live", extra=extra)) == 2
     assert "live backend needs --base-url and an API key" in capsys.readouterr().err
     assert built == []
     assert not captured.exists() and not out.exists()
@@ -955,10 +978,9 @@ def test_live_backend_needs_url_and_key(small_campaign, capsys, monkeypatch, giv
 def test_live_base_url_that_does_not_parse_exits_2(small_campaign, capsys, url, message):
     camp, paths, tmp_path = small_campaign
     captured, out = tmp_path / "captured.jsonl", tmp_path / "audit.jsonl"
-    extra = ["--backend", "live", "--base-url", url, "--api-key", "k",
-             "--capture-results", str(captured)]
+    extra = ["--base-url", url, "--api-key", "k", "--capture-results", str(captured)]
     capsys.readouterr()
-    assert run(audit_argv(paths, str(out), extra=extra)) == 2
+    assert run(audit_argv(paths, str(out), backend="live", extra=extra)) == 2
     assert capsys.readouterr().err == f"geoaudit: {message}\n"
     assert not captured.exists() and not out.exists()
 
@@ -1119,6 +1141,24 @@ def test_report_refuses_a_record_without_exactly_one_outcome(small_campaign, cap
     assert not out_dir.exists()
 
 
+def test_report_refuses_a_prefix_audited_twice(small_campaign, capsys):
+    """An audit writes one record per prefix: an audit.jsonl that lists a
+    prefix again would count it twice in every table, so it exits 2 naming
+    the file and the prefix, and no table is written."""
+    camp, paths, tmp_path = small_campaign
+    audit_out = tmp_path / "audit.jsonl"
+    assert run(audit_argv(paths, str(audit_out))) == 0
+    lines = audit_out.read_text().splitlines(keepends=True)
+    audit_out.write_text("".join(lines + lines[:2]))
+    out_dir = tmp_path / "report"
+    capsys.readouterr()
+    assert run(["report", "--audit", str(audit_out), "--region-map", paths["region_map.csv"],
+                "--out-dir", str(out_dir)]) == 2
+    assert (capsys.readouterr().err
+            == f"geoaudit: {audit_out}: prefix {json.loads(lines[0])['prefix']} appears twice\n")
+    assert not out_dir.exists()
+
+
 def test_report_joins_the_registration_the_audit_classified(tmp_path):
     """Two registries register one prefix: planning keeps the row with the
     highest duplicate_rank, here the ARIN row updated later, and the
@@ -1146,7 +1186,8 @@ def test_report_joins_the_registration_the_audit_classified(tmp_path):
 
 
 @pytest.mark.parametrize("bad_input", ["--geodb", "--geodb-without-path", "--geodb-without-name",
-                                       "--geodb-name-twice", "--leased-prefixes"])
+                                       "--geodb-name-twice", "--geodb-prefix-twice-last",
+                                       "--geodb-prefix-twice-first", "--leased-prefixes"])
 def test_report_bad_input_leaves_old_report(small_campaign, capsys, bad_input):
     camp, paths, tmp_path = small_campaign
     audit_out = tmp_path / "audit.jsonl"
@@ -1161,6 +1202,12 @@ def test_report_bad_input_leaves_old_report(small_campaign, capsys, bad_input):
     missing = str(tmp_path / "missing.csv")
     geodb = tmp_path / "geodb.csv"
     geodb.write_text("prefix,country\n")
+    # one prefix in two rows, the second after the others or before them
+    prefix, *others = sorted(camp.expected)[:3]
+    rows = [f"{prefix},JP", *(f"{other},US" for other in others)]
+    last, first = tmp_path / "twice_last.csv", tmp_path / "twice_first.csv"
+    last.write_text("\n".join(["prefix,country", *rows, f"{prefix},DE"]) + "\n")
+    first.write_text("\n".join(["prefix,country", f"{prefix},DE", *rows]) + "\n")
     bad, message = {
         "--geodb": (["--geodb", f"alpha={missing}"], "missing.csv"),
         "--geodb-without-path": (["--geodb", "alpha"], "--geodb wants name=path, got 'alpha'"),
@@ -1169,6 +1216,11 @@ def test_report_bad_input_leaves_old_report(small_campaign, capsys, bad_input):
         # the second table would replace the first without a word
         "--geodb-name-twice": (["--geodb", f"alpha={geodb}", "--geodb", f"alpha={geodb}"],
                                "geoaudit: --geodb names provider 'alpha' twice\n"),
+        # the last row read would win without a word
+        "--geodb-prefix-twice-last": (["--geodb", f"alpha={last}"],
+                                      f"geoaudit: {last}: prefix {prefix} appears twice\n"),
+        "--geodb-prefix-twice-first": (["--geodb", f"alpha={first}"],
+                                       f"geoaudit: {first}: prefix {prefix} appears twice\n"),
         "--leased-prefixes": (["--leased-prefixes", missing], "missing.csv"),
     }[bad_input]
     rc = run(["report", "--audit", str(audit_out),
@@ -1537,7 +1589,7 @@ def test_each_command_imports_only_the_stages_it_runs(small_campaign):
         "plan": (["plan", "--registrations", regs, "--hitlist-v4", paths["hitlist_v4.csv"],
                   "-o", str(tmp_path / "plans.jsonl")],
                  {"bgp", "classify", "geo", "measure", "report", "vantage", "whois"}),
-        "audit": (audit_argv(paths, str(tmp_path / "audit.jsonl"), extra=["--concurrency", "4"]),
+        "audit": (audit_argv(paths, str(tmp_path / "audit.jsonl")),
                   {"report", "whois"}),
         "report": (["report", "--audit", str(tmp_path / "audit.jsonl"), "--registrations", regs,
                     "--out-dir", str(tmp_path / "report")],
@@ -1603,8 +1655,8 @@ def test_live_audit_runs_on_the_standard_library(small_campaign):
     simulated, live = tmp_path / "simulated.jsonl", tmp_path / "live.jsonl"
     assert run(audit_argv(paths, str(simulated))) == 0
     with LoopbackApi(world_session(camp, paths)) as server:
-        argv = audit_argv(paths, str(live), extra=["--backend", "live", "--base-url", server.base_url,
-                                                   "--api-key", "k", "--concurrency", "3"])
+        argv = audit_argv(paths, str(live), backend="live", extra=[
+            "--base-url", server.base_url, "--api-key", "k", "--concurrency", "3"])
         out = python_in_subprocess(RUN_AND_LIST_MODULES, *argv)
     code, modules = json.loads(out.splitlines()[-1])
     assert code == 0
