@@ -143,12 +143,12 @@ class AuditConfig(NamedTuple):
 
 
 def _is_nir_managed(reg: Registration, nir_markers: Sequence[str]) -> bool:
-    """Markers hit on the org id or on maintainer flags, case-insensitive."""
+    """A marker found in the lowered org id or a lowered maintainer flag."""
     if not nir_markers:
         return False
-    haystacks = [reg.org_id or ""] + [f for f in reg.flags if f.startswith("mnt:")]
-    lowered = [h.lower() for h in haystacks]
-    return any(marker.lower() in h for h in lowered for marker in nir_markers if marker)
+    haystacks = [f.lower() for f in reg.flags if f.startswith("mnt:")]
+    haystacks.append((reg.org_id or "").lower())
+    return any(marker in h for h in haystacks for marker in nir_markers)
 
 
 def _filter_reason(reg: Registration, rir_org: Rir | None, responded: bool, rib: Rib,
@@ -183,7 +183,8 @@ def audit_prefix(
     nir_markers: Sequence[str],
     config: AuditConfig,
 ) -> ConsistencyRecord:
-    """Run the filter chain and classification for a single prefix."""
+    """Run the filter chain and classification for a single prefix;
+    nir_markers come lowered, none empty, as audit_pipeline passes them."""
     reg = plan.registration
     flags = list(reg.flags)
     rir_org = config.region_map.get(reg.org_country)
@@ -243,8 +244,10 @@ def audit_pipeline(
     nir_markers: Sequence[str],
     config: AuditConfig,
 ) -> list[ConsistencyRecord]:
-    """Classify every plan; exactly one record per prefix, sorted by prefix."""
+    """Classify every plan; exactly one record per prefix, sorted by prefix.
+    A NIR marker matches case-insensitively, and an empty one never does."""
     anycast = PrefixIndex((prefix, True) for prefix in anycast_prefixes)
+    nir_markers = [marker.lower() for marker in nir_markers if marker]  # once per audit
     return [audit_prefix(plan, results_by_target, vantages_by_id, rib, anycast, nir_markers, config)
             for plan in sorted(plans, key=attrgetter("prefix"))]
 

@@ -5,8 +5,11 @@ speed of light in fiber; every country with a representative point inside
 that radius stays feasible. The vantage's own country is always feasible,
 since the disk is centered there.
 
+The haversine formula has one home, its per-origin form distance_from,
+which the country tables below and the simulator's per-vantage state hold.
+
 The rule is computed from a table per vantage location, built on first use:
-every country sorted by the distance to its nearest point (one haversine per
+every country sorted by the distance to its nearest point (one distance per
 point, about 244 minima). A country is inside the disk exactly when that
 distance is <= the radius, so a bisection gives the same set as a scan of
 every point. An audit builds one table per distinct lowest-RTT vantage and
@@ -21,7 +24,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from typing import IO, Iterable, Mapping, NamedTuple
+from typing import IO, Callable, Iterable, Mapping, NamedTuple
 
 from .errors import GeoAuditError
 from .registry import DEFAULT_PROPAGATION_FACTOR, RegionMap, Rir, bundled, country_point, read_csv
@@ -30,13 +33,24 @@ EARTH_RADIUS_KM = 6371.0088
 C_KM_PER_S = 299792.458
 
 
+def distance_from(lat: float, lon: float) -> Callable[[float, float], float]:
+    """haversine_km from the origin (lat, lon) to any point, bit for bit: the
+    origin's latitude in radians and its cosine are computed once."""
+    p1 = math.radians(lat)
+    cos_p1 = math.cos(p1)
+
+    def km(lat2: float, lon2: float) -> float:
+        p2 = math.radians(lat2)
+        a = (math.sin((p2 - p1) / 2.0) ** 2
+             + cos_p1 * math.cos(p2) * math.sin(math.radians(lon2 - lon) / 2.0) ** 2)
+        return 2.0 * EARTH_RADIUS_KM * math.asin(math.sqrt(a))
+
+    return km
+
+
 def haversine_km(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
     """Great-circle distance in km on the mean-radius sphere."""
-    p1, p2 = math.radians(lat1), math.radians(lat2)
-    dp = p2 - p1
-    dl = math.radians(lon2 - lon1)
-    a = math.sin(dp / 2.0) ** 2 + math.cos(p1) * math.cos(p2) * math.sin(dl / 2.0) ** 2
-    return 2.0 * EARTH_RADIUS_KM * math.asin(math.sqrt(a))
+    return distance_from(lat1, lon1)(lat2, lon2)
 
 
 def rtt_to_radius_km(rtt_ms: float, propagation_factor: float = DEFAULT_PROPAGATION_FACTOR) -> float:
@@ -73,10 +87,9 @@ class _NearestCountries:
     nearest representative point, with the feasible sets cut from them."""
 
     def __init__(self, lat: float, lon: float, points: CountryPoints):
-        ranked = sorted(
-            (min(haversine_km(lat, lon, plat, plon) for plat, plon in pts), cc)
-            for cc, pts in points.items() if pts
-        )
+        km = distance_from(lat, lon)
+        ranked = sorted((min(km(plat, plon) for plat, plon in pts), cc)
+                        for cc, pts in points.items() if pts)
         self.dists = [d for d, _ in ranked]
         self.countries = [cc for _, cc in ranked]
         self._regions: dict[tuple, tuple[frozenset[str], frozenset[Rir]]] = {}

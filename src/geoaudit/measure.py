@@ -9,6 +9,8 @@ becomes an empty result, so one dead probe never sinks a prefix, and an RTT
 that is negative or not finite fails the run on every backend. The audit
 closes its backend once the last reply is in: a replay lets go of its
 capture and a simulator of its world, so classification reuses that memory.
+A SyntheticWorld keeps per-vantage state, freed with it: a BLAKE2b state
+each pair copies, and the vantage's per-origin geo.distance_from.
 
 Backend.measure, SyntheticWorld.rtts and run_plan measure pair by pair for
 the benchmark's traced replica and API stub, their only callers; they go
@@ -16,10 +18,10 @@ once the benchmark measures through measure_targets.
 
 write_results and load_results are the capture codec: one line per
 (vantage, target) pair, spelled one way, as the generic encoder spells it,
-only faster. target_results builds a MeasurementResult, three slots, per
-planned pair on every backend. load_results checks each line inline and
-builds the replay's mapping, replies by target then vantage id, with no
-result in between.
+only faster; write_results writes a target's lines at once. target_results
+builds a MeasurementResult, three slots, per planned pair on every backend.
+load_results checks each line inline and builds the replay's mapping,
+replies by target then vantage id, with no result in between.
 
 The live client sends a path below the API root and a body of bytes through
 its Transport, and gets back the status and the body's bytes: LiveBackend
@@ -44,7 +46,7 @@ from _blake2 import blake2b
 from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import BackendUnavailable, GeoAuditError, UnknownTarget
-from .geo import C_KM_PER_S, DEFAULT_PROPAGATION_FACTOR, haversine_km
+from .geo import C_KM_PER_S, DEFAULT_PROPAGATION_FACTOR, distance_from
 from .registry import (Addr, Prefix, _list, _number, _object, _text, field, json_lines,
                        parse_address, parse_as, point, refuse_repeats)
 from .vantage import VantagePoint
@@ -90,15 +92,24 @@ def write_results(results: Iterable[MeasurementResult], fp: IO[str]) -> int:
     encode = json.JSONEncoder(sort_keys=True).encode
     tails: dict[str, str] = {}
     target = middle = None
+    lines: list[str] = []
     n = 0
     for n, res in enumerate(results, 1):
         if res.target is not target:
+            fp.write("".join(lines))
+            lines.clear()
             target = res.target
             middle = f'], "target": {encode(str(target))}'
         tail = tails.get(res.vantage_id)
         if tail is None:
             tail = tails[res.vantage_id] = f', "vantage_id": {encode(res.vantage_id)}}}\n'
-        fp.write('{"rtts_ms": [' + ", ".join(map(float.__repr__, res.rtts_ms)) + middle + tail)
+        rtts = res.rtts_ms
+        if len(rtts) == 3 and float is type(rtts[0]) is type(rtts[1]) is type(rtts[2]):
+            # the common line, in one format; on a float, repr is float.__repr__
+            lines.append(f'{{"rtts_ms": [{rtts[0]!r}, {rtts[1]!r}, {rtts[2]!r}{middle}{tail}')
+        else:
+            lines.append('{"rtts_ms": [' + ", ".join(map(float.__repr__, rtts)) + middle + tail)
+    fp.write("".join(lines))
     return n
 
 
@@ -173,9 +184,15 @@ class SyntheticWorld:
     BLAKE2b-192 digest of the text "<seed>:<vantage id>:<target>", read as
     three little-endian 64-bit words w, u = (w >> 11) * 2**-53. So a pair's
     samples depend on the seed and the pair alone, not on which other
-    vantages measure the target in the same call."""
+    vantages measure the target in the same call.
 
-    __slots__ = ("target_locations", "unresponsive", "noise_ms", "propagation_factor", "seed")
+    A vantage's first pair stores what its later pairs share, keyed by the
+    whole VantagePoint and so by its coordinates too: a BLAKE2b state fed
+    "<seed>:<vantage id>", and the vantage's geo.distance_from. So the seed
+    must not change once the world has measured."""
+
+    __slots__ = ("target_locations", "unresponsive", "noise_ms", "propagation_factor", "seed",
+                 "_vantages")
 
     def __init__(self, target_locations: dict[Addr, tuple[float, float]] | None = None,
                  unresponsive: set[Addr] | None = None, noise_ms: float = 0.0,
@@ -189,33 +206,39 @@ class SyntheticWorld:
         self.noise_ms = noise_ms
         self.propagation_factor = propagation_factor
         self.seed = seed
-
-    def _base_rtt_ms(self, vantage: VantagePoint, lat: float, lon: float) -> float:
-        dist = haversine_km(vantage.lat, vantage.lon, lat, lon)
-        return 2.0 * dist / (self.propagation_factor * (C_KM_PER_S / 1000.0))
+        self._vantages: dict[VantagePoint, tuple] = {}
 
     def rtts_by_vantage(self, target: Addr,
                         vantages: Iterable[VantagePoint]) -> dict[str, list[float]]:
         """RTT samples from each vantage to target; {} when it is unresponsive,
         UnknownTarget when it has no location.
 
-        The target is looked up and the seed and target formatted once; each
-        pair then costs one digest of its text (see the class docstring)."""
+        The target is looked up and formatted once; each pair then copies its
+        vantage's BLAKE2b state (see the class docstring)."""
         if target in self.unresponsive:
             return {}
         location = self.target_locations.get(target)
         if location is None:
             raise UnknownTarget(f"no location for {target}")
         lat, lon = location
-        # no BLAKE2b key: a key is at most 64 bytes, and a seed is any int
-        head, tail = f"{self.seed}:", f":{target}"
+        tail = f":{target}".encode()
+        speed = self.propagation_factor * (C_KM_PER_S / 1000.0)  # km per ms
         noise = self.noise_ms
+        states = self._vantages
         out = {}
         for vantage in vantages:
-            base = self._base_rtt_ms(vantage, lat, lon)
+            state = states.get(vantage)
+            if state is None:
+                # no BLAKE2b key: a key is at most 64 bytes, and a seed is any int
+                state = states[vantage] = (
+                    blake2b(f"{self.seed}:{vantage.id}".encode(), digest_size=_NOISE_WORDS.size),
+                    distance_from(vantage.lat, vantage.lon))
+            noise_state, km = state
+            digest = noise_state.copy()
+            digest.update(tail)
+            base = 2.0 * km(lat, lon) / speed
             # SAMPLES_PER_PAIR samples, unrolled: a comprehension would cost a frame per pair
-            a, b, c = _NOISE_WORDS.unpack(
-                blake2b(f"{head}{vantage.id}{tail}".encode(), digest_size=_NOISE_WORDS.size).digest())
+            a, b, c = _NOISE_WORDS.unpack(digest.digest())
             out[vantage.id] = [base + noise * ((a >> 11) * _UNIT),
                                base + noise * ((b >> 11) * _UNIT),
                                base + noise * ((c >> 11) * _UNIT)]
@@ -291,8 +314,13 @@ class ReplayBackend(Backend):
             if self._index is None:
                 raise RuntimeError("ReplayBackend measured after close()")
             archived = self._index.get(target, {})
-            self.misses += sum(v.id not in archived for v in vantages)
-            yield {v.id: archived[v.id] for v in vantages if v.id in archived}
+            replies = {}
+            for vantage in vantages:  # one lookup per planned pair
+                if (rtts := archived.get(vantage.id)) is None:
+                    self.misses += 1
+                else:
+                    replies[vantage.id] = rtts
+            yield replies
 
     def tally(self) -> str:
         return f"replay misses: {self.misses} pairs"

@@ -271,27 +271,24 @@ def write_jsonl(items: Iterable, fp: IO[str]) -> int:
     return n
 
 
-_JSON_SPACE = " \t\n\r"
-
-
 def json_lines(fp: IO[str]) -> Iterator[tuple[int, Any]]:
     """The number and the JSON value of every non-blank line.
 
     Each line goes straight to the C scanner behind json.loads; a line it
-    does not read as exactly one value is handed to json.loads. A line that
-    is not JSON raises GeoAuditError naming its number."""
+    does not read whole, up to its newline, as one value is skipped when
+    blank or else handed to json.loads. A line that is not JSON raises
+    GeoAuditError naming its number."""
     scan = json.JSONDecoder().scan_once
     for n, line in enumerate(fp, 1):
-        text = line.strip(_JSON_SPACE)  # the whitespace json.loads skips
-        if not text or text.isspace():  # blank, as str.strip sees it
-            continue
         try:
-            obj, end = scan(text, 0)
+            obj, end = scan(line, 0)
         except (RecursionError, StopIteration, ValueError):
             end = -1
-        if end != len(text):
+        if end < 0 or line[end:] not in ("", "\n"):
+            if not line.strip():  # blank, as str.strip sees it
+                continue
             try:
-                obj = json.loads(line)  # raises, for the message json.loads gives
+                obj = json.loads(line)  # skips the whitespace around the value, or raises
             except (RecursionError, ValueError) as exc:  # RecursionError: nested too deeply
                 raise GeoAuditError(f"line {n}: {exc}") from None
         yield n, obj

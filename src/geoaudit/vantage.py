@@ -183,10 +183,6 @@ def prefix_rotation(prefix: Prefix) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _rotate_pick(pool: Sequence[VantagePoint], count: int, offset: int) -> list[VantagePoint]:
-    return [pool[(offset + i) % len(pool)] for i in range(min(count, len(pool)))]
-
-
 class VantagePlan(NamedTuple):
     vantages: tuple[VantagePoint, ...]
     no_country_vantage: bool = False
@@ -198,16 +194,14 @@ def plan_vantages(reg: Registration, vset: VantageSet, region_map: RegionMap) ->
     plus five in the organization's country (or the registering region's pool
     when no organization country is known), deduplicated by id."""
     offset = prefix_rotation(reg.prefix)
-    picks: list[VantagePoint] = []
-    for rir in Rir:
-        picks += _rotate_pick(vset.per_rir.get(rir, ()), REGIONAL_PICKS, offset)
-
     fallback = reg.org_country is None
     pool = vset.per_rir.get(reg.rir, ()) if fallback else vset.per_country.get(reg.org_country, ())
-    picks += _rotate_pick(pool, COUNTRY_PICKS, offset)
-
+    pools = [(vset.per_rir.get(rir, ()), REGIONAL_PICKS) for rir in Rir] + [(pool, COUNTRY_PICKS)]
     unique: dict[str, VantagePoint] = {}
-    for v in picks:
-        unique.setdefault(v.id, v)  # the first pick of each id, in pick order
+    for candidates, count in pools:
+        # the first count of the pool rotated to start at offset, none twice
+        for i in range(min(count, len(candidates))):
+            v = candidates[(offset + i) % len(candidates)]
+            unique.setdefault(v.id, v)  # the first pick of each id, in pick order
     return VantagePlan(vantages=tuple(unique.values()),
                        no_country_vantage=not fallback and not pool, used_regional_fallback=fallback)

@@ -185,6 +185,47 @@ def test_audit_prefix_nir_matches_maintainer_flags():
     assert rec.filter_reason is FilterReason.NIR
 
 
+def per_haystack_nir_rule(reg, markers):
+    """The NIR rule as it once ran, lowering every marker again for each
+    haystack of each prefix and skipping the empty ones there: the reference."""
+    if not markers:
+        return False
+    haystacks = [reg.org_id or ""] + [f for f in reg.flags if f.startswith("mnt:")]
+    lowered = [h.lower() for h in haystacks]
+    return any(marker.lower() in h for h in lowered for marker in markers if marker)
+
+
+def test_nir_markers_lowered_once_per_audit_filter_as_the_per_haystack_rule():
+    """audit_pipeline lowers each NIR marker once and drops the empty ones:
+    on seeded org ids, mnt: and other flags, and mixed-case markers, empty
+    ones among them, a prefix is filtered as NIR exactly when the
+    per-haystack rule says so."""
+    rng = random.Random(35)
+    words = ["JPNIC", "jpnic", "KrNic", "twNIC", "-AP", "Net", "MAINT", "\u0130", "\u00df", ""]
+
+    def text(most):
+        return "".join(rng.choice(words) for _ in range(rng.randint(0, most)))
+
+    rib = load_rib(io.StringIO("".join(f"10.0.{i}.0/24 65000\n" for i in range(20))))
+    seen = set()
+    for _ in range(80):
+        markers = [text(2) for _ in range(rng.randint(0, 4))]
+        plans = [make_plan(prefix=f"10.0.{i}.0/24", targets=(f"10.0.{i}.1",),
+                           org_id=rng.choice([None, text(3)]),
+                           flags=tuple(dict.fromkeys(rng.choice(["mnt:", "MNT:", "note:"]) + text(3)
+                                                     for _ in range(rng.randint(0, 3)))))
+                 for i in range(20)]
+        results = {plan.targets[0]: [near("v-us", str(plan.targets[0]))] for plan in plans}
+        records = audit_pipeline(plans, results, VANTAGES, rib, (), markers, CONFIG)
+        assert [rec.prefix for rec in records] == [plan.prefix for plan in plans]
+        for plan, rec in zip(plans, records):
+            nir = per_haystack_nir_rule(plan.registration, markers)
+            assert (rec.filter_reason is FilterReason.NIR) is nir
+            seen.add((nir, any(m != m.lower() for m in markers), "" in markers))
+    # matches and misses, with mixed-case markers and with empty ones
+    assert seen >= {(nir, True, True) for nir in (False, True)}
+
+
 def test_audit_prefix_bgp_filters():
     plan = make_plan()
     results = {parse_address("192.0.2.1"): [near("v-us", "192.0.2.1")]}

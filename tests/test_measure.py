@@ -271,7 +271,7 @@ def spelled(replies):
             for target, by_vantage in replies.items()}
 
 
-def test_results_codec_writes_the_generic_bytes():
+def test_results_codec_writes_the_generic_bytes(tmp_path):
     rng = random.Random(41)
     results = random_results(rng, 1500)
     # runs of one target object, as target_results lists them
@@ -279,10 +279,21 @@ def test_results_codec_writes_the_generic_bytes():
     shared = {}
     results += [MeasurementResult(r.vantage_id, shared.setdefault(r.target, r.target), r.rtts_ms)
                 for r in runs]
+    # runs in which one target mixes results of 0, 1, 2 and 3 samples
+    for target in random_addresses(rng, 20, 20):
+        counts = rng.sample(range(SAMPLES_PER_PAIR + 1), SAMPLES_PER_PAIR + 1) * rng.randint(1, 2)
+        results += [MeasurementResult(rng.choice(VANTAGE_IDS), target,
+                                      tuple(rng.uniform(0, 400) for _ in range(count)))
+                    for count in counts]
     out = io.StringIO()
     assert write_results(results, out) == len(results)
     text = out.getvalue()
     assert text == "".join(map(generic_line, results))
+    # a real text file, opened as the CLI opens its outputs, gets the same bytes
+    path = tmp_path / "capture.jsonl"
+    with open(path, "w", encoding="utf-8", newline="") as fp:
+        assert write_results(results, fp) == len(results)
+    assert path.read_bytes() == text.encode("utf-8")
     # the results repeat pairs, which a capture refuses as the oracle does;
     # each line alone reads back as its result and writes the same bytes
     with pytest.raises(GeoAuditError) as got:
@@ -415,9 +426,13 @@ def test_close_releases_the_capture_and_the_world():
     or unknown targets."""
     target = parse_address("192.0.2.1")
     jobs = [(target, [vp("v-1"), vp("v-2")])]
+    located = parse_address("192.0.2.9")
     replay = ReplayBackend(Capture({target: {"v-1": (7.0, 8.0)}}))
-    simulate = SimulateBackend(World(target_locations={parse_address("192.0.2.9"): (1.0, 2.0)}))
+    simulate = SimulateBackend(World(target_locations={located: (1.0, 2.0)}))
     held = [weakref.ref(replay._index), weakref.ref(simulate.world)]
+    # the world to free holds per-vantage state
+    assert set(next(simulate.measure_targets([(located, [vp("v-1"), vp("v-2")])]))) == {"v-1", "v-2"}
+    assert set(simulate.world._vantages) == {vp("v-1"), vp("v-2")}
     for backend in (replay, simulate):
         assert list(backend.measure_targets(jobs)) == [{"v-1": (7.0, 8.0)} if backend is replay else {}]
         tally = backend.tally()
@@ -1170,6 +1185,40 @@ def test_noise_bounds_and_independence_over_mixed_pairs():
     # every kind of seed and family was drawn, with and without noise
     assert seen == {(big, noisy, version) for big in (False, True) for noisy in (False, True)
                     for version in (4, 6)}
+
+
+def test_a_vantage_at_other_coordinates_never_reuses_the_state_of_its_id():
+    """The world keeps per-vantage state keyed by the whole vantage: two
+    vantages that share an id but sit apart each measure from their own
+    coordinates, in either order and in one call. load_vantages refuses a
+    repeated id, so only the API builds such a pair."""
+    world = world_with({"192.0.2.1": (10.0, 20.0), "2001:db8::1": (-30.0, 100.0)},
+                       noise_ms=5.0, seed=7)
+    here, there = vp("v-1", 40.0, -100.0), vp("v-1", -33.9, 151.2)
+    for target in world.target_locations:
+        for order in ([here, there], [there, here]):
+            for vantage in order:
+                assert world.rtts_by_vantage(target, [vantage]) == {
+                    "v-1": reference_rtts(world, vantage, target)}
+        assert reference_rtts(world, here, target) != reference_rtts(world, there, target)
+        # one id in one call: the mapping keeps the last vantage's replies
+        assert world.rtts_by_vantage(target, [here, there]) == {
+            "v-1": reference_rtts(world, there, target)}
+    assert set(world._vantages) == {here, there}
+
+
+def test_worlds_with_other_seeds_share_no_vantage_state():
+    """Two worlds that differ in their seed alone measure one vantage each
+    from its own state, seeded by its own world."""
+    locations = {parse_address("192.0.2.1"): (10.0, 20.0)}
+    vantage = vp("v-1", 40.0, -100.0)
+    worlds = [SyntheticWorld(target_locations=locations, noise_ms=5.0, seed=seed) for seed in (1, 2)]
+    replies = [world.rtts_by_vantage(parse_address("192.0.2.1"), [vantage]) for world in worlds]
+    assert replies == [{"v-1": reference_rtts(world, vantage, parse_address("192.0.2.1"))}
+                       for world in worlds]
+    assert replies[0] != replies[1]
+    (one,), (two,) = (world._vantages.values() for world in worlds)
+    assert all(a is not b for a, b in zip(one, two))
 
 
 def random_campaign(seed, noise_ms):

@@ -261,6 +261,16 @@ def test_the_winner_rule_for_a_shared_prefix_has_one_home():
                           and node.value == "cross_rir_duplicate") == ["targets.py"]
 
 
+def test_the_great_circle_formula_has_one_home():
+    """geo.distance_from is the one haversine formula, which haversine_km,
+    the per-vantage country tables and the simulator share: asin is named in
+    geo.py alone, as a name, an attribute or an import, so no module keeps a
+    copy of the formula of its own."""
+    names = ("id", "attr", "name")
+    assert _modules_where(lambda node: any(getattr(node, key, None) == "asin"
+                                           for key in names)) == ["geo.py"]
+
+
 # the codec error handlers that let a byte that is not UTF-8 through
 _LENIENT = {"replace", "ignore", "surrogateescape", "surrogatepass", "backslashreplace",
             "xmlcharrefreplace", "namereplace"}
