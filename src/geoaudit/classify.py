@@ -22,6 +22,7 @@ a prefix removed at one stage is never counted at a later one.
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from operator import attrgetter
 from typing import IO, TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
@@ -252,27 +253,9 @@ def audit_pipeline(
             for plan in sorted(plans, key=attrgetter("prefix"))]
 
 
-class PipelineCounts:
-    """Records by outcome: every filter reason and class has a count, 0 or more."""
-
-    __slots__ = ("candidates", "classified", "filtered", "by_class")
-
-    def __init__(self):
-        self.candidates = self.classified = 0
-        self.filtered = dict.fromkeys(FilterReason, 0)
-        self.by_class = dict.fromkeys(ConsistencyClass, 0)
-
-    def check_identity(self) -> bool:
-        return self.candidates == self.classified + sum(self.filtered.values())
-
-
-def pipeline_counts(records: Iterable[ConsistencyRecord]) -> PipelineCounts:
-    counts = PipelineCounts()
-    for rec in records:
-        counts.candidates += 1
-        if rec.cls is not None:
-            counts.classified += 1
-            counts.by_class[rec.cls] += 1
-        elif rec.filter_reason is not None:
-            counts.filtered[rec.filter_reason] += 1
-    return counts
+def pipeline_counts(records: Iterable[ConsistencyRecord]) -> Counter[ConsistencyClass | FilterReason | None]:
+    """Records by outcome, each record's class or else its filter reason; an
+    outcome no record has reads 0. The key None counts records with neither,
+    so the accounting identity candidates = classified + sum(filtered)
+    holds exactly when None is not in the counts."""
+    return Counter(rec.cls or rec.filter_reason for rec in records)

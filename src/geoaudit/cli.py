@@ -27,7 +27,7 @@ import sys
 import zlib
 from contextlib import contextmanager, redirect_stdout
 from operator import attrgetter
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
 from .errors import BackendUnavailable, GeoAuditError
 from .registry import (
@@ -193,14 +193,27 @@ def _region_map(args):
     return _read(args.region_map, load_region_map) if args.region_map else default_region_map()
 
 
+def _tally(counts: Mapping[str, int]) -> str:
+    """The name=value line of a stage's counts, in the mapping's order."""
+    return " ".join(f"{name}={n}" for name, n in counts.items())
+
+
 def _ingest_tally(rep: whois.IngestReport) -> str:
-    return (
-        f"{rep.rir.value}: nets={rep.net_records_read} emitted={rep.registrations_emitted} "
-        f"dups={rep.duplicates_dropped} skipped={rep.not_managed_skipped} "
-        f"malformed={rep.malformed_skipped} split={rep.non_cidr_ranges_split} "
-        f"orgs={rep.org_records_read} unresolved={rep.unresolved_orgs} "
-        f"circular={rep.circular_refs_dropped} transfers={rep.transfers_dropped}"
-    )
+    return f"{rep.rir.value}: " + _tally({
+        "nets": rep.net_records_read, "emitted": rep.registrations_emitted,
+        "dups": rep.duplicates_dropped, "skipped": rep.not_managed_skipped,
+        "malformed": rep.malformed_skipped, "split": rep.non_cidr_ranges_split,
+        "orgs": rep.org_records_read, "unresolved": rep.unresolved_orgs,
+        "circular": rep.circular_refs_dropped, "transfers": rep.transfers_dropped})
+
+
+def _identity_broken(command: str, checks: Iterable[tuple[bool, str]]) -> bool:
+    """Print on stderr the tally of each (identity holds, tally) check that
+    fails; True if one did, when the command exits 2 and writes nothing."""
+    broken = [tally for holds, tally in checks if not holds]
+    for tally in broken:
+        print(f"{command}: accounting identity broken: {tally}", file=sys.stderr)
+    return bool(broken)
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
@@ -233,10 +246,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     merged.sort(key=attrgetter("prefix"))
 
     ordered = sorted(reports.values(), key=lambda rep: rep.rir.value)
-    broken = [rep for rep in ordered if not rep.check_identity()]
-    if broken:
-        for rep in broken:
-            print(f"ingest: accounting identity broken: {_ingest_tally(rep)}", file=sys.stderr)
+    if _identity_broken("ingest", [(rep.check_identity(), _ingest_tally(rep)) for rep in ordered]):
         return 2
 
     with _output(args.output) as fp:
@@ -351,7 +361,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
     bad_ids = _read(args.bad_probes, vantage.load_bad_ids) if args.bad_probes else set()
     default_coords = (_read(args.default_coords, vantage.load_default_coords)
                       if args.default_coords else set())
-    vantages, vreport = vantage.filter_vantages(vantages, bad_ids, default_coords)
+    vantages, vcounts = vantage.filter_vantages(vantages, bad_ids, default_coords)
     vset = vantage.select_stable_sets(vantages, region_map)
     vantages_by_id = {v.id: v for v in vantages}
 
@@ -374,13 +384,6 @@ def cmd_audit(args: argparse.Namespace) -> int:
     finally:
         backend.close()
 
-    if args.capture_results:
-        # ordered by target, then vantage id, the order of target_results
-        flat = (res for target in sorted(results_by_target)
-                for res in results_by_target[target])
-        with _output(args.capture_results) as fp:
-            measure.write_results(flat, fp)
-
     plans_in = []
     for plan, vplan in zip(plans, vplans):
         reg = plan.registration
@@ -396,18 +399,24 @@ def cmd_audit(args: argparse.Namespace) -> int:
         plans_in, results_by_target, vantages_by_id, rib, anycast, nir_markers, audit_config)
 
     counts = classify.pipeline_counts(records)
-    tally = (f"candidates={counts.candidates} classified={counts.classified} "
-             + " ".join(f"{r.value}={n}" for r, n in counts.filtered.items() if n))
-    if not counts.check_identity():
-        print(f"audit: accounting identity broken: {tally}", file=sys.stderr)
+    classified = sum(counts[cls] for cls in classify.ConsistencyClass)
+    # the space between the two halves stays when no record was filtered
+    tally = (_tally({"candidates": counts.total(), "classified": classified}) + " "
+             + _tally({r.value: counts[r] for r in classify.FilterReason if counts[r]}))
+    if _identity_broken("audit", [(None not in counts, tally)]):
         return 2
+
+    if args.capture_results:
+        # ordered by target, then vantage id, the order of target_results
+        flat = (res for target in sorted(results_by_target)
+                for res in results_by_target[target])
+        with _output(args.capture_results) as fp:
+            measure.write_results(flat, fp)
 
     with _output(args.output) as fp:
         classify.write_records(records, fp)
 
-    print(f"vantages: kept={vreport.kept} disconnected={vreport.disconnected} "
-          f"bad_id={vreport.bad_id} default_coords={vreport.default_coords} "
-          f"unmapped_country={vset.unmapped_country}")
+    print("vantages: " + _tally({**vcounts, "unmapped_country": vset.unmapped_country}))
     print(backend.tally())
     print(tally)
     print("accounting identity: ok")

@@ -245,19 +245,21 @@ def write_sankey_csv(edges: Sequence[tuple[Rir, Rir, int]], fp: IO[str]) -> None
 
 
 def write_summary(records: Sequence[ConsistencyRecord], fp: IO[str]) -> None:
+    """The candidate count, each filter reason's and class's count, and the
+    accounting identity, all read from classify.pipeline_counts: the
+    identity holds when every record carries a class or a filter reason."""
     counts = pipeline_counts(records)
+    classified = sum(counts[cls] for cls in ConsistencyClass)
     fp.write("prefix audit summary\n")
     fp.write("====================\n\n")
-    fp.write(f"candidate prefixes : {counts.candidates}\n")
+    fp.write(f"candidate prefixes : {counts.total()}\n")
     for reason in FilterReason:
-        n = counts.filtered.get(reason, 0)
-        if n:
-            fp.write(f"filtered {reason.value:<22}: {n}\n")
-    fp.write(f"classified         : {counts.classified}\n\n")
-    if counts.classified:
+        if counts[reason]:
+            fp.write(f"filtered {reason.value:<22}: {counts[reason]}\n")
+    fp.write(f"classified         : {classified}\n\n")
+    if classified:
         fp.write("class distribution\n")
         for cls in ConsistencyClass:
-            n = counts.by_class.get(cls, 0)
-            fp.write(f"  {cls.value}: {n} ({n / counts.classified:.1%})\n")
-    identity = "holds" if counts.check_identity() else "BROKEN"
+            fp.write(f"  {cls.value}: {counts[cls]} ({counts[cls] / classified:.1%})\n")
+    identity = "BROKEN" if None in counts else "holds"
     fp.write(f"\naccounting identity: {identity}\n")

@@ -91,37 +91,30 @@ def load_default_coords(fp: IO[str]) -> set[tuple[float, float]]:
             for _, lat, lon in read_csv(fp, ["country", "lat", "lon"], country_point)}
 
 
-class VantageFilterReport:
-    __slots__ = ("kept", "disconnected", "bad_id", "default_coords")
-
-    def __init__(self):
-        self.kept = self.disconnected = self.bad_id = self.default_coords = 0
-
-
 def filter_vantages(
     vantages: Iterable[VantagePoint],
     bad_ids: set[str] | None = None,
     default_coords: set[tuple[float, float]] | None = None,
-) -> tuple[list[VantagePoint], VantageFilterReport]:
+) -> tuple[list[VantagePoint], dict[str, int]]:
     """Drop disconnected vantages, known-bad ids, and vantages parked on a
-    default coordinate."""
+    default coordinate. The counts of kept vantages and of each reason to
+    drop one come in the order the audit prints them, and sum to the number
+    of vantages given."""
     bad_ids = bad_ids or set()
     default_coords = default_coords or set()
-    report = VantageFilterReport()
+    counts = dict.fromkeys(("kept", "disconnected", "bad_id", "default_coords"), 0)
     kept = []
     for v in vantages:
         if not v.connected:
-            report.disconnected += 1
-            continue
-        if v.id in bad_ids:
-            report.bad_id += 1
-            continue
-        if (round(v.lat, 6), round(v.lon, 6)) in default_coords:
-            report.default_coords += 1
-            continue
-        kept.append(v)
-    report.kept = len(kept)
-    return kept, report
+            counts["disconnected"] += 1
+        elif v.id in bad_ids:
+            counts["bad_id"] += 1
+        elif (round(v.lat, 6), round(v.lon, 6)) in default_coords:
+            counts["default_coords"] += 1
+        else:
+            kept.append(v)
+    counts["kept"] = len(kept)
+    return kept, counts
 
 
 def _greedy_distinct_asn(candidates: Sequence[VantagePoint], cap: int, seen_asns: set) -> list[VantagePoint]:

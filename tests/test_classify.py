@@ -392,9 +392,9 @@ def test_audit_pipeline_one_record_per_plan_sorted():
     assert [str(r.prefix) for r in records] == ["192.0.2.0/24", "198.51.100.0/24"]
 
     counts = pipeline_counts(records)
-    assert counts.candidates == 2
-    assert counts.classified == 2
-    assert counts.check_identity()
+    assert counts.total() == 2
+    assert sum(counts[cls] for cls in ConsistencyClass) == 2
+    assert None not in counts
 
 
 def test_pipeline_counts_identity_with_filters():
@@ -406,11 +406,31 @@ def test_pipeline_counts_identity_with_filters():
                           filter_reason=FilterReason.UNADVERTISED),
     ]
     counts = pipeline_counts(recs)
-    assert counts.candidates == 3
-    assert counts.classified == 1
-    assert counts.by_class[FC] == 1
-    assert counts.filtered[FilterReason.ANYCAST] == 1
-    assert counts.check_identity()
+    assert counts.total() == 3
+    assert counts == {FC: 1, FilterReason.ANYCAST: 1, FilterReason.UNADVERTISED: 1}
+    assert None not in counts
+
+
+def test_pipeline_counts_each_record_by_its_one_outcome():
+    """Seeded records with a class, a reason, both or neither: each counts
+    once, under its class if it has one, else its reason, else None, so the
+    identity holds exactly when no record has neither."""
+    rng = random.Random(36)
+    outcomes = [*ConsistencyClass, *FilterReason, None]
+    assert all(pipeline_counts([])[outcome] == 0 for outcome in outcomes)
+    for _ in range(200):
+        recs = [ConsistencyRecord(prefix=parse_prefix(f"10.{i}.0.0/16"), rir_reg=Rir.ARIN,
+                                  cls=rng.choice([*ConsistencyClass, None]),
+                                  filter_reason=rng.choice([*FilterReason, None]))
+                for i in range(rng.randint(0, 12))]
+        counts = pipeline_counts(recs)
+        expected = dict.fromkeys(outcomes, 0)
+        for rec in recs:
+            expected[rec.cls if rec.cls is not None else rec.filter_reason] += 1
+        assert {outcome: counts[outcome] for outcome in outcomes} == expected
+        assert set(counts) <= set(outcomes)
+        assert counts.total() == len(recs)
+        assert (None in counts) == any(rec.cls is None and rec.filter_reason is None for rec in recs)
 
 
 def test_records_json_round_trip():

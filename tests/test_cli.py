@@ -206,13 +206,22 @@ def test_audit_simulate_matches_planted_classes(small_campaign, capsys):
 
 
 def test_audit_broken_identity_exits_2(small_campaign, capsys, monkeypatch):
+    """A record with neither a class nor a filter reason breaks the
+    identity: the tally goes to stderr, and neither output is written."""
     camp, paths, tmp_path = small_campaign
-    out = tmp_path / "audit.jsonl"
-    monkeypatch.setattr(classify.PipelineCounts, "check_identity", lambda self: False)
-    assert run(audit_argv(paths, str(out))) == 2
-    err = capsys.readouterr().err
-    assert f"accounting identity broken: candidates={len(camp.expected)} " in err
-    assert not out.exists()
+    out, captured = tmp_path / "audit.jsonl", tmp_path / "captured.jsonl"
+    audit_prefix, calls = classify.audit_prefix, []
+
+    def first_without_outcome(*args):
+        calls.append(audit_prefix(*args))
+        return calls[-1]._replace(cls=None, filter_reason=None) if len(calls) == 1 else calls[-1]
+
+    monkeypatch.setattr(classify, "audit_prefix", first_without_outcome)
+    assert run(audit_argv(paths, str(out), extra=["--capture-results", str(captured)])) == 2
+    candidates = len(camp.expected)
+    assert capsys.readouterr().err == (f"audit: accounting identity broken: "
+                                       f"candidates={candidates} classified={candidates - 1} \n")
+    assert not out.exists() and not captured.exists()
 
 
 def test_interrupted_output_keeps_old_file(small_campaign, capsys, monkeypatch):
@@ -1562,6 +1571,19 @@ def python_in_subprocess(code: str, *args: str, **env: str) -> str:
     done = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path, **env}, timeout=60, check=True)
     return done.stdout
+
+
+def test_the_wheel_check_passes_against_the_checkout(tmp_path):
+    """tests/wheel_check.py, which CI runs with an installed wheel, runs
+    against the checkout too: in a fresh interpreter with PYTHONPATH=src,
+    every warning an error, from a directory outside the checkout."""
+    script = Path(__file__).resolve().parent / "wheel_check.py"
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-W", "error", str(script)], cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "wheel check: ok"
 
 
 RUN_AND_LIST_MODULES = """

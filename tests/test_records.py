@@ -1,5 +1,6 @@
 """Record semantics: immutable records are NamedTuples, checked where they
-are built; objects that count or cache are slotted classes."""
+are built; objects that count or cache are slotted classes, unless the
+counts are a plain mapping, as classify's and vantage's are."""
 
 import datetime
 import math
@@ -11,8 +12,6 @@ from geoaudit.classify import (
     AuditConfig,
     ConsistencyClass,
     ConsistencyRecord,
-    FilterReason,
-    PipelineCounts,
     TargetOutcome,
 )
 from geoaudit.cli import RunConfig
@@ -23,7 +22,7 @@ from geoaudit.measure import MeasurementResult, SyntheticWorld
 from geoaudit.registry import OroStats, RegionMap, Registration, Rir, Status, parse_address, parse_prefix
 from geoaudit.report import DetectionStats, GeoDbEntry, LeasingStats
 from geoaudit.targets import HitlistEntry, TargetPlan
-from geoaudit.vantage import VantageFilterReport, VantagePlan, VantagePoint, VantageSet
+from geoaudit.vantage import VantagePlan, VantagePoint, VantageSet
 from geoaudit.whois import Dialect, IngestReport
 
 PREFIX = parse_prefix("192.0.2.0/24")
@@ -155,8 +154,6 @@ def test_world_defaults_are_not_shared():
 
 STATE = {
     "IngestReport": lambda: IngestReport(Rir.ARIN),
-    "PipelineCounts": PipelineCounts,
-    "VantageFilterReport": VantageFilterReport,
     "VantageSet": VantageSet,
     "OroStats": lambda: OroStats(Rir.ARIN, 4),
     "DetectionStats": DetectionStats,
@@ -181,7 +178,3 @@ def test_counters_start_at_zero_and_stay_mutable():
     assert [getattr(rep, name) for name in IngestReport.__slots__] == [Rir.ARIN] + [0] * 11
     rep.unresolved_orgs = 3  # the benchmark's replica of ingest sets it
     assert rep.unresolved_orgs == 3 and rep.check_identity()
-    counts = PipelineCounts()
-    assert counts.filtered == dict.fromkeys(FilterReason, 0)
-    assert counts.by_class == dict.fromkeys(ConsistencyClass, 0)
-    assert PipelineCounts().filtered is not counts.filtered

@@ -261,6 +261,18 @@ def test_the_winner_rule_for_a_shared_prefix_has_one_home():
                           and node.value == "cross_rir_duplicate") == ["targets.py"]
 
 
+def test_a_broken_accounting_identity_is_reported_in_one_place():
+    """cli._identity_broken is the one gate for every accounting identity:
+    the text "accounting identity broken" appears in that function alone, so
+    ingest, audit and any later identity report it, and exit 2, alike."""
+    naming = [f"{path.name}:{getattr(stmt, 'name', None)}"
+              for path in sorted((ROOT / "src" / "geoaudit").glob("*.py"))
+              for stmt in ast.parse(path.read_text(encoding="utf-8")).body
+              if any(isinstance(node, ast.Constant) and isinstance(node.value, str)
+                     and "accounting identity broken" in node.value for node in ast.walk(stmt))]
+    assert naming == ["cli.py:_identity_broken"]
+
+
 def test_the_great_circle_formula_has_one_home():
     """geo.distance_from is the one haversine formula, which haversine_km,
     the per-vantage country tables and the simulator share: asin is named in

@@ -1,5 +1,6 @@
 import io
 import json
+import random
 
 import pytest
 
@@ -73,13 +74,29 @@ def test_filter_vantages():
         vp("bad-1", "US"),
         vp("default-1", "US", lat=38.0, lon=-97.0),
     ]
-    kept, report = filter_vantages(vantages, bad_ids={"bad-1"},
+    kept, counts = filter_vantages(vantages, bad_ids={"bad-1"},
                                    default_coords={(38.0, -97.0)})
     assert [v.id for v in kept] == ["ok-1"]
-    assert report.kept == 1
-    assert report.disconnected == 1
-    assert report.bad_id == 1
-    assert report.default_coords == 1
+    assert list(counts.items()) == [("kept", 1), ("disconnected", 1), ("bad_id", 1),
+                                    ("default_coords", 1)]
+
+
+def test_filter_vantages_counts_every_vantage_once():
+    """Seeded fleets mixing disconnected, bad-id, default-coordinate and kept
+    vantages, some with more than one fault: the counts sum to the fleet,
+    kept is the length of the list returned, and a vantage counts under
+    its first fault in filter order."""
+    rng = random.Random(36)
+    for _ in range(200):
+        fleet = [vp(f"v-{i}", "US", lat=38.0 if rng.random() < 0.3 else 1.0,
+                    lon=-97.0, connected=rng.random() > 0.3) for i in range(rng.randint(0, 15))]
+        bad_ids = {v.id for v in fleet if rng.random() < 0.3}
+        kept, counts = filter_vantages(fleet, bad_ids, {(38.0, -97.0)})
+        assert sum(counts.values()) == len(fleet)
+        assert counts["kept"] == len(kept)
+        assert counts["disconnected"] == sum(not v.connected for v in fleet)
+        assert counts["bad_id"] == sum(v.connected and v.id in bad_ids for v in fleet)
+        assert kept == [v for v in fleet if v.connected and v.id not in bad_ids and v.lat != 38.0]
 
 
 def test_stable_sets_cap_and_anchor_priority():

@@ -8,7 +8,9 @@ expects. CI runs it so:
 
     "$VENV/bin/python" tests/wheel_check.py
 
-It runs against the checkout too, with PYTHONPATH=src. Its name does not
+It runs against the checkout too, with PYTHONPATH=src, as
+tests/test_cli.py::test_the_wheel_check_passes_against_the_checkout does on
+every suite run, with -W error and a temporary cwd. Its name does not
 start with test_, so pytest never collects it: its module checks need a
 fresh interpreter, one no test has loaded anything into. It writes only
 into a temporary directory that it removes.
