@@ -10,7 +10,8 @@ that is negative or not finite fails the run on every backend. The audit
 closes its backend once the last reply is in: a replay lets go of its
 capture and a simulator of its world, so classification reuses that memory.
 A SyntheticWorld keeps per-vantage state, freed with it: a BLAKE2b state
-each pair copies, and the vantage's per-origin geo.distance_from.
+each pair copies, and the vantage's per-origin geo.distance_from. It draws
+whole µs, the base RTT rounded up; a live or replayed sample is kept as given.
 
 Backend.measure, SyntheticWorld.rtts and run_plan measure pair by pair for
 the benchmark's traced replica and API stub, their only callers; they go
@@ -46,7 +47,7 @@ from _blake2 import blake2b
 from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import BackendUnavailable, GeoAuditError, UnknownTarget
-from .geo import C_KM_PER_S, DEFAULT_PROPAGATION_FACTOR, distance_from
+from .geo import C_KM_PER_S, DEFAULT_PROPAGATION_FACTOR, EARTH_RADIUS_KM, distance_from
 from .registry import (Addr, Prefix, _list, _number, _object, _text, field, json_lines,
                        parse_address, parse_as, point, refuse_repeats)
 from .vantage import VantagePoint
@@ -62,7 +63,6 @@ TIMEOUT_S = 30.0  # the live client's socket timeout: to connect, and for each r
 Job = tuple[Addr, Sequence[VantagePoint]]  # a target and the vantages that measure it
 _FLOAT = frozenset((float,))  # what json reads a capture's samples as: load_results's fast path
 _NOISE_WORDS = struct.Struct("<3Q")  # a pair's digest: one word per sample (SyntheticWorld)
-_UNIT = 2.0 ** -53  # a word's top 53 bits times this are uniform in [0, 1)
 
 
 class MeasurementResult:
@@ -178,32 +178,43 @@ class SyntheticWorld:
     """Ground truth for the simulator: target coordinates, an unresponsive
     set, and additive uniform noise on top of great-circle baseline RTTs.
 
-    Noise only ever adds delay, so a simulated RTT never implies a distance
-    shorter than the true one: each sample is base + noise_ms * u with u in
-    [0, 1). The u of a (vantage, target) pair come from one unkeyed
-    BLAKE2b-192 digest of the text "<seed>:<vantage id>:<target>", read as
-    three little-endian 64-bit words w, u = (w >> 11) * 2**-53. So a pair's
+    A sample is a whole number of microseconds, given in ms, so its repr has
+    at most three decimals: the pair's great-circle RTT rounded up to whole
+    µs, plus (w * noise_us) >> 64 µs for a 64-bit word w, where noise_us is
+    noise_ms in whole µs, rounded to nearest. So noise only ever adds delay,
+    less than noise_us, and a simulated RTT never implies a distance shorter
+    than the true one; a noise_ms below 0.0015 adds none. The w of a (vantage,
+    target) pair are the three little-endian 64-bit words of one unkeyed
+    BLAKE2b-192 digest of the text "<seed>:<vantage id>:<target>". So a pair's
     samples depend on the seed and the pair alone, not on which other
-    vantages measure the target in the same call.
+    vantages measure the target in the same call. A world whose noise, or
+    whose antipodal RTT, is not finite in µs is refused.
 
     A vantage's first pair stores what its later pairs share, keyed by the
     whole VantagePoint and so by its coordinates too: a BLAKE2b state fed
     "<seed>:<vantage id>", and the vantage's geo.distance_from. So the seed
-    must not change once the world has measured."""
+    must not change once the world has measured, nor, as the constructor
+    derives what the draw reads from them, noise_ms or propagation_factor."""
 
     __slots__ = ("target_locations", "unresponsive", "noise_ms", "propagation_factor", "seed",
-                 "_vantages")
+                 "_speed", "_noise_us", "_vantages")
 
     def __init__(self, target_locations: dict[Addr, tuple[float, float]] | None = None,
                  unresponsive: set[Addr] | None = None, noise_ms: float = 0.0,
                  propagation_factor: float = DEFAULT_PROPAGATION_FACTOR, seed: int = 0):
         if not 0 < propagation_factor <= 1:
             raise GeoAuditError(f"world propagation_factor is {propagation_factor}, must be in (0, 1]")
-        if not 0 <= noise_ms < math.inf:
-            raise GeoAuditError(f"world noise_ms is {noise_ms}, must be finite and at least 0")
+        self._speed = propagation_factor * (C_KM_PER_S / 1000.0)  # km per ms
+        if not 2000.0 * (math.pi * EARTH_RADIUS_KM) / self._speed < math.inf:
+            raise GeoAuditError(f"world propagation_factor is {propagation_factor}: "
+                                "an antipodal RTT is not finite in microseconds")
+        if not 0 <= noise_ms * 1000.0 < math.inf:
+            raise GeoAuditError(f"world noise_ms is {noise_ms}, must be finite in microseconds "
+                                "and at least 0")
         self.target_locations = {} if target_locations is None else target_locations
         self.unresponsive = set() if unresponsive is None else unresponsive
         self.noise_ms = noise_ms
+        self._noise_us = round(noise_ms * 1000.0)
         self.propagation_factor = propagation_factor
         self.seed = seed
         self._vantages: dict[VantagePoint, tuple] = {}
@@ -222,8 +233,7 @@ class SyntheticWorld:
             raise UnknownTarget(f"no location for {target}")
         lat, lon = location
         tail = f":{target}".encode()
-        speed = self.propagation_factor * (C_KM_PER_S / 1000.0)  # km per ms
-        noise = self.noise_ms
+        ceil, speed, noise = math.ceil, self._speed, self._noise_us
         states = self._vantages
         out = {}
         for vantage in vantages:
@@ -236,12 +246,12 @@ class SyntheticWorld:
             noise_state, km = state
             digest = noise_state.copy()
             digest.update(tail)
-            base = 2.0 * km(lat, lon) / speed
+            base = ceil(2000.0 * km(lat, lon) / speed)  # µs
             # SAMPLES_PER_PAIR samples, unrolled: a comprehension would cost a frame per pair
             a, b, c = _NOISE_WORDS.unpack(digest.digest())
-            out[vantage.id] = [base + noise * ((a >> 11) * _UNIT),
-                               base + noise * ((b >> 11) * _UNIT),
-                               base + noise * ((c >> 11) * _UNIT)]
+            out[vantage.id] = [(base + (a * noise >> 64)) / 1000,
+                               (base + (b * noise >> 64)) / 1000,
+                               (base + (c * noise >> 64)) / 1000]
         return out
 
     def rtts(self, vantage: VantagePoint, target: Addr) -> list[float]:

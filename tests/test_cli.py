@@ -282,6 +282,52 @@ def test_audit_capture_then_replay_agrees(small_campaign):
     assert sim_out.read_bytes() == replay_out.read_bytes()
 
 
+FULL_PRECISION_MS = 128.01966861771194  # a double no whole count of microseconds spells
+
+
+def test_a_replayed_or_live_sample_is_kept_as_given(small_campaign, monkeypatch):
+    """The simulator draws whole microseconds, but a sample from outside it
+    is kept to the bit: a target whose every sample is 128.01966861771194,
+    in a replayed capture or in a live answer, gets that exact min_rtt_ms,
+    and the two audits agree byte for byte."""
+    camp, paths, tmp_path = small_campaign
+    sim_out, captured = tmp_path / "sim.jsonl", tmp_path / "results.jsonl"
+    assert run(audit_argv(paths, str(sim_out), extra=["--capture-results", str(captured)])) == 0
+    chosen = next(t["target"] for line in sim_out.read_text().splitlines()
+                  for t in json.loads(line)["targets"] if t["min_rtt_ms"] is not None)
+    rows = [json.loads(line) for line in captured.read_text().splitlines()]
+    for row in rows:
+        if row["target"] == chosen:
+            row["rtts_ms"] = [FULL_PRECISION_MS] * len(row["rtts_ms"])
+    captured.write_text("".join(json.dumps(row, sort_keys=True) + "\n" for row in rows))
+
+    class Outside:
+        """The campaign's world, but every sample to the chosen target is FULL_PRECISION_MS."""
+
+        def __init__(self, world):
+            self.world = world
+
+        def rtts_by_vantage(self, target, vantages):
+            replies = self.world.rtts_by_vantage(target, vantages)
+            if str(target) != chosen:
+                return replies
+            return {vid: [FULL_PRECISION_MS] * len(rtts) for vid, rtts in replies.items()}
+
+    def outside(api):
+        api.world = Outside(api.world)
+        return api
+
+    serve_campaign(monkeypatch, camp, paths, lambda mid: 0, lambda s: None, wrap=outside)
+    replayed, live = tmp_path / "replayed.jsonl", tmp_path / "live.jsonl"
+    assert run(audit_argv(paths, str(replayed), backend="replay",
+                          extra=["--results", str(captured)])) == 0
+    assert run(audit_argv(paths, str(live), backend="live", extra=LIVE_ARGV)) == 0
+    assert live.read_bytes() == replayed.read_bytes() != sim_out.read_bytes()
+    [got] = [t["min_rtt_ms"] for line in replayed.read_text().splitlines()
+             for t in json.loads(line)["targets"] if t["target"] == chosen]
+    assert got == FULL_PRECISION_MS
+
+
 def test_audit_refuses_a_prefix_or_target_planned_twice(small_campaign, capsys):
     """A plans file that lists a prefix or a target in two plans, or a target
     twice in one, exits 2 naming the repeat: an audit measures each target
@@ -724,23 +770,28 @@ def test_a_live_rtt_too_large_for_a_float_exits_3(small_campaign, capsys, monkey
 
 @pytest.mark.parametrize("key, value, refusal", [
     ("noise_ms", HUGE, "noise_ms: an integer of 401 digits is too large for a number"),
+    ("noise_ms", 1e306, "world noise_ms is 1e+306, must be finite in microseconds and at least 0"),
+    ("propagation_factor", 5e-324,
+     "world propagation_factor is 5e-324: an antipodal RTT is not finite in microseconds"),
     ("target", [0, HUGE], "an integer of 401 digits is too large for a number"),
     ("target", [95.0, 400.0], "lat: 95.0 is not in [-90, 90]"),
     ("target", [0.0, -180.5], "lon: -180.5 is not in [-180, 180]"),
     ("target", [math.nan, 0.0], "lat: nan is not in [-90, 90]"),
     ("target", [0.0, math.inf], "lon: inf is not in [-180, 180]"),
-], ids=["noise-huge", "point-huge", "off-95-400", "off-lon", "nan", "inf"])
+], ids=["noise-huge", "noise-inf-us", "factor-inf-us", "point-huge", "off-95-400", "off-lon",
+        "nan", "inf"])
 def test_a_bad_world_value_exits_2_naming_it(small_campaign, capsys, key, value, refusal):
-    """A world value that is no float, or a target off the globe, is refused
-    where the world is read; the target is named. Nothing is written."""
+    """A world value that is no float, a noise or an antipodal RTT that is no
+    finite count of microseconds, or a target off the globe, is refused where
+    the world is read; the target is named. Nothing is written."""
     camp, paths, tmp_path = small_campaign
     world = json.loads(Path(paths["world.json"]).read_text())
     first = next(iter(world["targets"]))
-    if key == "noise_ms":
-        world["noise_ms"] = value
-    else:
+    if key == "target":
         world["targets"][first] = value
         refusal = f"targets: {first}: {refusal}"
+    else:
+        world[key] = value
     Path(paths["world.json"]).write_text(json.dumps(world))
     out, captured = tmp_path / "audit.jsonl", tmp_path / "captured.jsonl"
     capsys.readouterr()

@@ -73,12 +73,12 @@ STDOUT = {
 
 OUTPUTS = {
     "alignment.csv": "867f10fb8d489606fff9c26fc3b12a7289aea48f683521b523a3ec0004b57c41",
-    "audit_live.jsonl": "b36f1d4f858978b12409a33bb06df07147a6a90f5ae99ccbb4b1cf491d1c97c5",
-    "audit_live_replay.jsonl": "b36f1d4f858978b12409a33bb06df07147a6a90f5ae99ccbb4b1cf491d1c97c5",
-    "audit_replay.jsonl": "b36f1d4f858978b12409a33bb06df07147a6a90f5ae99ccbb4b1cf491d1c97c5",
-    "audit_simulate.jsonl": "b36f1d4f858978b12409a33bb06df07147a6a90f5ae99ccbb4b1cf491d1c97c5",
-    "capture_live.jsonl": "90930682423b491ea1a42a8ad68ded0eef098a927b7d66e60965d3051d71ee0e",
-    "capture_simulate.jsonl": "90930682423b491ea1a42a8ad68ded0eef098a927b7d66e60965d3051d71ee0e",
+    "audit_live.jsonl": "7f548b8d469fab996501dd1dc5edc9133e8bdbed6292c2e1cfc5598713515b57",
+    "audit_live_replay.jsonl": "7f548b8d469fab996501dd1dc5edc9133e8bdbed6292c2e1cfc5598713515b57",
+    "audit_replay.jsonl": "7f548b8d469fab996501dd1dc5edc9133e8bdbed6292c2e1cfc5598713515b57",
+    "audit_simulate.jsonl": "7f548b8d469fab996501dd1dc5edc9133e8bdbed6292c2e1cfc5598713515b57",
+    "capture_live.jsonl": "e4ed179b099dfb90f857a97badc2d53a38432812ab65076b4b64a5f614379aff",
+    "capture_simulate.jsonl": "e4ed179b099dfb90f857a97badc2d53a38432812ab65076b4b64a5f614379aff",
     "oro.csv": "4c7fad782856dc8fc156e05b033d9ad1fe1a0aa1ab47dcb272d659accd4be91a",
     "plans.jsonl": "eea1a47e7217677b74b1458167d7e5988b0dfe079afb91c94e0f9d838732dd83",
     "registrations.jsonl": "c4ef82a500e924dc2980cf517cbc5b76621bf0cb85deb1eec804e544fd2bb4fb",
@@ -222,7 +222,7 @@ def test_a_closed_stdout_costs_no_output(campaign, tmp_path, capsys, monkeypatch
 
 
 # the capture's bytes before its lines lost the constant "timestamp": 0.0
-TIMESTAMPED_CAPTURE = "0b0e5b5f36c0e15ab1729db736c9e9387788cc2ffc13a09623920df92585c613"
+TIMESTAMPED_CAPTURE = "34ce2bcf909d5c664ca42bcc5d545c02e82a3fa60b0d67ae33c4d03f0629956d"
 
 
 def test_a_capture_with_timestamps_replays_alike(campaign, golden, tmp_path):

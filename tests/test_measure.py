@@ -67,12 +67,13 @@ def test_base_rtt_inverts_the_radius_formula():
 
 
 def test_base_rtt_quarter_meridian():
-    # pole to equator along one meridian: pi/2 * R, checked without haversine
+    # pole to equator along one meridian: pi/2 * R, checked without haversine,
+    # and rounded up to whole microseconds
     world = world_with({"192.0.2.1": (90.0, 0.0)}, propagation_factor=1.0)
     rtt = world.rtts_by_vantage(parse_address("192.0.2.1"), [vp("v-1", 0.0, 0.0)])["v-1"][0]  # no noise
     dist = math.pi / 2 * EARTH_RADIUS_KM
     want = 2.0 * dist / 299.792458
-    assert rtt == pytest.approx(want, rel=1e-9)
+    assert rtt == math.ceil(want * 1000) / 1000 == 66.764
 
 
 def test_zero_noise_gives_identical_samples():
@@ -1136,55 +1137,83 @@ def reference_base(world, vantage, target):
 
 
 def reference_rtts(world, vantage, target):
-    """The simulator's per-pair formula, written out independently: the
-    unkeyed BLAKE2b digest, 8 bytes per sample, of "<seed>:<vantage id>:<target>"
-    in UTF-8; each 8 bytes a little-endian integer whose top 53 bits, over
-    2**53, are the fraction of noise_ms added to the base RTT."""
+    """The simulator's per-pair formula, written out independently: the base
+    RTT rounded up to whole microseconds, 2000 * km / (km per ms); noise_ms
+    rounded to whole microseconds, noise_us; the unkeyed BLAKE2b digest, 8
+    bytes per sample, of "<seed>:<vantage id>:<target>" in UTF-8; each 8 bytes
+    a little-endian integer w, and w * noise_us // 2**64 microseconds added to
+    the base. Each sample is its microseconds over 1000."""
     if target not in world.target_locations:
         if target in world.unresponsive:
             return []
         raise UnknownTarget(str(target))
     if target in world.unresponsive:
         return []
-    base = reference_base(world, vantage, target)
-    if world.noise_ms <= 0:
-        return [base] * SAMPLES_PER_PAIR
+    lat, lon = world.target_locations[target]
+    dist = haversine_km(vantage.lat, vantage.lon, lat, lon)
+    base_us = math.ceil(2000.0 * dist / (world.propagation_factor * (C_KM_PER_S / 1000.0)))
+    noise_us = round(world.noise_ms * 1000)
     text = f"{world.seed}:{vantage.id}:{target}".encode("utf-8")
     digest = hashlib.blake2b(text, digest_size=8 * SAMPLES_PER_PAIR).digest()
     words = [int.from_bytes(digest[i:i + 8], "little") for i in range(0, len(digest), 8)]
-    return [base + world.noise_ms * ((word >> 11) / 2 ** 53) for word in words]
+    return [(base_us + word * noise_us // 2 ** 64) / 1000 for word in words]
 
 
 def test_noise_bounds_and_independence_over_mixed_pairs():
-    """Seeded v4 and v6 pairs: each sample lies in [base, base + noise_ms);
-    a pair's samples do not depend on the call's other vantages or their
-    order; zero noise gives the base RTT exactly; a seed of any size works."""
+    """Seeded v4 and v6 targets, each measured from its own point, from its
+    antipode and from random points, with noise 0 and above, by seeds of any
+    size. Each sample is the reference's: a whole number of microseconds, so
+    its repr has at most three decimals, in [base, base + noise_ms + 0.001),
+    base the exact great-circle RTT. Zero noise gives the base rounded up,
+    thrice. A pair's samples do not depend on the call's other vantages or
+    their order, nor on what the world measured before."""
     rng = random.Random(61)
     seen = set()
     for case in range(60):
         addrs = random_addresses(rng, 3, 3)
         locations = {a: (rng.uniform(-90, 90), rng.uniform(-180, 180)) for a in addrs}
-        vantages = [vp(vid, rng.uniform(-90, 90), rng.uniform(-180, 180))
-                    for vid in rng.sample(VANTAGE_IDS, rng.randint(1, len(VANTAGE_IDS)))]
+        others = [vp(vid, rng.uniform(-90, 90), rng.uniform(-180, 180))
+                  for vid in rng.sample(VANTAGE_IDS, rng.randint(0, len(VANTAGE_IDS)))]
         seed = rng.choice([0, rng.getrandbits(31), 10 ** 70 + rng.getrandbits(256)])
-        noise_ms = rng.choice([0.0, rng.uniform(0.01, 50.0)])
-        quiet = SyntheticWorld(target_locations=locations, seed=seed)
-        noisy = SyntheticWorld(target_locations=locations, noise_ms=noise_ms, seed=seed)
-        for target in addrs:
+        noise_ms = rng.choice([0.0, rng.uniform(0.001, 50.0)])
+        kw = dict(target_locations=locations, propagation_factor=rng.uniform(0.05, 1.0), seed=seed)
+        quiet, noisy = SyntheticWorld(**kw), SyntheticWorld(noise_ms=noise_ms, **kw)
+        for target, (lat, lon) in locations.items():
+            vantages = [vp("here", lat, lon), vp("antipode", -lat, lon - math.copysign(180.0, lon)),
+                        *others]
             assert quiet.rtts_by_vantage(target, vantages) == {
-                v.id: [reference_base(quiet, v, target)] * SAMPLES_PER_PAIR for v in vantages}
+                v.id: [math.ceil(1000 * reference_base(quiet, v, target)) / 1000] * SAMPLES_PER_PAIR
+                for v in vantages}
             whole = noisy.rtts_by_vantage(target, vantages)
             for v in vantages:
                 base = reference_base(noisy, v, target)
                 assert whole[v.id] == reference_rtts(noisy, v, target)
-                assert all(base <= rtt < base + noise_ms for rtt in whole[v.id]) or (
-                    noise_ms == 0 and whole[v.id] == [base] * SAMPLES_PER_PAIR)
-                seen.add((seed > 10 ** 70, noise_ms > 0, target.version))
+                for rtt in whole[v.id]:
+                    assert base <= rtt < base + noise_ms + 0.001
+                    assert rtt == round(rtt * 1000) / 1000
+                    assert "e" not in repr(rtt) and len(repr(rtt).partition(".")[2]) <= 3
+                kind = v.id if v.id in ("here", "antipode") else "other"
+                seen.add((kind, seed > 10 ** 70, noise_ms > 0, target.version))
             shuffled = rng.sample(vantages, rng.randint(1, len(vantages)))
             assert noisy.rtts_by_vantage(target, shuffled) == {v.id: whole[v.id] for v in shuffled}
-    # every kind of seed and family was drawn, with and without noise
-    assert seen == {(big, noisy, version) for big in (False, True) for noisy in (False, True)
-                    for version in (4, 6)}
+            for v in shuffled:  # alone, in a world that has measured nothing
+                assert SyntheticWorld(noise_ms=noise_ms, **kw).rtts_by_vantage(target, [v]) == {
+                    v.id: whole[v.id]}
+    # every kind of pair, seed and family was drawn, with and without noise
+    assert seen == {(kind, big, noisy, version) for kind in ("here", "antipode", "other")
+                    for big in (False, True) for noisy in (False, True) for version in (4, 6)}
+
+
+@pytest.mark.parametrize("noise_ms, added_us", [
+    (0.0004, {0}), (0.0014, {0}), (0.0016, {0, 1}), (0.0024, {0, 1}), (0.0026, {0, 1, 2})])
+def test_noise_counts_in_whole_microseconds_rounded_to_nearest(noise_ms, added_us):
+    """noise_ms is rounded to whole microseconds, and a sample adds fewer
+    than that many: below 1.5 µs a noise adds none, and from 2.5 µs up to
+    3.5 µs it adds 0, 1 or 2 µs."""
+    world = world_with({"192.0.2.1": (10.0, 10.0)}, noise_ms=noise_ms, seed=5)
+    vantages = [vp(f"v-{i}", 10.0, 10.0) for i in range(60)]  # at the target: the base is 0
+    replies = world.rtts_by_vantage(parse_address("192.0.2.1"), vantages)
+    assert {rtt * 1000 for rtts in replies.values() for rtt in rtts} == added_us
 
 
 def test_a_vantage_at_other_coordinates_never_reuses_the_state_of_its_id():
