@@ -725,6 +725,45 @@ ELEMENT_ACCEPTS = {
     "tuple[TargetOutcome, ...]": set(),
     "frozenset[Rir]": set(),
 }
+# The full text of each refusal, recorded before the record codec was
+# compiled, after "line 3: key: ": "<probe> is not <noun>", with the noun of
+# the field type, or of its element for a probe in a one-element list,
+# unless REFUSED_IN_OTHER_WORDS spells it.
+REFUSED_AS = {
+    "str": "a string",
+    "str | None": "a string",
+    "bool": "a boolean",
+    "float": "a number",
+    "float | None": "a number",
+    "int | None": "an integer",
+    "Prefix": "a string",
+    "Addr": "a string",
+    "Rir": "a Rir",
+    "Status": "a Status",
+    "Registration": "an object",
+    "Rir | None": "a Rir",
+    "ConsistencyClass | None": "a ConsistencyClass",
+    "FilterReason | None": "a FilterReason",
+    "datetime.date | None": "a string",
+    "tuple[str, ...]": "a list",
+    "tuple[Addr, ...]": "a list",
+    "tuple[TargetOutcome, ...]": "a list",
+    "frozenset[Rir]": "a list",
+}
+ELEMENT_REFUSED_AS = {
+    "tuple[str, ...]": "a string",
+    "tuple[Addr, ...]": "a string",
+    "tuple[TargetOutcome, ...]": "an object",
+    "frozenset[Rir]": "a Rir",
+}
+REFUSED_IN_OTHER_WORDS = {  # (type text, probe, in a list) -> text
+    ("Prefix", "string", False): "bad prefix 'x': 'x' does not appear to be an IPv4 or IPv6 network",
+    ("Addr", "string", False): "bad address 'x': 'x' does not appear to be an IPv4 or IPv6 address",
+    ("tuple[Addr, ...]", "string", True): "bad address 'x': 'x' does not appear to be an IPv4 or IPv6 address",
+    ("datetime.date | None", "string", False): "'x' is not a YYYY-MM-DD date",
+    ("Registration", "object", False): "no 'prefix'",
+    ("tuple[TargetOutcome, ...]", "object", True): "no 'target'",
+}
 
 
 def jsonl(rows):
@@ -758,11 +797,11 @@ def test_every_field_refuses_the_json_types_it_does_not_take(name):
     good = [make(rng).to_json() for _ in range(3)]
     for name, type_text in field_types(kind).items():
         key = "class" if name == "cls" else name
-        probes = [(value, probe in ACCEPTS[type_text]) for probe, value in PROBES.items()]
-        probes += [([value], probe in ELEMENT_ACCEPTS[type_text])
+        probes = [(probe, value, False, probe in ACCEPTS[type_text]) for probe, value in PROBES.items()]
+        probes += [(probe, value, True, probe in ELEMENT_ACCEPTS[type_text])
                    for probe, value in PROBES.items() if type_text in ELEMENT_ACCEPTS]
-        for value, accepted in probes:
-            rows = good[:2] + [{**good[2], key: value}]
+        for probe, value, in_list, accepted in probes:
+            rows = good[:2] + [{**good[2], key: [value] if in_list else value}]
             if accepted:
                 loaded = load_jsonl(kind.from_json, jsonl(rows))[2]
                 if type_text.startswith("float") and value is not None:
@@ -771,7 +810,9 @@ def test_every_field_refuses_the_json_types_it_does_not_take(name):
                 continue
             with pytest.raises(GeoAuditError) as refused:
                 load_jsonl(kind.from_json, jsonl(rows))
-            assert str(refused.value).startswith(f"line 3: {key}: "), (key, value)
+            noun = (ELEMENT_REFUSED_AS if in_list else REFUSED_AS)[type_text]
+            text = REFUSED_IN_OTHER_WORDS.get((type_text, probe, in_list), f"{value!r} is not {noun}")
+            assert str(refused.value) == f"line 3: {key}: {text}"
 
 
 @pytest.mark.parametrize("name", RECORDS)
@@ -786,6 +827,58 @@ def test_a_missing_key_takes_the_default_or_is_refused(name):
                 load_jsonl(kind.from_json, jsonl(rows))
         else:
             assert getattr(load_jsonl(kind.from_json, jsonl(rows))[1], name) == kind._field_defaults[name]
+
+
+# a value of the JSON type its field takes that is still refused, with the
+# full text recorded before the record codec was compiled
+REFUSED_VALUES = [
+    ("Registration", "prefix", "10.0.0.1/8", "prefix: bad prefix '10.0.0.1/8': 10.0.0.1/8 has host bits set"),
+    ("Registration", "prefix", "10.0.0.0/33",
+     "prefix: bad prefix '10.0.0.0/33': '10.0.0.0/33' does not appear to be an IPv4 or IPv6 network"),
+    ("Registration", "rir", "arin", "rir: 'arin' is not a Rir"),
+    ("Registration", "status", "ALLOCATED", "status: 'ALLOCATED' is not a Status"),
+    ("Registration", "last_updated", "20210304", "last_updated: '20210304' is not a YYYY-MM-DD date"),
+    ("Registration", "flags", ["a", 1], "flags: 1 is not a string"),
+    ("TargetPlan", "registration", {"prefix": "10.0.0.1/8", "rir": "ARIN"},
+     "registration: prefix: bad prefix '10.0.0.1/8': 10.0.0.1/8 has host bits set"),
+    ("TargetPlan", "registration", {"prefix": "10.0.0.0/8", "rir": "ARIN", "last_updated": 20210304},
+     "registration: last_updated: 20210304 is not a string"),
+    ("TargetPlan", "targets", ["192.0.2.1", "192.0.2.256"],
+     "targets: bad address '192.0.2.256': '192.0.2.256' does not appear to be an IPv4 or IPv6 address"),
+    ("TargetPlan", "targets", ["fe80::1%eth0"], "targets: bad address 'fe80::1%eth0': IPv6 zone id 'eth0' not accepted"),
+    ("TargetOutcome", "min_rtt_ms", 10**400, "min_rtt_ms: an integer of 401 digits is too large for a number"),
+    ("TargetOutcome", "rirs", ["ARIN", "XX"], "rirs: 'XX' is not a Rir"),
+    ("ConsistencyRecord", "targets", [{"target": "192.0.2.1", "responded": True, "rirs": ["XX"]}],
+     "targets: rirs: 'XX' is not a Rir"),
+    ("ConsistencyRecord", "targets", [{"target": "192.0.2.1", "responded": True}, 5], "targets: 5 is not an object"),
+    ("VantagePoint", "lat", 90.5, "lat: 90.5 is not in [-90, 90]"),
+    ("VantagePoint", "lon", -180.25, "lon: -180.25 is not in [-180, 180]"),
+    ("VantagePoint", "lat", 10**400, "lat: an integer of 401 digits is too large for a number"),
+    ("VantagePoint", "id", "\ud800", "id '\\ud800' is not valid UTF-8"),
+]
+
+
+@pytest.mark.parametrize("name, key, value, text", REFUSED_VALUES)
+def test_a_refused_value_of_the_right_json_type_keeps_its_text(name, key, value, text):
+    kind, make = RECORDS[name]
+    rng = random.Random(45)
+    rows = [make(rng).to_json(), {**make(rng).to_json(), key: value}]
+    with pytest.raises(GeoAuditError) as refused:
+        load_jsonl(kind.from_json, jsonl(rows))
+    assert str(refused.value) == f"line 2: {text}"
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_a_line_that_is_not_an_object_keeps_its_text(name):
+    kind = RECORDS[name][0]
+    for line, text in (("5", "5"), ("[]", "[]"), ("null", "None"), ('"x"', "'x'"), ("true", "True")):
+        with pytest.raises(GeoAuditError) as refused:
+            load_jsonl(kind.from_json, io.StringIO(f"{line}\n"))
+        assert str(refused.value) == f"line 1: {text} is not an object"
+    # an empty object lacks the first field, and no first field has a default
+    with pytest.raises(GeoAuditError) as refused:
+        load_jsonl(kind.from_json, io.StringIO("{}\n"))
+    assert str(refused.value) == f"line 1: no '{kind._fields[0]}'"
 
 
 def test_a_refused_nested_value_names_its_path():
