@@ -261,13 +261,11 @@ def parse_as(kind: Callable[[str], T], text: str) -> T:
         raise GeoAuditError(str(exc)) from None
 
 
-def write_jsonl(items: Iterable, fp: IO[str]) -> int:
-    """Write each item.to_json() as one line of sorted-key JSON; returns the line count."""
-    encode = json.JSONEncoder(sort_keys=True).encode  # json.dumps(..., sort_keys=True)
+def write_jsonl(records: Iterable, fp: IO[str]) -> int:
+    """Write each record as its to_line, one line each; returns the line count."""
     n = 0
-    for item in items:
-        fp.write(encode(item.to_json()) + "\n")
-        n += 1
+    for n, rec in enumerate(records, 1):
+        fp.write(rec.to_line() + "\n")
     return n
 
 
@@ -307,17 +305,19 @@ def load_jsonl(from_json: Callable[[Mapping], T], fp: IO[str]) -> list[T]:
     return out
 
 
-# The record codec: @record derives a NamedTuple's to_json and from_json
-# from the annotated type of each field, so each type is spelled one way in
-# every JSONL file. from_json reads each key through field: a wrong JSON type
-# is refused, not converted, and a missing key takes the field's default or,
-# without one, is refused. A record reaches JSON through to_json alone:
-# json.dumps would write its tuple as a list.
+# The record codec: @record gives a NamedTuple to_line, from_json and to_json,
+# derived from the annotated type of each field, so each type is spelled one
+# way in every JSONL file. to_line writes what json.dumps(rec.to_json(),
+# sort_keys=True) would. from_json takes each value of its field's plain JSON
+# type as it is, and reads an object with any other through field, which
+# refuses a wrong JSON type, not converts it, and gives a missing key the
+# field's default or, without one, refuses it. Both are compiled on first use.
 
 _KEYS = {"cls": "class"}  # fields whose JSON key is not their name
 _JSON_NAMES = {str: "a string", bool: "a boolean", int: "an integer", float: "a number",
                list: "a list", dict: "an object"}
 REQUIRED = object()  # field's default for a key that must be present
+_ABSENT = object()  # from_json's stand-in for a missing key
 
 
 def field(obj, key: str, decode: Callable[[Any], T], default: Any = REQUIRED) -> T:
@@ -368,31 +368,38 @@ def _date(value) -> datetime.date:
     return parse_as(datetime.date.fromisoformat, value)
 
 
-_CODECS = {  # type -> (encode, decode); an encode of None: the value is its own JSON
-    str: (None, _text),
-    bool: (None, _exactly(bool)),
-    int: (None, _exactly(int)),
-    float: (None, _number),
-    datetime.date: (datetime.date.isoformat, _date),
-    Prefix: (str, lambda v: parse_prefix(_text(v))),
-    Addr: (str, lambda v: parse_address(_text(v))),
+_CODECS = {  # type -> (its JSON text from v, the JSON type it is read from, its reader, its decode)
+    str: ("_esc({v}) if type({v}) is str else _dumps({v})", str, None, _text),
+    bool: ('("true" if {v} else "false") if type({v}) is bool else _dumps({v})', bool, None, _exactly(bool)),
+    int: ("repr({v}) if type({v}) is int else _dumps({v})", int, None, _exactly(int)),
+    # v - v is 0.0 for a finite float alone; json writes NaN and Infinity
+    float: ("repr({v}) if type({v}) is float and {v} - {v} == 0.0 else _dumps({v})", float, None, _number),
+    datetime.date: ("_esc(_isodate({v}))", str, _date, _date),
+    Prefix: ("_esc(str({v}))", str, parse_prefix, lambda v: parse_prefix(_text(v))),
+    Addr: ("_esc(str({v}))", str, parse_address, lambda v: parse_address(_text(v))),
 }
+_esc = json.encoder.encode_basestring_ascii  # a str as json.dumps writes it
+_dumps = json.JSONEncoder(sort_keys=True).encode  # json.dumps(..., sort_keys=True)
 
 
-def _codec(hint) -> tuple[Callable | None, Callable]:
-    """(encode, decode) for one field type."""
+def _codec(hint, v: str, ns: dict) -> tuple[str, str, str, Callable]:
+    """For one field type and a variable v: v's JSON text; the test that v, a
+    JSON value, has the type's plain shape; the read of such a v; and the
+    decode of any JSON value, for field. ns gets what they name as v + "k"."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin in (typing.Union, types.UnionType) and type(None) in args:  # X | None
-        inner, decode = _codec(functools.reduce(operator.or_, set(args) - {type(None)}))
-        encode = None if inner is None else lambda v: None if v is None else inner(v)
-        return encode, lambda v: None if v is None else decode(v)
-    if origin is tuple and args[1:] == (...,):
-        inner, decode = _codec(args[0])
-        encode = list if inner is None else lambda v: list(map(inner, v))
-        return encode, lambda v: tuple(map(decode, _list(v)))
-    if origin is frozenset:
-        encode, decode = _codec(args[0])
-        return (lambda v: sorted(map(encode, v))), (lambda v: frozenset(map(decode, _list(v))))
+        text, plain, read, decode = _codec(functools.reduce(operator.or_, set(args) - {type(None)}), v, ns)
+        return (f'"null" if {v} is None else ({text})', f"{v} is None or ({plain})",
+                f"None if {v} is None else ({read})", lambda x: None if x is None else decode(x))
+    if origin is tuple and args[1:] == (...,) or origin is frozenset:
+        x = f"{v}_"
+        text, plain, read, ns[f"{v}k"] = _codec(args[0], x, ns)
+        items = v
+        if origin is frozenset:  # of an enum, whose strings are written sorted
+            text, items = f"_esc({x})", f"sorted([{x}._value_ for {x} in {v}])"
+        return (f'"[]" if not {v} else "[" + ", ".join([{text} for {x} in {items}]) + "]"', f"type({v}) is list",
+                f"{origin.__name__}([({read}) if ({plain}) else {v}k({x}) for {x} in {v}])",
+                lambda x: origin(map(ns[f"{v}k"], _list(x))))
     if isinstance(hint, enum.EnumMeta):
         members = {member.value: member for member in hint}
 
@@ -401,27 +408,60 @@ def _codec(hint) -> tuple[Callable | None, Callable]:
                 return members[value]
             except (KeyError, TypeError):  # TypeError: a list or an object
                 raise GeoAuditError(f"{value!r} is not a {hint.__name__}") from None
-        return operator.attrgetter("value"), decode
-    if hasattr(hint, "from_json"):  # a nested record
-        return hint.to_json, hint.from_json
-    return _CODECS[hint]
+        ns[f"{v}k"] = members
+        return f"_esc({v}._value_)", f"type({v}) is str and {v} in {v}k", f"{v}k[{v}]", decode
+    if "to_line" in vars(hint):  # a nested record
+        ns[f"{v}k"] = hint
+        return f"{v}k.to_line({v})", f"type({v}) is dict", f"{v}k.from_json({v})", lambda x: hint.from_json(x)
+    text, kind, ns[f"{v}k"], decode = _CODECS[hint]
+    return text.format(v=v), f"type({v}) is {kind.__name__}", f"{v}k({v})" if ns[f"{v}k"] else v, decode
+
+
+def _compile(cls: type, direction: str) -> Callable:
+    """cls's to_line or from_json, as straight-line code."""
+    hints = typing.get_type_hints(cls)
+    ns = {"_esc": _esc, "_dumps": _dumps, "_isodate": datetime.date.isoformat, "_ABSENT": _ABSENT,
+          "GeoAuditError": GeoAuditError, "_cls": cls, "_new": tuple.__new__}
+    fields = [(f"_{i}", _KEYS.get(name, name), cls._field_defaults.get(name, REQUIRED),
+               *_codec(hints[name], f"_{i}", ns)) for i, name in enumerate(cls._fields)]
+    if direction == "to_line":
+        pairs = ", ".join(f"{_esc(key)}: {{{v}}}" for key, v in sorted((key, v) for v, key, *_ in fields))
+        lines = ["def to_line(self, /):", f"    {', '.join(v for v, *_ in fields)}, = self",
+                 *(f"    {v} = {text}" for v, _, _, text, *_ in fields), "    return f" + repr("{{" + pairs + "}}")]
+    else:
+        ns.update((f"{v}d", default) for v, _, default, *_ in fields)
+        ns["_slow"] = lambda obj: cls(*[field(obj, key, decode, default) for _, key, default, *_, decode in fields])
+        tests = " and ".join(f"({test})" if default is REQUIRED else f"({v} is _ABSENT or {test})"
+                             for v, _, default, _, test, *_ in fields)
+        reads = ", ".join(f"({v}d if {v} is _ABSENT else {value})" for v, *_, value, _ in fields)
+        # a NamedTuple's own __new__ only packs its fields; a subclass's may check them
+        new = f"_new(_cls, ({reads},))" if cls.__bases__ == (tuple,) else f"_cls({reads})"
+        lines = ["def from_json(obj, /):", "    if type(obj) is dict:",
+                 *(f"        {v} = obj.get({key!r}, _ABSENT)" for v, key, *_ in fields),
+                 f"        if {tests}:", "            try:", f"                return {new}",
+                 "            except GeoAuditError:", "                pass", "    return _slow(obj)"]
+    exec(compile("\n".join(lines), f"<{cls.__name__}.{direction}>", "exec"), ns)
+    return ns[direction]
+
+
+class _OnFirstUse:
+    """A record's to_line or from_json, compiled when first looked up; it
+    then takes this stand-in's place on the class."""
+
+    def __init__(self, cls: type, direction: str):
+        self.cls, self.direction = cls, direction
+
+    def __get__(self, obj, owner=None):
+        code = _compile(self.cls, self.direction)
+        setattr(self.cls, self.direction, code if self.direction == "to_line" else staticmethod(code))
+        return getattr(self.cls if obj is None else obj, self.direction)
 
 
 def record(cls: type[T]) -> type[T]:
-    """Give a NamedTuple to_json and from_json, derived from its _fields, their
-    type hints and _field_defaults; from_json reads each key through field."""
-    hints = typing.get_type_hints(cls)
-    fields = [(_KEYS.get(name, name), *_codec(hints[name]), cls._field_defaults.get(name, REQUIRED))
-              for name in cls._fields]
-
-    def to_json(self) -> dict:
-        return {key: value if encode is None else encode(value)
-                for value, (key, encode, _, _) in zip(self, fields)}
-
-    def from_json(obj: Mapping) -> T:
-        return cls(*[field(obj, key, decode, default) for key, _, decode, default in fields])
-
-    cls.to_json, cls.from_json = to_json, staticmethod(from_json)
+    """Give a NamedTuple to_line, from_json and to_json, derived from its
+    _fields, their type hints and _field_defaults (the codec above)."""
+    cls.to_line, cls.from_json = _OnFirstUse(cls, "to_line"), _OnFirstUse(cls, "from_json")
+    cls.to_json = lambda self: json.loads(self.to_line())  # the object its line holds
     return cls
 
 
@@ -446,11 +486,10 @@ class Registration(NamedTuple):
 
 def duplicate_rank(reg: Registration) -> tuple:
     """Rank of a row among the rows of one prefix; the highest wins: by
-    last_updated, then registry name, org_id and the row's sorted-key JSON,
+    last_updated, then registry name, org_id and the row's line (to_line),
     flags and all (an input row's cross_rir_duplicate too; ingest never
     writes it). A total order on content: the winner ignores input order."""
-    return (reg.last_updated or datetime.date.min, reg.rir.value, reg.org_id or "",
-            json.dumps(reg.to_json(), sort_keys=True))
+    return (reg.last_updated or datetime.date.min, reg.rir.value, reg.org_id or "", reg.to_line())
 
 
 def winners_by_prefix(regs: Iterable[Registration]) -> dict[Prefix, tuple[Registration, int]]:

@@ -1643,6 +1643,14 @@ from geoaudit import cli
 code = cli.main(sys.argv[1:])
 print(json.dumps([code, sorted(sys.modules)]))
 """
+# then the record codecs the command compiled, as Type.to_line or Type.from_json
+RUN_AND_LIST_CODECS = RUN_AND_LIST_MODULES + """
+from geoaudit import registry
+records = {obj for module in list(sys.modules.values()) if module and module.__name__.startswith("geoaudit")
+           for obj in vars(module).values() if isinstance(obj, type) and "to_line" in vars(obj)}
+print(json.dumps(sorted(f"{cls.__name__}.{way}" for cls in records for way in ("to_line", "from_json")
+                        if not isinstance(vars(cls)[way], registry._OnFirstUse))))
+"""
 
 
 def test_each_command_imports_only_the_stages_it_runs(small_campaign):
@@ -1670,10 +1678,22 @@ def test_each_command_imports_only_the_stages_it_runs(small_campaign):
     }
     # what the interpreter loads before any command: a site hook may load ipaddress
     startup = set(json.loads(python_in_subprocess("import json, sys; print(json.dumps(sorted(sys.modules)))")))
+    # a record's to_line and from_json are compiled on first use, so no
+    # command pays for a codec it does not run
+    compiled = {
+        "ingest": ["Registration.to_line"],
+        "align": ["Registration.from_json"],
+        "oro": ["Registration.from_json"],
+        "plan": ["Registration.from_json", "Registration.to_line", "TargetPlan.to_line"],
+        "audit": ["ConsistencyRecord.to_line", "Registration.from_json", "TargetOutcome.to_line",
+                  "VantagePoint.from_json"],
+        "report": ["ConsistencyRecord.from_json", "Registration.from_json", "TargetOutcome.from_json"],
+    }
     for name, (argv, unused) in commands.items():
-        out = python_in_subprocess(RUN_AND_LIST_MODULES, *argv)
-        code, modules = json.loads(out.splitlines()[-1])
+        out = python_in_subprocess(RUN_AND_LIST_CODECS, *argv).splitlines()
+        code, modules = json.loads(out[-2])
         assert code == 0, name
+        assert json.loads(out[-1]) == compiled[name], name
         assert not {f"geoaudit.{stage}" for stage in unused} & set(modules), name
         assert "concurrent.futures" not in modules, name
         assert "http.client" not in modules, name  # only a live audit loads it

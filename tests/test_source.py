@@ -314,3 +314,15 @@ def test_dates_are_read_by_one_grammar_without_strptime():
     imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                 for alias in node.names}
     assert "_date" not in imported
+
+
+def test_only_the_record_codec_compiles_code():
+    """registry._compile turns each record's to_line and from_json into
+    straight-line code: exec and compile are named there alone, and eval
+    nowhere, so no module runs generated text of its own."""
+    naming = [f"{path.name}:{getattr(stmt, 'name', None)}:{node.id}"
+              for path in sorted((ROOT / "src" / "geoaudit").glob("*.py"))
+              for stmt in ast.parse(path.read_text(encoding="utf-8")).body
+              for node in ast.walk(stmt)
+              if isinstance(node, ast.Name) and node.id in ("eval", "exec", "compile")]
+    assert naming == ["registry.py:_compile:exec", "registry.py:_compile:compile"]
