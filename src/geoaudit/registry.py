@@ -431,13 +431,16 @@ def _compile(cls: type, direction: str) -> Callable:
     else:
         ns.update((f"{v}d", default) for v, _, default, *_ in fields)
         ns["_slow"] = lambda obj: cls(*[field(obj, key, decode, default) for _, key, default, *_, decode in fields])
-        tests = " and ".join(f"({test})" if default is REQUIRED else f"({v} is _ABSENT or {test})"
+        # a missing key reads as _ABSENT, or as None where that is the default
+        tests = " and ".join(f"({test})" if default in (REQUIRED, None) else f"({v} is _ABSENT or {test})"
                              for v, _, default, _, test, *_ in fields)
-        reads = ", ".join(f"({v}d if {v} is _ABSENT else {value})" for v, *_, value, _ in fields)
+        reads = ", ".join(f"({value})" if default in (REQUIRED, None) else f"({v}d if {v} is _ABSENT else {value})"
+                          for v, _, default, _, _, value, _ in fields)
         # a NamedTuple's own __new__ only packs its fields; a subclass's may check them
         new = f"_new(_cls, ({reads},))" if cls.__bases__ == (tuple,) else f"_cls({reads})"
         lines = ["def from_json(obj, /):", "    if type(obj) is dict:",
-                 *(f"        {v} = obj.get({key!r}, _ABSENT)" for v, key, *_ in fields),
+                 *(f"        {v} = obj.get({key!r}{'' if default is None else ', _ABSENT'})"
+                   for v, key, default, *_ in fields),
                  f"        if {tests}:", "            try:", f"                return {new}",
                  "            except GeoAuditError:", "                pass", "    return _slow(obj)"]
     exec(compile("\n".join(lines), f"<{cls.__name__}.{direction}>", "exec"), ns)
