@@ -417,8 +417,8 @@ def _codec(hint, v: str, ns: dict) -> tuple[str, str, str, Callable]:
     return text.format(v=v), f"type({v}) is {kind.__name__}", f"{v}k({v})" if ns[f"{v}k"] else v, decode
 
 
-def _compile(cls: type, direction: str) -> Callable:
-    """cls's to_line or from_json, as straight-line code."""
+def _compile(cls: type, direction: str):
+    """cls's to_line or from_json (a staticmethod), as straight-line code."""
     hints = typing.get_type_hints(cls)
     ns = {"_esc": _esc, "_dumps": _dumps, "_isodate": datetime.date.isoformat, "_ABSENT": _ABSENT,
           "GeoAuditError": GeoAuditError, "_cls": cls, "_new": tuple.__new__}
@@ -438,7 +438,7 @@ def _compile(cls: type, direction: str) -> Callable:
                           for v, _, default, _, _, value, _ in fields)
         # a NamedTuple's own __new__ only packs its fields; a subclass's may check them
         new = f"_new(_cls, ({reads},))" if cls.__bases__ == (tuple,) else f"_cls({reads})"
-        lines = ["def from_json(obj, /):", "    if type(obj) is dict:",
+        lines = ["@staticmethod", "def from_json(obj, /):", "    if type(obj) is dict:",
                  *(f"        {v} = obj.get({key!r}{'' if default is None else ', _ABSENT'})"
                    for v, key, default, *_ in fields),
                  f"        if {tests}:", "            try:", f"                return {new}",
@@ -455,14 +455,12 @@ class _OnFirstUse:
         self.cls, self.direction = cls, direction
 
     def __get__(self, obj, owner=None):
-        code = _compile(self.cls, self.direction)
-        setattr(self.cls, self.direction, code if self.direction == "to_line" else staticmethod(code))
+        setattr(self.cls, self.direction, _compile(self.cls, self.direction))
         return getattr(self.cls if obj is None else obj, self.direction)
 
 
 def record(cls: type[T]) -> type[T]:
-    """Give a NamedTuple to_line, from_json and to_json, derived from its
-    _fields, their type hints and _field_defaults (the codec above)."""
+    """Give a NamedTuple to_line, from_json and to_json: the record codec above."""
     cls.to_line, cls.from_json = _OnFirstUse(cls, "to_line"), _OnFirstUse(cls, "from_json")
     cls.to_json = lambda self: json.loads(self.to_line())  # the object its line holds
     return cls
