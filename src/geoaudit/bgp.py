@@ -1,8 +1,9 @@
 """Alignment of registered prefixes against a BGP routing table.
 
-Precedence: an exact route wins, then any covering route, then contained
-routes. A registered block only advertised in pieces is a Supernet when all
-pieces share an origin, MixedAS otherwise.
+Precedence: the most specific route equal to or covering a registered block
+decides, Aligned when it equals the block and Subnet otherwise; only then do
+contained routes count. A block only advertised in pieces is a Supernet when
+all pieces share an origin, MixedAS otherwise.
 """
 
 from __future__ import annotations
@@ -83,28 +84,21 @@ def load_rib(fp: IO[str]) -> Rib:
 
 class AlignmentResult(NamedTuple):
     alignment: Alignment
-    origins: frozenset[int] = frozenset()
-    covering_route: Prefix | None = None
-    contained_routes: int = 0
-    moas: bool = False
+    moas: bool = False  # the exact or covering route has more than one origin
 
 
 def align(prefix: Prefix, rib: Rib) -> AlignmentResult:
-    exact = rib.routes.exact(prefix)
-    if exact is not None:
-        return AlignmentResult(Alignment.ALIGNED, origins=exact, moas=len(exact) > 1)
-    covering = rib.routes.covering(prefix)
-    if covering:
-        route, asns = covering[-1]  # most specific covering route
-        return AlignmentResult(Alignment.SUBNET, origins=asns, covering_route=route, moas=len(asns) > 1)
+    """One longest_match, then one contained only when no route equals or
+    covers prefix."""
+    hit = rib.routes.longest_match(prefix)
+    if hit is not None:
+        route, asns = hit
+        return AlignmentResult(Alignment.ALIGNED if route == prefix else Alignment.SUBNET, len(asns) > 1)
     contained = rib.routes.contained(prefix)
-    if contained:
-        common = frozenset.intersection(*(asns for _, asns in contained))
-        if common:
-            return AlignmentResult(Alignment.SUPERNET, origins=common, contained_routes=len(contained))
-        every = frozenset().union(*(asns for _, asns in contained))
-        return AlignmentResult(Alignment.MIXED_AS, origins=every, contained_routes=len(contained))
-    return AlignmentResult(Alignment.UNADVERTISED)
+    if not contained:
+        return AlignmentResult(Alignment.UNADVERTISED)
+    common = frozenset.intersection(*(asns for _, asns in contained))
+    return AlignmentResult(Alignment.SUPERNET if common else Alignment.MIXED_AS)
 
 
 def alignment_table(regs: Iterable[Registration], rib: Rib, family: int) -> dict[Rir, dict[Alignment, float]]:

@@ -56,6 +56,8 @@ class ConsistencyClass(enum.Enum):
     RI = "RI"
     FI = "FI"
 
+    __hash__ = object.__hash__  # by identity, as registry.Rir
+
 
 class FilterReason(enum.Enum):
     """Why a prefix was not classified, declared in the order the filters run."""
@@ -67,6 +69,8 @@ class FilterReason(enum.Enum):
     UNADVERTISED = "unadvertised"
     NO_ORG_COUNTRY = "no_org_country"
     CONFLICTING = "conflicting"
+
+    __hash__ = object.__hash__  # by identity, as registry.Rir
 
 
 def classify_one(

@@ -3,11 +3,11 @@
 Built once from (prefix, value) pairs of registry Prefixes; a repeated
 prefix keeps the last value given. One dict maps each Prefix to its
 (prefix, value) pair, and since a Prefix hashes and compares as its
-(version, network, length) tuple, a probe looks up a plain tuple: exact,
-longest_match and covering walk the lengths present in the family. One
-list holds the same pairs in Prefix order, family first, and contained
-is one slice of it. Nothing is written after construction, so any number
-of threads may read one index.
+(version, network, length) tuple, a probe looks up a plain tuple:
+longest_match walks the lengths present in the family, most specific
+first, and takes the first hit. One list holds the same pairs in Prefix
+order, family first, and contained is one slice of it. Nothing is written
+after construction, so any number of threads may read one index.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ _PREFIX = itemgetter(0)  # of a (prefix, value) pair
 
 
 class PrefixIndex:
-    """Longest-prefix match, exact lookup, covering and contained prefixes."""
+    """Longest-prefix match of an address or a prefix, and contained prefixes."""
 
     def __init__(self, items: Iterable[tuple[Prefix, Any]] = ()):
         self._table: dict[Prefix, tuple[Prefix, Any]] = {prefix: (prefix, value) for prefix, value in items}
@@ -35,33 +35,18 @@ class PrefixIndex:
     def __len__(self) -> int:
         return len(self._table)
 
-    def longest_match(self, addr: Addr) -> tuple[Prefix, Any] | None:
-        """The most specific (prefix, value) containing addr, or None."""
-        version, a = addr
+    def longest_match(self, key: Addr | Prefix) -> tuple[Prefix, Any] | None:
+        """The most specific (prefix, value) containing key, an Addr, or equal
+        to or containing key, a Prefix; None when no entry does."""
+        version, net = key[0], key[1]
+        length = key[2] if len(key) == 3 else 128  # an Addr is as long as any mask
         table = self._table
         for plen, mask in self._masks[version]:
-            hit = table.get((version, a & mask, plen))
-            if hit is not None:
-                return hit
+            if plen <= length:
+                hit = table.get((version, net & mask, plen))
+                if hit is not None:
+                    return hit
         return None
-
-    def exact(self, prefix: Prefix) -> Any:
-        """The value stored for exactly this prefix, or None."""
-        hit = self._table.get(prefix)
-        return None if hit is None else hit[1]
-
-    def covering(self, prefix: Prefix) -> list[tuple[Prefix, Any]]:
-        """Entries strictly less specific than, and containing, prefix;
-        least specific first."""
-        version, net, length = prefix
-        out = []
-        for plen, mask in reversed(self._masks[version]):
-            if plen >= length:
-                break
-            hit = self._table.get((version, net & mask, plen))
-            if hit is not None:
-                out.append(hit)
-        return out
 
     def contained(self, prefix: Prefix) -> list[tuple[Prefix, Any]]:
         """Entries equal to or more specific than prefix, in address order
@@ -76,4 +61,4 @@ class PrefixIndex:
 
     def overlaps(self, prefix: Prefix) -> bool:
         """True when some entry equals, covers or lies inside prefix."""
-        return bool(self.covering(prefix) or self.contained(prefix))
+        return self.longest_match(prefix) is not None or bool(self.contained(prefix))

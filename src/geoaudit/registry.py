@@ -43,6 +43,8 @@ class Rir(enum.Enum):
     LACNIC = "LACNIC"
     AFRINIC = "AFRINIC"
 
+    __hash__ = object.__hash__  # a member equals only itself; Enum's hashes _name_ in Python code
+
     def __str__(self) -> str:
         return self.value
 
@@ -53,6 +55,8 @@ class Status(enum.Enum):
     ALLOCATED = "allocated"
     ASSIGNED = "assigned"
     LEGACY_OR_UNKNOWN = "legacy_or_unknown"
+
+    __hash__ = object.__hash__  # by identity, as Rir
 
     def __str__(self) -> str:
         return self.value
@@ -305,13 +309,13 @@ def load_jsonl(from_json: Callable[[Mapping], T], fp: IO[str]) -> list[T]:
     return out
 
 
-# The record codec: @record gives a NamedTuple to_line, from_json and to_json,
-# derived from the annotated type of each field, so each type is spelled one
-# way in every JSONL file. to_line writes what json.dumps(rec.to_json(),
-# sort_keys=True) would. from_json takes each value of its field's plain JSON
-# type as it is, and reads an object with any other through field, which
-# refuses a wrong JSON type, not converts it, and gives a missing key the
-# field's default or, without one, refuses it. Both are compiled on first use.
+# The record codec: @record gives a NamedTuple to_line and from_json, derived
+# from the annotated type of each field, so each type is spelled one way in
+# every JSONL file. to_line writes the line json.dumps(..., sort_keys=True)
+# would write of the record. from_json takes each value of its field's
+# plain JSON type as it is, and reads an object with any other through field,
+# which refuses a wrong JSON type, not converts it, and gives a missing key
+# the field's default or, without one, refuses it. Both compile on first use.
 
 _KEYS = {"cls": "class"}  # fields whose JSON key is not their name
 _JSON_NAMES = {str: "a string", bool: "a boolean", int: "an integer", float: "a number",
@@ -460,9 +464,8 @@ class _OnFirstUse:
 
 
 def record(cls: type[T]) -> type[T]:
-    """Give a NamedTuple to_line, from_json and to_json: the record codec above."""
+    """Give a NamedTuple to_line and from_json: the record codec above."""
     cls.to_line, cls.from_json = _OnFirstUse(cls, "to_line"), _OnFirstUse(cls, "from_json")
-    cls.to_json = lambda self: json.loads(self.to_line())  # the object its line holds
     return cls
 
 

@@ -1,5 +1,6 @@
 import io
 import itertools
+import json
 import random
 
 import pytest
@@ -273,7 +274,7 @@ def test_audit_prefix_silent_target_beside_an_answering_one():
     answering, quiet = rec.targets
     assert answering.responded and answering.cls is RI
     assert quiet == TargetOutcome(target=parse_address("192.0.2.2"), responded=False)
-    assert quiet.to_json()["responded"] is False
+    assert json.loads(quiet.to_line())["responded"] is False
 
 
 def test_audit_prefix_missing_org_country_default_and_strict():

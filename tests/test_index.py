@@ -13,11 +13,16 @@ def ours(value):
     return parse_address(str(value))
 
 
-def linear_longest_match(prefixes, addr):
-    """Reference: scan every prefix, keep the most specific containing one."""
+def linear_longest_match(prefixes, key):
+    """Reference: scan every prefix, keep the most specific one containing
+    key, an address, or equal to or containing key, a network."""
     best = None
     for p in prefixes:
-        if addr in p and (best is None or p.prefixlen > best.prefixlen):
+        if isinstance(key, (ipaddress.IPv4Network, ipaddress.IPv6Network)):
+            holds = key.version == p.version and key.subnet_of(p)
+        else:
+            holds = key in p
+        if holds and (best is None or p.prefixlen > best.prefixlen):
             best = p
     return best
 
@@ -60,17 +65,22 @@ def test_repeated_key_keeps_last_value():
     p = parse_prefix("10.0.0.0/8")
     index = PrefixIndex([(p, "first"), (parse_prefix("10.0.0.0/16"), "other"), (p, "second")])
     assert len(index) == 2
-    assert index.exact(p) == "second"
+    assert index.longest_match(p) == (p, "second")
     assert index.longest_match(parse_address("10.200.0.1")) == (p, "second")
-    assert index.covering(parse_prefix("10.0.0.0/16")) == [(p, "second")]
+    assert index.longest_match(parse_prefix("10.0.0.0/12")) == (p, "second")
     assert index.contained(p)[0] == (p, "second")
 
 
-def test_exact_does_not_fall_back():
-    index = PrefixIndex([(parse_prefix("10.0.0.0/8"), "a")])
-    assert index.exact(parse_prefix("10.0.0.0/8")) == "a"
-    assert index.exact(parse_prefix("10.0.0.0/16")) is None
-    assert index.exact(parse_prefix("11.0.0.0/8")) is None
+def test_longest_match_of_a_prefix_is_equal_or_covering():
+    p8, p24 = parse_prefix("10.0.0.0/8"), parse_prefix("10.0.0.0/24")
+    index = PrefixIndex([(p8, "a"), (p24, "b")])
+    assert index.longest_match(p8) == (p8, "a")
+    assert index.longest_match(parse_prefix("10.0.0.0/16")) == (p8, "a")
+    assert index.longest_match(parse_prefix("10.0.0.0/25")) == (p24, "b")
+    # an entry inside the key, even one at its network address, does not match
+    assert index.longest_match(parse_prefix("0.0.0.0/0")) is None
+    assert index.longest_match(parse_prefix("10.0.0.0/7")) is None
+    assert index.longest_match(parse_prefix("11.0.0.0/8")) is None
 
 
 def test_mixed_families_stay_apart():
@@ -84,9 +94,10 @@ def test_mixed_families_stay_apart():
     assert index.longest_match(parse_address("::a01:203")) == (v6, 6)
     assert index.longest_match(parse_address("2001:db8::1"))[1] == "doc"
     assert index.longest_match(parse_address("11.0.0.1")) is None
-    assert index.exact(v4) == 4 and index.exact(v6) == 6
-    assert index.covering(parse_prefix("10.1.0.0/16")) == [(v4, 4)]
-    assert index.covering(parse_prefix("::a01:0/112")) == [(v6, 6)]
+    assert index.longest_match(v4) == (v4, 4) and index.longest_match(v6) == (v6, 6)
+    assert index.longest_match(parse_prefix("10.1.0.0/16")) == (v4, 4)
+    assert index.longest_match(parse_prefix("::a01:0/112")) == (v6, 6)
+    assert index.longest_match(parse_prefix("::/96")) is None
     assert index.contained(parse_prefix("0.0.0.0/0")) == [(v4, 4)]
     assert [v for _, v in index.contained(parse_prefix("::/0"))] == [6, "doc"]
 
@@ -141,27 +152,29 @@ def test_longest_match_matches_linear_scan_v6():
             assert got[0] == ours(want)
 
 
-def test_covering_returns_general_to_specific():
+def test_longest_match_of_a_prefix_takes_the_most_specific_cover():
     index = index_of(["10.0.0.0/8", "10.1.0.0/16", "10.1.2.0/24", "10.2.0.0/16"])
-    got = index.covering(parse_prefix("10.1.2.0/25"))
-    assert [str(p) for p, _ in got] == ["10.0.0.0/8", "10.1.0.0/16", "10.1.2.0/24"]
-    # strictness: the query prefix itself is not covering
-    got = index.covering(parse_prefix("10.1.2.0/24"))
-    assert [str(p) for p, _ in got] == ["10.0.0.0/8", "10.1.0.0/16"]
-    assert index.covering(parse_prefix("172.16.0.0/12")) == []
+    assert index.longest_match(parse_prefix("10.1.2.0/25"))[1] == "10.1.2.0/24"
+    # the key itself is its own most specific match
+    assert index.longest_match(parse_prefix("10.1.2.0/24"))[1] == "10.1.2.0/24"
+    assert index.longest_match(parse_prefix("10.1.3.0/24"))[1] == "10.1.0.0/16"
+    assert index.longest_match(parse_prefix("10.3.0.0/16"))[1] == "10.0.0.0/8"
+    assert index.longest_match(parse_prefix("172.16.0.0/12")) is None
 
 
 def test_covering_matches_linear_scan():
+    """longest_match of a prefix, an entry or a block inside or around one,
+    against the linear scan."""
     rng = random.Random(2017)
     prefixes = random_v4_prefixes(rng, 300)
     index = PrefixIndex((ours(p), str(p)) for p in prefixes)
     for _ in range(500):
-        q = rng.choice(prefixes)
-        want = sorted(
-            (p for p in prefixes if p.prefixlen < q.prefixlen and q.subnet_of(p)),
-            key=lambda p: p.prefixlen)
-        got = [p for p, _ in index.covering(ours(q))]
-        assert got == [ours(p) for p in want]
+        base = rng.choice(prefixes)
+        plen = rng.randint(max(0, base.prefixlen - 4), min(32, base.prefixlen + 4))
+        q = base if rng.random() < 0.3 else ipaddress.ip_network(
+            (int(base.network_address) >> (32 - plen) << (32 - plen), plen))
+        want = linear_longest_match(prefixes, q)
+        assert index.longest_match(ours(q)) == (None if want is None else (ours(want), str(want))), q
 
 
 def test_contained_in_address_order():
@@ -231,11 +244,10 @@ def test_both_families_in_one_index_match_linear_scan():
             family = [p for p in prefixes if p.version == q.version]
             contained = sorted((p for p in family if p.subnet_of(q)),
                                key=lambda p: (int(p.network_address), p.prefixlen))
-            covering = sorted((p for p in family if p.prefixlen < q.prefixlen and q.subnet_of(p)),
-                              key=lambda p: p.prefixlen)
+            match = linear_longest_match(family, q)
             assert index.contained(ours(q)) == [(ours(p), str(p)) for p in contained], q
-            assert index.covering(ours(q)) == [(ours(p), str(p)) for p in covering], q
-            assert index.overlaps(ours(q)) == bool(contained or covering), q
+            assert index.longest_match(ours(q)) == (None if match is None else (ours(match), str(match))), q
+            assert index.overlaps(ours(q)) == bool(contained or match), q
             addr = type(q.network_address)(int(q.network_address) + rng.randrange(q.num_addresses))
             want = linear_longest_match(family, addr)
             assert index.longest_match(ours(addr)) == (None if want is None else (ours(want), str(want)))

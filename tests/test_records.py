@@ -3,6 +3,7 @@ are built; objects that count or cache are slotted classes, unless the
 counts are a plain mapping, as classify's and vantage's are."""
 
 import datetime
+import json
 import math
 
 import pytest
@@ -98,11 +99,11 @@ def test_with_flag_keeps_the_class_and_adds_a_flag_once():
 def test_a_nested_record_round_trips_as_its_class():
     plan = TargetPlan(registration=REG._replace(last_updated=datetime.date(2020, 1, 2)),
                       targets=(ADDR,))
-    again = TargetPlan.from_json(plan.to_json())
+    again = TargetPlan.from_json(json.loads(plan.to_line()))
     assert again == plan and type(again.registration) is Registration
     record = ConsistencyRecord(prefix=PREFIX, rir_reg=Rir.RIPE, cls=ConsistencyClass.FC,
                                targets=(TargetOutcome(target=ADDR, responded=True),))
-    again = ConsistencyRecord.from_json(record.to_json())
+    again = ConsistencyRecord.from_json(json.loads(record.to_line()))
     assert again == record and type(again.targets[0]) is TargetOutcome
 
 

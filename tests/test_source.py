@@ -326,3 +326,21 @@ def test_only_the_record_codec_compiles_code():
               for node in ast.walk(stmt)
               if isinstance(node, ast.Name) and node.id in ("eval", "exec", "compile")]
     assert naming == ["registry.py:_compile:exec", "registry.py:_compile:compile"]
+
+
+def test_only_longest_match_walks_the_prefix_lengths():
+    """PrefixIndex.longest_match is the one walk of the lengths an index
+    holds, for an address and for a prefix alike: _masks is named in
+    PrefixIndex.__init__, which builds it, and in longest_match alone, so no
+    second walk (an exact or a covering lookup) grows back beside it, and no
+    module reaches into the index for it."""
+    naming = sorted({f"{path.name}:{cls.name}.{func.name}"
+                     for path in sorted((ROOT / "src" / "geoaudit").glob("*.py"))
+                     for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                     if isinstance(cls, ast.ClassDef)
+                     for func in cls.body if isinstance(func, ast.FunctionDef)
+                     for node in ast.walk(func)
+                     if isinstance(node, ast.Attribute) and node.attr == "_masks"})
+    assert naming == ["index.py:PrefixIndex.__init__", "index.py:PrefixIndex.longest_match"]
+    mentions = _modules_where(lambda node: isinstance(node, ast.Attribute) and node.attr == "_masks")
+    assert mentions == ["index.py"]
