@@ -22,11 +22,15 @@ from geoaudit.report import (
     load_geodb,
     oro_stats,
     sankey_edges,
+    write_characteristics_csv,
     write_distribution_csv,
     write_geodb_csv,
     write_leasing_csv,
+    write_oro_csv,
+    write_sankey_csv,
     write_summary,
 )
+from geoaudit.targets import registrations_by_prefix
 
 FC, OC, OI, RI, FI = ConsistencyClass
 
@@ -302,3 +306,175 @@ def test_write_summary_lists_each_nonzero_filter_in_filter_order():
     ]
     assert "classified         : 1" in lines
     assert lines[-1] == "accounting identity: holds"
+
+
+def _pinned_tables() -> dict[str, str]:
+    """Every report table, oro.csv and summary.txt, written from hand-built
+    records, registrations, providers and a lease list that reach each
+    table's edge cases; the comments say which row shows which."""
+    def outcome(target, country, cls):
+        return TargetOutcome(target=parse_address(target), responded=True,
+                             vantage_country=country, cls=cls)
+
+    records = [
+        record("10.0.0.0/24", Rir.ARIN, FC, {Rir.ARIN}, [outcome("10.0.0.1", "US", FC)]),
+        record("10.0.1.0/24", Rir.ARIN, FC, {Rir.ARIN}),  # no targets: not in sankey.csv
+        record("10.0.2.0/24", Rir.ARIN, RI, {Rir.APNIC}, [outcome("10.0.2.1", "JP", RI)]),
+        # classified, but no classified target has a mapped vantage country: not in sankey.csv
+        record("10.0.3.0/24", Rir.ARIN, FI, {Rir.RIPE}, [outcome("10.0.3.1", "XX", FI),
+                                                         outcome("10.0.3.2", "DE", None)]),
+        record("10.0.4.0/24", Rir.ARIN, filter_reason=FilterReason.UNRESPONSIVE),
+        record("10.0.5.0/24", Rir.ARIN, OI, {Rir.ARIN}),
+        record("10.1.0.0/24", Rir.RIPE, RI, {Rir.ARIN}, [outcome("10.1.0.1", "US", RI)]),
+        record("10.1.1.0/24", Rir.RIPE, OC, {Rir.ARIN}),
+        record("2001:db8::/32", Rir.RIPE, FI, {Rir.APNIC}, [outcome("2001:db8::1", "JP", FI)]),
+        # APNIC has no RI or FI record: no geodb.csv or leasing.csv row
+        record("10.2.0.0/24", Rir.APNIC, FC, {Rir.APNIC}),
+        # LACNIC has no classified record: no distribution.csv row
+        record("10.3.0.0/24", Rir.LACNIC, filter_reason=FilterReason.NIR),
+    ]
+    day = datetime.date
+    regs = [
+        # ARIN v4: the /16 covers every ARIN /24, so its 256 units are all the
+        # units and all the out-of-region ones; 10.0.3 and 10.0.5 are unknown orgs
+        reg("10.0.0.0/16", org_country="DE", status=Status.ALLOCATED, last_updated=day(2015, 3, 1)),
+        reg("10.0.0.0/24", status=Status.ALLOCATED, last_updated=day(2019, 5, 1)),
+        reg("10.0.1.0/24", status=Status.ASSIGNED),  # no last_updated: year unknown
+        reg("10.0.2.0/24", org_country="JP", status=Status.ASSIGNED, last_updated=day(2021, 1, 1)),
+        reg("10.0.3.0/24", org_country=None, last_updated=day(2019, 7, 1)),
+        reg("10.0.5.0/24", org_country="XX", status=Status.ASSIGNED, last_updated=day(2021, 2, 2)),
+        reg("2001:db9::/48"),
+        reg("10.1.0.0/24", Rir.RIPE, "DE", status=Status.ALLOCATED, last_updated=day(2020, 1, 1)),
+        reg("10.1.1.0/24", Rir.RIPE, "US"),
+        # RIPE v6: the /32 covers both /48s
+        reg("2001:db8::/32", Rir.RIPE, "JP", last_updated=day(2018, 1, 1)),
+        reg("2001:db8:1::/48", Rir.RIPE, "JP"),
+        reg("2001:db8:2::/48", Rir.RIPE, "FR"),
+        reg("10.2.0.0/24", Rir.APNIC, "JP"),
+    ]
+    providers = {
+        # covers none of RIPE's eligible prefixes: covered 0, fraction 0.000000
+        "beta": [GeoDbEntry(parse_prefix("10.0.0.0/16"), "DE")],
+        "alpha": [GeoDbEntry(parse_prefix("10.0.2.0/24"), "JP"),
+                  GeoDbEntry(parse_prefix("10.0.3.0/24"), "US"),
+                  GeoDbEntry(parse_prefix("10.1.0.0/24"), "US"),
+                  GeoDbEntry(parse_prefix("2001:db8::/32"), "XK")],  # unmapped: no coverage
+    }
+    leased = [parse_prefix("10.0.2.128/25"), parse_prefix("2001:db8::/48")]
+
+    def text(write, *args) -> str:
+        buf = io.StringIO()
+        write(*args, buf)
+        return buf.getvalue()
+
+    status_fp, year_fp = io.StringIO(), io.StringIO()
+    write_characteristics_csv(*characteristics(records, registrations_by_prefix(regs)), status_fp, year_fp)
+    return {
+        "distribution.csv": text(write_distribution_csv, distribution(records)),
+        "summary.txt": text(write_summary, records),
+        "sankey.csv": text(write_sankey_csv, sankey_edges(records, REGION_MAP)),
+        "oro.csv": text(write_oro_csv, oro_stats(regs, REGION_MAP)),
+        "characteristics_status.csv": status_fp.getvalue(),
+        "characteristics_age.csv": year_fp.getvalue(),
+        "geodb.csv": text(write_geodb_csv, geodb_detection(records, providers, REGION_MAP)),
+        "geodb_same_region.csv": text(write_geodb_csv, geodb_detection(
+            records, providers, REGION_MAP, require_geo_agreement=True)),
+        "leasing.csv": text(write_leasing_csv, leasing_overlap(records, leased)),
+    }
+
+
+def _csv(*rows: str) -> str:
+    return "".join(row + "\r\n" for row in rows)
+
+
+PINNED_TABLES = {
+    "distribution.csv": _csv(
+        "rir,FC,OC,OI,RI,FI",
+        "ARIN,0.400000,0.000000,0.200000,0.200000,0.200000",
+        "RIPE,0.000000,0.333333,0.000000,0.333333,0.333333",
+        "APNIC,1.000000,0.000000,0.000000,0.000000,0.000000",
+        "ALL,0.333333,0.111111,0.111111,0.222222,0.222222",
+    ),
+    "summary.txt": (
+        "prefix audit summary\n"
+        "====================\n"
+        "\n"
+        "candidate prefixes : 11\n"
+        "filtered unresponsive          : 1\n"
+        "filtered nir                   : 1\n"
+        "classified         : 9\n"
+        "\n"
+        "class distribution\n"
+        "  FC: 3 (33.3%)\n"
+        "  OC: 1 (11.1%)\n"
+        "  OI: 1 (11.1%)\n"
+        "  RI: 2 (22.2%)\n"
+        "  FI: 2 (22.2%)\n"
+        "\n"
+        "accounting identity: holds\n"
+    ),
+    "sankey.csv": _csv(
+        "source_rir,dest_rir,count",
+        "ARIN,APNIC,1",
+        "ARIN,ARIN,1",
+        "RIPE,APNIC,1",
+        "RIPE,ARIN,1",
+    ),
+    "oro.csv": _csv(
+        "rir,family,prefixes,oro_prefixes,prefix_fraction,address_units,oro_address_units,unit_fraction,unknown_org",
+        "APNIC,4,1,0,0.000000,1.000,0.000,0.000000,0",
+        "ARIN,4,6,2,0.333333,256.000,256.000,1.000000,2",
+        "RIPE,4,2,1,0.500000,2.000,1.000,0.500000,0",
+        "ARIN,6,1,0,0.000000,1.000,0.000,0.000000,0",
+        "RIPE,6,3,2,0.666667,65536.000,65536.000,1.000000,0",
+    ),
+    "characteristics_status.csv": _csv(
+        "class,status,count",
+        "FC,allocated,1",
+        "FC,assigned,1",
+        "FC,legacy_or_unknown,1",
+        "FI,legacy_or_unknown,2",
+        "OC,legacy_or_unknown,1",
+        "OI,assigned,1",
+        "RI,allocated,1",
+        "RI,assigned,1",
+    ),
+    "characteristics_age.csv": _csv(
+        "class,year,count",
+        "FC,unknown,2",
+        "FC,2019,1",
+        "FI,2018,1",
+        "FI,2019,1",
+        "OC,unknown,1",
+        "OI,2021,1",
+        "RI,2020,1",
+        "RI,2021,1",
+    ),
+    "geodb.csv": _csv(
+        "provider,rir,eligible,covered,detected,fraction,no_coverage",
+        "alpha,ARIN,2,2,1,0.500000,0",
+        "alpha,RIPE,2,1,1,1.000000,1",
+        "beta,ARIN,2,2,2,1.000000,0",
+        "beta,RIPE,2,0,0,0.000000,2",
+    ),
+    # beta's DE agrees with 10.0.3.0/24's measured RIPE alone, not with 10.0.2.0/24's APNIC
+    "geodb_same_region.csv": _csv(
+        "provider,rir,eligible,covered,detected,fraction,no_coverage",
+        "alpha,ARIN,2,2,1,0.500000,0",
+        "alpha,RIPE,2,1,1,1.000000,1",
+        "beta,ARIN,2,2,1,0.500000,0",
+        "beta,RIPE,2,0,0,0.000000,2",
+    ),
+    "leasing.csv": _csv(
+        "rir,class,records,overlapping,fraction",
+        "ARIN,FI,1,0,0.000000",
+        "ARIN,RI,1,1,1.000000",
+        "RIPE,FI,1,1,1.000000",
+        "RIPE,RI,1,0,0.000000",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_TABLES)
+def test_every_table_keeps_its_pinned_text(name):
+    assert _pinned_tables()[name] == PINNED_TABLES[name]
