@@ -17,7 +17,7 @@ from .registry import (
     Addr,
     Prefix,
     Registration,
-    load_jsonl,
+    json_lines,
     parse_address,
     parse_as,
     parse_prefix,
@@ -89,10 +89,24 @@ def write_plans(plans: Iterable[TargetPlan], fp: IO[str]) -> int:
 
 def load_plans(fp: IO[str]) -> list[TargetPlan]:
     """A prefix or a target in two plans is refused, as build_target_plans
-    never writes one, so an audit measures each target once."""
-    plans = load_jsonl(TargetPlan.from_json, fp)
+    never writes one, so an audit measures each target once. Then a target
+    outside its plan's prefix is refused naming its line, as the audit
+    would classify that prefix from another prefix's address."""
+    plans, lines = [], []
+    for n, obj in json_lines(fp):
+        try:
+            plans.append(TargetPlan.from_json(obj))
+        except GeoAuditError as exc:
+            raise GeoAuditError(f"line {n}: {exc}") from None
+        lines.append(n)
     refuse_repeats((plan.prefix for plan in plans), "prefix")
     refuse_repeats((target for plan in plans for target in plan.targets), "target")
+    for n, plan in zip(lines, plans):
+        version, network, length = plan.prefix
+        host_bits = plan.prefix.max_prefixlen - length  # a Prefix refuses `in`
+        for target in plan.targets:
+            if target.version != version or int(target) >> host_bits != network >> host_bits:
+                raise GeoAuditError(f"line {n}: target {target} is outside its plan's prefix {plan.prefix}")
     return plans
 
 

@@ -358,6 +358,31 @@ def test_audit_refuses_a_prefix_or_target_planned_twice(small_campaign, capsys):
         assert not captured.exists() and not out.exists()
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_audit_refuses_a_target_outside_its_plan(small_campaign, capsys, seed):
+    """Two random plans that swap their targets exit 2 naming the file, the
+    first of their lines, its plan's prefix and its first target: a target
+    outside its plan's prefix would be classified by that prefix's
+    registration from another prefix's address."""
+    camp, paths, tmp_path = small_campaign
+    plans_path = tmp_path / "plans.jsonl"
+    assert run(["plan", "--registrations", paths["registrations.jsonl"],
+                "--hitlist-v4", paths["hitlist_v4.csv"], "--hitlist-v6", paths["hitlist_v6.txt"],
+                "-o", str(plans_path)]) == 0
+    plans = [json.loads(line) for line in plans_path.read_text().splitlines()]
+    i, j = sorted(random.Random(seed).sample(range(len(plans)), 2))
+    plans[i]["targets"], plans[j]["targets"] = plans[j]["targets"], plans[i]["targets"]
+    plans_path.write_text("".join(json.dumps(plan) + "\n" for plan in plans))
+    captured, out = tmp_path / "captured.jsonl", tmp_path / "audit.jsonl"
+    capsys.readouterr()
+    assert run(audit_argv(paths, str(out), plans=str(plans_path),
+                          extra=["--capture-results", str(captured)])) == 2
+    assert capsys.readouterr().err == (
+        f"geoaudit: {plans_path}: line {i + 1}: target {plans[i]['targets'][0]} is outside"
+        f" its plan's prefix {plans[i]['registration']['prefix']}\n")
+    assert not captured.exists() and not out.exists()
+
+
 def test_audit_refuses_a_repeated_vantage_id(small_campaign, capsys):
     """A vantage id listed twice exits 2 naming the file and the id, instead
     of measuring with one record and inferring with the other."""
