@@ -24,6 +24,8 @@ class Alignment(enum.Enum):
     MIXED_AS = "mixed_as"
     UNADVERTISED = "unadvertised"
 
+    __hash__ = object.__hash__  # by identity, as registry.Rir
+
 
 # column order used in tables
 ALIGNMENT_ORDER = (

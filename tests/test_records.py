@@ -3,11 +3,15 @@ are built; objects that count or cache are slotted classes, unless the
 counts are a plain mapping, as classify's and vantage's are."""
 
 import datetime
+import enum
+import importlib
 import json
 import math
+from pathlib import Path
 
 import pytest
 
+import geoaudit
 from geoaudit.bgp import Alignment, AlignmentResult, Rib
 from geoaudit.classify import (
     AuditConfig,
@@ -179,3 +183,20 @@ def test_counters_start_at_zero_and_stay_mutable():
     assert [getattr(rep, name) for name in IngestReport.__slots__] == [Rir.ARIN] + [0] * 11
     rep.unresolved_orgs = 3  # the benchmark's replica of ingest sets it
     assert rep.unresolved_orgs == 3 and rep.check_identity()
+
+
+def _enums() -> list[type[enum.Enum]]:
+    """Every enum class that a src/geoaudit module defines."""
+    modules = [importlib.import_module(f"geoaudit.{path.stem}")
+               for path in sorted(Path(geoaudit.__file__).parent.glob("*.py"))]
+    return [value for module in modules for value in vars(module).values()
+            if isinstance(value, enum.EnumMeta) and value.__module__ == module.__name__]
+
+
+def test_every_enum_hashes_by_identity():
+    """A member equals only itself, so it may hash by id: Enum's own __hash__
+    hashes the member's name in Python code, a call per dict or Counter
+    lookup of a record's class, status, registry or alignment."""
+    enums = _enums()
+    assert {cls.__name__ for cls in enums} >= {"Alignment", "ConsistencyClass", "FilterReason", "Rir", "Status"}
+    assert [cls.__name__ for cls in enums if cls.__hash__ is not object.__hash__] == []
