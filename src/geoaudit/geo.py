@@ -5,8 +5,9 @@ speed of light in fiber; every country with a representative point inside
 that radius stays feasible. The vantage's own country is always feasible,
 since the disk is centered there.
 
-The haversine formula has one home, its per-origin form distance_from,
-which the country tables below and the simulator's per-vantage state hold.
+The haversine formula has one home, distance_from, the distance from one
+origin, which the country tables below and the simulator's per-vantage
+state hold.
 
 The rule is computed from a table per vantage location, built on first use:
 every country sorted by the distance to its nearest point (one distance per
@@ -34,8 +35,9 @@ C_KM_PER_S = 299792.458
 
 
 def distance_from(lat: float, lon: float) -> Callable[[float, float], float]:
-    """haversine_km from the origin (lat, lon) to any point, bit for bit: the
-    origin's latitude in radians and its cosine are computed once."""
+    """The great-circle distance in km on the mean-radius sphere from the
+    origin (lat, lon) to any point, by the haversine formula: the origin's
+    latitude in radians and its cosine are computed once."""
     p1 = math.radians(lat)
     cos_p1 = math.cos(p1)
 
@@ -46,11 +48,6 @@ def distance_from(lat: float, lon: float) -> Callable[[float, float], float]:
         return 2.0 * EARTH_RADIUS_KM * math.asin(math.sqrt(a))
 
     return km
-
-
-def haversine_km(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
-    """Great-circle distance in km on the mean-radius sphere."""
-    return distance_from(lat1, lon1)(lat2, lon2)
 
 
 def rtt_to_radius_km(rtt_ms: float, propagation_factor: float = DEFAULT_PROPAGATION_FACTOR) -> float:

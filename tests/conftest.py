@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from geoaudit import measure
+from geoaudit import geo, measure
 from geoaudit.errors import UnknownTarget
 from geoaudit.registry import Rir, parse_address
 from geoaudit.vantage import load_vantages
@@ -34,6 +34,12 @@ CLUSTERS: dict[Rir, list[tuple[str, float, float]]] = {
 CLASS_PATTERN = ("FC", "OC", "OI", "RI", "FI")
 
 GEOBENCH = Path(__file__).resolve().parent.parent / "geobench"
+
+
+def haversine_km(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
+    """Great-circle distance in km on the mean-radius sphere: geo.distance_from
+    from (lat1, lon1), so bit for bit the distance geoaudit computes."""
+    return geo.distance_from(lat1, lon1)(lat2, lon2)
 
 
 def load_geobench(name: str):

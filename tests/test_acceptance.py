@@ -20,7 +20,6 @@ from geoaudit.bgp import Alignment, AlignmentResult, align, alignment_table, loa
 from geoaudit.classify import ConsistencyClass, ConsistencyRecord, classify_one
 from geoaudit.geo import (
     GeoConfig,
-    haversine_km,
     infer_region,
     load_country_points,
     rtt_to_radius_km,
@@ -53,6 +52,7 @@ from conftest import (
     LIVE_ARGV,
     audit_argv,
     build_campaign,
+    haversine_km,
     seeded_pending,
     serve_campaign,
     write_campaign,

@@ -10,7 +10,6 @@ from geoaudit.geo import (
     check_point_coverage,
     default_country_points,
     feasible_rirs,
-    haversine_km,
     infer_region,
     load_country_points,
     min_rtt,
@@ -19,6 +18,8 @@ from geoaudit.geo import (
 from geoaudit.measure import MeasurementResult
 from geoaudit.registry import RegionMap, Rir, default_region_map, parse_address
 from geoaudit.vantage import VantagePoint
+
+from conftest import haversine_km
 
 
 def result(vid, *rtts):

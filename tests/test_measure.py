@@ -18,7 +18,7 @@ import pytest
 
 from geoaudit import measure
 from geoaudit.errors import BackendUnavailable, GeoAuditError, UnknownTarget
-from geoaudit.geo import C_KM_PER_S, EARTH_RADIUS_KM, haversine_km
+from geoaudit.geo import C_KM_PER_S, EARTH_RADIUS_KM
 from geoaudit.measure import (
     MAX_RETRIES,
     POLL_ATTEMPTS,
@@ -40,8 +40,8 @@ from geoaudit.registry import (Prefix, _number, _object, field, load_jsonl, pars
                                parse_prefix)
 from geoaudit.vantage import VantagePoint, prefix_rotation, sha256
 
-from conftest import (FAULTS, FaultySession, LoopbackApi, WorldSession, fields, measure_plan,
-                      seeded_pending, stub_answer)
+from conftest import (FAULTS, FaultySession, LoopbackApi, WorldSession, fields, haversine_km,
+                      measure_plan, seeded_pending, stub_answer)
 
 
 def vp(vid, lat=0.0, lon=0.0, country="US"):

@@ -274,10 +274,10 @@ def test_a_broken_accounting_identity_is_reported_in_one_place():
 
 
 def test_the_great_circle_formula_has_one_home():
-    """geo.distance_from is the one haversine formula, which haversine_km,
-    the per-vantage country tables and the simulator share: asin is named in
-    geo.py alone, as a name, an attribute or an import, so no module keeps a
-    copy of the formula of its own."""
+    """geo.distance_from is the one haversine formula, which the per-vantage
+    country tables, the simulator and the tests' conftest.haversine_km
+    share: asin is named in geo.py alone, as a name, an attribute or an
+    import, so no module keeps a copy of the formula of its own."""
     names = ("id", "attr", "name")
     assert _modules_where(lambda node: any(getattr(node, key, None) == "asin"
                                            for key in names)) == ["geo.py"]
