@@ -14,7 +14,7 @@ from typing import IO, Iterable, NamedTuple
 
 from .errors import GeoAuditError
 from .index import PrefixIndex
-from .registry import Prefix, Registration, Rir, parse_prefix, read_tokens
+from .registry import Prefix, Registration, Rir, parse_prefix, read_tokens, share
 
 
 class Alignment(enum.Enum):
@@ -118,5 +118,5 @@ def alignment_table(regs: Iterable[Registration], rib: Rib, family: int) -> dict
     table: dict[Rir, dict[Alignment, float]] = {}
     for rir, row in counts.items():
         total = sum(row.values())
-        table[rir] = {a: row[a] / total for a in ALIGNMENT_ORDER}
+        table[rir] = {a: share(row[a], total) for a in ALIGNMENT_ORDER}
     return table

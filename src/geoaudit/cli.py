@@ -42,6 +42,8 @@ from .registry import (
     parse_as,
     read_ini,
     read_tokens,
+    share,
+    write_csv,
     write_oro_csv,
     write_registrations,
 )
@@ -275,9 +277,7 @@ def cmd_align(args: argparse.Namespace) -> int:
             print(f"{rir.value} v{family}: {cells}")
     if args.output:
         with _output(args.output) as fp:
-            writer = csv.writer(fp)
-            writer.writerow(["rir", "family"] + [a.value for a in bgp.ALIGNMENT_ORDER])
-            writer.writerows(rows)
+            write_csv(fp, ["rir", "family"] + [a.value for a in bgp.ALIGNMENT_ORDER], rows)
         print(f"wrote {args.output}")
     return 0
 
@@ -482,10 +482,11 @@ def cmd_oro(args: argparse.Namespace) -> int:
     regs = _read(args.registrations, load_registrations)
     region_map = _region_map(args)
     rows = oro_stats(regs, region_map)
-    for row in rows.values():
-        print(f"{row.rir.value} v{row.family}: prefixes={row.prefixes} oro={row.oro_prefixes} "
-              f"({row.prefix_fraction:.1%}) units={row.units:.1f} oro_units={row.oro_units:.1f} "
-              f"({row.unit_fraction:.1%}) unknown_org={row.unknown_org}")
+    for (rir, family), row in rows.items():
+        print(f"{rir.value} v{family}: prefixes={row['prefixes']} oro={row['oro_prefixes']} "
+              f"({share(row['oro_prefixes'], row['prefixes']):.1%}) units={row['units']:.1f} "
+              f"oro_units={row['oro_units']:.1f} ({share(row['oro_units'], row['units']):.1%}) "
+              f"unknown_org={row['unknown_org']}")
     if args.output:
         with _output(args.output) as fp:
             write_oro_csv(rows, fp)

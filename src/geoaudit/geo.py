@@ -5,9 +5,8 @@ speed of light in fiber; every country with a representative point inside
 that radius stays feasible. The vantage's own country is always feasible,
 since the disk is centered there.
 
-The haversine formula has one home, distance_from, the distance from one
-origin, which the country tables below and the simulator's per-vantage
-state hold.
+The haversine formula has one home, distance_from, which the country
+tables below and the simulator's per-vantage state hold.
 
 The rule is computed from a table per vantage location, built on first use:
 every country sorted by the distance to its nearest point (one distance per
@@ -35,9 +34,8 @@ C_KM_PER_S = 299792.458
 
 
 def distance_from(lat: float, lon: float) -> Callable[[float, float], float]:
-    """The great-circle distance in km on the mean-radius sphere from the
-    origin (lat, lon) to any point, by the haversine formula: the origin's
-    latitude in radians and its cosine are computed once."""
+    """Great-circle km on the mean-radius sphere from (lat, lon) to any point:
+    the origin's latitude in radians and its cosine are computed once."""
     p1 = math.radians(lat)
     cos_p1 = math.cos(p1)
 

@@ -1,6 +1,7 @@
 """Core registry domain types: RIRs, prefixes, registrations, the region map,
 the shared record codec and field, the one check of a point on the globe,
-and out-of-region organization counts.
+the one CSV writer and the one fraction rule, and out-of-region
+organization counts.
 
 An address is an Addr, (version, integer), and a prefix a Prefix,
 (version, network integer, length): small immutable tuples that sort, hash
@@ -23,6 +24,7 @@ import operator
 import struct
 import types
 import typing
+from collections import Counter
 from typing import IO, Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
 
 from .errors import GeoAuditError
@@ -566,6 +568,20 @@ def read_csv(lines: Iterable[str], header: Sequence[str], parse_row: Callable[[d
     return out
 
 
+def write_csv(fp: IO[str], header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write the header row, then each row, as CSV: the counterpart of
+    read_csv, and the one writer of every table."""
+    writer = csv.writer(fp)
+    writer.writerow(header)
+    writer.writerows(rows)
+
+
+def share(part: float, whole: float) -> float:
+    """part / whole, or 0.0 when whole is empty: every fraction a table
+    holds or a command prints."""
+    return part / whole if whole else 0.0
+
+
 def point(lat: float, lon: float) -> tuple[float, float]:
     """(lat, lon) if it is a point on the globe, else GeoAuditError naming
     the key out of range; not (x <= y) also holds for NaN."""
@@ -666,26 +682,6 @@ def default_region_map() -> RegionMap:
     return region_map
 
 
-class OroStats:
-    """Out-of-region organizations for one registry and family."""
-
-    __slots__ = ("rir", "family", "prefixes", "oro_prefixes", "unknown_org", "units", "oro_units")
-
-    def __init__(self, rir: Rir, family: int):
-        self.rir = rir
-        self.family = family
-        self.prefixes = self.oro_prefixes = self.unknown_org = 0
-        self.units = self.oro_units = 0.0
-
-    @property
-    def prefix_fraction(self) -> float:
-        return self.oro_prefixes / self.prefixes if self.prefixes else 0.0
-
-    @property
-    def unit_fraction(self) -> float:
-        return self.oro_units / self.units if self.units else 0.0
-
-
 def _union_units(prefixes: Sequence[Prefix]) -> float:
     """Sum address units over the union of the given prefixes: overlapping
     blocks count once, at the widest covering block."""
@@ -703,43 +699,36 @@ def _union_units(prefixes: Sequence[Prefix]) -> float:
 def oro_stats(
     regs: Iterable[Registration],
     region_map: RegionMap,
-) -> dict[tuple[Rir, int], OroStats]:
-    """Count registrations whose organization sits outside the registering
-    region, per registry and family, in prefixes and in address units.
-    Rows come in table order: by family, then registry name."""
-    rows: dict[tuple[Rir, int], OroStats] = {}
-    all_prefixes: dict[tuple[Rir, int], list[Prefix]] = {}
-    oro_prefixes: dict[tuple[Rir, int], list[Prefix]] = {}
+) -> dict[tuple[Rir, int], dict[str, float]]:
+    """Per registry and family, the registrations (prefixes), those whose
+    organization sits outside the registering region (oro_prefixes) or in
+    no mapped country (unknown_org), and the address units of the first two
+    (units, oro_units). Rows come in table order: by family, then registry
+    name."""
+    blocks: dict[tuple[Rir, int], list[Prefix]] = {}
+    oro_blocks: dict[tuple[Rir, int], list[Prefix]] = {}
+    unknown_org: Counter[tuple[Rir, int]] = Counter()
     for reg in regs:
         key = (reg.rir, reg.prefix.version)
-        row = rows.get(key)
-        if row is None:
-            row = rows[key] = OroStats(reg.rir, reg.prefix.version)
-        row.prefixes += 1
-        all_prefixes.setdefault(key, []).append(reg.prefix)
+        blocks.setdefault(key, []).append(reg.prefix)
         rir_org = region_map.get(reg.org_country)
         if rir_org is None:
-            row.unknown_org += 1
+            unknown_org[key] += 1
         elif rir_org != reg.rir:
-            row.oro_prefixes += 1
-            oro_prefixes.setdefault(key, []).append(reg.prefix)
-    ordered = {}
-    for key in sorted(rows, key=lambda k: (k[1], k[0].value)):
-        row = ordered[key] = rows[key]
-        row.units = _union_units(all_prefixes[key])
-        row.oro_units = _union_units(oro_prefixes.get(key, ()))
-    return ordered
+            oro_blocks.setdefault(key, []).append(reg.prefix)
+    rows = {}
+    for key in sorted(blocks, key=lambda k: (k[1], k[0].value)):
+        oro = oro_blocks.get(key, [])
+        rows[key] = {"prefixes": len(blocks[key]), "oro_prefixes": len(oro), "unknown_org": unknown_org[key],
+                     "units": _union_units(blocks[key]), "oro_units": _union_units(oro)}
+    return rows
 
 
-def write_oro_csv(rows: Mapping[tuple[Rir, int], OroStats], fp: IO[str]) -> None:
+def write_oro_csv(rows: Mapping[tuple[Rir, int], Mapping[str, float]], fp: IO[str]) -> None:
     """Write the rows of oro_stats in the order it returns them."""
-    writer = csv.writer(fp)
-    writer.writerow([
-        "rir", "family", "prefixes", "oro_prefixes", "prefix_fraction",
-        "address_units", "oro_address_units", "unit_fraction", "unknown_org",
-    ])
-    for row in rows.values():
-        writer.writerow([
-            row.rir.value, row.family, row.prefixes, row.oro_prefixes, f"{row.prefix_fraction:.6f}",
-            f"{row.units:.3f}", f"{row.oro_units:.3f}", f"{row.unit_fraction:.6f}", row.unknown_org,
-        ])
+    write_csv(fp, ["rir", "family", "prefixes", "oro_prefixes", "prefix_fraction",
+                   "address_units", "oro_address_units", "unit_fraction", "unknown_org"],
+              ([rir.value, family, row["prefixes"], row["oro_prefixes"],
+                f"{share(row['oro_prefixes'], row['prefixes']):.6f}", f"{row['units']:.3f}",
+                f"{row['oro_units']:.3f}", f"{share(row['oro_units'], row['units']):.6f}", row["unknown_org"]]
+               for (rir, family), row in rows.items()))

@@ -1,13 +1,13 @@
-"""Aggregations over audit output: class distributions, registration
-characteristics, geolocation-database checks, lease-list overlap, and the
-CSV/summary writers behind the report command. The out-of-region
+"""The report command's tables, each a fold of the audit records into
+plain counts (Counters) that its writer turns into rows, every fraction by
+registry.share, and writes through registry.write_csv. The out-of-region
 organization table needs no audit; it lives in registry and is re-exported
 here.
 """
 
 from __future__ import annotations
 
-import csv
+from collections import Counter
 from typing import IO, Iterable, Mapping, NamedTuple, Sequence
 
 from .classify import ConsistencyClass, ConsistencyRecord, FilterReason, pipeline_counts
@@ -23,45 +23,36 @@ from .registry import (
     parse_prefix,
     read_csv,
     refuse_repeats,
+    share,
+    write_csv,
     write_oro_csv,
 )
 
+# the classes the geolocation-database and lease-list tables count
+_INCONSISTENT = (ConsistencyClass.RI, ConsistencyClass.FI)
 
-def distribution(records: Iterable[ConsistencyRecord]) -> dict[Rir | None, dict[ConsistencyClass, float]]:
-    """Per-registry class fractions over classified records; the None row is
-    the overall total. Every row sums to 1."""
-    counts: dict[Rir | None, dict[ConsistencyClass, int]] = {}
-    for rec in records:
-        if rec.cls is None:
-            continue
-        for key in (rec.rir_reg, None):
-            row = counts.setdefault(key, dict.fromkeys(ConsistencyClass, 0))
-            row[rec.cls] += 1
-    out: dict[Rir | None, dict[ConsistencyClass, float]] = {}
-    for key, row in counts.items():
-        total = sum(row.values())
-        out[key] = {cls: row[cls] / total for cls in ConsistencyClass}
-    return out
+
+def distribution(records: Iterable[ConsistencyRecord]) -> Counter[tuple[Rir, ConsistencyClass]]:
+    """Classified records by registry and class."""
+    return Counter((rec.rir_reg, rec.cls) for rec in records if rec.cls is not None)
 
 
 def characteristics(
     records: Iterable[ConsistencyRecord],
     regs_by_prefix: Mapping[Prefix, Registration],
-) -> tuple[dict[tuple[ConsistencyClass, Status], int], dict[tuple[ConsistencyClass, int | None], int]]:
-    """Cross-tabulate class against registration status and last-updated year."""
-    by_status: dict[tuple[ConsistencyClass, Status], int] = {}
-    by_year: dict[tuple[ConsistencyClass, int | None], int] = {}
+) -> tuple[Counter[tuple[ConsistencyClass, Status]], Counter[tuple[ConsistencyClass, int | None]]]:
+    """Classified records with a registration, by class and registration
+    status, and by class and last-updated year (None when unknown)."""
+    by_status: Counter[tuple[ConsistencyClass, Status]] = Counter()
+    by_year: Counter[tuple[ConsistencyClass, int | None]] = Counter()
     for rec in records:
         if rec.cls is None:
             continue
         reg = regs_by_prefix.get(rec.prefix)
         if reg is None:
             continue
-        skey = (rec.cls, reg.status)
-        by_status[skey] = by_status.get(skey, 0) + 1
-        year = reg.last_updated.year if reg.last_updated else None
-        ykey = (rec.cls, year)
-        by_year[ykey] = by_year.get(ykey, 0) + 1
+        by_status[rec.cls, reg.status] += 1
+        by_year[rec.cls, reg.last_updated.year if reg.last_updated else None] += 1
     return by_status, by_year
 
 
@@ -79,30 +70,16 @@ def load_geodb(fp: IO[str]) -> list[GeoDbEntry]:
     return entries
 
 
-class DetectionStats:
-    __slots__ = ("eligible", "detected", "no_coverage")
-
-    def __init__(self):
-        self.eligible = self.detected = self.no_coverage = 0
-
-    @property
-    def covered(self) -> int:
-        return self.eligible - self.no_coverage
-
-    @property
-    def fraction(self) -> float:
-        # detection rate over prefixes the provider actually covers
-        return self.detected / self.covered if self.covered else 0.0
-
-
 def geodb_detection(
     records: Iterable[ConsistencyRecord],
     providers: Mapping[str, Sequence[GeoDbEntry]],
     region_map: RegionMap,
     require_geo_agreement: bool = False,
-) -> dict[str, dict[Rir, DetectionStats]]:
+) -> dict[str, dict[Rir, Counter[str]]]:
     """How often each provider places measured-inconsistent prefixes (RI/FI)
-    outside their registered region.
+    outside their registered region: per provider and registry, the
+    eligible records, those the provider has no mapped country for
+    (no_coverage), and those it detects.
 
     Default criterion: the provider's country maps to a registry other than
     the registering one. With require_geo_agreement the provider's region
@@ -111,70 +88,57 @@ def geodb_detection(
         name: PrefixIndex((entry.prefix, entry.country) for entry in entries)
         for name, entries in providers.items()
     }
-
-    out: dict[str, dict[Rir, DetectionStats]] = {
-        name: {rir: DetectionStats() for rir in Rir} for name in providers
-    }
+    out = {name: {rir: Counter() for rir in Rir} for name in providers}
     for rec in records:
-        if rec.cls not in (ConsistencyClass.RI, ConsistencyClass.FI):
+        if rec.cls not in _INCONSISTENT:
             continue
         probe_addr = rec.prefix.network_address
         for name, index in indexes.items():
-            stats = out[name][rec.rir_reg]
-            stats.eligible += 1
+            counts = out[name][rec.rir_reg]
+            counts["eligible"] += 1
             hit = index.longest_match(probe_addr)
             provider_rir = None if hit is None else region_map.get(hit[1])
             if provider_rir is None:
-                stats.no_coverage += 1
+                counts["no_coverage"] += 1
                 continue
             detected = provider_rir != rec.rir_reg
             if require_geo_agreement:
                 detected = detected and provider_rir in rec.rir_geo
             if detected:
-                stats.detected += 1
+                counts["detected"] += 1
     return out
-
-
-class LeasingStats:
-    __slots__ = ("records", "overlapping")
-
-    def __init__(self):
-        self.records = self.overlapping = 0
-
-    @property
-    def fraction(self) -> float:
-        return self.overlapping / self.records if self.records else 0.0
 
 
 def leasing_overlap(
     records: Iterable[ConsistencyRecord],
     leased: Iterable[Prefix],
-) -> dict[tuple[Rir, ConsistencyClass], LeasingStats]:
-    """Overlap between measured-inconsistent prefixes and a lease list.
+) -> dict[tuple[Rir, ConsistencyClass], Counter[str]]:
+    """Overlap between measured-inconsistent prefixes and a lease list: per
+    registry and class (RI/FI), the records and those overlapping.
 
     Any relation counts: exact, contained in a leased block, or containing
     one. Rows exist for every (registry, RI/FI) pair."""
     index = PrefixIndex((prefix, True) for prefix in leased)
-    out = {(rir, cls): LeasingStats() for rir in Rir for cls in (ConsistencyClass.RI, ConsistencyClass.FI)}
+    out = {(rir, cls): Counter() for rir in Rir for cls in _INCONSISTENT}
     for rec in records:
-        if rec.cls not in (ConsistencyClass.RI, ConsistencyClass.FI):
+        if rec.cls not in _INCONSISTENT:
             continue
-        stats = out[(rec.rir_reg, rec.cls)]
-        stats.records += 1
+        counts = out[rec.rir_reg, rec.cls]
+        counts["records"] += 1
         if index.overlaps(rec.prefix):
-            stats.overlapping += 1
+            counts["overlapping"] += 1
     return out
 
 
 def sankey_edges(
     records: Iterable[ConsistencyRecord],
     region_map: RegionMap,
-) -> list[tuple[Rir, Rir, int]]:
+) -> Counter[tuple[Rir, Rir]]:
     """Flow counts of classified records from registered region to measured
     region: the region the map gives the vantage country of the first
     classified target whose vantage country it knows. A record with no
     such target is left out of sankey.csv."""
-    counts: dict[tuple[Rir, Rir], int] = {}
+    counts: Counter[tuple[Rir, Rir]] = Counter()
     for rec in records:
         if rec.cls is None:
             continue
@@ -183,21 +147,19 @@ def sankey_edges(
             dest = None if outcome.cls is None else region_map.get(outcome.vantage_country)
             if dest is not None:
                 break
-        if dest is None:
-            continue
-        key = (rec.rir_reg, dest)
-        counts[key] = counts.get(key, 0) + 1
-    return [(src, dst, n) for (src, dst), n in sorted(counts.items(), key=lambda kv: (kv[0][0].value, kv[0][1].value))]
+        if dest is not None:
+            counts[rec.rir_reg, dest] += 1
+    return counts
 
 
-def write_distribution_csv(rows: Mapping[Rir | None, Mapping[ConsistencyClass, float]], fp: IO[str]) -> None:
-    writer = csv.writer(fp)
-    writer.writerow(["rir"] + [cls.value for cls in ConsistencyClass])
-    for rir in [*Rir, None]:
-        if rir not in rows:
-            continue
-        label = rir.value if rir else "ALL"
-        writer.writerow([label] + [f"{rows[rir][cls]:.6f}" for cls in ConsistencyClass])
+def write_distribution_csv(counts: Counter[tuple[Rir, ConsistencyClass]], fp: IO[str]) -> None:
+    """Each registry's share of every class, in table order, then the ALL
+    row's; a registry with no classified record has no row."""
+    rows = {rir.value: [counts[rir, cls] for cls in ConsistencyClass] for rir in Rir}
+    rows["ALL"] = [sum(column) for column in zip(*rows.values())]
+    write_csv(fp, ["rir"] + [cls.value for cls in ConsistencyClass],
+              ([label] + [f"{share(n, sum(row)):.6f}" for n in row]
+               for label, row in rows.items() if sum(row)))
 
 
 def write_characteristics_csv(
@@ -206,42 +168,38 @@ def write_characteristics_csv(
     status_fp: IO[str],
     year_fp: IO[str],
 ) -> None:
-    writer = csv.writer(status_fp)
-    writer.writerow(["class", "status", "count"])
-    for (cls, status), count in sorted(by_status.items(), key=lambda kv: (kv[0][0].value, kv[0][1].value)):
-        writer.writerow([cls.value, status.value, count])
-    writer = csv.writer(year_fp)
-    writer.writerow(["class", "year", "count"])
-    for (cls, year), count in sorted(by_year.items(), key=lambda kv: (kv[0][0].value, kv[0][1] or 0)):
-        writer.writerow([cls.value, year if year is not None else "unknown", count])
+    """The two cross-tabs, rows sorted by their cells; an unknown year sorts
+    first and reads "unknown"."""
+    write_csv(status_fp, ["class", "status", "count"],
+              sorted([cls.value, status.value, n] for (cls, status), n in by_status.items()))
+    ages = sorted([cls.value, year or 0, n] for (cls, year), n in by_year.items())
+    write_csv(year_fp, ["class", "year", "count"], ([cls, year or "unknown", n] for cls, year, n in ages))
 
 
-def write_geodb_csv(stats: Mapping[str, Mapping[Rir, DetectionStats]], fp: IO[str]) -> None:
-    writer = csv.writer(fp)
-    writer.writerow(["provider", "rir", "eligible", "covered", "detected", "fraction", "no_coverage"])
+def write_geodb_csv(stats: Mapping[str, Mapping[Rir, Counter[str]]], fp: IO[str]) -> None:
+    """A row per provider, by name, and registry with an eligible record, in
+    table order; the fraction is of the records the provider covers."""
+    rows = []
     for name in sorted(stats):
         for rir in Rir:
-            row = stats[name][rir]
-            if row.eligible == 0:
-                continue
-            writer.writerow([name, rir.value, row.eligible, row.covered, row.detected,
-                             f"{row.fraction:.6f}", row.no_coverage])
+            counts = stats[name][rir]
+            covered = counts["eligible"] - counts["no_coverage"]
+            if counts["eligible"]:
+                rows.append([name, rir.value, counts["eligible"], covered, counts["detected"],
+                             f"{share(counts['detected'], covered):.6f}", counts["no_coverage"]])
+    write_csv(fp, ["provider", "rir", "eligible", "covered", "detected", "fraction", "no_coverage"], rows)
 
 
-def write_leasing_csv(stats: Mapping[tuple[Rir, ConsistencyClass], LeasingStats], fp: IO[str]) -> None:
-    writer = csv.writer(fp)
-    writer.writerow(["rir", "class", "records", "overlapping", "fraction"])
-    for (rir, cls), row in sorted(stats.items(), key=lambda kv: (kv[0][0].value, kv[0][1].value)):
-        if row.records == 0:
-            continue
-        writer.writerow([rir.value, cls.value, row.records, row.overlapping, f"{row.fraction:.6f}"])
+def write_leasing_csv(stats: Mapping[tuple[Rir, ConsistencyClass], Counter[str]], fp: IO[str]) -> None:
+    write_csv(fp, ["rir", "class", "records", "overlapping", "fraction"],
+              sorted([rir.value, cls.value, counts["records"], counts["overlapping"],
+                      f"{share(counts['overlapping'], counts['records']):.6f}"]
+                     for (rir, cls), counts in stats.items() if counts["records"]))
 
 
-def write_sankey_csv(edges: Sequence[tuple[Rir, Rir, int]], fp: IO[str]) -> None:
-    writer = csv.writer(fp)
-    writer.writerow(["source_rir", "dest_rir", "count"])
-    for src, dst, count in edges:
-        writer.writerow([src.value, dst.value, count])
+def write_sankey_csv(edges: Mapping[tuple[Rir, Rir], int], fp: IO[str]) -> None:
+    write_csv(fp, ["source_rir", "dest_rir", "count"],
+              sorted([src.value, dst.value, n] for (src, dst), n in edges.items()))
 
 
 def write_summary(records: Sequence[ConsistencyRecord], fp: IO[str]) -> None:
@@ -260,6 +218,6 @@ def write_summary(records: Sequence[ConsistencyRecord], fp: IO[str]) -> None:
     if classified:
         fp.write("class distribution\n")
         for cls in ConsistencyClass:
-            fp.write(f"  {cls.value}: {counts[cls]} ({counts[cls] / classified:.1%})\n")
+            fp.write(f"  {cls.value}: {counts[cls]} ({share(counts[cls], classified):.1%})\n")
     identity = "BROKEN" if None in counts else "holds"
     fp.write(f"\naccounting identity: {identity}\n")

@@ -3,8 +3,10 @@ ground truth, written out as the file set the CLI consumes."""
 
 from __future__ import annotations
 
+import csv
 import http.server
 import importlib.util
+import io
 import ipaddress
 import json
 import random
@@ -40,6 +42,14 @@ def haversine_km(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
     """Great-circle distance in km on the mean-radius sphere: geo.distance_from
     from (lat1, lon1), so bit for bit the distance geoaudit computes."""
     return geo.distance_from(lat1, lon1)(lat2, lon2)
+
+
+def written_rows(write, *tables) -> list[list[str]]:
+    """The cells of every row, the header's first, that a report writer
+    such as report.write_oro_csv writes of tables."""
+    buf = io.StringIO()
+    write(*tables, buf)
+    return list(csv.reader(io.StringIO(buf.getvalue())))
 
 
 def load_geobench(name: str):

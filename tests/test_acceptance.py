@@ -36,6 +36,7 @@ from geoaudit.registry import (
     parse_address,
     parse_prefix,
     range_to_cidrs,
+    share,
 )
 from geoaudit.report import (
     GeoDbEntry,
@@ -43,6 +44,9 @@ from geoaudit.report import (
     geodb_detection,
     leasing_overlap,
     oro_stats,
+    write_distribution_csv,
+    write_geodb_csv,
+    write_leasing_csv,
 )
 from geoaudit.vantage import load_vantages
 from geoaudit.whois import drop_circular_transfers, normalize_status, parse_bulk_whois
@@ -56,6 +60,7 @@ from conftest import (
     seeded_pending,
     serve_campaign,
     write_campaign,
+    written_rows,
 )
 from test_whois import APNIC_DUMP, ARIN_DUMP, RIPE_DUMP
 
@@ -553,10 +558,10 @@ def test_criterion_09_report_fidelity():
         fi_records = [rec(f"10.2.{k}.0/24", FI) for k in range(11)]
         leased = [parse_prefix(p) for p in
                   ("10.2.0.0/24", "10.2.1.128/25", "10.2.10.0/23")]
-        stats = leasing_overlap(fi_records, leased)[(Rir.ARIN, FI)]
-        assert stats.records == 11
-        assert stats.overlapping == 3
-        assert round(stats.fraction * 1000) / 10 == 27.3
+        stats = leasing_overlap(fi_records, leased)
+        assert stats[(Rir.ARIN, FI)] == {"records": 11, "overlapping": 3}
+        assert written_rows(write_leasing_csv, stats)[1:] == [["ARIN", "FI", "11", "3", "0.272727"]]
+        assert round(share(3, 11) * 1000) / 10 == 27.3
 
         # distribution: hand-counted fractions, rows sum to 1
         dist_records = (
@@ -566,13 +571,16 @@ def test_criterion_09_report_fidelity():
                rec("10.7.1.0/24", FI, rir=Rir.RIPE)]
         )
         dist = distribution(dist_records)
-        assert dist[Rir.ARIN][FC] == pytest.approx(0.75)
-        assert dist[Rir.ARIN][RI] == pytest.approx(0.25)
-        assert dist[Rir.RIPE][FC] == pytest.approx(0.5)
-        assert dist[Rir.RIPE][FI] == pytest.approx(0.5)
-        assert dist[None][FC] == pytest.approx(4 / 6)
-        for row in dist.values():
-            assert sum(row.values()) == pytest.approx(1.0, abs=1e-9)
+        assert dist == {(Rir.ARIN, FC): 3, (Rir.ARIN, RI): 1, (Rir.RIPE, FC): 1, (Rir.RIPE, FI): 1}
+        rows = {row[0]: [float(cell) for cell in row[1:]]
+                for row in written_rows(write_distribution_csv, dist)[1:]}
+        assert rows["ARIN"][0] == pytest.approx(0.75)
+        assert rows["ARIN"][3] == pytest.approx(0.25)
+        assert rows["RIPE"][0] == pytest.approx(0.5)
+        assert rows["RIPE"][4] == pytest.approx(0.5)
+        assert rows["ALL"][0] == pytest.approx(4 / 6, abs=1e-6)
+        for row in rows.values():
+            assert sum(row) == pytest.approx(1.0, abs=1e-5)  # each cell rounded to 6 places
 
         region_map = RegionMap({"US": Rir.ARIN, "BR": Rir.LACNIC})
 
@@ -586,12 +594,12 @@ def test_criterion_09_report_fidelity():
                             org_country=None)]
         )
         oro = oro_stats(regs, region_map)[(Rir.ARIN, 4)]
-        assert oro.prefixes == 10
-        assert oro.oro_prefixes == 2
-        assert oro.unknown_org == 1
-        assert oro.prefix_fraction == pytest.approx(0.2)
-        assert oro.units == pytest.approx(10.0)
-        assert oro.oro_units == pytest.approx(2.0)
+        assert oro["prefixes"] == 10
+        assert oro["oro_prefixes"] == 2
+        assert oro["unknown_org"] == 1
+        assert share(oro["oro_prefixes"], oro["prefixes"]) == pytest.approx(0.2)
+        assert oro["units"] == pytest.approx(10.0)
+        assert oro["oro_units"] == pytest.approx(2.0)
 
         # geolocation providers: 4 eligible, 1 uncovered, 2 detected
         geo_records = [
@@ -607,14 +615,15 @@ def test_criterion_09_report_fidelity():
         ]
         stats = geodb_detection(geo_records, {"alpha": provider}, region_map)
         alpha = stats["alpha"][Rir.ARIN]
-        assert alpha.eligible == 4
-        assert alpha.no_coverage == 1
-        assert alpha.covered == 3
-        assert alpha.detected == 2
-        assert alpha.fraction == pytest.approx(2 / 3)
+        assert alpha["eligible"] == 4
+        assert alpha["no_coverage"] == 1
+        assert alpha["detected"] == 2
+        # eligible, covered, detected, the fraction of those covered, no_coverage
+        assert written_rows(write_geodb_csv, stats)[1:] == [["alpha", "ARIN", "4", "3", "2", "0.666667", "1"]]
+        assert share(alpha["detected"], alpha["eligible"] - alpha["no_coverage"]) == pytest.approx(2 / 3)
         strict = geodb_detection(
             geo_records, {"alpha": provider}, region_map, require_geo_agreement=True)
-        assert strict["alpha"][Rir.ARIN].detected == 1
+        assert strict["alpha"][Rir.ARIN]["detected"] == 1
 
 
 def test_criterion_10_determinism(tmp_path, monkeypatch, capsys):

@@ -1,6 +1,6 @@
 """Record semantics: immutable records are NamedTuples, checked where they
 are built; objects that count or cache are slotted classes, unless the
-counts are a plain mapping, as classify's and vantage's are."""
+counts are a plain mapping, as classify's, vantage's and report's are."""
 
 import datetime
 import enum
@@ -24,8 +24,8 @@ from geoaudit.errors import GeoAuditError
 from geoaudit.geo import FeasibleRegion, GeoConfig
 from geoaudit.index import PrefixIndex
 from geoaudit.measure import MeasurementResult, SyntheticWorld
-from geoaudit.registry import OroStats, RegionMap, Registration, Rir, Status, parse_address, parse_prefix
-from geoaudit.report import DetectionStats, GeoDbEntry, LeasingStats
+from geoaudit.registry import RegionMap, Registration, Rir, Status, parse_address, parse_prefix
+from geoaudit.report import GeoDbEntry
 from geoaudit.targets import HitlistEntry, TargetPlan
 from geoaudit.vantage import VantagePlan, VantagePoint, VantageSet
 from geoaudit.whois import Dialect, IngestReport
@@ -160,9 +160,6 @@ def test_world_defaults_are_not_shared():
 STATE = {
     "IngestReport": lambda: IngestReport(Rir.ARIN),
     "VantageSet": VantageSet,
-    "OroStats": lambda: OroStats(Rir.ARIN, 4),
-    "DetectionStats": DetectionStats,
-    "LeasingStats": LeasingStats,
     "GeoConfig": lambda: GeoConfig(country_points={}),
     "SyntheticWorld": SyntheticWorld,
     "MeasurementResult": lambda: MeasurementResult("v-1", ADDR, (1.0,)),

@@ -12,6 +12,7 @@ from geoaudit.registry import (
     Status,
     parse_address,
     parse_prefix,
+    share,
 )
 from geoaudit.report import (
     GeoDbEntry,
@@ -31,6 +32,8 @@ from geoaudit.report import (
     write_summary,
 )
 from geoaudit.targets import registrations_by_prefix
+
+from conftest import written_rows
 
 FC, OC, OI, RI, FI = ConsistencyClass
 
@@ -60,20 +63,18 @@ def test_oro_stats_fixture_15_percent():
         regs.append(reg(f"10.0.{i}.0/24", org_country=cc))
     rows = oro_stats(regs, REGION_MAP)
     row = rows[(Rir.ARIN, 4)]
-    assert row.prefixes == 100
-    assert row.oro_prefixes == 15
-    assert row.prefix_fraction == pytest.approx(0.15, abs=1e-12)
-    assert row.units == 100.0
-    assert row.oro_units == 15.0
-    assert row.unit_fraction == pytest.approx(0.15, abs=1e-12)
-    assert row.unknown_org == 0
+    assert row == {"prefixes": 100, "oro_prefixes": 15, "unknown_org": 0, "units": 100.0, "oro_units": 15.0}
+    assert share(row["oro_prefixes"], row["prefixes"]) == pytest.approx(0.15, abs=1e-12)
+    assert share(row["oro_units"], row["units"]) == pytest.approx(0.15, abs=1e-12)
+    assert written_rows(write_oro_csv, rows)[1:] == [
+        ["ARIN", "4", "100", "15", "0.150000", "100.000", "15.000", "0.150000", "0"]]
 
 
 def test_oro_membership_rule():
     rows = oro_stats([reg("10.0.0.0/24", Rir.ARIN, "BR")], REGION_MAP)
-    assert rows[(Rir.ARIN, 4)].oro_prefixes == 1
+    assert rows[(Rir.ARIN, 4)]["oro_prefixes"] == 1
     rows = oro_stats([reg("10.0.0.0/24", Rir.RIPE, "DE")], REGION_MAP)
-    assert rows[(Rir.RIPE, 4)].oro_prefixes == 0
+    assert rows[(Rir.RIPE, 4)]["oro_prefixes"] == 0
 
 
 def test_oro_unknown_orgs_counted_separately():
@@ -83,9 +84,9 @@ def test_oro_unknown_orgs_counted_separately():
         reg("10.0.2.0/24", org_country="XX"),
     ]
     row = oro_stats(regs, REGION_MAP)[(Rir.ARIN, 4)]
-    assert row.prefixes == 3
-    assert row.oro_prefixes == 0
-    assert row.unknown_org == 2
+    assert row["prefixes"] == 3
+    assert row["oro_prefixes"] == 0
+    assert row["unknown_org"] == 2
 
 
 def test_oro_units_deduplicate_overlap():
@@ -96,16 +97,16 @@ def test_oro_units_deduplicate_overlap():
         reg("10.1.0.0/24", org_country="US"),
     ]
     row = oro_stats(regs, REGION_MAP)[(Rir.ARIN, 4)]
-    assert row.units == 257.0
-    assert row.oro_units == 256.0
-    assert row.oro_units <= row.units
+    assert row["units"] == 257.0
+    assert row["oro_units"] == 256.0
+    assert row["oro_units"] <= row["units"]
 
 
 def test_oro_v6_units():
     regs = [reg("2001:db8::/32", Rir.RIPE, "JP"), reg("2001:db9::/48", Rir.RIPE, "DE")]
     row = oro_stats(regs, REGION_MAP)[(Rir.RIPE, 6)]
-    assert row.units == 65536.0 + 1.0
-    assert row.oro_units == 65536.0
+    assert row["units"] == 65536.0 + 1.0
+    assert row["oro_units"] == 65536.0
 
 
 def test_distribution_fractions():
@@ -118,13 +119,14 @@ def test_distribution_fractions():
         record("2001:db8::/32", Rir.RIPE, OC),
         record("10.0.4.0/24", Rir.ARIN),  # filtered records do not count
     ]
-    rows = distribution(records)
-    assert rows[Rir.ARIN][FC] == 0.75
-    assert rows[Rir.ARIN][RI] == 0.25
-    assert rows[Rir.RIPE][OC] == 1.0
-    assert rows[None][FC] == 0.5
-    for row in rows.values():
-        assert abs(sum(row.values()) - 1.0) < 1e-9
+    counts = distribution(records)
+    assert counts == {(Rir.ARIN, FC): 3, (Rir.ARIN, RI): 1, (Rir.RIPE, OC): 2}
+    rows = written_rows(write_distribution_csv, counts)[1:]
+    assert rows == [["ARIN", "0.750000", "0.000000", "0.000000", "0.250000", "0.000000"],
+                    ["RIPE", "0.000000", "1.000000", "0.000000", "0.000000", "0.000000"],
+                    ["ALL", "0.500000", "0.333333", "0.000000", "0.166667", "0.000000"]]
+    for row in rows:
+        assert abs(sum(map(float, row[1:])) - 1.0) < 1e-5  # each cell rounded to 6 places
 
 
 def test_characteristics_cross_tabs():
@@ -142,7 +144,7 @@ def test_characteristics_cross_tabs():
         record("10.9.0.0/24", Rir.ARIN, FC),  # classified, but no registration: not counted
     ]
     by_status, by_year = characteristics(records, regs)
-    assert sum(by_status.values()) == sum(by_year.values()) == 3
+    assert by_status.total() == by_year.total() == 3
     assert by_status[(FC, Status.ALLOCATED)] == 2
     assert by_status[(RI, Status.ASSIGNED)] == 1
     assert by_year[(FC, 2019)] == 1
@@ -174,20 +176,21 @@ def test_geodb_detection_counts():
     ]
     stats = geodb_detection(records, {"alpha": provider}, REGION_MAP)
     arin = stats["alpha"][Rir.ARIN]
-    assert arin.eligible == 4
-    assert arin.no_coverage == 1
-    assert arin.covered == 3
+    assert arin["eligible"] == 4
+    assert arin["no_coverage"] == 1
     # JP and DE are out-of-region for ARIN; US is not
-    assert arin.detected == 2
-    assert arin.fraction == pytest.approx(2 / 3)
+    assert arin["detected"] == 2
     ripe = stats["alpha"][Rir.RIPE]
-    assert (ripe.eligible, ripe.detected) == (1, 1)
+    assert (ripe["eligible"], ripe["detected"]) == (1, 1)
+    # covered is eligible less no_coverage, and the fraction is of those covered
+    assert written_rows(write_geodb_csv, stats)[1:] == [["alpha", "ARIN", "4", "3", "2", "0.666667", "1"],
+                                                        ["alpha", "RIPE", "1", "1", "1", "1.000000", "0"]]
 
     # strict variant: the provider must also agree with a measured region
     strict = geodb_detection(records, {"alpha": provider}, REGION_MAP,
                              require_geo_agreement=True)
     arin = strict["alpha"][Rir.ARIN]
-    assert arin.detected == 2  # JP in {APNIC}, DE in {RIPE}: both agree
+    assert arin["detected"] == 2  # JP in {APNIC}, DE in {RIPE}: both agree
 
 
 def test_geodb_detection_strict_disagreement():
@@ -196,15 +199,15 @@ def test_geodb_detection_strict_disagreement():
     loose = geodb_detection(records, {"p": provider}, REGION_MAP)
     strict = geodb_detection(records, {"p": provider}, REGION_MAP,
                              require_geo_agreement=True)
-    assert loose["p"][Rir.ARIN].detected == 1
-    assert strict["p"][Rir.ARIN].detected == 0
+    assert loose["p"][Rir.ARIN]["detected"] == 1
+    assert strict["p"][Rir.ARIN]["detected"] == 0
 
 
 def test_geodb_unmapped_country_is_no_coverage():
     records = [record("10.0.0.0/24", Rir.ARIN, RI)]
     provider = [GeoDbEntry(parse_prefix("10.0.0.0/24"), "XK")]
     stats = geodb_detection(records, {"p": provider}, REGION_MAP)
-    assert stats["p"][Rir.ARIN].no_coverage == 1
+    assert stats["p"][Rir.ARIN]["no_coverage"] == 1
 
 
 def test_leasing_overlap_27_3_percent():
@@ -219,12 +222,14 @@ def test_leasing_overlap_27_3_percent():
     ]
     stats = leasing_overlap(records, leased)
     row = stats[(Rir.ARIN, FI)]
-    assert row.records == 11
-    assert row.overlapping == 3
-    assert row.fraction == pytest.approx(3 / 11, abs=1e-12)
-    assert round(row.fraction * 1000) / 10 == 27.3
-    assert stats[(Rir.ARIN, RI)].records == 1
-    assert stats[(Rir.ARIN, RI)].overlapping == 0
+    assert row["records"] == 11
+    assert row["overlapping"] == 3
+    assert share(row["overlapping"], row["records"]) == pytest.approx(3 / 11, abs=1e-12)
+    assert round(share(row["overlapping"], row["records"]) * 1000) / 10 == 27.3
+    assert stats[(Rir.ARIN, RI)]["records"] == 1
+    assert stats[(Rir.ARIN, RI)]["overlapping"] == 0
+    assert written_rows(write_leasing_csv, stats)[1:] == [["ARIN", "FI", "11", "3", "0.272727"],
+                                                          ["ARIN", "RI", "1", "0", "0.000000"]]
 
 
 def test_sankey_edges_flow_to_vantage_region():
@@ -245,7 +250,8 @@ def test_sankey_edges_flow_to_vantage_region():
                                                     outcome("10.0.4.2", "DE", None)]),
     ]
     edges = sankey_edges(records, REGION_MAP)
-    assert edges == [(Rir.ARIN, Rir.ARIN, 1), (Rir.ARIN, Rir.RIPE, 2)]
+    assert edges == {(Rir.ARIN, Rir.ARIN): 1, (Rir.ARIN, Rir.RIPE): 2}
+    assert written_rows(write_sankey_csv, edges)[1:] == [["ARIN", "ARIN", "1"], ["ARIN", "RIPE", "2"]]
 
 
 def test_csv_writers_and_summary():

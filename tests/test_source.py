@@ -249,6 +249,35 @@ def test_only_the_line_readers_know_the_comment_mark():
                           and node.value == "#") == ["registry.py", "whois.py"]
 
 
+def _statements_where(found, skip=()) -> list[str]:
+    """module:name of each top-level statement of a src/geoaudit module, but
+    those in skip, with an AST node that found accepts; a def or class is
+    named by its name, an assignment by its target."""
+    return [f"{path.name}:{getattr(stmt, 'name', None) or ast.unparse(stmt.targets[0])}"
+            for path in sorted((ROOT / "src" / "geoaudit").glob("*.py")) if path.name not in skip
+            for stmt in ast.parse(path.read_text(encoding="utf-8")).body
+            if any(found(node) for node in ast.walk(stmt))]
+
+
+def test_only_write_csv_writes_csv():
+    """registry.write_csv, the counterpart of read_csv, is the one writer of
+    every CSV table: csv.writer is named in that function alone, and no
+    module imports from csv, so no table grows a writer, a header row and a
+    loop of its own."""
+    assert _statements_where(lambda node: isinstance(node, ast.Attribute) and node.attr in ("writer", "DictWriter")
+                             or isinstance(node, ast.ImportFrom) and node.module == "csv") == ["registry.py:write_csv"]
+
+
+def test_every_fraction_is_a_share():
+    """registry.share is the one rule for a fraction a table holds or a
+    command prints, 0.0 when the whole is empty: outside geo and measure,
+    whose divisions convert units, a module divides in share alone, and in
+    the 2/3 of the default propagation factor."""
+    assert _statements_where(lambda node: isinstance(getattr(node, "op", None), ast.Div),
+                             skip=("geo.py", "measure.py")) == ["registry.py:DEFAULT_PROPAGATION_FACTOR",
+                                                                "registry.py:share"]
+
+
 def test_the_winner_rule_for_a_shared_prefix_has_one_home():
     """registry.winners_by_prefix is the one rule for rows that share a
     prefix: duplicate_rank is named in registry.py alone, so no module keeps
