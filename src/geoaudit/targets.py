@@ -92,7 +92,7 @@ def load_plans(fp: IO[str]) -> list[TargetPlan]:
     never writes one, so an audit measures each target once. Then a target
     outside its plan's prefix is refused naming its line, as the audit
     would classify that prefix from another prefix's address."""
-    plans, lines = [], []
+    plans, lines = [], []  # load_jsonl's loop, keeping each plan's line for after the repeats
     for n, obj in json_lines(fp):
         try:
             plans.append(TargetPlan.from_json(obj))

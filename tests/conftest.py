@@ -49,7 +49,8 @@ def written_rows(write, *tables) -> list[list[str]]:
     such as report.write_oro_csv writes of tables."""
     buf = io.StringIO()
     write(*tables, buf)
-    return list(csv.reader(io.StringIO(buf.getvalue())))
+    buf.seek(0)
+    return list(csv.reader(buf))
 
 
 def load_geobench(name: str):

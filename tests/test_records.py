@@ -182,18 +182,14 @@ def test_counters_start_at_zero_and_stay_mutable():
     assert rep.unresolved_orgs == 3 and rep.check_identity()
 
 
-def _enums() -> list[type[enum.Enum]]:
-    """Every enum class that a src/geoaudit module defines."""
-    modules = [importlib.import_module(f"geoaudit.{path.stem}")
-               for path in sorted(Path(geoaudit.__file__).parent.glob("*.py"))]
-    return [value for module in modules for value in vars(module).values()
-            if isinstance(value, enum.EnumMeta) and value.__module__ == module.__name__]
-
-
 def test_every_enum_hashes_by_identity():
     """A member equals only itself, so it may hash by id: Enum's own __hash__
     hashes the member's name in Python code, a call per dict or Counter
-    lookup of a record's class, status, registry or alignment."""
-    enums = _enums()
+    lookup of a record's class, status, registry or alignment. Every enum a
+    src/geoaudit module defines does."""
+    modules = [importlib.import_module(f"geoaudit.{path.stem}")
+               for path in sorted(Path(geoaudit.__file__).parent.glob("*.py"))]
+    enums = [value for module in modules for value in vars(module).values()
+             if isinstance(value, enum.EnumMeta) and value.__module__ == module.__name__]
     assert {cls.__name__ for cls in enums} >= {"Alignment", "ConsistencyClass", "FilterReason", "Rir", "Status"}
     assert [cls.__name__ for cls in enums if cls.__hash__ is not object.__hash__] == []
